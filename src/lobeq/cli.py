@@ -25,7 +25,6 @@ import logging
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -346,17 +345,12 @@ def cmd_sweep(cfg: dict, out: Path, seed) -> list[str]:
     tick = float(sweep_cfg.get("tick", 0.0))
     offset_d = float(sweep_cfg.get("offset_d", 0.0))
     rho = float(sweep_cfg.get("rho", 0.0))
-    workers = int(sweep_cfg.get("workers", os.cpu_count() or 1))
 
     cells = [(r, f, theta)
              for r in r_values for f in f_values for theta in theta_values]
     log.info("sweep over %d cells", len(cells))
-    with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-        rows = list(pool.map(
-            lambda cell: _sweep_cell(jump_cfg, volume_cfg, tick, offset_d, rho,
-                                     probe_x, *cell),
-            cells,
-        ))
+    rows = [_sweep_cell(jump_cfg, volume_cfg, tick, offset_d, rho, probe_x, *cell)
+            for cell in cells]
     header = ["r", "f", "theta", "phi", "mu", "phi_theta", "k_d", "spread_tick"]
     header += [f"L_at_{_fmt(x)}" for x in probe_x]
     _write_csv_rows(out / "sweep.csv", header, rows)

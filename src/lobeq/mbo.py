@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from bisect import insort
 from collections import deque
 from dataclasses import dataclass, field
@@ -133,10 +134,11 @@ class Replay:
 def parse(source, tick: float | None = None) -> list[MboEvent]:
     """Read and validate a log; returns events in file order.
 
-    Validation: exact header, field domains, nondecreasing timestamps,
-    referential integrity (modify/cancel/execute must reference a live
-    order), execute volume within the resting quantity, and optional
-    tick-multiple price checks.  Errors name the offending row.
+    Validation: exact header, field domains (finite prices), nondecreasing
+    timestamps, referential integrity (modify/cancel/execute must reference
+    a live order, and a modify keeps the order's side), execute volume
+    within the resting quantity, and optional tick-multiple price checks.
+    Errors name the offending row.
     """
     if hasattr(source, "read"):
         return _parse_rows(csv.reader(source), tick)
@@ -153,7 +155,7 @@ def _parse_rows(rows, tick: float | None) -> list[MboEvent]:
         raise MboParseError(f"row 1: header {header!r} does not match {','.join(HEADER)}")
 
     events: list[MboEvent] = []
-    live: dict[int, int] = {}    # order_id -> remaining qty
+    live: dict[int, tuple[int, str]] = {}    # order_id -> (remaining qty, side)
     last_ts = None
     for lineno, row in enumerate(rows, start=2):
         if not row:
@@ -178,6 +180,8 @@ def _parse_rows(rows, tick: float | None) -> list[MboEvent]:
             raise MboParseError(f"row {lineno}: {exc}") from None
         if qty < 0:
             raise MboParseError(f"row {lineno}: negative qty {qty}")
+        if not math.isfinite(price):
+            raise MboParseError(f"row {lineno}: price {row[4]!r} is not finite")
         flag_text = row[6].strip().lower()
         if flag_text == "":
             flag = None
@@ -198,21 +202,27 @@ def _parse_rows(rows, tick: float | None) -> list[MboEvent]:
         if action == "add":
             if oid in live:
                 raise MboParseError(f"row {lineno}: order {oid} added twice")
-            live[oid] = qty
+            live[oid] = (qty, side)
         elif oid not in live:
             raise MboParseError(f"row {lineno}: {action} references unknown order {oid}")
         elif action == "modify":
-            live[oid] = qty
+            if side != live[oid][1]:
+                raise MboParseError(
+                    f"row {lineno}: modify moves order {oid} from {live[oid][1]} to {side}"
+                )
+            live[oid] = (qty, side)
         elif action == "cancel":
             del live[oid]
         else:  # execute
-            if qty > live[oid]:
+            resting, order_side = live[oid]
+            if qty > resting:
                 raise MboParseError(
-                    f"row {lineno}: execute qty {qty} exceeds resting {live[oid]} on order {oid}"
+                    f"row {lineno}: execute qty {qty} exceeds resting {resting} on order {oid}"
                 )
-            live[oid] -= qty
-            if live[oid] == 0:
+            if qty == resting:
                 del live[oid]
+            else:
+                live[oid] = (resting - qty, order_side)
 
         events.append(MboEvent(ts, oid, action, side, price, qty, flag, label))
     return events

@@ -28,10 +28,12 @@ Informed probes queue behind the visible book; noise-maker probes queue
 behind the noise makers' own (smaller) break-even curve, since their gain
 is zero precisely at that depth.
 
-The no-log path runs through a compiled kernel (pure-Python fallback
-selected at import).  ``record_log=True`` switches to a bookkeeping loop
-that maintains a two-sided order book on the absolute tick grid and emits
-a market-by-order event log with ground-truth participant labels.
+Both paths score the probes with one numpy kernel,
+:func:`lobeq.kernels.accumulate_pnl`.  The no-log path passes it the
+static book.  ``record_log=True`` switches to a bookkeeping loop that
+maintains a two-sided order book on the absolute tick grid and emits a
+market-by-order event log with ground-truth participant labels; it records
+the ask book each event met and passes those rows to the same kernel.
 """
 
 from __future__ import annotations
@@ -253,44 +255,61 @@ def _pnl_rows(x, imm_n, imm_sum, imm_sumsq, nmm_n, nmm_sum, nmm_sumsq) -> list[L
     return rows
 
 
-def _run_fast(cfg: SimConfig, book: BookShape, draws: EventDraws) -> SimResult:
-    x = np.ascontiguousarray(book.grid, dtype=float)
-    imm_ahead = np.ascontiguousarray(book.informed, dtype=float)
-    nmm_ahead = np.ascontiguousarray(book.noise, dtype=float)
-    eff_lvl = np.diff(imm_ahead, prepend=0.0)
-    nmm_lvl = _nmm_level_split(eff_lvl, nmm_ahead)
-
-    m = len(x)
-    imm_n = np.zeros(m, dtype=np.int64)
-    imm_sum = np.zeros(m)
-    imm_sumsq = np.zeros(m)
-    nmm_n = np.zeros(m, dtype=np.int64)
-    nmm_sum = np.zeros(m)
-    nmm_sumsq = np.zeros(m)
-    exec_vol = np.zeros(m)
-    counters = np.zeros(3, dtype=np.int64)
-
-    kernels.accumulate_pnl(
-        draws.is_jump, draws.it_wins, draws.jump_size,
-        (draws.noise_sign > 0).astype(np.uint8), draws.noise_mag, draws.drift,
-        x, imm_ahead, nmm_ahead, eff_lvl, nmm_lvl,
-        imm_n, imm_sum, imm_sumsq, nmm_n, nmm_sum, nmm_sumsq,
-        exec_vol, counters,
-    )
-
-    n_jumps, n_wins, n_buys = (int(c) for c in counters)
-    summary = {
-        "n_events": cfg.n_events,
+def _event_counts(draws: EventDraws) -> dict:
+    """Summary counters of a run, taken from its draws."""
+    n_events = len(draws.is_jump)
+    n_jumps = int(draws.is_jump.sum())
+    n_wins = int((draws.is_jump & draws.it_wins).sum())
+    return {
+        "n_events": n_events,
         "n_jumps": n_jumps,
         "n_it_wins": n_wins,
-        "n_noise_buys": n_buys,
-        "empirical_r": n_jumps / cfg.n_events,
+        "n_noise_buys": int((draws.noise_sign > 0).sum()),
+        "empirical_r": n_jumps / n_events,
         "empirical_f": n_wins / n_jumps if n_jumps else math.nan,
-        "executed_volume_per_level": exec_vol.tolist(),
-        "kernel_backend": kernels.BACKEND,
+    }
+
+
+def _probe_pnl(draws: EventDraws, x, imm_ahead, nmm_ahead) -> tuple:
+    return kernels.accumulate_pnl(
+        draws.is_jump, draws.it_wins, draws.jump_size, draws.noise_sign > 0,
+        draws.noise_mag, draws.drift, x, imm_ahead, nmm_ahead,
+    )
+
+
+def _executed_volume(draws: EventDraws, x, eff_lvl, nmm_lvl) -> np.ndarray:
+    """Volume executed per level of the static book.
+
+    A jump of size B sweeps every level at distance x <= B: the whole level
+    when the trader wins the race, only its noise part when the cancel
+    wins.  A noise buy of magnitude q consumes the visible book from the
+    front, ``clip(q - depth before the level, 0, level size)``.
+    """
+    jump = draws.is_jump.astype(bool)
+    size = draws.jump_size[jump]
+    win = draws.it_wins[jump].astype(bool)
+    buys = draws.noise_mag[draws.noise_sign > 0]
+    depth_before = np.concatenate(([0.0], np.cumsum(eff_lvl)[:-1]))
+    out = np.zeros(len(x))
+    for level in range(len(x)):
+        keep = x[level] <= size
+        size, win = size[keep], win[keep]
+        n_wins = np.count_nonzero(win)
+        out[level] = (n_wins * eff_lvl[level] + (size.size - n_wins) * nmm_lvl[level]
+                      + np.clip(buys - depth_before[level], 0.0, eff_lvl[level]).sum())
+    return out
+
+
+def _run_fast(cfg: SimConfig, book: BookShape, draws: EventDraws) -> SimResult:
+    eff_lvl = np.diff(book.informed, prepend=0.0)
+    executed = _executed_volume(draws, book.grid, eff_lvl,
+                                _nmm_level_split(eff_lvl, book.noise))
+    summary = {
+        **_event_counts(draws),
+        "executed_volume_per_level": executed.tolist(),
         "seed": cfg.seed,
     }
-    pnl = _pnl_rows(x, imm_n, imm_sum, imm_sumsq, nmm_n, nmm_sum, nmm_sumsq)
+    pnl = _pnl_rows(book.grid, *_probe_pnl(draws, book.grid, book.informed, book.noise))
     return SimResult(pnl=pnl, summary=summary, book=book)
 
 
@@ -348,14 +367,12 @@ class _LoggedRun:
         # side -> {grid index -> FIFO of orders}
         self.levels: dict[str, dict[int, deque]] = {"ask": {}, "bid": {}}
         self._curve_cache: dict[tuple, tuple] = {}
-
-        m = cfg.n_levels
-        self.pnl_imm_n = [0] * m
-        self.pnl_imm_s = [0.0] * m
-        self.pnl_imm_q = [0.0] * m
-        self.pnl_nmm_n = [0] * m
-        self.pnl_nmm_s = [0.0] * m
-        self.pnl_nmm_q = [0.0] * m
+        # the ask book each event met, scored by the probe kernel afterwards:
+        # level distances for jumps and noise buys, queue depths for buys
+        shape = (cfg.n_events, cfg.n_levels)
+        self.probe_x = np.zeros(shape)
+        self.probe_imm = np.zeros(shape)
+        self.probe_nmm = np.zeros(shape)
 
     # -- plumbing -----------------------------------------------------------
 
@@ -476,37 +493,6 @@ class _LoggedRun:
                 break
         self.snapshots.append((ts, bid_px, bid_q, ask_px, ask_q))
 
-    # -- probe P&L (same semantics as the fast kernel, varying offset) -------
-
-    def _probe_fills_jump(self, dist: np.ndarray, b: float, win: bool) -> None:
-        for l in range(len(dist)):
-            if not dist[l] < b:
-                break
-            g = dist[l] - b
-            self.pnl_nmm_n[l] += 1
-            self.pnl_nmm_s[l] += g
-            self.pnl_nmm_q[l] += g * g
-            if win:
-                self.pnl_imm_n[l] += 1
-                self.pnl_imm_s[l] += g
-                self.pnl_imm_q[l] += g * g
-
-    def _probe_fills_noise(self, dist, informed, noise, q: float, d: float) -> None:
-        for l in range(len(dist)):
-            if not informed[l] < q:
-                break
-            g = dist[l] - d
-            self.pnl_imm_n[l] += 1
-            self.pnl_imm_s[l] += g
-            self.pnl_imm_q[l] += g * g
-        for l in range(len(dist)):
-            if not noise[l] < q:
-                break
-            g = dist[l] - d
-            self.pnl_nmm_n[l] += 1
-            self.pnl_nmm_s[l] += g
-            self.pnl_nmm_q[l] += g * g
-
     # -- aggressive executions ------------------------------------------------
 
     def _sweep(self, ts: int, side: str, idxs: list[int], budget: int,
@@ -555,9 +541,9 @@ class _LoggedRun:
 
     # -- event handlers ---------------------------------------------------------
 
-    def _handle_jump(self, ts: int, b: float, win: bool) -> list[tuple]:
+    def _handle_jump(self, ts: int, e: int, b: float, win: bool) -> list[tuple]:
         idxs, dist = self._side_layout("ask")
-        self._probe_fills_jump(dist, b, win)
+        self.probe_x[e] = dist
 
         swept = [idx for idx, x in zip(idxs, dist) if x <= b]
         intended = sum(self._level_total("ask", idx) for idx in swept)
@@ -592,9 +578,9 @@ class _LoggedRun:
         drift = float(d.drift[e])
 
         if sign > 0:
-            idxs, dist = self._side_layout("ask")
-            informed, noise = self._curves("ask", dist)
-            self._probe_fills_noise(dist, informed, noise, mag, drift)
+            _idxs, dist = self._side_layout("ask")
+            self.probe_x[e] = dist
+            self.probe_imm[e], self.probe_nmm[e] = self._curves("ask", dist)
 
         q_units = int(round(mag * self.scale))
         executed = []
@@ -623,7 +609,7 @@ class _LoggedRun:
             ts = int(times_ns[e])
             if d.is_jump[e]:
                 win = bool(d.it_wins[e])
-                executed = self._handle_jump(ts, float(d.jump_size[e]), win)
+                executed = self._handle_jump(ts, e, float(d.jump_size[e]), win)
                 self.events.append(SimEvent(
                     t_ns=ts, kind="jump", side=+1, size=float(d.jump_size[e]),
                     race_won_by="IT" if win else "IMM",
@@ -649,26 +635,14 @@ def _run_logged(cfg: SimConfig, draws: EventDraws, rng: np.random.Generator) -> 
     lr.run_all(times_ns)
 
     book = shape_tick(cfg.params, cfg.n_levels)
-    pnl = _pnl_rows(
-        book.grid, lr.pnl_imm_n, lr.pnl_imm_s, lr.pnl_imm_q,
-        lr.pnl_nmm_n, lr.pnl_nmm_s, lr.pnl_nmm_q,
-    )
-    n_jumps = int(draws.is_jump.sum())
-    n_wins = int((draws.is_jump & draws.it_wins).sum())
-    n_buys = int((draws.noise_sign > 0).sum())
+    pnl = _pnl_rows(book.grid, *_probe_pnl(draws, lr.probe_x, lr.probe_imm, lr.probe_nmm))
     executed_units = sum(
         q for ev in lr.events for (_side, _idx, q) in ev.executed_per_level
     )
     summary = {
-        "n_events": cfg.n_events,
-        "n_jumps": n_jumps,
-        "n_it_wins": n_wins,
-        "n_noise_buys": n_buys,
-        "empirical_r": n_jumps / cfg.n_events,
-        "empirical_f": n_wins / n_jumps if n_jumps else math.nan,
+        **_event_counts(draws),
         "executed_units_total": executed_units,
         "n_mbo_rows": len(lr.rows),
-        "kernel_backend": "python-logged",
         "seed": cfg.seed,
     }
     return SimResult(pnl=pnl, summary=summary, book=book, events=lr.events,

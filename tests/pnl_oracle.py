@@ -1,8 +1,9 @@
-"""Pure-Python fill/P&L kernel; reference twin of the Cython extension.
+"""Sequential fill/P&L loop: the test oracle of ``lobeq.kernels``.
 
-Accumulation order (events outer, levels inner, ascending) is part of the
-contract: the compiled kernel replays the exact same float operations so
-the two produce bit-identical results.
+Events outer, levels inner, one float operation at a time, exactly as the
+simulator's fast path ran before the kernel was vectorized.  Besides the
+probe statistics it accumulates executed volume per level and the event
+counters into the output arrays it is given.
 """
 
 from __future__ import annotations

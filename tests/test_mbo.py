@@ -65,10 +65,24 @@ class TestParse:
         ("10,1,add,ask,100.01,5,maybe,", "aggressor_flag"),
         ("ten,1,add,ask,100.01,5,,", "row 2"),
         ("10,1,add,ask,100.01,5,,,extra", "expected 8 fields"),
+        ("10,1,add,ask,nan,5,,", "row 2: price 'nan' is not finite"),
+        ("10,1,add,ask,inf,5,,", "row 2: price 'inf' is not finite"),
+        ("10,1,add,ask,-inf,5,,", "row 2: price '-inf' is not finite"),
     ])
     def test_bad_rows(self, row, message):
         with pytest.raises(MboParseError, match=message):
             parse_text(f"{HEADER_LINE}\n{row}\n")
+
+    def test_modify_cannot_change_side(self):
+        text = (f"{HEADER_LINE}\n10,1,add,ask,100.01,5,,\n"
+                "11,1,modify,bid,100.01,5,,\n")
+        with pytest.raises(MboParseError, match="row 3: modify moves order 1 from ask to bid"):
+            parse_text(text)
+
+    def test_partial_execute_keeps_side(self):
+        text = (f"{HEADER_LINE}\n10,1,add,bid,99.99,5,,\n"
+                "11,1,execute,bid,99.99,2,false,\n12,1,modify,bid,99.99,1,,\n")
+        assert [e.action for e in parse_text(text)] == ["add", "execute", "modify"]
 
     def test_backwards_timestamp_names_row(self):
         text = f"{HEADER_LINE}\n20,1,add,ask,100.01,5,,\n10,2,add,ask,100.02,5,,\n"
@@ -96,6 +110,10 @@ class TestParse:
         bad = f"{HEADER_LINE}\n10,1,add,ask,100.013,5,,\n"
         with pytest.raises(MboParseError, match="multiple of tick"):
             parse_text(bad, tick=0.01)
+        for price in ("nan", "inf"):
+            bad = f"{HEADER_LINE}\n10,1,add,ask,{price},5,,\n"
+            with pytest.raises(MboParseError, match="row 2: price .* is not finite"):
+                parse_text(bad, tick=0.01)
 
 
 class TestReconstruct:
