@@ -24,7 +24,9 @@ from .equilibrium import (
     JumpSource,
     ModelParams,
     MultiSourceParams,
+    ParamGrid,
     SolverError,
+    SpreadArrays,
     SpreadSolution,
     UnfillableLevelError,
     ZeroSpreadRegime,
@@ -36,6 +38,7 @@ from .equilibrium import (
     shape_multi,
     shape_tick,
     shape_toxic,
+    solve_spreads,
     spread_continuous,
     spread_tick,
     spread_toxic,

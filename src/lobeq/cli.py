@@ -25,6 +25,7 @@ import logging
 import math
 import os
 import sys
+from collections.abc import Iterable, Sequence
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +35,7 @@ from .equilibrium import (
     JumpSource,
     ModelParams,
     MultiSourceParams,
+    ParamGrid,
     SolverError,
     UnfillableLevelError,
     ZeroSpreadRegime,
@@ -42,6 +44,7 @@ from .equilibrium import (
     shape_multi,
     shape_tick,
     shape_toxic,
+    solve_spreads,
     spread_continuous,
     spread_tick,
     spread_toxic,
@@ -149,7 +152,7 @@ def _write_manifest(out: Path, command: str, cfg: dict, seed, outputs: list[str]
         fh.write("\n")
 
 
-def _write_csv_rows(path: Path, header: list[str], rows: list[list]) -> None:
+def _write_csv_rows(path: Path, header: list[str], rows: Iterable[Sequence]) -> None:
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
@@ -314,24 +317,12 @@ def cmd_signature(cfg: dict, out: Path, seed) -> list[str]:
     return outputs
 
 
-def _sweep_cell(jump_cfg, volume_cfg, tick, offset_d, rho, probe_x, r, f, theta):
-    params = ModelParams(
-        r=r, f=f,
-        jump=jump_law_from_config(jump_cfg),
-        volume=volume_law_from_config(volume_cfg),
-        theta=theta, rho=rho, tick=tick, offset_d=offset_d,
-    )
-    row = [r, f, theta]
-    try:
-        sol = spread_toxic(params) if theta > 0.0 else (
-            spread_tick(params) if tick > 0.0 else spread_continuous(params))
-        _check_residual(sol)
-        row += [sol.phi, sol.mu, sol.phi_theta, sol.k_d, sol.spread_tick]
-    except ZeroSpreadRegime:
-        row += [0.0, None, None, None, None]
-    informed, _noise = book_curves(params, np.asarray(probe_x, dtype=float))
-    row += [float(v) for v in informed]
-    return row
+def _blank_unless(values: np.ndarray | None, keep: np.ndarray) -> list:
+    """``values`` as a list with None (a blank CSV cell) where ``keep`` is
+    False; all blanks when there are no values."""
+    if values is None:
+        return [None] * keep.size
+    return [v if k else None for v, k in zip(values.tolist(), keep.tolist())]
 
 
 def cmd_sweep(cfg: dict, out: Path, seed) -> list[str]:
@@ -340,20 +331,44 @@ def cmd_sweep(cfg: dict, out: Path, seed) -> list[str]:
     f_values = [float(v) for v in _require(sweep_cfg, "f_values", "sweep")]
     theta_values = [float(v) for v in sweep_cfg.get("theta_values", [0.0])]
     probe_x = [float(v) for v in sweep_cfg.get("probe_x", [])]
-    jump_cfg = _require(sweep_cfg, "jump", "sweep")
-    volume_cfg = _require(sweep_cfg, "volume", "sweep")
-    tick = float(sweep_cfg.get("tick", 0.0))
-    offset_d = float(sweep_cfg.get("offset_d", 0.0))
-    rho = float(sweep_cfg.get("rho", 0.0))
+    r, f, theta = (a.ravel() for a in np.meshgrid(r_values, f_values, theta_values,
+                                                  indexing="ij"))
+    try:
+        grid = ParamGrid(
+            r=r, f=f, theta=theta,
+            jump=jump_law_from_config(_require(sweep_cfg, "jump", "sweep")),
+            volume=volume_law_from_config(_require(sweep_cfg, "volume", "sweep")),
+            rho=float(sweep_cfg.get("rho", 0.0)),
+            tick=float(sweep_cfg.get("tick", 0.0)),
+            offset_d=float(sweep_cfg.get("offset_d", 0.0)),
+        )
+    except ValueError as exc:
+        raise ConfigError(f"sweep: {exc}") from None
+    log.info("sweep over %d cells", r.size)
 
-    cells = [(r, f, theta)
-             for r in r_values for f in f_values for theta in theta_values]
-    log.info("sweep over %d cells", len(cells))
-    rows = [_sweep_cell(jump_cfg, volume_cfg, tick, offset_d, rho, probe_x, *cell)
-            for cell in cells]
+    # a cell with theta > 0 reports the toxic spread, else the tick
+    # quantities when there is a tick; the zero-spread regime reports phi = 0
+    sol = solve_spreads(grid)
+    solved = ~sol.zero
+    bad = np.flatnonzero(solved & ~(sol.residual <= RESIDUAL_GATE))
+    if bad.size:
+        i = bad[0]
+        raise SolverError(f"spread residual {sol.residual[i]} exceeds {RESIDUAL_GATE} "
+                          f"at {grid.cell(i)}")
+    toxic = solved & (theta > 0.0)
+    ticked = solved & ~toxic
+    informed, _noise = book_curves(grid, probe_x)
+    columns = [
+        r.tolist(), f.tolist(), theta.tolist(), sol.phi.tolist(),
+        _blank_unless(sol.mu, solved),
+        _blank_unless(sol.phi_theta, toxic),
+        _blank_unless(sol.k_d, ticked),
+        _blank_unless(sol.spread_tick, ticked),
+        *informed.T.tolist(),
+    ]
     header = ["r", "f", "theta", "phi", "mu", "phi_theta", "k_d", "spread_tick"]
     header += [f"L_at_{_fmt(x)}" for x in probe_x]
-    _write_csv_rows(out / "sweep.csv", header, rows)
+    _write_csv_rows(out / "sweep.csv", header, zip(*columns))
     return ["sweep.csv"]
 
 

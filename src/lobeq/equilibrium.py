@@ -42,10 +42,12 @@ from .solvers import BracketError, RootResult, bisect_decreasing
 
 __all__ = [
     "ModelParams",
+    "ParamGrid",
     "JumpSource",
     "MultiSourceParams",
     "BookShape",
     "SpreadSolution",
+    "SpreadArrays",
     "UnfillableLevelError",
     "ZeroSpreadRegime",
     "SolverError",
@@ -59,6 +61,7 @@ __all__ = [
     "shape_tick",
     "shape_toxic",
     "shape_multi",
+    "solve_spreads",
     "spread_continuous",
     "spread_tick",
     "spread_toxic",
@@ -128,20 +131,20 @@ class ModelParams:
             raise ValueError("either r or both event intensities must be supplied")
         # r = 0 (no jump source) is allowed as the degenerate price-path case
         if not 0.0 <= self.r < 1.0:
-            raise ValueError("r must lie in [0, 1)")
+            raise ValueError(f"r = {self.r} must lie in [0, 1)")
         if not 0.0 <= self.f <= 1.0:
-            raise ValueError("f must lie in [0, 1]")
-        if self.theta < 0.0:
-            raise ValueError("theta must be nonnegative")
+            raise ValueError(f"f = {self.f} must lie in [0, 1]")
+        if not 0.0 <= self.theta < math.inf:
+            raise ValueError(f"theta = {self.theta} must be finite and nonnegative")
         if not -1.0 < self.rho < 1.0:
-            raise ValueError("rho must lie strictly between -1 and 1")
-        if self.tick < 0.0:
-            raise ValueError("tick must be nonnegative")
+            raise ValueError(f"rho = {self.rho} must lie strictly between -1 and 1")
+        if not self.tick >= 0.0:
+            raise ValueError(f"tick = {self.tick} must be nonnegative")
         if self.tick > 0.0:
             if not 0.0 <= self.offset_d < self.tick:
-                raise ValueError("offset_d must lie in [0, tick)")
+                raise ValueError(f"offset_d = {self.offset_d} must lie in [0, tick)")
         elif self.offset_d != 0.0:
-            raise ValueError("offset_d requires a positive tick")
+            raise ValueError(f"offset_d = {self.offset_d} requires a positive tick")
 
     @property
     def gamma(self) -> float:
@@ -154,6 +157,45 @@ class ModelParams:
         if self.lambda_i is not None:
             return (self.lambda_i, self.lambda_u)
         return (self.r, 1.0 - self.r)
+
+
+@dataclass(frozen=True)
+class ParamGrid:
+    """Single-source cells that share the laws, ``rho`` and the tick grid:
+    the array form of :class:`ModelParams`, for batched solves.
+
+    ``r``, ``f`` and ``theta`` broadcast to one 1-d array each, one entry
+    per cell.  Every value passes the checks of the matching ModelParams
+    field, so a grid holds exactly the cells ModelParams accepts.
+    """
+
+    r: np.ndarray
+    f: np.ndarray
+    theta: np.ndarray
+    jump: JumpLaw
+    volume: VolumeLaw
+    rho: float = 0.0
+    tick: float = 0.0
+    offset_d: float = 0.0
+
+    def __post_init__(self):
+        cells = np.broadcast_arrays(
+            *(np.array(v, dtype=float, ndmin=1) for v in (self.r, self.f, self.theta)))
+        if cells[0].ndim != 1:
+            raise ValueError("r, f and theta must broadcast to one 1-d array")
+        shared = dict(jump=self.jump, volume=self.volume, rho=self.rho,
+                      tick=self.tick, offset_d=self.offset_d)
+        ModelParams(r=0.0, **shared)
+        for name, values in zip(("r", "f", "theta"), cells):
+            # ModelParams checks each field on its own, so one check per
+            # distinct value (other fields at valid defaults) covers the grid
+            for value in np.unique(values).tolist():
+                ModelParams(**{"r": 0.0, **shared, name: value})
+            object.__setattr__(self, name, np.ascontiguousarray(values))
+
+    def cell(self, i: int) -> str:
+        """Cell ``i`` by its parameters, for error messages."""
+        return f"cell (r, f, theta) = ({self.r[i]}, {self.f[i]}, {self.theta[i]})"
 
 
 @dataclass(frozen=True)
@@ -246,13 +288,41 @@ class SpreadSolution:
     residual: float = 0.0
 
 
+@dataclass
+class SpreadArrays:
+    """Half-spread solves over the cells of a :class:`ParamGrid`.
+
+    ``zero`` marks the zero-spread regime (f = 0 or r = 0): there ``phi``
+    is 0 and ``mu``, ``phi_theta`` and ``residual`` are nan.  ``closed``
+    marks cells whose ``phi`` is the closed form below the jump law's
+    support.  ``phi_theta`` is the toxic half-spread (``phi`` where
+    theta_bar = 0), and ``residual`` belongs to the reported root: the
+    toxic one where theta_bar > 0, ``phi`` elsewhere.  With a positive
+    tick, ``k_d`` and ``spread_tick`` are the tick quantities of ``phi``;
+    without one they are None.  ``phi_iters`` and ``theta_iters`` are the
+    bisection steps of the plain and the toxic solve, summed over cells.
+    """
+
+    phi: np.ndarray
+    mu: np.ndarray
+    phi_theta: np.ndarray
+    residual: np.ndarray
+    zero: np.ndarray
+    closed: np.ndarray
+    k_d: np.ndarray | None
+    spread_tick: np.ndarray | None
+    phi_iters: int
+    theta_iters: int
+
+
 # ---------------------------------------------------------------------------
 # Gains of a marginal order, conditional on a fill
 # ---------------------------------------------------------------------------
 
 
-def theta_bar(p: ModelParams) -> float:
-    """Mean efficient-price drift conditional on a noise buy.
+def theta_bar(p: ModelParams | ParamGrid) -> float | np.ndarray:
+    """Mean efficient-price drift conditional on a noise buy (per cell for
+    a :class:`ParamGrid`).
 
     Under the stationary symmetric two-state sign chain the previous sign
     given a buy has mean rho, so the conditional surprise drift is
@@ -338,27 +408,31 @@ def _invert_break_even(volume: VolumeLaw, h: np.ndarray) -> np.ndarray:
     return out
 
 
-def book_curves(p: ModelParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def book_curves(p: ModelParams | ParamGrid, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Cumulative depth (informed, noise) at each distance in ``x``.
 
-    Handles toxicity uniformly: the depth coefficient is multiplied by
-    ``x / (x - theta_bar)`` and distances at or below the drift carry no
-    depth.  Grid entries at x = 0 map to zero depth.
+    A :class:`ModelParams` gives curves shaped like ``x``; a
+    :class:`ParamGrid` gives one row per cell, shape ``(n_cells,) +
+    x.shape``.  Handles toxicity uniformly: the depth coefficient is
+    multiplied by ``x / (x - theta_bar)`` and distances at or below the
+    drift carry no depth.  Grid entries at x = 0 map to zero depth.
     """
     x = np.asarray(x, dtype=float)
     if np.any(x < 0.0):
         raise ValueError("distances must be nonnegative")
-    tb = theta_bar(p)
-    h_i = np.full(x.shape, -np.inf)
-    h_u = np.full(x.shape, -np.inf)
-    live = x > tb if tb > 0.0 else x > 0.0
-    if np.any(live):
-        xl = x[live]
-        emax = p.jump.emax_ratio(xl)
-        base = p.r / (1.0 - p.r)
-        factor = xl / (xl - tb) if tb > 0.0 else 1.0
-        h_i[live] = 1.0 + p.f * base * factor * (1.0 - emax)
-        h_u[live] = 1.0 + base * factor * (1.0 - emax)
+    # parameters index the leading axes of the result, distances the trailing
+    tail = (1,) * x.ndim
+    r, f, tb = (v.reshape(v.shape + tail) if isinstance(v, np.ndarray) else v
+                for v in (p.r, p.f, theta_bar(p)))
+    live = x > tb
+    # off the live set any distance above the drift keeps the formula finite
+    xl = np.where(live, x, tb + 1.0)
+    emax = p.jump.emax_ratio(xl)
+    base = r / (1.0 - r)
+    factor = np.where(tb > 0.0, xl / (xl - tb), 1.0)
+    gap = 1.0 - emax
+    h_i = np.where(live, 1.0 + f * base * factor * gap, -np.inf)
+    h_u = np.where(live, 1.0 + base * factor * gap, -np.inf)
     return _invert_break_even(p.volume, h_i), _invert_break_even(p.volume, h_u)
 
 
@@ -458,124 +532,167 @@ def shape_multi(mp: MultiSourceParams, x_grid) -> BookShape:
 # ---------------------------------------------------------------------------
 
 
-def _solve_emax_equation(jump: JumpLaw, rhs: float) -> RootResult:
-    """Solve ``emax(x) = rhs`` for the unique positive root (rhs > 1).
+def _bisect(g, lo: np.ndarray, grid: ParamGrid, cells: np.ndarray) -> RootResult:
+    """:func:`bisect_decreasing` over ``cells`` of ``grid``; a failure
+    names its cell."""
+    try:
+        return bisect_decreasing(g, lo)
+    except BracketError as exc:
+        raise SolverError(f"{exc} at {grid.cell(cells[exc.index])}") from exc
+
+
+def _emax_roots(grid: ParamGrid, rhs: np.ndarray, cells: np.ndarray):
+    """Solve ``emax(x) = rhs`` (rhs > 1) for the unique positive root of
+    each of ``cells``; returns the roots, the closed-form mask and the
+    bisection steps.
 
     Below the support infimum ``emax(x) = E[B]/x`` gives the root in closed
-    form; that branch is checked first to avoid bracketing across the
-    support kink.  Otherwise ``E[B]/rhs`` is a guaranteed lower bracket
-    because ``emax(x) >= E[B]/x`` everywhere.
+    form; that branch is taken first to avoid bracketing across the support
+    kink.  Otherwise ``E[B]/rhs`` is a guaranteed lower bracket because
+    ``emax(x) >= E[B]/x`` everywhere.
     """
-    if rhs <= 1.0:
-        raise SolverError(f"emax equation needs rhs > 1, got {rhs}")
-    x0 = jump.mean / rhs
-    if x0 <= jump.support_inf:
-        return RootResult(x0, 0)
-    try:
-        return bisect_decreasing(lambda x: jump.emax_ratio(x) - rhs, x0)
-    except BracketError as exc:  # pragma: no cover - defensive
-        raise SolverError(str(exc)) from exc
+    bad = np.flatnonzero(~(rhs > 1.0))
+    if bad.size:
+        i = bad[0]
+        raise SolverError(f"emax equation needs rhs > 1, got {rhs[i]} at {grid.cell(cells[i])}")
+    jump = grid.jump
+    x = jump.mean / rhs
+    closed = x <= jump.support_inf
+    solve = np.flatnonzero(~closed)
+    if not solve.size:
+        return x, closed, 0
+    target = rhs[solve]
+    root = _bisect(lambda z: jump.emax_ratio(z) - target, x[solve], grid, cells[solve])
+    x[solve] = root.x
+    return x, closed, root.iterations
 
 
-def spread_continuous(p: ModelParams) -> SpreadSolution:
-    """Half-spread on the continuous price axis (theta = 0).
+def solve_spreads(grid: ParamGrid) -> SpreadArrays:
+    """Half-spreads of every cell of ``grid`` in one batched pass.
 
-    ``phi`` solves ``emax(phi) = 1 + (1/(2f)) * (1/r - 1)``; ``mu`` is the
-    noise-maker spread from the same equation at f = 1, so ``phi <= mu``
-    with equality iff f = 1.
+    ``phi`` solves ``emax(phi) = 1 + (1/(2f)) * (1/r - 1)`` and ``mu`` the
+    same equation at f = 1, so ``phi <= mu`` with equality iff f = 1.
+    Where theta_bar > 0 the toxic half-spread ``phi_theta`` solves
+    ``emax(phi) = 1 + ((1-r)/(2rf)) * (phi - theta_bar)/phi`` on
+    ``(theta_bar, inf)``; the left side decreases and the right side
+    increases in phi, so the difference is monotone, and ``phi_theta >
+    theta_bar``, ``phi_theta >= phi``.  With a positive tick, ``k_d`` is
+    the first occupied level, the smallest k with
+    ``d + (k-1)*tick > phi``, and the quoted spread adds the symmetric
+    bid-side ceiling at offset ``tick - d``.
+
+    Raises :class:`SolverError` naming the first cell whose equation has
+    no root (a toxic cell whose jump law's emax is already at its floor).
     """
-    if p.theta != 0.0:
-        raise ValueError("spread_continuous requires theta = 0; use spread_toxic")
-    if p.f == 0.0 or p.r == 0.0:
-        raise ZeroSpreadRegime(
-            "no adverse selection (f = 0 or r = 0): depth is unbounded and "
-            "the spread collapses to zero"
-        )
-    rhs = 1.0 + (1.0 / (2.0 * p.f)) * (1.0 / p.r - 1.0)
-    root = _solve_emax_equation(p.jump, rhs)
-    rhs_mu = 1.0 + 0.5 * (1.0 / p.r - 1.0)
-    root_mu = _solve_emax_equation(p.jump, rhs_mu)
-    residual = abs(p.jump.emax_ratio(root.x) - rhs) / rhs
-    return SpreadSolution(
-        phi=root.x,
-        mu=root_mu.x,
-        solver_iters=root.iterations,
-        residual=residual,
-    )
+    n = grid.r.size
+    zero = (grid.f == 0.0) | (grid.r == 0.0)
+    cells = np.flatnonzero(~zero)
+    r, f = grid.r[cells], grid.f[cells]
+    rhs = 1.0 + (1.0 / (2.0 * f)) * (1.0 / r - 1.0)
+    phi_c, closed_c, phi_iters = _emax_roots(grid, rhs, cells)
+    mu_c, _, _ = _emax_roots(grid, 1.0 + 0.5 * (1.0 / r - 1.0), cells)
+
+    phi = np.zeros(n)
+    mu, phi_theta, residual = np.full((3, n), np.nan)
+    closed = np.zeros(n, dtype=bool)
+    phi[cells], mu[cells], closed[cells] = phi_c, mu_c, closed_c
+    phi_theta[cells] = phi_c
+    residual[cells] = np.abs(grid.jump.emax_ratio(phi_c) - rhs) / rhs
+
+    tb_all = theta_bar(grid)
+    toxic = np.flatnonzero(~zero & (tb_all > 0.0))
+    theta_iters = 0
+    if toxic.size:
+        r, f, tb = grid.r[toxic], grid.f[toxic], tb_all[toxic]
+        c = (1.0 - r) / (2.0 * r * f)
+
+        def g(x):
+            return grid.jump.emax_ratio(x) - 1.0 - c * (x - tb) / x
+
+        lo = np.maximum(phi[toxic], tb * (1.0 + 1e-12))
+        stuck = np.flatnonzero(g(lo) < 0.0)
+        if stuck.size:
+            i = stuck[0]
+            raise SolverError(
+                f"toxic spread equation has no root above {lo[i]} at "
+                f"{grid.cell(toxic[i])}; the jump law's emax is already at its floor"
+            )
+        root = _bisect(g, lo, grid, toxic)
+        rhs_at_root = 1.0 + c * (root.x - tb) / root.x
+        phi_theta[toxic] = root.x
+        residual[toxic] = np.abs(grid.jump.emax_ratio(root.x) - rhs_at_root) / rhs_at_root
+        theta_iters = root.iterations
+
+    k_d = spread_ticks = None
+    if grid.tick > 0.0:
+        steps_ask = strict_ceil((phi - grid.offset_d) / grid.tick)
+        steps_bid = strict_ceil((phi + grid.offset_d) / grid.tick)
+        k_d = 1 + steps_ask
+        spread_ticks = grid.tick * (steps_ask + steps_bid)
+    return SpreadArrays(phi=phi, mu=mu, phi_theta=phi_theta, residual=residual,
+                        zero=zero, closed=closed, k_d=k_d, spread_tick=spread_ticks,
+                        phi_iters=phi_iters, theta_iters=theta_iters)
 
 
-def strict_ceil(y: float, snap_tol: float = 1e-9) -> int:
-    """Smallest integer strictly greater than ``y``.
+def strict_ceil(y, snap_tol: float = 1e-9):
+    """Smallest integer strictly greater than ``y``, elementwise.
 
     Values within ``snap_tol`` (relative) of an integer are treated as that
     integer, so a spread landing exactly on a tick boundary leaves the
-    boundary level empty rather than depending on float noise.
+    boundary level empty rather than depending on float noise.  Returns an
+    int for a float, an int64 array for an array.
     """
-    nearest = round(y)
-    if abs(y - nearest) <= snap_tol * max(1.0, abs(y)):
-        return int(nearest) + 1
-    return math.floor(y) + 1
+    y_arr = np.asarray(y, dtype=float)
+    if not np.all(np.abs(y_arr) < 2.0**62):
+        raise ValueError(f"strict_ceil: {y} is out of the int64 range")
+    nearest = np.round(y_arr)
+    snap = np.abs(y_arr - nearest) <= snap_tol * np.maximum(1.0, np.abs(y_arr))
+    out = (np.where(snap, nearest, np.floor(y_arr)) + 1.0).astype(np.int64)
+    return int(out) if out.ndim == 0 else out
 
 
-def spread_tick(p: ModelParams) -> SpreadSolution:
-    """Tick-grid spread quantities derived from the continuous root.
-
-    ``k_d`` is the first occupied level, the smallest k with
-    ``d + (k-1)*tick > phi``; the quoted spread adds the symmetric bid-side
-    ceiling at offset ``tick - d``.
-    """
-    if p.tick <= 0.0:
-        raise ValueError("spread_tick requires a positive tick")
-    sol = spread_continuous(p)
-    steps_ask = strict_ceil((sol.phi - p.offset_d) / p.tick)
-    steps_bid = strict_ceil((sol.phi + p.offset_d) / p.tick)
-    sol.k_d = 1 + steps_ask
-    sol.spread_tick = p.tick * (steps_ask + steps_bid)
-    return sol
-
-
-def spread_toxic(p: ModelParams) -> SpreadSolution:
-    """Half-spread with noise-trader toxicity.
-
-    Solves ``emax(phi) = 1 + ((1-r)/(2rf)) * (phi - theta_bar)/phi`` on
-    ``(theta_bar, inf)``; the left side decreases and the right side
-    increases in phi, so the difference is monotone.  Reduces exactly to
-    :func:`spread_continuous` when theta = 0, and always returns
-    ``phi_theta > theta_bar`` and ``phi_theta >= phi``.
-    """
-    if p.f == 0.0 or p.r == 0.0:
+def _solve_one(p: ModelParams) -> SpreadArrays:
+    """:func:`solve_spreads` on the one cell of ``p``."""
+    sol = solve_spreads(ParamGrid(r=p.r, f=p.f, theta=p.theta, jump=p.jump, volume=p.volume,
+                                  rho=p.rho, tick=p.tick, offset_d=p.offset_d))
+    if sol.zero[0]:
         raise ZeroSpreadRegime(
             "no adverse selection (f = 0 or r = 0): depth is unbounded and "
             "the spread collapses to zero"
         )
-    tb = theta_bar(p)
-    base = spread_continuous(
-        p if p.theta == 0.0 else ModelParams(
-            r=p.r, f=p.f, jump=p.jump, volume=p.volume,
-            tick=p.tick if p.tick > 0 else 0.0, offset_d=p.offset_d,
-        )
-    )
-    if tb == 0.0:
-        base.phi_theta = base.phi
-        return base
+    return sol
 
-    c = (1.0 - p.r) / (2.0 * p.r * p.f)
 
-    def g(phi: float) -> float:
-        return p.jump.emax_ratio(phi) - 1.0 - c * (phi - tb) / phi
+def spread_continuous(p: ModelParams) -> SpreadSolution:
+    """Half-spread on the continuous price axis (theta = 0): ``phi`` and
+    the noise-maker spread ``mu`` of :func:`solve_spreads`."""
+    if p.theta != 0.0:
+        raise ValueError("spread_continuous requires theta = 0; use spread_toxic")
+    sol = _solve_one(p)
+    return SpreadSolution(phi=float(sol.phi[0]), mu=float(sol.mu[0]),
+                          solver_iters=sol.phi_iters, residual=float(sol.residual[0]))
 
-    lo = max(base.phi, tb * (1.0 + 1e-12))
-    if g(lo) < 0.0:
-        raise SolverError(
-            f"toxic spread equation has no root above {lo}; "
-            "the jump law's emax is already at its floor"
-        )
-    try:
-        root = bisect_decreasing(g, lo)
-    except BracketError as exc:
-        raise SolverError(str(exc)) from exc
-    rhs_at_root = 1.0 + c * (root.x - tb) / root.x
-    base.phi_theta = root.x
-    base.solver_iters = root.iterations
-    base.residual = abs(p.jump.emax_ratio(root.x) - rhs_at_root) / rhs_at_root
-    return base
+
+def spread_tick(p: ModelParams) -> SpreadSolution:
+    """Tick-grid spread quantities (``k_d``, ``spread_tick``) of
+    :func:`solve_spreads` besides the continuous ``phi`` and ``mu``."""
+    if p.tick <= 0.0:
+        raise ValueError("spread_tick requires a positive tick")
+    if p.theta != 0.0:
+        raise ValueError("spread_tick requires theta = 0; use spread_toxic")
+    sol = _solve_one(p)
+    return SpreadSolution(phi=float(sol.phi[0]), mu=float(sol.mu[0]),
+                          k_d=int(sol.k_d[0]), spread_tick=float(sol.spread_tick[0]),
+                          solver_iters=sol.phi_iters, residual=float(sol.residual[0]))
+
+
+def spread_toxic(p: ModelParams) -> SpreadSolution:
+    """Half-spread with noise-trader toxicity, ``phi_theta`` of
+    :func:`solve_spreads`.  Reduces exactly to :func:`spread_continuous`
+    when theta = 0, and always returns ``phi_theta > theta_bar`` and
+    ``phi_theta >= phi``."""
+    sol = _solve_one(p)
+    iters = sol.theta_iters if theta_bar(p) > 0.0 else sol.phi_iters
+    return SpreadSolution(phi=float(sol.phi[0]), mu=float(sol.mu[0]),
+                          phi_theta=float(sol.phi_theta[0]),
+                          solver_iters=iters, residual=float(sol.residual[0]))

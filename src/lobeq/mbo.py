@@ -203,26 +203,31 @@ def _parse_rows(rows, tick: float | None) -> list[MboEvent]:
             if oid in live:
                 raise MboParseError(f"row {lineno}: order {oid} added twice")
             live[oid] = (qty, side)
-        elif oid not in live:
+        elif (resting_order := live.get(oid)) is None:
             raise MboParseError(f"row {lineno}: {action} references unknown order {oid}")
-        elif action == "modify":
-            if side != live[oid][1]:
+        else:
+            resting, order_side = resting_order
+            if side != order_side:
+                if action == "modify":
+                    raise MboParseError(
+                        f"row {lineno}: modify moves order {oid} from {order_side} to {side}"
+                    )
                 raise MboParseError(
-                    f"row {lineno}: modify moves order {oid} from {live[oid][1]} to {side}"
+                    f"row {lineno}: {action} on {side} names order {oid}, "
+                    f"which rests on {order_side}"
                 )
-            live[oid] = (qty, side)
-        elif action == "cancel":
-            del live[oid]
-        else:  # execute
-            resting, order_side = live[oid]
-            if qty > resting:
+            if action == "modify":
+                live[oid] = (qty, side)
+            elif action == "cancel":
+                del live[oid]
+            elif qty > resting:  # execute
                 raise MboParseError(
                     f"row {lineno}: execute qty {qty} exceeds resting {resting} on order {oid}"
                 )
-            if qty == resting:
+            elif qty == resting:
                 del live[oid]
             else:
-                live[oid] = (resting - qty, order_side)
+                live[oid] = (resting - qty, side)
 
         events.append(MboEvent(ts, oid, action, side, price, qty, flag, label))
     return events

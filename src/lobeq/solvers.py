@@ -4,13 +4,21 @@ Every implicit equation solved in this package is strictly monotone in the
 unknown, so derivative-free bisection is unconditionally convergent.  The
 solver expands the upper bracket by doubling until it straddles the root,
 then bisects to a relative tolerance.
+
+The solver is array-native: one call solves a whole array of independent
+equations, one per element of the lower bracket, and each element takes
+exactly the steps a scalar bisection from that bracket would take.  Finished
+elements are masked, so a batch costs one evaluation of ``g`` per step of
+its slowest element instead of one Python call per step per equation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["RootResult", "bisect_decreasing"]
+import numpy as np
+
+__all__ = ["BracketError", "RootResult", "bisect_decreasing"]
 
 MAX_ITER = 200
 REL_TOL = 1e-12
@@ -18,47 +26,83 @@ _MAX_EXPANSIONS = 200
 
 
 class BracketError(RuntimeError):
-    """No sign change could be bracketed."""
+    """No sign change could be bracketed.
+
+    ``index`` is the flat index of the first element at fault, ``None`` when
+    the lower bracket was a float.
+    """
+
+    def __init__(self, message: str, index: int | None = None):
+        super().__init__(message)
+        self.index = index
 
 
 @dataclass(frozen=True)
 class RootResult:
-    x: float
+    """``x`` is a float for a float bracket, else an array shaped like it;
+    ``iterations`` counts bisection steps summed over the elements."""
+
+    x: float | np.ndarray
     iterations: int
 
 
-def bisect_decreasing(g, lo: float, hi: float | None = None,
+def bisect_decreasing(g, lo, hi=None,
                       rel_tol: float = REL_TOL, max_iter: int = MAX_ITER) -> RootResult:
-    """Root of a strictly decreasing ``g`` with ``g(lo) >= 0``.
+    """Roots of a strictly decreasing ``g`` with ``g(lo) >= 0``, elementwise.
 
-    ``hi`` is expanded by doubling from ``lo`` until ``g(hi) < 0`` when not
-    supplied (or when the supplied one does not straddle the root).
+    ``lo`` is a float or an array of lower brackets.  ``g`` is always called
+    with a float array shaped like ``lo`` (one element for a float) and must
+    act elementwise: element ``i`` of its result depends on element ``i`` of
+    its argument only.  ``hi`` is expanded by doubling from ``lo`` until
+    ``g(hi) < 0`` when not supplied (or when the supplied one does not
+    straddle the root).  An element stops bisecting once
+    ``hi - lo <= rel_tol * mid``; an element with ``g(lo) == 0`` returns
+    ``lo`` after no steps.  Errors name the first element at fault.
     """
-    if lo <= 0.0:
-        raise ValueError("bisect_decreasing requires a positive lower bracket")
-    g_lo = g(lo)
-    if g_lo == 0.0:
-        return RootResult(lo, 0)
-    if g_lo < 0.0:
-        raise BracketError(f"g(lo) = {g_lo} < 0 at lo = {lo}: no root above lo")
+    scalar = np.ndim(lo) == 0
+    lo = np.array(lo, dtype=float, ndmin=1)
 
-    if hi is None:
-        hi = 2.0 * lo
+    def at(i) -> str:
+        return "" if scalar else f" (element {i})"
+
+    bad = np.flatnonzero(lo <= 0.0)
+    if bad.size:
+        raise ValueError(
+            f"bisect_decreasing requires a positive lower bracket{at(bad[0])}")
+    g_lo = np.asarray(g(lo))
+    bad = np.flatnonzero(g_lo < 0.0)
+    if bad.size:
+        i = bad[0]
+        raise BracketError(
+            f"g(lo) = {g_lo.flat[i]} < 0 at lo = {lo.flat[i]}: no root above lo{at(i)}",
+            None if scalar else int(i))
+    at_lo = g_lo == 0.0
+
+    hi = 2.0 * lo if hi is None else np.array(np.broadcast_to(hi, lo.shape), dtype=float)
+    pending = ~at_lo
     for _ in range(_MAX_EXPANSIONS):
-        if g(hi) < 0.0:
+        if not pending.any():
             break
-        lo = hi
-        hi *= 2.0
-    else:
-        raise BracketError("upper bracket expansion failed to find a sign change")
+        pending &= ~(g(hi) < 0.0)
+        lo = np.where(pending, hi, lo)
+        hi = np.where(pending, 2.0 * hi, hi)
+    bad = np.flatnonzero(pending)
+    if bad.size:
+        raise BracketError(
+            f"upper bracket expansion failed to find a sign change{at(bad[0])}",
+            None if scalar else int(bad[0]))
 
-    iters = 0
-    for iters in range(1, max_iter + 1):
-        mid = 0.5 * (lo + hi)
-        if g(mid) >= 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= rel_tol * mid:
+    iterations = 0
+    active = ~at_lo
+    for _ in range(max_iter):
+        n_active = int(np.count_nonzero(active))
+        if not n_active:
             break
-    return RootResult(0.5 * (lo + hi), iters)
+        iterations += n_active
+        mid = 0.5 * (lo + hi)
+        up = g(mid) >= 0.0
+        lo = np.where(active & up, mid, lo)
+        hi = np.where(active & ~up, mid, hi)
+        active &= ~(hi - lo <= rel_tol * mid)
+    x = np.where(at_lo, lo, 0.5 * (lo + hi))
+    return RootResult(float(x[0]) if scalar else x, iterations)

@@ -1,12 +1,22 @@
 """CLI end-to-end: configs in, reproducible files out, honest exit codes."""
 
 import csv
+import itertools
 import json
 import math
 
+import numpy as np
 import pytest
 
 from lobeq.cli import main
+from lobeq.equilibrium import (
+    ModelParams,
+    ZeroSpreadRegime,
+    book_curves,
+    spread_tick,
+    spread_toxic,
+)
+from lobeq.laws import Exponential, NormalVolume
 
 REF_PARAMS = {
     "r": 0.9,
@@ -279,6 +289,57 @@ class TestSweep:
         doc2 = json.loads((out2 / "spread.json").read_text())
         assert float(row["phi"]) == doc2["phi"]
         assert int(row["k_d"]) == doc2["k_d"]
+
+
+    def test_mixed_grid_matches_scalar_solves(self, tmp_path):
+        # f = 0 and r = 0 (zero-spread rows), toxic cells next to tick cells,
+        # an exponential law and a probe deep enough for unbounded depth
+        sweep = {
+            "r_values": [0.0, 0.3, 0.9], "f_values": [0.0, 0.5, 1.0],
+            "theta_values": [0.0, 0.002], "probe_x": [0.004, 0.02, 0.5],
+            "jump": {"type": "exponential", "rate": 100.0},
+            "volume": {"type": "normal", "sigma": 10.0},
+            "tick": 0.01, "offset_d": 0.003, "rho": 0.2,
+        }
+        code, out = run_cli(tmp_path, "sweep", {"sweep": sweep})
+        assert code == 0
+        rows = read_csv(out / "sweep.csv")
+        cells = list(itertools.product(sweep["r_values"], sweep["f_values"],
+                                       sweep["theta_values"]))
+        assert len(rows) == len(cells)
+        probes = np.array(sweep["probe_x"])
+        n_inf = 0
+        for row, (r, f, theta) in zip(rows, cells):
+            p = ModelParams(r=r, f=f, theta=theta, jump=Exponential(100.0),
+                            volume=NormalVolume(10.0), rho=0.2, tick=0.01, offset_d=0.003)
+            want = [r, f, theta]
+            try:
+                sol = spread_toxic(p) if theta > 0.0 else spread_tick(p)
+                want += [sol.phi, sol.mu, sol.phi_theta, sol.k_d, sol.spread_tick]
+            except ZeroSpreadRegime:
+                want += [0.0, None, None, None, None]
+            want += book_curves(p, probes)[0].tolist()
+            got = [None if text == "" else float(text) for text in row.values()]
+            assert got == want
+            assert row["k_d"] == ("" if want[6] is None else str(want[6]))
+            n_inf += row["L_at_0.5"] == "inf"
+        assert n_inf > 0
+
+    def test_toxic_cell_without_root_names_cell(self, tmp_path, capsys):
+        doc = {"sweep": {"r_values": [0.5], "f_values": [0.5], "theta_values": [0.0, 0.01],
+                         "jump": {"type": "pointmass", "value": 0.001},
+                         "volume": {"type": "normal", "sigma": 10.0}}}
+        code, out = run_cli(tmp_path, "sweep", doc)
+        assert code == 2
+        assert "(r, f, theta) = (0.5, 0.5, 0.01)" in capsys.readouterr().err
+        assert not (out / "sweep.csv").exists()
+
+    def test_out_of_range_r_rejected(self, tmp_path, capsys):
+        doc = {"sweep": {"r_values": [0.5, 1.5], "f_values": [0.5],
+                         "jump": REF_PARAMS["jump"], "volume": REF_PARAMS["volume"]}}
+        code, _out = run_cli(tmp_path, "sweep", doc)
+        assert code == 2
+        assert "r = 1.5 must lie in [0, 1)" in capsys.readouterr().err
 
 
 class TestPlumbing:

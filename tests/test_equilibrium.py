@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from lobeq.equilibrium import (
@@ -12,8 +13,11 @@ from lobeq.equilibrium import (
     JumpSource,
     ModelParams,
     MultiSourceParams,
+    ParamGrid,
+    SolverError,
     UnfillableLevelError,
     ZeroSpreadRegime,
+    book_curves,
     gain_imm,
     gain_imm_multi,
     gain_nmm,
@@ -21,6 +25,7 @@ from lobeq.equilibrium import (
     shape_multi,
     shape_tick,
     shape_toxic,
+    solve_spreads,
     spread_continuous,
     spread_tick,
     spread_toxic,
@@ -139,6 +144,7 @@ class TestSpreadTick:
         assert strict_ceil(2.0000000001) == 3
         assert strict_ceil(-0.3) == 0
         assert strict_ceil(0.0) == 1
+        assert strict_ceil(np.array([1.0041, 2.0, -0.3])).tolist() == [2, 3, 0]
 
     @pytest.mark.parametrize("tick,d", [(0.01, 0.0), (0.01, 0.005),
                                         (0.02, 0.013), (0.005, 0.0)])
@@ -508,3 +514,81 @@ class TestMonotonicity:
                 assert sol.phi <= sol.mu + 1e-15
         assert np.all(np.diff(phi, axis=0) >= -1e-12)
         assert np.all(np.diff(phi, axis=1) >= -1e-12)
+
+
+jump_laws = st.one_of(
+    st.builds(Pareto, st.floats(1.5, 5.0), st.floats(1e-3, 0.05)),
+    st.builds(Exponential, st.floats(20.0, 500.0)),
+    st.builds(PointMass, st.floats(1e-3, 0.05)),
+)
+# f stays either exactly 1 or at most 0.99: closer to 1 the two spread
+# equations differ by less than the solver tolerance
+spread_cells = st.tuples(
+    st.one_of(st.just(0.0), st.floats(0.01, 0.99)),
+    st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.01, 0.99)),
+    st.one_of(st.just(0.0), st.floats(1e-4, 0.05)),
+)
+
+
+def scalar_spread(p):
+    """The per-cell solve a sweep reports: toxic, else tick, else plain."""
+    if p.theta > 0.0:
+        return spread_toxic(p)
+    if p.tick > 0.0:
+        return spread_tick(p)
+    return spread_continuous(p)
+
+
+class TestBatchedSpreads:
+    @settings(deadline=None, max_examples=60)
+    @given(jump_laws, st.lists(spread_cells, min_size=1, max_size=8),
+           st.floats(-0.9, 0.9), st.sampled_from([(0.0, 0.0), (0.01, 0.0), (0.01, 0.004)]))
+    def test_cells_equal_scalar_solves(self, jump, cells, rho, tick_d):
+        tick, d = tick_d
+        volume = NormalVolume(10.0)
+        solved, zero = [], []
+        for r, f, theta in cells:
+            p = ModelParams(r=r, f=f, theta=theta, jump=jump, volume=volume,
+                            rho=rho, tick=tick, offset_d=d)
+            try:
+                solved.append((p, scalar_spread(p)))
+            except ZeroSpreadRegime:
+                zero.append(p)
+            except SolverError:
+                # no toxic root: the drift reaches the point mass
+                assert isinstance(jump, PointMass) and theta_bar(p) >= 0.99 * jump.value
+        params = [p for p, _ in solved] + zero
+        grid = ParamGrid(r=[p.r for p in params], f=[p.f for p in params],
+                         theta=[p.theta for p in params], jump=jump, volume=volume,
+                         rho=rho, tick=tick, offset_d=d)
+        got = solve_spreads(grid)
+        n = len(solved)
+        assert got.zero.tolist() == [False] * n + [True] * len(zero)
+        assert np.all(got.phi[n:] == 0.0)
+        # closed form exactly below the support, bisection above it
+        assert np.array_equal(got.closed, ~got.zero & (got.phi <= jump.support_inf))
+        probes = np.array([0.002, 0.01, 0.05])
+        depth, _ = book_curves(grid, probes)
+        for i, (p, sol) in enumerate(solved):
+            assert got.phi[i] == sol.phi and got.mu[i] == sol.mu
+            assert got.residual[i] == sol.residual
+            assert np.array_equal(depth[i], book_curves(p, probes)[0])
+            # phi <= mu with equality iff f = 1
+            assert sol.phi < sol.mu if p.f < 1.0 else sol.phi == sol.mu
+            if p.theta > 0.0:
+                assert got.phi_theta[i] == sol.phi_theta
+                assert sol.phi_theta >= sol.phi
+                assert sol.phi_theta > theta_bar(p)
+            elif tick > 0.0:
+                assert got.k_d[i] == sol.k_d and got.spread_tick[i] == sol.spread_tick
+
+    def test_grid_rejects_what_model_params_rejects(self):
+        jump, volume = Pareto(3.0, 0.005), NormalVolume(10.0)
+        for bad, match in [(dict(r=[0.5, 1.0]), "r = 1.0"), (dict(f=[0.5, 1.5]), "f = 1.5"),
+                           (dict(theta=[0.0, np.nan]), "theta = nan"),
+                           (dict(rho=1.0), "rho = 1.0"),
+                           (dict(tick=0.01, offset_d=0.02), "offset_d = 0.02")]:
+            kwargs = dict(r=0.5, f=0.5, theta=0.0, jump=jump, volume=volume)
+            kwargs.update(bad)
+            with pytest.raises(ValueError, match=match):
+                ParamGrid(**kwargs)

@@ -79,6 +79,20 @@ class TestParse:
         with pytest.raises(MboParseError, match="row 3: modify moves order 1 from ask to bid"):
             parse_text(text)
 
+    def test_cancel_must_match_side(self):
+        text = (f"{HEADER_LINE}\n10,1,add,ask,100.01,5,,\n"
+                "11,1,cancel,bid,100.01,5,,\n")
+        with pytest.raises(MboParseError,
+                           match="row 3: cancel on bid names order 1, which rests on ask"):
+            parse_text(text)
+
+    def test_execute_must_match_side(self):
+        text = (f"{HEADER_LINE}\n10,1,add,ask,100.01,5,,\n"
+                "11,1,execute,bid,100.01,2,false,\n")
+        with pytest.raises(MboParseError,
+                           match="row 3: execute on bid names order 1, which rests on ask"):
+            parse_text(text)
+
     def test_partial_execute_keeps_side(self):
         text = (f"{HEADER_LINE}\n10,1,add,bid,99.99,5,,\n"
                 "11,1,execute,bid,99.99,2,false,\n12,1,modify,bid,99.99,1,,\n")
