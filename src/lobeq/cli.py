@@ -43,7 +43,6 @@ from .equilibrium import (
     shape_continuous,
     shape_multi,
     shape_tick,
-    shape_toxic,
     solve_spreads,
     spread_continuous,
     spread_tick,
@@ -81,6 +80,8 @@ def _fmt(value) -> str:
 
 
 def _require(cfg: dict, key: str, context: str) -> object:
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{context}: expected a JSON object, got {cfg!r}")
     if key not in cfg:
         raise ConfigError(f"{context}: missing required key {key!r}")
     return cfg[key]
@@ -111,15 +112,19 @@ def params_from_config(cfg: dict) -> ModelParams:
 
 def multi_from_config(cfg: dict) -> MultiSourceParams:
     sources = _require(cfg, "sources", "multi")
-    volume = volume_law_from_config(_require(cfg, "volume", "multi"))
+    if not isinstance(sources, list):
+        raise ConfigError(f"multi: sources must be a list, got {sources!r}")
+    specs = []
+    for k, s in enumerate(sources):
+        context = f"multi: source {k}"
+        r, f, jump = (_require(s, key, context) for key in ("r", "f", "jump"))
+        try:
+            specs.append(JumpSource(r=float(r), f=float(f), jump=jump_law_from_config(jump)))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{context}: {exc}") from None
     try:
-        specs = tuple(
-            JumpSource(r=float(_require(s, "r", "multi source")),
-                       f=float(_require(s, "f", "multi source")),
-                       jump=jump_law_from_config(_require(s, "jump", "multi source")))
-            for s in sources
-        )
-        return MultiSourceParams(sources=specs, volume=volume)
+        return MultiSourceParams(sources=specs,
+                                 volume=volume_law_from_config(_require(cfg, "volume", "multi")))
     except ValueError as exc:
         raise ConfigError(f"multi: {exc}") from None
 
@@ -176,10 +181,8 @@ def cmd_shape(cfg: dict, out: Path, seed) -> list[str]:
         params = params_from_config(_require(cfg, "params", "config"))
         if variant == "tick":
             book = shape_tick(params, int(_require(shape_cfg, "n_levels", "shape")))
-        elif variant == "continuous":
+        elif variant in ("continuous", "toxic"):
             book = shape_continuous(params, _grid_from_config(shape_cfg, "shape"))
-        elif variant == "toxic":
-            book = shape_toxic(params, _grid_from_config(shape_cfg, "shape"))
         else:
             raise ConfigError(f"shape: unknown variant {variant!r}")
 

@@ -9,20 +9,22 @@ informed makers, who cancel first with probability ``1 - f``) or by a noise
 market order whose signed volume exceeds the depth ahead of it.
 
 Setting the conditional gain to zero and inverting the volume CDF yields
-the cumulative depth curves.  With the tail functional
-``emax(x) = E[max(B/x, 1)]`` of the jump law:
+the cumulative depth curves, from one formula for every book.  With jump
+sources j (event fraction ``r_j``, tail functional
+``emax_j(x) = E[max(B_j/x, 1)]``) the maker specialised in source k weighs
+its own jumps by ``f`` and every other source's at full weight
+(``w_kk = f``, ``w_kj = 1``; noise makers weigh all at 1):
 
-    informed makers:  F_u(L_i(x)) = 1 + (f*r/(1-r)) * (1 - emax(x))
-    noise makers:     F_u(L_u(x)) = 1 + (r/(1-r))   * (1 - emax(x))
+    F_u(L_k(x)) = 1 + x/(x - theta_bar) * sum_j w_kj * r_j/(1 - sum r) * (1 - emax_j(x))
+
+The noise-trader drift ``theta_bar`` enters through ``x / (x - theta_bar)``
+and distances at or below it carry no depth.  A single source is the
+one-source case; with several, the visible book is the pointwise maximum
+of the per-source curves.
 
 The half-spread is the distance at which the informed curve crosses zero
 depth, i.e. the root of ``emax(phi) = 1 + (1/(2f)) * (1/r - 1)`` (the 1/2
-enters through the zero median of the volume law).  Noise-trader toxicity
-(a mean post-trade drift ``theta_bar``) multiplies the depth coefficient by
-``x / (x - theta_bar)`` and tilts the spread equation accordingly.  With
-several independent jump sources each specialised maker prices his own
-source's race and everybody else's jumps at full adverse-selection weight;
-the visible book is the pointwise maximum of the per-source curves.
+enters through the zero median of the volume law); toxicity tilts it.
 
 Depth values are clamped: break-even arguments at or below 1/2 mean "no
 depth here" (L = 0), arguments at or above 1 mean unbounded depth and are
@@ -207,10 +209,10 @@ class JumpSource:
     jump: JumpLaw
 
     def __post_init__(self):
-        if self.r < 0.0:
-            raise ValueError("source fraction r must be nonnegative")
+        if not 0.0 <= self.r < 1.0:
+            raise ValueError(f"source fraction r = {self.r} must lie in [0, 1)")
         if not 0.0 <= self.f <= 1.0:
-            raise ValueError("f must lie in [0, 1]")
+            raise ValueError(f"f = {self.f} must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -226,12 +228,13 @@ class MultiSourceParams:
         if not self.sources:
             raise ValueError("at least one jump source is required")
         object.__setattr__(self, "sources", tuple(self.sources))
-        total = sum(s.r for s in self.sources)
-        if not total < 1.0:
-            raise ValueError("source fractions must sum to less than 1")
-        f0 = self.sources[0].f
-        if any(s.f != f0 for s in self.sources):
-            raise ValueError("all sources must share a common race parameter f")
+        if not self.total_r < 1.0:
+            raise ValueError(f"source fractions must sum to less than 1, got {self.total_r}")
+        for k, s in enumerate(self.sources):
+            if s.f != self.common_f:
+                raise ValueError(f"source {k} has f = {s.f} but source 0 has f = "
+                                 f"{self.common_f}: all sources must share a common "
+                                 "race parameter f")
 
     @property
     def common_f(self) -> float:
@@ -331,19 +334,24 @@ def theta_bar(p: ModelParams | ParamGrid) -> float | np.ndarray:
     return p.theta * (1.0 - p.rho * p.rho)
 
 
-def _gain(x: float, l_at_x: float, r: float, f_eff: float, jump: JumpLaw,
-          volume: VolumeLaw, tb: float) -> float:
+def _gain(x: float, l_at_x: float, channels, r_total: float, volume: VolumeLaw,
+          tb: float) -> float:
+    """Conditional gain at distance ``x`` behind depth ``l_at_x``; each jump
+    channel is a ``(weight, jump law)`` pair, the weight being the source's
+    event fraction times the maker's fill probability after its jumps."""
     if x <= 0.0:
         raise ValueError("gain requires a positive distance x")
-    p_noise = (1.0 - r) * volume.p_gt(l_at_x)
-    p_jump = f_eff * r * jump.p_gt(x)
-    denom = p_noise + p_jump
+    p_noise = (1.0 - r_total) * volume.p_gt(l_at_x)
+    denom = p_noise
+    adverse = 0.0
+    for weight, jump in channels:
+        denom += weight * jump.p_gt(x)
+        adverse += weight * jump.tail_expectation(x)
     if denom == 0.0:
         raise UnfillableLevelError(
             f"no fill channel open at x = {x} with depth {l_at_x} ahead"
         )
-    adverse = f_eff * r * jump.tail_expectation(x) + tb * p_noise
-    return x - adverse / denom
+    return x - (adverse + tb * p_noise) / denom
 
 
 def gain_imm(p: ModelParams, x: float, l_at_x: float) -> float:
@@ -353,35 +361,23 @@ def gain_imm(p: ModelParams, x: float, l_at_x: float) -> float:
     The jump channel is discounted by the race parameter ``f``; at f = 0
     the maker always cancels first and the gain is exactly ``x``.
     """
-    return _gain(x, l_at_x, p.r, p.f, p.jump, p.volume, theta_bar(p))
+    return _gain(x, l_at_x, [(p.f * p.r, p.jump)], p.r, p.volume, theta_bar(p))
 
 
 def gain_nmm(p: ModelParams, x: float, l_at_x: float) -> float:
     """Same as :func:`gain_imm` with the jump channel at full weight: noise
     makers never win the cancellation race."""
-    return _gain(x, l_at_x, p.r, 1.0, p.jump, p.volume, theta_bar(p))
+    return _gain(x, l_at_x, [(p.r, p.jump)], p.r, p.volume, theta_bar(p))
 
 
 def gain_imm_multi(mp: MultiSourceParams, j: int, x: float, l_at_x: float) -> float:
     """Conditional gain of a marginal order of the maker specialised in
-    source ``j``: his own source's jump channel is discounted by f, every
-    other source hits him at full weight."""
+    source ``j``: its own source's jump channel is discounted by f, every
+    other source hits it at full weight."""
     if not 0 <= j < len(mp.sources):
         raise ValueError(f"source index {j} out of range")
-    if x <= 0.0:
-        raise ValueError("gain requires a positive distance x")
-    p_noise = (1.0 - mp.total_r) * mp.volume.p_gt(l_at_x)
-    denom = p_noise
-    adverse = 0.0
-    for k, src in enumerate(mp.sources):
-        weight = src.r * (src.f if k == j else 1.0)
-        denom += weight * src.jump.p_gt(x)
-        adverse += weight * src.jump.tail_expectation(x)
-    if denom == 0.0:
-        raise UnfillableLevelError(
-            f"no fill channel open at x = {x} with depth {l_at_x} ahead"
-        )
-    return x - adverse / denom
+    channels = [(s.r * (s.f if k == j else 1.0), s.jump) for k, s in enumerate(mp.sources)]
+    return _gain(x, l_at_x, channels, mp.total_r, mp.volume, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -408,57 +404,78 @@ def _invert_break_even(volume: VolumeLaw, h: np.ndarray) -> np.ndarray:
     return out
 
 
+def _depth_curves(volume: VolumeLaw, x: np.ndarray, sources, f, tb) -> tuple[list, np.ndarray]:
+    """Cumulative depth at distances ``x`` of the informed makers
+    specialised in each of ``sources`` (``(r, jump law)`` pairs) and of
+    the noise makers: the break-even formula of the module docstring.
+
+    Distances at or below the drift ``tb`` carry no depth, an infinite one
+    has unbounded depth (the limit of h is 1) and a nan one is rejected,
+    naming its index.  ``r``, ``f`` and ``tb`` may be arrays that broadcast
+    against ``x``.
+    """
+    if not (x >= 0.0).all():
+        i = np.flatnonzero(~(x >= 0.0))[0]
+        at = ", ".join(str(k) for k in np.unravel_index(i, x.shape))
+        raise ValueError(f"distance {x.flat[i]} at index {at} must be a nonnegative number")
+    live = x > tb
+    finite = x < np.inf
+    # off the live finite set any distance above the drift keeps the formula finite
+    xl = np.where(live & finite, x, tb + 1.0)
+    factor = np.where(tb > 0.0, xl / (xl - tb), 1.0)
+    total = sum(r for r, _ in sources)
+    terms = [(r / (1.0 - total), 1.0 - jump.emax_ratio(xl)) for r, jump in sources]
+
+    def depth(own):
+        shift = 0
+        for k, (base, gap) in enumerate(terms):
+            shift = shift + (f if k == own else 1.0) * base * factor * gap
+        h = np.where(live, 1.0 + shift, -np.inf)
+        if not finite.all():
+            h = np.where(finite, h, 1.0)
+        return _invert_break_even(volume, h)
+
+    return [depth(k) for k in range(len(sources))], depth(None)
+
+
 def book_curves(p: ModelParams | ParamGrid, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cumulative depth (informed, noise) at each distance in ``x``.
+    """Cumulative depth (informed, noise) at each distance in ``x``: the
+    one-source case of the break-even argument, toxicity included.
 
     A :class:`ModelParams` gives curves shaped like ``x``; a
     :class:`ParamGrid` gives one row per cell, shape ``(n_cells,) +
-    x.shape``.  Handles toxicity uniformly: the depth coefficient is
-    multiplied by ``x / (x - theta_bar)`` and distances at or below the
-    drift carry no depth.  Grid entries at x = 0 map to zero depth.
+    x.shape``.  Grid entries at x = 0 map to zero depth, infinite ones to
+    unbounded depth; a nan distance is rejected, naming its index.
     """
     x = np.asarray(x, dtype=float)
-    if np.any(x < 0.0):
-        raise ValueError("distances must be nonnegative")
     # parameters index the leading axes of the result, distances the trailing
     tail = (1,) * x.ndim
     r, f, tb = (v.reshape(v.shape + tail) if isinstance(v, np.ndarray) else v
                 for v in (p.r, p.f, theta_bar(p)))
-    live = x > tb
-    # off the live set any distance above the drift keeps the formula finite
-    xl = np.where(live, x, tb + 1.0)
-    emax = p.jump.emax_ratio(xl)
-    base = r / (1.0 - r)
-    factor = np.where(tb > 0.0, xl / (xl - tb), 1.0)
-    gap = 1.0 - emax
-    h_i = np.where(live, 1.0 + f * base * factor * gap, -np.inf)
-    h_u = np.where(live, 1.0 + base * factor * gap, -np.inf)
-    return _invert_break_even(p.volume, h_i), _invert_break_even(p.volume, h_u)
+    (informed,), noise = _depth_curves(p.volume, x, [(r, p.jump)], f, tb)
+    return informed, noise
 
 
-def shape_continuous(p: ModelParams, x_grid) -> BookShape:
-    """Visible book on a continuous price axis (no tick, no toxicity)."""
-    if p.tick != 0.0:
-        raise ValueError("shape_continuous requires tick = 0; use shape_tick")
-    if p.theta != 0.0:
-        raise ValueError("shape_continuous requires theta = 0; use shape_toxic")
+def _positive_grid(x_grid) -> np.ndarray:
     x = np.asarray(x_grid, dtype=float)
     if np.any(x <= 0.0):
         raise ValueError("the continuous grid must be strictly positive")
-    l_i, l_u = book_curves(p, x)
-    return BookShape(grid=x, informed=l_i, noise=l_u, effective=l_i)
+    return x
 
 
-def shape_toxic(p: ModelParams, x_grid) -> BookShape:
-    """Visible book with noise-trader toxicity; reduces exactly to
-    :func:`shape_continuous` when theta = 0."""
+def shape_continuous(p: ModelParams, x_grid) -> BookShape:
+    """Visible book on a continuous price axis (no tick).  With
+    noise-trader toxicity (theta > 0) distances at or below theta_bar carry
+    no depth; theta = 0 is the baseline book."""
     if p.tick != 0.0:
-        raise ValueError("shape_toxic requires tick = 0")
-    x = np.asarray(x_grid, dtype=float)
-    if np.any(x <= 0.0):
-        raise ValueError("the grid must be strictly positive")
+        raise ValueError("shape_continuous requires tick = 0; use shape_tick")
+    x = _positive_grid(x_grid)
     l_i, l_u = book_curves(p, x)
     return BookShape(grid=x, informed=l_i, noise=l_u, effective=l_i)
+
+
+#: The toxic book is :func:`shape_continuous` at theta > 0.
+shape_toxic = shape_continuous
 
 
 def shape_tick(p: ModelParams, n_levels: int) -> BookShape:
@@ -491,40 +508,12 @@ def shape_tick(p: ModelParams, n_levels: int) -> BookShape:
 def shape_multi(mp: MultiSourceParams, x_grid) -> BookShape:
     """Per-source break-even curves and their pointwise maximum (the
     visible book) under several independent jump sources."""
-    x = np.asarray(x_grid, dtype=float)
-    if np.any(x <= 0.0):
-        raise ValueError("the grid must be strictly positive")
-    total = mp.total_r
-    scale = 1.0 / (1.0 - total)
-    emax = [src.jump.emax_ratio(x) for src in mp.sources]
-
-    h_sources = []
-    for k, src in enumerate(mp.sources):
-        linear = src.r * src.f
-        weighted = src.r * src.f * emax[k]
-        for j, other in enumerate(mp.sources):
-            if j == k:
-                continue
-            linear += other.r
-            weighted += other.r * emax[j]
-        h_sources.append(1.0 + scale * (linear - weighted))
-
-    h_noise = 1.0 + scale * sum(
-        src.r * (1.0 - emax[k]) for k, src in enumerate(mp.sources)
-    )
-    h_eff = np.maximum.reduce(h_sources)
-
-    volume = mp.volume
-    books = tuple(_invert_break_even(volume, h) for h in h_sources)
-    l_eff = _invert_break_even(volume, h_eff)
-    l_u = _invert_break_even(volume, np.asarray(h_noise, dtype=float))
-    return BookShape(
-        grid=x,
-        informed=l_eff,
-        noise=l_u,
-        effective=l_eff,
-        source_books=books,
-    )
+    x = _positive_grid(x_grid)
+    books, l_u = _depth_curves(mp.volume, x, [(s.r, s.jump) for s in mp.sources],
+                               mp.common_f, 0.0)
+    l_eff = np.maximum.reduce(books)
+    return BookShape(grid=x, informed=l_eff, noise=l_u, effective=l_eff,
+                     source_books=tuple(books))
 
 
 # ---------------------------------------------------------------------------

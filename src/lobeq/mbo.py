@@ -99,11 +99,6 @@ class OrderLifecycle:
     add_price: float
     add_qty: int
     participant_label: str | None
-    # best-quote snapshot the instant before the add
-    best_bid: float | None
-    best_ask: float | None
-    bid_qty: int
-    ask_qty: int
     price: float = 0.0                    # current resting price
     n_updates: int = 0
     executed_qty: int = 0
@@ -301,7 +296,8 @@ def reconstruct(events) -> Replay:
     their price queue), rebuilds every order lifecycle, and records a
     best-quote snapshot per distinct timestamp: the state after the last
     row carrying that timestamp, i.e. the state prevailing until the
-    next one.
+    next one.  A book left crossed or locked at the end of a timestamp
+    (best bid >= best ask) is rejected, naming the timestamp and the event.
     """
     sides = {"bid": _SideState(True), "ask": _SideState(False)}
     orders: dict[int, OrderLifecycle] = {}
@@ -312,35 +308,36 @@ def reconstruct(events) -> Replay:
 
     q_ts, q_bid, q_ask, q_bq, q_aq = [], [], [], [], []
 
-    def snapshot_state():
+    def push_snapshot(n, last):
+        """Snapshot the book as the ``n``-th event (``last``, counting
+        from 1) left it at the end of its timestamp."""
+        ts = last.ts_ns
         bb = sides["bid"].best()
         ba = sides["ask"].best()
+        if bb is not None and ba is not None and bb >= ba:
+            raise MboReplayError(
+                f"book crossed at ts_ns {ts}: best bid {bb} >= best ask {ba} "
+                f"after event {n} of the feed ({last.action} of order {last.order_id})"
+            )
         bq = sum(remaining[o] for o in sides["bid"].queues[bb]) if bb is not None else 0
         aq = sum(remaining[o] for o in sides["ask"].queues[ba]) if ba is not None else 0
-        return bb, ba, bq, aq
-
-    def push_snapshot(ts):
-        bb, ba, bq, aq = snapshot_state()
         q_ts.append(ts)
         q_bid.append(bb)
         q_ask.append(ba)
         q_bq.append(bq)
         q_aq.append(aq)
 
-    prev_ts = None
-    for ev in events:
-        if prev_ts is not None and ev.ts_ns > prev_ts:
-            push_snapshot(prev_ts)
-        prev_ts = ev.ts_ns
+    prev = None
+    for n, ev in enumerate(events, start=1):
+        if prev is not None and ev.ts_ns > prev.ts_ns:
+            push_snapshot(n - 1, prev)
+        prev = ev
 
         if ev.action == "add":
-            bb, ba, bq, aq = snapshot_state()
             lc = OrderLifecycle(
                 order_id=ev.order_id, side=ev.side, add_ts=ev.ts_ns,
                 add_price=ev.price, add_qty=ev.qty,
-                participant_label=ev.participant_label,
-                best_bid=bb, best_ask=ba, bid_qty=bq, ask_qty=aq,
-                price=ev.price,
+                participant_label=ev.participant_label, price=ev.price,
             )
             orders[ev.order_id] = lc
             all_lifecycles.append(lc)
@@ -400,8 +397,8 @@ def reconstruct(events) -> Replay:
                 lc.terminal_kind = "executed"
                 del remaining[ev.order_id]
 
-    if prev_ts is not None:
-        push_snapshot(prev_ts)
+    if prev is not None:
+        push_snapshot(n, prev)
 
     open_ids = [oid for oid, lc in orders.items() if lc.terminal_kind is None]
     return Replay(

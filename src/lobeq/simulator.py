@@ -196,18 +196,20 @@ def draw_events(params: ModelParams, n_events: int, rng: np.random.Generator) ->
 # ---------------------------------------------------------------------------
 
 
-def _nmm_level_split(eff_lvl: np.ndarray, noise_cum: np.ndarray) -> np.ndarray:
+def _nmm_level_split(eff_lvl, noise_cum) -> list:
     """Per-level noise-maker quantity: front-load noise depth to match its
     cumulative curve without exceeding the visible level sizes (the noise
-    curve need not be pointwise flatter level by level)."""
-    out = np.zeros_like(eff_lvl)
-    placed = 0.0
-    for l in range(len(eff_lvl)):
-        want = noise_cum[l] - placed
-        if want <= 0.0:
-            continue
-        take = min(eff_lvl[l], want)
-        out[l] = take
+    curve need not be pointwise flatter level by level).
+
+    Plain Python numbers in and out: floats on the fast path, integer
+    volume units on the logged path.
+    """
+    out = []
+    placed = 0
+    for level, cum in zip(eff_lvl, noise_cum):
+        want = cum - placed
+        take = 0 if want <= 0 else min(level, want)
+        out.append(take)
         placed += take
     return out
 
@@ -303,7 +305,7 @@ def _executed_volume(draws: EventDraws, x, eff_lvl, nmm_lvl) -> np.ndarray:
 def _run_fast(cfg: SimConfig, book: BookShape, draws: EventDraws) -> SimResult:
     eff_lvl = np.diff(book.informed, prepend=0.0)
     executed = _executed_volume(draws, book.grid, eff_lvl,
-                                _nmm_level_split(eff_lvl, book.noise))
+                                _nmm_level_split(eff_lvl.tolist(), book.noise.tolist()))
     summary = {
         **_event_counts(draws),
         "executed_volume_per_level": executed.tolist(),
@@ -432,16 +434,9 @@ class _LoggedRun:
                 "the closed-form book is unbounded within the simulated levels; "
                 "reduce n_levels to stay inside the adversely selected range"
             )
-        cum_i = np.round(informed * self.scale).astype(np.int64)
-        cum_u = np.round(noise * self.scale).astype(np.int64)
-        lvl_i = np.diff(cum_i, prepend=np.int64(0))
-        out = {}
-        placed = 0
-        for k, idx in enumerate(idxs):
-            nmm = int(min(lvl_i[k], max(0, int(cum_u[k]) - placed)))
-            placed += nmm
-            out[idx] = (int(lvl_i[k]) - nmm, nmm)
-        return out
+        lvl_i = np.diff(np.round(informed * self.scale).astype(np.int64), prepend=0).tolist()
+        lvl_u = _nmm_level_split(lvl_i, np.round(noise * self.scale).astype(np.int64).tolist())
+        return {idx: (i - u, u) for idx, i, u in zip(idxs, lvl_i, lvl_u)}
 
     def _morph(self, ts: int, side: str) -> None:
         """Cancel/add whole orders until the side matches its targets."""

@@ -111,6 +111,48 @@ class TestShape:
         assert "source_0" in rows[0] and "source_1" in rows[0]
         assert all(math.isfinite(float(r["informed"])) for r in rows)
 
+    def test_continuous_variant_takes_toxicity(self, tmp_path):
+        params = dict(REF_PARAMS, tick=0.0, theta=0.005, rho=0.5)
+        outputs = []
+        for variant in ("continuous", "toxic"):
+            (tmp_path / variant).mkdir()
+            code, out = run_cli(tmp_path / variant, "shape", {
+                "params": params,
+                "shape": {"variant": variant, "x_grid": [0.001, 0.02, 0.05]},
+            })
+            assert code == 0
+            outputs.append((out / "shape.csv").read_text())
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("source,message", [
+        (7, "multi: source 1: expected a JSON object, got 7"),
+        ({"r": -0.1, "f": 0.5, "jump": {"type": "exponential", "rate": 50.0}},
+         "multi: source 1: source fraction r = -0.1 must lie in [0, 1)"),
+        ({"r": 0.1, "f": 0.4, "jump": {"type": "exponential", "rate": 50.0}},
+         "multi: source 1 has f = 0.4 but source 0 has f = 0.5"),
+        ({"r": 0.1, "f": 0.5, "jump": {"type": "exponential"}},
+         "multi: source 1: jump law 'exponential' missing fields"),
+        ({"r": None, "f": 0.5, "jump": {"type": "exponential", "rate": 50.0}},
+         "multi: source 1: float() argument"),
+    ])
+    def test_bad_multi_source_names_its_index(self, tmp_path, capsys, source, message):
+        first = {"r": 0.2, "f": 0.5, "jump": {"type": "pareto", "shape": 3.0, "scale": 0.005}}
+        code, out = run_cli(tmp_path, "shape", {
+            "multi": {"sources": [first, source], "volume": {"type": "normal", "sigma": 10.0}},
+            "shape": {"variant": "multi", "x_grid": [0.01, 0.05]},
+        })
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (out / "shape.csv").exists()
+
+    def test_nan_grid_distance_names_its_index(self, tmp_path, capsys):
+        code, _out = run_cli(tmp_path, "shape", {
+            "params": dict(REF_PARAMS, tick=0.0),
+            "shape": {"variant": "continuous", "x_grid": [0.01, 0.02, math.nan]},
+        })
+        assert code == 2
+        assert "distance nan at index 2" in capsys.readouterr().err
+
 
 class TestSpread:
     def test_reference_values(self, tmp_path):
@@ -332,6 +374,24 @@ class TestSweep:
         code, out = run_cli(tmp_path, "sweep", doc)
         assert code == 2
         assert "(r, f, theta) = (0.5, 0.5, 0.01)" in capsys.readouterr().err
+        assert not (out / "sweep.csv").exists()
+
+    def test_infinite_probe_is_unbounded(self, tmp_path):
+        doc = {"sweep": {"r_values": [0.0, 0.5], "f_values": [0.5, 1.0],
+                         "theta_values": [0.0, 0.001], "probe_x": [0.05, math.inf],
+                         "jump": REF_PARAMS["jump"], "volume": REF_PARAMS["volume"]}}
+        code, out = run_cli(tmp_path, "sweep", doc)
+        assert code == 0
+        rows = read_csv(out / "sweep.csv")
+        assert len(rows) == 8
+        assert all(row["L_at_inf"] == "inf" for row in rows)
+
+    def test_nan_probe_names_its_index(self, tmp_path, capsys):
+        doc = {"sweep": {"r_values": [0.5], "f_values": [0.5], "probe_x": [0.05, math.nan],
+                         "jump": REF_PARAMS["jump"], "volume": REF_PARAMS["volume"]}}
+        code, out = run_cli(tmp_path, "sweep", doc)
+        assert code == 2
+        assert "distance nan at index 1" in capsys.readouterr().err
         assert not (out / "sweep.csv").exists()
 
     def test_out_of_range_r_rejected(self, tmp_path, capsys):

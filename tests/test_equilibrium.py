@@ -2,6 +2,7 @@
 monotonicity, independent-oracle agreement."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -592,3 +593,97 @@ class TestBatchedSpreads:
             kwargs.update(bad)
             with pytest.raises(ValueError, match=match):
                 ParamGrid(**kwargs)
+
+
+class TestEdgeDistances:
+    @pytest.mark.parametrize("jump", [Pareto(3.0, 0.005), Exponential(80.0), PointMass(0.02)])
+    @pytest.mark.parametrize("theta", [0.0, 0.004])
+    def test_infinite_distance_is_unbounded(self, jump, theta):
+        p = reference_params(jump=jump, theta=theta, rho=0.3)
+        grid = ParamGrid(r=[0.3, 0.9, 0.0], f=[0.5, 1.0, 0.5], theta=theta, jump=jump,
+                         volume=p.volume, rho=0.3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            informed, noise = book_curves(p, [0.03, np.inf])
+            grid_informed, grid_noise = book_curves(grid, [0.03, np.inf])
+            book = shape_continuous(p, [0.03, np.inf])
+        assert informed[1] == noise[1] == UNBOUNDED
+        assert np.all(grid_informed[:, 1] == UNBOUNDED) and np.all(grid_noise[:, 1] == UNBOUNDED)
+        assert book.informed[1] == UNBOUNDED
+        # the finite distance is untouched by the infinite one
+        assert informed[0] == book_curves(p, [0.03])[0][0]
+
+    def test_nan_distance_names_its_index(self):
+        with pytest.raises(ValueError, match="distance nan at index 2"):
+            book_curves(reference_params(), [0.01, 0.02, np.nan])
+        with pytest.raises(ValueError, match="distance nan at index 1"):
+            shape_continuous(reference_params(), [0.01, np.nan])
+        with pytest.raises(ValueError, match="distance nan at index 0"):
+            shape_multi(MultiSourceParams(sources=(JumpSource(0.3, 0.6, Pareto(3.0, 0.005)),),
+                                          volume=NormalVolume(10.0)), [np.nan, 0.02])
+        with pytest.raises(ValueError, match=r"distance -0.5 at index 1, 0"):
+            book_curves(reference_params(), [[0.01, 0.02], [-0.5, 0.1]])
+
+    def test_toxic_shape_is_the_continuous_shape(self):
+        assert shape_toxic is shape_continuous
+        p = reference_params(theta=0.004, rho=0.2)
+        grid = np.linspace(0.005, 0.1, 12)
+        assert np.array_equal(shape_continuous(p, grid).informed, book_curves(p, grid)[0])
+
+
+volume_laws = st.one_of(st.builds(NormalVolume, st.floats(1.0, 20.0)),
+                        st.builds(LaplaceVolume, st.floats(1.0, 15.0)))
+fractions = st.one_of(st.just(0.0), st.floats(0.01, 0.95))
+races = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+# increasing distances whose steps stay clear of float-rounding ties
+distances = st.lists(st.floats(1e-3, 0.05), min_size=1, max_size=12).map(
+    lambda steps: np.cumsum(steps))
+
+
+def nondecreasing(curve):
+    """Each depth at least the one before it, to a relative 1e-6: deep in
+    the volume tail a one-ulp wobble of the break-even argument moves the
+    quantile by far more than one ulp."""
+    return bool(np.all(curve[1:] >= curve[:-1] * (1.0 - 1e-6)))
+
+
+class TestBreakEvenCore:
+    """Properties of the one break-even formula behind every book."""
+
+    @settings(deadline=None)
+    @given(jump_laws, volume_laws, fractions, races, st.floats(0.0, 0.02),
+           st.floats(-0.9, 0.9), distances)
+    def test_curves_nonnegative_and_nondecreasing(self, jump, volume, r, f, theta, rho, x):
+        p = ModelParams(r=r, f=f, jump=jump, volume=volume, theta=theta, rho=rho)
+        informed, noise = book_curves(p, np.concatenate(([0.0], x)))
+        for curve in (informed, noise):
+            assert np.all(curve >= 0.0)
+            assert nondecreasing(curve)
+        assert np.all(informed >= noise)
+
+    @settings(deadline=None)
+    @given(jump_laws, volume_laws, st.floats(0.01, 0.95), races,
+           st.lists(jump_laws, max_size=3), st.integers(0, 3), distances)
+    def test_one_live_source_is_the_single_source_book(self, jump, volume, r, f, dead,
+                                                      position, x):
+        sources = [JumpSource(0.0, f, law) for law in dead]
+        sources.insert(min(position, len(sources)), JumpSource(r, f, jump))
+        book = shape_multi(MultiSourceParams(sources=sources, volume=volume), x)
+        informed, noise = book_curves(ModelParams(r=r, f=f, jump=jump, volume=volume), x)
+        assert np.array_equal(book.informed, informed)
+        assert np.array_equal(book.noise, noise)
+
+    @settings(deadline=None)
+    @given(st.lists(st.tuples(st.floats(0.0, 0.3), jump_laws), min_size=1, max_size=3),
+           races, volume_laws, distances)
+    def test_source_books_are_gain_roots(self, specs, f, volume, x):
+        sources = [JumpSource(r, f, jump) for r, jump in specs]
+        mp = MultiSourceParams(sources=sources, volume=volume)
+        book = shape_multi(mp, x)
+        assert np.array_equal(book.informed, np.maximum.reduce(book.source_books))
+        for k, depths in enumerate(book.source_books):
+            for xk, depth in zip(x, depths):
+                # interior depths only, where the volume CDF is invertible
+                # to well below 1e-9 (1 - F(L) is not lost to cancellation)
+                if 0.0 < depth < math.inf and volume.p_gt(depth) > 1e-6:
+                    assert abs(gain_imm_multi(mp, k, xk, depth)) <= 1e-9

@@ -224,7 +224,8 @@ class TestAgainstOracle:
         informed = np.cumsum(data.draw(arrays(float, m, elements=LEVEL_SIZES)))
         noise = np.minimum(informed, np.cumsum(data.draw(arrays(float, m, elements=LEVEL_SIZES))))
         eff_lvl = np.diff(informed, prepend=0.0)
-        book = (x, informed, noise, eff_lvl, _nmm_level_split(eff_lvl, noise))
+        book = (x, informed, noise, eff_lvl,
+                np.array(_nmm_level_split(eff_lvl.tolist(), noise.tolist())))
         assert_matches(run_numpy(draws, book), run_oracle(draws, book))
 
 
@@ -237,5 +238,5 @@ class TestParity:
         draws = draw_events(params, 300_000, np.random.default_rng(17))
         eff = np.diff(book.informed, prepend=0.0)
         shaped = (book.grid, book.informed, book.noise, eff,
-                  _nmm_level_split(eff, book.noise))
+                  np.array(_nmm_level_split(eff.tolist(), book.noise.tolist())))
         assert_matches(run_numpy(draws, shaped), run_oracle(draws, shaped))

@@ -3,9 +3,11 @@
 import io
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lobeq.mbo import (
     HEADER,
+    SIDES,
     MboEvent,
     MboParseError,
     MboReplayError,
@@ -25,6 +27,35 @@ def parse_text(text, tick=None):
 
 
 HEADER_LINE = ",".join(HEADER)
+
+
+@st.composite
+def event_streams(draw):
+    """Streams the parser accepts: nondecreasing timestamps, every
+    modify/cancel/execute naming a live order on its own side, executes
+    within the resting quantity."""
+    events, live, ts = [], {}, 0
+    for oid_next in range(1, draw(st.integers(0, 25)) + 1):
+        ts += draw(st.integers(0, 10**9))
+        action = draw(st.sampled_from(["add", "modify", "cancel", "execute"] if live else ["add"]))
+        if action == "add":
+            oid, side, qty = oid_next, draw(st.sampled_from(SIDES)), draw(st.integers(0, 10**12))
+        else:
+            oid = draw(st.sampled_from(sorted(live)))
+            resting, side = live.pop(oid)
+            qty = {"modify": draw(st.integers(0, 10**12)), "cancel": resting,
+                   "execute": draw(st.integers(0, resting))}[action]
+        if action in ("add", "modify"):
+            live[oid] = (qty, side)
+        elif action == "execute" and qty < resting:
+            live[oid] = (resting - qty, side)
+        events.append(MboEvent(
+            ts, oid, action, side,
+            draw(st.floats(allow_nan=False, allow_infinity=False)), qty,
+            draw(st.sampled_from([None, True, False])),
+            draw(st.none() | st.text(st.sampled_from('INTMab ,"'), min_size=1, max_size=4)),
+        ))
+    return events
 
 
 class TestParse:
@@ -50,6 +81,11 @@ class TestParse:
             ev(40, 2, "modify", side="bid", price=99.98, qty=9),
             ev(55, 2, "cancel", side="bid", price=99.98, qty=9),
         ]
+        assert parse_text(dumps(events)) == events
+
+    @settings(deadline=None)
+    @given(event_streams())
+    def test_roundtrip_property(self, events):
         assert parse_text(dumps(events)) == events
 
     def test_write_to_path(self, tmp_path):
@@ -230,6 +266,21 @@ class TestReconstruct:
         assert replay.quote_bid == [99.99, 99.99, 99.99]
         assert replay.quote_ask == [100.01, 100.01, 100.01]
         assert replay.quote_ask_qty == [6, 8, 2]
+
+    @pytest.mark.parametrize("bid_price", [100.02, 100.01])
+    def test_crossed_book_at_timestamp_end_rejected(self, bid_price):
+        events = [
+            ev(10, 1, "add", qty=5, price=100.01),
+            ev(20, 2, "add", side="bid", qty=3, price=bid_price),
+            ev(30, 1, "cancel", qty=5, price=100.01),
+        ]
+        with pytest.raises(MboReplayError,
+                           match=rf"book crossed at ts_ns 20: best bid {bid_price} >= best ask "
+                                 r"100.01 after event 2 of the feed \(add of order 2\)"):
+            reconstruct(events)
+        # the same book crossed at the last timestamp of the feed
+        with pytest.raises(MboReplayError, match="at ts_ns 20"):
+            reconstruct(events[:2])
 
     def test_level_conservation(self):
         # executed + canceled + resting == added, per price level
