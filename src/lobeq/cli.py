@@ -52,6 +52,7 @@ from .equilibrium import (
 from .laws import jump_law_from_config, volume_law_from_config
 from .mbo import MboParseError, MboReplayError, parse as parse_mbo, reconstruct, write_csv
 from .signature import (
+    REFERENCES,
     ClusterSpec,
     QuoteSeries,
     build_trade_records,
@@ -87,6 +88,22 @@ def _require(cfg: dict, key: str, context: str) -> object:
     return cfg[key]
 
 
+def _number(value, what: str, cast=float):
+    """``cast(value)``; a value it rejects (JSON null, a string, a list, an
+    infinite integer) is a ConfigError naming ``what``."""
+    try:
+        return cast(value)
+    except (TypeError, ValueError, OverflowError):
+        kind = "an integer" if cast is int else "a number"
+        raise ConfigError(f"{what} must be {kind}, got {value!r}") from None
+
+
+def _numbers(values, what: str) -> list[float]:
+    if not isinstance(values, list):
+        raise ConfigError(f"{what} must be a list of numbers, got {values!r}")
+    return [_number(v, f"{what}[{i}]") for i, v in enumerate(values)]
+
+
 def params_from_config(cfg: dict) -> ModelParams:
     known = {"r", "f", "jump", "volume", "lambda_i", "lambda_u",
              "theta", "rho", "tick", "offset_d"}
@@ -94,17 +111,18 @@ def params_from_config(cfg: dict) -> ModelParams:
     if extra:
         raise ConfigError(f"params: unknown keys {sorted(extra)}")
     try:
+        # r or both intensities may be absent or null: ModelParams derives one from the other
+        rates = {key: _number(cfg[key], key)
+                 for key in ("r", "lambda_i", "lambda_u") if cfg.get(key) is not None}
         return ModelParams(
-            r=cfg.get("r"),
-            f=float(_require(cfg, "f", "params")),
+            **rates,
+            f=_number(_require(cfg, "f", "params"), "f"),
             jump=jump_law_from_config(_require(cfg, "jump", "params")),
             volume=volume_law_from_config(_require(cfg, "volume", "params")),
-            lambda_i=cfg.get("lambda_i"),
-            lambda_u=cfg.get("lambda_u"),
-            theta=float(cfg.get("theta", 0.0)),
-            rho=float(cfg.get("rho", 0.0)),
-            tick=float(cfg.get("tick", 0.0)),
-            offset_d=float(cfg.get("offset_d", 0.0)),
+            theta=_number(cfg.get("theta", 0.0), "theta"),
+            rho=_number(cfg.get("rho", 0.0), "rho"),
+            tick=_number(cfg.get("tick", 0.0), "tick"),
+            offset_d=_number(cfg.get("offset_d", 0.0), "offset_d"),
         )
     except ValueError as exc:
         raise ConfigError(f"params: {exc}") from None
@@ -255,12 +273,12 @@ def cmd_simulate(cfg: dict, out: Path, seed) -> list[str]:
     try:
         sc = SimConfig(
             params=params,
-            n_events=int(_require(sim_cfg, "n_events", "simulate")),
-            seed=int(use_seed),
+            n_events=_number(_require(sim_cfg, "n_events", "simulate"), "n_events", int),
+            seed=_number(use_seed, "seed", int),
             record_log=bool(sim_cfg.get("record_log", False)),
-            n_levels=int(sim_cfg.get("n_levels", 10)),
-            volume_scale=int(sim_cfg.get("volume_scale", 1_000_000)),
-            p0=float(sim_cfg.get("p0", 100.0)),
+            n_levels=_number(sim_cfg.get("n_levels", 10), "n_levels", int),
+            volume_scale=_number(sim_cfg.get("volume_scale", 1_000_000), "volume_scale", int),
+            p0=_number(sim_cfg.get("p0", 100.0), "p0"),
         )
     except ValueError as exc:
         raise ConfigError(f"simulate: {exc}") from None
@@ -284,12 +302,32 @@ def cmd_simulate(cfg: dict, out: Path, seed) -> list[str]:
 def cmd_signature(cfg: dict, out: Path, seed) -> list[str]:
     sig_cfg = _require(cfg, "signature", "config")
     input_path = _require(sig_cfg, "input", "signature")
-    tick = sig_cfg.get("tick")
+    tick = _number(sig_cfg["tick"], "signature: tick") if sig_cfg.get("tick") else None
     reference = sig_cfg.get("reference", "micro")
-    horizons_s = _require(sig_cfg, "horizons_s", "signature")
-    horizons_ns = [int(round(float(h) * 1e9)) for h in horizons_s]
+    if reference not in REFERENCES:
+        raise ConfigError(f"signature: unknown reference {reference!r}; "
+                          f"expected one of {REFERENCES}")
+    horizons_s = _numbers(_require(sig_cfg, "horizons_s", "signature"), "signature: horizons_s")
+    for h in horizons_s:
+        if not math.isfinite(h):
+            raise ConfigError(f"signature: horizons_s must be finite, got {h}")
+    horizons_ns = [int(round(h * 1e9)) for h in horizons_s]
+    clusters = _require(sig_cfg, "clusters", "signature")
+    if not isinstance(clusters, list):
+        raise ConfigError(f"signature: clusters must be a list, got {clusters!r}")
+    specs = []
+    for i, spec_cfg in enumerate(clusters):
+        try:
+            specs.append(ClusterSpec(
+                metric=_require(spec_cfg, "metric", "cluster"),
+                thresholds=tuple(_require(spec_cfg, "thresholds", "cluster")),
+                side=_require(spec_cfg, "side", "cluster"),
+            ))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"signature cluster {i}: {exc}") from None
 
-    events = parse_mbo(input_path, tick=float(tick) if tick else None)
+    # every config value is checked before the log is read and any CSV written
+    events = parse_mbo(input_path, tick=tick)
     if not any(ev.action == "execute" for ev in events):
         raise ConfigError(f"signature: log {input_path} contains no executions")
     replay = reconstruct(events)
@@ -297,15 +335,7 @@ def cmd_signature(cfg: dict, out: Path, seed) -> list[str]:
     aggressive, passive = build_trade_records(replay)
 
     outputs = []
-    for i, spec_cfg in enumerate(_require(sig_cfg, "clusters", "signature")):
-        try:
-            spec = ClusterSpec(
-                metric=_require(spec_cfg, "metric", "cluster"),
-                thresholds=tuple(_require(spec_cfg, "thresholds", "cluster")),
-                side=_require(spec_cfg, "side", "cluster"),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"signature cluster {i}: {exc}") from None
+    for i, spec in enumerate(specs):
         records = aggressive if spec.side == "aggressive" else passive
         eps = 1 if spec.side == "aggressive" else -1
         labels = classify(records, spec)
@@ -330,10 +360,10 @@ def _blank_unless(values: np.ndarray | None, keep: np.ndarray) -> list:
 
 def cmd_sweep(cfg: dict, out: Path, seed) -> list[str]:
     sweep_cfg = _require(cfg, "sweep", "config")
-    r_values = [float(v) for v in _require(sweep_cfg, "r_values", "sweep")]
-    f_values = [float(v) for v in _require(sweep_cfg, "f_values", "sweep")]
-    theta_values = [float(v) for v in sweep_cfg.get("theta_values", [0.0])]
-    probe_x = [float(v) for v in sweep_cfg.get("probe_x", [])]
+    r_values = _numbers(_require(sweep_cfg, "r_values", "sweep"), "sweep: r_values")
+    f_values = _numbers(_require(sweep_cfg, "f_values", "sweep"), "sweep: f_values")
+    theta_values = _numbers(sweep_cfg.get("theta_values", [0.0]), "sweep: theta_values")
+    probe_x = _numbers(sweep_cfg.get("probe_x", []), "sweep: probe_x")
     r, f, theta = (a.ravel() for a in np.meshgrid(r_values, f_values, theta_values,
                                                   indexing="ij"))
     try:
@@ -341,9 +371,9 @@ def cmd_sweep(cfg: dict, out: Path, seed) -> list[str]:
             r=r, f=f, theta=theta,
             jump=jump_law_from_config(_require(sweep_cfg, "jump", "sweep")),
             volume=volume_law_from_config(_require(sweep_cfg, "volume", "sweep")),
-            rho=float(sweep_cfg.get("rho", 0.0)),
-            tick=float(sweep_cfg.get("tick", 0.0)),
-            offset_d=float(sweep_cfg.get("offset_d", 0.0)),
+            rho=_number(sweep_cfg.get("rho", 0.0), "rho"),
+            tick=_number(sweep_cfg.get("tick", 0.0), "tick"),
+            offset_d=_number(sweep_cfg.get("offset_d", 0.0), "offset_d"),
         )
     except ValueError as exc:
         raise ConfigError(f"sweep: {exc}") from None

@@ -155,7 +155,9 @@ class Exponential(JumpLaw):
 
     def tail_expectation(self, x):
         x_arr = np.maximum(np.asarray(x, dtype=float), 0.0)
-        out = (x_arr + self.mean) * np.exp(-self.rate * x_arr)
+        at_inf = np.isinf(x_arr)        # the tail is 0 there; inf * exp(-inf) would be nan
+        x_fin = np.where(at_inf, 0.0, x_arr)
+        out = np.where(at_inf, 0.0, (x_fin + self.mean) * np.exp(-self.rate * x_fin))
         return _maybe_scalar(x, out)
 
     def sample(self, rng: np.random.Generator, size=None):
@@ -319,7 +321,14 @@ def _law_from_config(config: dict, kinds: dict, family: str):
     extra = set(config) - set(fields) - {"type"}
     if extra:
         raise ValueError(f"{family} law {kind!r} has unknown fields: {sorted(extra)}")
-    return cls(**{f: float(config[f]) for f in fields})
+    values = {}
+    for f in fields:
+        try:
+            values[f] = float(config[f])
+        except (TypeError, ValueError):
+            raise ValueError(f"{family} law {kind!r} field {f!r} must be a number, "
+                             f"got {config[f]!r}") from None
+    return cls(**values)
 
 
 def jump_law_from_config(config: dict) -> JumpLaw:

@@ -25,8 +25,9 @@ excluded from signatures.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -37,6 +38,7 @@ __all__ = [
     "METRICS",
     "micro_price",
     "mid_price",
+    "QuoteError",
     "QuoteSeries",
     "TradeRecord",
     "build_trade_records",
@@ -61,20 +63,42 @@ METRICS = {
 UNDEFINED_CLUSTER = -1
 
 
-def micro_price(bid: float, ask: float, v_b: float, v_a: float) -> float:
-    """Queue-imbalance weighted quote: pulled toward the thinner side."""
-    if not bid < ask:
-        raise ValueError(f"micro price needs bid < ask, got {bid} >= {ask}")
-    if v_b < 0 or v_a < 0:
-        raise ValueError("queue volumes must be nonnegative")
-    if v_b == 0 and v_a == 0:
-        raise ValueError("micro price undefined with both queues empty")
+class QuoteError(ValueError):
+    """A quote check failed; ``index`` is the first failing element."""
+
+    def __init__(self, index: int, message: str):
+        super().__init__(message)
+        self.index = index
+
+
+def _raise_first(checks, shape) -> None:
+    """Raise :class:`QuoteError` for the first element (in C order) of an
+    array of ``shape`` failing one of ``checks``, ``(failed mask, message(i))``
+    pairs in the order a per-element loop tests them."""
+    failed = np.array([np.broadcast_to(mask, shape).ravel() for mask, _ in checks])
+    bad = np.flatnonzero(failed.any(axis=0))
+    if bad.size:
+        i = int(bad[0])
+        raise QuoteError(i, checks[int(np.argmax(failed[:, i]))][1](i))
+
+
+def micro_price(bid, ask, v_b, v_a, checks=()):
+    """Queue-imbalance weighted quote, elementwise: pulled toward the thinner
+    side.  ``checks`` come first, e.g. a caller's lookup checks."""
+    bid, ask, v_b, v_a = np.broadcast_arrays(bid, ask, v_b, v_a)
+    _raise_first([*checks, (~(bid < ask), lambda i: "micro price needs bid < ask, "
+                                                    f"got {bid.flat[i]} >= {ask.flat[i]}"),
+                  ((v_b < 0) | (v_a < 0), lambda i: "queue volumes must be nonnegative"),
+                  ((v_b == 0) & (v_a == 0),
+                   lambda i: "micro price undefined with both queues empty")], bid.shape)
     return (bid * v_a + ask * v_b) / (v_a + v_b)
 
 
-def mid_price(bid: float, ask: float) -> float:
-    if not bid < ask:
-        raise ValueError(f"mid price needs bid < ask, got {bid} >= {ask}")
+def mid_price(bid, ask, checks=()):
+    """Midpoint of the quotes, elementwise; ``checks`` as for :func:`micro_price`."""
+    bid, ask = np.broadcast_arrays(bid, ask)
+    _raise_first([*checks, (~(bid < ask), lambda i: "mid price needs bid < ask, got "
+                                                    f"{bid.flat[i]} >= {ask.flat[i]}")], bid.shape)
     return 0.5 * (bid + ask)
 
 
@@ -100,29 +124,33 @@ class QuoteSeries:
         return cls(replay.quote_ts, replay.quote_bid, replay.quote_ask,
                    replay.quote_bid_qty, replay.quote_ask_qty)
 
-    def index_before(self, t_ns: int) -> int:
-        """Index of the snapshot prevailing at ``t_ns`` (strictly before)."""
-        return int(np.searchsorted(self.ts, t_ns, side="left")) - 1
+    def index_before(self, t_ns):
+        """Index of the snapshot prevailing at each ``t_ns`` (strictly before)."""
+        return np.searchsorted(self.ts, t_ns, side="left") - 1
 
-    def reference(self, t_ns: int, kind: str, trade_qty: int = 0) -> float:
-        idx = self.index_before(t_ns)
-        if idx < 0:
-            raise ValueError(f"no reference snapshot before t = {t_ns}")
-        bid, ask = self.bid[idx], self.ask[idx]
-        if kind == "mid":
-            if np.isnan(bid) or np.isnan(ask):
-                raise ValueError(f"one-sided book at t = {t_ns}: mid undefined")
-            return mid_price(bid, ask)
-        if kind == "micro":
-            if np.isnan(bid) or np.isnan(ask):
-                raise ValueError(f"one-sided book at t = {t_ns}: micro undefined")
-            return micro_price(bid, ask, self.bid_qty[idx], self.ask_qty[idx])
+    def reference(self, t_ns, kind: str, trade_qty=0) -> np.ndarray:
+        """Reference price ``kind`` prevailing at each time of ``t_ns``.
+
+        ``trade_qty`` (signed by the taker, broadcast against ``t_ns``)
+        picks the touched side: the ask for a buy, else the bid.  A failed
+        lookup raises :class:`QuoteError` naming the first failing element.
+        """
+        t = np.atleast_1d(np.asarray(t_ns, dtype=np.int64))
+        idx = self.index_before(t)
+        bid, ask = self.bid[idx], self.ask[idx]     # idx = -1 fails the first check
+        checks = [(idx < 0, lambda i: f"no reference snapshot before t = {t[i]}"),
+                  (kind not in REFERENCES,
+                   lambda i: f"unknown reference {kind!r}; expected one of {REFERENCES}")]
         if kind == "touched":
-            quote = ask if trade_qty > 0 else bid
-            if np.isnan(quote):
-                raise ValueError(f"touched quote missing at t = {t_ns}")
-            return float(quote)
-        raise ValueError(f"unknown reference {kind!r}; expected one of {REFERENCES}")
+            quote = np.where(np.asarray(trade_qty) > 0, ask, bid)
+            _raise_first([*checks, (np.isnan(quote),
+                                    lambda i: f"touched quote missing at t = {t[i]}")], t.shape)
+            return quote
+        checks.append((np.isnan(bid) | np.isnan(ask),
+                       lambda i: f"one-sided book at t = {t[i]}: {kind} undefined"))
+        if kind == "mid":
+            return mid_price(bid, ask, checks)
+        return micro_price(bid, ask, self.bid_qty[idx], self.ask_qty[idx], checks)
 
 
 # ---------------------------------------------------------------------------
@@ -168,20 +196,17 @@ def build_trade_records(replay: Replay) -> tuple[list[TradeRecord], list[TradeRe
     for ts, side, price in replay.add_events:
         adds.setdefault((side, price), []).append(ts)
 
-    def last_trade_before(ts: int) -> int | None:
+    def since_last_trade(ts: int) -> int | None:
         idx = bisect_left(fill_ts, ts) - 1
-        return fill_ts[idx] if idx >= 0 else None
+        return ts - fill_ts[idx] if idx >= 0 else None
 
     aggressive: list[TradeRecord] = []
-    sweep: list = []
-
-    def flush_sweep():
-        if not sweep:
-            return
+    for _oid, fills in groupby((f for f in replay.fills if f.aggressor),
+                               key=lambda f: f.order_id):
+        sweep = list(fills)
         first = sweep[0]
         sign = 1 if first.side == "bid" else -1     # buy sweeps rest on the bid side
-        prev = last_trade_before(first.ts_ns)
-        ttt = first.ts_ns - prev if prev is not None else None
+        ttt = since_last_trade(first.ts_ns)
         ratio = None
         idx = quotes.index_before(first.ts_ns)
         if idx >= 0:
@@ -197,25 +222,13 @@ def build_trade_records(replay: Replay) -> tuple[list[TradeRecord], list[TradeRe
                 order_id=f.order_id, participant_label=f.participant_label,
                 aggressor=True, trade_to_trade_ns=ttt, volume_ratio=ratio,
             ))
-        sweep.clear()
-
-    current_oid = None
-    for f in replay.fills:
-        if not f.aggressor:
-            continue
-        if f.order_id != current_oid:
-            flush_sweep()
-            current_oid = f.order_id
-        sweep.append(f)
-    flush_sweep()
 
     passive: list[TradeRecord] = []
     for lc in replay.all_lifecycles:
         executed = [f for f in lc.fills if not f.aggressor]
         if not executed:
             continue
-        prev = last_trade_before(lc.add_ts)
-        tta = lc.add_ts - prev if prev is not None else None
+        tta = since_last_trade(lc.add_ts)
         level_adds = adds.get((lc.side, lc.add_price), [])
         idx = bisect_left(level_adds, lc.add_ts) - 1
         ata = lc.add_ts - level_adds[idx] if idx >= 0 else None
@@ -254,13 +267,9 @@ class ClusterSpec:
         th = tuple(float(t) for t in self.thresholds)
         if not th:
             raise ValueError("at least one threshold is required")
-        if any(b <= a for a, b in zip(th, th[1:])):
-            raise ValueError("thresholds must be strictly increasing")
+        if not (np.all(np.isfinite(th)) and np.all(np.diff(th) > 0)):
+            raise ValueError(f"thresholds must be finite and strictly increasing, got {th}")
         object.__setattr__(self, "thresholds", th)
-
-    @property
-    def n_clusters(self) -> int:
-        return len(self.thresholds) + 1
 
 
 def classify(records: list[TradeRecord], spec: ClusterSpec) -> np.ndarray:
@@ -272,17 +281,11 @@ def classify(records: list[TradeRecord], spec: ClusterSpec) -> np.ndarray:
     value, so depleting trades / heavily updated orders land in cluster 0.
     """
     attr, _side, ascending = METRICS[spec.metric]
-    th = list(spec.thresholds)
-    out = np.empty(len(records), dtype=np.int32)
-    for i, rec in enumerate(records):
-        value = getattr(rec, attr)
-        if value is None:
-            out[i] = UNDEFINED_CLUSTER
-        elif ascending:
-            out[i] = bisect_right(th, value)
-        else:
-            out[i] = len(th) - bisect_left(th, value)
-    return out
+    values = np.array([getattr(rec, attr) for rec in records], dtype=float)    # None -> nan
+    th = np.array(spec.thresholds)
+    out = (np.searchsorted(th, values, side="right") if ascending
+           else th.size - np.searchsorted(th, values, side="left"))
+    return np.where(np.isnan(values), UNDEFINED_CLUSTER, out).astype(np.int32)
 
 
 # ---------------------------------------------------------------------------
@@ -293,23 +296,10 @@ def classify(records: list[TradeRecord], spec: ClusterSpec) -> np.ndarray:
 def trade_signature(records: list[TradeRecord], k_ns: int, eps: int,
                     reference: str, quotes: QuoteSeries) -> float:
     """ST(k) of one cohort; ``eps`` is +1 (aggressive) or -1 (passive)."""
-    if eps not in (1, -1):
-        raise ValueError("eps must be +1 or -1")
     if not records:
         raise ValueError("trade_signature needs a nonempty record list")
-    num = 0.0
-    den = 0.0
-    for rec in records:
-        try:
-            x = quotes.reference(rec.t_ns + k_ns, reference, rec.qty)
-        except ValueError as exc:
-            raise ValueError(
-                f"reference lookup failed for trade of order {rec.order_id} "
-                f"at t = {rec.t_ns} + k = {k_ns}: {exc}"
-            ) from None
-        num += rec.qty * (x - rec.price)
-        den += abs(rec.qty)
-    return eps * num / den
+    return signature_curves(records, [0] * len(records), (k_ns,), eps, reference,
+                            quotes).values[0][0]
 
 
 @dataclass
@@ -323,19 +313,29 @@ class SignatureCurve:
 def signature_curves(records: list[TradeRecord], clusters: np.ndarray,
                      horizons_ns, eps: int, reference: str,
                      quotes: QuoteSeries) -> SignatureCurve:
-    """ST(k) per cluster along the horizon grid (undefined bucket dropped)."""
+    """ST(k) per cluster along the horizon grid (undefined bucket dropped);
+    ``np.bincount`` sums each cluster in record order, as a loop would."""
+    if eps not in (1, -1):
+        raise ValueError("eps must be +1 or -1")
     horizons_ns = tuple(int(k) for k in horizons_ns)
-    ids = sorted({int(c) for c in clusters if c != UNDEFINED_CLUSTER})
-    by_cluster = {
-        cid: [rec for rec, c in zip(records, clusters) if c == cid] for cid in ids
-    }
-    values = {
-        cid: tuple(
-            trade_signature(group, k, eps, reference, quotes)
-            for k in horizons_ns
-        )
-        for cid, group in by_cluster.items()
-    }
-    counts = {cid: len(group) for cid, group in by_cluster.items()}
+    clusters = np.asarray(clusters)
+    cohort = [records[i] for i in np.flatnonzero(clusters != UNDEFINED_CLUSTER)]
+    ids, labels, counts = np.unique(clusters[clusters != UNDEFINED_CLUSTER],
+                                    return_inverse=True, return_counts=True)
+    t = np.array([rec.t_ns for rec in cohort], dtype=np.int64)
+    qty = np.array([rec.qty for rec in cohort], dtype=float)
+    price = np.array([rec.price for rec in cohort], dtype=float)
+    den = np.bincount(labels, weights=np.abs(qty), minlength=ids.size)
+    st = np.empty((ids.size, len(horizons_ns)))
+    for h, k_ns in enumerate(horizons_ns):
+        try:
+            x = quotes.reference(t + k_ns, reference, qty)
+        except QuoteError as exc:
+            rec = cohort[exc.index]
+            raise ValueError(f"reference lookup failed for trade of order {rec.order_id} "
+                             f"at t = {rec.t_ns} + k = {k_ns}: {exc}") from None
+        st[:, h] = eps * np.bincount(labels, weights=qty * (x - price), minlength=ids.size) / den
+    ids = ids.tolist()
     return SignatureCurve(horizons_ns=horizons_ns, cluster_ids=tuple(ids),
-                          values=values, counts=counts)
+                          values=dict(zip(ids, map(tuple, st.tolist()))),
+                          counts=dict(zip(ids, counts.tolist())))

@@ -260,23 +260,11 @@ def test_6_multi_source_finiteness_at_f0():
 # -- 7 ----------------------------------------------------------------------
 
 
-def vector_reference(quotes, ts, kind, qty=None):
-    idx = np.searchsorted(quotes.ts, ts, side="left") - 1
-    assert np.all(idx >= 0)
-    bid, ask = quotes.bid[idx], quotes.ask[idx]
-    if kind == "micro":
-        vb, va = quotes.bid_qty[idx], quotes.ask_qty[idx]
-        return (bid * va + ask * vb) / (va + vb)
-    if kind == "mid":
-        return 0.5 * (bid + ask)
-    return np.where(qty > 0, ask, bid)
-
-
 def signature_and_bootstrap_se(records, k_ns, quotes, kind, rng, n_boot=200):
     ts = np.array([r.t_ns for r in records], dtype=np.int64)
     qty = np.array([r.qty for r in records], dtype=float)
     price = np.array([r.price for r in records])
-    ref = vector_reference(quotes, ts + k_ns, kind, qty)
+    ref = quotes.reference(ts + k_ns, kind, qty)
     num = qty * (ref - price)
     den = np.abs(qty)
     st = num.sum() / den.sum()
@@ -305,7 +293,7 @@ def test_7_signature_recovery_on_labeled_log():
     ts = np.array([r.t_ns for r in aggressive], dtype=np.int64)
     qty = np.array([r.qty for r in aggressive], dtype=float)
     price = np.array([r.price for r in aggressive])
-    touched = vector_reference(quotes, ts, "touched", qty)
+    touched = quotes.reference(ts, "touched", qty)
     st0 = (qty * (touched - price)).sum() / np.abs(qty).sum()
     assert st0 <= 0.0
 

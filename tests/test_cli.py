@@ -176,6 +176,13 @@ class TestSpread:
         code, _ = run_cli(tmp_path, "spread", {"params": dict(REF_PARAMS, f=2.0)})
         assert code == 2
 
+    @pytest.mark.parametrize("key", ["f", "theta", "r", "lambda_i"])
+    def test_non_numeric_param_names_its_key(self, tmp_path, capsys, key):
+        value = None if key in ("f", "theta") else "fast"
+        code, _ = run_cli(tmp_path, "spread", {"params": dict(REF_PARAMS, **{key: value})})
+        assert code == 2
+        assert f"params: {key} must be a number, got {value!r}" in capsys.readouterr().err
+
     def test_zero_spread_regime_is_nonzero(self, tmp_path):
         code, _ = run_cli(tmp_path, "spread", {"params": dict(REF_PARAMS, f=0.0)})
         assert code == 2
@@ -221,6 +228,17 @@ class TestSimulate:
         out2 = tmp_path / "replayed"
         assert main(["simulate", "--config", cfg2, "--out", str(out2)]) == 0
         assert (out / "pnl.csv").read_bytes() == (out2 / "pnl.csv").read_bytes()
+
+    @pytest.mark.parametrize("key, value, kind", [
+        ("n_events", None, "an integer"), ("n_levels", "six", "an integer"),
+        ("n_events", math.inf, "an integer"), ("p0", [100.0], "a number"),
+    ])
+    def test_non_numeric_setting_names_its_key(self, tmp_path, capsys, key, value, kind):
+        doc = {"params": REF_PARAMS, "simulate": dict(self.BASE["simulate"], **{key: value})}
+        code, out = run_cli(tmp_path, "simulate", doc)
+        assert code == 2
+        assert f"simulate: {key} must be {kind}, got {value!r}" in capsys.readouterr().err
+        assert not (out / "pnl.csv").exists()
 
     def test_record_log_writes_mbo(self, tmp_path):
         doc = {
@@ -281,6 +299,42 @@ class TestSignature:
                 by_cluster.setdefault(r["cluster_id"], set()).add(r["n_trades"])
             for counts in by_cluster.values():
                 assert len(counts) == 1      # horizon-independent counts
+
+    GOOD_CLUSTER = {"metric": "trade_to_trade", "thresholds": [1e7], "side": "aggressive"}
+
+    @pytest.mark.parametrize("change, message", [
+        ({"reference": "vwap"},
+         "signature: unknown reference 'vwap'; expected one of ('micro', 'mid', 'touched')"),
+        ({"horizons_s": [1.0, math.nan]}, "signature: horizons_s must be finite, got nan"),
+        ({"horizons_s": [1.0, None]}, "signature: horizons_s[1] must be a number, got None"),
+        ({"horizons_s": 5}, "signature: horizons_s must be a list of numbers, got 5"),
+        ({"clusters": [GOOD_CLUSTER, dict(GOOD_CLUSTER, thresholds=[2.0, 1.0])]},
+         "signature cluster 1: thresholds must be finite and strictly increasing"),
+        ({"clusters": [GOOD_CLUSTER, dict(GOOD_CLUSTER, thresholds=[1.0, math.nan])]},
+         "signature cluster 1: thresholds must be finite and strictly increasing, got (1.0, nan)"),
+        ({"clusters": [GOOD_CLUSTER, dict(GOOD_CLUSTER, thresholds=[None])]},
+         "signature cluster 1: float() argument"),
+    ])
+    def test_config_checked_before_the_log_is_read(self, tmp_path, capsys, change, message):
+        doc = {"signature": {"input": str(tmp_path / "never_read.csv"), "horizons_s": [0.0, 1.0],
+                             "clusters": [self.GOOD_CLUSTER], **change}}
+        cfg = write_config(tmp_path, doc, name="sig.json")
+        out = tmp_path / "sig_out"
+        assert main(["signature", "--config", cfg, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not list(out.glob("signature_*.csv"))
+
+    def test_bad_second_cluster_writes_no_curves(self, tmp_path, capsys):
+        log = self.make_log(tmp_path)
+        bad = {"metric": "trade_to_add", "thresholds": [1e7], "side": "aggressive"}
+        doc = {"signature": {"input": str(log), "horizons_s": [0.0, 1.0],
+                             "clusters": [self.GOOD_CLUSTER, bad]}}
+        cfg = write_config(tmp_path, doc, name="sig.json")
+        out = tmp_path / "sig_out"
+        assert main(["signature", "--config", cfg, "--out", str(out)]) == 2
+        assert ("signature cluster 1: metric 'trade_to_add' applies to the passive side"
+                in capsys.readouterr().err)
+        assert not list(out.glob("signature_*.csv"))
 
     def test_empty_log_rejected(self, tmp_path):
         empty = tmp_path / "empty.csv"
@@ -392,6 +446,20 @@ class TestSweep:
         code, out = run_cli(tmp_path, "sweep", doc)
         assert code == 2
         assert "distance nan at index 1" in capsys.readouterr().err
+        assert not (out / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("key, values, message", [
+        ("r_values", [0.5, None], "sweep: r_values[1] must be a number, got None"),
+        ("f_values", None, "sweep: f_values must be a list of numbers, got None"),
+        ("theta_values", [0.0, "high"], "sweep: theta_values[1] must be a number, got 'high'"),
+        ("probe_x", [None], "sweep: probe_x[0] must be a number, got None"),
+    ])
+    def test_non_numeric_value_list_names_its_key(self, tmp_path, capsys, key, values, message):
+        doc = {"sweep": {"r_values": [0.5], "f_values": [0.5], key: values,
+                         "jump": REF_PARAMS["jump"], "volume": REF_PARAMS["volume"]}}
+        code, out = run_cli(tmp_path, "sweep", doc)
+        assert code == 2
+        assert message in capsys.readouterr().err
         assert not (out / "sweep.csv").exists()
 
     def test_out_of_range_r_rejected(self, tmp_path, capsys):

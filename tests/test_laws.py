@@ -1,6 +1,7 @@
 """Distribution laws against independent quadrature/bisection oracles."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -98,6 +99,15 @@ class TestJumpLaws:
         assert np.all(np.diff(tails) <= 1e-15)
         assert np.all(np.diff(emax) <= 1e-12)
         assert np.all(emax >= 1.0 - 1e-15)
+
+    @pytest.mark.parametrize("law", JUMP_LAWS + [PointMass(0.02)], ids=str)
+    def test_limits_at_infinity(self, law):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert law.tail_expectation(math.inf) == 0.0
+            assert law.emax_ratio(math.inf) == 1.0
+            ratio = law.emax_ratio(np.array([law.mean / 2, math.inf]))
+        assert ratio[0] > 1.0 and ratio[1] == 1.0
 
     def test_domain_errors(self):
         law = Pareto(3.0, 0.005)
@@ -204,3 +214,5 @@ class TestConfig:
             volume_law_from_config({"type": "normal", "sigma": 1.0, "mu": 3.0})
         with pytest.raises(ValueError, match="unknown volume law"):
             volume_law_from_config({"type": "pareto", "shape": 3.0, "scale": 1.0})
+        with pytest.raises(ValueError, match="field 'rate' must be a number, got None"):
+            jump_law_from_config({"type": "exponential", "rate": None})

@@ -2,12 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import signature_oracle as oracle
 from lobeq.equilibrium import ModelParams
 from lobeq.laws import NormalVolume, Pareto
 from lobeq.mbo import reconstruct
 from lobeq.signature import (
     ClusterSpec,
+    REFERENCES,
+    QuoteError,
     QuoteSeries,
     TradeRecord,
     build_trade_records,
@@ -226,3 +230,94 @@ class TestTradeRecords:
         quotes = QuoteSeries.from_replay(sim_replay)
         st0 = trade_signature(passive, 0, -1, "touched", quotes)
         assert st0 >= 0.0
+
+
+# -- the array lookup against the per-trade oracle ---------------------------
+
+PRICES = st.sampled_from([99.5, 99.75, 100.0, 100.25, 100.5])
+
+
+@st.composite
+def quote_series(draw):
+    """Up to six well-formed snapshots, of which up to two may then be
+    one-sided, crossed or have empty or negative queues."""
+    ts = sorted(draw(st.sets(st.integers(4, 60), max_size=5)) | {draw(st.integers(0, 6))})
+    good = st.tuples(st.sampled_from([99.5, 99.75, 100.0]), st.sampled_from([100.25, 100.5]),
+                     st.integers(0, 3), st.integers(1, 3))
+    side = st.one_of(st.none(), PRICES, PRICES)
+    bad = st.tuples(side, side, st.integers(-1, 1), st.integers(-1, 1))
+    points = [draw(good) for _ in ts]
+    for i in draw(st.lists(st.integers(0, len(ts) - 1), max_size=2)):
+        points[i] = draw(bad)
+    return series([(t, *p) for t, p in zip(ts, points)])
+
+
+@st.composite
+def cohorts(draw):
+    """Trades before, at and after the snapshot times; distinct order ids."""
+    n = draw(st.integers(1, 8))
+    qty = st.integers(-5, 5).filter(bool)
+    return [record(draw(st.integers(0, 70)), draw(qty), draw(PRICES), order_id=100 + i)
+            for i in range(n)]
+
+
+KINDS = st.sampled_from(REFERENCES * 3 + ("vwap",))
+HORIZONS = st.sampled_from([0, 1, 5, 30])
+
+
+def oracle_lookup(quotes, t, kind, qty):
+    """(values, None) or (index, message) of the first failing element."""
+    values = []
+    for i, (ti, qi) in enumerate(zip(t.tolist(), qty.tolist())):
+        try:
+            values.append(oracle.reference(quotes, ti, kind, qi))
+        except ValueError as exc:
+            return i, str(exc)
+    return values, None
+
+
+class TestArrayLookupMatchesOracle:
+    @settings(deadline=None, max_examples=300)
+    @given(quotes=quote_series(), trades=cohorts(), kind=KINDS, k=HORIZONS)
+    def test_reference_values_and_first_failure(self, quotes, trades, kind, k):
+        t = np.array([r.t_ns + k for r in trades], dtype=np.int64)
+        qty = np.array([r.qty for r in trades])
+        want, message = oracle_lookup(quotes, t, kind, qty)
+        if message is None:
+            got = quotes.reference(t, kind, qty)
+            assert got.dtype == np.float64
+            assert got.tobytes() == np.array(want, dtype=float).tobytes()
+        else:
+            with pytest.raises(QuoteError) as info:
+                quotes.reference(t, kind, qty)
+            assert (info.value.index, str(info.value)) == (want, message)
+
+    @settings(deadline=None, max_examples=300)
+    @given(quotes=quote_series(), trades=cohorts(), kind=KINDS, k=HORIZONS,
+           eps=st.sampled_from([1, -1]))
+    def test_trade_signature_within_bound(self, quotes, trades, kind, k, eps):
+        try:
+            want = oracle.trade_signature(trades, k, eps, kind, quotes)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as info:
+                trade_signature(trades, k, eps, kind, quotes)
+            assert str(info.value) == str(exc)
+            return
+        got = trade_signature(trades, k, eps, kind, quotes)
+        x = [oracle.reference(quotes, r.t_ns + k, kind, r.qty) for r in trades]
+        scale = (sum(abs(r.qty * (xi - r.price)) for r, xi in zip(trades, x))
+                 / sum(abs(r.qty) for r in trades))
+        assert abs(got - want) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("args, message", [
+        ((101.0, 99.0, 1, 1), "micro price needs bid < ask, got 101.0 >= 99.0"),
+        ((99.0, 101.0, -1, 1), "queue volumes must be nonnegative"),
+        ((99.0, 101.0, 0, 0), "micro price undefined with both queues empty"),
+    ])
+    def test_micro_price_elementwise_names_first_failure(self, args, message):
+        good = (99.0, 101.0, 2, 3)
+        columns = [np.array([g, g, a, g]) for g, a in zip(good, args)]
+        with pytest.raises(QuoteError, match=message) as info:
+            micro_price(*columns)
+        assert info.value.index == 2
+        assert micro_price(*(c[:2] for c in columns)).tolist() == [oracle.micro_price(*good)] * 2

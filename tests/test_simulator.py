@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lobeq.equilibrium import BookShape, ModelParams, book_curves, shape_tick
 from lobeq.laws import NormalVolume, Pareto
@@ -169,6 +170,17 @@ class TestLoggedPath:
         from_events = sum(q for ev in logged_result.events
                           for (_s, _i, q) in ev.executed_per_level)
         assert from_log == from_events
+
+    @settings(deadline=None)
+    @given(n_events=st.integers(1, 300), seed=st.integers(0, 2**32 - 1),
+           n_levels=st.integers(1, 10), volume_scale=st.sampled_from([1, 10, 1000, 10**6]))
+    def test_replay_conserves_executed_volume(self, n_events, seed, n_levels, volume_scale):
+        result = run(SimConfig(params=LOGGED, n_events=n_events, seed=seed, record_log=True,
+                               n_levels=n_levels, volume_scale=volume_scale))
+        replay = reconstruct(export_mbo(result))
+        passive = sum(f.qty for f in replay.fills if not f.aggressor)
+        aggressive = sum(f.qty for f in replay.fills if f.aggressor)
+        assert passive == aggressive == result.summary["executed_units_total"]
 
     def test_aggressive_trades_match_events(self, logged_result):
         # one aggressive IT order per jump that found volume in reach (the
