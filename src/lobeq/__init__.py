@@ -59,7 +59,7 @@ from .signature import (
     ClusterSpec,
     QuoteSeries,
     SignatureCurve,
-    TradeRecord,
+    TradeTable,
     build_trade_records,
     classify,
     micro_price,

@@ -26,6 +26,7 @@ import math
 import os
 import sys
 from collections.abc import Iterable, Sequence
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -50,7 +51,7 @@ from .equilibrium import (
     theta_bar,
 )
 from .laws import jump_law_from_config, volume_law_from_config
-from .mbo import MboParseError, MboReplayError, parse as parse_mbo, reconstruct, write_csv
+from .mbo import parse as parse_mbo, reconstruct, write_csv
 from .signature import (
     REFERENCES,
     ClusterSpec,
@@ -74,8 +75,6 @@ def _fmt(value) -> str:
     if value is None:
         return ""
     if isinstance(value, float):
-        if math.isinf(value):
-            return "inf"
         return f"{value:.17g}"
     return str(value)
 
@@ -149,11 +148,11 @@ def multi_from_config(cfg: dict) -> MultiSourceParams:
 
 def _grid_from_config(cfg: dict, context: str) -> np.ndarray:
     if "x_grid" in cfg:
-        grid = np.asarray([float(x) for x in cfg["x_grid"]], dtype=float)
+        grid = np.asarray(_numbers(cfg["x_grid"], f"{context}: x_grid"), dtype=float)
     else:
-        lo = float(_require(cfg, "x_min", context))
-        hi = float(_require(cfg, "x_max", context))
-        n = int(_require(cfg, "n_points", context))
+        lo = _number(_require(cfg, "x_min", context), f"{context}: x_min")
+        hi = _number(_require(cfg, "x_max", context), f"{context}: x_max")
+        n = _number(_require(cfg, "n_points", context), f"{context}: n_points", int)
         if not (0.0 < lo < hi and n >= 2):
             raise ConfigError(f"{context}: need 0 < x_min < x_max and n_points >= 2")
         grid = np.linspace(lo, hi, n)
@@ -198,25 +197,20 @@ def cmd_shape(cfg: dict, out: Path, seed) -> list[str]:
     else:
         params = params_from_config(_require(cfg, "params", "config"))
         if variant == "tick":
-            book = shape_tick(params, int(_require(shape_cfg, "n_levels", "shape")))
+            book = shape_tick(params, _number(_require(shape_cfg, "n_levels", "shape"),
+                                              "shape: n_levels", int))
         elif variant in ("continuous", "toxic"):
             book = shape_continuous(params, _grid_from_config(shape_cfg, "shape"))
         else:
             raise ConfigError(f"shape: unknown variant {variant!r}")
 
-    header = ["x", "informed", "noise", "effective"]
-    columns = [book.grid, book.informed, book.noise, book.effective]
+    columns = {"x": book.grid, "informed": book.informed, "noise": book.noise,
+               "effective": book.effective}
     if book.per_level is not None:
-        header.append("per_level")
-        columns.append(book.per_level)
-    if book.source_books is not None:
-        for k, src in enumerate(book.source_books):
-            header.append(f"source_{k}")
-            columns.append(src)
-    rows = [[float(col[i]) for col in columns] for i in range(len(book.grid))]
-    _write_csv_rows(out / "shape.csv", header, rows)
-
-    doc = {name: [float(v) for v in col] for name, col in zip(header, columns)}
+        columns["per_level"] = book.per_level
+    columns.update((f"source_{k}", src) for k, src in enumerate(book.source_books or ()))
+    doc = {name: [float(v) for v in col] for name, col in columns.items()}
+    _write_csv_rows(out / "shape.csv", list(doc), zip(*doc.values()))
     doc["tick"] = book.tick
     doc["offset_d"] = book.offset_d
     with open(out / "shape.json", "w") as fh:
@@ -235,25 +229,12 @@ def _solve_spread(params: ModelParams):
     return spread_continuous(params)
 
 
-def _check_residual(sol) -> None:
-    if not sol.residual <= RESIDUAL_GATE:
-        raise SolverError(f"spread residual {sol.residual} exceeds {RESIDUAL_GATE}")
-
-
 def cmd_spread(cfg: dict, out: Path, seed) -> list[str]:
     params = params_from_config(_require(cfg, "params", "config"))
     sol = _solve_spread(params)
-    _check_residual(sol)
-    doc = {
-        "phi": sol.phi,
-        "mu": sol.mu,
-        "phi_theta": sol.phi_theta,
-        "k_d": sol.k_d,
-        "spread_tick": sol.spread_tick,
-        "solver_iters": sol.solver_iters,
-        "residual": sol.residual,
-        "theta_bar": theta_bar(params),
-    }
+    if not sol.residual <= RESIDUAL_GATE:
+        raise SolverError(f"spread residual {sol.residual} exceeds {RESIDUAL_GATE}")
+    doc = {**asdict(sol), "theta_bar": theta_bar(params)}
     with open(out / "spread.json", "w") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
@@ -275,7 +256,7 @@ def cmd_simulate(cfg: dict, out: Path, seed) -> list[str]:
             params=params,
             n_events=_number(_require(sim_cfg, "n_events", "simulate"), "n_events", int),
             seed=_number(use_seed, "seed", int),
-            record_log=bool(sim_cfg.get("record_log", False)),
+            record_log=sim_cfg.get("record_log", False),
             n_levels=_number(sim_cfg.get("n_levels", 10), "n_levels", int),
             volume_scale=_number(sim_cfg.get("volume_scale", 1_000_000), "volume_scale", int),
             p0=_number(sim_cfg.get("p0", 100.0), "p0"),
@@ -284,10 +265,7 @@ def cmd_simulate(cfg: dict, out: Path, seed) -> list[str]:
         raise ConfigError(f"simulate: {exc}") from None
     result = run_sim(sc)
 
-    rows = [
-        [p.maker, p.level, p.n_fills, p.mean_gain, p.std_err]
-        for p in result.pnl
-    ]
+    rows = ([p.maker, p.level, p.n_fills, p.mean_gain, p.std_err] for p in result.pnl)
     _write_csv_rows(out / "pnl.csv", ["maker_type", "level", "n_fills", "mean_gain", "std_err"], rows)
     with open(out / "summary.json", "w") as fh:
         json.dump(result.summary, fh, indent=2)
@@ -303,6 +281,8 @@ def cmd_signature(cfg: dict, out: Path, seed) -> list[str]:
     sig_cfg = _require(cfg, "signature", "config")
     input_path = _require(sig_cfg, "input", "signature")
     tick = _number(sig_cfg["tick"], "signature: tick") if sig_cfg.get("tick") else None
+    if tick is not None and not 0.0 < tick < math.inf:
+        raise ConfigError(f"signature: tick must be positive and finite, got {tick}")
     reference = sig_cfg.get("reference", "micro")
     if reference not in REFERENCES:
         raise ConfigError(f"signature: unknown reference {reference!r}; "
@@ -340,10 +320,8 @@ def cmd_signature(cfg: dict, out: Path, seed) -> list[str]:
         eps = 1 if spec.side == "aggressive" else -1
         labels = classify(records, spec)
         curve = signature_curves(records, labels, horizons_ns, eps, reference, quotes)
-        rows = []
-        for cid in curve.cluster_ids:
-            for k, value in zip(curve.horizons_ns, curve.values[cid]):
-                rows.append([k / 1e9, cid, value, curve.counts[cid]])
+        rows = [[k / 1e9, cid, value, curve.counts[cid]] for cid in curve.cluster_ids
+                for k, value in zip(curve.horizons_ns, curve.values[cid])]
         name = f"signature_{i}_{spec.metric}.csv"
         _write_csv_rows(out / name, ["horizon", "cluster_id", "st_value", "n_trades"], rows)
         outputs.append(name)
@@ -457,9 +435,8 @@ def main(argv=None) -> int:
         _write_manifest(out, args.command, resolved, seed, outputs)
         log.info("wrote %s", ", ".join(outputs + ["manifest.json"]))
         return 0
-    except (ConfigError, ZeroSpreadRegime, SolverError, UnfillableLevelError,
-            MboParseError, MboReplayError, ValueError, OSError,
-            json.JSONDecodeError) as exc:
+    # ConfigError, the MBO errors and json.JSONDecodeError are ValueErrors
+    except (ValueError, OSError, ZeroSpreadRegime, SolverError, UnfillableLevelError) as exc:
         print(f"lobeq {args.command}: {exc}", file=sys.stderr)
         return 2
 

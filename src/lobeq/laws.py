@@ -299,13 +299,8 @@ _VOLUME_KINDS = {
     "laplace": (LaplaceVolume, ("b",)),
 }
 
-_KIND_BY_CLASS = {
-    Pareto: "pareto",
-    Exponential: "exponential",
-    PointMass: "pointmass",
-    NormalVolume: "normal",
-    LaplaceVolume: "laplace",
-}
+_KINDS = {**_JUMP_KINDS, **_VOLUME_KINDS}
+_KIND_BY_CLASS = {cls: kind for kind, (cls, _fields) in _KINDS.items()}
 
 
 def _law_from_config(config: dict, kinds: dict, family: str):
@@ -341,7 +336,4 @@ def volume_law_from_config(config: dict) -> VolumeLaw:
 
 def law_to_config(law) -> dict:
     kind = _KIND_BY_CLASS[type(law)]
-    fields = (_JUMP_KINDS.get(kind) or _VOLUME_KINDS[kind])[1]
-    out = {"type": kind}
-    out.update({f: getattr(law, f) for f in fields})
-    return out
+    return {"type": kind, **{f: getattr(law, f) for f in _KINDS[kind][1]}}

@@ -30,6 +30,7 @@ import io
 import math
 from bisect import insort
 from collections import deque
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 __all__ = [
@@ -53,7 +54,7 @@ HEADER = ("ts_ns", "order_id", "action", "side", "price", "qty",
 ACTIONS = ("add", "modify", "cancel", "execute")
 SIDES = ("bid", "ask")
 
-_BOOL = {"true": True, "1": True, "false": False, "0": False}
+_FLAGS = {"": None, "true": True, "1": True, "false": False, "0": False}
 
 
 class MboParseError(ValueError):
@@ -113,7 +114,6 @@ class Replay:
     all_lifecycles: list                  # in add order
     open_order_ids: list                  # still resting at end of file
     fills: list                           # Fill rows in feed order
-    add_events: list                      # (ts, side, price) in feed order
     quote_ts: list                        # distinct timestamps
     quote_bid: list
     quote_ask: list
@@ -133,19 +133,18 @@ def parse(source, tick: float | None = None) -> list[MboEvent]:
     timestamps, referential integrity (modify/cancel/execute must reference
     a live order, and a modify keeps the order's side), execute volume
     within the resting quantity, and optional tick-multiple price checks.
-    Errors name the offending row.
+    Errors name the offending row.  A ``tick`` must be positive and finite.
     """
-    if hasattr(source, "read"):
-        return _parse_rows(csv.reader(source), tick)
-    with open(source, newline="") as fh:
+    if tick is not None and not 0.0 < tick < math.inf:
+        raise ValueError(f"tick must be positive and finite, got {tick}")
+    with nullcontext(source) if hasattr(source, "read") else open(source, newline="") as fh:
         return _parse_rows(csv.reader(fh), tick)
 
 
 def _parse_rows(rows, tick: float | None) -> list[MboEvent]:
-    try:
-        header = next(rows)
-    except StopIteration:
-        raise MboParseError("row 1: missing header") from None
+    header = next(rows, None)
+    if header is None:
+        raise MboParseError("row 1: missing header")
     if tuple(header) != HEADER:
         raise MboParseError(f"row 1: header {header!r} does not match {','.join(HEADER)}")
 
@@ -177,13 +176,10 @@ def _parse_rows(rows, tick: float | None) -> list[MboEvent]:
             raise MboParseError(f"row {lineno}: negative qty {qty}")
         if not math.isfinite(price):
             raise MboParseError(f"row {lineno}: price {row[4]!r} is not finite")
-        flag_text = row[6].strip().lower()
-        if flag_text == "":
-            flag = None
-        elif flag_text in _BOOL:
-            flag = _BOOL[flag_text]
-        else:
-            raise MboParseError(f"row {lineno}: bad aggressor_flag {row[6]!r}")
+        try:
+            flag = _FLAGS[row[6].strip().lower()]
+        except KeyError:
+            raise MboParseError(f"row {lineno}: bad aggressor_flag {row[6]!r}") from None
         label = row[7] or None
 
         if last_ts is not None and ts < last_ts:
@@ -230,9 +226,8 @@ def _parse_rows(rows, tick: float | None) -> list[MboEvent]:
 
 def write_csv(events, destination) -> None:
     """Serialize events in the canonical schema (UTF-8, 17-digit prices)."""
-    own = not hasattr(destination, "write")
-    out = open(destination, "w", newline="") if own else destination
-    try:
+    stream = hasattr(destination, "write")
+    with nullcontext(destination) if stream else open(destination, "w", newline="") as out:
         writer = csv.writer(out)
         writer.writerow(HEADER)
         for ev in events:
@@ -241,9 +236,6 @@ def write_csv(events, destination) -> None:
                 ev.ts_ns, ev.order_id, ev.action, ev.side,
                 f"{ev.price:.17g}", ev.qty, flag, ev.participant_label or "",
             ))
-    finally:
-        if own:
-            out.close()
 
 
 def dumps(events) -> str:
@@ -304,7 +296,6 @@ def reconstruct(events) -> Replay:
     remaining: dict[int, int] = {}
     all_lifecycles: list[OrderLifecycle] = []
     fills: list[Fill] = []
-    add_events: list[tuple] = []
 
     q_ts, q_bid, q_ask, q_bq, q_aq = [], [], [], [], []
 
@@ -343,7 +334,6 @@ def reconstruct(events) -> Replay:
             all_lifecycles.append(lc)
             remaining[ev.order_id] = ev.qty
             sides[ev.side].add(ev.price, ev.order_id)
-            add_events.append((ev.ts_ns, ev.side, ev.price))
             continue
 
         lc = orders.get(ev.order_id)
@@ -403,7 +393,7 @@ def reconstruct(events) -> Replay:
     open_ids = [oid for oid, lc in orders.items() if lc.terminal_kind is None]
     return Replay(
         lifecycles=orders, all_lifecycles=all_lifecycles,
-        open_order_ids=open_ids, fills=fills, add_events=add_events,
+        open_order_ids=open_ids, fills=fills,
         quote_ts=q_ts, quote_bid=q_bid, quote_ask=q_ask,
         quote_bid_qty=q_bq, quote_ask_qty=q_aq,
     )

@@ -18,16 +18,15 @@ state stamped at the same nanosecond.
 Clustering works on order-lifecycle metrics.  Cluster 0 is always the
 most-informed bucket: durations below the first threshold for the time
 metrics, values above the last threshold for volume ratio and update
-count.  Records whose metric has no predecessor (first trade of a file,
+count.  Trades whose metric has no predecessor (first trade of a file,
 first add at a level) land in the distinguished bucket ``-1`` and are
 excluded from signatures.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import groupby
+from operator import attrgetter
 
 import numpy as np
 
@@ -40,7 +39,7 @@ __all__ = [
     "mid_price",
     "QuoteError",
     "QuoteSeries",
-    "TradeRecord",
+    "TradeTable",
     "build_trade_records",
     "ClusterSpec",
     "classify",
@@ -114,8 +113,8 @@ class QuoteSeries:
         self.ts = np.asarray(ts, dtype=np.int64)
         if np.any(np.diff(self.ts) <= 0):
             raise ValueError("snapshot timestamps must be strictly increasing")
-        self.bid = np.array([np.nan if b is None else b for b in bid], dtype=float)
-        self.ask = np.array([np.nan if a is None else a for a in ask], dtype=float)
+        self.bid = np.asarray(bid, dtype=float)         # None (an empty side) -> nan
+        self.ask = np.asarray(ask, dtype=float)
         self.bid_qty = np.asarray(bid_qty, dtype=float)
         self.ask_qty = np.asarray(ask_qty, dtype=float)
 
@@ -137,10 +136,12 @@ class QuoteSeries:
         """
         t = np.atleast_1d(np.asarray(t_ns, dtype=np.int64))
         idx = self.index_before(t)
-        bid, ask = self.bid[idx], self.ask[idx]     # idx = -1 fails the first check
         checks = [(idx < 0, lambda i: f"no reference snapshot before t = {t[i]}"),
                   (kind not in REFERENCES,
                    lambda i: f"unknown reference {kind!r}; expected one of {REFERENCES}")]
+        if not self.ts.size:                        # nothing to read: every element fails
+            _raise_first(checks, t.shape)
+        bid, ask = self.bid[idx], self.ask[idx]     # idx = -1 fails the first check
         if kind == "touched":
             quote = np.where(np.asarray(trade_qty) > 0, ask, bid)
             _raise_first([*checks, (np.isnan(quote),
@@ -154,92 +155,130 @@ class QuoteSeries:
 
 
 # ---------------------------------------------------------------------------
-# Trade records
+# Trade tables
 # ---------------------------------------------------------------------------
 
+#: column -> dtype; a label may be None, and a metric is nan where undefined
+_COLUMNS = {"t_ns": np.int64, "order_id": np.int64, "qty": np.int64, "price": np.float64,
+            "participant_label": object, **{attr: np.float64 for attr, _, _ in METRICS.values()}}
 
-@dataclass(frozen=True, slots=True)
-class TradeRecord:
-    """One execution with its clustering inputs.
 
-    ``qty`` is signed by the liquidity taker.  Sweep-level metrics
-    (trade-to-trade duration, volume ratio at the touched best limit) are
-    shared by every fill of the sweep; passive metrics come from the
-    resting order's lifecycle.  ``None`` marks an undefined metric.
+@dataclass(frozen=True)
+class TradeTable:
+    """Executions of one side, one row each, as equal-length numpy columns.
+
+    ``qty`` is signed by the liquidity taker.  The fills of a sweep share
+    its trade-to-trade duration and volume ratio at the touched best limit;
+    passive metrics come from the resting order's lifecycle.
     """
 
-    t_ns: int
-    qty: int
-    price: float
-    order_id: int
-    participant_label: str | None
-    aggressor: bool
-    trade_to_trade_ns: int | None = None
-    volume_ratio: float | None = None
-    trade_to_add_ns: int | None = None
-    add_to_add_ns: int | None = None
-    update_count: int | None = None
+    t_ns: np.ndarray
+    order_id: np.ndarray
+    qty: np.ndarray
+    price: np.ndarray
+    participant_label: np.ndarray
+    trade_to_trade_ns: np.ndarray
+    volume_ratio: np.ndarray
+    trade_to_add_ns: np.ndarray
+    add_to_add_ns: np.ndarray
+    update_count: np.ndarray
+
+    def __post_init__(self):
+        for name, dtype in _COLUMNS.items():
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
+        if len({getattr(self, name).shape for name in _COLUMNS} | {(self.t_ns.size,)}) != 1:
+            raise ValueError("trade table columns must be 1-d and of equal length")
+
+    def __len__(self) -> int:
+        return len(self.t_ns)
+
+    def take(self, rows) -> "TradeTable":
+        """The rows picked by a boolean mask or an index array."""
+        return TradeTable(**{name: getattr(self, name)[rows] for name in _COLUMNS})
 
 
-def build_trade_records(replay: Replay) -> tuple[list[TradeRecord], list[TradeRecord]]:
-    """(aggressive records, passive records) from a replayed log.
+def _columns(objs, **dtypes) -> list[np.ndarray]:
+    """One array per attribute of ``objs``, of the dtype given by name."""
+    return [np.fromiter(map(attrgetter(attr), objs), dtype=dtype, count=len(objs))
+            for attr, dtype in dtypes.items()]
 
-    Aggressive fills are grouped into sweeps by their order id; the
-    volume ratio compares the quantity executed at the pre-trade best
-    quote of the swept side with the quantity that was resting there.
+
+def _run_starts(*keys) -> np.ndarray:
+    """True where a row begins a run of rows equal in every key."""
+    start = np.ones(len(keys[0]), dtype=bool)
+    start[1:] = np.any([key[1:] != key[:-1] for key in keys], axis=0)
+    return start
+
+
+def _since_last(times: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """``t`` minus the last of the sorted ``times`` strictly before it (nan if none)."""
+    i = np.searchsorted(times, t, side="left") - 1
+    return np.where(i >= 0, t - times[np.maximum(i, 0)], np.nan)
+
+
+def _add_to_add(ts: np.ndarray, bid: np.ndarray, price: np.ndarray) -> np.ndarray:
+    """Each add time minus the last earlier add time at its (side, price)
+    level, nan for the first add at a level."""
+    order = np.lexsort((ts, price, bid))                    # by level, then time
+    ts, bid, price = ts[order], bid[order], price[order]
+    # the row before each run of one level and time: the level's last earlier add, if any
+    prev = np.maximum.accumulate(np.where(_run_starts(bid, price, ts), np.arange(ts.size), 0)) - 1
+    same = (prev >= 0) & (bid[prev] == bid) & (price[prev] == price)
+    out = np.empty(ts.size)
+    out[order] = np.where(same, ts - ts[prev], np.nan)
+    return out
+
+
+def build_trade_records(replay: Replay) -> tuple[TradeTable, TradeTable]:
+    """(aggressive, passive) trade tables from a replayed log.
+
+    Aggressive rows follow the feed; a sweep is a run of consecutive fills
+    of one order id, and the volume ratio compares the quantity it executed
+    at the pre-trade best quote of the swept side with the quantity that
+    was resting there.  Passive rows are grouped by resting order, in add
+    order, each in fill order.
     """
     quotes = QuoteSeries.from_replay(replay)
-    fill_ts = [f.ts_ns for f in replay.fills]
+    ts, oid, qty, price, side, aggressor, label = _columns(
+        replay.fills, ts_ns=np.int64, order_id=np.int64, qty=np.int64, price=np.float64,
+        side=object, aggressor=bool, participant_label=object)
 
-    # adds per (side, price), feed order; timestamps are nondecreasing
-    adds: dict[tuple, list[int]] = {}
-    for ts, side, price in replay.add_events:
-        adds.setdefault((side, price), []).append(ts)
+    def table(rows, sign, **metrics):
+        undefined = np.full(rows.size, np.nan)
+        metrics = {attr: metrics.get(attr, undefined) for attr, _, _ in METRICS.values()}
+        return TradeTable(t_ns=ts[rows], order_id=oid[rows], qty=sign * qty[rows],
+                          price=price[rows], participant_label=label[rows], **metrics)
 
-    def since_last_trade(ts: int) -> int | None:
-        idx = bisect_left(fill_ts, ts) - 1
-        return ts - fill_ts[idx] if idx >= 0 else None
+    rows = np.flatnonzero(aggressor)
+    start = _run_starts(oid[rows])
+    first, sweep = rows[start], np.cumsum(start) - 1
+    buy = side[first] == "bid"                      # buy sweeps rest on the bid side
+    q = quotes.index_before(ts[first])
+    best = np.where(buy, quotes.ask[q], quotes.bid[q])
+    avail = np.where(buy, quotes.ask_qty[q], quotes.bid_qty[q])
+    at_best = np.add.reduceat(np.where(price[rows] == best[sweep], qty[rows], 0),
+                              np.flatnonzero(start))
+    defined = (q >= 0) & ~np.isnan(best) & (avail > 0) & (at_best > 0)
+    ratio = np.full(first.size, np.nan)
+    ratio[defined] = np.minimum(1.0, at_best[defined] / avail[defined])
+    aggressive = table(rows, np.where(buy, 1, -1)[sweep], volume_ratio=ratio[sweep],
+                       trade_to_trade_ns=_since_last(ts, ts[first])[sweep])
 
-    aggressive: list[TradeRecord] = []
-    for _oid, fills in groupby((f for f in replay.fills if f.aggressor),
-                               key=lambda f: f.order_id):
-        sweep = list(fills)
-        first = sweep[0]
-        sign = 1 if first.side == "bid" else -1     # buy sweeps rest on the bid side
-        ttt = since_last_trade(first.ts_ns)
-        ratio = None
-        idx = quotes.index_before(first.ts_ns)
-        if idx >= 0:
-            best = quotes.ask[idx] if sign > 0 else quotes.bid[idx]
-            avail = quotes.ask_qty[idx] if sign > 0 else quotes.bid_qty[idx]
-            if not np.isnan(best) and avail > 0:
-                at_best = sum(f.qty for f in sweep if f.price == best)
-                if at_best > 0:
-                    ratio = min(1.0, at_best / avail)
-        for f in sweep:
-            aggressive.append(TradeRecord(
-                t_ns=f.ts_ns, qty=sign * f.qty, price=f.price,
-                order_id=f.order_id, participant_label=f.participant_label,
-                aggressor=True, trade_to_trade_ns=ttt, volume_ratio=ratio,
-            ))
-
-    passive: list[TradeRecord] = []
-    for lc in replay.all_lifecycles:
-        executed = [f for f in lc.fills if not f.aggressor]
-        if not executed:
-            continue
-        tta = since_last_trade(lc.add_ts)
-        level_adds = adds.get((lc.side, lc.add_price), [])
-        idx = bisect_left(level_adds, lc.add_ts) - 1
-        ata = lc.add_ts - level_adds[idx] if idx >= 0 else None
-        sign = 1 if lc.side == "ask" else -1        # ask fills are buyer-initiated
-        for f in executed:
-            passive.append(TradeRecord(
-                t_ns=f.ts_ns, qty=sign * f.qty, price=f.price,
-                order_id=lc.order_id, participant_label=lc.participant_label,
-                aggressor=False, trade_to_add_ns=tta, add_to_add_ns=ata,
-                update_count=lc.n_updates,
-            ))
+    # an order id's fills belong, in feed order, to its lifecycles in add order
+    lcs = replay.all_lifecycles
+    lc_oid, add_ts, lc_side, add_price, n_updates = _columns(
+        lcs, order_id=np.int64, add_ts=np.int64, side=object, add_price=np.float64,
+        n_updates=np.int64)
+    by_oid = np.argsort(lc_oid, kind="stable")
+    n_fills = np.array([len(lc.fills) for lc in lcs], dtype=np.int64)
+    owner = np.empty(oid.size, dtype=np.int64)
+    owner[np.argsort(oid, kind="stable")] = np.repeat(by_oid, n_fills[by_oid])
+    rows = np.flatnonzero(~aggressor)
+    rows = rows[np.argsort(owner[rows], kind="stable")]
+    lc = owner[rows]
+    passive = table(rows, np.where(side[rows] == "bid", -1, 1),  # ask fills are buyer-initiated
+                    trade_to_add_ns=_since_last(ts, add_ts[lc]), update_count=n_updates[lc],
+                    add_to_add_ns=_add_to_add(add_ts, lc_side == "bid", add_price)[lc])
     return aggressive, passive
 
 
@@ -272,16 +311,16 @@ class ClusterSpec:
         object.__setattr__(self, "thresholds", th)
 
 
-def classify(records: list[TradeRecord], spec: ClusterSpec) -> np.ndarray:
-    """Cluster index per record; -1 for records with an undefined metric.
+def classify(trades: TradeTable, spec: ClusterSpec) -> np.ndarray:
+    """Cluster index per trade; -1 for trades with an undefined metric.
 
     Time metrics: cluster = number of thresholds at or below the value,
-    so the fastest records land in cluster 0.  Volume ratio and update
+    so the fastest trades land in cluster 0.  Volume ratio and update
     count are reversed: cluster = number of thresholds at or above the
     value, so depleting trades / heavily updated orders land in cluster 0.
     """
     attr, _side, ascending = METRICS[spec.metric]
-    values = np.array([getattr(rec, attr) for rec in records], dtype=float)    # None -> nan
+    values = getattr(trades, attr)
     th = np.array(spec.thresholds)
     out = (np.searchsorted(th, values, side="right") if ascending
            else th.size - np.searchsorted(th, values, side="left"))
@@ -293,12 +332,12 @@ def classify(records: list[TradeRecord], spec: ClusterSpec) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def trade_signature(records: list[TradeRecord], k_ns: int, eps: int,
+def trade_signature(trades: TradeTable, k_ns: int, eps: int,
                     reference: str, quotes: QuoteSeries) -> float:
     """ST(k) of one cohort; ``eps`` is +1 (aggressive) or -1 (passive)."""
-    if not records:
-        raise ValueError("trade_signature needs a nonempty record list")
-    return signature_curves(records, [0] * len(records), (k_ns,), eps, reference,
+    if not len(trades):
+        raise ValueError("trade_signature needs a nonempty trade table")
+    return signature_curves(trades, np.zeros(len(trades), dtype=int), (k_ns,), eps, reference,
                             quotes).values[0][0]
 
 
@@ -310,31 +349,30 @@ class SignatureCurve:
     counts: dict        # cluster id -> number of trades (horizon-independent)
 
 
-def signature_curves(records: list[TradeRecord], clusters: np.ndarray,
+def signature_curves(trades: TradeTable, clusters: np.ndarray,
                      horizons_ns, eps: int, reference: str,
                      quotes: QuoteSeries) -> SignatureCurve:
     """ST(k) per cluster along the horizon grid (undefined bucket dropped);
-    ``np.bincount`` sums each cluster in record order, as a loop would."""
+    ``np.bincount`` sums each cluster in row order, as a loop would."""
     if eps not in (1, -1):
         raise ValueError("eps must be +1 or -1")
     horizons_ns = tuple(int(k) for k in horizons_ns)
     clusters = np.asarray(clusters)
-    cohort = [records[i] for i in np.flatnonzero(clusters != UNDEFINED_CLUSTER)]
-    ids, labels, counts = np.unique(clusters[clusters != UNDEFINED_CLUSTER],
-                                    return_inverse=True, return_counts=True)
-    t = np.array([rec.t_ns for rec in cohort], dtype=np.int64)
-    qty = np.array([rec.qty for rec in cohort], dtype=float)
-    price = np.array([rec.price for rec in cohort], dtype=float)
+    defined = clusters != UNDEFINED_CLUSTER
+    cohort = trades.take(defined)
+    ids, labels, counts = np.unique(clusters[defined], return_inverse=True, return_counts=True)
+    qty = cohort.qty.astype(float)
     den = np.bincount(labels, weights=np.abs(qty), minlength=ids.size)
     st = np.empty((ids.size, len(horizons_ns)))
     for h, k_ns in enumerate(horizons_ns):
         try:
-            x = quotes.reference(t + k_ns, reference, qty)
+            x = quotes.reference(cohort.t_ns + k_ns, reference, qty)
         except QuoteError as exc:
-            rec = cohort[exc.index]
-            raise ValueError(f"reference lookup failed for trade of order {rec.order_id} "
-                             f"at t = {rec.t_ns} + k = {k_ns}: {exc}") from None
-        st[:, h] = eps * np.bincount(labels, weights=qty * (x - price), minlength=ids.size) / den
+            raise ValueError(f"reference lookup failed for trade of order "
+                             f"{cohort.order_id[exc.index]} at t = {cohort.t_ns[exc.index]} "
+                             f"+ k = {k_ns}: {exc}") from None
+        st[:, h] = eps * np.bincount(labels, weights=qty * (x - cohort.price),
+                                     minlength=ids.size) / den
     ids = ids.tolist()
     return SignatureCurve(horizons_ns=horizons_ns, cluster_ids=tuple(ids),
                           values=dict(zip(ids, map(tuple, st.tolist()))),

@@ -91,6 +91,8 @@ class SimConfig:
             raise ValueError("n_levels must be at least 1")
         if self.volume_scale < 1:
             raise ValueError("volume_scale must be a positive integer")
+        if not isinstance(self.record_log, bool):
+            raise ValueError(f"record_log must be true or false, got {self.record_log!r}")
         if isinstance(self.book_mode, BookShape):
             self.book_mode.validate()
         elif self.book_mode != EQUILIBRIUM_STATIC:

@@ -260,15 +260,13 @@ def test_6_multi_source_finiteness_at_f0():
 # -- 7 ----------------------------------------------------------------------
 
 
-def signature_and_bootstrap_se(records, k_ns, quotes, kind, rng, n_boot=200):
-    ts = np.array([r.t_ns for r in records], dtype=np.int64)
-    qty = np.array([r.qty for r in records], dtype=float)
-    price = np.array([r.price for r in records])
-    ref = quotes.reference(ts + k_ns, kind, qty)
-    num = qty * (ref - price)
+def signature_and_bootstrap_se(trades, k_ns, quotes, kind, rng, n_boot=200):
+    qty = trades.qty.astype(float)
+    ref = quotes.reference(trades.t_ns + k_ns, kind, qty)
+    num = qty * (ref - trades.price)
     den = np.abs(qty)
     st = num.sum() / den.sum()
-    n = len(records)
+    n = len(trades)
     draws = rng.integers(0, n, size=(n_boot, n))
     boot = num[draws].sum(axis=1) / den[draws].sum(axis=1)
     return st, float(boot.std(ddof=1))
@@ -284,17 +282,15 @@ def test_7_signature_recovery_on_labeled_log():
     replay = reconstruct(export_mbo(res))
     quotes = QuoteSeries.from_replay(replay)
     aggressive, _ = build_trade_records(replay)
-    it = [r for r in aggressive if r.participant_label == "IT"]
-    nt = [r for r in aggressive if r.participant_label == "NT"]
+    it = aggressive.take(aggressive.participant_label == "IT")
+    nt = aggressive.take(aggressive.participant_label == "NT")
     assert len(it) > 1000 and len(nt) > 1000
 
     # crossing the spread: against the touched quote the immediate
     # aggressive signature cannot be positive
-    ts = np.array([r.t_ns for r in aggressive], dtype=np.int64)
-    qty = np.array([r.qty for r in aggressive], dtype=float)
-    price = np.array([r.price for r in aggressive])
-    touched = quotes.reference(ts, "touched", qty)
-    st0 = (qty * (touched - price)).sum() / np.abs(qty).sum()
+    qty = aggressive.qty.astype(float)
+    touched = quotes.reference(aggressive.t_ns, "touched", qty)
+    st0 = (qty * (touched - aggressive.price)).sum() / np.abs(qty).sum()
     assert st0 <= 0.0
 
     # beyond the mean inter-jump time (1/lambda_i = 6.7s) the labeled

@@ -153,6 +153,20 @@ class TestShape:
         assert code == 2
         assert "distance nan at index 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("shape, message", [
+        ({"variant": "continuous", "x_grid": [0.01, None]},
+         "shape: x_grid[1] must be a number, got None"),
+        ({"variant": "continuous", "x_grid": 5}, "shape: x_grid must be a list of numbers, got 5"),
+        ({"variant": "continuous", "x_min": 0.01, "x_max": None, "n_points": 5},
+         "shape: x_max must be a number, got None"),
+        ({"variant": "tick", "n_levels": None}, "shape: n_levels must be an integer, got None"),
+    ])
+    def test_non_numeric_shape_setting_names_its_key(self, tmp_path, capsys, shape, message):
+        code, out = run_cli(tmp_path, "shape", {"params": REF_PARAMS, "shape": shape})
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (out / "shape.csv").exists()
+
 
 class TestSpread:
     def test_reference_values(self, tmp_path):
@@ -253,6 +267,15 @@ class TestSimulate:
         header = (out / "mbo.csv").read_text().splitlines()[0]
         assert header == "ts_ns,order_id,action,side,price,qty,aggressor_flag,participant_label"
 
+    @pytest.mark.parametrize("value", ["false", 1, None])
+    def test_record_log_must_be_a_json_boolean(self, tmp_path, capsys, value):
+        doc = {"params": REF_PARAMS, "simulate": dict(self.BASE["simulate"], record_log=value)}
+        code, out = run_cli(tmp_path, "simulate", doc)
+        assert code == 2
+        assert (f"simulate: record_log must be true or false, got {value!r}"
+                in capsys.readouterr().err)
+        assert not (out / "pnl.csv").exists() and not (out / "mbo.csv").exists()
+
 
 class TestSignature:
     def make_log(self, tmp_path):
@@ -323,6 +346,15 @@ class TestSignature:
         assert main(["signature", "--config", cfg, "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
         assert not list(out.glob("signature_*.csv"))
+
+    @pytest.mark.parametrize("tick", [math.inf, -0.01, math.nan])
+    def test_bad_tick_rejected_before_the_log_is_read(self, tmp_path, capsys, tick):
+        doc = {"signature": {"input": str(tmp_path / "never_read.csv"), "tick": tick,
+                             "horizons_s": [0.0], "clusters": [self.GOOD_CLUSTER]}}
+        cfg = write_config(tmp_path, doc, name="sig.json")
+        assert main(["signature", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert (f"signature: tick must be positive and finite, got {tick}"
+                in capsys.readouterr().err)
 
     def test_bad_second_cluster_writes_no_curves(self, tmp_path, capsys):
         log = self.make_log(tmp_path)

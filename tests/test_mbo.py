@@ -165,6 +165,12 @@ class TestParse:
             with pytest.raises(MboParseError, match="row 2: price .* is not finite"):
                 parse_text(bad, tick=0.01)
 
+    @pytest.mark.parametrize("tick", [float("inf"), -0.01, float("nan"), 0.0])
+    def test_tick_must_be_positive_and_finite(self, tick):
+        good = f"{HEADER_LINE}\n10,1,add,ask,100.01,5,,\n"
+        with pytest.raises(ValueError, match=f"tick must be positive and finite, got {tick}"):
+            parse_text(good, tick=tick)
+
 
 class TestReconstruct:
     def test_add_then_cancel(self):

@@ -1,19 +1,25 @@
-"""Micro/mid prices, trade records, clustering and signature curves."""
+"""Micro/mid prices, trade tables, clustering and signature curves."""
+
+import dataclasses
+import io
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import records_oracle
 import signature_oracle as oracle
 from lobeq.equilibrium import ModelParams
 from lobeq.laws import NormalVolume, Pareto
-from lobeq.mbo import reconstruct
+from lobeq.mbo import MboEvent, dumps, parse, reconstruct
 from lobeq.signature import (
+    METRICS,
     ClusterSpec,
     REFERENCES,
     QuoteError,
     QuoteSeries,
-    TradeRecord,
+    TradeTable,
     build_trade_records,
     classify,
     micro_price,
@@ -63,10 +69,22 @@ def series(points):
     return QuoteSeries(ts, bid, ask, vb, va)
 
 
-def record(t, qty, price, **kw):
-    defaults = dict(order_id=1, participant_label=None, aggressor=True)
-    defaults.update(kw)
-    return TradeRecord(t_ns=t, qty=qty, price=price, **defaults)
+def table(*rows, **columns):
+    """Trades from ``(t_ns, qty, price)`` rows; further columns are given
+    whole, and the rest default to order id 1, no label and undefined
+    metrics."""
+    t, qty, price = zip(*rows) if rows else ((), (), ())
+    n = len(t)
+    defaults = {"order_id": [1] * n, "participant_label": [None] * n,
+                **{attr: [np.nan] * n for attr, _, _ in METRICS.values()}}
+    return TradeTable(t_ns=t, qty=qty, price=price, **{**defaults, **columns})
+
+
+def rows(trades):
+    """The trades as per-row records, for the per-trade oracle."""
+    return [SimpleNamespace(t_ns=t, qty=q, price=p, order_id=o) for t, q, p, o in
+            zip(trades.t_ns.tolist(), trades.qty.tolist(), trades.price.tolist(),
+                trades.order_id.tolist())]
 
 
 class TestTradeSignature:
@@ -76,22 +94,22 @@ class TestTradeSignature:
     ])
 
     def test_single_buy(self):
-        trades = [record(10, 10, 100.0)]
+        trades = table((10, 10, 100.0))
         assert trade_signature(trades, 5, 1, "mid", self.QUOTES) == pytest.approx(0.5)
 
     def test_passive_sign_flip(self):
-        trades = [record(10, 10, 100.0, aggressor=False)]
+        trades = table((10, 10, 100.0))
         assert trade_signature(trades, 5, -1, "mid", self.QUOTES) == pytest.approx(-0.5)
 
     def test_left_limit_at_zero_horizon(self):
         # a trade stamped together with a quote change sees the prior quote
-        trades = [record(50, 10, 100.0)]
+        trades = table((50, 10, 100.0))
         assert trade_signature(trades, 0, 1, "mid", self.QUOTES) == pytest.approx(0.5)
         assert trade_signature(trades, 1, 1, "mid", self.QUOTES) == pytest.approx(0.55)
 
     def test_touched_quote_side(self):
-        trades_buy = [record(10, 10, 100.75)]
-        trades_sell = [record(10, -10, 100.25)]
+        trades_buy = table((10, 10, 100.75))
+        trades_sell = table((10, -10, 100.25))
         assert trade_signature(trades_buy, 0, 1, "touched", self.QUOTES) == 0.0
         assert trade_signature(trades_sell, 0, 1, "touched", self.QUOTES) == 0.0
 
@@ -99,50 +117,47 @@ class TestTradeSignature:
         c = 0.375
         shifted = series([(0, 100.25 + c, 100.75 + c, 5, 5),
                           (50, 100.30 + c, 100.80 + c, 5, 5)])
-        trades = [record(10, 10, 100.0), record(20, -4, 100.6), record(30, 7, 100.2)]
+        trades = table((10, 10, 100.0), (20, -4, 100.6), (30, 7, 100.2))
         base = trade_signature(trades, 5, 1, "mid", self.QUOTES)
         moved = trade_signature(trades, 5, 1, "mid", shifted)
-        q_sum = sum(t.qty for t in trades)
-        q_abs = sum(abs(t.qty) for t in trades)
+        q_sum = trades.qty.sum()
+        q_abs = np.abs(trades.qty).sum()
         assert moved - base == pytest.approx(c * q_sum / q_abs, rel=1e-12)
 
     def test_missing_reference_names_trade(self):
-        trades = [record(10, 10, 100.0, order_id=77)]
+        trades = table((10, 10, 100.0), order_id=[77])
         early = series([(20, 100.0, 100.5, 1, 1)])
         with pytest.raises(ValueError, match="order 77"):
             trade_signature(trades, 5, 1, "mid", early)
 
     def test_eps_and_empty_validation(self):
         with pytest.raises(ValueError, match="eps"):
-            trade_signature([record(10, 1, 100.0)], 0, 2, "mid", self.QUOTES)
+            trade_signature(table((10, 1, 100.0)), 0, 2, "mid", self.QUOTES)
         with pytest.raises(ValueError, match="nonempty"):
-            trade_signature([], 0, 1, "mid", self.QUOTES)
+            trade_signature(table(), 0, 1, "mid", self.QUOTES)
 
 
 class TestClassify:
     def test_trade_to_add_single_threshold(self):
         spec = ClusterSpec("trade_to_add", (1e7,), "passive")
-        recs = [record(0, 1, 0.0, aggressor=False, trade_to_add_ns=int(5e6)),
-                record(0, 1, 0.0, aggressor=False, trade_to_add_ns=int(5e8)),
-                record(0, 1, 0.0, aggressor=False, trade_to_add_ns=None)]
-        assert classify(recs, spec).tolist() == [0, 1, -1]
+        trades = table(*[(0, 1, 0.0)] * 3, trade_to_add_ns=[int(5e6), int(5e8), None])
+        assert classify(trades, spec).tolist() == [0, 1, -1]
 
     def test_trade_to_add_multi_threshold(self):
         spec = ClusterSpec("trade_to_add", (1e4, 1e7, 1e9), "passive")
-        rec = record(0, 1, 0.0, aggressor=False, trade_to_add_ns=int(1e8))
-        assert classify([rec], spec).tolist() == [2]
+        trades = table((0, 1, 0.0), trade_to_add_ns=[int(1e8)])
+        assert classify(trades, spec).tolist() == [2]
 
     def test_volume_ratio_descending(self):
         spec = ClusterSpec("volume_ratio", (0.25, 0.5, 0.75), "aggressive")
         values = [1.0, 0.8, 0.6, 0.3, 0.1]
-        recs = [record(0, 1, 0.0, volume_ratio=v) for v in values]
-        assert classify(recs, spec).tolist() == [0, 0, 1, 2, 3]
+        trades = table(*[(0, 1, 0.0)] * len(values), volume_ratio=values)
+        assert classify(trades, spec).tolist() == [0, 0, 1, 2, 3]
 
     def test_update_count_more_updates_more_informed(self):
         spec = ClusterSpec("update_count", (0.5,), "passive")
-        recs = [record(0, 1, 0.0, aggressor=False, update_count=0),
-                record(0, 1, 0.0, aggressor=False, update_count=3)]
-        assert classify(recs, spec).tolist() == [1, 0]
+        trades = table((0, 1, 0.0), (0, 1, 0.0), update_count=[0, 3])
+        assert classify(trades, spec).tolist() == [1, 0]
 
     def test_spec_validation(self):
         with pytest.raises(ValueError, match="passive side"):
@@ -179,22 +194,20 @@ class TestTradeRecords:
         n_fills_pass = sum(1 for f in sim_replay.fills if not f.aggressor)
         assert len(aggressive) == n_fills_aggr
         assert len(passive) == n_fills_pass
-        for rec in aggressive:
-            assert rec.participant_label in ("IT", "NT")
-            assert rec.qty != 0
-        for rec in passive:
-            assert rec.participant_label in ("IMM", "NMM")
+        assert set(aggressive.participant_label) <= {"IT", "NT"}
+        assert np.all(aggressive.qty != 0)
+        assert set(passive.participant_label) <= {"IMM", "NMM"}
 
     def test_informed_aggressors_are_buyers(self, sim_replay):
         # every jump in the event chain points at the ask side
         aggressive, _ = build_trade_records(sim_replay)
-        assert all(r.qty > 0 for r in aggressive if r.participant_label == "IT")
+        assert np.all(aggressive.qty[aggressive.participant_label == "IT"] > 0)
 
     def test_volume_ratio_range(self, sim_replay):
         aggressive, _ = build_trade_records(sim_replay)
-        ratios = [r.volume_ratio for r in aggressive if r.volume_ratio is not None]
-        assert ratios
-        assert all(0.0 < v <= 1.0 for v in ratios)
+        ratios = aggressive.volume_ratio[~np.isnan(aggressive.volume_ratio)]
+        assert ratios.size
+        assert np.all((0.0 < ratios) & (ratios <= 1.0))
 
     def test_informed_deplete_the_best_limit(self, sim_log):
         # on a won race the informed trader sweeps whole levels (ratio 1);
@@ -203,14 +216,14 @@ class TestTradeRecords:
         aggressive, _ = build_trade_records(replay)
         race_by_ts = {ev.t_ns: ev.race_won_by for ev in result.events
                       if ev.kind == "jump" and ev.executed_per_level}
-        it = [r for r in aggressive
-              if r.participant_label == "IT" and r.volume_ratio is not None]
-        assert it
-        for rec in it:
-            if race_by_ts[rec.t_ns] == "IT":
-                assert rec.volume_ratio == 1.0
+        it = aggressive.take((aggressive.participant_label == "IT")
+                             & ~np.isnan(aggressive.volume_ratio))
+        assert len(it)
+        for t, ratio in zip(it.t_ns.tolist(), it.volume_ratio.tolist()):
+            if race_by_ts[t] == "IT":
+                assert ratio == 1.0
             else:
-                assert 0.0 < rec.volume_ratio <= 1.0
+                assert 0.0 < ratio <= 1.0
 
     def test_cluster_counts_partition_and_are_horizon_free(self, sim_replay):
         aggressive, _ = build_trade_records(sim_replay)
@@ -230,6 +243,179 @@ class TestTradeRecords:
         quotes = QuoteSeries.from_replay(sim_replay)
         st0 = trade_signature(passive, 0, -1, "touched", quotes)
         assert st0 >= 0.0
+
+
+class TestTradeTable:
+    def test_take_keeps_columns_aligned(self):
+        trades = table((1, 2, 100.0), (2, -3, 100.5), (3, 4, 99.5),
+                       participant_label=["IT", None, "NT"], volume_ratio=[0.5, None, 1.0])
+        picked = trades.take(~np.isnan(trades.volume_ratio))
+        assert len(picked) == 2
+        assert picked.t_ns.tolist() == [1, 3]
+        assert picked.qty.tolist() == [2, 4]
+        assert picked.volume_ratio.tolist() == [0.5, 1.0]
+        assert trades.take([2, 0]).price.tolist() == [99.5, 100.0]
+        assert np.isnan(trades.volume_ratio[1])
+        assert trades.qty.dtype == np.int64 and trades.participant_label.dtype == object
+
+    def test_columns_must_have_equal_length(self):
+        with pytest.raises(ValueError, match="equal length"):
+            table((1, 2, 100.0), (2, 3, 100.0), order_id=[5])
+        with pytest.raises(ValueError, match="equal length"):
+            table((1, 2, 100.0), update_count=[[1]])
+        with pytest.raises(ValueError, match="1-d"):
+            TradeTable(**{field.name: 1 for field in dataclasses.fields(TradeTable)})
+
+
+def test_empty_series_has_no_reference_snapshot():
+    empty = QuoteSeries([], [], [], [], [])
+    for kind in REFERENCES:
+        with pytest.raises(QuoteError, match="no reference snapshot before t = 5") as info:
+            empty.reference([5], kind, [1])
+        assert info.value.index == 0
+        assert empty.reference([], kind).size == 0
+
+
+# -- the trade tables against the per-fill records ---------------------------
+
+def assert_table_matches_records(trades, records):
+    """Every column row for row: integers exactly, None <-> nan, floats bit
+    for bit."""
+    assert len(trades) == len(records)
+    for name in ("t_ns", "order_id", "qty", "participant_label"):
+        assert getattr(trades, name).tolist() == [getattr(r, name) for r in records], name
+    for name in ("price", *(attr for attr, _, _ in METRICS.values())):
+        got, want = getattr(trades, name), [getattr(r, name) for r in records]
+        assert np.isnan(got).tolist() == [w is None for w in want], name
+        defined = np.array([w for w in want if w is not None], dtype=float)
+        assert got[~np.isnan(got)].tobytes() == defined.tobytes(), name
+
+
+def assert_replay_matches_oracle(replay):
+    for trades, records in zip(build_trade_records(replay),
+                               records_oracle.build_trade_records(replay)):
+        assert_table_matches_records(trades, records)
+
+
+BID_PX = (99.5, 99.75, 100.0)
+ASK_PX = (100.25, 100.5, 100.75)
+
+
+@st.composite
+def book_streams(draw):
+    """Valid feeds with modifies, cancels, one-sided books and sweeps of the
+    best levels, where an order id freed by a cancel or a full execute is
+    often reused, also at the same timestamp and on the other side."""
+    events, ts, next_id = [], 0, 1
+    queues = {"bid": {}, "ask": {}}       # side -> price -> FIFO of live ids
+    live, free = {}, []                   # id -> [side, price, qty, label]; reusable ids
+
+    def new_order(side, price, qty):
+        nonlocal next_id
+        if free and draw(st.booleans()):
+            oid = free.pop()
+        else:
+            oid, next_id = next_id, next_id + 1
+        live[oid] = [side, price, qty, draw(st.sampled_from([None, "IT", "NT", "IMM", "NMM"]))]
+        emit(oid, "add", price, qty)
+        return oid
+
+    def emit(oid, action, price, qty, flag=None):
+        side, _, _, label = live[oid]
+        events.append(MboEvent(ts, oid, action, side, price, qty, flag, label))
+
+    def remove(oid):
+        side, price = live[oid][:2]
+        queues[side][price].remove(oid)
+        del live[oid]
+        free.append(oid)
+
+    for _ in range(draw(st.integers(1, 40))):
+        ts += draw(st.sampled_from([0, 0, 1, 7]))
+        action = draw(st.sampled_from(["add", "add", "modify", "cancel", "sweep"]))
+        resting = sorted(live)
+        if action == "add" or not resting:
+            side = draw(st.sampled_from(["bid", "ask"]))
+            price = draw(st.sampled_from(BID_PX if side == "bid" else ASK_PX))
+            oid = new_order(side, price, draw(st.integers(1, 5)))
+            queues[side].setdefault(price, []).append(oid)
+        elif action == "modify":
+            oid = draw(st.sampled_from(resting))
+            side, price, qty, _ = live[oid]
+            new_price = draw(st.sampled_from(BID_PX if side == "bid" else ASK_PX))
+            new_qty = draw(st.integers(1, 5))
+            emit(oid, "modify", new_price, new_qty)
+            if new_price != price or new_qty > qty:       # loses its queue position
+                queues[side][price].remove(oid)
+                queues[side].setdefault(new_price, []).append(oid)
+            live[oid][1:3] = [new_price, new_qty]
+        elif action == "cancel":
+            oid = draw(st.sampled_from(resting))
+            emit(oid, "cancel", live[oid][1], live[oid][2])
+            remove(oid)
+        else:
+            swept = draw(st.sampled_from(["bid", "ask"]))
+            levels = sorted((p for p, q in queues[swept].items() if q), reverse=swept == "bid")
+            if not levels:
+                continue
+            fills = [(oid, live[oid][1], live[oid][2])
+                     for price in levels[:draw(st.integers(1, 2))]
+                     for oid in queues[swept][price]]
+            budget = draw(st.integers(1, sum(q for _, _, q in fills)))
+            taker = new_order("ask" if swept == "bid" else "bid", fills[-1][1], budget)
+            for oid, price, qty in fills:
+                take = min(qty, budget)
+                if take == 0:
+                    break
+                emit(oid, "execute", price, take, False)
+                emit(taker, "execute", price, take, True)
+                budget -= take
+                live[oid][2] -= take
+                if live[oid][2] == 0:
+                    remove(oid)
+            del live[taker]
+            free.append(taker)
+    return events
+
+
+LOGGED = ModelParams(r=0.15, f=0.9, jump=Pareto(2.5, 0.01), volume=NormalVolume(10.0),
+                     tick=0.01, offset_d=0.0, lambda_i=0.15, lambda_u=0.85)
+
+
+class TestTablesMatchRecordsOracle:
+    @settings(deadline=None, max_examples=60)
+    @given(n_events=st.integers(1, 300), seed=st.integers(0, 2**32 - 1),
+           n_levels=st.integers(1, 10), volume_scale=st.sampled_from([1, 10, 1000, 10**6]),
+           theta=st.sampled_from([0.0, 0.005, 0.02]))
+    def test_simulator_logs(self, n_events, seed, n_levels, volume_scale, theta):
+        params = dataclasses.replace(LOGGED, theta=theta)
+        result = run(SimConfig(params=params, n_events=n_events, seed=seed, record_log=True,
+                               n_levels=n_levels, volume_scale=volume_scale))
+        assert_replay_matches_oracle(reconstruct(export_mbo(result)))
+
+    @settings(deadline=None, max_examples=300)
+    @given(events=book_streams())
+    def test_hand_made_streams(self, events):
+        assert_replay_matches_oracle(reconstruct(parse(io.StringIO(dumps(events)))))
+
+    def test_sweeps_of_a_reused_id_form_one_run(self):
+        # order 2 buys, is fully executed, and comes back at the same
+        # nanosecond to sell: its fills are consecutive, so they form one
+        # sweep signed by its first fill
+        events = [MboEvent(0, 1, "add", "ask", 100.25, 2),
+                  MboEvent(0, 3, "add", "bid", 100.0, 2),
+                  MboEvent(1, 2, "add", "bid", 100.25, 2, None, "IT"),
+                  MboEvent(1, 1, "execute", "ask", 100.25, 2, False),
+                  MboEvent(1, 2, "execute", "bid", 100.25, 2, True, "IT"),
+                  MboEvent(1, 2, "add", "ask", 100.0, 1, None, "NT"),
+                  MboEvent(1, 3, "execute", "bid", 100.0, 1, False),
+                  MboEvent(1, 2, "execute", "ask", 100.0, 1, True, "NT")]
+        replay = reconstruct(events)
+        aggressive, passive = build_trade_records(replay)
+        assert aggressive.qty.tolist() == [2, 1]
+        assert aggressive.participant_label.tolist() == ["IT", "NT"]
+        assert passive.order_id.tolist() == [1, 3] and passive.qty.tolist() == [2, -1]
+        assert_replay_matches_oracle(replay)
 
 
 # -- the array lookup against the per-trade oracle ---------------------------
@@ -257,8 +443,8 @@ def cohorts(draw):
     """Trades before, at and after the snapshot times; distinct order ids."""
     n = draw(st.integers(1, 8))
     qty = st.integers(-5, 5).filter(bool)
-    return [record(draw(st.integers(0, 70)), draw(qty), draw(PRICES), order_id=100 + i)
-            for i in range(n)]
+    return table(*[(draw(st.integers(0, 70)), draw(qty), draw(PRICES)) for _ in range(n)],
+                 order_id=np.arange(100, 100 + n))
 
 
 KINDS = st.sampled_from(REFERENCES * 3 + ("vwap",))
@@ -280,8 +466,7 @@ class TestArrayLookupMatchesOracle:
     @settings(deadline=None, max_examples=300)
     @given(quotes=quote_series(), trades=cohorts(), kind=KINDS, k=HORIZONS)
     def test_reference_values_and_first_failure(self, quotes, trades, kind, k):
-        t = np.array([r.t_ns + k for r in trades], dtype=np.int64)
-        qty = np.array([r.qty for r in trades])
+        t, qty = trades.t_ns + k, trades.qty
         want, message = oracle_lookup(quotes, t, kind, qty)
         if message is None:
             got = quotes.reference(t, kind, qty)
@@ -296,17 +481,18 @@ class TestArrayLookupMatchesOracle:
     @given(quotes=quote_series(), trades=cohorts(), kind=KINDS, k=HORIZONS,
            eps=st.sampled_from([1, -1]))
     def test_trade_signature_within_bound(self, quotes, trades, kind, k, eps):
+        records = rows(trades)
         try:
-            want = oracle.trade_signature(trades, k, eps, kind, quotes)
+            want = oracle.trade_signature(records, k, eps, kind, quotes)
         except ValueError as exc:
             with pytest.raises(ValueError) as info:
                 trade_signature(trades, k, eps, kind, quotes)
             assert str(info.value) == str(exc)
             return
         got = trade_signature(trades, k, eps, kind, quotes)
-        x = [oracle.reference(quotes, r.t_ns + k, kind, r.qty) for r in trades]
-        scale = (sum(abs(r.qty * (xi - r.price)) for r, xi in zip(trades, x))
-                 / sum(abs(r.qty) for r in trades))
+        x = [oracle.reference(quotes, r.t_ns + k, kind, r.qty) for r in records]
+        scale = (sum(abs(r.qty * (xi - r.price)) for r, xi in zip(records, x))
+                 / sum(abs(r.qty) for r in records))
         assert abs(got - want) <= 1e-12 * scale
 
     @pytest.mark.parametrize("args, message", [
