@@ -54,7 +54,7 @@ from .simulator import (
     run,
     simulate_price_path,
 )
-from .mbo import MboEvent, OrderLifecycle, Replay, parse, reconstruct, write_csv
+from .mbo import EventLog, MboEvent, OrderLifecycle, Replay, parse, reconstruct, write_csv
 from .signature import (
     ClusterSpec,
     QuoteSeries,

@@ -89,12 +89,17 @@ def _require(cfg: dict, key: str, context: str) -> object:
 
 def _number(value, what: str, cast=float):
     """``cast(value)``; a value it rejects (JSON null, a string, a list, an
-    infinite integer) is a ConfigError naming ``what``."""
+    infinite integer) is a ConfigError naming ``what``, and so is a
+    fractional number for an integer (an integral one such as JSON ``1e5``
+    is accepted)."""
+    kind = "an integer" if cast is int else "a number"
     try:
-        return cast(value)
+        number = cast(value)
     except (TypeError, ValueError, OverflowError):
-        kind = "an integer" if cast is int else "a number"
         raise ConfigError(f"{what} must be {kind}, got {value!r}") from None
+    if cast is int and isinstance(value, float) and number != value:
+        raise ConfigError(f"{what} must be {kind}, got {value!r}")
+    return number
 
 
 def _numbers(values, what: str) -> list[float]:
@@ -312,7 +317,7 @@ def cmd_signature(cfg: dict, out: Path, seed) -> list[str]:
         raise ConfigError(f"signature: log {input_path} contains no executions")
     replay = reconstruct(events)
     quotes = QuoteSeries.from_replay(replay)
-    aggressive, passive = build_trade_records(replay)
+    aggressive, passive = build_trade_records(replay, quotes)
 
     outputs = []
     for i, spec in enumerate(specs):

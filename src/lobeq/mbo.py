@@ -28,8 +28,10 @@ from __future__ import annotations
 import csv
 import io
 import math
+import operator
 from bisect import insort
 from collections import deque
+from collections.abc import Sequence
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 
@@ -38,6 +40,7 @@ __all__ = [
     "ACTIONS",
     "SIDES",
     "MboEvent",
+    "EventLog",
     "OrderLifecycle",
     "Fill",
     "Replay",
@@ -75,6 +78,59 @@ class MboEvent:
     qty: int
     aggressor_flag: bool | None = None
     participant_label: str | None = None
+
+
+class EventLog:
+    """A log held as one list per CSV field, in file order (the
+    simulator's export).
+
+    ``len``, iteration and integer indexing give :class:`MboEvent` rows,
+    and ``==`` compares row by row with any sequence of them.
+    """
+
+    __slots__ = HEADER
+
+    def __init__(self, ts_ns: list, order_id: list, action: list, side: list,
+                 price: list, qty: list, aggressor_flag: list, participant_label: list):
+        columns = (ts_ns, order_id, action, side, price, qty, aggressor_flag, participant_label)
+        if len({len(col) for col in columns}) > 1:
+            raise ValueError("EventLog columns differ in length")
+        for name, col in zip(HEADER, columns):
+            setattr(self, name, col)
+
+    @classmethod
+    def from_events(cls, events) -> EventLog:
+        """The log of an iterable of :class:`MboEvent` (an EventLog as is)."""
+        if isinstance(events, EventLog):
+            return events
+        columns = [list(col) for col in zip(*map(_ROW, events))]
+        return cls(*(columns or [[] for _ in HEADER]))
+
+    def columns(self) -> tuple[list, ...]:
+        return tuple(getattr(self, name) for name in HEADER)
+
+    def __len__(self) -> int:
+        return len(self.ts_ns)
+
+    def __iter__(self):
+        return map(MboEvent, *self.columns())
+
+    def __getitem__(self, i: int) -> MboEvent:
+        i = operator.index(i)
+        return MboEvent(*(col[i] for col in self.columns()))
+
+    def __eq__(self, other):
+        if isinstance(other, EventLog):
+            return self.columns() == other.columns()
+        if not isinstance(other, Sequence) or isinstance(other, str):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    def __repr__(self) -> str:
+        return f"EventLog({len(self)} rows)"
+
+
+_ROW = operator.attrgetter(*HEADER)
 
 
 @dataclass(slots=True)
@@ -224,18 +280,38 @@ def _parse_rows(rows, tick: float | None) -> list[MboEvent]:
     return events
 
 
+class _PriceText(dict):
+    """17-digit text of each distinct price, formatted on first sight.
+    Zeros are not kept: 0.0 and -0.0 are one key but two texts."""
+
+    def __missing__(self, price: float) -> str:
+        text = f"{price:.17g}"
+        if price:
+            self[price] = text
+        return text
+
+
+_FLAG_TEXT = {None: "", True: "true", False: "false"}
+_LABEL_TEXT = {None: ""}
+
+
 def write_csv(events, destination) -> None:
-    """Serialize events in the canonical schema (UTF-8, 17-digit prices)."""
+    """Serialize events in the canonical schema (UTF-8, 17-digit prices).
+
+    ``events`` is an :class:`EventLog` or an iterable of :class:`MboEvent`;
+    the rows are written column-wise from the log's lists.
+    """
+    log = EventLog.from_events(events)
     stream = hasattr(destination, "write")
     with nullcontext(destination) if stream else open(destination, "w", newline="") as out:
         writer = csv.writer(out)
         writer.writerow(HEADER)
-        for ev in events:
-            flag = "" if ev.aggressor_flag is None else ("true" if ev.aggressor_flag else "false")
-            writer.writerow((
-                ev.ts_ns, ev.order_id, ev.action, ev.side,
-                f"{ev.price:.17g}", ev.qty, flag, ev.participant_label or "",
-            ))
+        writer.writerows(zip(
+            log.ts_ns, log.order_id, log.action, log.side,
+            map(_PriceText().__getitem__, log.price), log.qty,
+            map(_FLAG_TEXT.__getitem__, log.aggressor_flag),
+            map(_LABEL_TEXT.get, log.participant_label, log.participant_label),
+        ))
 
 
 def dumps(events) -> str:

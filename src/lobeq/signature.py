@@ -229,8 +229,9 @@ def _add_to_add(ts: np.ndarray, bid: np.ndarray, price: np.ndarray) -> np.ndarra
     return out
 
 
-def build_trade_records(replay: Replay) -> tuple[TradeTable, TradeTable]:
-    """(aggressive, passive) trade tables from a replayed log.
+def build_trade_records(replay: Replay, quotes: QuoteSeries) -> tuple[TradeTable, TradeTable]:
+    """(aggressive, passive) trade tables from a replayed log and its
+    quote series (``QuoteSeries.from_replay(replay)``).
 
     Aggressive rows follow the feed; a sweep is a run of consecutive fills
     of one order id, and the volume ratio compares the quantity it executed
@@ -238,7 +239,6 @@ def build_trade_records(replay: Replay) -> tuple[TradeTable, TradeTable]:
     was resting there.  Passive rows are grouped by resting order, in add
     order, each in fill order.
     """
-    quotes = QuoteSeries.from_replay(replay)
     ts, oid, qty, price, side, aggressor, label = _columns(
         replay.fills, ts_ns=np.int64, order_id=np.int64, qty=np.int64, price=np.float64,
         side=object, aggressor=bool, participant_label=object)

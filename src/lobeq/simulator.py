@@ -32,12 +32,18 @@ Both paths score the probes with one numpy kernel,
 :func:`lobeq.kernels.accumulate_pnl`.  The no-log path passes it the
 static book.  ``record_log=True`` switches to a bookkeeping loop that
 maintains a two-sided order book on the absolute tick grid and emits a
-market-by-order event log with ground-truth participant labels; it records
-the ask book each event met and passes those rows to the same kernel.
+market-by-order event log with ground-truth participant labels.  The price
+moves only at jumps and at nonzero noise drift, both drawn up front, so
+the whole price path and the integer targets of every book state (one
+``book_curves`` call for all states and both sides) are computed before
+the loop; the loop only moves orders and appends rows to the columns of a
+:class:`lobeq.mbo.EventLog`.  The ask book each event met is read from the
+same state tables and passed to the kernel.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -46,7 +52,7 @@ import numpy as np
 
 from . import kernels
 from .equilibrium import BookShape, ModelParams, book_curves, shape_tick
-from .mbo import MboEvent
+from .mbo import HEADER, EventLog
 
 __all__ = [
     "SimConfig",
@@ -131,7 +137,7 @@ class SimResult:
     summary: dict
     book: BookShape
     events: list[SimEvent] | None = None
-    mbo_events: list[MboEvent] | None = None
+    mbo_events: EventLog | None = None
     quote_snapshots: list[tuple] | None = None   # (ts, bid_px, bid_qty, ask_px, ask_qty)
 
 
@@ -198,21 +204,22 @@ def draw_events(params: ModelParams, n_events: int, rng: np.random.Generator) ->
 # ---------------------------------------------------------------------------
 
 
-def _nmm_level_split(eff_lvl, noise_cum) -> list:
+def _nmm_level_split(eff_lvl, noise_cum) -> np.ndarray:
     """Per-level noise-maker quantity: front-load noise depth to match its
     cumulative curve without exceeding the visible level sizes (the noise
     curve need not be pointwise flatter level by level).
 
-    Plain Python numbers in and out: floats on the fast path, integer
-    volume units on the logged path.
+    Levels run along the last axis, any leading axes are independent
+    books: one float book on the fast path, integer volume units of every
+    book state of both sides on the logged path.
     """
-    out = []
+    eff_lvl, noise_cum = np.asarray(eff_lvl), np.asarray(noise_cum)
+    out = np.zeros_like(eff_lvl)
     placed = 0
-    for level, cum in zip(eff_lvl, noise_cum):
-        want = cum - placed
-        take = 0 if want <= 0 else min(level, want)
-        out.append(take)
-        placed += take
+    for level in range(eff_lvl.shape[-1]):
+        want = noise_cum[..., level] - placed
+        out[..., level] = np.where(want <= 0, 0, np.minimum(eff_lvl[..., level], want))
+        placed = placed + out[..., level]
     return out
 
 
@@ -306,8 +313,7 @@ def _executed_volume(draws: EventDraws, x, eff_lvl, nmm_lvl) -> np.ndarray:
 
 def _run_fast(cfg: SimConfig, book: BookShape, draws: EventDraws) -> SimResult:
     eff_lvl = np.diff(book.informed, prepend=0.0)
-    executed = _executed_volume(draws, book.grid, eff_lvl,
-                                _nmm_level_split(eff_lvl.tolist(), book.noise.tolist()))
+    executed = _executed_volume(draws, book.grid, eff_lvl, _nmm_level_split(eff_lvl, book.noise))
     summary = {
         **_event_counts(draws),
         "executed_volume_per_level": executed.tolist(),
@@ -322,15 +328,59 @@ def _run_fast(cfg: SimConfig, book: BookShape, draws: EventDraws) -> SimResult:
 # ---------------------------------------------------------------------------
 
 _SNAP = 1e-9
+ASK, BID = 0, 1                    # the side axis of the state tables
+_SIDE_NAMES = ("ask", "bid")
 
 
-def _grid_above(price: float, tick: float) -> int:
-    """Index of the smallest grid multiple of ``tick`` at or above price."""
+def _event_times(params: ModelParams, n_events: int, rng: np.random.Generator) -> np.ndarray:
+    """Event timestamps in ns: exponential gaps at the total event rate,
+    rounded to whole ns and at least 1 ns apart."""
+    lam_i, lam_u = params.rates
+    gaps = rng.exponential(1.0 / (lam_i + lam_u), n_events)
+    return np.cumsum(np.maximum(1, np.round(gaps * 1e9).astype(np.int64)))
+
+
+def _grid_layout(price: np.ndarray, tick: float, n_levels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Grid indices and distances of both sides' levels around each price,
+    shape ``(len(price), 2, n_levels)``, side axis (ask, bid), near to far.
+
+    The first ask level is the smallest grid multiple of ``tick`` at or
+    above the price (a price within a relative 1e-9 of a multiple counts
+    as on it); the first bid level is the same index when the price is on
+    the grid and the one below otherwise.
+    """
     g = price / tick
-    near = round(g)
-    if abs(g - near) <= _SNAP * max(1.0, abs(g)):
-        return int(near)
-    return math.ceil(g)
+    exact = np.abs(g) < 2.0**52     # grid indices exact as int64 and as float64
+    if not np.all(exact):
+        raise ValueError(f"record_log needs a finite price path within 2**52 ticks "
+                         f"of zero; the price reached {price[~exact][0]} at tick {tick}")
+    near = np.rint(g)
+    a0 = np.where(np.abs(g - near) <= _SNAP * np.maximum(1.0, np.abs(g)), near,
+                  np.ceil(g)).astype(np.int64)
+    on_grid = np.abs(a0 * tick - price) <= _SNAP * np.maximum(1.0, price)
+    step = np.arange(n_levels)
+    idx = np.stack([a0[:, None] + step, np.where(on_grid, a0, a0 - 1)[:, None] - step], axis=1)
+    level_px = idx * tick
+    dist = np.stack([level_px[:, ASK] - price[:, None], price[:, None] - level_px[:, BID]], axis=1)
+    return idx, np.maximum(dist, 0.0)
+
+
+def _row_appender(columns: tuple[list, ...]):
+    """``emit(ts, oid, action, side, price, qty, aggressor, label)``: append
+    one MBO row to the eight column lists."""
+    ts_, oid_, action_, side_, price_, qty_, aggressor_, label_ = (col.append for col in columns)
+
+    def emit(ts, oid, action, side, price, qty, aggressor, label):
+        ts_(ts)
+        oid_(oid)
+        action_(action)
+        side_(side)
+        price_(price)
+        qty_(qty)
+        aggressor_(aggressor)
+        label_(label)
+
+    return emit
 
 
 class _Order:
@@ -351,150 +401,136 @@ class _LoggedRun:
     replenishment, realised as whole-order cancels and adds in the log).
     Informed-maker volume queues in front of noise-maker volume at each
     level.
+
+    The price moves only at jumps and at nonzero noise drift, so its whole
+    path, and with it every book the run will target, is computed before
+    the event loop: state ``s`` is the price after the ``s``-th move.  The
+    loop only moves orders and appends rows.  Between moves each side
+    holds exactly its state's targets after every event, so the best
+    quotes, the volume within a jump and the probe rows are read from the
+    state tables.
     """
 
-    def __init__(self, cfg: SimConfig, draws: EventDraws):
+    def __init__(self, cfg: SimConfig, draws: EventDraws, times_ns: np.ndarray):
         if cfg.params.tick <= 0.0:
             raise ValueError("record_log requires a positive tick")
         if isinstance(cfg.book_mode, BookShape):
             raise ValueError("record_log supports equilibrium_static mode only")
         self.cfg = cfg
-        self.p = cfg.params
         self.draws = draws
-        self.scale = cfg.volume_scale
-        self.tick = cfg.params.tick
-        self.price = cfg.p0
-        self.rows: list[MboEvent] = []
-        self.events: list[SimEvent] = []
-        self.snapshots: list[tuple] = []
-        self._oid = 0
-        # side -> {grid index -> FIFO of orders}
-        self.levels: dict[str, dict[int, deque]] = {"ask": {}, "bid": {}}
-        self._curve_cache: dict[tuple, tuple] = {}
-        # the ask book each event met, scored by the probe kernel afterwards:
-        # level distances for jumps and noise buys, queue depths for buys
-        shape = (cfg.n_events, cfg.n_levels)
-        self.probe_x = np.zeros(shape)
-        self.probe_imm = np.zeros(shape)
-        self.probe_nmm = np.zeros(shape)
+        self.times_ns = times_ns
+        tick = cfg.params.tick
 
-    # -- plumbing -----------------------------------------------------------
-
-    def _next_oid(self) -> int:
-        self._oid += 1
-        return self._oid
-
-    def _px(self, idx: int) -> float:
-        # keep grid prices identical to their CSV round-trip
-        return round(idx * self.tick, 12)
-
-    def _emit(self, ts, oid, action, side, price, qty, aggressor=None, label=None):
-        self.rows.append(MboEvent(
-            ts_ns=ts, order_id=oid, action=action, side=side,
-            price=round(price, 12), qty=qty,
-            aggressor_flag=aggressor, participant_label=label,
-        ))
-
-    def _level_total(self, side: str, idx: int) -> int:
-        dq = self.levels[side].get(idx)
-        return sum(o.qty for o in dq) if dq else 0
-
-    # -- layout and targets on the current grid ------------------------------
-
-    def _side_layout(self, side: str) -> tuple[list[int], np.ndarray]:
-        """Grid indices (near to far) and distances of one side's levels."""
-        n = self.cfg.n_levels
-        a0 = _grid_above(self.price, self.tick)
-        on_grid = abs(a0 * self.tick - self.price) <= _SNAP * max(1.0, self.price)
-        if side == "ask":
-            idxs = [a0 + i for i in range(n)]
-            dist = np.array([i * self.tick - self.price for i in idxs])
-        else:
-            b0 = a0 if on_grid else a0 - 1
-            idxs = [b0 - i for i in range(n)]
-            dist = np.array([self.price - i * self.tick for i in idxs])
-        return idxs, np.maximum(dist, 0.0)
-
-    def _curves(self, side: str, dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # the price only moves on jumps (and theta-drift), so cache per offset
-        key = (side, round(float(dist[0]), 12))
-        hit = self._curve_cache.get(key)
-        if hit is None:
-            hit = book_curves(self.p, dist)
-            self._curve_cache[key] = hit
-        return hit
-
-    def _invalidate_curves(self) -> None:
-        self._curve_cache.clear()
-
-    def _side_targets(self, side: str) -> dict[int, tuple[int, int]]:
-        """idx -> (informed qty, noise qty) in integer units."""
-        idxs, dist = self._side_layout(side)
-        informed, noise = self._curves(side, dist)
+        # drift is zero at jump slots and when theta = 0; one running sum
+        # adds the same floats in the same order as moving the price event
+        # by event
+        jump = draws.is_jump != 0
+        self.moves = jump | (draws.drift != 0.0)
+        steps = np.where(jump, draws.jump_size, draws.drift)[self.moves]
+        price = np.cumsum(np.concatenate(([cfg.p0], steps)))
+        idx, dist = _grid_layout(price, tick, cfg.n_levels)
+        informed, noise = book_curves(cfg.params, dist)
         if not np.all(np.isfinite(informed)):
             raise ValueError(
                 "the closed-form book is unbounded within the simulated levels; "
                 "reduce n_levels to stay inside the adversely selected range"
             )
-        lvl_i = np.diff(np.round(informed * self.scale).astype(np.int64), prepend=0).tolist()
-        lvl_u = _nmm_level_split(lvl_i, np.round(noise * self.scale).astype(np.int64).tolist())
-        return {idx: (i - u, u) for idx, i, u in zip(idxs, lvl_i, lvl_u)}
+        lvl = np.diff(np.round(informed * cfg.volume_scale).astype(np.int64), prepend=0)
+        nmm = _nmm_level_split(lvl, np.round(noise * cfg.volume_scale).astype(np.int64))
 
-    def _morph(self, ts: int, side: str) -> None:
-        """Cancel/add whole orders until the side matches its targets."""
-        targets = self._side_targets(side)
+        # per state and side, near to far: grid index, informed and noise units
+        self.idx = idx.tolist()
+        self.imm = (lvl - nmm).tolist()
+        self.nmm = nmm.tolist()
+        # keep grid prices identical to their CSV round-trip
+        self.px = {i: round(i * tick, 12) for i in np.unique(idx).tolist()}
+        # (ts, bid_px, bid_qty, ask_px, ask_qty) after the initial book and
+        # after each event: the best quotes of the state it left
+        quotes = self._best_quotes(idx, lvl)
+        self.snapshots = [(0, *quotes[0])] + [
+            (ts, *quotes[s]) for ts, s in zip(times_ns.tolist(), np.cumsum(self.moves).tolist())]
+
+        # the ask book each event met, scored by the probe kernel afterwards:
+        # level distances for jumps and noise buys, queue depths for buys
+        before = np.concatenate(([0], np.cumsum(self.moves)[:-1]))
+        ask_dist = dist[before, ASK]
+        buy = (draws.noise_sign > 0)[:, None]
+        self.probe_x = np.where(jump[:, None] | buy, ask_dist, 0.0)
+        self.probe_imm = np.where(buy, informed[before, ASK], 0.0)
+        self.probe_nmm = np.where(buy, noise[before, ASK], 0.0)
+        # a jump of size b sweeps the ask levels at distance <= b, a prefix
+        within = ask_dist <= draws.jump_size[:, None]
+        self.n_swept = within.sum(axis=1).tolist()
+        self.jump_volume = np.where(within, lvl[before, ASK], 0).sum(axis=1).tolist()
+
+        self.levels: tuple[dict[int, deque], dict[int, deque]] = ({}, {})
+        self.events: list[SimEvent] = []
+        self.columns: tuple[list, ...] = tuple([] for _ in HEADER)
+        self._emit = _row_appender(self.columns)
+        self._next_oid = itertools.count(1).__next__
+
+    def _best_quotes(self, idx: np.ndarray, lvl: np.ndarray) -> list[tuple]:
+        """(bid_px, bid_qty, ask_px, ask_qty) of each state's target book:
+        the nearest level with volume on each side, None on an empty side."""
+        shown = lvl > 0
+        first = shown.argmax(axis=-1)[..., None]
+        best_idx = np.take_along_axis(idx, first, -1)[..., 0].tolist()
+        best_qty = np.take_along_axis(lvl, first, -1)[..., 0].tolist()
+
+        def quote(i, q, any_shown):
+            return (self.px[i], q) if any_shown else (None, None)
+
+        return [(*quote(i[BID], q[BID], a[BID]), *quote(i[ASK], q[ASK], a[ASK]))
+                for i, q, a in zip(best_idx, best_qty, shown.any(axis=-1).tolist())]
+
+    # -- replenishment ----------------------------------------------------------
+
+    def _morph(self, ts: int, side: int, s: int, n_levels: int | None = None) -> None:
+        """Cancel/add whole orders until ``side`` matches the targets of
+        state ``s``: every level when the state is new, only the first
+        ``n_levels`` (the ones a sweep walked) otherwise."""
         book = self.levels[side]
-        for idx in list(book):
-            if idx not in targets:
-                for order in book[idx]:
-                    self._emit(ts, order.oid, "cancel", side, self._px(idx),
-                               order.qty, label=order.participant)
-                del book[idx]
-        for idx, (imm_q, nmm_q) in targets.items():
+        name = _SIDE_NAMES[side]
+        idxs = self.idx[s][side]
+        if n_levels is None:
+            lo, hi = (idxs[0], idxs[-1]) if side == ASK else (idxs[-1], idxs[0])
+            for idx in [i for i in book if not lo <= i <= hi]:
+                for order in book.pop(idx):
+                    self._emit(ts, order.oid, "cancel", name, self.px[idx],
+                               order.qty, None, order.participant)
+            n_levels = len(idxs)
+        for idx, imm_q, nmm_q in zip(idxs[:n_levels], self.imm[s][side][:n_levels],
+                                     self.nmm[s][side][:n_levels]):
             dq = book.get(idx)
             if dq is None:
                 dq = book[idx] = deque()
-            want = {"IMM": imm_q, "NMM": nmm_q}
-            have = {"IMM": 0, "NMM": 0}
+            have_imm = have_nmm = 0
             for order in dq:
-                have[order.participant] += order.qty
-            px = self._px(idx)
-            for maker in ("IMM", "NMM"):
-                excess = have[maker] - want[maker]
+                if order.participant == "IMM":
+                    have_imm += order.qty
+                else:
+                    have_nmm += order.qty
+            px = self.px[idx]
+            for maker, excess in (("IMM", have_imm - imm_q), ("NMM", have_nmm - nmm_q)):
                 if excess > 0:
                     for order in reversed(list(dq)):
                         if excess <= 0:
                             break
                         if order.participant != maker:
                             continue
-                        self._emit(ts, order.oid, "cancel", side, px,
-                                   order.qty, label=maker)
+                        self._emit(ts, order.oid, "cancel", name, px, order.qty, None, maker)
                         dq.remove(order)
                         excess -= order.qty
                 if excess < 0:
                     oid = self._next_oid()
                     dq.append(_Order(oid, maker, -excess))
-                    self._emit(ts, oid, "add", side, px, -excess, label=maker)
-
-    def _snapshot(self, ts: int) -> None:
-        bid_px = bid_q = ask_px = ask_q = None
-        for idx in sorted(self.levels["ask"]):
-            q = self._level_total("ask", idx)
-            if q > 0:
-                ask_px, ask_q = self._px(idx), q
-                break
-        for idx in sorted(self.levels["bid"], reverse=True):
-            q = self._level_total("bid", idx)
-            if q > 0:
-                bid_px, bid_q = self._px(idx), q
-                break
-        self.snapshots.append((ts, bid_px, bid_q, ask_px, ask_q))
+                    self._emit(ts, oid, "add", name, px, -excess, None, maker)
 
     # -- aggressive executions ------------------------------------------------
 
-    def _sweep(self, ts: int, side: str, idxs: list[int], budget: int,
+    def _sweep(self, ts: int, side: int, idxs: list[int], budget: int,
                label: str, limit_price: float | None = None) -> list[tuple]:
-        """Execute up to ``budget`` units against ``side`` walking ``idxs``.
+        """Execute ``budget`` (> 0) units against ``side`` walking ``idxs``.
 
         The fill list is computed first, then the rows are emitted in feed
         order: aggressor add, execute pairs (passive row then the
@@ -515,135 +551,106 @@ class _LoggedRun:
                 remaining -= take
                 if front.qty == 0:
                     dq.popleft()
-        if budget == 0:
-            return []
 
+        name = _SIDE_NAMES[side]
         if limit_price is None:
-            limit_price = self._px(fills[-1][0] if fills else idxs[0])
-        aggr_side = "bid" if side == "ask" else "ask"
+            limit_price = self.px[fills[-1][0] if fills else idxs[0]]
+        aggr_side = _SIDE_NAMES[1 - side]
         aggr_oid = self._next_oid()
-        self._emit(ts, aggr_oid, "add", aggr_side, limit_price, budget, label=label)
+        self._emit(ts, aggr_oid, "add", aggr_side, limit_price, budget, None, label)
         executed = []
         for idx, oid, participant, qty in fills:
-            px = self._px(idx)
-            self._emit(ts, oid, "execute", side, px, qty,
-                       aggressor=False, label=participant)
-            self._emit(ts, aggr_oid, "execute", aggr_side, px, qty,
-                       aggressor=True, label=label)
-            executed.append((side, idx, qty))
+            px = self.px[idx]
+            self._emit(ts, oid, "execute", name, px, qty, False, participant)
+            self._emit(ts, aggr_oid, "execute", aggr_side, px, qty, True, label)
+            executed.append((name, idx, qty))
         if remaining > 0:
-            self._emit(ts, aggr_oid, "cancel", aggr_side, limit_price,
-                       remaining, label=label)
+            self._emit(ts, aggr_oid, "cancel", aggr_side, limit_price, remaining, None, label)
         return executed
 
     # -- event handlers ---------------------------------------------------------
 
-    def _handle_jump(self, ts: int, e: int, b: float, win: bool) -> list[tuple]:
-        idxs, dist = self._side_layout("ask")
-        self.probe_x[e] = dist
-
-        swept = [idx for idx, x in zip(idxs, dist) if x <= b]
-        intended = sum(self._level_total("ask", idx) for idx in swept)
+    def _handle_jump(self, ts: int, e: int, s: int, win: bool) -> list[tuple]:
+        swept = self.idx[s][ASK][:self.n_swept[e]]
         if not win:
             # the cancel beats the market order: informed quotes get away
+            book = self.levels[ASK]
             for idx in swept:
-                dq = self.levels["ask"].get(idx)
+                dq = book.get(idx)
                 if not dq:
                     continue
                 survivors = deque()
                 for order in dq:
                     if order.participant == "IMM":
-                        self._emit(ts, order.oid, "cancel", "ask",
-                                   self._px(idx), order.qty, label="IMM")
+                        self._emit(ts, order.oid, "cancel", "ask", self.px[idx],
+                                   order.qty, None, "IMM")
                     else:
                         survivors.append(order)
-                self.levels["ask"][idx] = survivors
-        executed = []
-        if intended > 0:
-            executed = self._sweep(ts, "ask", swept, intended, "IT",
-                                   limit_price=self._px(swept[-1]))
-        self.price += b
-        self._invalidate_curves()
-        self._morph(ts, "ask")
-        self._morph(ts, "bid")
-        return executed
+                book[idx] = survivors
+        if self.jump_volume[e] > 0:
+            return self._sweep(ts, ASK, swept, self.jump_volume[e], "IT",
+                               limit_price=self.px[swept[-1]])
+        return []
 
-    def _handle_noise(self, ts: int, e: int) -> list[tuple]:
-        d = self.draws
-        sign = int(d.noise_sign[e])
-        mag = float(d.noise_mag[e])
-        drift = float(d.drift[e])
-
-        if sign > 0:
-            _idxs, dist = self._side_layout("ask")
-            self.probe_x[e] = dist
-            self.probe_imm[e], self.probe_nmm[e] = self._curves("ask", dist)
-
-        q_units = int(round(mag * self.scale))
-        executed = []
-        if q_units > 0:
-            side = "ask" if sign > 0 else "bid"
-            side_idxs, _ = self._side_layout(side)
-            executed = self._sweep(ts, side, side_idxs, q_units, "NT")
-
-        if self.p.theta != 0.0 and drift != 0.0:
-            self.price += drift
-            self._invalidate_curves()
-            self._morph(ts, "ask")
-            self._morph(ts, "bid")
-        elif executed:
-            self._morph(ts, executed[0][0])
-        return executed
+    def _handle_noise(self, ts: int, s: int, sign: int, mag: float) -> list[tuple]:
+        q_units = int(round(mag * self.cfg.volume_scale))
+        if q_units == 0:
+            return []
+        side = ASK if sign > 0 else BID
+        return self._sweep(ts, side, self.idx[s][side], q_units, "NT")
 
     # -- main loop ---------------------------------------------------------------
 
-    def run_all(self, times_ns: np.ndarray) -> None:
-        self._morph(0, "ask")
-        self._morph(0, "bid")
-        self._snapshot(0)
+    def run_all(self) -> None:
         d = self.draws
-        for e in range(self.cfg.n_events):
-            ts = int(times_ns[e])
-            if d.is_jump[e]:
-                win = bool(d.it_wins[e])
-                executed = self._handle_jump(ts, e, float(d.jump_size[e]), win)
+        self._morph(0, ASK, 0)
+        self._morph(0, BID, 0)
+        s = 0
+        for e, (ts, is_jump, win, size, sign, mag, moves) in enumerate(zip(
+                self.times_ns.tolist(), d.is_jump.tolist(), d.it_wins.tolist(),
+                d.jump_size.tolist(), d.noise_sign.tolist(), d.noise_mag.tolist(),
+                self.moves.tolist())):
+            if is_jump:
+                executed = self._handle_jump(ts, e, s, bool(win))
                 self.events.append(SimEvent(
-                    t_ns=ts, kind="jump", side=+1, size=float(d.jump_size[e]),
+                    t_ns=ts, kind="jump", side=+1, size=size,
                     race_won_by="IT" if win else "IMM",
                     executed_per_level=tuple(executed),
                 ))
             else:
-                executed = self._handle_noise(ts, e)
+                executed = self._handle_noise(ts, s, sign, mag)
                 self.events.append(SimEvent(
-                    t_ns=ts, kind="noise", side=int(d.noise_sign[e]),
-                    size=float(d.noise_mag[e]), race_won_by=None,
+                    t_ns=ts, kind="noise", side=sign, size=mag, race_won_by=None,
                     executed_per_level=tuple(executed),
                 ))
-            self._snapshot(ts)
+            if moves:
+                s += 1
+                self._morph(ts, ASK, s)
+                self._morph(ts, BID, s)
+            elif executed:
+                # only the walked levels differ from the unchanged targets
+                side = ASK if executed[0][0] == "ask" else BID
+                self._morph(ts, side, s, abs(executed[-1][1] - self.idx[s][side][0]) + 1)
 
 
 def _run_logged(cfg: SimConfig, draws: EventDraws, rng: np.random.Generator) -> SimResult:
-    lam_i, lam_u = cfg.params.rates
-    gaps = rng.exponential(1.0 / (lam_i + lam_u), cfg.n_events)
-    gaps_ns = np.maximum(1, np.round(gaps * 1e9).astype(np.int64))
-    times_ns = np.cumsum(gaps_ns)
-
-    lr = _LoggedRun(cfg, draws)
-    lr.run_all(times_ns)
+    lr = _LoggedRun(cfg, draws, _event_times(cfg.params, cfg.n_events, rng))
+    lr.run_all()
 
     book = shape_tick(cfg.params, cfg.n_levels)
     pnl = _pnl_rows(book.grid, *_probe_pnl(draws, lr.probe_x, lr.probe_imm, lr.probe_nmm))
+    log = EventLog(*lr.columns)
     executed_units = sum(
         q for ev in lr.events for (_side, _idx, q) in ev.executed_per_level
     )
     summary = {
         **_event_counts(draws),
         "executed_units_total": executed_units,
-        "n_mbo_rows": len(lr.rows),
+        "n_mbo_rows": len(log),
         "seed": cfg.seed,
     }
     return SimResult(pnl=pnl, summary=summary, book=book, events=lr.events,
-                     mbo_events=lr.rows, quote_snapshots=lr.snapshots)
+                     mbo_events=log, quote_snapshots=lr.snapshots)
 
 
 # ---------------------------------------------------------------------------
@@ -662,7 +669,7 @@ def run(cfg: SimConfig) -> SimResult:
     return _run_fast(cfg, book, draws)
 
 
-def export_mbo(result: SimResult) -> list[MboEvent]:
+def export_mbo(result: SimResult) -> EventLog:
     """Market-by-order log of a ``record_log=True`` run (ground-truth
     participant labels included)."""
     if result.mbo_events is None:

@@ -167,6 +167,23 @@ class TestShape:
         assert message in capsys.readouterr().err
         assert not (out / "shape.csv").exists()
 
+    @pytest.mark.parametrize("shape, message", [
+        ({"variant": "tick", "n_levels": 3.9}, "shape: n_levels must be an integer, got 3.9"),
+        ({"variant": "continuous", "x_min": 0.01, "x_max": 0.05, "n_points": 5.5},
+         "shape: n_points must be an integer, got 5.5"),
+    ])
+    def test_fractional_integer_setting_rejected(self, tmp_path, capsys, shape, message):
+        code, out = run_cli(tmp_path, "shape", {"params": REF_PARAMS, "shape": shape})
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (out / "shape.csv").exists()
+
+    def test_integral_float_accepted_for_an_integer(self, tmp_path):
+        code, out = run_cli(tmp_path, "shape", {
+            "params": REF_PARAMS, "shape": {"variant": "tick", "n_levels": 4.0}})
+        assert code == 0
+        assert len(read_csv(out / "shape.csv")) == 4
+
 
 class TestSpread:
     def test_reference_values(self, tmp_path):
@@ -253,6 +270,40 @@ class TestSimulate:
         assert code == 2
         assert f"simulate: {key} must be {kind}, got {value!r}" in capsys.readouterr().err
         assert not (out / "pnl.csv").exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("n_events", 100.5), ("n_levels", 3.9), ("volume_scale", 10.5), ("seed", 1.5),
+    ])
+    def test_fractional_integer_setting_rejected(self, tmp_path, capsys, key, value):
+        doc = {"params": REF_PARAMS, "simulate": dict(self.BASE["simulate"], **{key: value})}
+        code, out = run_cli(tmp_path, "simulate", doc)
+        assert code == 2
+        assert f"simulate: {key} must be an integer, got {value!r}" in capsys.readouterr().err
+        assert not (out / "pnl.csv").exists()
+
+    def test_integral_floats_accepted(self, tmp_path):
+        # JSON 2e4 is a float; it names the integer 20000
+        doc = {"params": REF_PARAMS,
+               "simulate": {"n_events": 2e4, "seed": 5.0, "n_levels": 6.0, "volume_scale": 1e3}}
+        code, out = run_cli(tmp_path, "simulate", doc)
+        assert code == 0
+        assert json.loads((out / "summary.json").read_text())["n_events"] == 20000
+
+    LOGGED = {**REF_PARAMS, "r": 0.15, "lambda_i": 0.15, "lambda_u": 0.85,
+              "jump": {"type": "pareto", "shape": 2.5, "scale": 0.01}}
+
+    @pytest.mark.parametrize("change, message", [
+        ({"tick": 0.0}, "record_log requires a positive tick"),
+        ({"f": 0.0}, "the closed-form book is unbounded within the simulated levels"),
+    ])
+    def test_logged_run_errors_write_nothing(self, tmp_path, capsys, change, message):
+        doc = {"params": {**self.LOGGED, **change},
+               "simulate": {"n_events": 50, "seed": 7, "n_levels": 6,
+                            "record_log": True, "volume_scale": 1000}}
+        code, out = run_cli(tmp_path, "simulate", doc)
+        assert code == 2
+        assert f"lobeq simulate: {message}" in capsys.readouterr().err
+        assert not (out / "mbo.csv").exists() and not (out / "pnl.csv").exists()
 
     def test_record_log_writes_mbo(self, tmp_path):
         doc = {

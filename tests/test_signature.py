@@ -187,9 +187,13 @@ def sim_replay(sim_log):
     return sim_log[1]
 
 
+def trade_tables(replay):
+    return build_trade_records(replay, QuoteSeries.from_replay(replay))
+
+
 class TestTradeRecords:
     def test_partition_and_signs(self, sim_replay):
-        aggressive, passive = build_trade_records(sim_replay)
+        aggressive, passive = trade_tables(sim_replay)
         n_fills_aggr = sum(1 for f in sim_replay.fills if f.aggressor)
         n_fills_pass = sum(1 for f in sim_replay.fills if not f.aggressor)
         assert len(aggressive) == n_fills_aggr
@@ -200,11 +204,11 @@ class TestTradeRecords:
 
     def test_informed_aggressors_are_buyers(self, sim_replay):
         # every jump in the event chain points at the ask side
-        aggressive, _ = build_trade_records(sim_replay)
+        aggressive, _ = trade_tables(sim_replay)
         assert np.all(aggressive.qty[aggressive.participant_label == "IT"] > 0)
 
     def test_volume_ratio_range(self, sim_replay):
-        aggressive, _ = build_trade_records(sim_replay)
+        aggressive, _ = trade_tables(sim_replay)
         ratios = aggressive.volume_ratio[~np.isnan(aggressive.volume_ratio)]
         assert ratios.size
         assert np.all((0.0 < ratios) & (ratios <= 1.0))
@@ -213,7 +217,7 @@ class TestTradeRecords:
         # on a won race the informed trader sweeps whole levels (ratio 1);
         # after a lost race he only gets what survived the cancel
         result, replay = sim_log
-        aggressive, _ = build_trade_records(replay)
+        aggressive, _ = trade_tables(replay)
         race_by_ts = {ev.t_ns: ev.race_won_by for ev in result.events
                       if ev.kind == "jump" and ev.executed_per_level}
         it = aggressive.take((aggressive.participant_label == "IT")
@@ -226,8 +230,8 @@ class TestTradeRecords:
                 assert 0.0 < ratio <= 1.0
 
     def test_cluster_counts_partition_and_are_horizon_free(self, sim_replay):
-        aggressive, _ = build_trade_records(sim_replay)
         quotes = QuoteSeries.from_replay(sim_replay)
+        aggressive, _ = build_trade_records(sim_replay, quotes)
         spec = ClusterSpec("trade_to_trade", (1e8, 1e9), "aggressive")
         labels = classify(aggressive, spec)
         n_undef = int(np.sum(labels == -1))
@@ -239,8 +243,8 @@ class TestTradeRecords:
     def test_passive_signature_positive_for_informed_makers(self, sim_replay):
         # passive fills mark against the spread: at k = 0 the maker side of
         # the trade signature is positive (mirror of the taker crossing it)
-        _, passive = build_trade_records(sim_replay)
         quotes = QuoteSeries.from_replay(sim_replay)
+        _, passive = build_trade_records(sim_replay, quotes)
         st0 = trade_signature(passive, 0, -1, "touched", quotes)
         assert st0 >= 0.0
 
@@ -292,7 +296,7 @@ def assert_table_matches_records(trades, records):
 
 
 def assert_replay_matches_oracle(replay):
-    for trades, records in zip(build_trade_records(replay),
+    for trades, records in zip(trade_tables(replay),
                                records_oracle.build_trade_records(replay)):
         assert_table_matches_records(trades, records)
 
@@ -411,7 +415,7 @@ class TestTablesMatchRecordsOracle:
                   MboEvent(1, 3, "execute", "bid", 100.0, 1, False),
                   MboEvent(1, 2, "execute", "ask", 100.0, 1, True, "NT")]
         replay = reconstruct(events)
-        aggressive, passive = build_trade_records(replay)
+        aggressive, passive = trade_tables(replay)
         assert aggressive.qty.tolist() == [2, 1]
         assert aggressive.participant_label.tolist() == ["IT", "NT"]
         assert passive.order_id.tolist() == [1, 3] and passive.qty.tolist() == [2, -1]

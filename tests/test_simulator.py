@@ -3,16 +3,21 @@ logged-run bookkeeping and the efficient-price path."""
 
 import io
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import logged_oracle
 from lobeq.equilibrium import BookShape, ModelParams, book_curves, shape_tick
-from lobeq.laws import NormalVolume, Pareto
-from lobeq.mbo import dumps, parse, reconstruct
+from lobeq.laws import Exponential, NormalVolume, Pareto, PointMass
+from lobeq.mbo import EventLog, MboEvent, dumps, parse, reconstruct, write_csv
 from lobeq.simulator import (
     SimConfig,
+    _event_times,
+    _LoggedRun,
+    draw_events,
     export_mbo,
     run,
     simulate_price_path,
@@ -252,6 +257,116 @@ class TestLoggedPath:
         se = math.sqrt(0.75 * 0.25 / len(signs))
         assert abs(frac - 0.75) <= max(3 * se, 0.01)
         assert res.summary["n_events"] == 200_000
+
+
+class TestLoggedErrors:
+    def test_requires_a_positive_tick(self):
+        params = ModelParams(r=0.15, f=0.9, jump=Pareto(2.5, 0.01), volume=NormalVolume(10.0))
+        with pytest.raises(ValueError, match="record_log requires a positive tick"):
+            run(SimConfig(params=params, n_events=10, seed=0, record_log=True))
+
+    def test_static_mode_only(self):
+        with pytest.raises(ValueError, match="record_log supports equilibrium_static mode only"):
+            run(SimConfig(params=LOGGED, n_events=10, seed=0, record_log=True,
+                          book_mode=shape_tick(LOGGED, 4)))
+
+    def test_unbounded_book(self):
+        params = ModelParams(r=0.15, f=0.0, jump=Pareto(2.5, 0.01), volume=NormalVolume(10.0),
+                             tick=0.01)
+        with pytest.raises(ValueError, match="unbounded within the simulated levels"):
+            run(SimConfig(params=params, n_events=10, seed=0, record_log=True))
+
+    def test_price_path_must_stay_on_a_finite_grid(self):
+        with pytest.raises(ValueError, match="finite price path"):
+            run(SimConfig(params=LOGGED, n_events=10, seed=0, record_log=True, p0=math.inf))
+
+
+@st.composite
+def logged_configs(draw):
+    """Logged runs of every kind of book move: continuous and grid-aligned
+    jumps, drift off the grid, one to ten levels, coarse and fine volume
+    units, and races the informed maker always loses (f = 0: unbounded)."""
+    r = draw(st.sampled_from([0.15, 0.5]))
+    params = ModelParams(
+        r=r, f=draw(st.sampled_from([0.0, 0.5, 0.9, 1.0])),
+        jump=draw(st.sampled_from([Pareto(2.5, 0.01), Exponential(60.0), PointMass(0.05)])),
+        volume=NormalVolume(10.0), tick=0.01, offset_d=0.0,
+        theta=draw(st.sampled_from([0.0, 0.0005, 0.005])),
+        rho=draw(st.sampled_from([0.0, 0.5, 0.9])),
+    )
+    return SimConfig(params=params, n_events=draw(st.integers(1, 400)),
+                     seed=draw(st.integers(0, 2**32 - 1)), record_log=True,
+                     n_levels=draw(st.integers(1, 10)),
+                     volume_scale=draw(st.sampled_from([1, 10, 1000, 10**6])))
+
+
+class TestLoggedOracle:
+    """The precomputed-state logged run against the per-event loop it
+    replaced (tests/logged_oracle.py): everything equal, exactly."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(cfg=logged_configs())
+    def test_matches_oracle(self, cfg):
+        try:
+            expected, oracle = logged_oracle.run(cfg)
+        except ValueError as exc:
+            with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                run(cfg)
+            return
+        result = run(cfg)
+        assert export_mbo(result) == expected.mbo_events
+        assert result.quote_snapshots == expected.quote_snapshots
+        assert result.events == expected.events
+        assert result.pnl == expected.pnl
+        assert result.summary == expected.summary
+
+        rng = np.random.default_rng(cfg.seed)
+        draws = draw_events(cfg.params, cfg.n_events, rng)
+        new = _LoggedRun(cfg, draws, _event_times(cfg.params, cfg.n_events, rng))
+        for name in ("probe_x", "probe_imm", "probe_nmm"):
+            assert getattr(new, name).tobytes() == getattr(oracle, name).tobytes(), name
+
+    def test_long_toxic_run_matches_oracle(self):
+        params = ModelParams(r=0.15, f=0.9, jump=Pareto(2.5, 0.01), volume=NormalVolume(10.0),
+                             tick=0.01, offset_d=0.0, theta=0.0005, rho=0.5)
+        cfg = SimConfig(params=params, n_events=3000, seed=5, record_log=True,
+                        n_levels=8, volume_scale=1000)
+        expected, _ = logged_oracle.run(cfg)
+        result = run(cfg)
+        assert dumps(export_mbo(result)) == dumps(expected.mbo_events)
+        assert result.quote_snapshots == expected.quote_snapshots
+
+
+class TestEventLog:
+    ROWS = [MboEvent(1, 1, "add", "ask", 100.01, 5, None, "NMM"),
+            MboEvent(2, 2, "add", "bid", 100.01, 5, None, "IT"),
+            MboEvent(2, 1, "execute", "ask", 100.01, 5, False, "NMM"),
+            MboEvent(2, 2, "execute", "bid", 100.01, 5, True, "IT")]
+
+    def test_rows_and_equality(self):
+        log = EventLog.from_events(self.ROWS)
+        assert len(log) == 4
+        assert list(log) == self.ROWS
+        assert log[2] == self.ROWS[2] and log[-1] == self.ROWS[-1]
+        assert log == self.ROWS and self.ROWS == log and log == tuple(self.ROWS)
+        assert log == EventLog.from_events(iter(self.ROWS))
+        assert log != self.ROWS[:3] and log != self.ROWS[::-1]
+        assert EventLog.from_events([]) == []
+        with pytest.raises(TypeError):
+            log[1:2]
+
+    def test_columns_must_have_equal_length(self):
+        with pytest.raises(ValueError, match="differ in length"):
+            EventLog([1], [1], ["add"], ["ask"], [1.0], [1], [None], [])
+
+    def test_written_like_its_rows(self):
+        rows = self.ROWS + [MboEvent(3, 3, "add", "ask", -0.0, 1),
+                            MboEvent(3, 4, "add", "ask", 0.0, 1)]
+        buf = io.StringIO()
+        write_csv(EventLog.from_events(rows), buf)
+        assert buf.getvalue() == dumps(rows)
+        assert parse(io.StringIO(buf.getvalue())) == rows
+        assert ",-0,1,," in buf.getvalue() and ",0,1,," in buf.getvalue()
 
 
 class TestPricePath:
