@@ -88,14 +88,16 @@ def _require(cfg: dict, key: str, context: str) -> object:
 
 
 def _number(value, what: str, cast=float):
-    """``cast(value)``; a value it rejects (JSON null, a string, a list, an
-    infinite integer) is a ConfigError naming ``what``, and so is a
-    fractional number for an integer (an integral one such as JSON ``1e5``
-    is accepted)."""
+    """``cast(value)`` of a JSON number; anything else (null, a string, a
+    boolean, a list) is a ConfigError naming ``what``, and so is an
+    infinite or nan integer or a fractional number for an integer (an
+    integral one such as JSON ``1e5`` is accepted)."""
     kind = "an integer" if cast is int else "a number"
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{what} must be {kind}, got {value!r}")
     try:
         number = cast(value)
-    except (TypeError, ValueError, OverflowError):
+    except (ValueError, OverflowError):
         raise ConfigError(f"{what} must be {kind}, got {value!r}") from None
     if cast is int and isinstance(value, float) and number != value:
         raise ConfigError(f"{what} must be {kind}, got {value!r}")
@@ -313,7 +315,7 @@ def cmd_signature(cfg: dict, out: Path, seed) -> list[str]:
 
     # every config value is checked before the log is read and any CSV written
     events = parse_mbo(input_path, tick=tick)
-    if not any(ev.action == "execute" for ev in events):
+    if not np.any(events.action == "execute"):
         raise ConfigError(f"signature: log {input_path} contains no executions")
     replay = reconstruct(events)
     quotes = QuoteSeries.from_replay(replay)

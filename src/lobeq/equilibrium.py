@@ -538,7 +538,8 @@ def _emax_roots(grid: ParamGrid, rhs: np.ndarray, cells: np.ndarray):
     Below the support infimum ``emax(x) = E[B]/x`` gives the root in closed
     form; that branch is taken first to avoid bracketing across the support
     kink.  Otherwise ``E[B]/rhs`` is a guaranteed lower bracket because
-    ``emax(x) >= E[B]/x`` everywhere.
+    ``emax(x) >= E[B]/x`` everywhere; where rounding just above the kink
+    leaves ``emax(E[B]/rhs)`` at or below ``rhs``, that bracket is the root.
     """
     bad = np.flatnonzero(~(rhs > 1.0))
     if bad.size:
@@ -547,7 +548,8 @@ def _emax_roots(grid: ParamGrid, rhs: np.ndarray, cells: np.ndarray):
     jump = grid.jump
     x = jump.mean / rhs
     closed = x <= jump.support_inf
-    solve = np.flatnonzero(~closed)
+    above = np.flatnonzero(~closed)
+    solve = above[jump.emax_ratio(x[above]) > rhs[above]]
     if not solve.size:
         return x, closed, 0
     target = rhs[solve]

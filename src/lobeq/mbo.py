@@ -21,6 +21,12 @@ CSV schema (exact header)::
 
 Replay applies events under price-time (FIFO) priority and reconstructs
 every order's lifecycle together with per-timestamp best-quote snapshots.
+
+The read side is columnar: :func:`parse` reads the body in one typed C
+pass, checks field domains as array masks and order references in one
+pass over integer lists, and returns an :class:`EventLog` of numpy
+columns; :func:`reconstruct` replays with actions and sides as small
+integers and returns :class:`Replay` tables of numpy columns.
 """
 
 from __future__ import annotations
@@ -29,11 +35,17 @@ import csv
 import io
 import math
 import operator
+import warnings
 from bisect import insort
 from collections import deque
 from collections.abc import Sequence
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
+from itertools import chain, islice
+from typing import NamedTuple
+
+import numpy as np
 
 __all__ = [
     "HEADER",
@@ -41,8 +53,13 @@ __all__ = [
     "SIDES",
     "MboEvent",
     "EventLog",
-    "OrderLifecycle",
+    "Table",
     "Fill",
+    "Fills",
+    "OrderLifecycle",
+    "Lifecycles",
+    "Quote",
+    "Quotes",
     "Replay",
     "MboParseError",
     "MboReplayError",
@@ -56,8 +73,12 @@ HEADER = ("ts_ns", "order_id", "action", "side", "price", "qty",
           "aggressor_flag", "participant_label")
 ACTIONS = ("add", "modify", "cancel", "execute")
 SIDES = ("bid", "ask")
+ADD, MODIFY, CANCEL, EXECUTE = range(len(ACTIONS))
+BID, ASK = range(len(SIDES))
 
 _FLAGS = {"": None, "true": True, "1": True, "false": False, "0": False}
+_ACTION_NAMES = np.array(ACTIONS, dtype=object)
+_SIDE_NAMES = np.array(SIDES, dtype=object)
 
 
 class MboParseError(ValueError):
@@ -80,18 +101,28 @@ class MboEvent:
     participant_label: str | None = None
 
 
-class EventLog:
-    """A log held as one list per CSV field, in file order (the
-    simulator's export).
+def _values(column) -> list:
+    """A column as a list of Python values (a list as is)."""
+    return column.tolist() if isinstance(column, np.ndarray) else column
 
-    ``len``, iteration and integer indexing give :class:`MboEvent` rows,
-    and ``==`` compares row by row with any sequence of them.
+
+def _value(column, i: int):
+    return column.item(i) if isinstance(column, np.ndarray) else column[i]
+
+
+class EventLog:
+    """A log held as one column per CSV field, in file order: lists in the
+    simulator's export, numpy arrays from :func:`parse`.
+
+    ``len``, iteration and integer indexing give :class:`MboEvent` rows of
+    Python values, and ``==`` compares row by row with any sequence of them.
     """
 
     __slots__ = HEADER
 
-    def __init__(self, ts_ns: list, order_id: list, action: list, side: list,
-                 price: list, qty: list, aggressor_flag: list, participant_label: list):
+    def __init__(self, ts_ns: Sequence, order_id: Sequence, action: Sequence, side: Sequence,
+                 price: Sequence, qty: Sequence, aggressor_flag: Sequence,
+                 participant_label: Sequence):
         columns = (ts_ns, order_id, action, side, price, qty, aggressor_flag, participant_label)
         if len({len(col) for col in columns}) > 1:
             raise ValueError("EventLog columns differ in length")
@@ -106,22 +137,22 @@ class EventLog:
         columns = [list(col) for col in zip(*map(_ROW, events))]
         return cls(*(columns or [[] for _ in HEADER]))
 
-    def columns(self) -> tuple[list, ...]:
+    def columns(self) -> tuple:
         return tuple(getattr(self, name) for name in HEADER)
 
     def __len__(self) -> int:
         return len(self.ts_ns)
 
     def __iter__(self):
-        return map(MboEvent, *self.columns())
+        return map(MboEvent, *map(_values, self.columns()))
 
     def __getitem__(self, i: int) -> MboEvent:
         i = operator.index(i)
-        return MboEvent(*(col[i] for col in self.columns()))
+        return MboEvent(*(_value(col, i) for col in self.columns()))
 
     def __eq__(self, other):
         if isinstance(other, EventLog):
-            return self.columns() == other.columns()
+            return all(_values(a) == _values(b) for a, b in zip(self.columns(), other.columns()))
         if not isinstance(other, Sequence) or isinstance(other, str):
             return NotImplemented
         return len(self) == len(other) and all(map(operator.eq, self, other))
@@ -133,21 +164,60 @@ class EventLog:
 _ROW = operator.attrgetter(*HEADER)
 
 
-@dataclass(slots=True)
-class Fill:
-    """One execution row seen during replay."""
+# ---------------------------------------------------------------------------
+# Replay tables
+# ---------------------------------------------------------------------------
 
+
+class Table:
+    """Equal-length numpy columns, one per field of the row type ``ROW``
+    and of the dtype at the same place in ``DTYPES``.
+
+    ``len``, iteration and integer indexing give ``ROW`` tuples of Python
+    values; the columns are attributes named after the fields.
+    """
+
+    ROW: type
+    DTYPES: tuple
+
+    def __init__(self, **columns):
+        for name, dtype in zip(self.ROW._fields, self.DTYPES):
+            setattr(self, name, np.asarray(columns[name], dtype=dtype))
+        if len({col.shape for col in self.columns()}) > 1:
+            raise ValueError(f"{type(self).__name__} columns differ in length")
+
+    def columns(self) -> tuple[np.ndarray, ...]:
+        return tuple(getattr(self, name) for name in self.ROW._fields)
+
+    def __len__(self) -> int:
+        return len(self.columns()[0])
+
+    def __iter__(self):
+        return map(self.ROW, *(col.tolist() for col in self.columns()))
+
+    def __getitem__(self, i: int):
+        i = operator.index(i)
+        return self.ROW(*(col.item(i) for col in self.columns()))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({len(self)} rows)"
+
+
+class Fill(NamedTuple):
+    """One execute row of the feed."""
+
+    row: int                          # index of the row in the log
+    lifecycle: int                    # index of the executed order's lifecycle
     ts_ns: int
     order_id: int
-    side: str                    # side of the executed order
-    price: float                 # execution price
+    side: str                         # side of the executed order
+    price: float                      # execution price
     qty: int
     aggressor: bool
-    participant_label: str | None
+    participant_label: str | None     # the executed order's label
 
 
-@dataclass(slots=True)
-class OrderLifecycle:
+class OrderLifecycle(NamedTuple):
     """An order from its add to its terminal event (or end of file)."""
 
     order_id: int
@@ -156,128 +226,297 @@ class OrderLifecycle:
     add_price: float
     add_qty: int
     participant_label: str | None
-    price: float = 0.0                    # current resting price
-    n_updates: int = 0
-    executed_qty: int = 0
-    terminal_ts: int | None = None
-    terminal_kind: str | None = None      # "executed" | "canceled" | None
-    fills: list = field(default_factory=list)
+    price: float                      # last resting price
+    n_updates: int
+    executed_qty: int
+    terminal_ts: int | None
+    terminal_kind: str | None         # "executed" | "canceled" | None
+
+
+class Quote(NamedTuple):
+    """The best quotes at the end of one timestamp; nan prices and zero
+    quantities on an empty side."""
+
+    ts_ns: int
+    bid: float
+    ask: float
+    bid_qty: int
+    ask_qty: int
+
+
+class Fills(Table):
+    ROW = Fill
+    DTYPES = (np.int64, np.int64, np.int64, np.int64, object, np.float64, np.int64, bool, object)
+
+
+class Lifecycles(Table):
+    ROW = OrderLifecycle
+    DTYPES = (np.int64, object, np.int64, np.float64, np.int64, object, np.float64, np.int64,
+              np.int64, object, object)
+
+
+class Quotes(Table):
+    ROW = Quote
+    DTYPES = (np.int64, np.float64, np.float64, np.int64, np.int64)
 
 
 @dataclass
 class Replay:
-    lifecycles: dict                      # order_id -> last lifecycle for that id
-    all_lifecycles: list                  # in add order
-    open_order_ids: list                  # still resting at end of file
-    fills: list                           # Fill rows in feed order
-    quote_ts: list                        # distinct timestamps
-    quote_bid: list
-    quote_ask: list
-    quote_bid_qty: list
-    quote_ask_qty: list
+    lifecycles: Lifecycles                # one per add, in feed order
+    fills: Fills                          # one per execute row, in feed order
+    quotes: Quotes                        # one per distinct timestamp
+    open_order_ids: list                  # resting at end of file, in the order of their adds
 
 
 # ---------------------------------------------------------------------------
 # Parsing
 # ---------------------------------------------------------------------------
 
+_NUMBERS = {"ts_ns": np.int64, "order_id": np.int64, "price": np.float64, "qty": np.int64}
+#: one body record as the C reader types it; text fields stay exact strings
+_DTYPE = np.dtype([(name, _NUMBERS.get(name, object)) for name in HEADER])
+_TEXT = np.dtype([(name, object) for name in HEADER])
+#: separators the C reader skips around a number as whitespace, and Python's int/float do not
+_C_SPACES = "\x1c\x1d\x1e\x1f"
 
-def parse(source, tick: float | None = None) -> list[MboEvent]:
-    """Read and validate a log; returns events in file order.
+
+def _read(lines, dtype=_DTYPE) -> np.ndarray:
+    """The CSV records of ``lines`` (an iterable of text lines) in one C
+    pass, blank lines skipped; ValueError if a record does not read."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        return np.loadtxt(lines, dtype=dtype, delimiter=",", quotechar='"', comments=None,
+                          ndmin=1)
+
+
+def _split_at_fault(lines: list[str]) -> tuple[list[str], list[str]]:
+    """(the lines before the first record the C reader rejects, that
+    record's lines).  Records read independently, so the first bad one is
+    found by halving windows of whole records."""
+    reader = csv.reader(lines)
+    starts, at = [], 0
+    for row in reader:
+        if row:
+            starts.append(at)
+        at = reader.line_num
+    starts.append(len(lines))
+    lo, hi = 0, len(starts) - 1              # the first bad record is in [lo, hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            _read(lines[starts[lo]:starts[mid]])
+            lo = mid
+        except ValueError:
+            hi = mid
+    return lines[:starts[lo]], lines[starts[lo]:starts[lo + 1]]
+
+
+def _unreadable_numbers(record: list[str]) -> set[str]:
+    """Names of the numeric fields of one record the C reader rejects."""
+    bad = set()
+    for name in _NUMBERS:
+        try:
+            _read(record, np.dtype([(f, _DTYPE[f] if f == name else object) for f in HEADER]))
+        except ValueError:
+            bad.add(name)
+    return bad
+
+
+def _row_fault(lineno: int, row: list[str], unreadable=()) -> str | None:
+    """The per-row checks of one CSV record in their order: the message of
+    the first that fails, or None.  A number Python reads is still bad
+    when its field is in ``unreadable`` (the C reader rejects it)."""
+    if len(row) != len(HEADER):
+        return f"row {lineno}: expected {len(HEADER)} fields, got {len(row)}"
+
+    def number(i, cast):
+        value = cast(row[i])
+        if HEADER[i] in unreadable:
+            raise ValueError(f"could not convert {row[i]!r} to {_DTYPE[HEADER[i]]}")
+        return value
+
+    try:
+        number(0, int)
+        number(1, int)
+    except ValueError as exc:
+        return f"row {lineno}: {exc}"
+    if row[2] not in ACTIONS:
+        return f"row {lineno}: unknown action {row[2]!r}"
+    if row[3] not in SIDES:
+        return f"row {lineno}: unknown side {row[3]!r}"
+    try:
+        price = number(4, float)
+        qty = number(5, int)
+    except ValueError as exc:
+        return f"row {lineno}: {exc}"
+    if qty < 0:
+        return f"row {lineno}: negative qty {qty}"
+    if not math.isfinite(price):
+        return f"row {lineno}: price {row[4]!r} is not finite"
+    if row[6].strip().lower() not in _FLAGS:
+        return f"row {lineno}: bad aggressor_flag {row[6]!r}"
+    return None
+
+
+def _python_rejects(records: np.ndarray) -> np.ndarray:
+    """Records (read as text) whose ts_ns, order_id, price or qty Python's
+    int/float do not read."""
+    def rejects(cast, text):
+        try:
+            cast(text)
+        except ValueError:
+            return True
+        return False
+
+    casts = [int if dtype is np.int64 else float for dtype in _NUMBERS.values()]
+    columns = [records[name].tolist() for name in _NUMBERS]
+    return np.array([any(map(rejects, casts, texts)) for texts in zip(*columns)], dtype=bool)
+
+
+def _codes(values, names) -> np.ndarray:
+    """Index of each value in ``names`` as int8, -1 for any other value."""
+    values = np.asarray(values, dtype=object)
+    codes = np.full(values.shape, -1, dtype=np.int8)
+    for k, name in enumerate(names):
+        codes[values == name] = k
+    return codes
+
+
+def _flags(texts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(True/False/None per aggressor_flag text, mask of texts that are no flag)."""
+    flags = np.full(texts.shape, None, dtype=object)
+    bad = np.zeros(texts.shape, dtype=bool)
+    is_true, is_false = texts == "true", texts == "false"
+    flags[is_true] = True
+    flags[is_false] = False
+    for i in np.flatnonzero(~(is_true | is_false | (texts == ""))):  # other spellings
+        flag = _FLAGS.get(texts[i].strip().lower(), bad)
+        if flag is bad:
+            bad[i] = True
+        else:
+            flags[i] = flag
+    return flags, bad
+
+
+def _reference_fault(act: list, oid: list, side: list, qty: list) -> tuple[int, str] | None:
+    """(index, message) of the first row naming an order it may not, or
+    None: modify/cancel/execute need a live order on the same side, an
+    execute at most its resting quantity, and an add a new order id."""
+    live: dict[int, tuple[int, int]] = {}    # order_id -> (remaining qty, side)
+    for i, (a, o, s, q) in enumerate(zip(act, oid, side, qty)):
+        if a == ADD:
+            if o in live:
+                return i, f"order {o} added twice"
+            live[o] = (q, s)
+            continue
+        resting_order = live.get(o)
+        if resting_order is None:
+            return i, f"{ACTIONS[a]} references unknown order {o}"
+        resting, order_side = resting_order
+        if s != order_side:
+            if a == MODIFY:
+                return i, f"modify moves order {o} from {SIDES[order_side]} to {SIDES[s]}"
+            return i, (f"{ACTIONS[a]} on {SIDES[s]} names order {o}, "
+                       f"which rests on {SIDES[order_side]}")
+        if a == MODIFY:
+            live[o] = (q, s)
+        elif a == CANCEL:
+            del live[o]
+        elif q > resting:  # execute
+            return i, f"execute qty {q} exceeds resting {resting} on order {o}"
+        elif q == resting:
+            del live[o]
+        else:
+            live[o] = (resting - q, s)
+    return None
+
+
+def parse(source, tick: float | None = None) -> EventLog:
+    """Read and validate a log; returns an :class:`EventLog` of numpy
+    columns in file order.
 
     Validation: exact header, field domains (finite prices), nondecreasing
     timestamps, referential integrity (modify/cancel/execute must reference
     a live order, and a modify keeps the order's side), execute volume
     within the resting quantity, and optional tick-multiple price checks.
-    Errors name the offending row.  A ``tick`` must be positive and finite.
+    Errors name the first offending row, counting CSV records from the
+    header as row 1, blank ones included.  A ``tick`` must be positive
+    and finite.  Numbers are read by numpy's C reader, which rejects some
+    spellings Python's int/float accept (digit separators such as
+    ``5_000``); those rows are rejected too.
     """
     if tick is not None and not 0.0 < tick < math.inf:
         raise ValueError(f"tick must be positive and finite, got {tick}")
     with nullcontext(source) if hasattr(source, "read") else open(source, newline="") as fh:
-        return _parse_rows(csv.reader(fh), tick)
+        return _parse_lines(fh if fh.seekable() else io.StringIO(fh.read(), newline=""), tick)
 
 
-def _parse_rows(rows, tick: float | None) -> list[MboEvent]:
-    header = next(rows, None)
+def _parse_lines(lines, tick: float | None) -> EventLog:
+    """:func:`parse` of a seekable text stream: read once, re-read only to
+    phrase an error."""
+    first = lines.readline()
+    header = next(csv.reader(chain([first], lines)), None) if first else None
     if header is None:
         raise MboParseError("row 1: missing header")
     if tuple(header) != HEADER:
         raise MboParseError(f"row 1: header {header!r} does not match {','.join(HEADER)}")
+    body = lines.tell()
+    odd = any(c in chunk for chunk in iter(partial(lines.read, 1 << 20), "") for c in _C_SPACES)
+    lines.seek(body)
 
-    events: list[MboEvent] = []
-    live: dict[int, tuple[int, str]] = {}    # order_id -> (remaining qty, side)
-    last_ts = None
-    for lineno, row in enumerate(rows, start=2):
-        if not row:
-            continue
-        if len(row) != len(HEADER):
-            raise MboParseError(f"row {lineno}: expected {len(HEADER)} fields, got {len(row)}")
-        try:
-            ts = int(row[0])
-            oid = int(row[1])
-        except ValueError as exc:
-            raise MboParseError(f"row {lineno}: {exc}") from None
-        action = row[2]
-        if action not in ACTIONS:
-            raise MboParseError(f"row {lineno}: unknown action {action!r}")
-        side = row[3]
-        if side not in SIDES:
-            raise MboParseError(f"row {lineno}: unknown side {side!r}")
-        try:
-            price = float(row[4])
-            qty = int(row[5])
-        except ValueError as exc:
-            raise MboParseError(f"row {lineno}: {exc}") from None
-        if qty < 0:
-            raise MboParseError(f"row {lineno}: negative qty {qty}")
-        if not math.isfinite(price):
-            raise MboParseError(f"row {lineno}: price {row[4]!r} is not finite")
-        try:
-            flag = _FLAGS[row[6].strip().lower()]
-        except KeyError:
-            raise MboParseError(f"row {lineno}: bad aggressor_flag {row[6]!r}") from None
-        label = row[7] or None
+    try:
+        records, prefix, unreadable = _read(lines), None, None
+    except ValueError:                       # find the record, keep what reads before it
+        lines.seek(body)
+        prefix, unreadable = _split_at_fault(lines.readlines())
+        records = _read(prefix)
+    n = len(records)
 
-        if last_ts is not None and ts < last_ts:
-            raise MboParseError(f"row {lineno}: timestamp {ts} goes backwards")
-        last_ts = ts
-        if tick is not None:
+    def record(i: int) -> tuple[int, list[str]]:
+        """(row number, fields) of the ``i``-th nonblank body record."""
+        lines.seek(body)
+        rows = ((lineno, row) for lineno, row in enumerate(csv.reader(lines), start=2) if row)
+        return next(islice(rows, i, None))
+
+    ts, oid, price, qty = (np.ascontiguousarray(records[name]) for name in _NUMBERS)
+    act = _codes(records["action"], ACTIONS)
+    side = _codes(records["side"], SIDES)
+    flag, bad_flag = _flags(records["aggressor_flag"])
+    domain = (act < 0) | (side < 0) | (qty < 0) | ~np.isfinite(price) | bad_flag
+    if odd:
+        lines.seek(body)
+        domain |= _python_rejects(_read(lines if prefix is None else prefix, _TEXT))
+    backwards = np.zeros(n, dtype=bool)
+    backwards[1:] = ts[1:] < ts[:-1]
+    faults = [domain, backwards]
+    if tick is not None:
+        with np.errstate(invalid="ignore"):   # a non-finite price is a domain fault already
             steps = price / tick
-            if abs(steps - round(steps)) > 1e-6:
-                raise MboParseError(f"row {lineno}: price {price} is not a multiple of tick {tick}")
+            faults.append(np.abs(steps - np.round(steps)) > 1e-6)
+    bad = np.flatnonzero(np.logical_or.reduce(faults))
+    first = int(bad[0]) if bad.size else n
 
-        if action == "add":
-            if oid in live:
-                raise MboParseError(f"row {lineno}: order {oid} added twice")
-            live[oid] = (qty, side)
-        elif (resting_order := live.get(oid)) is None:
-            raise MboParseError(f"row {lineno}: {action} references unknown order {oid}")
-        else:
-            resting, order_side = resting_order
-            if side != order_side:
-                if action == "modify":
-                    raise MboParseError(
-                        f"row {lineno}: modify moves order {oid} from {order_side} to {side}"
-                    )
-                raise MboParseError(
-                    f"row {lineno}: {action} on {side} names order {oid}, "
-                    f"which rests on {order_side}"
-                )
-            if action == "modify":
-                live[oid] = (qty, side)
-            elif action == "cancel":
-                del live[oid]
-            elif qty > resting:  # execute
-                raise MboParseError(
-                    f"row {lineno}: execute qty {qty} exceeds resting {resting} on order {oid}"
-                )
-            elif qty == resting:
-                del live[oid]
-            else:
-                live[oid] = (resting - qty, side)
+    fault = _reference_fault(act[:first].tolist(), oid[:first].tolist(), side[:first].tolist(),
+                             qty[:first].tolist())
+    if fault is not None:
+        i, message = fault
+        raise MboParseError(f"row {record(i)[0]}: {message}")
+    if first < n:
+        lineno, row = record(first)
+        if domain[first]:
+            raise MboParseError(_row_fault(lineno, row))
+        if backwards[first]:
+            raise MboParseError(f"row {lineno}: timestamp {int(ts[first])} goes backwards")
+        raise MboParseError(f"row {lineno}: price {float(price[first])} "
+                            f"is not a multiple of tick {tick}")
+    if unreadable is not None:
+        lineno, row = record(n)
+        raise MboParseError(_row_fault(lineno, row, _unreadable_numbers(unreadable))
+                            or f"row {lineno}: malformed record")
 
-        events.append(MboEvent(ts, oid, action, side, price, qty, flag, label))
-    return events
+    label = np.array(records["participant_label"])
+    label[label == ""] = None
+    return EventLog(ts, oid, _ACTION_NAMES[act], _SIDE_NAMES[side], price, qty, flag, label)
 
 
 class _PriceText(dict):
@@ -299,7 +538,7 @@ def write_csv(events, destination) -> None:
     """Serialize events in the canonical schema (UTF-8, 17-digit prices).
 
     ``events`` is an :class:`EventLog` or an iterable of :class:`MboEvent`;
-    the rows are written column-wise from the log's lists.
+    the rows are written column-wise from the log's columns.
     """
     log = EventLog.from_events(events)
     stream = hasattr(destination, "write")
@@ -325,31 +564,34 @@ def dumps(events) -> str:
 # ---------------------------------------------------------------------------
 
 
-class _SideState:
-    """Resting orders of one side: price-level FIFOs plus sorted prices."""
+class _Book:
+    """Resting orders of one side: FIFO queues of lifecycle indices per
+    price, the quantity resting at each price and the sorted prices."""
 
     def __init__(self, is_bid: bool):
         self.is_bid = is_bid
         self.queues: dict[float, deque] = {}
+        self.volume: dict[float, int] = {}
         self.prices: list[float] = []     # ascending
 
-    def add(self, price: float, oid: int) -> None:
+    def add(self, price: float, k: int, qty: int) -> None:
         dq = self.queues.get(price)
         if dq is None:
-            dq = self.queues[price] = deque()
+            self.queues[price] = deque((k,))
+            self.volume[price] = qty
             insort(self.prices, price)
-        dq.append(oid)
+        else:
+            dq.append(k)
+            self.volume[price] += qty
 
-    def remove(self, price: float, oid: int) -> None:
+    def remove(self, price: float, k: int, qty: int) -> None:
         dq = self.queues[price]
-        dq.remove(oid)
-        if not dq:
-            del self.queues[price]
+        dq.remove(k)
+        if dq:
+            self.volume[price] -= qty
+        else:
+            del self.queues[price], self.volume[price]
             self.prices.remove(price)
-
-    def front(self, price: float):
-        dq = self.queues.get(price)
-        return dq[0] if dq else None
 
     def best(self):
         if not self.prices:
@@ -358,7 +600,8 @@ class _SideState:
 
 
 def reconstruct(events) -> Replay:
-    """Replay a validated event stream.
+    """Replay a validated event stream: an :class:`EventLog` (list or array
+    columns) or a sequence of :class:`MboEvent`, converted once.
 
     Maintains price-time priority (executions must consume the front of
     their price queue), rebuilds every order lifecycle, and records a
@@ -366,110 +609,119 @@ def reconstruct(events) -> Replay:
     row carrying that timestamp, i.e. the state prevailing until the
     next one.  A book left crossed or locked at the end of a timestamp
     (best bid >= best ask) is rejected, naming the timestamp and the event.
+    Actions other than add, modify and cancel replay as executes.
     """
-    sides = {"bid": _SideState(True), "ask": _SideState(False)}
-    orders: dict[int, OrderLifecycle] = {}
-    remaining: dict[int, int] = {}
-    all_lifecycles: list[OrderLifecycle] = []
-    fills: list[Fill] = []
-
+    log = EventLog.from_events(events)
+    act = _codes(log.action, ACTIONS)
+    act[act < 0] = EXECUTE
+    side = _codes(log.side, SIDES)
+    ts, oid, price, qty, flag = map(_values, (log.ts_ns, log.order_id, log.price, log.qty,
+                                              log.aggressor_flag))
+    books = (_Book(True), _Book(False))
+    live: dict[int, int] = {}                 # order_id -> lifecycle index, while resting
+    # per lifecycle (the k-th add): side, resting price and quantity, terminal row or -1
+    lc_side, lc_price, lc_rest, lc_end = [], [], [], []
+    fill_lc, modified = [], []                # the lifecycle of each execute and modify row
     q_ts, q_bid, q_ask, q_bq, q_aq = [], [], [], [], []
 
-    def push_snapshot(n, last):
-        """Snapshot the book as the ``n``-th event (``last``, counting
-        from 1) left it at the end of its timestamp."""
-        ts = last.ts_ns
-        bb = sides["bid"].best()
-        ba = sides["ask"].best()
+    def push_snapshot(n):
+        """Snapshot the book as row ``n`` left it at the end of its timestamp."""
+        bb, ba = books[BID].best(), books[ASK].best()
         if bb is not None and ba is not None and bb >= ba:
             raise MboReplayError(
-                f"book crossed at ts_ns {ts}: best bid {bb} >= best ask {ba} "
-                f"after event {n} of the feed ({last.action} of order {last.order_id})"
+                f"book crossed at ts_ns {ts[n]}: best bid {bb} >= best ask {ba} "
+                f"after event {n + 1} of the feed ({_value(log.action, n)} of order {oid[n]})"
             )
-        bq = sum(remaining[o] for o in sides["bid"].queues[bb]) if bb is not None else 0
-        aq = sum(remaining[o] for o in sides["ask"].queues[ba]) if ba is not None else 0
-        q_ts.append(ts)
+        q_ts.append(ts[n])
         q_bid.append(bb)
         q_ask.append(ba)
-        q_bq.append(bq)
-        q_aq.append(aq)
+        q_bq.append(books[BID].volume[bb] if bb is not None else 0)
+        q_aq.append(books[ASK].volume[ba] if ba is not None else 0)
 
-    prev = None
-    for n, ev in enumerate(events, start=1):
-        if prev is not None and ev.ts_ns > prev.ts_ns:
-            push_snapshot(n - 1, prev)
-        prev = ev
-
-        if ev.action == "add":
-            lc = OrderLifecycle(
-                order_id=ev.order_id, side=ev.side, add_ts=ev.ts_ns,
-                add_price=ev.price, add_qty=ev.qty,
-                participant_label=ev.participant_label, price=ev.price,
-            )
-            orders[ev.order_id] = lc
-            all_lifecycles.append(lc)
-            remaining[ev.order_id] = ev.qty
-            sides[ev.side].add(ev.price, ev.order_id)
+    sides = side.tolist()
+    prev_ts = ts[0] if len(ts) else None
+    for n, (t, a, o, p, q) in enumerate(zip(ts, act.tolist(), oid, price, qty)):
+        if t > prev_ts:
+            push_snapshot(n - 1)
+        prev_ts = t
+        if a == ADD:
+            live[o] = len(lc_side)
+            books[sides[n]].add(p, len(lc_side), q)
+            lc_side.append(sides[n])
+            lc_price.append(p)
+            lc_rest.append(q)
+            lc_end.append(-1)
             continue
 
-        lc = orders.get(ev.order_id)
-        if lc is None or lc.terminal_kind is not None:
-            raise MboReplayError(f"{ev.action} references dead order {ev.order_id}")
-        state = sides[lc.side]
+        k = live.get(o)
+        if k is None:
+            raise MboReplayError(f"{_value(log.action, n)} references dead order {o}")
+        book = books[lc_side[k]]
+        rest, at = lc_rest[k], lc_price[k]
+        if a == EXECUTE:
+            if book.queues[at][0] != k:
+                raise MboReplayError(
+                    f"execute on order {o} which is not at the front "
+                    f"of {SIDES[lc_side[k]]}@{at}"
+                )
+            if flag[n] is not True and p != at:
+                raise MboReplayError(f"execute price {p} != resting price {at} on order {o}")
+            if q > rest:
+                raise MboReplayError(f"execute qty {q} exceeds resting {rest} on order {o}")
+            fill_lc.append(k)
+            lc_rest[k] = rest - q
+            if q == rest:
+                book.remove(at, k, q)
+                del live[o]
+                lc_end[k] = n
+            else:
+                book.volume[at] -= q
+        elif a == CANCEL:
+            if q != rest:
+                raise MboReplayError(f"cancel qty {q} != remaining {rest} on order {o}")
+            book.remove(at, k, rest)
+            del live[o]
+            lc_end[k] = n
+        else:  # modify: a price change or size increase loses queue position
+            modified.append(k)
+            if p != at or q > rest:
+                book.remove(at, k, rest)
+                book.add(p, k, q)
+            else:
+                book.volume[at] += q - rest
+            lc_price[k] = p
+            lc_rest[k] = q
 
-        if ev.action == "modify":
-            lc.n_updates += 1
-            # price change or size increase loses queue position
-            if ev.price != lc.price or ev.qty > remaining[ev.order_id]:
-                state.remove(lc.price, ev.order_id)
-                state.add(ev.price, ev.order_id)
-            lc.price = ev.price
-            remaining[ev.order_id] = ev.qty
-        elif ev.action == "cancel":
-            if ev.qty != remaining[ev.order_id]:
-                raise MboReplayError(
-                    f"cancel qty {ev.qty} != remaining {remaining[ev.order_id]} "
-                    f"on order {ev.order_id}"
-                )
-            state.remove(lc.price, ev.order_id)
-            lc.terminal_ts = ev.ts_ns
-            lc.terminal_kind = "canceled"
-            del remaining[ev.order_id]
-        else:  # execute
-            if state.front(lc.price) != ev.order_id:
-                raise MboReplayError(
-                    f"execute on order {ev.order_id} which is not at the front "
-                    f"of {lc.side}@{lc.price}"
-                )
-            if ev.aggressor_flag is not True and ev.price != lc.price:
-                raise MboReplayError(
-                    f"execute price {ev.price} != resting price {lc.price} "
-                    f"on order {ev.order_id}"
-                )
-            if ev.qty > remaining[ev.order_id]:
-                raise MboReplayError(
-                    f"execute qty {ev.qty} exceeds resting {remaining[ev.order_id]} "
-                    f"on order {ev.order_id}"
-                )
-            remaining[ev.order_id] -= ev.qty
-            lc.executed_qty += ev.qty
-            fill = Fill(ev.ts_ns, ev.order_id, lc.side, ev.price, ev.qty,
-                        bool(ev.aggressor_flag), lc.participant_label)
-            fills.append(fill)
-            lc.fills.append(fill)
-            if remaining[ev.order_id] == 0:
-                state.remove(lc.price, ev.order_id)
-                lc.terminal_ts = ev.ts_ns
-                lc.terminal_kind = "executed"
-                del remaining[ev.order_id]
+    if len(ts):
+        push_snapshot(len(ts) - 1)
 
-    if prev is not None:
-        push_snapshot(n, prev)
-
-    open_ids = [oid for oid, lc in orders.items() if lc.terminal_kind is None]
+    ts, oid, price, qty = (np.asarray(col, dtype=dtype) for col, dtype in (
+        (log.ts_ns, np.int64), (log.order_id, np.int64), (log.price, np.float64),
+        (log.qty, np.int64)))
+    adds, executes = np.flatnonzero(act == ADD), np.flatnonzero(act == EXECUTE)
+    fill_lc, end = np.array(fill_lc, dtype=np.int64), np.array(lc_end, dtype=np.int64)
+    label = np.asarray(log.participant_label, dtype=object)[adds]
+    executed = np.zeros(adds.size, dtype=np.int64)
+    np.add.at(executed, fill_lc, qty[executes])
+    ended = end >= 0
+    lifecycles = Lifecycles(
+        order_id=oid[adds], side=_SIDE_NAMES[side[adds]], add_ts=ts[adds],
+        add_price=price[adds], add_qty=qty[adds], participant_label=label, price=lc_price,
+        n_updates=np.bincount(np.array(modified, dtype=np.int64), minlength=adds.size),
+        executed_qty=executed,
+        terminal_ts=np.where(ended, ts[end].astype(object), None),
+        terminal_kind=np.where(ended, np.where(act[end] == EXECUTE, "executed", "canceled"),
+                               None),
+    )
+    fills = Fills(
+        row=executes, lifecycle=fill_lc, ts_ns=ts[executes], order_id=oid[executes],
+        side=lifecycles.side[fill_lc], price=price[executes], qty=qty[executes],
+        aggressor=np.asarray(log.aggressor_flag, dtype=object)[executes] == True,  # noqa: E712
+        participant_label=label[fill_lc],
+    )
     return Replay(
-        lifecycles=orders, all_lifecycles=all_lifecycles,
-        open_order_ids=open_ids, fills=fills,
-        quote_ts=q_ts, quote_bid=q_bid, quote_ask=q_ask,
-        quote_bid_qty=q_bq, quote_ask_qty=q_aq,
+        lifecycles=lifecycles, fills=fills,
+        quotes=Quotes(ts_ns=q_ts, bid=np.array(q_bid, dtype=float),
+                      ask=np.array(q_ask, dtype=float), bid_qty=q_bq, ask_qty=q_aq),
+        open_order_ids=list(live),
     )

@@ -26,7 +26,6 @@ excluded from signatures.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
 
 import numpy as np
 
@@ -120,8 +119,8 @@ class QuoteSeries:
 
     @classmethod
     def from_replay(cls, replay: Replay) -> "QuoteSeries":
-        return cls(replay.quote_ts, replay.quote_bid, replay.quote_ask,
-                   replay.quote_bid_qty, replay.quote_ask_qty)
+        q = replay.quotes
+        return cls(q.ts_ns, q.bid, q.ask, q.bid_qty, q.ask_qty)
 
     def index_before(self, t_ns):
         """Index of the snapshot prevailing at each ``t_ns`` (strictly before)."""
@@ -197,12 +196,6 @@ class TradeTable:
         return TradeTable(**{name: getattr(self, name)[rows] for name in _COLUMNS})
 
 
-def _columns(objs, **dtypes) -> list[np.ndarray]:
-    """One array per attribute of ``objs``, of the dtype given by name."""
-    return [np.fromiter(map(attrgetter(attr), objs), dtype=dtype, count=len(objs))
-            for attr, dtype in dtypes.items()]
-
-
 def _run_starts(*keys) -> np.ndarray:
     """True where a row begins a run of rows equal in every key."""
     start = np.ones(len(keys[0]), dtype=bool)
@@ -239,9 +232,10 @@ def build_trade_records(replay: Replay, quotes: QuoteSeries) -> tuple[TradeTable
     was resting there.  Passive rows are grouped by resting order, in add
     order, each in fill order.
     """
-    ts, oid, qty, price, side, aggressor, label = _columns(
-        replay.fills, ts_ns=np.int64, order_id=np.int64, qty=np.int64, price=np.float64,
-        side=object, aggressor=bool, participant_label=object)
+    fills, lcs = replay.fills, replay.lifecycles
+    ts, oid, qty, price, aggressor, label = (fills.ts_ns, fills.order_id, fills.qty, fills.price,
+                                             fills.aggressor, fills.participant_label)
+    bid = fills.side == "bid"
 
     def table(rows, sign, **metrics):
         undefined = np.full(rows.size, np.nan)
@@ -252,7 +246,7 @@ def build_trade_records(replay: Replay, quotes: QuoteSeries) -> tuple[TradeTable
     rows = np.flatnonzero(aggressor)
     start = _run_starts(oid[rows])
     first, sweep = rows[start], np.cumsum(start) - 1
-    buy = side[first] == "bid"                      # buy sweeps rest on the bid side
+    buy = bid[first]                                # buy sweeps rest on the bid side
     q = quotes.index_before(ts[first])
     best = np.where(buy, quotes.ask[q], quotes.bid[q])
     avail = np.where(buy, quotes.ask_qty[q], quotes.bid_qty[q])
@@ -264,21 +258,14 @@ def build_trade_records(replay: Replay, quotes: QuoteSeries) -> tuple[TradeTable
     aggressive = table(rows, np.where(buy, 1, -1)[sweep], volume_ratio=ratio[sweep],
                        trade_to_trade_ns=_since_last(ts, ts[first])[sweep])
 
-    # an order id's fills belong, in feed order, to its lifecycles in add order
-    lcs = replay.all_lifecycles
-    lc_oid, add_ts, lc_side, add_price, n_updates = _columns(
-        lcs, order_id=np.int64, add_ts=np.int64, side=object, add_price=np.float64,
-        n_updates=np.int64)
-    by_oid = np.argsort(lc_oid, kind="stable")
-    n_fills = np.array([len(lc.fills) for lc in lcs], dtype=np.int64)
-    owner = np.empty(oid.size, dtype=np.int64)
-    owner[np.argsort(oid, kind="stable")] = np.repeat(by_oid, n_fills[by_oid])
+    # passive fills by resting order, in add order, each in feed order
     rows = np.flatnonzero(~aggressor)
-    rows = rows[np.argsort(owner[rows], kind="stable")]
-    lc = owner[rows]
-    passive = table(rows, np.where(side[rows] == "bid", -1, 1),  # ask fills are buyer-initiated
-                    trade_to_add_ns=_since_last(ts, add_ts[lc]), update_count=n_updates[lc],
-                    add_to_add_ns=_add_to_add(add_ts, lc_side == "bid", add_price)[lc])
+    rows = rows[np.argsort(fills.lifecycle[rows], kind="stable")]
+    lc = fills.lifecycle[rows]
+    passive = table(rows, np.where(bid[rows], -1, 1),           # ask fills are buyer-initiated
+                    trade_to_add_ns=_since_last(ts, lcs.add_ts[lc]),
+                    update_count=lcs.n_updates[lc],
+                    add_to_add_ns=_add_to_add(lcs.add_ts, lcs.side == "bid", lcs.add_price)[lc])
     return aggressive, passive
 
 

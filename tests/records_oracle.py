@@ -3,10 +3,13 @@
 One frozen ``TradeRecord`` per fill, built by grouping sweeps with
 ``itertools.groupby`` and finding predecessors with ``bisect_left``,
 exactly as the trade records were built before they became a columnar
-table.  The adds per level are read from ``replay.all_lifecycles``, which
-holds the same ``(add_ts, side, add_price)`` in the same feed order as the
-replay's former add-event list.  The table must agree with these records
-on every column, row for row and in the same order.
+table.  It reads the row-object replay of ``mbo_oracle``: its ``Fill`` and
+``OrderLifecycle`` objects, and the adds per level from
+``replay.all_lifecycles``, which holds the same ``(add_ts, side,
+add_price)`` in the same feed order as the replay's former add-event list.
+The table built from ``lobeq.mbo.reconstruct`` of the same events must
+agree with these records on every column, row for row and in the same
+order.
 """
 
 from __future__ import annotations
@@ -17,8 +20,8 @@ from itertools import groupby
 
 import numpy as np
 
-from lobeq.mbo import Replay
 from lobeq.signature import QuoteSeries
+from mbo_oracle import Replay
 
 
 @dataclass(frozen=True, slots=True)
@@ -51,7 +54,8 @@ def build_trade_records(replay: Replay) -> tuple[list[TradeRecord], list[TradeRe
     volume ratio compares the quantity executed at the pre-trade best
     quote of the swept side with the quantity that was resting there.
     """
-    quotes = QuoteSeries.from_replay(replay)
+    quotes = QuoteSeries(replay.quote_ts, replay.quote_bid, replay.quote_ask,
+                         replay.quote_bid_qty, replay.quote_ask_qty)
     fill_ts = [f.ts_ns for f in replay.fills]
 
     # adds per (side, price), feed order; timestamps are nondecreasing

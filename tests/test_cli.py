@@ -218,6 +218,11 @@ class TestSpread:
         code, _ = run_cli(tmp_path, "spread", {"params": dict(REF_PARAMS, f=0.0)})
         assert code == 2
 
+    def test_numeric_string_param_rejected(self, tmp_path, capsys):
+        code, _ = run_cli(tmp_path, "spread", {"params": dict(REF_PARAMS, f="0.9")})
+        assert code == 2
+        assert "params: f must be a number, got '0.9'" in capsys.readouterr().err
+
 
 class TestSimulate:
     BASE = {
@@ -263,6 +268,7 @@ class TestSimulate:
     @pytest.mark.parametrize("key, value, kind", [
         ("n_events", None, "an integer"), ("n_levels", "six", "an integer"),
         ("n_events", math.inf, "an integer"), ("p0", [100.0], "a number"),
+        ("n_events", "5", "an integer"), ("n_levels", True, "an integer"),
     ])
     def test_non_numeric_setting_names_its_key(self, tmp_path, capsys, key, value, kind):
         doc = {"params": REF_PARAMS, "simulate": dict(self.BASE["simulate"], **{key: value})}

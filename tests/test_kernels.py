@@ -9,7 +9,7 @@ about zero).
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from lobeq.equilibrium import ModelParams, shape_tick
@@ -186,7 +186,6 @@ def oracle_pnl_only(draws, x, imm_ahead, nmm_ahead, outs):
 
 
 class TestAgainstOracle:
-    @settings(deadline=None)
     @given(data=st.data(), n=st.integers(0, 40), m=st.integers(1, 5))
     def test_static_book(self, data, n, m):
         draws = data.draw(event_draws(n))
@@ -199,7 +198,6 @@ class TestAgainstOracle:
         got = accumulate_pnl(*kernel_inputs(draws), x, imm_ahead, nmm_ahead)
         assert_matches(got, want[:6])
 
-    @settings(deadline=None)
     @given(data=st.data(), n=st.integers(0, 30), m=st.integers(1, 5))
     def test_per_event_book(self, data, n, m):
         draws = data.draw(event_draws(n))
@@ -215,7 +213,6 @@ class TestAgainstOracle:
         got = accumulate_pnl(*kernel_inputs(draws), x, imm_ahead, nmm_ahead)
         assert_matches(got, want[:6])
 
-    @settings(deadline=None)
     @given(data=st.data(), n=st.integers(1, 40), m=st.integers(1, 5))
     def test_executed_volume_and_counters(self, data, n, m):
         draws = data.draw(event_draws(n))

@@ -1,21 +1,31 @@
 """Event-log schema validation and book replay."""
 
+import csv
+import dataclasses
 import io
+import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+import mbo_oracle
+from lobeq.equilibrium import ModelParams
+from lobeq.laws import NormalVolume, Pareto
 from lobeq.mbo import (
     HEADER,
     SIDES,
     MboEvent,
     MboParseError,
     MboReplayError,
+    OrderLifecycle,
     dumps,
     parse,
     reconstruct,
     write_csv,
 )
+from lobeq.simulator import SimConfig, export_mbo, run
+from test_signature import ASK_PX, BID_PX, book_streams
 
 
 def ev(ts, oid, action, side="ask", price=100.01, qty=10, flag=None, label=None):
@@ -24,6 +34,11 @@ def ev(ts, oid, action, side="ask", price=100.01, qty=10, flag=None, label=None)
 
 def parse_text(text, tick=None):
     return parse(io.StringIO(text), tick=tick)
+
+
+def lifecycle(replay, oid):
+    """The last lifecycle of order ``oid``."""
+    return replay.lifecycles[np.flatnonzero(replay.lifecycles.order_id == oid)[-1]]
 
 
 HEADER_LINE = ",".join(HEADER)
@@ -53,7 +68,7 @@ def event_streams(draw):
             ts, oid, action, side,
             draw(st.floats(allow_nan=False, allow_infinity=False)), qty,
             draw(st.sampled_from([None, True, False])),
-            draw(st.none() | st.text(st.sampled_from('INTMab ,"'), min_size=1, max_size=4)),
+            draw(st.none() | st.text(st.sampled_from('INTMab ,"#\n'), min_size=1, max_size=4)),
         ))
     return events
 
@@ -83,7 +98,6 @@ class TestParse:
         ]
         assert parse_text(dumps(events)) == events
 
-    @settings(deadline=None)
     @given(event_streams())
     def test_roundtrip_property(self, events):
         assert parse_text(dumps(events)) == events
@@ -178,7 +192,7 @@ class TestReconstruct:
             ev(10, 1, "add", qty=5, label="NMM"),
             ev(30, 1, "cancel", qty=5),
         ])
-        lc = replay.lifecycles[1]
+        lc = lifecycle(replay, 1)
         assert lc.terminal_kind == "canceled"
         assert lc.terminal_ts == 30
         assert lc.n_updates == 0
@@ -190,7 +204,7 @@ class TestReconstruct:
             ev(20, 1, "modify", qty=8),
             ev(30, 1, "execute", qty=8, flag=False),
         ])
-        lc = replay.lifecycles[1]
+        lc = lifecycle(replay, 1)
         assert lc.n_updates == 1
         assert lc.terminal_kind == "executed"
         assert lc.executed_qty == 8
@@ -198,7 +212,7 @@ class TestReconstruct:
     def test_open_at_eof_reported(self):
         replay = reconstruct([ev(10, 1, "add", qty=5)])
         assert replay.open_order_ids == [1]
-        assert replay.lifecycles[1].terminal_kind is None
+        assert lifecycle(replay, 1).terminal_kind is None
 
     def test_fifo_front_enforced(self):
         events = [
@@ -217,7 +231,7 @@ class TestReconstruct:
             ev(20, 1, "execute", qty=5, flag=False, price=100.01),
             ev(21, 2, "execute", qty=5, flag=False, price=100.01),
         ])
-        assert replay.lifecycles[2].terminal_kind == "executed"
+        assert lifecycle(replay, 2).terminal_kind == "executed"
 
     def test_modify_size_increase_loses_priority(self):
         events = [
@@ -236,7 +250,7 @@ class TestReconstruct:
             ev(12, 1, "modify", qty=3, price=100.01),
             ev(20, 1, "execute", qty=3, flag=False, price=100.01),
         ])
-        assert replay.lifecycles[1].terminal_kind == "executed"
+        assert lifecycle(replay, 1).terminal_kind == "executed"
 
     def test_cancel_qty_must_match(self):
         events = [ev(10, 1, "add", qty=5), ev(20, 1, "cancel", qty=3)]
@@ -257,7 +271,7 @@ class TestReconstruct:
             ev(20, 1, "execute", qty=5, price=100.01, flag=False),
             ev(20, 2, "execute", side="bid", qty=5, price=100.01, flag=True),
         ])
-        assert replay.lifecycles[2].terminal_kind == "executed"
+        assert lifecycle(replay, 2).terminal_kind == "executed"
         fills = [f for f in replay.fills if f.aggressor]
         assert fills[0].price == 100.01
 
@@ -268,10 +282,10 @@ class TestReconstruct:
             ev(20, 3, "add", side="ask", price=100.01, qty=2),
             ev(30, 2, "execute", qty=6, flag=False, price=100.01),
         ])
-        assert replay.quote_ts == [10, 20, 30]
-        assert replay.quote_bid == [99.99, 99.99, 99.99]
-        assert replay.quote_ask == [100.01, 100.01, 100.01]
-        assert replay.quote_ask_qty == [6, 8, 2]
+        assert replay.quotes.ts_ns.tolist() == [10, 20, 30]
+        assert replay.quotes.bid.tolist() == [99.99, 99.99, 99.99]
+        assert replay.quotes.ask.tolist() == [100.01, 100.01, 100.01]
+        assert replay.quotes.ask_qty.tolist() == [6, 8, 2]
 
     @pytest.mark.parametrize("bid_price", [100.02, 100.01])
     def test_crossed_book_at_timestamp_end_rejected(self, bid_price):
@@ -303,3 +317,216 @@ class TestReconstruct:
         canceled = 4
         assert executed + canceled == added
         assert replay.open_order_ids == []
+
+
+# -- parity with the row-object parser and replay ---------------------------
+
+
+def outcome(fn, *args, **kwargs):
+    """("ok", result) or (error class name, message) of one call."""
+    try:
+        return "ok", fn(*args, **kwargs)
+    except (MboParseError, MboReplayError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def assert_same_replay(got, want, events):
+    """The columnar replay holds the oracle's fills (each owned by the same
+    lifecycle), lifecycles, open order ids and quotes."""
+    assert [f[2:] for f in got.fills] == [dataclasses.astuple(f) for f in want.fills]
+    assert got.fills.row.tolist() == [i for i, e in enumerate(events) if e.action == "execute"]
+    owner = {id(f): k for k, lc in enumerate(want.all_lifecycles) for f in lc.fills}
+    assert got.fills.lifecycle.tolist() == [owner[id(f)] for f in want.fills]
+    assert list(got.lifecycles) == [OrderLifecycle(*(getattr(lc, name) for name in
+                                                     OrderLifecycle._fields))
+                                    for lc in want.all_lifecycles]
+    assert sorted(got.open_order_ids) == sorted(want.open_order_ids)
+    quotes = [tuple(None if isinstance(v, float) and math.isnan(v) else v for v in q)
+              for q in got.quotes]
+    assert quotes == list(zip(want.quote_ts, want.quote_bid, want.quote_ask,
+                              want.quote_bid_qty, want.quote_ask_qty))
+
+
+def assert_replay_parity(events):
+    got, want = outcome(reconstruct, events), outcome(mbo_oracle.reconstruct, events)
+    assert got[0] == want[0] and (got[0] == "ok" or got[1] == want[1]), (got, want)
+    if got[0] == "ok":
+        assert_same_replay(got[1], want[1], list(events))
+
+
+def assert_parse_parity(text, tick=None):
+    got = outcome(parse, io.StringIO(text), tick=tick)
+    want = outcome(mbo_oracle.parse, io.StringIO(text), tick=tick)
+    assert got == want
+
+
+LOGGED = ModelParams(r=0.15, f=0.9, jump=Pareto(2.5, 0.01), volume=NormalVolume(10.0),
+                     tick=0.01, offset_d=0.0, lambda_i=0.15, lambda_u=0.85)
+
+
+class TestMatchesOracle:
+    @settings(max_examples=200)
+    @given(events=event_streams() | book_streams())
+    def test_valid_streams(self, events):
+        # event_streams parse but mostly leave a crossed book: replay errors must match too
+        assert_parse_parity(dumps(events))
+        assert_replay_parity(events)
+
+    @settings(max_examples=40)
+    @given(n_events=st.integers(1, 200), seed=st.integers(0, 2**32 - 1),
+           n_levels=st.integers(1, 8))
+    def test_simulator_logs(self, n_events, seed, n_levels):
+        log = export_mbo(run(SimConfig(params=LOGGED, n_events=n_events, seed=seed,
+                                       record_log=True, n_levels=n_levels, volume_scale=1000)))
+        assert_parse_parity(dumps(log), tick=0.01)
+        assert_replay_parity(log)
+        assert_replay_parity(parse(io.StringIO(dumps(log))))
+
+    #: kind -> (field, texts to put in it); "dangling" on an add row adds a new order
+    FIELD_CORRUPTIONS = {
+        "bad_ts": (0, ["x1", "1.5", "", "0x10"]),
+        "bad_order_id": (1, ["x1", "1.5", ""]),
+        "bad_qty": (5, ["x1", "1.5", ""]),
+        "action": (2, ["trade"]),
+        "side": (3, ["mid"]),
+        "flag": (6, ["maybe", "yes"]),
+        "negative_qty": (5, ["-3"]),
+        "price": (4, ["nan", "inf", "-inf", "NaN", "1.5.5"]),
+        "backwards": (0, ["-1"]),
+        "off_tick": (4, ["100.3"]),
+        "over_execute": (5, ["99999999"]),
+        "dangling": (1, ["999999"]),
+    }
+
+    @settings(max_examples=400)
+    @given(events=book_streams(),
+           kind=st.sampled_from([*FIELD_CORRUPTIONS, "field_count", "side_switch", "double_add"]),
+           where=st.integers(0, 10**6), tick=st.sampled_from([None, 0.25]),
+           blank=st.lists(st.integers(0, 10**6), max_size=3), data=st.data())
+    def test_one_corrupt_record(self, events, kind, where, tick, blank, data):
+        rows = list(csv.reader(io.StringIO(dumps(events), newline="")))[1:]
+        row = rows[where % len(rows)]
+        if kind in self.FIELD_CORRUPTIONS:
+            field, texts = self.FIELD_CORRUPTIONS[kind]
+            row[field] = data.draw(st.sampled_from(texts))
+        elif kind == "field_count":
+            row.append("") if data.draw(st.booleans()) else row.pop()
+        elif kind == "side_switch":
+            row[3] = {"bid": "ask", "ask": "bid"}[row[3]]
+        else:                                       # an add repeated while its order rests
+            adds = [j for j, r in enumerate(rows) if r[2] == "add"]
+            i = adds[where % len(adds)]
+            rows.insert(i + 1, list(rows[i]))
+        for j in blank:                             # blank records count as rows
+            rows.insert(j % (len(rows) + 1), [])
+        buf = io.StringIO()
+        csv.writer(buf).writerows([HEADER, *rows])
+        assert_parse_parity(buf.getvalue(), tick)
+
+    @settings(max_examples=300)
+    @given(events=book_streams(), where=st.integers(0, 10**6),
+           change=st.sampled_from(["qty", "price", "order_id"]), data=st.data())
+    def test_one_changed_event_replays_alike(self, events, where, change, data):
+        # a changed quantity, price or order id the parser accepts may still
+        # break FIFO order, a cancel quantity, a resting price or the
+        # uncrossed book, and replay must fail with the oracle's message
+        i = where % len(events)
+        value = data.draw({"qty": st.integers(0, 6), "price": st.sampled_from(BID_PX + ASK_PX),
+                           "order_id": st.integers(1, 8)}[change])
+        events[i] = dataclasses.replace(events[i], **{change: value})
+        assume(outcome(parse, io.StringIO(dumps(events)))[0] == "ok")
+        assert_replay_parity(events)
+
+    @pytest.mark.parametrize("events", [
+        [ev(10, 1, "add", qty=5), ev(11, 2, "add", qty=5),
+         ev(20, 2, "execute", qty=5, flag=False)],
+        [ev(10, 1, "add", qty=5), ev(20, 1, "cancel", qty=3)],
+        [ev(10, 1, "add", qty=5, price=100.01), ev(20, 1, "execute", qty=5, price=100.02,
+                                                   flag=False)],
+        [ev(10, 1, "add", qty=5, price=100.01), ev(20, 2, "add", side="bid", qty=3,
+                                                   price=100.02)],
+        [ev(10, 1, "add", qty=5, price=100.01), ev(20, 2, "add", side="bid", qty=3,
+                                                   price=100.01),
+         ev(30, 1, "cancel", qty=5, price=100.01)],
+        [ev(10, 1, "add", qty=5), ev(20, 1, "cancel", qty=5), ev(30, 1, "execute", qty=1)],
+    ], ids=["fifo", "cancel_qty", "resting_price", "crossed", "locked", "dead_order"])
+    def test_replay_errors(self, events):
+        with pytest.raises(MboReplayError):
+            reconstruct(events)
+        assert_replay_parity(events)
+
+
+@pytest.mark.filterwarnings("error")
+class TestParseEdges:
+    ROW = "10,1,add,ask,100.01,5,,"
+
+    @pytest.mark.parametrize("text", [HEADER_LINE, HEADER_LINE + "\n", HEADER_LINE + "\r\n",
+                                      HEADER_LINE + "\n\n\r\n"])
+    def test_header_only_is_empty(self, text):
+        log = parse_text(text)
+        assert log == [] and len(log) == 0 and log.ts_ns.dtype == np.int64
+        assert_parse_parity(text)
+
+    def test_single_row(self):
+        log = parse_text(f"{HEADER_LINE}\n{self.ROW}")
+        assert list(log) == [ev(10, 1, "add", qty=5)]
+        assert [type(v) for v in dataclasses.astuple(log[0])] == [
+            int, int, str, str, float, int, type(None), type(None)]
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_blank_lines_count_as_rows(self, newline):
+        good = newline.join([HEADER_LINE, "", self.ROW, "", "", "20,1,cancel,ask,100.01,5,,", ""])
+        assert parse_text(good) == [ev(10, 1, "add", qty=5), ev(20, 1, "cancel", qty=5)]
+        bad = newline.join([HEADER_LINE, self.ROW, "", "", "20,9,cancel,ask,100.01,5,,", ""])
+        with pytest.raises(MboParseError, match="^row 5: cancel references unknown order 9$"):
+            parse_text(bad)
+        unreadable = newline.join([HEADER_LINE, self.ROW, "", "x,2,add,ask,1,5,,", ""])
+        with pytest.raises(MboParseError, match="^row 4: invalid literal"):
+            parse_text(unreadable)
+        for text in (good, bad, unreadable):
+            assert_parse_parity(text)
+
+    @pytest.mark.parametrize("label", [",", '""', "#", "a\nb", "x,\r\n#y", " "])
+    def test_labels_round_trip(self, label):
+        events = [ev(10, 1, "add", qty=5, label=label), ev(11, 2, "add", qty=5, label="NT")]
+        text = dumps(events)
+        assert parse_text(text) == events
+        # a record spanning lines is one row
+        bad = text + "12,3,cancel,ask,100.01,5,,\r\n"
+        with pytest.raises(MboParseError, match="^row 4: cancel references unknown order 3$"):
+            parse_text(bad)
+        assert_parse_parity(bad)
+
+    @pytest.mark.parametrize("row,message,accepted_before", [
+        ("11,2,add,ask,100.01,5_000,,", "could not convert '5_000' to int64", True),
+        ("1_1,2,add,ask,100.01,5,,", "could not convert '1_1' to int64", True),
+        ("11,2,add,ask,1_00.5,5,,", "could not convert '1_00.5' to float64", True),
+        ("11,2,add,mid,1_00.5,5,,", "unknown side 'mid'", False),  # checked before the price
+    ])
+    def test_digit_separators_are_rejected(self, row, message, accepted_before):
+        # Python's int/float read "5_000" and numpy's C reader does not: the
+        # parser rejects such a row, naming it, where it once accepted it
+        text = f"{HEADER_LINE}\n{self.ROW}\n{row}\n"
+        with pytest.raises(MboParseError, match=f"^row 3: {message}$"):
+            parse_text(text)
+        assert (outcome(mbo_oracle.parse, io.StringIO(text))[0] == "ok") == accepted_before
+
+    @pytest.mark.parametrize("field", [0, 1, 4, 5])
+    def test_separator_whitespace_is_rejected(self, field):
+        # the C reader skips \x1c-\x1f around a number; Python does not
+        row = self.ROW.split(",")
+        row[field] = "\x1c" + row[field]
+        text = f"{HEADER_LINE}\n{','.join(row)}\n"
+        with pytest.raises(MboParseError, match="^row 2: "):
+            parse_text(text)
+        assert_parse_parity(text)
+
+    def test_late_fault_in_a_long_log(self):
+        rows = [f"{t},{t},add,ask,{100 + t / 100},5,," for t in range(1, 3000)]
+        rows[2500] = rows[2500].replace(",5,,", ",5,,,")
+        rows[1700] = ""
+        text = "\n".join([HEADER_LINE, *rows, ""])
+        with pytest.raises(MboParseError, match="^row 2502: expected 8 fields, got 9$"):
+            parse_text(text)
+        assert_parse_parity(text)
+

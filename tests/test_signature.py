@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import mbo_oracle
 import records_oracle
 import signature_oracle as oracle
 from lobeq.equilibrium import ModelParams
@@ -295,9 +296,10 @@ def assert_table_matches_records(trades, records):
         assert got[~np.isnan(got)].tobytes() == defined.tobytes(), name
 
 
-def assert_replay_matches_oracle(replay):
-    for trades, records in zip(trade_tables(replay),
-                               records_oracle.build_trade_records(replay)):
+def assert_tables_match_oracle(events):
+    """The tables of ``events`` match the records of the row-object replay."""
+    for trades, records in zip(trade_tables(reconstruct(events)),
+                               records_oracle.build_trade_records(mbo_oracle.reconstruct(events))):
         assert_table_matches_records(trades, records)
 
 
@@ -387,7 +389,7 @@ LOGGED = ModelParams(r=0.15, f=0.9, jump=Pareto(2.5, 0.01), volume=NormalVolume(
 
 
 class TestTablesMatchRecordsOracle:
-    @settings(deadline=None, max_examples=60)
+    @settings(max_examples=60)
     @given(n_events=st.integers(1, 300), seed=st.integers(0, 2**32 - 1),
            n_levels=st.integers(1, 10), volume_scale=st.sampled_from([1, 10, 1000, 10**6]),
            theta=st.sampled_from([0.0, 0.005, 0.02]))
@@ -395,12 +397,12 @@ class TestTablesMatchRecordsOracle:
         params = dataclasses.replace(LOGGED, theta=theta)
         result = run(SimConfig(params=params, n_events=n_events, seed=seed, record_log=True,
                                n_levels=n_levels, volume_scale=volume_scale))
-        assert_replay_matches_oracle(reconstruct(export_mbo(result)))
+        assert_tables_match_oracle(export_mbo(result))
 
-    @settings(deadline=None, max_examples=300)
+    @settings(max_examples=300)
     @given(events=book_streams())
     def test_hand_made_streams(self, events):
-        assert_replay_matches_oracle(reconstruct(parse(io.StringIO(dumps(events)))))
+        assert_tables_match_oracle(parse(io.StringIO(dumps(events))))
 
     def test_sweeps_of_a_reused_id_form_one_run(self):
         # order 2 buys, is fully executed, and comes back at the same
@@ -419,7 +421,7 @@ class TestTablesMatchRecordsOracle:
         assert aggressive.qty.tolist() == [2, 1]
         assert aggressive.participant_label.tolist() == ["IT", "NT"]
         assert passive.order_id.tolist() == [1, 3] and passive.qty.tolist() == [2, -1]
-        assert_replay_matches_oracle(replay)
+        assert_tables_match_oracle(events)
 
 
 # -- the array lookup against the per-trade oracle ---------------------------
@@ -467,7 +469,7 @@ def oracle_lookup(quotes, t, kind, qty):
 
 
 class TestArrayLookupMatchesOracle:
-    @settings(deadline=None, max_examples=300)
+    @settings(max_examples=300)
     @given(quotes=quote_series(), trades=cohorts(), kind=KINDS, k=HORIZONS)
     def test_reference_values_and_first_failure(self, quotes, trades, kind, k):
         t, qty = trades.t_ns + k, trades.qty
@@ -481,7 +483,7 @@ class TestArrayLookupMatchesOracle:
                 quotes.reference(t, kind, qty)
             assert (info.value.index, str(info.value)) == (want, message)
 
-    @settings(deadline=None, max_examples=300)
+    @settings(max_examples=300)
     @given(quotes=quote_series(), trades=cohorts(), kind=KINDS, k=HORIZONS,
            eps=st.sampled_from([1, -1]))
     def test_trade_signature_within_bound(self, quotes, trades, kind, k, eps):

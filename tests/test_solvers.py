@@ -39,7 +39,7 @@ def oracle_outcome(a, b, c, lo, hi, max_iter):
 
 
 class TestAgainstOracle:
-    @settings(deadline=None, max_examples=200)
+    @settings(max_examples=200)
     @given(st.lists(equations, min_size=1, max_size=8),
            st.one_of(st.none(), st.floats(1e-3, 100.0)),
            st.sampled_from([MAX_ITER, 7]))
@@ -68,7 +68,7 @@ class TestAgainstOracle:
             assert info.value.index == len(ok)
             assert f"(element {len(ok)})" in str(info.value)
 
-    @settings(deadline=None, max_examples=100)
+    @settings(max_examples=100)
     @given(equations)
     def test_float_bracket_returns_float(self, cell):
         a, b, c, lo = cell
