@@ -50,7 +50,7 @@ from .equilibrium import (
     spread_toxic,
     theta_bar,
 )
-from .laws import jump_law_from_config, volume_law_from_config
+from .laws import config_number as _number, jump_law_from_config, volume_law_from_config
 from .mbo import parse as parse_mbo, reconstruct, write_csv
 from .signature import (
     REFERENCES,
@@ -85,23 +85,6 @@ def _require(cfg: dict, key: str, context: str) -> object:
     if key not in cfg:
         raise ConfigError(f"{context}: missing required key {key!r}")
     return cfg[key]
-
-
-def _number(value, what: str, cast=float):
-    """``cast(value)`` of a JSON number; anything else (null, a string, a
-    boolean, a list) is a ConfigError naming ``what``, and so is an
-    infinite or nan integer or a fractional number for an integer (an
-    integral one such as JSON ``1e5`` is accepted)."""
-    kind = "an integer" if cast is int else "a number"
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{what} must be {kind}, got {value!r}")
-    try:
-        number = cast(value)
-    except (ValueError, OverflowError):
-        raise ConfigError(f"{what} must be {kind}, got {value!r}") from None
-    if cast is int and isinstance(value, float) and number != value:
-        raise ConfigError(f"{what} must be {kind}, got {value!r}")
-    return number
 
 
 def _numbers(values, what: str) -> list[float]:
@@ -143,7 +126,8 @@ def multi_from_config(cfg: dict) -> MultiSourceParams:
         context = f"multi: source {k}"
         r, f, jump = (_require(s, key, context) for key in ("r", "f", "jump"))
         try:
-            specs.append(JumpSource(r=float(r), f=float(f), jump=jump_law_from_config(jump)))
+            specs.append(JumpSource(r=_number(r, "r"), f=_number(f, "f"),
+                                    jump=jump_law_from_config(jump)))
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{context}: {exc}") from None
     try:
@@ -287,7 +271,9 @@ def cmd_simulate(cfg: dict, out: Path, seed) -> list[str]:
 def cmd_signature(cfg: dict, out: Path, seed) -> list[str]:
     sig_cfg = _require(cfg, "signature", "config")
     input_path = _require(sig_cfg, "input", "signature")
-    tick = _number(sig_cfg["tick"], "signature: tick") if sig_cfg.get("tick") else None
+    tick = sig_cfg.get("tick")
+    if tick is not None:                                    # absent, null or 0: no tick
+        tick = _number(tick, "signature: tick") or None
     if tick is not None and not 0.0 < tick < math.inf:
         raise ConfigError(f"signature: tick must be positive and finite, got {tick}")
     reference = sig_cfg.get("reference", "micro")
@@ -307,7 +293,7 @@ def cmd_signature(cfg: dict, out: Path, seed) -> list[str]:
         try:
             specs.append(ClusterSpec(
                 metric=_require(spec_cfg, "metric", "cluster"),
-                thresholds=tuple(_require(spec_cfg, "thresholds", "cluster")),
+                thresholds=_numbers(_require(spec_cfg, "thresholds", "cluster"), "thresholds"),
                 side=_require(spec_cfg, "side", "cluster"),
             ))
         except (TypeError, ValueError) as exc:

@@ -34,6 +34,7 @@ __all__ = [
     "PointMass",
     "NormalVolume",
     "LaplaceVolume",
+    "config_number",
     "jump_law_from_config",
     "volume_law_from_config",
     "law_to_config",
@@ -303,6 +304,23 @@ _KINDS = {**_JUMP_KINDS, **_VOLUME_KINDS}
 _KIND_BY_CLASS = {cls: kind for kind, (cls, _fields) in _KINDS.items()}
 
 
+def config_number(value, what: str, cast=float):
+    """``cast(value)`` of a JSON number; anything else (null, a string, a
+    boolean, a list) is a ValueError naming ``what``, and so is an
+    infinite or nan integer or a fractional number for an integer (an
+    integral one such as JSON ``1e5`` is accepted)."""
+    kind = "an integer" if cast is int else "a number"
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{what} must be {kind}, got {value!r}")
+    try:
+        number = cast(value)
+    except (ValueError, OverflowError):
+        raise ValueError(f"{what} must be {kind}, got {value!r}") from None
+    if cast is int and isinstance(value, float) and number != value:
+        raise ValueError(f"{what} must be {kind}, got {value!r}")
+    return number
+
+
 def _law_from_config(config: dict, kinds: dict, family: str):
     if not isinstance(config, dict) or "type" not in config:
         raise ValueError(f"{family} law config must be an object with a 'type' field")
@@ -316,14 +334,8 @@ def _law_from_config(config: dict, kinds: dict, family: str):
     extra = set(config) - set(fields) - {"type"}
     if extra:
         raise ValueError(f"{family} law {kind!r} has unknown fields: {sorted(extra)}")
-    values = {}
-    for f in fields:
-        try:
-            values[f] = float(config[f])
-        except (TypeError, ValueError):
-            raise ValueError(f"{family} law {kind!r} field {f!r} must be a number, "
-                             f"got {config[f]!r}") from None
-    return cls(**values)
+    return cls(**{f: config_number(config[f], f"{family} law {kind!r} field {f!r}")
+                  for f in fields})
 
 
 def jump_law_from_config(config: dict) -> JumpLaw:

@@ -101,93 +101,51 @@ class MboEvent:
     participant_label: str | None = None
 
 
-def _values(column) -> list:
-    """A column as a list of Python values (a list as is)."""
-    return column.tolist() if isinstance(column, np.ndarray) else column
-
-
-def _value(column, i: int):
-    return column.item(i) if isinstance(column, np.ndarray) else column[i]
-
-
-class EventLog:
-    """A log held as one column per CSV field, in file order: lists in the
-    simulator's export, numpy arrays from :func:`parse`.
-
-    ``len``, iteration and integer indexing give :class:`MboEvent` rows of
-    Python values, and ``==`` compares row by row with any sequence of them.
-    """
-
-    __slots__ = HEADER
-
-    def __init__(self, ts_ns: Sequence, order_id: Sequence, action: Sequence, side: Sequence,
-                 price: Sequence, qty: Sequence, aggressor_flag: Sequence,
-                 participant_label: Sequence):
-        columns = (ts_ns, order_id, action, side, price, qty, aggressor_flag, participant_label)
-        if len({len(col) for col in columns}) > 1:
-            raise ValueError("EventLog columns differ in length")
-        for name, col in zip(HEADER, columns):
-            setattr(self, name, col)
-
-    @classmethod
-    def from_events(cls, events) -> EventLog:
-        """The log of an iterable of :class:`MboEvent` (an EventLog as is)."""
-        if isinstance(events, EventLog):
-            return events
-        columns = [list(col) for col in zip(*map(_ROW, events))]
-        return cls(*(columns or [[] for _ in HEADER]))
-
-    def columns(self) -> tuple:
-        return tuple(getattr(self, name) for name in HEADER)
-
-    def __len__(self) -> int:
-        return len(self.ts_ns)
-
-    def __iter__(self):
-        return map(MboEvent, *map(_values, self.columns()))
-
-    def __getitem__(self, i: int) -> MboEvent:
-        i = operator.index(i)
-        return MboEvent(*(_value(col, i) for col in self.columns()))
-
-    def __eq__(self, other):
-        if isinstance(other, EventLog):
-            return all(_values(a) == _values(b) for a, b in zip(self.columns(), other.columns()))
-        if not isinstance(other, Sequence) or isinstance(other, str):
-            return NotImplemented
-        return len(self) == len(other) and all(map(operator.eq, self, other))
-
-    def __repr__(self) -> str:
-        return f"EventLog({len(self)} rows)"
-
-
-_ROW = operator.attrgetter(*HEADER)
-
-
-# ---------------------------------------------------------------------------
-# Replay tables
-# ---------------------------------------------------------------------------
-
-
 class Table:
-    """Equal-length numpy columns, one per field of the row type ``ROW``
-    and of the dtype at the same place in ``DTYPES``.
+    """Equal-length 1-d numpy columns, one per field of the row type ``ROW``
+    (a named tuple or a dataclass) and of the dtype at the same place in
+    ``DTYPES``; the columns are attributes named after the fields.
 
-    ``len``, iteration and integer indexing give ``ROW`` tuples of Python
-    values; the columns are attributes named after the fields.
+    The constructor takes the columns by position or by field name and
+    converts each one once.  ``len``, iteration and integer indexing give
+    ``ROW`` rows of Python values, and ``==`` compares row by row with any
+    table or sequence of them.
     """
 
     ROW: type
     DTYPES: tuple
 
-    def __init__(self, **columns):
-        for name, dtype in zip(self.ROW._fields, self.DTYPES):
-            setattr(self, name, np.asarray(columns[name], dtype=dtype))
-        if len({col.shape for col in self.columns()}) > 1:
-            raise ValueError(f"{type(self).__name__} columns differ in length")
+    def __init__(self, *columns, **named):
+        named.update(zip(self.fields(), columns))
+        for name, dtype in zip(self.fields(), self.DTYPES):
+            setattr(self, name, np.asarray(named[name], dtype=dtype))
+        cols = self.columns()
+        if len({col.shape for col in cols} | {(cols[0].size,)}) != 1:
+            raise ValueError(f"{type(self).__name__} columns must be 1-d and of equal length")
+        self._check()
+
+    def _check(self) -> None:
+        """Raise ValueError if the columns break an invariant of the table."""
+
+    @classmethod
+    def fields(cls) -> tuple[str, ...]:
+        """The column names: the positional fields of ``ROW``, in order."""
+        return cls.ROW.__match_args__
+
+    @classmethod
+    def from_rows(cls, rows):
+        """The table of an iterable of ``ROW`` rows (a table of this type as is)."""
+        if isinstance(rows, cls):
+            return rows
+        columns = list(zip(*map(operator.attrgetter(*cls.fields()), rows)))
+        return cls(*(columns or [()] * len(cls.fields())))
 
     def columns(self) -> tuple[np.ndarray, ...]:
-        return tuple(getattr(self, name) for name in self.ROW._fields)
+        return tuple(getattr(self, name) for name in self.fields())
+
+    def take(self, rows):
+        """The rows picked by a boolean mask or an index array."""
+        return type(self)(*(col[rows] for col in self.columns()))
 
     def __len__(self) -> int:
         return len(self.columns()[0])
@@ -199,8 +157,26 @@ class Table:
         i = operator.index(i)
         return self.ROW(*(col.item(i) for col in self.columns()))
 
+    def __eq__(self, other):
+        if not isinstance(other, (Table, Sequence)) or isinstance(other, str):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
     def __repr__(self) -> str:
         return f"{type(self).__name__}({len(self)} rows)"
+
+
+class EventLog(Table):
+    """A log as one numpy column per CSV field, in file order; its rows are
+    :class:`MboEvent`."""
+
+    ROW = MboEvent
+    DTYPES = (np.int64, np.int64, object, object, np.float64, np.int64, object, object)
+
+
+# ---------------------------------------------------------------------------
+# Replay tables
+# ---------------------------------------------------------------------------
 
 
 class Fill(NamedTuple):
@@ -272,9 +248,9 @@ class Replay:
 # Parsing
 # ---------------------------------------------------------------------------
 
-_NUMBERS = {"ts_ns": np.int64, "order_id": np.int64, "price": np.float64, "qty": np.int64}
+_NUMBERS = {name: dtype for name, dtype in zip(HEADER, EventLog.DTYPES) if dtype is not object}
 #: one body record as the C reader types it; text fields stay exact strings
-_DTYPE = np.dtype([(name, _NUMBERS.get(name, object)) for name in HEADER])
+_DTYPE = np.dtype(list(zip(HEADER, EventLog.DTYPES)))
 _TEXT = np.dtype([(name, object) for name in HEADER])
 #: separators the C reader skips around a number as whitespace, and Python's int/float do not
 _C_SPACES = "\x1c\x1d\x1e\x1f"
@@ -289,13 +265,26 @@ def _read(lines, dtype=_DTYPE) -> np.ndarray:
                           ndmin=1)
 
 
+def _numbered(reader, lineno: int):
+    """(row number, fields) of each record of a csv ``reader``, blank ones
+    included, numbered from ``lineno``.  A record the csv module cannot
+    read (a field over its size limit, a bare carriage return inside a
+    line) raises :class:`MboParseError` naming its row."""
+    try:
+        for row in reader:
+            yield lineno, row
+            lineno += 1
+    except csv.Error as exc:
+        raise MboParseError(f"row {lineno}: {exc}") from None
+
+
 def _split_at_fault(lines: list[str]) -> tuple[list[str], list[str]]:
     """(the lines before the first record the C reader rejects, that
     record's lines).  Records read independently, so the first bad one is
     found by halving windows of whole records."""
     reader = csv.reader(lines)
     starts, at = [], 0
-    for row in reader:
+    for _, row in _numbered(reader, 2):
         if row:
             starts.append(at)
         at = reader.line_num
@@ -455,7 +444,8 @@ def _parse_lines(lines, tick: float | None) -> EventLog:
     """:func:`parse` of a seekable text stream: read once, re-read only to
     phrase an error."""
     first = lines.readline()
-    header = next(csv.reader(chain([first], lines)), None) if first else None
+    rows = _numbered(csv.reader(chain([first], lines)), 1) if first else iter(())
+    _, header = next(rows, (1, None))
     if header is None:
         raise MboParseError("row 1: missing header")
     if tuple(header) != HEADER:
@@ -475,7 +465,7 @@ def _parse_lines(lines, tick: float | None) -> EventLog:
     def record(i: int) -> tuple[int, list[str]]:
         """(row number, fields) of the ``i``-th nonblank body record."""
         lines.seek(body)
-        rows = ((lineno, row) for lineno, row in enumerate(csv.reader(lines), start=2) if row)
+        rows = ((lineno, row) for lineno, row in _numbered(csv.reader(lines), 2) if row)
         return next(islice(rows, i, None))
 
     ts, oid, price, qty = (np.ascontiguousarray(records[name]) for name in _NUMBERS)
@@ -532,25 +522,27 @@ class _PriceText(dict):
 
 _FLAG_TEXT = {None: "", True: "true", False: "false"}
 _LABEL_TEXT = {None: ""}
+#: rows per block that write_csv holds as Python values at a time
+_WRITE_ROWS = 1 << 12
 
 
 def write_csv(events, destination) -> None:
     """Serialize events in the canonical schema (UTF-8, 17-digit prices).
 
     ``events`` is an :class:`EventLog` or an iterable of :class:`MboEvent`;
-    the rows are written column-wise from the log's columns.
+    the rows are written from the log's columns, a block of rows at a time.
     """
-    log = EventLog.from_events(events)
+    log, price_text = EventLog.from_rows(events), _PriceText().__getitem__
     stream = hasattr(destination, "write")
     with nullcontext(destination) if stream else open(destination, "w", newline="") as out:
         writer = csv.writer(out)
         writer.writerow(HEADER)
-        writer.writerows(zip(
-            log.ts_ns, log.order_id, log.action, log.side,
-            map(_PriceText().__getitem__, log.price), log.qty,
-            map(_FLAG_TEXT.__getitem__, log.aggressor_flag),
-            map(_LABEL_TEXT.get, log.participant_label, log.participant_label),
-        ))
+        for start in range(0, len(log), _WRITE_ROWS):
+            ts, oid, action, side, price, qty, flag, label = (
+                col[start:start + _WRITE_ROWS].tolist() for col in log.columns())
+            writer.writerows(zip(ts, oid, action, side, map(price_text, price), qty,
+                                 map(_FLAG_TEXT.__getitem__, flag),
+                                 map(_LABEL_TEXT.get, label, label)))
 
 
 def dumps(events) -> str:
@@ -600,8 +592,8 @@ class _Book:
 
 
 def reconstruct(events) -> Replay:
-    """Replay a validated event stream: an :class:`EventLog` (list or array
-    columns) or a sequence of :class:`MboEvent`, converted once.
+    """Replay a validated event stream: an :class:`EventLog` or a sequence
+    of :class:`MboEvent`, converted once.
 
     Maintains price-time priority (executions must consume the front of
     their price queue), rebuilds every order lifecycle, and records a
@@ -611,12 +603,12 @@ def reconstruct(events) -> Replay:
     (best bid >= best ask) is rejected, naming the timestamp and the event.
     Actions other than add, modify and cancel replay as executes.
     """
-    log = EventLog.from_events(events)
+    log = EventLog.from_rows(events)
     act = _codes(log.action, ACTIONS)
     act[act < 0] = EXECUTE
     side = _codes(log.side, SIDES)
-    ts, oid, price, qty, flag = map(_values, (log.ts_ns, log.order_id, log.price, log.qty,
-                                              log.aggressor_flag))
+    ts, oid, price, qty, flag = (col.tolist() for col in (log.ts_ns, log.order_id, log.price,
+                                                          log.qty, log.aggressor_flag))
     books = (_Book(True), _Book(False))
     live: dict[int, int] = {}                 # order_id -> lifecycle index, while resting
     # per lifecycle (the k-th add): side, resting price and quantity, terminal row or -1
@@ -630,7 +622,7 @@ def reconstruct(events) -> Replay:
         if bb is not None and ba is not None and bb >= ba:
             raise MboReplayError(
                 f"book crossed at ts_ns {ts[n]}: best bid {bb} >= best ask {ba} "
-                f"after event {n + 1} of the feed ({_value(log.action, n)} of order {oid[n]})"
+                f"after event {n + 1} of the feed ({log.action[n]} of order {oid[n]})"
             )
         q_ts.append(ts[n])
         q_bid.append(bb)
@@ -655,7 +647,7 @@ def reconstruct(events) -> Replay:
 
         k = live.get(o)
         if k is None:
-            raise MboReplayError(f"{_value(log.action, n)} references dead order {o}")
+            raise MboReplayError(f"{log.action[n]} references dead order {o}")
         book = books[lc_side[k]]
         rest, at = lc_rest[k], lc_price[k]
         if a == EXECUTE:
@@ -695,12 +687,10 @@ def reconstruct(events) -> Replay:
     if len(ts):
         push_snapshot(len(ts) - 1)
 
-    ts, oid, price, qty = (np.asarray(col, dtype=dtype) for col, dtype in (
-        (log.ts_ns, np.int64), (log.order_id, np.int64), (log.price, np.float64),
-        (log.qty, np.int64)))
+    ts, oid, price, qty = log.ts_ns, log.order_id, log.price, log.qty
     adds, executes = np.flatnonzero(act == ADD), np.flatnonzero(act == EXECUTE)
     fill_lc, end = np.array(fill_lc, dtype=np.int64), np.array(lc_end, dtype=np.int64)
-    label = np.asarray(log.participant_label, dtype=object)[adds]
+    label = log.participant_label[adds]
     executed = np.zeros(adds.size, dtype=np.int64)
     np.add.at(executed, fill_lc, qty[executes])
     ended = end >= 0
@@ -716,12 +706,11 @@ def reconstruct(events) -> Replay:
     fills = Fills(
         row=executes, lifecycle=fill_lc, ts_ns=ts[executes], order_id=oid[executes],
         side=lifecycles.side[fill_lc], price=price[executes], qty=qty[executes],
-        aggressor=np.asarray(log.aggressor_flag, dtype=object)[executes] == True,  # noqa: E712
+        aggressor=log.aggressor_flag[executes] == True,  # noqa: E712
         participant_label=label[fill_lc],
     )
     return Replay(
         lifecycles=lifecycles, fills=fills,
-        quotes=Quotes(ts_ns=q_ts, bid=np.array(q_bid, dtype=float),
-                      ask=np.array(q_ask, dtype=float), bid_qty=q_bq, ask_qty=q_aq),
+        quotes=Quotes(q_ts, q_bid, q_ask, q_bq, q_aq),      # an empty side's None -> nan
         open_order_ids=list(live),
     )

@@ -25,11 +25,12 @@ excluded from signatures.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
-from .mbo import Replay
+from .mbo import Quotes, Replay, Table
 
 __all__ = [
     "REFERENCES",
@@ -105,26 +106,23 @@ def mid_price(bid, ask, checks=()):
 # ---------------------------------------------------------------------------
 
 
-class QuoteSeries:
-    """Best-quote snapshots indexed by timestamp, left-limit evaluated."""
+class QuoteSeries(Quotes):
+    """Best-quote snapshots indexed by timestamp, left-limit evaluated: the
+    :class:`~lobeq.mbo.Quotes` columns (an empty side's None reads as nan)
+    with strictly increasing timestamps."""
 
-    def __init__(self, ts, bid, ask, bid_qty, ask_qty):
-        self.ts = np.asarray(ts, dtype=np.int64)
-        if np.any(np.diff(self.ts) <= 0):
+    def _check(self) -> None:
+        if np.any(np.diff(self.ts_ns) <= 0):
             raise ValueError("snapshot timestamps must be strictly increasing")
-        self.bid = np.asarray(bid, dtype=float)         # None (an empty side) -> nan
-        self.ask = np.asarray(ask, dtype=float)
-        self.bid_qty = np.asarray(bid_qty, dtype=float)
-        self.ask_qty = np.asarray(ask_qty, dtype=float)
 
     @classmethod
     def from_replay(cls, replay: Replay) -> "QuoteSeries":
-        q = replay.quotes
-        return cls(q.ts_ns, q.bid, q.ask, q.bid_qty, q.ask_qty)
+        """The replay's quote columns, shared, not copied."""
+        return cls(*replay.quotes.columns())
 
     def index_before(self, t_ns):
         """Index of the snapshot prevailing at each ``t_ns`` (strictly before)."""
-        return np.searchsorted(self.ts, t_ns, side="left") - 1
+        return np.searchsorted(self.ts_ns, t_ns, side="left") - 1
 
     def reference(self, t_ns, kind: str, trade_qty=0) -> np.ndarray:
         """Reference price ``kind`` prevailing at each time of ``t_ns``.
@@ -138,7 +136,7 @@ class QuoteSeries:
         checks = [(idx < 0, lambda i: f"no reference snapshot before t = {t[i]}"),
                   (kind not in REFERENCES,
                    lambda i: f"unknown reference {kind!r}; expected one of {REFERENCES}")]
-        if not self.ts.size:                        # nothing to read: every element fails
+        if not self.ts_ns.size:                     # nothing to read: every element fails
             _raise_first(checks, t.shape)
         bid, ask = self.bid[idx], self.ask[idx]     # idx = -1 fails the first check
         if kind == "touched":
@@ -157,43 +155,18 @@ class QuoteSeries:
 # Trade tables
 # ---------------------------------------------------------------------------
 
-#: column -> dtype; a label may be None, and a metric is nan where undefined
-_COLUMNS = {"t_ns": np.int64, "order_id": np.int64, "qty": np.int64, "price": np.float64,
-            "participant_label": object, **{attr: np.float64 for attr, _, _ in METRICS.values()}}
+class TradeTable(Table):
+    """Executions of one side, one row each.
 
-
-@dataclass(frozen=True)
-class TradeTable:
-    """Executions of one side, one row each, as equal-length numpy columns.
-
-    ``qty`` is signed by the liquidity taker.  The fills of a sweep share
-    its trade-to-trade duration and volume ratio at the touched best limit;
-    passive metrics come from the resting order's lifecycle.
+    ``qty`` is signed by the liquidity taker, and a metric is nan where it
+    is undefined.  The fills of a sweep share its trade-to-trade duration
+    and volume ratio at the touched best limit; passive metrics come from
+    the resting order's lifecycle.
     """
 
-    t_ns: np.ndarray
-    order_id: np.ndarray
-    qty: np.ndarray
-    price: np.ndarray
-    participant_label: np.ndarray
-    trade_to_trade_ns: np.ndarray
-    volume_ratio: np.ndarray
-    trade_to_add_ns: np.ndarray
-    add_to_add_ns: np.ndarray
-    update_count: np.ndarray
-
-    def __post_init__(self):
-        for name, dtype in _COLUMNS.items():
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
-        if len({getattr(self, name).shape for name in _COLUMNS} | {(self.t_ns.size,)}) != 1:
-            raise ValueError("trade table columns must be 1-d and of equal length")
-
-    def __len__(self) -> int:
-        return len(self.t_ns)
-
-    def take(self, rows) -> "TradeTable":
-        """The rows picked by a boolean mask or an index array."""
-        return TradeTable(**{name: getattr(self, name)[rows] for name in _COLUMNS})
+    ROW = namedtuple("Trade", ("t_ns", "order_id", "qty", "price", "participant_label",
+                               *(attr for attr, _, _ in METRICS.values())))
+    DTYPES = (np.int64, np.int64, np.int64, np.float64, object, *[np.float64] * len(METRICS))
 
 
 def _run_starts(*keys) -> np.ndarray:

@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from array import array
 from collections import deque
 from dataclasses import dataclass
 
@@ -52,7 +53,7 @@ import numpy as np
 
 from . import kernels
 from .equilibrium import BookShape, ModelParams, book_curves, shape_tick
-from .mbo import HEADER, EventLog
+from .mbo import EventLog
 
 __all__ = [
     "SimConfig",
@@ -365,9 +366,9 @@ def _grid_layout(price: np.ndarray, tick: float, n_levels: int) -> tuple[np.ndar
     return idx, np.maximum(dist, 0.0)
 
 
-def _row_appender(columns: tuple[list, ...]):
+def _row_appender(columns: tuple):
     """``emit(ts, oid, action, side, price, qty, aggressor, label)``: append
-    one MBO row to the eight column lists."""
+    one MBO row to the eight columns."""
     ts_, oid_, action_, side_, price_, qty_, aggressor_, label_ = (col.append for col in columns)
 
     def emit(ts, oid, action, side, price, qty, aggressor, label):
@@ -465,7 +466,10 @@ class _LoggedRun:
 
         self.levels: tuple[dict[int, deque], dict[int, deque]] = ({}, {})
         self.events: list[SimEvent] = []
-        self.columns: tuple[list, ...] = tuple([] for _ in HEADER)
+        # numeric fields in typed buffers, which the EventLog wraps without a
+        # copy and which hold no Python object per row; text fields in lists
+        self.columns = tuple([] if dtype is object else array(np.dtype(dtype).char)
+                             for dtype in EventLog.DTYPES)
         self._emit = _row_appender(self.columns)
         self._next_oid = itertools.count(1).__next__
 

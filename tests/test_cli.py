@@ -133,7 +133,15 @@ class TestShape:
         ({"r": 0.1, "f": 0.5, "jump": {"type": "exponential"}},
          "multi: source 1: jump law 'exponential' missing fields"),
         ({"r": None, "f": 0.5, "jump": {"type": "exponential", "rate": 50.0}},
-         "multi: source 1: float() argument"),
+         "multi: source 1: r must be a number, got None"),
+        ({"r": "0.3", "f": 0.5, "jump": {"type": "exponential", "rate": 50.0}},
+         "multi: source 1: r must be a number, got '0.3'"),
+        ({"r": 0.1, "f": True, "jump": {"type": "exponential", "rate": 50.0}},
+         "multi: source 1: f must be a number, got True"),
+        ({"r": 0.1, "f": 0.5, "jump": {"type": "pareto", "shape": "3.0", "scale": 0.005}},
+         "multi: source 1: jump law 'pareto' field 'shape' must be a number, got '3.0'"),
+        ({"r": 0.1, "f": 0.5, "jump": {"type": "pareto", "shape": 3.0, "scale": True}},
+         "multi: source 1: jump law 'pareto' field 'scale' must be a number, got True"),
     ])
     def test_bad_multi_source_names_its_index(self, tmp_path, capsys, source, message):
         first = {"r": 0.2, "f": 0.5, "jump": {"type": "pareto", "shape": 3.0, "scale": 0.005}}
@@ -393,7 +401,13 @@ class TestSignature:
         ({"clusters": [GOOD_CLUSTER, dict(GOOD_CLUSTER, thresholds=[1.0, math.nan])]},
          "signature cluster 1: thresholds must be finite and strictly increasing, got (1.0, nan)"),
         ({"clusters": [GOOD_CLUSTER, dict(GOOD_CLUSTER, thresholds=[None])]},
-         "signature cluster 1: float() argument"),
+         "signature cluster 1: thresholds[0] must be a number, got None"),
+        ({"clusters": [GOOD_CLUSTER, dict(GOOD_CLUSTER, thresholds="123")]},
+         "signature cluster 1: thresholds must be a list of numbers, got '123'"),
+        ({"clusters": [GOOD_CLUSTER, dict(GOOD_CLUSTER, thresholds=[True, 2])]},
+         "signature cluster 1: thresholds[0] must be a number, got True"),
+        ({"tick": ""}, "signature: tick must be a number, got ''"),
+        ({"tick": False}, "signature: tick must be a number, got False"),
     ])
     def test_config_checked_before_the_log_is_read(self, tmp_path, capsys, change, message):
         doc = {"signature": {"input": str(tmp_path / "never_read.csv"), "horizons_s": [0.0, 1.0],
@@ -403,6 +417,18 @@ class TestSignature:
         assert main(["signature", "--config", cfg, "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
         assert not list(out.glob("signature_*.csv"))
+
+    def test_null_or_zero_tick_means_no_tick(self, tmp_path):
+        log = self.make_log(tmp_path)
+        curves = []
+        for tick in ({}, {"tick": None}, {"tick": 0}):
+            doc = {"signature": {"input": str(log), "horizons_s": [0.0, 1.0],
+                                 "clusters": [self.GOOD_CLUSTER], **tick}}
+            cfg = write_config(tmp_path, doc, name="sig.json")
+            out = tmp_path / "sig_out"
+            assert main(["signature", "--config", cfg, "--out", str(out)]) == 0
+            curves.append((out / "signature_0_trade_to_trade.csv").read_bytes())
+        assert curves[0] == curves[1] == curves[2]
 
     @pytest.mark.parametrize("tick", [math.inf, -0.01, math.nan])
     def test_bad_tick_rejected_before_the_log_is_read(self, tmp_path, capsys, tick):
@@ -424,6 +450,16 @@ class TestSignature:
         assert ("signature cluster 1: metric 'trade_to_add' applies to the passive side"
                 in capsys.readouterr().err)
         assert not list(out.glob("signature_*.csv"))
+
+    def test_unreadable_log_names_its_row(self, tmp_path, capsys):
+        log = tmp_path / "big.csv"
+        log.write_text("ts_ns,order_id,action,side,price,qty,aggressor_flag,participant_label\n"
+                       f"10,1,add,ask,100.01,5,,{'x' * 140_000}\n11,2,add,mid,100.01,5,,\n")
+        doc = {"signature": {"input": str(log), "horizons_s": [0.0],
+                             "clusters": [self.GOOD_CLUSTER]}}
+        cfg = write_config(tmp_path, doc, name="sig.json")
+        assert main(["signature", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "row 2: field larger than field limit" in capsys.readouterr().err
 
     def test_empty_log_rejected(self, tmp_path):
         empty = tmp_path / "empty.csv"

@@ -521,6 +521,23 @@ class TestParseEdges:
             parse_text(text)
         assert_parse_parity(text)
 
+    @pytest.mark.parametrize("fault", ["11,2,add,mid,100.01,5,,", "11,2,add,ask,100.01,5,,,"])
+    def test_oversized_field_before_a_fault_names_its_row(self, fault):
+        # the csv module cannot re-read row 2 to phrase the error of row 3;
+        # the parser names row 2 instead of leaking csv.Error
+        label = "x" * (csv.field_size_limit() + 1)
+        text = f"{HEADER_LINE}\n{self.ROW}{label}\n{fault}\n"
+        with pytest.raises(MboParseError, match=r"^row 2: field larger than field limit \("):
+            parse_text(text)
+        assert parse_text(f"{HEADER_LINE}\n{self.ROW}{label}\n")[0].participant_label == label
+
+    def test_bare_carriage_returns_name_row_one(self):
+        # a stream opened without newline="" keeps bare \r line ends inside one line
+        text = "\r".join([HEADER_LINE, self.ROW, ""])
+        with pytest.raises(MboParseError, match="^row 1: new-line character seen in unquoted"):
+            parse(io.StringIO(text))
+        assert parse(io.StringIO(text, newline="")) == [ev(10, 1, "add", qty=5)]
+
     def test_late_fault_in_a_long_log(self):
         rows = [f"{t},{t},add,ask,{100 + t / 100},5,," for t in range(1, 3000)]
         rows[2500] = rows[2500].replace(",5,,", ",5,,,")

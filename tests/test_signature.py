@@ -13,7 +13,7 @@ import records_oracle
 import signature_oracle as oracle
 from lobeq.equilibrium import ModelParams
 from lobeq.laws import NormalVolume, Pareto
-from lobeq.mbo import MboEvent, dumps, parse, reconstruct
+from lobeq.mbo import EventLog, Fills, Lifecycles, MboEvent, Quotes, dumps, parse, reconstruct
 from lobeq.signature import (
     METRICS,
     ClusterSpec,
@@ -79,6 +79,12 @@ def table(*rows, **columns):
     defaults = {"order_id": [1] * n, "participant_label": [None] * n,
                 **{attr: [np.nan] * n for attr, _, _ in METRICS.values()}}
     return TradeTable(t_ns=t, qty=qty, price=price, **{**defaults, **columns})
+
+
+def oracle_quotes(quotes):
+    """The series under the names the per-trade oracle reads."""
+    return SimpleNamespace(ts=quotes.ts_ns, bid=quotes.bid, ask=quotes.ask,
+                           bid_qty=quotes.bid_qty, ask_qty=quotes.ask_qty)
 
 
 def rows(trades):
@@ -269,7 +275,29 @@ class TestTradeTable:
         with pytest.raises(ValueError, match="equal length"):
             table((1, 2, 100.0), update_count=[[1]])
         with pytest.raises(ValueError, match="1-d"):
-            TradeTable(**{field.name: 1 for field in dataclasses.fields(TradeTable)})
+            TradeTable(**{name: 1 for name in TradeTable.fields()})
+
+    @pytest.mark.parametrize("kind", [Fills, Lifecycles, Quotes, QuoteSeries, TradeTable,
+                                      EventLog])
+    def test_every_table_checks_its_columns(self, kind):
+        # one check in Table: unequal lengths, 0-d and 2-d columns all fail, naming the table
+        n = len(kind.fields())
+        for columns in ([[1, 2]] + [[1]] * (n - 1), [1] * n, [[[1]]] * n):
+            with pytest.raises(ValueError, match=f"^{kind.__name__} columns must be 1-d and "
+                                                 "of equal length$"):
+                kind(*columns)
+        assert len(kind(*[[1]] * n)) == 1 and len(kind.from_rows([])) == 0
+
+    def test_unequal_quote_columns_fail_before_a_lookup(self):
+        with pytest.raises(ValueError, match="^QuoteSeries columns"):
+            QuoteSeries([1, 2], [1.0], [2.0], [1], [1]).reference([5], "mid")
+        with pytest.raises(ValueError, match="strictly increasing"):
+            QuoteSeries([2, 2], [1.0, 1.0], [2.0, 2.0], [1, 1], [1, 1])
+
+    def test_quote_series_shares_the_replay_columns(self, sim_replay):
+        quotes = QuoteSeries.from_replay(sim_replay)
+        for got, want in zip(quotes.columns(), sim_replay.quotes.columns()):
+            assert got is want
 
 
 def test_empty_series_has_no_reference_snapshot():
@@ -459,7 +487,7 @@ HORIZONS = st.sampled_from([0, 1, 5, 30])
 
 def oracle_lookup(quotes, t, kind, qty):
     """(values, None) or (index, message) of the first failing element."""
-    values = []
+    values, quotes = [], oracle_quotes(quotes)
     for i, (ti, qi) in enumerate(zip(t.tolist(), qty.tolist())):
         try:
             values.append(oracle.reference(quotes, ti, kind, qi))
@@ -487,16 +515,16 @@ class TestArrayLookupMatchesOracle:
     @given(quotes=quote_series(), trades=cohorts(), kind=KINDS, k=HORIZONS,
            eps=st.sampled_from([1, -1]))
     def test_trade_signature_within_bound(self, quotes, trades, kind, k, eps):
-        records = rows(trades)
+        records, seen = rows(trades), oracle_quotes(quotes)
         try:
-            want = oracle.trade_signature(records, k, eps, kind, quotes)
+            want = oracle.trade_signature(records, k, eps, kind, seen)
         except ValueError as exc:
             with pytest.raises(ValueError) as info:
                 trade_signature(trades, k, eps, kind, quotes)
             assert str(info.value) == str(exc)
             return
         got = trade_signature(trades, k, eps, kind, quotes)
-        x = [oracle.reference(quotes, r.t_ns + k, kind, r.qty) for r in records]
+        x = [oracle.reference(seen, r.t_ns + k, kind, r.qty) for r in records]
         scale = (sum(abs(r.qty * (xi - r.price)) for r, xi in zip(records, x))
                  / sum(abs(r.qty) for r in records))
         assert abs(got - want) <= 1e-12 * scale

@@ -343,28 +343,32 @@ class TestEventLog:
             MboEvent(2, 2, "execute", "bid", 100.01, 5, True, "IT")]
 
     def test_rows_and_equality(self):
-        log = EventLog.from_events(self.ROWS)
+        log = EventLog.from_rows(self.ROWS)
         assert len(log) == 4
         assert list(log) == self.ROWS
         assert log[2] == self.ROWS[2] and log[-1] == self.ROWS[-1]
         assert log == self.ROWS and self.ROWS == log and log == tuple(self.ROWS)
-        assert log == EventLog.from_events(iter(self.ROWS))
+        assert log == EventLog.from_rows(iter(self.ROWS))
         assert log != self.ROWS[:3] and log != self.ROWS[::-1]
-        assert EventLog.from_events([]) == []
+        assert EventLog.from_rows([]) == [] and EventLog.from_rows(log) is log
         with pytest.raises(TypeError):
             log[1:2]
 
     def test_array_columns_read_as_python_values(self):
-        lists = EventLog.from_events(self.ROWS)
+        # lists, arrays and a mix of both give the same log of numpy columns
+        # whose rows read as Python values
+        lists = [list(col) for col in zip(*map(dataclasses.astuple, self.ROWS))]
         dtypes = (np.int64, np.int64, object, object, np.float64, np.int64, object, object)
-        arrays = EventLog(*(np.array(col, dtype=d) for col, d in zip(lists.columns(), dtypes)))
+        arrays = EventLog(*(np.array(col, dtype=d) for col, d in zip(lists, dtypes)))
         mixed = EventLog(*(np.array(col, dtype=d) if i % 2 else col
-                           for i, (col, d) in enumerate(zip(lists.columns(), dtypes))))
-        for log in (arrays, mixed):
-            assert (log == lists) is True and (lists == log) is True and (log == arrays) is True
+                           for i, (col, d) in enumerate(zip(lists, dtypes))))
+        from_lists = EventLog(*lists)
+        for log in (from_lists, mixed):
+            assert [col.dtype for col in log.columns()] == list(map(np.dtype, dtypes))
+            assert (log == arrays) is True and (arrays == log) is True
             assert log == self.ROWS and list(log) == self.ROWS and log[-2] == self.ROWS[-2]
             assert log != self.ROWS[::-1]
-            assert (log == EventLog.from_events(self.ROWS[::-1])) is False
+            assert (log == EventLog.from_rows(self.ROWS[::-1])) is False
             assert [type(v) for v in dataclasses.astuple(log[2])] == [
                 int, int, str, str, float, int, bool, str]
             assert [type(v) for v in dataclasses.astuple(next(iter(log)))] == [
@@ -374,14 +378,14 @@ class TestEventLog:
             arrays[1:2]
 
     def test_columns_must_have_equal_length(self):
-        with pytest.raises(ValueError, match="differ in length"):
+        with pytest.raises(ValueError, match="^EventLog columns must be 1-d and of equal length$"):
             EventLog([1], [1], ["add"], ["ask"], [1.0], [1], [None], [])
 
     def test_written_like_its_rows(self):
         rows = self.ROWS + [MboEvent(3, 3, "add", "ask", -0.0, 1),
                             MboEvent(3, 4, "add", "ask", 0.0, 1)]
         buf = io.StringIO()
-        write_csv(EventLog.from_events(rows), buf)
+        write_csv(EventLog.from_rows(rows), buf)
         assert buf.getvalue() == dumps(rows)
         assert parse(io.StringIO(buf.getvalue())) == rows
         assert ",-0,1,," in buf.getvalue() and ",0,1,," in buf.getvalue()
