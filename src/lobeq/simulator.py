@@ -53,7 +53,7 @@ import numpy as np
 
 from . import kernels
 from .equilibrium import BookShape, ModelParams, book_curves, shape_tick
-from .mbo import EventLog
+from .mbo import EventLog, Quotes
 
 __all__ = [
     "SimConfig",
@@ -139,7 +139,7 @@ class SimResult:
     book: BookShape
     events: list[SimEvent] | None = None
     mbo_events: EventLog | None = None
-    quote_snapshots: list[tuple] | None = None   # (ts, bid_px, bid_qty, ask_px, ask_qty)
+    quote_snapshots: Quotes | None = None   # after the initial book and after each event
 
 
 @dataclass(frozen=True)
@@ -445,15 +445,17 @@ class _LoggedRun:
         self.nmm = nmm.tolist()
         # keep grid prices identical to their CSV round-trip
         self.px = {i: round(i * tick, 12) for i in np.unique(idx).tolist()}
-        # (ts, bid_px, bid_qty, ask_px, ask_qty) after the initial book and
-        # after each event: the best quotes of the state it left
-        quotes = self._best_quotes(idx, lvl)
-        self.snapshots = [(0, *quotes[0])] + [
-            (ts, *quotes[s]) for ts, s in zip(times_ns.tolist(), np.cumsum(self.moves).tolist())]
+        # the state after the initial book (at ts 0) and after each event,
+        # and the best quotes it shows
+        state = np.concatenate(([0], np.cumsum(self.moves)))
+        px, qty = self._best_quotes(idx, lvl)
+        px, qty = px[state], qty[state]
+        self.snapshots = Quotes(np.concatenate(([0], times_ns)), px[:, BID], px[:, ASK],
+                                qty[:, BID], qty[:, ASK])
 
         # the ask book each event met, scored by the probe kernel afterwards:
         # level distances for jumps and noise buys, queue depths for buys
-        before = np.concatenate(([0], np.cumsum(self.moves)[:-1]))
+        before = state[:-1]
         ask_dist = dist[before, ASK]
         buy = (draws.noise_sign > 0)[:, None]
         self.probe_x = np.where(jump[:, None] | buy, ask_dist, 0.0)
@@ -473,19 +475,18 @@ class _LoggedRun:
         self._emit = _row_appender(self.columns)
         self._next_oid = itertools.count(1).__next__
 
-    def _best_quotes(self, idx: np.ndarray, lvl: np.ndarray) -> list[tuple]:
-        """(bid_px, bid_qty, ask_px, ask_qty) of each state's target book:
-        the nearest level with volume on each side, None on an empty side."""
+    def _best_quotes(self, idx: np.ndarray, lvl: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Best price and quantity of each state's target book, each
+        ``(n_states, 2)``: the nearest level with volume on each side, a nan
+        price and zero quantity on an empty side, as the replay gives them."""
         shown = lvl > 0
         first = shown.argmax(axis=-1)[..., None]
-        best_idx = np.take_along_axis(idx, first, -1)[..., 0].tolist()
-        best_qty = np.take_along_axis(lvl, first, -1)[..., 0].tolist()
-
-        def quote(i, q, any_shown):
-            return (self.px[i], q) if any_shown else (None, None)
-
-        return [(*quote(i[BID], q[BID], a[BID]), *quote(i[ASK], q[ASK], a[ASK]))
-                for i, q, a in zip(best_idx, best_qty, shown.any(axis=-1).tolist())]
+        best_idx = np.take_along_axis(idx, first, -1)[..., 0]
+        best_qty = np.take_along_axis(lvl, first, -1)[..., 0]
+        grid, at = np.unique(best_idx, return_inverse=True)
+        best_px = np.array([self.px[i] for i in grid.tolist()])[at.reshape(best_idx.shape)]
+        any_shown = shown.any(axis=-1)
+        return np.where(any_shown, best_px, np.nan), np.where(any_shown, best_qty, 0)
 
     # -- replenishment ----------------------------------------------------------
 

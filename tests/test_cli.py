@@ -4,6 +4,10 @@ import csv
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -221,6 +225,17 @@ class TestSpread:
         code, _ = run_cli(tmp_path, "spread", {"params": dict(REF_PARAMS, **{key: value})})
         assert code == 2
         assert f"params: {key} must be a number, got {value!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,law,message", [
+        ("jump", {"type": ["pareto"], "shape": 3.0, "scale": 0.005},
+         "params: unknown jump law type ['pareto']"),
+        ("volume", {"type": {"a": 1}, "sigma": 10.0},
+         "params: unknown volume law type {'a': 1}"),
+    ])
+    def test_non_string_law_type_names_its_family(self, tmp_path, capsys, key, law, message):
+        code, _ = run_cli(tmp_path, "spread", {"params": dict(REF_PARAMS, **{key: law})})
+        assert code == 2
+        assert message in capsys.readouterr().err
 
     def test_zero_spread_regime_is_nonzero(self, tmp_path):
         code, _ = run_cli(tmp_path, "spread", {"params": dict(REF_PARAMS, f=0.0)})
@@ -633,3 +648,16 @@ class TestPlumbing:
         row = read_csv(out2 / "sweep.csv")[0]
         # CSV text round-trips to the exact float
         assert float(row["phi"]) == doc["phi"]
+
+    def test_start_up_loads_no_scipy(self):
+        # scipy is a test dependency only; a fresh interpreter running any
+        # lobeq command must not pay for importing it
+        probe = ("import pkgutil, sys, lobeq, lobeq.cli\n"
+                 "for m in pkgutil.iter_modules(lobeq.__path__, 'lobeq.'):\n"
+                 "    __import__(m.name)\n"
+                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

@@ -5,7 +5,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import ndtr, ndtri
 from scipy.stats import kstest
 
 from lobeq.laws import (
@@ -163,6 +166,75 @@ class TestVolumeLaws:
             NormalVolume(0.0)
         with pytest.raises(ValueError):
             LaplaceVolume(-1.0)
+
+
+class TestNormalAgainstScipy:
+    """The AS 241 quantile and the erfc-based CDF of ``NormalVolume``
+    against ``scipy.special.ndtri``/``ndtr``, which they replaced."""
+
+    LAWS = [NormalVolume(1.0), NormalVolume(10.0), NormalVolume(0.37)]
+
+    @staticmethod
+    def probabilities():
+        rng = np.random.default_rng(2024)
+        uniform = rng.random(100_000)
+        lower = 10.0 ** rng.uniform(-300.0, -1.0, 50_000)
+        upper = 1.0 - 10.0 ** rng.uniform(-15.0, -1.0, 50_000)
+        p = np.concatenate([uniform, lower, upper])
+        return p[(p > 0.0) & (p < 1.0)]
+
+    @staticmethod
+    def assert_quantile_close(law, p):
+        expected = ndtri(p)
+        got = law.quantile(p) / law.sigma
+        assert np.all(np.abs(got - expected) <= 4e-15 * np.abs(expected))
+
+    @pytest.mark.parametrize("law", LAWS, ids=str)
+    def test_quantile_matches_ndtri(self, law):
+        self.assert_quantile_close(law, self.probabilities())
+
+    @given(p=st.floats(1e-300, 1.0 - 1e-15), sigma=st.sampled_from([1.0, 10.0, 0.37]))
+    def test_quantile_matches_ndtri_property(self, p, sigma):
+        self.assert_quantile_close(NormalVolume(sigma), np.array([p]))
+
+    @pytest.mark.parametrize("law", LAWS, ids=str)
+    def test_quantile_of_one_half_is_zero(self, law):
+        assert law.quantile(0.5) == 0.0
+        assert law.quantile(np.array([0.5, 0.5])).tolist() == [0.0, 0.0]
+
+    def test_quantile_strictly_increasing(self):
+        # every branch, and points straddling the branch ends
+        # |p - 1/2| = 0.425 and sqrt(-log p) = 5
+        edges = [0.075, 0.925, math.exp(-25.0), 1.0 - math.exp(-25.0)]
+        grid = np.unique(np.concatenate(
+            [np.logspace(-300, -1, 3000), np.linspace(1e-6, 1.0 - 1e-6, 100_001),
+             1.0 - np.logspace(-15, -1, 1000)]
+            + [e + 1e-9 * min(e, 1.0 - e) * np.arange(-50, 51) for e in edges]))
+        assert np.all(np.diff(NormalVolume(10.0).quantile(grid)) > 0.0)
+
+    @staticmethod
+    def assert_cdf_close(law, z):
+        expected = ndtr(z)
+        got = law.cdf(z * law.sigma)
+        assert np.all(np.abs(got - expected) <= 1e-15)
+        normal = expected >= np.finfo(float).tiny
+        assert np.all(np.abs(got - expected)[normal] <= 1e-12 * expected[normal])
+
+    @pytest.mark.parametrize("law", LAWS, ids=str)
+    def test_cdf_matches_ndtr(self, law):
+        self.assert_cdf_close(law, np.linspace(-37.0, 10.0, 200_001))
+
+    @given(z=st.floats(-37.0, 10.0), sigma=st.sampled_from([1.0, 10.0, 0.37]))
+    def test_cdf_matches_ndtr_property(self, z, sigma):
+        self.assert_cdf_close(NormalVolume(sigma), np.array([z]))
+
+    def test_scalar_in_float_out(self):
+        law = NormalVolume(10.0)
+        for value in (law.quantile(0.3), law.quantile(np.float64(0.3)),
+                      law.cdf(1.5), law.cdf(np.float64(1.5)), law.p_gt(1.5)):
+            assert type(value) is float
+        assert isinstance(law.quantile(np.array([0.3])), np.ndarray)
+        assert isinstance(law.cdf([1.5]), np.ndarray)
 
 
 class TestSampling:

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 import logged_oracle
 from lobeq.equilibrium import BookShape, ModelParams, book_curves, shape_tick
 from lobeq.laws import Exponential, NormalVolume, Pareto, PointMass
-from lobeq.mbo import EventLog, MboEvent, dumps, parse, reconstruct, write_csv
+from lobeq.mbo import EventLog, MboEvent, Quotes, dumps, parse, reconstruct, write_csv
 from lobeq.simulator import (
     SimConfig,
     _event_times,
@@ -31,6 +31,22 @@ REF = ModelParams(r=0.9, f=0.9, jump=Pareto(3.0, 0.005), volume=NormalVolume(10.
 # race the informed trader wins ends in a trade
 LOGGED = ModelParams(r=0.15, f=0.9, jump=Pareto(2.5, 0.01), volume=NormalVolume(10.0),
                      tick=0.01, offset_d=0.0, lambda_i=0.15, lambda_u=0.85)
+
+
+def assert_same_quotes(got, expected):
+    """Equal ``Quotes`` tables, column by column, nan equal to nan."""
+    for name in Quotes.fields():
+        a, b = getattr(got, name), getattr(expected, name)
+        assert np.array_equal(a, b, equal_nan=True), name
+
+
+def oracle_quotes(snapshots):
+    """The oracle's ``(ts, bid_px, bid_qty, ask_px, ask_qty)`` tuples as a
+    ``Quotes`` table, with nan and zero for an empty side's None."""
+    ts, bid, bid_qty, ask, ask_qty = zip(*snapshots)
+    price = [[math.nan if v is None else v for v in col] for col in (bid, ask)]
+    qty = [[0 if v is None else v for v in col] for col in (bid_qty, ask_qty)]
+    return Quotes(ts, *price, *qty)
 
 
 def populated_levels(result):
@@ -165,10 +181,8 @@ class TestLoggedPath:
         assert parsed == events
 
     def test_quote_series_reproduced_by_replay(self, logged_result):
-        q = reconstruct(export_mbo(logged_result)).quotes
-        rebuilt = list(zip(*(col.tolist() for col in (q.ts_ns, q.bid, q.bid_qty, q.ask,
-                                                        q.ask_qty))))
-        assert rebuilt == logged_result.quote_snapshots
+        assert_same_quotes(reconstruct(export_mbo(logged_result)).quotes,
+                           logged_result.quote_snapshots)
 
     def test_volume_conservation_exact(self, logged_result):
         replay = reconstruct(export_mbo(logged_result))
@@ -314,7 +328,7 @@ class TestLoggedOracle:
             return
         result = run(cfg)
         assert export_mbo(result) == expected.mbo_events
-        assert result.quote_snapshots == expected.quote_snapshots
+        assert_same_quotes(result.quote_snapshots, oracle_quotes(expected.quote_snapshots))
         assert result.events == expected.events
         assert result.pnl == expected.pnl
         assert result.summary == expected.summary
@@ -333,7 +347,7 @@ class TestLoggedOracle:
         expected, _ = logged_oracle.run(cfg)
         result = run(cfg)
         assert dumps(export_mbo(result)) == dumps(expected.mbo_events)
-        assert result.quote_snapshots == expected.quote_snapshots
+        assert_same_quotes(result.quote_snapshots, oracle_quotes(expected.quote_snapshots))
 
 
 class TestEventLog:
