@@ -51,7 +51,7 @@ from .equilibrium import (
     theta_bar,
 )
 from .laws import config_number as _number, jump_law_from_config, volume_law_from_config
-from .mbo import parse as parse_mbo, reconstruct, write_csv
+from .mbo import EXECUTE, parse as parse_mbo, reconstruct, write_csv
 from .signature import (
     REFERENCES,
     ClusterSpec,
@@ -301,7 +301,7 @@ def cmd_signature(cfg: dict, out: Path, seed) -> list[str]:
 
     # every config value is checked before the log is read and any CSV written
     events = parse_mbo(input_path, tick=tick)
-    if not np.any(events.action == "execute"):
+    if not np.any(events.action == EXECUTE):
         raise ConfigError(f"signature: log {input_path} contains no executions")
     replay = reconstruct(events)
     quotes = QuoteSeries.from_replay(replay)

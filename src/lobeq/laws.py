@@ -225,7 +225,7 @@ class VolumeLaw:
     @staticmethod
     def _check_p(p):
         p_arr = np.asarray(p, dtype=float)
-        if np.any(p_arr <= 0.0) or np.any(p_arr >= 1.0):
+        if not np.all((p_arr > 0.0) & (p_arr < 1.0)):     # nan fails both comparisons
             raise ValueError("quantile requires 0 < p < 1")
         return p_arr
 

@@ -22,11 +22,17 @@ CSV schema (exact header)::
 Replay applies events under price-time (FIFO) priority and reconstructs
 every order's lifecycle together with per-timestamp best-quote snapshots.
 
-The read side is columnar: :func:`parse` reads the body in one typed C
-pass, checks field domains as array masks and order references in one
-pass over integer lists, and returns an :class:`EventLog` of numpy
-columns; :func:`reconstruct` replays with actions and sides as small
-integers and returns :class:`Replay` tables of numpy columns.
+The read side is array code from end to end.  An :class:`EventLog` holds
+``action`` and ``side`` as int8 indices into :data:`ACTIONS` and
+:data:`SIDES` and ``aggressor_flag`` as an int8 of -1/0/1 for
+None/False/True; rows, equality and :func:`write_csv` decode them.
+:func:`parse` reads the body in one typed C pass, the three coded fields
+as fixed-width text it compares as arrays, and checks field domains as
+array masks.  One order walk (:func:`_walk`: a stable sort by order id,
+then segmented cumulative sums) gives every row its lifecycle and its
+order's resting quantity; it holds parse's reference checks, and
+:func:`reconstruct` recomputes it and builds fills, lifecycles, open
+orders and quotes from its arrays.
 """
 
 from __future__ import annotations
@@ -36,8 +42,6 @@ import io
 import math
 import operator
 import warnings
-from bisect import insort
-from collections import deque
 from collections.abc import Sequence
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -51,6 +55,7 @@ __all__ = [
     "HEADER",
     "ACTIONS",
     "SIDES",
+    "FLAGS",
     "MboEvent",
     "EventLog",
     "Table",
@@ -75,9 +80,10 @@ ACTIONS = ("add", "modify", "cancel", "execute")
 SIDES = ("bid", "ask")
 ADD, MODIFY, CANCEL, EXECUTE = range(len(ACTIONS))
 BID, ASK = range(len(SIDES))
+#: the aggressor flag of code c is FLAGS[c]: -1 None, 0 False, 1 True
+FLAGS = (False, True, None)
 
 _FLAGS = {"": None, "true": True, "1": True, "false": False, "0": False}
-_ACTION_NAMES = np.array(ACTIONS, dtype=object)
 _SIDE_NAMES = np.array(SIDES, dtype=object)
 
 
@@ -110,19 +116,51 @@ class Table:
     converts each one once.  ``len``, iteration and integer indexing give
     ``ROW`` rows of Python values, and ``==`` compares row by row with any
     table or sequence of them.
+
+    A field named in ``CODES`` holds small integer codes for the values
+    ``CODES[field]``: code ``c`` stands for ``values[c]``, and only the
+    ``None`` that may end the values has the code -1.  The constructor
+    takes integer columns as codes and any other column as values, which
+    it encodes; rows decode them.
     """
 
     ROW: type
     DTYPES: tuple
+    CODES: dict[str, tuple] = {}
 
     def __init__(self, *columns, **named):
         named.update(zip(self.fields(), columns))
         for name, dtype in zip(self.fields(), self.DTYPES):
-            setattr(self, name, np.asarray(named[name], dtype=dtype))
+            setattr(self, name, np.asarray(named[name], dtype=None if name in self.CODES else dtype))
         cols = self.columns()
         if len({col.shape for col in cols} | {(cols[0].size,)}) != 1:
             raise ValueError(f"{type(self).__name__} columns must be 1-d and of equal length")
+        for name, values in self.CODES.items():
+            setattr(self, name, self._encode(name, getattr(self, name), values))
         self._check()
+
+    def _encode(self, name: str, col: np.ndarray, values: tuple) -> np.ndarray:
+        """``col`` as codes of ``values``: checked if it holds integers, else
+        encoded; ValueError naming the first row whose value or code is
+        not one of them."""
+        low = -1 if values[-1] is None else 0
+        if col.dtype.kind in "iu":
+            bad = np.flatnonzero((col < low) | (col >= low + len(values)))
+            if bad.size:
+                raise ValueError(f"{type(self).__name__} row {bad[0]}: {name} code "
+                                 f"{col[bad[0]]} is not one of {low}..{low + len(values) - 1}")
+            return col.astype(np.int8, copy=False)
+        index = {value: code for code, value in enumerate(values)}
+        if low < 0:
+            index[None] = -1
+        codes = np.empty(col.size, dtype=np.int8)
+        for i, value in enumerate(col.tolist()):
+            try:
+                codes[i] = index[value]
+            except (KeyError, TypeError):
+                raise ValueError(f"{type(self).__name__} row {i}: {name} {value!r} "
+                                 f"is not one of {values}") from None
+        return codes
 
     def _check(self) -> None:
         """Raise ValueError if the columns break an invariant of the table."""
@@ -143,6 +181,11 @@ class Table:
     def columns(self) -> tuple[np.ndarray, ...]:
         return tuple(getattr(self, name) for name in self.fields())
 
+    def _values(self) -> list[np.ndarray]:
+        """The columns with codes decoded to their values."""
+        return [np.asarray(self.CODES[name], dtype=object)[col] if name in self.CODES else col
+                for name, col in zip(self.fields(), self.columns())]
+
     def take(self, rows):
         """The rows picked by a boolean mask or an index array."""
         return type(self)(*(col[rows] for col in self.columns()))
@@ -151,11 +194,12 @@ class Table:
         return len(self.columns()[0])
 
     def __iter__(self):
-        return map(self.ROW, *(col.tolist() for col in self.columns()))
+        return map(self.ROW, *(col.tolist() for col in self._values()))
 
     def __getitem__(self, i: int):
         i = operator.index(i)
-        return self.ROW(*(col.item(i) for col in self.columns()))
+        return self.ROW(*(self.CODES[name][col.item(i)] if name in self.CODES else col.item(i)
+                          for name, col in zip(self.fields(), self.columns())))
 
     def __eq__(self, other):
         if not isinstance(other, (Table, Sequence)) or isinstance(other, str):
@@ -168,10 +212,13 @@ class Table:
 
 class EventLog(Table):
     """A log as one numpy column per CSV field, in file order; its rows are
-    :class:`MboEvent`."""
+    :class:`MboEvent`.  ``action``, ``side`` and ``aggressor_flag`` are int8
+    codes: indices into :data:`ACTIONS` and :data:`SIDES`, and -1/0/1 for
+    None/False/True."""
 
     ROW = MboEvent
-    DTYPES = (np.int64, np.int64, object, object, np.float64, np.int64, object, object)
+    DTYPES = (np.int64, np.int64, np.int8, np.int8, np.float64, np.int64, np.int8, object)
+    CODES = {"action": ACTIONS, "side": SIDES, "aggressor_flag": FLAGS}
 
 
 # ---------------------------------------------------------------------------
@@ -248,12 +295,29 @@ class Replay:
 # Parsing
 # ---------------------------------------------------------------------------
 
-_NUMBERS = {name: dtype for name, dtype in zip(HEADER, EventLog.DTYPES) if dtype is not object}
-#: one body record as the C reader types it; text fields stay exact strings
-_DTYPE = np.dtype(list(zip(HEADER, EventLog.DTYPES)))
+_NUMBERS = {"ts_ns": np.int64, "order_id": np.int64, "price": np.float64, "qty": np.int64}
+#: the exact texts of each coded field, with their codes
+_SPELLINGS = {"action": {name: k for k, name in enumerate(ACTIONS)},
+              "side": {name: k for k, name in enumerate(SIDES)},
+              "aggressor_flag": {text: -1 if flag is None else int(flag)
+                                 for text, flag in _FLAGS.items()}}
+_WIDTH = {name: max(map(len, texts)) + 1 for name, texts in _SPELLINGS.items()}
+#: one body record as the C reader types it.  A coded field is fixed-width
+#: text one character wider than its longest spelling, so that a text that
+#: fills it (and may have been cut) matches none.  Action and side are
+#: bytes; the flag is str, as a flag may be padded with any whitespace; the
+#: label stays an exact string
+_DTYPE = np.dtype([("ts_ns", np.int64), ("order_id", np.int64),
+                   ("action", f"S{_WIDTH['action']}"), ("side", f"S{_WIDTH['side']}"),
+                   ("price", np.float64), ("qty", np.int64),
+                   ("aggressor_flag", f"U{_WIDTH['aggressor_flag']}"),
+                   ("participant_label", object)])
 _TEXT = np.dtype([(name, object) for name in HEADER])
-#: separators the C reader skips around a number as whitespace, and Python's int/float do not
-_C_SPACES = "\x1c\x1d\x1e\x1f"
+#: separators the C reader skips around a number as whitespace, and Python's
+#: int/float do not; and NUL, which a fixed-width text drops at its end
+_ODD = "\x1c\x1d\x1e\x1f\x00"
+#: the code of a coded field's text that is none of its values
+_BAD = -2
 
 
 def _read(lines, dtype=_DTYPE) -> np.ndarray:
@@ -362,62 +426,24 @@ def _python_rejects(records: np.ndarray) -> np.ndarray:
     return np.array([any(map(rejects, casts, texts)) for texts in zip(*columns)], dtype=bool)
 
 
-def _codes(values, names) -> np.ndarray:
-    """Index of each value in ``names`` as int8, -1 for any other value."""
-    values = np.asarray(values, dtype=object)
-    codes = np.full(values.shape, -1, dtype=np.int8)
-    for k, name in enumerate(names):
-        codes[values == name] = k
-    return codes
-
-
-def _flags(texts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(True/False/None per aggressor_flag text, mask of texts that are no flag)."""
-    flags = np.full(texts.shape, None, dtype=object)
-    bad = np.zeros(texts.shape, dtype=bool)
-    is_true, is_false = texts == "true", texts == "false"
-    flags[is_true] = True
-    flags[is_false] = False
-    for i in np.flatnonzero(~(is_true | is_false | (texts == ""))):  # other spellings
-        flag = _FLAGS.get(texts[i].strip().lower(), bad)
-        if flag is bad:
-            bad[i] = True
-        else:
-            flags[i] = flag
-    return flags, bad
-
-
-def _reference_fault(act: list, oid: list, side: list, qty: list) -> tuple[int, str] | None:
-    """(index, message) of the first row naming an order it may not, or
-    None: modify/cancel/execute need a live order on the same side, an
-    execute at most its resting quantity, and an add a new order id."""
-    live: dict[int, tuple[int, int]] = {}    # order_id -> (remaining qty, side)
-    for i, (a, o, s, q) in enumerate(zip(act, oid, side, qty)):
-        if a == ADD:
-            if o in live:
-                return i, f"order {o} added twice"
-            live[o] = (q, s)
+def _text_codes(records: np.ndarray) -> list[np.ndarray]:
+    """The action, side and flag codes of body records, _BAD for a text
+    that is none of its field's spellings: compared as arrays when read at
+    fixed width, one by one when read as exact text (a flag trimmed and
+    lowered first)."""
+    codes = []
+    for name, spellings in _SPELLINGS.items():
+        texts = records[name]
+        if texts.dtype == object:
+            flag = name == "aggressor_flag"
+            codes.append(np.array([spellings.get(t.strip().lower() if flag else t, _BAD)
+                                   for t in texts.tolist()], dtype=np.int8))
             continue
-        resting_order = live.get(o)
-        if resting_order is None:
-            return i, f"{ACTIONS[a]} references unknown order {o}"
-        resting, order_side = resting_order
-        if s != order_side:
-            if a == MODIFY:
-                return i, f"modify moves order {o} from {SIDES[order_side]} to {SIDES[s]}"
-            return i, (f"{ACTIONS[a]} on {SIDES[s]} names order {o}, "
-                       f"which rests on {SIDES[order_side]}")
-        if a == MODIFY:
-            live[o] = (q, s)
-        elif a == CANCEL:
-            del live[o]
-        elif q > resting:  # execute
-            return i, f"execute qty {q} exceeds resting {resting} on order {o}"
-        elif q == resting:
-            del live[o]
-        else:
-            live[o] = (resting - q, s)
-    return None
+        col = np.full(texts.size, _BAD, dtype=np.int8)
+        for text, code in spellings.items():
+            col[texts == (text.encode() if texts.dtype.kind == "S" else text)] = code
+        codes.append(col)
+    return codes
 
 
 def parse(source, tick: float | None = None) -> EventLog:
@@ -442,7 +468,7 @@ def parse(source, tick: float | None = None) -> EventLog:
 
 def _parse_lines(lines, tick: float | None) -> EventLog:
     """:func:`parse` of a seekable text stream: read once, re-read only to
-    phrase an error."""
+    phrase an error or to read texts a fixed width may hide."""
     first = lines.readline()
     rows = _numbered(csv.reader(chain([first], lines)), 1) if first else iter(())
     _, header = next(rows, (1, None))
@@ -451,7 +477,7 @@ def _parse_lines(lines, tick: float | None) -> EventLog:
     if tuple(header) != HEADER:
         raise MboParseError(f"row 1: header {header!r} does not match {','.join(HEADER)}")
     body = lines.tell()
-    odd = any(c in chunk for chunk in iter(partial(lines.read, 1 << 20), "") for c in _C_SPACES)
+    odd = any(c in chunk for chunk in iter(partial(lines.read, 1 << 20), "") for c in _ODD)
     lines.seek(body)
 
     try:
@@ -469,13 +495,19 @@ def _parse_lines(lines, tick: float | None) -> EventLog:
         return next(islice(rows, i, None))
 
     ts, oid, price, qty = (np.ascontiguousarray(records[name]) for name in _NUMBERS)
-    act = _codes(records["action"], ACTIONS)
-    side = _codes(records["side"], SIDES)
-    flag, bad_flag = _flags(records["aggressor_flag"])
-    domain = (act < 0) | (side < 0) | (qty < 0) | ~np.isfinite(price) | bad_flag
-    if odd:
+    act, side, flag = _text_codes(records)
+    label = np.array(records["participant_label"])
+    del records
+    label[label == ""] = None
+    domain = np.zeros(n, dtype=bool)
+    if odd or np.any(flag == _BAD):          # texts a fixed width may hide: read them whole
         lines.seek(body)
-        domain |= _python_rejects(_read(lines if prefix is None else prefix, _TEXT))
+        texts = _read(lines if prefix is None else prefix, _TEXT)
+        act, side, flag = _text_codes(texts)
+        if odd:
+            domain = _python_rejects(texts)
+        del texts
+    domain |= (act == _BAD) | (side == _BAD) | (flag == _BAD) | (qty < 0) | ~np.isfinite(price)
     backwards = np.zeros(n, dtype=bool)
     backwards[1:] = ts[1:] < ts[:-1]
     faults = [domain, backwards]
@@ -486,10 +518,9 @@ def _parse_lines(lines, tick: float | None) -> EventLog:
     bad = np.flatnonzero(np.logical_or.reduce(faults))
     first = int(bad[0]) if bad.size else n
 
-    fault = _reference_fault(act[:first].tolist(), oid[:first].tolist(), side[:first].tolist(),
-                             qty[:first].tolist())
+    fault = _walk(act[:first], oid[:first], side[:first], qty[:first], "unknown").fault
     if fault is not None:
-        i, message = fault
+        i, message, _ = fault
         raise MboParseError(f"row {record(i)[0]}: {message}")
     if first < n:
         lineno, row = record(first)
@@ -503,10 +534,7 @@ def _parse_lines(lines, tick: float | None) -> EventLog:
         lineno, row = record(n)
         raise MboParseError(_row_fault(lineno, row, _unreadable_numbers(unreadable))
                             or f"row {lineno}: malformed record")
-
-    label = np.array(records["participant_label"])
-    label[label == ""] = None
-    return EventLog(ts, oid, _ACTION_NAMES[act], _SIDE_NAMES[side], price, qty, flag, label)
+    return EventLog(ts, oid, act, side, price, qty, flag, label)
 
 
 class _PriceText(dict):
@@ -520,7 +548,8 @@ class _PriceText(dict):
         return text
 
 
-_FLAG_TEXT = {None: "", True: "true", False: "false"}
+_ACTION_TEXT = np.array(ACTIONS, dtype=object)
+_FLAG_TEXT = np.array(["false", "true", ""], dtype=object)     # by flag code, -1 last
 _LABEL_TEXT = {None: ""}
 #: rows per block that write_csv holds as Python values at a time
 _WRITE_ROWS = 1 << 12
@@ -530,18 +559,21 @@ def write_csv(events, destination) -> None:
     """Serialize events in the canonical schema (UTF-8, 17-digit prices).
 
     ``events`` is an :class:`EventLog` or an iterable of :class:`MboEvent`;
-    the rows are written from the log's columns, a block of rows at a time.
+    the rows are written from the log's columns, a block of rows at a time,
+    with the coded fields decoded to their text.
     """
     log, price_text = EventLog.from_rows(events), _PriceText().__getitem__
+    texts = (None, None, _ACTION_TEXT, _SIDE_NAMES, None, None, _FLAG_TEXT, None)
     stream = hasattr(destination, "write")
     with nullcontext(destination) if stream else open(destination, "w", newline="") as out:
         writer = csv.writer(out)
         writer.writerow(HEADER)
         for start in range(0, len(log), _WRITE_ROWS):
             ts, oid, action, side, price, qty, flag, label = (
-                col[start:start + _WRITE_ROWS].tolist() for col in log.columns())
-            writer.writerows(zip(ts, oid, action, side, map(price_text, price), qty,
-                                 map(_FLAG_TEXT.__getitem__, flag),
+                (col[start:start + _WRITE_ROWS] if text is None
+                 else text[col[start:start + _WRITE_ROWS]]).tolist()
+                for col, text in zip(log.columns(), texts))
+            writer.writerows(zip(ts, oid, action, side, map(price_text, price), qty, flag,
                                  map(_LABEL_TEXT.get, label, label)))
 
 
@@ -552,43 +584,244 @@ def dumps(events) -> str:
 
 
 # ---------------------------------------------------------------------------
+# The order walk
+# ---------------------------------------------------------------------------
+
+
+class _Walk(NamedTuple):
+    """Each row's place in the life of its order.  ``order`` lists the rows
+    by order id, stably, so that an order's rows are consecutive and in
+    file order and each lifecycle is the run from an add to the next add;
+    the other arrays are in that order."""
+
+    order: np.ndarray     # int32 row at each position
+    act: np.ndarray       # its action code
+    reset: np.ndarray     # int32 position of the last add or modify at or before it
+    rest: np.ndarray      # int64 quantity its order has resting after it (not for cancels)
+    fault: tuple | None   # (row, message, is an over-execute) of the first reference fault
+
+
+def _walk(act, oid, side, qty, unknown: str) -> _Walk:
+    """The walk of the rows with these columns.  Its fault is at the first
+    row naming an order it may not: a modify, cancel or execute needs a
+    live order (else it "references ``unknown`` order") on the same side,
+    an execute at most its resting quantity, and an add a new order id.
+    Every check of a row reads only the rows of its order before it, so
+    the first failing row is the one a sequential walk would stop at."""
+    m = act.size
+    order = np.argsort(oid, kind="stable").astype(np.int32)
+    a, q, o = act[order], qty[order], oid[order]
+    add, exe = a == ADD, a == EXECUTE
+    reset = np.maximum.accumulate(np.where(add | (a == MODIFY), np.arange(m, dtype=np.int32), 0))
+    done = np.cumsum(np.where(exe, q, 0))        # executed up to each position
+    rest = q[reset] - done + done[reset]
+    del done
+    # the order rests before a row when the previous position is its own
+    # row and was not a cancel or an execute of all that rested
+    live = np.zeros(m, dtype=bool)
+    live[1:] = (o[1:] == o[:-1]) & (a[:-1] != CANCEL) & ((rest[:-1] != 0) | ~exe[:-1])
+    s = side[order]
+    # a live order's rows before the first failing one share the side of its add
+    moved = np.zeros(m, dtype=bool)
+    moved[1:] = s[1:] != s[:-1]
+    hits = np.flatnonzero(np.where(add, live, ~live | moved | (exe & (rest < 0))))
+    fault = None
+    if hits.size:
+        p = hits[order[hits].argmin()]
+        name, oid_p, over = ACTIONS[a[p]], int(o[p]), False
+        if add[p]:
+            message = f"order {oid_p} added twice"
+        elif not live[p]:
+            message = f"{name} references {unknown} order {oid_p}"
+        elif moved[p] and a[p] == MODIFY:
+            message = f"modify moves order {oid_p} from {SIDES[s[p - 1]]} to {SIDES[s[p]]}"
+        elif moved[p]:
+            message = (f"{name} on {SIDES[s[p]]} names order {oid_p}, "
+                       f"which rests on {SIDES[s[p - 1]]}")
+        else:
+            over = True
+            message = (f"execute qty {int(q[p])} exceeds resting {int(q[p] + rest[p])} "
+                       f"on order {oid_p}")
+        fault = (int(order[p]), message, over)
+    return _Walk(order, a, reset, rest, fault)
+
+
+# ---------------------------------------------------------------------------
 # Replay
 # ---------------------------------------------------------------------------
 
 
-class _Book:
-    """Resting orders of one side: FIFO queues of lifecycle indices per
-    price, the quantity resting at each price and the sorted prices."""
+def _cover_max(lo: np.ndarray, hi: np.ndarray, n: int) -> np.ndarray:
+    """For each point t of range(n), the largest i with lo[i] <= t < hi[i],
+    or -1: each interval is laid on the nodes of a segment tree over the
+    points that it covers whole, and each point takes the largest index on
+    its path from the root."""
+    size = 1 << max(n - 1, 0).bit_length()
+    tree = np.full(2 * size, -1, dtype=np.int64)
+    at, lo, hi = np.arange(lo.size), lo + size, hi + size
+    while at.size:
+        keep = lo < hi
+        at, lo, hi = at[keep], lo[keep], hi[keep]
+        left, right = (lo & 1) == 1, (hi & 1) == 1
+        np.maximum.at(tree, lo[left], at[left])
+        np.maximum.at(tree, hi[right] - 1, at[right])
+        lo, hi = (lo + 1) >> 1, hi >> 1
+    for k in range(1, size.bit_length()):
+        tree[1 << k:2 << k] = np.maximum(tree[1 << k:2 << k], np.repeat(tree[1 << k - 1:1 << k], 2))
+    return tree[size:size + n]
 
-    def __init__(self, is_bid: bool):
-        self.is_bid = is_bid
-        self.queues: dict[float, deque] = {}
-        self.volume: dict[float, int] = {}
-        self.prices: list[float] = []     # ascending
 
-    def add(self, price: float, k: int, qty: int) -> None:
-        dq = self.queues.get(price)
-        if dq is None:
-            self.queues[price] = deque((k,))
-            self.volume[price] = qty
-            insort(self.prices, price)
-        else:
-            dq.append(k)
-            self.volume[price] += qty
+def _book(log: EventLog, walk: _Walk) -> tuple[Quotes, list[tuple[int, int, str]]]:
+    """The best quotes at the end of each timestamp of the walked rows, and
+    the first FIFO, passive price, cancel quantity and crossed-book fault
+    among them as (row, rank of the check within a row, message).
 
-    def remove(self, price: float, k: int, qty: int) -> None:
-        dq = self.queues[price]
-        dq.remove(k)
-        if dq:
-            self.volume[price] -= qty
-        else:
-            del self.queues[price], self.volume[price]
-            self.prices.remove(price)
+    Each add, and each modify that changes the price or raises the size,
+    starts a stint of its order in the queue of its (side, price) level,
+    which its next such modify, its cancel or its last execute ends.  An
+    execute is at the front when every stint that entered its level before
+    its own has ended: a prefix maximum of exit rows per level.  A level is
+    shown from the entry that finds it empty to the end of its last
+    overlapping stint, and its depth is the cumulative sum of the volume
+    each row moves there.
+    """
+    order, a, reset, rest, _ = walk
+    m, ts, oid, side = order.size, log.ts_ns, log.order_id, log.side
+    px, q = log.price[order], log.qty[order]
+    held = px[reset]                             # the order's resting price after each row
+    before = np.zeros(m, dtype=np.int64)         # and its resting quantity before it
+    before[1:] = rest[:-1]
+    add, mod, cancel, exe = (a == code for code in (ADD, MODIFY, CANCEL, EXECUTE))
+    entry = add.copy()
+    entry[1:] |= mod[1:] & ((px[1:] != held[:-1]) | (q[1:] > before[1:]))
+    stint = np.cumsum(entry, dtype=np.int32) - 1           # the stint each row leaves queued
+    marks = np.flatnonzero(entry | cancel | (exe & (rest == 0)))
+    after = np.append(marks[1:], m)[entry[marks]]          # the next mark after each entry
+    ended = (after < m) & ~add[np.minimum(after, m - 1)]   # ... is its own, not the next add
+    e_row = order[entry]
+    x_row = np.where(ended, order[np.minimum(after, m - 1)], m)   # the row that ends it
+    del marks, after, ended
+    level = np.unique(px[entry], return_inverse=True)[1] * 2 + side[e_row]
+    by = np.argsort(level * (m + 1) + e_row)               # stints by level, then entry
+    lv, e_by = level[by], e_row[by]
+    first = np.ones(lv.size, dtype=bool)
+    first[1:] = lv[1:] != lv[:-1]
+    span = (np.cumsum(first) - 1) * (m + 2)                # lifts each level above the last
+    reach = np.maximum.accumulate(x_row[by] + span) - span  # latest exit at the level so far
+    ahead = np.full(lv.size, -1, dtype=np.int64)           # ... before this stint entered
+    ahead[1:] = np.where(first[1:], -1, reach[:-1])
+    del span, first
 
-    def best(self):
-        if not self.prices:
-            return None
-        return self.prices[-1] if self.is_bid else self.prices[0]
+    faults = []
+    xp = np.flatnonzero(exe)
+    ahead_of = np.empty_like(ahead)
+    ahead_of[by] = ahead
+    for rank, hits, message in (
+            (1, xp[ahead_of[stint[xp]] > order[xp]],
+             lambda p, o: f"execute on order {o} which is not at the front "
+                          f"of {SIDES[side[order[p]]]}@{float(held[p])}"),
+            (2, xp[(log.aggressor_flag[order[xp]] != 1) & (px[xp] != held[xp])],
+             lambda p, o: f"execute price {float(px[p])} != resting price {float(held[p])} "
+                          f"on order {o}"),
+            (3, np.flatnonzero(cancel & (q != before)),
+             lambda p, o: f"cancel qty {int(q[p])} != remaining {int(before[p])} "
+                          f"on order {o}")):
+        if hits.size:
+            p = hits[order[hits].argmin()]
+            faults.append((int(order[p]), rank, message(p, int(oid[order[p]]))))
+    del xp, ahead_of, by
+
+    # the volume each row moves at its level before it, and each entry at its own
+    moved = np.flatnonzero(~add)
+    key = np.concatenate([level[stint[moved] - entry[moved]], level]) * (2 * m) + np.concatenate(
+        [2 * order[moved], 2 * e_row + 1])
+    change = np.concatenate([np.where(exe[moved], -q[moved],
+                                      np.where(mod[moved] & ~entry[moved], q[moved], 0)
+                                      - before[moved]), q[entry]])
+    del moved, level, stint
+    by_key = np.argsort(key)
+    key, volume = key[by_key], np.cumsum(change[by_key])
+    del by_key, change
+
+    nxt = ts[1:m + 1]
+    ends = np.flatnonzero(ts[:nxt.size] < nxt)                # the last row of each timestamp
+    if m == len(log) and m:
+        ends = np.append(ends, m - 1)
+    start = np.flatnonzero(ahead <= e_by)                  # entries that find the level empty
+    shown = (lv[start], log.price[e_by[start]],            # level, first price, rows covered
+             np.searchsorted(ends, e_by[start]),
+             np.searchsorted(ends, reach[np.append(start[1:], lv.size) - 1]))
+    (bid, bid_qty), (ask, ask_qty) = (_best(code, shown, ends, key, volume, m)
+                                      for code in (BID, ASK))
+    crossed = np.flatnonzero(bid >= ask)                   # False where a side is empty (nan)
+    if crossed.size:
+        k = crossed[0]
+        j = int(ends[k])
+        faults.append((j, 4, f"book crossed at ts_ns {int(ts[j])}: best bid {float(bid[k])} "
+                             f">= best ask {float(ask[k])} after event {j + 1} of the feed "
+                             f"({ACTIONS[log.action[j]]} of order {int(oid[j])})"))
+    return Quotes(ts[ends], bid, ask, bid_qty, ask_qty), faults
+
+
+def _best(side: int, shown: tuple, ends: np.ndarray, key: np.ndarray, volume: np.ndarray,
+          m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(price, depth) of the best level of ``side`` after each row of
+    ``ends``, nan and 0 where none is shown.  ``shown`` holds the shown
+    periods (level, first price, first and end index in ``ends``) by level,
+    ``volume`` the cumulative volume by ``key`` (level * 2m + 2 * row + 1
+    for an entry) within each level."""
+    lv, price, lo, hi = shown
+    mine = np.flatnonzero(lv % 2 == side)
+    if side == ASK:                                        # the lowest level wins
+        mine = mine[::-1]
+    top = _cover_max(lo[mine], hi[mine], ends.size)
+    period = np.append(mine, 0)[top]                       # top -1: none shown, any will do
+    base = lv[period] * (2 * m)
+    last = np.searchsorted(key, base + 2 * ends + 2) - 1   # the level's last change by the row
+    below = np.searchsorted(key, base) - 1
+    depth = volume[last] - np.where(below >= 0, volume[below], 0)
+    return np.where(top >= 0, price[period], np.nan), np.where(top >= 0, depth, 0)
+
+
+_TERMINAL_KINDS = np.array([None, None, "canceled", "executed"], dtype=object)  # by last action
+
+
+def _lifecycles(log: EventLog, walk: _Walk) -> tuple[Lifecycles, Fills, list]:
+    """The lifecycles, fills and open order ids of a walked log without faults."""
+    order, a, reset, rest, _ = walk
+    n = order.size
+    ts, oid, price, qty = log.ts_ns, log.order_id, log.price, log.qty
+    starts = np.flatnonzero(a == ADD)
+    feed = np.argsort(order[starts])                       # the lifecycles in feed order
+    lasts = (np.append(starts[1:], n) - 1)[feed]           # the last position of each
+    starts = starts[feed]
+    adds, end = order[starts], order[lasts]
+    updates = np.cumsum(a == MODIFY)
+    executed = np.cumsum(np.where(a == EXECUTE, qty[order], 0))
+    kind = a[lasts]
+    ended = (kind == CANCEL) | ((kind == EXECUTE) & (rest[lasts] == 0))
+    label = log.participant_label[adds]
+    lifecycles = Lifecycles(
+        order_id=oid[adds], side=_SIDE_NAMES[log.side[adds]], add_ts=ts[adds],
+        add_price=price[adds], add_qty=qty[adds], participant_label=label,
+        price=price[order[reset[lasts]]], n_updates=updates[lasts] - updates[starts],
+        executed_qty=executed[lasts] - executed[starts],
+        terminal_ts=np.where(ended, ts[end].astype(object), None),
+        terminal_kind=_TERMINAL_KINDS[np.where(ended, kind, ADD)],
+    )
+    del updates, executed
+    lifecycle = np.empty(n, dtype=np.int32)                # of each row
+    rank = np.empty(feed.size, dtype=np.int32)
+    rank[feed] = np.arange(feed.size, dtype=np.int32)
+    lifecycle[order] = rank[np.cumsum(a == ADD) - 1]
+    executes = np.flatnonzero(log.action == EXECUTE)
+    fill_lc = lifecycle[executes]
+    fills = Fills(
+        row=executes, lifecycle=fill_lc, ts_ns=ts[executes], order_id=oid[executes],
+        side=lifecycles.side[fill_lc], price=price[executes], qty=qty[executes],
+        aggressor=log.aggressor_flag[executes] == 1, participant_label=label[fill_lc],
+    )
+    return lifecycles, fills, oid[adds[~ended]].tolist()
 
 
 def reconstruct(events) -> Replay:
@@ -601,116 +834,23 @@ def reconstruct(events) -> Replay:
     row carrying that timestamp, i.e. the state prevailing until the
     next one.  A book left crossed or locked at the end of a timestamp
     (best bid >= best ask) is rejected, naming the timestamp and the event.
-    Actions other than add, modify and cancel replay as executes.
+
+    The replay is the order walk's arrays (see :func:`_book`).  A row that
+    :func:`parse` would reject for its order reference is rejected in its
+    words, except that an order no longer live is a dead order.  The error
+    is the one at the first failing row, as a sequential replay meets it.
     """
     log = EventLog.from_rows(events)
-    act = _codes(log.action, ACTIONS)
-    act[act < 0] = EXECUTE
-    side = _codes(log.side, SIDES)
-    ts, oid, price, qty, flag = (col.tolist() for col in (log.ts_ns, log.order_id, log.price,
-                                                          log.qty, log.aggressor_flag))
-    books = (_Book(True), _Book(False))
-    live: dict[int, int] = {}                 # order_id -> lifecycle index, while resting
-    # per lifecycle (the k-th add): side, resting price and quantity, terminal row or -1
-    lc_side, lc_price, lc_rest, lc_end = [], [], [], []
-    fill_lc, modified = [], []                # the lifecycle of each execute and modify row
-    q_ts, q_bid, q_ask, q_bq, q_aq = [], [], [], [], []
-
-    def push_snapshot(n):
-        """Snapshot the book as row ``n`` left it at the end of its timestamp."""
-        bb, ba = books[BID].best(), books[ASK].best()
-        if bb is not None and ba is not None and bb >= ba:
-            raise MboReplayError(
-                f"book crossed at ts_ns {ts[n]}: best bid {bb} >= best ask {ba} "
-                f"after event {n + 1} of the feed ({log.action[n]} of order {oid[n]})"
-            )
-        q_ts.append(ts[n])
-        q_bid.append(bb)
-        q_ask.append(ba)
-        q_bq.append(books[BID].volume[bb] if bb is not None else 0)
-        q_aq.append(books[ASK].volume[ba] if ba is not None else 0)
-
-    sides = side.tolist()
-    prev_ts = ts[0] if len(ts) else None
-    for n, (t, a, o, p, q) in enumerate(zip(ts, act.tolist(), oid, price, qty)):
-        if t > prev_ts:
-            push_snapshot(n - 1)
-        prev_ts = t
-        if a == ADD:
-            live[o] = len(lc_side)
-            books[sides[n]].add(p, len(lc_side), q)
-            lc_side.append(sides[n])
-            lc_price.append(p)
-            lc_rest.append(q)
-            lc_end.append(-1)
-            continue
-
-        k = live.get(o)
-        if k is None:
-            raise MboReplayError(f"{log.action[n]} references dead order {o}")
-        book = books[lc_side[k]]
-        rest, at = lc_rest[k], lc_price[k]
-        if a == EXECUTE:
-            if book.queues[at][0] != k:
-                raise MboReplayError(
-                    f"execute on order {o} which is not at the front "
-                    f"of {SIDES[lc_side[k]]}@{at}"
-                )
-            if flag[n] is not True and p != at:
-                raise MboReplayError(f"execute price {p} != resting price {at} on order {o}")
-            if q > rest:
-                raise MboReplayError(f"execute qty {q} exceeds resting {rest} on order {o}")
-            fill_lc.append(k)
-            lc_rest[k] = rest - q
-            if q == rest:
-                book.remove(at, k, q)
-                del live[o]
-                lc_end[k] = n
-            else:
-                book.volume[at] -= q
-        elif a == CANCEL:
-            if q != rest:
-                raise MboReplayError(f"cancel qty {q} != remaining {rest} on order {o}")
-            book.remove(at, k, rest)
-            del live[o]
-            lc_end[k] = n
-        else:  # modify: a price change or size increase loses queue position
-            modified.append(k)
-            if p != at or q > rest:
-                book.remove(at, k, rest)
-                book.add(p, k, q)
-            else:
-                book.volume[at] += q - rest
-            lc_price[k] = p
-            lc_rest[k] = q
-
-    if len(ts):
-        push_snapshot(len(ts) - 1)
-
-    ts, oid, price, qty = log.ts_ns, log.order_id, log.price, log.qty
-    adds, executes = np.flatnonzero(act == ADD), np.flatnonzero(act == EXECUTE)
-    fill_lc, end = np.array(fill_lc, dtype=np.int64), np.array(lc_end, dtype=np.int64)
-    label = log.participant_label[adds]
-    executed = np.zeros(adds.size, dtype=np.int64)
-    np.add.at(executed, fill_lc, qty[executes])
-    ended = end >= 0
-    lifecycles = Lifecycles(
-        order_id=oid[adds], side=_SIDE_NAMES[side[adds]], add_ts=ts[adds],
-        add_price=price[adds], add_qty=qty[adds], participant_label=label, price=lc_price,
-        n_updates=np.bincount(np.array(modified, dtype=np.int64), minlength=adds.size),
-        executed_qty=executed,
-        terminal_ts=np.where(ended, ts[end].astype(object), None),
-        terminal_kind=np.where(ended, np.where(act[end] == EXECUTE, "executed", "canceled"),
-                               None),
-    )
-    fills = Fills(
-        row=executes, lifecycle=fill_lc, ts_ns=ts[executes], order_id=oid[executes],
-        side=lifecycles.side[fill_lc], price=price[executes], qty=qty[executes],
-        aggressor=log.aggressor_flag[executes] == True,  # noqa: E712
-        participant_label=label[fill_lc],
-    )
-    return Replay(
-        lifecycles=lifecycles, fills=fills,
-        quotes=Quotes(q_ts, q_bid, q_ask, q_bq, q_aq),      # an empty side's None -> nan
-        open_order_ids=list(live),
-    )
+    columns = log.action, log.order_id, log.side, log.qty
+    walk = _walk(*columns, "dead")
+    faults = []
+    if walk.fault is not None:                 # replay the rows before it, and an over-execute
+        row, message, over = walk.fault        # after its FIFO and price checks
+        faults.append((row, 3 if over else 0, message))
+        walk = _walk(*(col[:row + over] for col in columns), "dead")
+    quotes, book_faults = _book(log, walk) if walk.order.size else (Quotes.from_rows([]), [])
+    faults += book_faults
+    if faults:
+        raise MboReplayError(min(faults)[2])
+    lifecycles, fills, open_ids = _lifecycles(log, walk)
+    return Replay(lifecycles=lifecycles, fills=fills, quotes=quotes, open_order_ids=open_ids)

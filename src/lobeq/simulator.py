@@ -53,7 +53,8 @@ import numpy as np
 
 from . import kernels
 from .equilibrium import BookShape, ModelParams, book_curves, shape_tick
-from .mbo import EventLog, Quotes
+from . import mbo
+from .mbo import ADD, CANCEL, EXECUTE, EventLog, Quotes
 
 __all__ = [
     "SimConfig",
@@ -331,6 +332,7 @@ def _run_fast(cfg: SimConfig, book: BookShape, draws: EventDraws) -> SimResult:
 _SNAP = 1e-9
 ASK, BID = 0, 1                    # the side axis of the state tables
 _SIDE_NAMES = ("ask", "bid")
+_MBO_SIDES = (mbo.ASK, mbo.BID)       # the log's side code of each side
 
 
 def _event_times(params: ModelParams, n_events: int, rng: np.random.Generator) -> np.ndarray:
@@ -368,7 +370,8 @@ def _grid_layout(price: np.ndarray, tick: float, n_levels: int) -> tuple[np.ndar
 
 def _row_appender(columns: tuple):
     """``emit(ts, oid, action, side, price, qty, aggressor, label)``: append
-    one MBO row to the eight columns."""
+    one MBO row to the eight columns, action, side and aggressor flag as
+    their :class:`lobeq.mbo.EventLog` codes."""
     ts_, oid_, action_, side_, price_, qty_, aggressor_, label_ = (col.append for col in columns)
 
     def emit(ts, oid, action, side, price, qty, aggressor, label):
@@ -468,10 +471,13 @@ class _LoggedRun:
 
         self.levels: tuple[dict[int, deque], dict[int, deque]] = ({}, {})
         self.events: list[SimEvent] = []
-        # numeric fields in typed buffers, which the EventLog wraps without a
-        # copy and which hold no Python object per row; text fields in lists
-        self.columns = tuple([] if dtype is object else array(np.dtype(dtype).char)
-                             for dtype in EventLog.DTYPES)
+        # numbers in typed buffers, which the EventLog wraps without a copy
+        # and which hold no Python object per row; labels and the small-int
+        # codes of action, side and flag (cached objects, faster to append)
+        # in lists
+        self.columns = tuple([] if name in EventLog.CODES or dtype is object
+                             else array(np.dtype(dtype).char)
+                             for name, dtype in zip(EventLog.fields(), EventLog.DTYPES))
         self._emit = _row_appender(self.columns)
         self._next_oid = itertools.count(1).__next__
 
@@ -495,14 +501,14 @@ class _LoggedRun:
         state ``s``: every level when the state is new, only the first
         ``n_levels`` (the ones a sweep walked) otherwise."""
         book = self.levels[side]
-        name = _SIDE_NAMES[side]
+        code = _MBO_SIDES[side]
         idxs = self.idx[s][side]
         if n_levels is None:
             lo, hi = (idxs[0], idxs[-1]) if side == ASK else (idxs[-1], idxs[0])
             for idx in [i for i in book if not lo <= i <= hi]:
                 for order in book.pop(idx):
-                    self._emit(ts, order.oid, "cancel", name, self.px[idx],
-                               order.qty, None, order.participant)
+                    self._emit(ts, order.oid, CANCEL, code, self.px[idx],
+                               order.qty, -1, order.participant)
             n_levels = len(idxs)
         for idx, imm_q, nmm_q in zip(idxs[:n_levels], self.imm[s][side][:n_levels],
                                      self.nmm[s][side][:n_levels]):
@@ -523,13 +529,13 @@ class _LoggedRun:
                             break
                         if order.participant != maker:
                             continue
-                        self._emit(ts, order.oid, "cancel", name, px, order.qty, None, maker)
+                        self._emit(ts, order.oid, CANCEL, code, px, order.qty, -1, maker)
                         dq.remove(order)
                         excess -= order.qty
                 if excess < 0:
                     oid = self._next_oid()
                     dq.append(_Order(oid, maker, -excess))
-                    self._emit(ts, oid, "add", name, px, -excess, None, maker)
+                    self._emit(ts, oid, ADD, code, px, -excess, -1, maker)
 
     # -- aggressive executions ------------------------------------------------
 
@@ -557,20 +563,20 @@ class _LoggedRun:
                 if front.qty == 0:
                     dq.popleft()
 
-        name = _SIDE_NAMES[side]
+        name, code = _SIDE_NAMES[side], _MBO_SIDES[side]
         if limit_price is None:
             limit_price = self.px[fills[-1][0] if fills else idxs[0]]
-        aggr_side = _SIDE_NAMES[1 - side]
+        aggr_side = _MBO_SIDES[1 - side]
         aggr_oid = self._next_oid()
-        self._emit(ts, aggr_oid, "add", aggr_side, limit_price, budget, None, label)
+        self._emit(ts, aggr_oid, ADD, aggr_side, limit_price, budget, -1, label)
         executed = []
         for idx, oid, participant, qty in fills:
             px = self.px[idx]
-            self._emit(ts, oid, "execute", name, px, qty, False, participant)
-            self._emit(ts, aggr_oid, "execute", aggr_side, px, qty, True, label)
+            self._emit(ts, oid, EXECUTE, code, px, qty, 0, participant)
+            self._emit(ts, aggr_oid, EXECUTE, aggr_side, px, qty, 1, label)
             executed.append((name, idx, qty))
         if remaining > 0:
-            self._emit(ts, aggr_oid, "cancel", aggr_side, limit_price, remaining, None, label)
+            self._emit(ts, aggr_oid, CANCEL, aggr_side, limit_price, remaining, -1, label)
         return executed
 
     # -- event handlers ---------------------------------------------------------
@@ -587,8 +593,8 @@ class _LoggedRun:
                 survivors = deque()
                 for order in dq:
                     if order.participant == "IMM":
-                        self._emit(ts, order.oid, "cancel", "ask", self.px[idx],
-                                   order.qty, None, "IMM")
+                        self._emit(ts, order.oid, CANCEL, _MBO_SIDES[ASK], self.px[idx],
+                                   order.qty, -1, "IMM")
                     else:
                         survivors.append(order)
                 book[idx] = survivors

@@ -167,6 +167,13 @@ class TestVolumeLaws:
         with pytest.raises(ValueError):
             LaplaceVolume(-1.0)
 
+    @pytest.mark.parametrize("law", [NormalVolume(2.0), LaplaceVolume(2.0)])
+    @pytest.mark.parametrize("p", [math.nan, [math.nan, 0.3], [0.3, math.nan]])
+    def test_quantile_rejects_nan(self, law, p):
+        # nan <= 0 and nan >= 1 are both false: nan must fail like p = 0 does
+        with pytest.raises(ValueError, match=r"^quantile requires 0 < p < 1$"):
+            law.quantile(p)
+
 
 class TestNormalAgainstScipy:
     """The AS 241 quantile and the erfc-based CDF of ``NormalVolume``

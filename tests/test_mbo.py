@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import mbo_oracle
 from lobeq.equilibrium import ModelParams
@@ -70,6 +70,56 @@ def event_streams(draw):
             draw(st.sampled_from([None, True, False])),
             draw(st.none() | st.text(st.sampled_from('INTMab ,"#\n'), min_size=1, max_size=4)),
         ))
+    return events
+
+
+#: two levels a side that never cross, so that orders queue at them
+QUEUE_PX = {"bid": (99.5, 99.75), "ask": (100.25, 100.5)}
+
+
+@st.composite
+def queue_streams(draw, min_size=0):
+    """Valid feeds of deep queues at a few price levels: several orders
+    queued at one price, modifies that lose their place (a new price or a
+    larger size) mixed with ones that keep it (a smaller size), executes
+    at the front of a queue, several rows per timestamp, and order ids
+    reused after their order died; empty and one-row feeds among them."""
+    events, ts, next_id = [], 0, 1
+    queues = {(side, px): [] for side, pxs in QUEUE_PX.items() for px in pxs}
+    live, dead = {}, []                   # id -> [side, price, qty]; ids free to reuse
+    for _ in range(draw(st.integers(min_size, 30))):
+        ts += draw(st.sampled_from([0, 0, 1]))
+        kind = draw(st.sampled_from(["add", "modify", "cancel", "execute"] if live else ["add"]))
+        if kind == "add":
+            if dead and draw(st.booleans()):
+                oid = dead.pop(draw(st.integers(0, len(dead) - 1)))
+            else:
+                oid, next_id = next_id, next_id + 1
+            side = draw(st.sampled_from(SIDES))
+            live[oid] = [side, draw(st.sampled_from(QUEUE_PX[side])), draw(st.integers(0, 4))]
+            queues[tuple(live[oid][:2])].append(oid)
+            events.append(ev(ts, oid, "add", *live[oid], label=draw(st.sampled_from([None, "NMM"]))))
+            continue
+        if kind == "execute":
+            oid = draw(st.sampled_from([queue[0] for queue in queues.values() if queue]))
+        else:
+            oid = draw(st.sampled_from(sorted(live)))
+        side, px, qty = live[oid]
+        if kind == "modify":
+            new_px, new_qty = draw(st.sampled_from(QUEUE_PX[side])), draw(st.integers(0, 6))
+            if new_px != px or new_qty > qty:           # to the back of the new level's queue
+                queues[side, px].remove(oid)
+                queues[side, new_px].append(oid)
+            live[oid] = [side, new_px, new_qty]
+            events.append(ev(ts, oid, "modify", side, new_px, new_qty))
+            continue
+        take = qty if kind == "cancel" else draw(st.integers(0, qty))
+        events.append(ev(ts, oid, kind, side, px, take, flag=False if kind == "execute" else None))
+        live[oid][2] -= take
+        if kind == "cancel" or take == qty:
+            queues[side, px].remove(oid)
+            del live[oid]
+            dead.append(oid)
     return events
 
 
@@ -302,6 +352,18 @@ class TestReconstruct:
         with pytest.raises(MboReplayError, match="at ts_ns 20"):
             reconstruct(events[:2])
 
+    def test_unknown_side_rejected(self):
+        # a side outside SIDES has no code; it once replayed on the ask book
+        with pytest.raises(ValueError, match=r"^EventLog row 1: side 'mid' is not one of "
+                                             r"\('bid', 'ask'\)$"):
+            reconstruct([ev(1, 1, "add", qty=5), ev(2, 2, "add", side="mid", qty=5)])
+
+    def test_unknown_action_rejected(self):
+        # an action outside ACTIONS has no code; it once replayed as an execute
+        with pytest.raises(ValueError, match=r"^EventLog row 1: action 'trade' is not one of "
+                                             r"\('add', 'modify', 'cancel', 'execute'\)$"):
+            reconstruct([ev(1, 1, "add", qty=5), ev(2, 1, "trade", qty=5, flag=False)])
+
     def test_level_conservation(self):
         # executed + canceled + resting == added, per price level
         events = [
@@ -365,8 +427,10 @@ LOGGED = ModelParams(r=0.15, f=0.9, jump=Pareto(2.5, 0.01), volume=NormalVolume(
 
 
 class TestMatchesOracle:
-    @settings(max_examples=200)
-    @given(events=event_streams() | book_streams())
+    @settings(max_examples=300)
+    @given(events=event_streams() | book_streams() | queue_streams())
+    @example(events=[])
+    @example(events=[ev(0, 1, "add", qty=0)])
     def test_valid_streams(self, events):
         # event_streams parse but mostly leave a crossed book: replay errors must match too
         assert_parse_parity(dumps(events))
@@ -423,8 +487,8 @@ class TestMatchesOracle:
         csv.writer(buf).writerows([HEADER, *rows])
         assert_parse_parity(buf.getvalue(), tick)
 
-    @settings(max_examples=300)
-    @given(events=book_streams(), where=st.integers(0, 10**6),
+    @settings(max_examples=400)
+    @given(events=book_streams() | queue_streams(min_size=1), where=st.integers(0, 10**6),
            change=st.sampled_from(["qty", "price", "order_id"]), data=st.data())
     def test_one_changed_event_replays_alike(self, events, where, change, data):
         # a changed quantity, price or order id the parser accepts may still
@@ -436,6 +500,42 @@ class TestMatchesOracle:
         events[i] = dataclasses.replace(events[i], **{change: value})
         assume(outcome(parse, io.StringIO(dumps(events)))[0] == "ok")
         assert_replay_parity(events)
+
+    @settings(max_examples=200)
+    @given(events=queue_streams())
+    def test_quantity_conserved_per_lifecycle(self, events):
+        # added + every modify's change == executed + canceled + resting at
+        # the end of the file, for each lifecycle; and the last quotes show
+        # what the open orders at the best prices still rest
+        replay = reconstruct(events)
+        rows, current = [], {}                      # each lifecycle's rows; id -> its lifecycle
+        for e in events:
+            if e.action == "add":
+                current[e.order_id] = len(rows)
+                rows.append([])
+            rows[current[e.order_id]].append(e)
+        resting = []
+        for k, (lc, (add, *later)) in enumerate(zip(replay.lifecycles, rows, strict=True)):
+            changed = canceled = 0
+            rest = add.qty
+            for e in later:
+                if e.action == "modify":
+                    changed, rest = changed + e.qty - rest, e.qty
+                elif e.action == "execute":
+                    rest -= e.qty
+                else:
+                    canceled, rest = e.qty, 0
+            assert lc.executed_qty == sum(f.qty for f in replay.fills if f.lifecycle == k)
+            assert (lc.terminal_kind == "canceled") == any(e.action == "cancel" for e in later)
+            assert add.qty + changed == lc.executed_qty + canceled + rest
+            resting.append(rest)
+        if events:
+            last = replay.quotes[-1]
+            for side, best, depth in (("bid", last.bid, last.bid_qty),
+                                      ("ask", last.ask, last.ask_qty)):
+                assert depth == sum(rest for lc, rest in zip(replay.lifecycles, resting)
+                                    if lc.terminal_kind is None and lc.side == side
+                                    and lc.price == best)
 
     @pytest.mark.parametrize("events", [
         [ev(10, 1, "add", qty=5), ev(11, 2, "add", qty=5),
@@ -449,7 +549,24 @@ class TestMatchesOracle:
                                                    price=100.01),
          ev(30, 1, "cancel", qty=5, price=100.01)],
         [ev(10, 1, "add", qty=5), ev(20, 1, "cancel", qty=5), ev(30, 1, "execute", qty=1)],
-    ], ids=["fifo", "cancel_qty", "resting_price", "crossed", "locked", "dead_order"])
+        # a larger size empties the level and refills it: the quote shows the new -0.0
+        [ev(10, 1, "add", side="bid", price=0.0, qty=1),
+         ev(11, 1, "modify", side="bid", price=-0.0, qty=2),
+         ev(12, 2, "add", price=0.0, qty=1)],
+        # at one row an over-execute comes after the FIFO and price checks
+        [ev(10, 1, "add", qty=5), ev(11, 2, "add", qty=5),
+         ev(20, 2, "execute", qty=9, flag=False)],
+        [ev(10, 1, "add", qty=5, price=100.01), ev(20, 1, "execute", qty=9, price=100.02,
+                                                   flag=False)],
+        # a book crossed at the end of a timestamp fails before a dead order
+        # at the next one, and after a dead order at its own
+        [ev(10, 1, "add", qty=5, price=100.01), ev(10, 2, "add", side="bid", qty=3,
+                                                   price=100.02), ev(20, 9, "cancel", qty=1)],
+        [ev(10, 1, "add", qty=5, price=100.01), ev(10, 2, "add", side="bid", qty=3,
+                                                   price=100.02), ev(10, 9, "cancel", qty=1)],
+    ], ids=["fifo", "cancel_qty", "resting_price", "crossed", "locked", "dead_order",
+            "signed_zero_level", "fifo_before_over", "price_before_over",
+            "crossed_before_dead", "dead_before_crossed"])
     def test_replay_errors(self, events):
         with pytest.raises(MboReplayError):
             reconstruct(events)
@@ -537,6 +654,21 @@ class TestParseEdges:
         with pytest.raises(MboParseError, match="^row 1: new-line character seen in unquoted"):
             parse(io.StringIO(text))
         assert parse(io.StringIO(text, newline="")) == [ev(10, 1, "add", qty=5)]
+
+    @pytest.mark.parametrize("field,text", [
+        *(("aggressor_flag", t) for t in [" true", "TRUE", "1", " False ", "\u3000true",
+                                          "true" + " " * 10, "falseX", "false\x00", "tru"]),
+        *(("action", t) for t in ["executeXYZ", "add\x00", "add\u00e9", "add\u20ac", " add"]),
+        *(("side", t) for t in ["bid ", "askX", "ask\x00", "a\x00k", "\u20ac"]),
+    ])
+    def test_coded_fields_read_exactly(self, field, text):
+        # action, side and flag are read at a fixed width: a text that fills
+        # it may have been cut, a NUL at its end dropped, and a flag may be
+        # padded or spelled otherwise; each is judged on its whole text
+        row = "11,1,execute,ask,100.01,2,false,".split(",")
+        row[HEADER.index(field)] = text
+        text = f"{HEADER_LINE}\n{self.ROW}\n{','.join(row)}\n"
+        assert_parse_parity(text)
 
     def test_late_fault_in_a_long_log(self):
         rows = [f"{t},{t},add,ask,{100 + t / 100},5,," for t in range(1, 3000)]

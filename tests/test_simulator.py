@@ -370,7 +370,7 @@ class TestEventLog:
 
     def test_array_columns_read_as_python_values(self):
         # lists, arrays and a mix of both give the same log of numpy columns
-        # whose rows read as Python values
+        # (action, side and flag as int8 codes) whose rows read as Python values
         lists = [list(col) for col in zip(*map(dataclasses.astuple, self.ROWS))]
         dtypes = (np.int64, np.int64, object, object, np.float64, np.int64, object, object)
         arrays = EventLog(*(np.array(col, dtype=d) for col, d in zip(lists, dtypes)))
@@ -378,7 +378,7 @@ class TestEventLog:
                            for i, (col, d) in enumerate(zip(lists, dtypes))))
         from_lists = EventLog(*lists)
         for log in (from_lists, mixed):
-            assert [col.dtype for col in log.columns()] == list(map(np.dtype, dtypes))
+            assert [col.dtype for col in log.columns()] == list(map(np.dtype, EventLog.DTYPES))
             assert (log == arrays) is True and (arrays == log) is True
             assert log == self.ROWS and list(log) == self.ROWS and log[-2] == self.ROWS[-2]
             assert log != self.ROWS[::-1]
