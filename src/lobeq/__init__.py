@@ -44,16 +44,7 @@ from .equilibrium import (
     spread_toxic,
     theta_bar,
 )
-from .simulator import (
-    LevelPnl,
-    PricePath,
-    SimConfig,
-    SimEvent,
-    SimResult,
-    export_mbo,
-    run,
-    simulate_price_path,
-)
+from .simulator import LevelPnl, SimConfig, SimResult, export_mbo, run
 from .mbo import EventLog, MboEvent, OrderLifecycle, Replay, parse, reconstruct, write_csv
 from .signature import (
     ClusterSpec,

@@ -70,7 +70,6 @@ __all__ = [
     "MboReplayError",
     "parse",
     "write_csv",
-    "dumps",
     "reconstruct",
 ]
 
@@ -575,12 +574,6 @@ def write_csv(events, destination) -> None:
                 for col, text in zip(log.columns(), texts))
             writer.writerows(zip(ts, oid, action, side, map(price_text, price), qty, flag,
                                  map(_LABEL_TEXT.get, label, label)))
-
-
-def dumps(events) -> str:
-    buf = io.StringIO()
-    write_csv(events, buf)
-    return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,7 @@ Every jump in this chain is directed toward the simulated (ask) side while
 noise volumes keep their sign: this is what the conditional-gain formulas
 count (all jumps in the jump channel, only the above-median half of noise
 volume in the noise channel), so it is the configuration under which the
-zero-profit closure is testable.  Two-sided fair-coin jumps live in
-:func:`simulate_price_path`, which feeds timestamped price series.
+zero-profit closure is testable.
 
 Informed probes queue behind the visible book; noise-maker probes queue
 behind the noise makers' own (smaller) break-even curve, since their gain
@@ -58,14 +57,11 @@ from .mbo import ADD, CANCEL, EXECUTE, EventLog, Quotes
 
 __all__ = [
     "SimConfig",
-    "SimEvent",
     "LevelPnl",
     "SimResult",
-    "PricePath",
     "EventDraws",
     "draw_events",
     "run",
-    "simulate_price_path",
     "export_mbo",
 ]
 
@@ -95,6 +91,8 @@ class SimConfig:
     def __post_init__(self):
         if self.n_events < 1:
             raise ValueError("n_events must be at least 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
         if self.n_levels < 1:
             raise ValueError("n_levels must be at least 1")
         if self.volume_scale < 1:
@@ -107,18 +105,6 @@ class SimConfig:
             raise ValueError(
                 f"book_mode must be {EQUILIBRIUM_STATIC!r} or a BookShape"
             )
-
-
-@dataclass(frozen=True)
-class SimEvent:
-    """One event of a logged run."""
-
-    t_ns: int
-    kind: str                      # "jump" | "noise"
-    side: int                      # +1 toward the ask book, -1 toward the bid
-    size: float                    # jump magnitude or |volume|
-    race_won_by: str | None        # "IT" | "IMM" for jumps
-    executed_per_level: tuple      # ((side, grid index, qty units), ...)
 
 
 @dataclass(frozen=True)
@@ -138,18 +124,8 @@ class SimResult:
     pnl: list[LevelPnl]
     summary: dict
     book: BookShape
-    events: list[SimEvent] | None = None
     mbo_events: EventLog | None = None
     quote_snapshots: Quotes | None = None   # after the initial book and after each event
-
-
-@dataclass(frozen=True)
-class PricePath:
-    times: np.ndarray              # seconds, starting at 0.0
-    prices: np.ndarray             # value after the event at each time
-    jump_times: np.ndarray
-    noise_times: np.ndarray
-    noise_signs: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +307,6 @@ def _run_fast(cfg: SimConfig, book: BookShape, draws: EventDraws) -> SimResult:
 
 _SNAP = 1e-9
 ASK, BID = 0, 1                    # the side axis of the state tables
-_SIDE_NAMES = ("ask", "bid")
 _MBO_SIDES = (mbo.ASK, mbo.BID)       # the log's side code of each side
 
 
@@ -439,6 +414,12 @@ class _LoggedRun:
                 "the closed-form book is unbounded within the simulated levels; "
                 "reduce n_levels to stay inside the adversely selected range"
             )
+        # every target and noise volume must fit in int64 units; dividing,
+        # not multiplying, keeps a huge integer scale from overflowing a float
+        largest = max(informed.max(), noise.max(), draws.noise_mag[~jump].max(initial=0.0))
+        if largest >= 2**63 / cfg.volume_scale:
+            raise ValueError(f"volume_scale {cfg.volume_scale} is too large: a volume of "
+                             f"{largest:.6g} becomes more units than an int64 holds")
         lvl = np.diff(np.round(informed * cfg.volume_scale).astype(np.int64), prepend=0)
         nmm = _nmm_level_split(lvl, np.round(noise * cfg.volume_scale).astype(np.int64))
 
@@ -470,7 +451,6 @@ class _LoggedRun:
         self.jump_volume = np.where(within, lvl[before, ASK], 0).sum(axis=1).tolist()
 
         self.levels: tuple[dict[int, deque], dict[int, deque]] = ({}, {})
-        self.events: list[SimEvent] = []
         # numbers in typed buffers, which the EventLog wraps without a copy
         # and which hold no Python object per row; labels and the small-int
         # codes of action, side and flag (cached objects, faster to append)
@@ -540,8 +520,10 @@ class _LoggedRun:
     # -- aggressive executions ------------------------------------------------
 
     def _sweep(self, ts: int, side: int, idxs: list[int], budget: int,
-               label: str, limit_price: float | None = None) -> list[tuple]:
-        """Execute ``budget`` (> 0) units against ``side`` walking ``idxs``.
+               label: str, limit_price: float | None = None) -> int:
+        """Execute ``budget`` (> 0) units against ``side`` walking ``idxs``
+        and return how many levels the fills walked, from ``idxs[0]`` to
+        the last level filled (0 when nothing filled).
 
         The fill list is computed first, then the rows are emitted in feed
         order: aggressor add, execute pairs (passive row then the
@@ -563,25 +545,23 @@ class _LoggedRun:
                 if front.qty == 0:
                     dq.popleft()
 
-        name, code = _SIDE_NAMES[side], _MBO_SIDES[side]
+        code = _MBO_SIDES[side]
         if limit_price is None:
             limit_price = self.px[fills[-1][0] if fills else idxs[0]]
         aggr_side = _MBO_SIDES[1 - side]
         aggr_oid = self._next_oid()
         self._emit(ts, aggr_oid, ADD, aggr_side, limit_price, budget, -1, label)
-        executed = []
         for idx, oid, participant, qty in fills:
             px = self.px[idx]
             self._emit(ts, oid, EXECUTE, code, px, qty, 0, participant)
             self._emit(ts, aggr_oid, EXECUTE, aggr_side, px, qty, 1, label)
-            executed.append((name, idx, qty))
         if remaining > 0:
             self._emit(ts, aggr_oid, CANCEL, aggr_side, limit_price, remaining, -1, label)
-        return executed
+        return abs(fills[-1][0] - idxs[0]) + 1 if fills else 0
 
     # -- event handlers ---------------------------------------------------------
 
-    def _handle_jump(self, ts: int, e: int, s: int, win: bool) -> list[tuple]:
+    def _handle_jump(self, ts: int, e: int, s: int, win: bool) -> int:
         swept = self.idx[s][ASK][:self.n_swept[e]]
         if not win:
             # the cancel beats the market order: informed quotes get away
@@ -601,13 +581,12 @@ class _LoggedRun:
         if self.jump_volume[e] > 0:
             return self._sweep(ts, ASK, swept, self.jump_volume[e], "IT",
                                limit_price=self.px[swept[-1]])
-        return []
+        return 0
 
-    def _handle_noise(self, ts: int, s: int, sign: int, mag: float) -> list[tuple]:
+    def _handle_noise(self, ts: int, s: int, side: int, mag: float) -> int:
         q_units = int(round(mag * self.cfg.volume_scale))
         if q_units == 0:
-            return []
-        side = ASK if sign > 0 else BID
+            return 0
         return self._sweep(ts, side, self.idx[s][side], q_units, "NT")
 
     # -- main loop ---------------------------------------------------------------
@@ -617,31 +596,22 @@ class _LoggedRun:
         self._morph(0, ASK, 0)
         self._morph(0, BID, 0)
         s = 0
-        for e, (ts, is_jump, win, size, sign, mag, moves) in enumerate(zip(
+        for e, (ts, is_jump, win, sign, mag, moves) in enumerate(zip(
                 self.times_ns.tolist(), d.is_jump.tolist(), d.it_wins.tolist(),
-                d.jump_size.tolist(), d.noise_sign.tolist(), d.noise_mag.tolist(),
-                self.moves.tolist())):
+                d.noise_sign.tolist(), d.noise_mag.tolist(), self.moves.tolist())):
             if is_jump:
-                executed = self._handle_jump(ts, e, s, bool(win))
-                self.events.append(SimEvent(
-                    t_ns=ts, kind="jump", side=+1, size=size,
-                    race_won_by="IT" if win else "IMM",
-                    executed_per_level=tuple(executed),
-                ))
+                side = ASK
+                walked = self._handle_jump(ts, e, s, bool(win))
             else:
-                executed = self._handle_noise(ts, s, sign, mag)
-                self.events.append(SimEvent(
-                    t_ns=ts, kind="noise", side=sign, size=mag, race_won_by=None,
-                    executed_per_level=tuple(executed),
-                ))
+                side = ASK if sign > 0 else BID
+                walked = self._handle_noise(ts, s, side, mag)
             if moves:
                 s += 1
                 self._morph(ts, ASK, s)
                 self._morph(ts, BID, s)
-            elif executed:
+            elif walked:
                 # only the walked levels differ from the unchanged targets
-                side = ASK if executed[0][0] == "ask" else BID
-                self._morph(ts, side, s, abs(executed[-1][1] - self.idx[s][side][0]) + 1)
+                self._morph(ts, side, s, walked)
 
 
 def _run_logged(cfg: SimConfig, draws: EventDraws, rng: np.random.Generator) -> SimResult:
@@ -651,17 +621,16 @@ def _run_logged(cfg: SimConfig, draws: EventDraws, rng: np.random.Generator) -> 
     book = shape_tick(cfg.params, cfg.n_levels)
     pnl = _pnl_rows(book.grid, *_probe_pnl(draws, lr.probe_x, lr.probe_imm, lr.probe_nmm))
     log = EventLog(*lr.columns)
-    executed_units = sum(
-        q for ev in lr.events for (_side, _idx, q) in ev.executed_per_level
-    )
+    passive = (log.action == EXECUTE) & (log.aggressor_flag == 0)
     summary = {
         **_event_counts(draws),
-        "executed_units_total": executed_units,
+        # a Python int: exact at any size, and what json.dump writes
+        "executed_units_total": sum(log.qty[passive].tolist()),
         "n_mbo_rows": len(log),
         "seed": cfg.seed,
     }
-    return SimResult(pnl=pnl, summary=summary, book=book, events=lr.events,
-                     mbo_events=log, quote_snapshots=lr.snapshots)
+    return SimResult(pnl=pnl, summary=summary, book=book, mbo_events=log,
+                     quote_snapshots=lr.snapshots)
 
 
 # ---------------------------------------------------------------------------
@@ -687,36 +656,3 @@ def export_mbo(result: SimResult) -> EventLog:
         raise ValueError("run was executed without record_log=True")
     return result.mbo_events
 
-
-def simulate_price_path(params: ModelParams, horizon: float, seed: int,
-                        p0: float = 100.0) -> PricePath:
-    """Efficient-price path: compound-Poisson jumps (fair-coin signs) plus
-    the noise-trade surprise impact theta * (X_j - rho * X_{j-1})."""
-    if horizon <= 0.0:
-        raise ValueError("horizon must be positive")
-    rng = np.random.default_rng(seed)
-    lam_i, lam_u = params.rates
-
-    n_jumps = int(rng.poisson(lam_i * horizon)) if lam_i > 0.0 else 0
-    jump_times = np.sort(rng.random(n_jumps) * horizon)
-    n_noise = int(rng.poisson(lam_u * horizon)) if lam_u > 0.0 else 0
-    noise_times = np.sort(rng.random(n_noise) * horizon)
-
-    jump_signs = np.where(rng.random(n_jumps) < 0.5, 1.0, -1.0)
-    jump_sizes = np.asarray(params.jump.sample(rng, n_jumps), dtype=float)
-    x0 = 1 if rng.random() < 0.5 else -1
-    signs = _sign_chain(n_noise, params.gamma, rng, x0)
-    if n_noise:
-        prev = np.concatenate(([np.int8(x0)], signs[:-1]))
-        noise_impact = params.theta * (signs - params.rho * prev.astype(float))
-    else:
-        noise_impact = np.zeros(0)
-
-    times = np.concatenate(([0.0], jump_times, noise_times))
-    increments = np.concatenate(([0.0], jump_signs * jump_sizes, noise_impact))
-    order = np.argsort(times[1:], kind="stable") + 1
-    order = np.concatenate(([0], order))
-    times = times[order]
-    prices = p0 + np.cumsum(increments[order])
-    return PricePath(times=times, prices=prices, jump_times=jump_times,
-                     noise_times=noise_times, noise_signs=signs)

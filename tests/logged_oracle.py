@@ -6,13 +6,16 @@ its price path and book targets: the book's layout and closed-form
 targets are recomputed with numpy at every morph (curves cached per price
 between moves), every side is morphed level by level, and each MBO row is
 built as an ``MboEvent``.  ``run`` replays ``lobeq.simulator.run`` for a
-``record_log`` config with it, on the same draws and timestamps.
+``record_log`` config with it, on the same draws and timestamps.  It also
+keeps a ``SimEvent`` per event with the fills it caused, from which its
+``executed_units_total`` is summed independently of the log.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +24,6 @@ from lobeq.mbo import MboEvent
 from lobeq.simulator import (
     EventDraws,
     SimConfig,
-    SimEvent,
     SimResult,
     _event_counts,
     _event_times,
@@ -29,6 +31,18 @@ from lobeq.simulator import (
     _probe_pnl,
     draw_events,
 )
+
+
+@dataclass(frozen=True)
+class SimEvent:
+    """One event of a logged run."""
+
+    t_ns: int
+    kind: str                      # "jump" | "noise"
+    side: int                      # +1 toward the ask book, -1 toward the bid
+    size: float                    # jump magnitude or |volume|
+    race_won_by: str | None        # "IT" | "IMM" for jumps
+    executed_per_level: tuple      # ((side, grid index, qty units), ...)
 
 
 def _nmm_level_split(eff_lvl, noise_cum) -> list:
@@ -352,7 +366,7 @@ class _LoggedRun:
 
 def run(cfg: SimConfig) -> tuple[SimResult, _LoggedRun]:
     """``lobeq.simulator.run(cfg)`` for a ``record_log`` config, and the
-    finished oracle run (its probe arrays)."""
+    finished oracle run (its probe arrays and its events)."""
     rng = np.random.default_rng(cfg.seed)
     draws = draw_events(cfg.params, cfg.n_events, rng)
     times_ns = _event_times(cfg.params, cfg.n_events, rng)
@@ -370,6 +384,6 @@ def run(cfg: SimConfig) -> tuple[SimResult, _LoggedRun]:
         "n_mbo_rows": len(lr.rows),
         "seed": cfg.seed,
     }
-    result = SimResult(pnl=pnl, summary=summary, book=book, events=lr.events,
-                       mbo_events=lr.rows, quote_snapshots=lr.snapshots)
+    result = SimResult(pnl=pnl, summary=summary, book=book, mbo_events=lr.rows,
+                       quote_snapshots=lr.snapshots)
     return result, lr

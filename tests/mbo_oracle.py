@@ -12,6 +12,7 @@ quotes.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from bisect import insort
 from collections import deque
@@ -26,7 +27,15 @@ from lobeq.mbo import (
     MboEvent,
     MboParseError,
     MboReplayError,
+    write_csv,
 )
+
+
+def dumps(events) -> str:
+    """The text ``lobeq.mbo.write_csv`` writes for ``events``."""
+    buf = io.StringIO()
+    write_csv(events, buf)
+    return buf.getvalue()
 
 
 @dataclass(slots=True)

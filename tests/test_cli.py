@@ -1,17 +1,21 @@
 """CLI end-to-end: configs in, reproducible files out, honest exit codes."""
 
 import csv
+import importlib
 import itertools
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lobeq
 from lobeq.cli import main
 from lobeq.equilibrium import (
     ModelParams,
@@ -310,6 +314,15 @@ class TestSimulate:
         assert f"simulate: {key} must be an integer, got {value!r}" in capsys.readouterr().err
         assert not (out / "pnl.csv").exists()
 
+    @pytest.mark.parametrize("config_seed, flags", [(-1, ()), (5, ("--seed", "-1"))])
+    def test_negative_seed_names_its_key(self, tmp_path, capsys, config_seed, flags):
+        doc = {"params": REF_PARAMS, "simulate": dict(self.BASE["simulate"], seed=config_seed)}
+        code, out = run_cli(tmp_path, "simulate", doc, *flags)
+        assert code == 2
+        assert ("lobeq simulate: simulate: seed must be a nonnegative integer, got -1"
+                in capsys.readouterr().err)
+        assert not (out / "pnl.csv").exists()
+
     def test_integral_floats_accepted(self, tmp_path):
         # JSON 2e4 is a float; it names the integer 20000
         doc = {"params": REF_PARAMS,
@@ -332,6 +345,16 @@ class TestSimulate:
         code, out = run_cli(tmp_path, "simulate", doc)
         assert code == 2
         assert f"lobeq simulate: {message}" in capsys.readouterr().err
+        assert not (out / "mbo.csv").exists() and not (out / "pnl.csv").exists()
+
+    def test_oversized_volume_scale_names_its_key(self, tmp_path, capsys):
+        doc = {"params": self.LOGGED,
+               "simulate": {"n_events": 50, "seed": 7, "n_levels": 6,
+                            "record_log": True, "volume_scale": 1e30}}
+        code, out = run_cli(tmp_path, "simulate", doc)
+        assert code == 2
+        assert (f"lobeq simulate: volume_scale {int(1e30)} is too large"
+                in capsys.readouterr().err)
         assert not (out / "mbo.csv").exists() and not (out / "pnl.csv").exists()
 
     def test_record_log_writes_mbo(self, tmp_path):
@@ -661,3 +684,16 @@ class TestPlumbing:
                               text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_export_lists_name_what_exists(self):
+        # every name a module's __all__ lists exists in it, and the package
+        # re-exports only names some module's __all__ lists
+        exported = set()
+        for info in pkgutil.iter_modules(lobeq.__path__, "lobeq."):
+            module = importlib.import_module(info.name)
+            names = getattr(module, "__all__", [])
+            assert [n for n in names if not hasattr(module, n)] == [], info.name
+            exported.update(names)
+        public = {name for name, value in vars(lobeq).items()
+                  if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+        assert sorted(public - exported) == []

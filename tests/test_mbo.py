@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import mbo_oracle
+from mbo_oracle import dumps
 from lobeq.equilibrium import ModelParams
 from lobeq.laws import NormalVolume, Pareto
 from lobeq.mbo import (
@@ -19,7 +20,6 @@ from lobeq.mbo import (
     MboParseError,
     MboReplayError,
     OrderLifecycle,
-    dumps,
     parse,
     reconstruct,
     write_csv,

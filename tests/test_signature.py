@@ -11,9 +11,10 @@ from hypothesis import given, settings, strategies as st
 import mbo_oracle
 import records_oracle
 import signature_oracle as oracle
+from mbo_oracle import dumps
 from lobeq.equilibrium import ModelParams
 from lobeq.laws import NormalVolume, Pareto
-from lobeq.mbo import EventLog, Fills, Lifecycles, MboEvent, Quotes, dumps, parse, reconstruct
+from lobeq.mbo import EventLog, Fills, Lifecycles, MboEvent, Quotes, parse, reconstruct
 from lobeq.signature import (
     METRICS,
     ClusterSpec,
@@ -28,7 +29,7 @@ from lobeq.signature import (
     signature_curves,
     trade_signature,
 )
-from lobeq.simulator import SimConfig, export_mbo, run
+from lobeq.simulator import SimConfig, _event_times, draw_events, export_mbo, run
 
 
 class TestReferencePrices:
@@ -179,19 +180,15 @@ class TestClassify:
             ClusterSpec("trade_to_add", (), "passive")
 
 
-@pytest.fixture(scope="module")
-def sim_log():
-    params = ModelParams(r=0.15, f=0.9, jump=Pareto(2.5, 0.01),
-                         volume=NormalVolume(10.0), tick=0.01, offset_d=0.0,
-                         lambda_i=0.15, lambda_u=0.85)
-    result = run(SimConfig(params=params, n_events=6000, seed=23,
-                           record_log=True, n_levels=8, volume_scale=1000))
-    return result, reconstruct(export_mbo(result))
+SIM_LOG = SimConfig(params=ModelParams(r=0.15, f=0.9, jump=Pareto(2.5, 0.01),
+                                       volume=NormalVolume(10.0), tick=0.01, offset_d=0.0,
+                                       lambda_i=0.15, lambda_u=0.85),
+                    n_events=6000, seed=23, record_log=True, n_levels=8, volume_scale=1000)
 
 
 @pytest.fixture(scope="module")
-def sim_replay(sim_log):
-    return sim_log[1]
+def sim_replay():
+    return reconstruct(export_mbo(run(SIM_LOG)))
 
 
 def trade_tables(replay):
@@ -220,18 +217,21 @@ class TestTradeRecords:
         assert ratios.size
         assert np.all((0.0 < ratios) & (ratios <= 1.0))
 
-    def test_informed_deplete_the_best_limit(self, sim_log):
+    def test_informed_deplete_the_best_limit(self, sim_replay):
         # on a won race the informed trader sweeps whole levels (ratio 1);
         # after a lost race he only gets what survived the cancel
-        result, replay = sim_log
-        aggressive, _ = trade_tables(replay)
-        race_by_ts = {ev.t_ns: ev.race_won_by for ev in result.events
-                      if ev.kind == "jump" and ev.executed_per_level}
+        aggressive, _ = trade_tables(sim_replay)
+        # the race each jump's trade followed, re-drawn under the run's seed
+        rng = np.random.default_rng(SIM_LOG.seed)
+        draws = draw_events(SIM_LOG.params, SIM_LOG.n_events, rng)
+        jump = draws.is_jump != 0
+        jump_ts = _event_times(SIM_LOG.params, SIM_LOG.n_events, rng)[jump]
+        it_won_at = dict(zip(jump_ts.tolist(), draws.it_wins[jump].tolist()))
         it = aggressive.take((aggressive.participant_label == "IT")
                              & ~np.isnan(aggressive.volume_ratio))
         assert len(it)
         for t, ratio in zip(it.t_ns.tolist(), it.volume_ratio.tolist()):
-            if race_by_ts[t] == "IT":
+            if it_won_at[t]:
                 assert ratio == 1.0
             else:
                 assert 0.0 < ratio <= 1.0

@@ -1,5 +1,5 @@
-"""Monte Carlo simulator: zero-profit closure, mechanics, determinism,
-logged-run bookkeeping and the efficient-price path."""
+"""Monte Carlo simulator: zero-profit closure, mechanics, determinism and
+logged-run bookkeeping."""
 
 import dataclasses
 import io
@@ -11,9 +11,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import logged_oracle
+from mbo_oracle import dumps
 from lobeq.equilibrium import BookShape, ModelParams, book_curves, shape_tick
 from lobeq.laws import Exponential, NormalVolume, Pareto, PointMass
-from lobeq.mbo import EventLog, MboEvent, Quotes, dumps, parse, reconstruct, write_csv
+from lobeq.mbo import EventLog, MboEvent, Quotes, parse, reconstruct, write_csv
 from lobeq.simulator import (
     SimConfig,
     _event_times,
@@ -21,7 +22,6 @@ from lobeq.simulator import (
     draw_events,
     export_mbo,
     run,
-    simulate_price_path,
 )
 
 REF = ModelParams(r=0.9, f=0.9, jump=Pareto(3.0, 0.005), volume=NormalVolume(10.0),
@@ -155,12 +155,24 @@ class TestFastPath:
                           n_events=10, seed=0))
         with pytest.raises(ValueError, match="n_events"):
             SimConfig(params=REF, n_events=0, seed=0)
+        with pytest.raises(ValueError, match="^seed must be a nonnegative integer, got -1$"):
+            SimConfig(params=REF, n_events=10, seed=-1)
+
+
+LOGGED_RUN = SimConfig(params=LOGGED, n_events=4000, seed=11, record_log=True,
+                       n_levels=8, volume_scale=1000)
 
 
 @pytest.fixture(scope="module")
 def logged_result():
-    return run(SimConfig(params=LOGGED, n_events=4000, seed=11, record_log=True,
-                         n_levels=8, volume_scale=1000))
+    return run(LOGGED_RUN)
+
+
+def redraw(cfg):
+    """The draws and event times of ``run(cfg)``, re-drawn under its seed."""
+    rng = np.random.default_rng(cfg.seed)
+    draws = draw_events(cfg.params, cfg.n_events, rng)
+    return draws, _event_times(cfg.params, cfg.n_events, rng)
 
 
 class TestLoggedPath:
@@ -184,13 +196,6 @@ class TestLoggedPath:
         assert_same_quotes(reconstruct(export_mbo(logged_result)).quotes,
                            logged_result.quote_snapshots)
 
-    def test_volume_conservation_exact(self, logged_result):
-        replay = reconstruct(export_mbo(logged_result))
-        from_log = sum(f.qty for f in replay.fills if not f.aggressor)
-        from_events = sum(q for ev in logged_result.events
-                          for (_s, _i, q) in ev.executed_per_level)
-        assert from_log == from_events
-
     @given(n_events=st.integers(1, 300), seed=st.integers(0, 2**32 - 1),
            n_levels=st.integers(1, 10), volume_scale=st.sampled_from([1, 10, 1000, 10**6]))
     def test_replay_conserves_executed_volume(self, n_events, seed, n_levels, volume_scale):
@@ -207,8 +212,9 @@ class TestLoggedPath:
         replay = reconstruct(export_mbo(logged_result))
         it_orders = {f.order_id for f in replay.fills
                      if f.aggressor and f.participant_label == "IT"}
+        _, oracle = logged_oracle.run(LOGGED_RUN)
         n_executed_jumps = sum(
-            1 for ev in logged_result.events
+            1 for ev in oracle.events
             if ev.kind == "jump" and ev.executed_per_level
         )
         assert len(it_orders) == n_executed_jumps
@@ -220,21 +226,22 @@ class TestLoggedPath:
         params = ModelParams(r=0.15, f=0.9, jump=PointMass(0.05),
                              volume=NormalVolume(10.0), tick=0.01, offset_d=0.0,
                              lambda_i=0.15, lambda_u=0.85)
-        res = run(SimConfig(params=params, n_events=2000, seed=8,
-                            record_log=True, n_levels=5, volume_scale=1000))
-        wins = [ev for ev in res.events
-                if ev.kind == "jump" and ev.race_won_by == "IT"]
-        assert len(wins) > 100
-        assert all(ev.executed_per_level for ev in wins)
-        replay = reconstruct(export_mbo(res))
-        agg_fills = [f for f in replay.fills if f.aggressor]
-        assert all(f.participant_label in ("IT", "NT") for f in agg_fills)
+        cfg = SimConfig(params=params, n_events=2000, seed=8,
+                        record_log=True, n_levels=5, volume_scale=1000)
+        draws, times = redraw(cfg)
+        won_at = times[(draws.is_jump & draws.it_wins) != 0]
+        assert len(won_at) > 100
+        fills = reconstruct(export_mbo(run(cfg))).fills
+        assert set(fills.participant_label[fills.aggressor]) <= {"IT", "NT"}
+        it_trades_at = fills.ts_ns[fills.aggressor & (fills.participant_label == "IT")]
+        assert np.isin(won_at, it_trades_at).all()
 
     def test_replenishment_restores_closed_form(self, logged_result):
         # end-of-log resting volume per ask level == integer-quantized targets
         replay = reconstruct(export_mbo(logged_result))
         scale = 1000
-        price = 100.0 + sum(ev.size for ev in logged_result.events if ev.kind == "jump")
+        draws, _ = redraw(LOGGED_RUN)
+        price = 100.0 + sum(draws.jump_size[draws.is_jump != 0].tolist())
         tick = LOGGED.tick
         a0 = math.ceil(price / tick - 1e-9)
         dist = np.array([i * tick - price for i in range(a0, a0 + 8)])
@@ -293,6 +300,19 @@ class TestLoggedErrors:
         with pytest.raises(ValueError, match="finite price path"):
             run(SimConfig(params=LOGGED, n_events=10, seed=0, record_log=True, p0=math.inf))
 
+    def test_volume_units_must_fit_in_int64(self):
+        with pytest.raises(ValueError, match=f"^volume_scale {10**30} is too large: "):
+            run(SimConfig(params=LOGGED, n_events=10, seed=0, record_log=True,
+                          volume_scale=10**30))
+        # a large scale that still fits runs, and its total, past int64,
+        # stays exact
+        res = run(SimConfig(params=LOGGED, n_events=20, seed=0, record_log=True,
+                            volume_scale=10**17))
+        replay = reconstruct(export_mbo(res))
+        total = res.summary["executed_units_total"]
+        assert total > 2**63
+        assert total == sum(f.qty for f in replay.fills if not f.aggressor)
+
 
 @st.composite
 def logged_configs(draw):
@@ -329,13 +349,10 @@ class TestLoggedOracle:
         result = run(cfg)
         assert export_mbo(result) == expected.mbo_events
         assert_same_quotes(result.quote_snapshots, oracle_quotes(expected.quote_snapshots))
-        assert result.events == expected.events
         assert result.pnl == expected.pnl
         assert result.summary == expected.summary
 
-        rng = np.random.default_rng(cfg.seed)
-        draws = draw_events(cfg.params, cfg.n_events, rng)
-        new = _LoggedRun(cfg, draws, _event_times(cfg.params, cfg.n_events, rng))
+        new = _LoggedRun(cfg, *redraw(cfg))
         for name in ("probe_x", "probe_imm", "probe_nmm"):
             assert getattr(new, name).tobytes() == getattr(oracle, name).tobytes(), name
 
@@ -404,37 +421,3 @@ class TestEventLog:
         assert parse(io.StringIO(buf.getvalue())) == rows
         assert ",-0,1,," in buf.getvalue() and ",0,1,," in buf.getvalue()
 
-
-class TestPricePath:
-    def test_no_innovation_constant(self):
-        params = ModelParams(f=0.9, jump=Pareto(3.0, 0.005), volume=NormalVolume(10.0),
-                             lambda_i=0.0, lambda_u=1.0)
-        path = simulate_price_path(params, horizon=200.0, seed=4, p0=50.0)
-        assert np.all(path.prices == 50.0)
-
-    def test_symmetric_jumps_martingale(self):
-        params = ModelParams(r=0.5, f=0.9, jump=Pareto(3.0, 0.005),
-                             volume=NormalVolume(10.0), lambda_i=1.0, lambda_u=1.0)
-        finals = np.array([simulate_price_path(params, 50.0, seed=k).prices[-1]
-                           for k in range(1500)])
-        se = finals.std(ddof=1) / math.sqrt(len(finals))
-        assert abs(finals.mean() - 100.0) <= 3 * se
-
-    def test_sign_persistence(self):
-        params = ModelParams(f=0.9, jump=Pareto(3.0, 0.005), volume=NormalVolume(10.0),
-                             rho=0.5, lambda_i=0.001, lambda_u=10.0)
-        path = simulate_price_path(params, horizon=100_000.0, seed=5)
-        s = path.noise_signs
-        assert abs(np.mean(s[1:] == s[:-1]) - 0.75) <= 0.01
-
-    def test_times_sorted_and_bounded(self):
-        params = ModelParams(r=0.3, f=0.9, jump=Pareto(3.0, 0.005),
-                             volume=NormalVolume(10.0), lambda_i=3.0, lambda_u=7.0)
-        path = simulate_price_path(params, horizon=10.0, seed=6)
-        assert np.all(np.diff(path.times) >= 0.0)
-        assert path.times[0] == 0.0 and path.times[-1] <= 10.0
-        assert path.prices[0] == 100.0
-
-    def test_horizon_positive(self):
-        with pytest.raises(ValueError):
-            simulate_price_path(REF, horizon=0.0, seed=1)
