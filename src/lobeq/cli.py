@@ -87,6 +87,15 @@ def _require(cfg: dict, key: str, context: str) -> object:
     return cfg[key]
 
 
+def _check_keys(cfg: dict, context: str, keys) -> None:
+    """Reject a section that is not an object or holds a key outside ``keys``."""
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{context}: expected a JSON object, got {cfg!r}")
+    extra = set(cfg) - set(keys)
+    if extra:
+        raise ConfigError(f"{context}: unknown keys {sorted(extra)}")
+
+
 def _numbers(values, what: str) -> list[float]:
     if not isinstance(values, list):
         raise ConfigError(f"{what} must be a list of numbers, got {values!r}")
@@ -94,11 +103,8 @@ def _numbers(values, what: str) -> list[float]:
 
 
 def params_from_config(cfg: dict) -> ModelParams:
-    known = {"r", "f", "jump", "volume", "lambda_i", "lambda_u",
-             "theta", "rho", "tick", "offset_d"}
-    extra = set(cfg) - known
-    if extra:
-        raise ConfigError(f"params: unknown keys {sorted(extra)}")
+    _check_keys(cfg, "params", ("r", "f", "jump", "volume", "lambda_i", "lambda_u",
+                                "theta", "rho", "tick", "offset_d"))
     try:
         # r or both intensities may be absent or null: ModelParams derives one from the other
         rates = {key: _number(cfg[key], key)
@@ -118,12 +124,14 @@ def params_from_config(cfg: dict) -> ModelParams:
 
 
 def multi_from_config(cfg: dict) -> MultiSourceParams:
+    _check_keys(cfg, "multi", ("sources", "volume"))
     sources = _require(cfg, "sources", "multi")
     if not isinstance(sources, list):
         raise ConfigError(f"multi: sources must be a list, got {sources!r}")
     specs = []
     for k, s in enumerate(sources):
         context = f"multi: source {k}"
+        _check_keys(s, context, ("r", "f", "jump"))
         r, f, jump = (_require(s, key, context) for key in ("r", "f", "jump"))
         try:
             specs.append(JumpSource(r=_number(r, "r"), f=_number(f, "f"),
@@ -139,6 +147,9 @@ def multi_from_config(cfg: dict) -> MultiSourceParams:
 
 def _grid_from_config(cfg: dict, context: str) -> np.ndarray:
     if "x_grid" in cfg:
+        clash = sorted({"x_min", "x_max", "n_points"} & set(cfg))
+        if clash:
+            raise ConfigError(f"{context}: x_grid excludes {clash}")
         grid = np.asarray(_numbers(cfg["x_grid"], f"{context}: x_grid"), dtype=float)
     else:
         lo = _number(_require(cfg, "x_min", context), f"{context}: x_min")
@@ -180,6 +191,10 @@ def _write_csv_rows(path: Path, header: list[str], rows: Iterable[Sequence]) -> 
 def cmd_shape(cfg: dict, out: Path, seed) -> list[str]:
     shape_cfg = _require(cfg, "shape", "config")
     variant = _require(shape_cfg, "variant", "shape")
+    if variant not in ("multi", "tick", "continuous", "toxic"):
+        raise ConfigError(f"shape: unknown variant {variant!r}")
+    keys = ("n_levels",) if variant == "tick" else ("x_grid", "x_min", "x_max", "n_points")
+    _check_keys(shape_cfg, "shape", ("variant", *keys))
 
     if variant == "multi":
         mp = multi_from_config(_require(cfg, "multi", "config"))
@@ -190,10 +205,8 @@ def cmd_shape(cfg: dict, out: Path, seed) -> list[str]:
         if variant == "tick":
             book = shape_tick(params, _number(_require(shape_cfg, "n_levels", "shape"),
                                               "shape: n_levels", int))
-        elif variant in ("continuous", "toxic"):
-            book = shape_continuous(params, _grid_from_config(shape_cfg, "shape"))
         else:
-            raise ConfigError(f"shape: unknown variant {variant!r}")
+            book = shape_continuous(params, _grid_from_config(shape_cfg, "shape"))
 
     columns = {"x": book.grid, "informed": book.informed, "noise": book.noise,
                "effective": book.effective}
@@ -235,10 +248,8 @@ def cmd_spread(cfg: dict, out: Path, seed) -> list[str]:
 def cmd_simulate(cfg: dict, out: Path, seed) -> list[str]:
     params = params_from_config(_require(cfg, "params", "config"))
     sim_cfg = _require(cfg, "simulate", "config")
-    known = {"n_events", "seed", "n_levels", "record_log", "volume_scale", "p0"}
-    extra = set(sim_cfg) - known
-    if extra:
-        raise ConfigError(f"simulate: unknown keys {sorted(extra)}")
+    _check_keys(sim_cfg, "simulate", ("n_events", "seed", "n_levels", "record_log",
+                                      "volume_scale", "p0"))
     use_seed = seed if seed is not None else sim_cfg.get("seed")
     if use_seed is None:
         raise ConfigError("simulate: a seed is required (config or --seed)")
@@ -270,6 +281,7 @@ def cmd_simulate(cfg: dict, out: Path, seed) -> list[str]:
 
 def cmd_signature(cfg: dict, out: Path, seed) -> list[str]:
     sig_cfg = _require(cfg, "signature", "config")
+    _check_keys(sig_cfg, "signature", ("input", "tick", "reference", "horizons_s", "clusters"))
     input_path = _require(sig_cfg, "input", "signature")
     tick = sig_cfg.get("tick")
     if tick is not None:                                    # absent, null or 0: no tick
@@ -281,15 +293,18 @@ def cmd_signature(cfg: dict, out: Path, seed) -> list[str]:
         raise ConfigError(f"signature: unknown reference {reference!r}; "
                           f"expected one of {REFERENCES}")
     horizons_s = _numbers(_require(sig_cfg, "horizons_s", "signature"), "signature: horizons_s")
-    for h in horizons_s:
+    for i, h in enumerate(horizons_s):
         if not math.isfinite(h):
             raise ConfigError(f"signature: horizons_s must be finite, got {h}")
-    horizons_ns = [int(round(h * 1e9)) for h in horizons_s]
+        if not -2**63 <= round(h * 1e9) < 2**63:
+            raise ConfigError(f"signature: horizons_s[{i}] must fit in int64 ns, got {h}")
+    horizons_ns = [round(h * 1e9) for h in horizons_s]
     clusters = _require(sig_cfg, "clusters", "signature")
     if not isinstance(clusters, list):
         raise ConfigError(f"signature: clusters must be a list, got {clusters!r}")
     specs = []
     for i, spec_cfg in enumerate(clusters):
+        _check_keys(spec_cfg, f"signature cluster {i}", ("metric", "thresholds", "side"))
         try:
             specs.append(ClusterSpec(
                 metric=_require(spec_cfg, "metric", "cluster"),
@@ -331,6 +346,8 @@ def _blank_unless(values: np.ndarray | None, keep: np.ndarray) -> list:
 
 def cmd_sweep(cfg: dict, out: Path, seed) -> list[str]:
     sweep_cfg = _require(cfg, "sweep", "config")
+    _check_keys(sweep_cfg, "sweep", ("r_values", "f_values", "theta_values", "probe_x", "jump",
+                                     "volume", "rho", "tick", "offset_d"))
     r_values = _numbers(_require(sweep_cfg, "r_values", "sweep"), "sweep: r_values")
     f_values = _numbers(_require(sweep_cfg, "f_values", "sweep"), "sweep: f_values")
     theta_values = _numbers(sweep_cfg.get("theta_values", [0.0]), "sweep: theta_values")

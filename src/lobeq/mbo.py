@@ -20,7 +20,7 @@ CSV schema (exact header)::
   exports carry IT/NT/IMM/NMM), empty for real feeds
 
 Replay applies events under price-time (FIFO) priority and reconstructs
-every order's lifecycle together with per-timestamp best-quote snapshots.
+every order's lifecycle together with the best quotes of each timestamp.
 
 The read side is array code from end to end.  An :class:`EventLog` holds
 ``action`` and ``side`` as int8 indices into :data:`ACTIONS` and
@@ -268,13 +268,15 @@ class Quote(NamedTuple):
 
 class Fills(Table):
     ROW = Fill
-    DTYPES = (np.int64, np.int64, np.int64, np.int64, object, np.float64, np.int64, bool, object)
+    DTYPES = (np.int64, np.int64, np.int64, np.int64, np.int8, np.float64, np.int64, bool, object)
+    CODES = {"side": SIDES}                     # the log's own codes
 
 
 class Lifecycles(Table):
     ROW = OrderLifecycle
-    DTYPES = (np.int64, object, np.int64, np.float64, np.int64, object, np.float64, np.int64,
-              np.int64, object, object)
+    DTYPES = (np.int64, np.int8, np.int64, np.float64, np.int64, object, np.float64, np.int64,
+              np.int64, object, np.int8)
+    CODES = {"side": SIDES, "terminal_kind": ("canceled", "executed", None)}
 
 
 class Quotes(Table):
@@ -776,9 +778,6 @@ def _best(side: int, shown: tuple, ends: np.ndarray, key: np.ndarray, volume: np
     return np.where(top >= 0, price[period], np.nan), np.where(top >= 0, depth, 0)
 
 
-_TERMINAL_KINDS = np.array([None, None, "canceled", "executed"], dtype=object)  # by last action
-
-
 def _lifecycles(log: EventLog, walk: _Walk) -> tuple[Lifecycles, Fills, list]:
     """The lifecycles, fills and open order ids of a walked log without faults."""
     order, a, reset, rest, _ = walk
@@ -795,12 +794,12 @@ def _lifecycles(log: EventLog, walk: _Walk) -> tuple[Lifecycles, Fills, list]:
     ended = (kind == CANCEL) | ((kind == EXECUTE) & (rest[lasts] == 0))
     label = log.participant_label[adds]
     lifecycles = Lifecycles(
-        order_id=oid[adds], side=_SIDE_NAMES[log.side[adds]], add_ts=ts[adds],
+        order_id=oid[adds], side=log.side[adds], add_ts=ts[adds],
         add_price=price[adds], add_qty=qty[adds], participant_label=label,
         price=price[order[reset[lasts]]], n_updates=updates[lasts] - updates[starts],
         executed_qty=executed[lasts] - executed[starts],
         terminal_ts=np.where(ended, ts[end].astype(object), None),
-        terminal_kind=_TERMINAL_KINDS[np.where(ended, kind, ADD)],
+        terminal_kind=np.where(ended, kind - CANCEL, -1),   # canceled 0, executed 1, open -1
     )
     del updates, executed
     lifecycle = np.empty(n, dtype=np.int32)                # of each row

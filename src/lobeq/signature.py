@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mbo import Quotes, Replay, Table
+from .mbo import BID, Quotes, Replay, Table
 
 __all__ = [
     "REFERENCES",
@@ -107,7 +107,7 @@ def mid_price(bid, ask, checks=()):
 
 
 class QuoteSeries(Quotes):
-    """Best-quote snapshots indexed by timestamp, left-limit evaluated: the
+    """Best quotes indexed by timestamp, left-limit evaluated: the
     :class:`~lobeq.mbo.Quotes` columns (an empty side's None reads as nan)
     with strictly increasing timestamps."""
 
@@ -208,7 +208,7 @@ def build_trade_records(replay: Replay, quotes: QuoteSeries) -> tuple[TradeTable
     fills, lcs = replay.fills, replay.lifecycles
     ts, oid, qty, price, aggressor, label = (fills.ts_ns, fills.order_id, fills.qty, fills.price,
                                              fills.aggressor, fills.participant_label)
-    bid = fills.side == "bid"
+    bid = fills.side == BID
 
     def table(rows, sign, **metrics):
         undefined = np.full(rows.size, np.nan)
@@ -238,7 +238,7 @@ def build_trade_records(replay: Replay, quotes: QuoteSeries) -> tuple[TradeTable
     passive = table(rows, np.where(bid[rows], -1, 1),           # ask fills are buyer-initiated
                     trade_to_add_ns=_since_last(ts, lcs.add_ts[lc]),
                     update_count=lcs.n_updates[lc],
-                    add_to_add_ns=_add_to_add(lcs.add_ts, lcs.side == "bid", lcs.add_price)[lc])
+                    add_to_add_ns=_add_to_add(lcs.add_ts, lcs.side == BID, lcs.add_price)[lc])
     return aggressive, passive
 
 

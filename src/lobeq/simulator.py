@@ -53,7 +53,7 @@ import numpy as np
 from . import kernels
 from .equilibrium import BookShape, ModelParams, book_curves, shape_tick
 from . import mbo
-from .mbo import ADD, CANCEL, EXECUTE, EventLog, Quotes
+from .mbo import ADD, CANCEL, EXECUTE, EventLog
 
 __all__ = [
     "SimConfig",
@@ -101,6 +101,8 @@ class SimConfig:
             raise ValueError(f"record_log must be true or false, got {self.record_log!r}")
         if isinstance(self.book_mode, BookShape):
             self.book_mode.validate()
+            if not np.all(np.isfinite(self.book_mode.informed)):
+                raise ValueError("book_mode needs finite informed depth at every level")
         elif self.book_mode != EQUILIBRIUM_STATIC:
             raise ValueError(
                 f"book_mode must be {EQUILIBRIUM_STATIC!r} or a BookShape"
@@ -125,7 +127,6 @@ class SimResult:
     summary: dict
     book: BookShape
     mbo_events: EventLog | None = None
-    quote_snapshots: Quotes | None = None   # after the initial book and after each event
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +202,16 @@ def _nmm_level_split(eff_lvl, noise_cum) -> np.ndarray:
     return out
 
 
+def _check_bounded(informed: np.ndarray) -> None:
+    """Reject closed-form depths that are unbounded at some simulated level
+    (one that faces no adverse selection, e.g. every level when f = 0)."""
+    if not np.all(np.isfinite(informed)):
+        raise ValueError(
+            "the closed-form book is unbounded within the simulated levels; "
+            "reduce n_levels to stay inside the adversely selected range"
+        )
+
+
 def _resolve_book(cfg: SimConfig) -> BookShape:
     if isinstance(cfg.book_mode, BookShape):
         return cfg.book_mode
@@ -209,15 +220,9 @@ def _resolve_book(cfg: SimConfig) -> BookShape:
             "equilibrium_static mode needs a positive tick to place levels; "
             "supply a BookShape for a custom grid"
         )
-    return shape_tick(cfg.params, cfg.n_levels)
-
-
-def _check_bounded(book: BookShape) -> None:
-    if not np.all(np.isfinite(book.informed)):
-        raise ValueError(
-            "the book is unbounded on the simulated grid (f = 0 regime); "
-            "simulation needs finite depth"
-        )
+    book = shape_tick(cfg.params, cfg.n_levels)
+    _check_bounded(book.informed)
+    return book
 
 
 # ---------------------------------------------------------------------------
@@ -385,9 +390,8 @@ class _LoggedRun:
     path, and with it every book the run will target, is computed before
     the event loop: state ``s`` is the price after the ``s``-th move.  The
     loop only moves orders and appends rows.  Between moves each side
-    holds exactly its state's targets after every event, so the best
-    quotes, the volume within a jump and the probe rows are read from the
-    state tables.
+    holds exactly its state's targets after every event, so the volume
+    within a jump and the probe rows are read from the state tables.
     """
 
     def __init__(self, cfg: SimConfig, draws: EventDraws, times_ns: np.ndarray):
@@ -409,11 +413,7 @@ class _LoggedRun:
         price = np.cumsum(np.concatenate(([cfg.p0], steps)))
         idx, dist = _grid_layout(price, tick, cfg.n_levels)
         informed, noise = book_curves(cfg.params, dist)
-        if not np.all(np.isfinite(informed)):
-            raise ValueError(
-                "the closed-form book is unbounded within the simulated levels; "
-                "reduce n_levels to stay inside the adversely selected range"
-            )
+        _check_bounded(informed)
         # every target and noise volume must fit in int64 units; dividing,
         # not multiplying, keeps a huge integer scale from overflowing a float
         largest = max(informed.max(), noise.max(), draws.noise_mag[~jump].max(initial=0.0))
@@ -429,13 +429,8 @@ class _LoggedRun:
         self.nmm = nmm.tolist()
         # keep grid prices identical to their CSV round-trip
         self.px = {i: round(i * tick, 12) for i in np.unique(idx).tolist()}
-        # the state after the initial book (at ts 0) and after each event,
-        # and the best quotes it shows
+        # the state after the initial book (at ts 0) and after each event
         state = np.concatenate(([0], np.cumsum(self.moves)))
-        px, qty = self._best_quotes(idx, lvl)
-        px, qty = px[state], qty[state]
-        self.snapshots = Quotes(np.concatenate(([0], times_ns)), px[:, BID], px[:, ASK],
-                                qty[:, BID], qty[:, ASK])
 
         # the ask book each event met, scored by the probe kernel afterwards:
         # level distances for jumps and noise buys, queue depths for buys
@@ -460,19 +455,6 @@ class _LoggedRun:
                              for name, dtype in zip(EventLog.fields(), EventLog.DTYPES))
         self._emit = _row_appender(self.columns)
         self._next_oid = itertools.count(1).__next__
-
-    def _best_quotes(self, idx: np.ndarray, lvl: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Best price and quantity of each state's target book, each
-        ``(n_states, 2)``: the nearest level with volume on each side, a nan
-        price and zero quantity on an empty side, as the replay gives them."""
-        shown = lvl > 0
-        first = shown.argmax(axis=-1)[..., None]
-        best_idx = np.take_along_axis(idx, first, -1)[..., 0]
-        best_qty = np.take_along_axis(lvl, first, -1)[..., 0]
-        grid, at = np.unique(best_idx, return_inverse=True)
-        best_px = np.array([self.px[i] for i in grid.tolist()])[at.reshape(best_idx.shape)]
-        any_shown = shown.any(axis=-1)
-        return np.where(any_shown, best_px, np.nan), np.where(any_shown, best_qty, 0)
 
     # -- replenishment ----------------------------------------------------------
 
@@ -629,8 +611,7 @@ def _run_logged(cfg: SimConfig, draws: EventDraws, rng: np.random.Generator) -> 
         "n_mbo_rows": len(log),
         "seed": cfg.seed,
     }
-    return SimResult(pnl=pnl, summary=summary, book=book, mbo_events=log,
-                     quote_snapshots=lr.snapshots)
+    return SimResult(pnl=pnl, summary=summary, book=book, mbo_events=log)
 
 
 # ---------------------------------------------------------------------------
@@ -644,9 +625,7 @@ def run(cfg: SimConfig) -> SimResult:
     draws = draw_events(cfg.params, cfg.n_events, rng)
     if cfg.record_log:
         return _run_logged(cfg, draws, rng)
-    book = _resolve_book(cfg)
-    _check_bounded(book)
-    return _run_fast(cfg, book, draws)
+    return _run_fast(cfg, _resolve_book(cfg), draws)
 
 
 def export_mbo(result: SimResult) -> EventLog:

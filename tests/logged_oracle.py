@@ -8,7 +8,9 @@ between moves), every side is morphed level by level, and each MBO row is
 built as an ``MboEvent``.  ``run`` replays ``lobeq.simulator.run`` for a
 ``record_log`` config with it, on the same draws and timestamps.  It also
 keeps a ``SimEvent`` per event with the fills it caused, from which its
-``executed_units_total`` is summed independently of the log.
+``executed_units_total`` is summed independently of the log, and the best
+quotes its own book shows after each event, which the replay of the log
+must reproduce.
 """
 
 from __future__ import annotations
@@ -366,7 +368,8 @@ class _LoggedRun:
 
 def run(cfg: SimConfig) -> tuple[SimResult, _LoggedRun]:
     """``lobeq.simulator.run(cfg)`` for a ``record_log`` config, and the
-    finished oracle run (its probe arrays and its events)."""
+    finished oracle run (its probe arrays, its events and its best-quote
+    snapshots, one after the initial book and one after each event)."""
     rng = np.random.default_rng(cfg.seed)
     draws = draw_events(cfg.params, cfg.n_events, rng)
     times_ns = _event_times(cfg.params, cfg.n_events, rng)
@@ -384,6 +387,5 @@ def run(cfg: SimConfig) -> tuple[SimResult, _LoggedRun]:
         "n_mbo_rows": len(lr.rows),
         "seed": cfg.seed,
     }
-    result = SimResult(pnl=pnl, summary=summary, book=book, mbo_events=lr.rows,
-                       quote_snapshots=lr.snapshots)
+    result = SimResult(pnl=pnl, summary=summary, book=book, mbo_events=lr.rows)
     return result, lr

@@ -357,6 +357,21 @@ class TestSimulate:
                 in capsys.readouterr().err)
         assert not (out / "mbo.csv").exists() and not (out / "pnl.csv").exists()
 
+    def test_unbounded_fast_path_book_blames_the_levels(self, tmp_path, capsys):
+        # with f = 0.7 only the levels at and beyond the 0.03 point mass face
+        # no adverse selection: three levels run, five are unbounded
+        params = {**REF_PARAMS, "r": 0.3, "f": 0.7, "jump": {"type": "pointmass", "value": 0.03}}
+        doc = {"params": params, "simulate": {"n_events": 100, "seed": 1, "n_levels": 3}}
+        (tmp_path / "three").mkdir()
+        assert run_cli(tmp_path / "three", "simulate", doc)[0] == 0
+        doc["simulate"]["n_levels"] = 5
+        code, out = run_cli(tmp_path, "simulate", doc)
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "lobeq simulate: the closed-form book is unbounded within the simulated levels; "
+            "reduce n_levels to stay inside the adversely selected range\n")
+        assert not (out / "pnl.csv").exists()
+
     def test_record_log_writes_mbo(self, tmp_path):
         doc = {
             "params": {**REF_PARAMS, "r": 0.15, "lambda_i": 0.15, "lambda_u": 0.85,
@@ -446,6 +461,10 @@ class TestSignature:
          "signature cluster 1: thresholds[0] must be a number, got True"),
         ({"tick": ""}, "signature: tick must be a number, got ''"),
         ({"tick": False}, "signature: tick must be a number, got False"),
+        ({"horizons_s": [1.0, 1e12]},
+         "signature: horizons_s[1] must fit in int64 ns, got 1000000000000.0"),
+        ({"horizons_s": [-1e10]},
+         "signature: horizons_s[0] must fit in int64 ns, got -10000000000.0"),
     ])
     def test_config_checked_before_the_log_is_read(self, tmp_path, capsys, change, message):
         doc = {"signature": {"input": str(tmp_path / "never_read.csv"), "horizons_s": [0.0, 1.0],
@@ -634,6 +653,45 @@ class TestSweep:
 
 
 class TestPlumbing:
+    SOURCE = {"r": 0.2, "f": 0.5, "jump": REF_PARAMS["jump"]}
+    MULTI = {"sources": [SOURCE], "volume": REF_PARAMS["volume"]}
+    CLUSTER = {"metric": "trade_to_trade", "thresholds": [1e7], "side": "aggressive"}
+    SIGNATURE = {"input": "never_read.csv", "horizons_s": [0.0], "clusters": [CLUSTER]}
+    SWEEP = {"r_values": [0.5], "f_values": [0.5], "jump": REF_PARAMS["jump"],
+             "volume": REF_PARAMS["volume"]}
+
+    @pytest.mark.parametrize("command, doc, message", [
+        ("spread", {"params": {**REF_PARAMS, "sigma": 10.0}}, "params: unknown keys ['sigma']"),
+        ("simulate", {"params": REF_PARAMS, "simulate": {"n_events": 10, "seed": 1, "levels": 4}},
+         "simulate: unknown keys ['levels']"),
+        ("sweep", {"sweep": {**SWEEP, "typo_key": 1}}, "sweep: unknown keys ['typo_key']"),
+        ("signature", {"signature": {**SIGNATURE, "horizon_s": [1.0]}},
+         "signature: unknown keys ['horizon_s']"),
+        ("signature", {"signature": {**SIGNATURE,
+                                     "clusters": [CLUSTER, {**CLUSTER, "metrics": 1}]}},
+         "signature cluster 1: unknown keys ['metrics']"),
+        ("shape", {"params": REF_PARAMS, "shape": {"variant": "tick", "n_levels": 4,
+                                                   "x_grid": [0.01]}},
+         "shape: unknown keys ['x_grid']"),
+        ("shape", {"params": REF_PARAMS, "shape": {"variant": "toxic", "x_grid": [0.01],
+                                                   "n_levels": 4}},
+         "shape: unknown keys ['n_levels']"),
+        ("shape", {"params": REF_PARAMS, "shape": {"variant": "continuous", "x_grid": [0.01],
+                                                   "n_points": 5, "x_min": 0.01}},
+         "shape: x_grid excludes ['n_points', 'x_min']"),
+        ("shape", {"multi": {**MULTI, "theta": 0.1},
+                   "shape": {"variant": "multi", "x_grid": [0.01]}},
+         "multi: unknown keys ['theta']"),
+        ("shape", {"multi": {**MULTI, "sources": [SOURCE, {**SOURCE, "tick": 0.01}]},
+                   "shape": {"variant": "multi", "x_grid": [0.01]}},
+         "multi: source 1: unknown keys ['tick']"),
+    ])
+    def test_unknown_key_names_its_section(self, tmp_path, capsys, command, doc, message):
+        code, out = run_cli(tmp_path, command, doc)
+        assert code == 2
+        assert capsys.readouterr().err == f"lobeq {command}: {message}\n"
+        assert not list(out.iterdir())
+
     def test_missing_config_file(self, tmp_path):
         assert main(["spread", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "o")]) == 2

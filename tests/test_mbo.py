@@ -259,6 +259,23 @@ class TestReconstruct:
         assert lc.terminal_kind == "executed"
         assert lc.executed_qty == 8
 
+    def test_replay_tables_keep_the_log_codes(self):
+        replay = reconstruct([
+            ev(10, 1, "add", "bid", 100.0, 5),
+            ev(10, 2, "add", "ask", 100.01, 5),
+            ev(11, 3, "add", "ask", 100.02, 4),
+            ev(20, 1, "execute", "bid", 100.0, 5, flag=False),
+            ev(30, 2, "cancel", "ask", 100.01, 5),
+        ])
+        lcs, fills = replay.lifecycles, replay.fills
+        assert [col.dtype for col in (lcs.side, lcs.terminal_kind, fills.side)] == [np.int8] * 3
+        assert lcs.side.tolist() == [SIDES.index("bid"), SIDES.index("ask"), SIDES.index("ask")]
+        assert fills.side.tolist() == [SIDES.index("bid")]
+        # rows decode the codes
+        assert [(lc.side, lc.terminal_kind) for lc in lcs] == [
+            ("bid", "executed"), ("ask", "canceled"), ("ask", None)]
+        assert fills[0].side == "bid" and list(fills)[0].side == "bid"
+
     def test_open_at_eof_reported(self):
         replay = reconstruct([ev(10, 1, "add", qty=5)])
         assert replay.open_order_ids == [1]

@@ -49,6 +49,22 @@ def oracle_quotes(snapshots):
     return Quotes(ts, *price, *qty)
 
 
+def assert_replay_quotes(log, snapshots):
+    """The best quotes of the replay of ``log`` against the oracle's
+    snapshots, one after the initial book (ts 0) and one after each event:
+    equal at every timestamp the log holds.  A snapshot whose event wrote
+    no row equals the snapshot before it, and at ts 0 the empty book."""
+    got, expected = reconstruct(log).quotes, oracle_quotes(snapshots)
+    assert np.isin(got.ts_ns, expected.ts_ns).all()
+    at = np.searchsorted(expected.ts_ns, got.ts_ns)
+    assert_same_quotes(got, expected.take(at))
+    silent = np.setdiff1d(np.arange(len(expected)), at)
+    before = expected.take(np.maximum(silent - 1, 0))
+    for name, empty in (("bid", math.nan), ("ask", math.nan), ("bid_qty", 0), ("ask_qty", 0)):
+        want = np.where(silent == 0, empty, getattr(before, name))
+        assert np.array_equal(getattr(expected, name)[silent], want, equal_nan=True), name
+
+
 def populated_levels(result):
     """(maker, level) pairs whose own book carries volume at that level."""
     eff = np.diff(result.book.informed, prepend=0.0)
@@ -149,6 +165,9 @@ class TestFastPath:
                         noise=np.array([1.0, 1.0]), effective=np.array([5.0, 3.0]))
         with pytest.raises(ValueError, match="nondecreasing"):
             SimConfig(params=REF, n_events=10, seed=0, book_mode=bad)
+        deep = dataclasses.replace(shape_tick(REF, 2), informed=np.array([5.0, np.inf]))
+        with pytest.raises(ValueError, match="^book_mode needs finite informed depth"):
+            SimConfig(params=REF, n_events=10, seed=0, book_mode=deep)
         with pytest.raises(ValueError, match="unbounded"):
             run(SimConfig(params=ModelParams(r=0.9, f=0.0, jump=Pareto(3.0, 0.005),
                                              volume=NormalVolume(10.0), tick=0.01),
@@ -193,8 +212,8 @@ class TestLoggedPath:
         assert parsed == events
 
     def test_quote_series_reproduced_by_replay(self, logged_result):
-        assert_same_quotes(reconstruct(export_mbo(logged_result)).quotes,
-                           logged_result.quote_snapshots)
+        _, oracle = logged_oracle.run(LOGGED_RUN)
+        assert_replay_quotes(export_mbo(logged_result), oracle.snapshots)
 
     @given(n_events=st.integers(1, 300), seed=st.integers(0, 2**32 - 1),
            n_levels=st.integers(1, 10), volume_scale=st.sampled_from([1, 10, 1000, 10**6]))
@@ -348,7 +367,7 @@ class TestLoggedOracle:
             return
         result = run(cfg)
         assert export_mbo(result) == expected.mbo_events
-        assert_same_quotes(result.quote_snapshots, oracle_quotes(expected.quote_snapshots))
+        assert_replay_quotes(export_mbo(result), oracle.snapshots)
         assert result.pnl == expected.pnl
         assert result.summary == expected.summary
 
@@ -361,10 +380,10 @@ class TestLoggedOracle:
                              tick=0.01, offset_d=0.0, theta=0.0005, rho=0.5)
         cfg = SimConfig(params=params, n_events=3000, seed=5, record_log=True,
                         n_levels=8, volume_scale=1000)
-        expected, _ = logged_oracle.run(cfg)
+        expected, oracle = logged_oracle.run(cfg)
         result = run(cfg)
         assert dumps(export_mbo(result)) == dumps(expected.mbo_events)
-        assert_same_quotes(result.quote_snapshots, oracle_quotes(expected.quote_snapshots))
+        assert_replay_quotes(export_mbo(result), oracle.snapshots)
 
 
 class TestEventLog:
