@@ -15,7 +15,6 @@ from .laws import (
     PointMass,
     VolumeLaw,
     jump_law_from_config,
-    law_to_config,
     volume_law_from_config,
 )
 from .equilibrium import (

@@ -10,8 +10,10 @@ Commands::
 
 Flags only select the command, config path, output directory and an
 optional seed override; everything else lives in the config document so a
-run can be reproduced from its manifest alone.  Every command writes
-``manifest.json`` echoing the fully resolved config.  Numeric CSV output
+run can be reproduced from its manifest alone.  The config root holds only
+the sections its command reads, plus ``seed`` and ``out``; any other key
+is rejected.  Every command writes ``manifest.json`` echoing the fully
+resolved config.  Numeric CSV output
 is rendered with 17 significant digits so values round-trip exactly.
 
 ``LOB_LOG_LEVEL`` in {error, info, debug} controls verbosity.
@@ -38,7 +40,6 @@ from .equilibrium import (
     MultiSourceParams,
     ParamGrid,
     SolverError,
-    UnfillableLevelError,
     ZeroSpreadRegime,
     book_curves,
     shape_continuous,
@@ -253,18 +254,16 @@ def cmd_simulate(cfg: dict, out: Path, seed) -> list[str]:
     use_seed = seed if seed is not None else sim_cfg.get("seed")
     if use_seed is None:
         raise ConfigError("simulate: a seed is required (config or --seed)")
-    try:
-        sc = SimConfig(
-            params=params,
-            n_events=_number(_require(sim_cfg, "n_events", "simulate"), "n_events", int),
-            seed=_number(use_seed, "seed", int),
-            record_log=sim_cfg.get("record_log", False),
-            n_levels=_number(sim_cfg.get("n_levels", 10), "n_levels", int),
-            volume_scale=_number(sim_cfg.get("volume_scale", 1_000_000), "volume_scale", int),
-            p0=_number(sim_cfg.get("p0", 100.0), "p0"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"simulate: {exc}") from None
+    # main names the command, so these errors carry no "simulate: " prefix
+    sc = SimConfig(
+        params=params,
+        n_events=_number(_require(sim_cfg, "n_events", "simulate"), "n_events", int),
+        seed=_number(use_seed, "seed", int),
+        record_log=sim_cfg.get("record_log", False),
+        n_levels=_number(sim_cfg.get("n_levels", 10), "n_levels", int),
+        volume_scale=_number(sim_cfg.get("volume_scale", 1_000_000), "volume_scale", int),
+        p0=_number(sim_cfg.get("p0", 100.0), "p0"),
+    )
     result = run_sim(sc)
 
     rows = ([p.maker, p.level, p.n_fills, p.mean_gain, p.std_err] for p in result.pnl)
@@ -406,6 +405,17 @@ COMMANDS = {
 }
 
 
+def _sections(command: str, cfg: dict) -> tuple[str, ...]:
+    """Top-level sections ``command`` reads; a shape reads ``multi`` for
+    the multi variant and ``params`` for the others."""
+    if command == "shape":
+        shape_cfg = cfg.get("shape")
+        multi = isinstance(shape_cfg, dict) and shape_cfg.get("variant") == "multi"
+        return ("shape", "multi" if multi else "params")
+    return {"spread": ("params",), "simulate": ("params", "simulate"),
+            "signature": ("signature",), "sweep": ("sweep",)}[command]
+
+
 def _setup_logging() -> None:
     level = os.environ.get("LOB_LOG_LEVEL", "error").lower()
     levels = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
@@ -431,6 +441,7 @@ def main(argv=None) -> int:
             cfg = json.load(fh)
         if not isinstance(cfg, dict):
             raise ConfigError("config root must be a JSON object")
+        _check_keys(cfg, "config", ("seed", "out", *_sections(args.command, cfg)))
         out_dir = args.out or cfg.get("out")
         if not out_dir:
             raise ConfigError("an output directory is required (--out or config 'out')")
@@ -446,7 +457,7 @@ def main(argv=None) -> int:
         log.info("wrote %s", ", ".join(outputs + ["manifest.json"]))
         return 0
     # ConfigError, the MBO errors and json.JSONDecodeError are ValueErrors
-    except (ValueError, OSError, ZeroSpreadRegime, SolverError, UnfillableLevelError) as exc:
+    except (ValueError, OSError, ZeroSpreadRegime, SolverError) as exc:
         print(f"lobeq {args.command}: {exc}", file=sys.stderr)
         return 2
 

@@ -296,14 +296,13 @@ class SpreadArrays:
     """Half-spread solves over the cells of a :class:`ParamGrid`.
 
     ``zero`` marks the zero-spread regime (f = 0 or r = 0): there ``phi``
-    is 0 and ``mu``, ``phi_theta`` and ``residual`` are nan.  ``closed``
-    marks cells whose ``phi`` is the closed form below the jump law's
-    support.  ``phi_theta`` is the toxic half-spread (``phi`` where
-    theta_bar = 0), and ``residual`` belongs to the reported root: the
-    toxic one where theta_bar > 0, ``phi`` elsewhere.  With a positive
-    tick, ``k_d`` and ``spread_tick`` are the tick quantities of ``phi``;
-    without one they are None.  ``phi_iters`` and ``theta_iters`` are the
-    bisection steps of the plain and the toxic solve, summed over cells.
+    is 0 and ``mu``, ``phi_theta`` and ``residual`` are nan.  ``phi_theta``
+    is the toxic half-spread (``phi`` where theta_bar = 0), and
+    ``residual`` belongs to the reported root: the toxic one where
+    theta_bar > 0, ``phi`` elsewhere.  With a positive tick, ``k_d`` and
+    ``spread_tick`` are the tick quantities of ``phi``; without one they
+    are None.  ``phi_iters`` and ``theta_iters`` are the bisection steps of
+    the plain and the toxic solve, summed over cells.
     """
 
     phi: np.ndarray
@@ -311,7 +310,6 @@ class SpreadArrays:
     phi_theta: np.ndarray
     residual: np.ndarray
     zero: np.ndarray
-    closed: np.ndarray
     k_d: np.ndarray | None
     spread_tick: np.ndarray | None
     phi_iters: int
@@ -532,8 +530,7 @@ def _bisect(g, lo: np.ndarray, grid: ParamGrid, cells: np.ndarray) -> RootResult
 
 def _emax_roots(grid: ParamGrid, rhs: np.ndarray, cells: np.ndarray):
     """Solve ``emax(x) = rhs`` (rhs > 1) for the unique positive root of
-    each of ``cells``; returns the roots, the closed-form mask and the
-    bisection steps.
+    each of ``cells``; returns the roots and the bisection steps.
 
     Below the support infimum ``emax(x) = E[B]/x`` gives the root in closed
     form; that branch is taken first to avoid bracketing across the support
@@ -547,15 +544,14 @@ def _emax_roots(grid: ParamGrid, rhs: np.ndarray, cells: np.ndarray):
         raise SolverError(f"emax equation needs rhs > 1, got {rhs[i]} at {grid.cell(cells[i])}")
     jump = grid.jump
     x = jump.mean / rhs
-    closed = x <= jump.support_inf
-    above = np.flatnonzero(~closed)
+    above = np.flatnonzero(x > jump.support_inf)
     solve = above[jump.emax_ratio(x[above]) > rhs[above]]
     if not solve.size:
-        return x, closed, 0
+        return x, 0
     target = rhs[solve]
     root = _bisect(lambda z: jump.emax_ratio(z) - target, x[solve], grid, cells[solve])
     x[solve] = root.x
-    return x, closed, root.iterations
+    return x, root.iterations
 
 
 def solve_spreads(grid: ParamGrid) -> SpreadArrays:
@@ -580,13 +576,12 @@ def solve_spreads(grid: ParamGrid) -> SpreadArrays:
     cells = np.flatnonzero(~zero)
     r, f = grid.r[cells], grid.f[cells]
     rhs = 1.0 + (1.0 / (2.0 * f)) * (1.0 / r - 1.0)
-    phi_c, closed_c, phi_iters = _emax_roots(grid, rhs, cells)
-    mu_c, _, _ = _emax_roots(grid, 1.0 + 0.5 * (1.0 / r - 1.0), cells)
+    phi_c, phi_iters = _emax_roots(grid, rhs, cells)
+    mu_c, _ = _emax_roots(grid, 1.0 + 0.5 * (1.0 / r - 1.0), cells)
 
     phi = np.zeros(n)
     mu, phi_theta, residual = np.full((3, n), np.nan)
-    closed = np.zeros(n, dtype=bool)
-    phi[cells], mu[cells], closed[cells] = phi_c, mu_c, closed_c
+    phi[cells], mu[cells] = phi_c, mu_c
     phi_theta[cells] = phi_c
     residual[cells] = np.abs(grid.jump.emax_ratio(phi_c) - rhs) / rhs
 
@@ -621,25 +616,23 @@ def solve_spreads(grid: ParamGrid) -> SpreadArrays:
         k_d = 1 + steps_ask
         spread_ticks = grid.tick * (steps_ask + steps_bid)
     return SpreadArrays(phi=phi, mu=mu, phi_theta=phi_theta, residual=residual,
-                        zero=zero, closed=closed, k_d=k_d, spread_tick=spread_ticks,
+                        zero=zero, k_d=k_d, spread_tick=spread_ticks,
                         phi_iters=phi_iters, theta_iters=theta_iters)
 
 
-def strict_ceil(y, snap_tol: float = 1e-9):
-    """Smallest integer strictly greater than ``y``, elementwise.
+def strict_ceil(y: np.ndarray) -> np.ndarray:
+    """Smallest integer strictly greater than each element of ``y``, as
+    int64.
 
-    Values within ``snap_tol`` (relative) of an integer are treated as that
+    Values within 1e-9 (relative) of an integer are treated as that
     integer, so a spread landing exactly on a tick boundary leaves the
-    boundary level empty rather than depending on float noise.  Returns an
-    int for a float, an int64 array for an array.
+    boundary level empty rather than depending on float noise.
     """
-    y_arr = np.asarray(y, dtype=float)
-    if not np.all(np.abs(y_arr) < 2.0**62):
+    if not np.all(np.abs(y) < 2.0**62):
         raise ValueError(f"strict_ceil: {y} is out of the int64 range")
-    nearest = np.round(y_arr)
-    snap = np.abs(y_arr - nearest) <= snap_tol * np.maximum(1.0, np.abs(y_arr))
-    out = (np.where(snap, nearest, np.floor(y_arr)) + 1.0).astype(np.int64)
-    return int(out) if out.ndim == 0 else out
+    nearest = np.round(y)
+    snap = np.abs(y - nearest) <= 1e-9 * np.maximum(1.0, np.abs(y))
+    return (np.where(snap, nearest, np.floor(y)) + 1.0).astype(np.int64)
 
 
 def _solve_one(p: ModelParams) -> SpreadArrays:

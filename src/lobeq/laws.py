@@ -36,7 +36,6 @@ __all__ = [
     "config_number",
     "jump_law_from_config",
     "volume_law_from_config",
-    "law_to_config",
 ]
 
 
@@ -357,9 +356,6 @@ _VOLUME_KINDS = {
     "laplace": (LaplaceVolume, ("b",)),
 }
 
-_KINDS = {**_JUMP_KINDS, **_VOLUME_KINDS}
-_KIND_BY_CLASS = {cls: kind for kind, (cls, _fields) in _KINDS.items()}
-
 
 def config_number(value, what: str, cast=float):
     """``cast(value)`` of a JSON number; anything else (null, a string, a
@@ -401,8 +397,3 @@ def jump_law_from_config(config: dict) -> JumpLaw:
 
 def volume_law_from_config(config: dict) -> VolumeLaw:
     return _law_from_config(config, _VOLUME_KINDS, "volume")
-
-
-def law_to_config(law) -> dict:
-    kind = _KIND_BY_CLASS[type(law)]
-    return {"type": kind, **{f: getattr(law, f) for f in _KINDS[kind][1]}}

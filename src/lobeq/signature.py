@@ -313,7 +313,9 @@ def signature_curves(trades: TradeTable, clusters: np.ndarray,
                      horizons_ns, eps: int, reference: str,
                      quotes: QuoteSeries) -> SignatureCurve:
     """ST(k) per cluster along the horizon grid (undefined bucket dropped);
-    ``np.bincount`` sums each cluster in row order, as a loop would."""
+    ``np.bincount`` sums each cluster in row order, as a loop would.  A
+    time ``t + k`` beyond the int64 range saturates at its end, so a time
+    past the last snapshot reads that snapshot as its left limit."""
     if eps not in (1, -1):
         raise ValueError("eps must be +1 or -1")
     horizons_ns = tuple(int(k) for k in horizons_ns)
@@ -324,9 +326,12 @@ def signature_curves(trades: TradeTable, clusters: np.ndarray,
     qty = cohort.qty.astype(float)
     den = np.bincount(labels, weights=np.abs(qty), minlength=ids.size)
     st = np.empty((ids.size, len(horizons_ns)))
+    int64 = np.iinfo(np.int64)
     for h, k_ns in enumerate(horizons_ns):
+        # clip before adding: int64 addition wraps silently
+        t_k = np.clip(cohort.t_ns, int64.min - min(k_ns, 0), int64.max - max(k_ns, 0)) + k_ns
         try:
-            x = quotes.reference(cohort.t_ns + k_ns, reference, qty)
+            x = quotes.reference(t_k, reference, qty)
         except QuoteError as exc:
             raise ValueError(f"reference lookup failed for trade of order "
                              f"{cohort.order_id[exc.index]} at t = {cohort.t_ns[exc.index]} "

@@ -29,15 +29,18 @@ is zero precisely at that depth.
 
 Both paths score the probes with one numpy kernel,
 :func:`lobeq.kernels.accumulate_pnl`.  The no-log path passes it the
-static book.  ``record_log=True`` switches to a bookkeeping loop that
-maintains a two-sided order book on the absolute tick grid and emits a
-market-by-order event log with ground-truth participant labels.  The price
-moves only at jumps and at nonzero noise drift, both drawn up front, so
-the whole price path and the integer targets of every book state (one
-``book_curves`` call for all states and both sides) are computed before
-the loop; the loop only moves orders and appends rows to the columns of a
-:class:`lobeq.mbo.EventLog`.  The ask book each event met is read from the
-same state tables and passed to the kernel.
+static book: the closed-form one on the tick grid, or a user-supplied
+:class:`BookShape`.  :class:`SimConfig` rejects a combination neither
+path can run before any draw is made.  ``record_log=True`` switches to a
+bookkeeping loop that maintains a two-sided order book on the absolute
+tick grid and emits a market-by-order event log with ground-truth
+participant labels.  The price moves only at jumps and at nonzero noise
+drift, both drawn up front, so the whole price path and the integer
+targets of every book state (one ``book_curves`` call for all states and
+both sides) are computed before the loop; the loop only moves orders and
+appends rows to the columns of a :class:`lobeq.mbo.EventLog`.  The ask
+book each event met is read from the same state tables and passed to the
+kernel.
 """
 
 from __future__ import annotations
@@ -65,24 +68,22 @@ __all__ = [
     "export_mbo",
 ]
 
-EQUILIBRIUM_STATIC = "equilibrium_static"
-
-
 @dataclass(frozen=True)
 class SimConfig:
     """Simulation request.
 
-    ``book_mode`` is either the string ``"equilibrium_static"`` (the book
-    is the closed-form shape, reset after every event) or a user-supplied
-    :class:`BookShape` whose ``informed``/``noise`` curves queue the probe
-    orders.  ``volume_scale`` converts real volumes to the integer units
-    used in exported logs.
+    ``book_mode`` is either None (the book is the closed-form shape on the
+    tick grid, reset after every event, which needs ``params.tick > 0``) or
+    a user-supplied :class:`BookShape` whose ``informed``/``noise`` curves
+    queue the probe orders.  ``record_log`` needs the closed-form book.
+    ``volume_scale`` converts real volumes to the integer units used in
+    exported logs.
     """
 
     params: ModelParams
     n_events: int
     seed: int
-    book_mode: object = EQUILIBRIUM_STATIC
+    book_mode: BookShape | None = None
     record_log: bool = False
     n_levels: int = 10
     volume_scale: int = 1_000_000
@@ -99,14 +100,18 @@ class SimConfig:
             raise ValueError("volume_scale must be a positive integer")
         if not isinstance(self.record_log, bool):
             raise ValueError(f"record_log must be true or false, got {self.record_log!r}")
-        if isinstance(self.book_mode, BookShape):
+        if self.book_mode is None:
+            if self.params.tick <= 0.0:
+                raise ValueError(f"the closed-form book needs a positive tick to place "
+                                 f"levels, got tick = {self.params.tick}")
+        elif not isinstance(self.book_mode, BookShape):
+            raise ValueError(f"book_mode must be None or a BookShape, got {self.book_mode!r}")
+        elif self.record_log:
+            raise ValueError("record_log needs the closed-form book (book_mode=None)")
+        else:
             self.book_mode.validate()
             if not np.all(np.isfinite(self.book_mode.informed)):
                 raise ValueError("book_mode needs finite informed depth at every level")
-        elif self.book_mode != EQUILIBRIUM_STATIC:
-            raise ValueError(
-                f"book_mode must be {EQUILIBRIUM_STATIC!r} or a BookShape"
-            )
 
 
 @dataclass(frozen=True)
@@ -213,13 +218,8 @@ def _check_bounded(informed: np.ndarray) -> None:
 
 
 def _resolve_book(cfg: SimConfig) -> BookShape:
-    if isinstance(cfg.book_mode, BookShape):
+    if cfg.book_mode is not None:
         return cfg.book_mode
-    if cfg.params.tick <= 0.0:
-        raise ValueError(
-            "equilibrium_static mode needs a positive tick to place levels; "
-            "supply a BookShape for a custom grid"
-        )
     book = shape_tick(cfg.params, cfg.n_levels)
     _check_bounded(book.informed)
     return book
@@ -395,10 +395,6 @@ class _LoggedRun:
     """
 
     def __init__(self, cfg: SimConfig, draws: EventDraws, times_ns: np.ndarray):
-        if cfg.params.tick <= 0.0:
-            raise ValueError("record_log requires a positive tick")
-        if isinstance(cfg.book_mode, BookShape):
-            raise ValueError("record_log supports equilibrium_static mode only")
         self.cfg = cfg
         self.draws = draws
         self.times_ns = times_ns

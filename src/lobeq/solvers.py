@@ -5,7 +5,7 @@ unknown, so derivative-free bisection is unconditionally convergent.  The
 solver expands the upper bracket by doubling until it straddles the root,
 then bisects to a relative tolerance.
 
-The solver is array-native: one call solves a whole array of independent
+The solver is array-only: one call solves a 1-d array of independent
 equations, one per element of the lower bracket, and each element takes
 exactly the steps a scalar bisection from that bracket would take.  Finished
 elements are masked, so a batch costs one evaluation of ``g`` per step of
@@ -26,59 +26,48 @@ _MAX_EXPANSIONS = 200
 
 
 class BracketError(RuntimeError):
-    """No sign change could be bracketed.
+    """No sign change could be bracketed; ``index`` is the index of the
+    first element at fault."""
 
-    ``index`` is the flat index of the first element at fault, ``None`` when
-    the lower bracket was a float.
-    """
-
-    def __init__(self, message: str, index: int | None = None):
+    def __init__(self, message: str, index: int):
         super().__init__(message)
         self.index = index
 
 
 @dataclass(frozen=True)
 class RootResult:
-    """``x`` is a float for a float bracket, else an array shaped like it;
-    ``iterations`` counts bisection steps summed over the elements."""
+    """``x`` is an array shaped like the lower bracket; ``iterations``
+    counts bisection steps summed over the elements."""
 
-    x: float | np.ndarray
+    x: np.ndarray
     iterations: int
 
 
-def bisect_decreasing(g, lo, hi=None,
-                      rel_tol: float = REL_TOL, max_iter: int = MAX_ITER) -> RootResult:
+def bisect_decreasing(g, lo: np.ndarray) -> RootResult:
     """Roots of a strictly decreasing ``g`` with ``g(lo) >= 0``, elementwise.
 
-    ``lo`` is a float or an array of lower brackets.  ``g`` is always called
-    with a float array shaped like ``lo`` (one element for a float) and must
-    act elementwise: element ``i`` of its result depends on element ``i`` of
-    its argument only.  ``hi`` is expanded by doubling from ``lo`` until
-    ``g(hi) < 0`` when not supplied (or when the supplied one does not
-    straddle the root).  An element stops bisecting once
-    ``hi - lo <= rel_tol * mid``; an element with ``g(lo) == 0`` returns
-    ``lo`` after no steps.  Errors name the first element at fault.
+    ``lo`` is a 1-d array of lower brackets.  ``g`` is always called with a
+    float array shaped like ``lo`` and must act elementwise: element ``i``
+    of its result depends on element ``i`` of its argument only.  The upper
+    bracket is expanded by doubling from ``lo`` until ``g(hi) < 0``.  An
+    element stops bisecting once ``hi - lo <= REL_TOL * mid`` or after
+    ``MAX_ITER`` steps; an element with ``g(lo) == 0`` returns ``lo`` after
+    no steps.  Errors name the first element at fault.
     """
-    scalar = np.ndim(lo) == 0
-    lo = np.array(lo, dtype=float, ndmin=1)
-
-    def at(i) -> str:
-        return "" if scalar else f" (element {i})"
-
+    lo = np.array(lo, dtype=float)
     bad = np.flatnonzero(lo <= 0.0)
     if bad.size:
         raise ValueError(
-            f"bisect_decreasing requires a positive lower bracket{at(bad[0])}")
+            f"bisect_decreasing requires a positive lower bracket (element {bad[0]})")
     g_lo = np.asarray(g(lo))
     bad = np.flatnonzero(g_lo < 0.0)
     if bad.size:
         i = bad[0]
         raise BracketError(
-            f"g(lo) = {g_lo.flat[i]} < 0 at lo = {lo.flat[i]}: no root above lo{at(i)}",
-            None if scalar else int(i))
+            f"g(lo) = {g_lo[i]} < 0 at lo = {lo[i]}: no root above lo (element {i})", int(i))
     at_lo = g_lo == 0.0
 
-    hi = 2.0 * lo if hi is None else np.array(np.broadcast_to(hi, lo.shape), dtype=float)
+    hi = 2.0 * lo
     pending = ~at_lo
     for _ in range(_MAX_EXPANSIONS):
         if not pending.any():
@@ -89,12 +78,12 @@ def bisect_decreasing(g, lo, hi=None,
     bad = np.flatnonzero(pending)
     if bad.size:
         raise BracketError(
-            f"upper bracket expansion failed to find a sign change{at(bad[0])}",
-            None if scalar else int(bad[0]))
+            f"upper bracket expansion failed to find a sign change (element {bad[0]})",
+            int(bad[0]))
 
     iterations = 0
     active = ~at_lo
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         n_active = int(np.count_nonzero(active))
         if not n_active:
             break
@@ -103,6 +92,5 @@ def bisect_decreasing(g, lo, hi=None,
         up = g(mid) >= 0.0
         lo = np.where(active & up, mid, lo)
         hi = np.where(active & ~up, mid, hi)
-        active &= ~(hi - lo <= rel_tol * mid)
-    x = np.where(at_lo, lo, 0.5 * (lo + hi))
-    return RootResult(float(x[0]) if scalar else x, iterations)
+        active &= ~(hi - lo <= REL_TOL * mid)
+    return RootResult(np.where(at_lo, lo, 0.5 * (lo + hi)), iterations)

@@ -11,12 +11,12 @@ from __future__ import annotations
 from lobeq.solvers import _MAX_EXPANSIONS, MAX_ITER, REL_TOL, BracketError, RootResult
 
 
-def bisect_decreasing(g, lo: float, hi: float | None = None,
-                      rel_tol: float = REL_TOL, max_iter: int = MAX_ITER) -> RootResult:
+def bisect_decreasing(g, lo: float, max_iter: int = MAX_ITER) -> RootResult:
     """Root of a strictly decreasing ``g`` with ``g(lo) >= 0``.
 
-    ``hi`` is expanded by doubling from ``lo`` until ``g(hi) < 0`` when not
-    supplied (or when the supplied one does not straddle the root).
+    The upper bracket is expanded by doubling from ``lo`` until
+    ``g(hi) < 0``; bisection stops at ``REL_TOL`` or after ``max_iter``
+    steps.
     """
     if lo <= 0.0:
         raise ValueError("bisect_decreasing requires a positive lower bracket")
@@ -24,17 +24,16 @@ def bisect_decreasing(g, lo: float, hi: float | None = None,
     if g_lo == 0.0:
         return RootResult(lo, 0)
     if g_lo < 0.0:
-        raise BracketError(f"g(lo) = {g_lo} < 0 at lo = {lo}: no root above lo")
+        raise BracketError(f"g(lo) = {g_lo} < 0 at lo = {lo}: no root above lo", 0)
 
-    if hi is None:
-        hi = 2.0 * lo
+    hi = 2.0 * lo
     for _ in range(_MAX_EXPANSIONS):
         if g(hi) < 0.0:
             break
         lo = hi
         hi *= 2.0
     else:
-        raise BracketError("upper bracket expansion failed to find a sign change")
+        raise BracketError("upper bracket expansion failed to find a sign change", 0)
 
     iters = 0
     for iters in range(1, max_iter + 1):
@@ -43,6 +42,6 @@ def bisect_decreasing(g, lo: float, hi: float | None = None,
             lo = mid
         else:
             hi = mid
-        if hi - lo <= rel_tol * mid:
+        if hi - lo <= REL_TOL * mid:
             break
     return RootResult(0.5 * (lo + hi), iters)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from lobeq.equilibrium import BookShape, book_curves, shape_tick
+from lobeq.equilibrium import book_curves, shape_tick
 from lobeq.mbo import MboEvent
 from lobeq.simulator import (
     EventDraws,
@@ -97,10 +97,6 @@ class _LoggedRun:
     """
 
     def __init__(self, cfg: SimConfig, draws: EventDraws):
-        if cfg.params.tick <= 0.0:
-            raise ValueError("record_log requires a positive tick")
-        if isinstance(cfg.book_mode, BookShape):
-            raise ValueError("record_log supports equilibrium_static mode only")
         self.cfg = cfg
         self.p = cfg.params
         self.draws = draws

@@ -319,8 +319,8 @@ class TestSimulate:
         doc = {"params": REF_PARAMS, "simulate": dict(self.BASE["simulate"], seed=config_seed)}
         code, out = run_cli(tmp_path, "simulate", doc, *flags)
         assert code == 2
-        assert ("lobeq simulate: simulate: seed must be a nonnegative integer, got -1"
-                in capsys.readouterr().err)
+        assert (capsys.readouterr().err
+                == "lobeq simulate: seed must be a nonnegative integer, got -1\n")
         assert not (out / "pnl.csv").exists()
 
     def test_integral_floats_accepted(self, tmp_path):
@@ -335,7 +335,8 @@ class TestSimulate:
               "jump": {"type": "pareto", "shape": 2.5, "scale": 0.01}}
 
     @pytest.mark.parametrize("change, message", [
-        ({"tick": 0.0}, "record_log requires a positive tick"),
+        ({"tick": 0.0}, "the closed-form book needs a positive tick to place levels, "
+                        "got tick = 0.0"),
         ({"f": 0.0}, "the closed-form book is unbounded within the simulated levels"),
     ])
     def test_logged_run_errors_write_nothing(self, tmp_path, capsys, change, message):
@@ -346,6 +347,14 @@ class TestSimulate:
         assert code == 2
         assert f"lobeq simulate: {message}" in capsys.readouterr().err
         assert not (out / "mbo.csv").exists() and not (out / "pnl.csv").exists()
+
+    def test_fast_path_zero_tick_names_tick(self, tmp_path, capsys):
+        doc = {"params": {**REF_PARAMS, "tick": 0.0}, "simulate": self.BASE["simulate"]}
+        code, out = run_cli(tmp_path, "simulate", doc)
+        assert code == 2
+        assert capsys.readouterr().err == ("lobeq simulate: the closed-form book needs a "
+                                           "positive tick to place levels, got tick = 0.0\n")
+        assert not (out / "pnl.csv").exists()
 
     def test_oversized_volume_scale_names_its_key(self, tmp_path, capsys):
         doc = {"params": self.LOGGED,
@@ -442,6 +451,23 @@ class TestSignature:
                 assert len(counts) == 1      # horizon-independent counts
 
     GOOD_CLUSTER = {"metric": "trade_to_trade", "thresholds": [1e7], "side": "aggressive"}
+
+    def test_horizon_past_int64_reads_the_last_quote(self, tmp_path):
+        # every trade time plus 1e6 s is past the log's last quote; adding
+        # 9.223372e9 s would wrap int64 to a negative time
+        log = self.make_log(tmp_path)
+        doc = {"signature": {"input": str(log), "horizons_s": [1e6, 9.223372e9],
+                             "clusters": [self.GOOD_CLUSTER]}}
+        cfg = write_config(tmp_path, doc, name="sig.json")
+        out = tmp_path / "sig_out"
+        assert main(["signature", "--config", cfg, "--out", str(out)]) == 0
+        by_horizon = {}
+        for row in read_csv(out / "signature_0_trade_to_trade.csv"):
+            by_horizon.setdefault(row["horizon"], []).append(
+                (row["cluster_id"], row["st_value"], row["n_trades"]))
+        assert len(by_horizon) == 2
+        near, far = by_horizon.values()
+        assert near == far
 
     @pytest.mark.parametrize("change, message", [
         ({"reference": "vwap"},
@@ -691,6 +717,25 @@ class TestPlumbing:
         assert code == 2
         assert capsys.readouterr().err == f"lobeq {command}: {message}\n"
         assert not list(out.iterdir())
+
+    @pytest.mark.parametrize("command, doc, message", [
+        ("signature", {"signatur": SIGNATURE, "sed": 5, "signature": SIGNATURE},
+         "config: unknown keys ['sed', 'signatur']"),
+        ("spread", {"params": REF_PARAMS, "simulate": {"n_events": 10}},
+         "config: unknown keys ['simulate']"),
+        ("sweep", {"sweep": SWEEP, "params": REF_PARAMS}, "config: unknown keys ['params']"),
+        ("shape", {"params": REF_PARAMS, "multi": MULTI,
+                   "shape": {"variant": "multi", "x_grid": [0.01]}},
+         "config: unknown keys ['params']"),
+        ("shape", {"params": REF_PARAMS, "multi": MULTI,
+                   "shape": {"variant": "tick", "n_levels": 4}},
+         "config: unknown keys ['multi']"),
+    ])
+    def test_unknown_root_key_rejected(self, tmp_path, capsys, command, doc, message):
+        code, out = run_cli(tmp_path, command, {**doc, "seed": 1, "out": "ignored"})
+        assert code == 2
+        assert capsys.readouterr().err == f"lobeq {command}: {message}\n"
+        assert not out.exists()
 
     def test_missing_config_file(self, tmp_path):
         assert main(["spread", "--config", str(tmp_path / "nope.json"),

@@ -140,12 +140,10 @@ class TestSpreadTick:
         assert sol.spread_tick == pytest.approx(0.03, abs=1e-15)
 
     def test_strict_ceiling(self):
-        assert strict_ceil(1.0041) == 2
-        assert strict_ceil(2.0) == 3          # boundary level stays empty
-        assert strict_ceil(2.0000000001) == 3
-        assert strict_ceil(-0.3) == 0
-        assert strict_ceil(0.0) == 1
-        assert strict_ceil(np.array([1.0041, 2.0, -0.3])).tolist() == [2, 3, 0]
+        # 2.0 and 2.0000000001: the boundary level stays empty
+        got = strict_ceil(np.array([1.0041, 2.0, 2.0000000001, -0.3, 0.0]))
+        assert got.dtype == np.int64
+        assert got.tolist() == [2, 3, 3, 0, 1]
 
     @pytest.mark.parametrize("tick,d", [(0.01, 0.0), (0.01, 0.005),
                                         (0.02, 0.013), (0.005, 0.0)])
@@ -567,7 +565,10 @@ class TestBatchedSpreads:
         assert got.zero.tolist() == [False] * n + [True] * len(zero)
         assert np.all(got.phi[n:] == 0.0)
         # closed form exactly below the support, bisection above it
-        assert np.array_equal(got.closed, ~got.zero & (got.phi <= jump.support_inf))
+        r, f = grid.r[:n], grid.f[:n]
+        rhs = 1.0 + (1.0 / (2.0 * f)) * (1.0 / r - 1.0)
+        below = got.phi[:n] <= jump.support_inf
+        assert np.array_equal(got.phi[:n][below], jump.mean / rhs[below])
         probes = np.array([0.002, 0.01, 0.05])
         depth, _ = book_curves(grid, probes)
         for i, (p, sol) in enumerate(solved):

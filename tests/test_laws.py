@@ -1,5 +1,6 @@
 """Distribution laws against independent quadrature/bisection oracles."""
 
+import dataclasses
 import math
 import warnings
 
@@ -18,7 +19,6 @@ from lobeq.laws import (
     Pareto,
     PointMass,
     jump_law_from_config,
-    law_to_config,
     volume_law_from_config,
 )
 
@@ -277,10 +277,17 @@ class TestSampling:
 
 class TestConfig:
     def test_roundtrip(self):
-        for law in (Pareto(3.0, 0.005), Exponential(50.0), PointMass(0.02)):
-            assert jump_law_from_config(law_to_config(law)) == law
-        for law in (NormalVolume(10.0), LaplaceVolume(2.0)):
-            assert volume_law_from_config(law_to_config(law)) == law
+        # each config builds its law, whose fields are the config's numbers
+        for parse, law, cfg in (
+            (jump_law_from_config, Pareto(3.0, 0.005),
+             {"type": "pareto", "shape": 3.0, "scale": 0.005}),
+            (jump_law_from_config, Exponential(50.0), {"type": "exponential", "rate": 50.0}),
+            (jump_law_from_config, PointMass(0.02), {"type": "pointmass", "value": 0.02}),
+            (volume_law_from_config, NormalVolume(10.0), {"type": "normal", "sigma": 10.0}),
+            (volume_law_from_config, LaplaceVolume(2.0), {"type": "laplace", "b": 2.0}),
+        ):
+            assert parse(cfg) == law
+            assert {"type": cfg["type"], **dataclasses.asdict(law)} == cfg
 
     def test_errors(self):
         with pytest.raises(ValueError, match="type"):

@@ -138,6 +138,15 @@ class TestTradeSignature:
         with pytest.raises(ValueError, match="order 77"):
             trade_signature(trades, 5, 1, "mid", early)
 
+    def test_time_past_int64_saturates(self):
+        # t + k beyond int64 must not wrap: past the last snapshot it reads
+        # that snapshot (mid 100.55), before the first it finds none
+        trades = table((-10, 10, 100.0), (10, 10, 100.0))
+        late = signature_curves(trades, np.array([0, 1]), [2**63 - 5], 1, "mid", self.QUOTES)
+        assert late.values == {0: (pytest.approx(0.55),), 1: (pytest.approx(0.55),)}
+        with pytest.raises(ValueError, match=f"at t = -10 .*before t = {-2**63}$"):
+            signature_curves(trades, np.array([0, 1]), [-2**63 + 5], 1, "mid", self.QUOTES)
+
     def test_eps_and_empty_validation(self):
         with pytest.raises(ValueError, match="eps"):
             trade_signature(table((10, 1, 100.0)), 0, 2, "mid", self.QUOTES)

@@ -157,10 +157,14 @@ class TestFastPath:
         assert np.all(executed <= per_level * n + 1e-9)
 
     def test_config_validation(self):
-        with pytest.raises(ValueError, match="positive tick"):
-            run(SimConfig(params=ModelParams(r=0.9, f=0.9, jump=Pareto(3.0, 0.005),
-                                             volume=NormalVolume(10.0)),
-                          n_events=10, seed=0))
+        with pytest.raises(ValueError, match="^the closed-form book needs a positive tick "
+                                             "to place levels, got tick = 0.0$"):
+            SimConfig(params=ModelParams(r=0.9, f=0.9, jump=Pareto(3.0, 0.005),
+                                         volume=NormalVolume(10.0)),
+                      n_events=10, seed=0)
+        with pytest.raises(ValueError, match="^book_mode must be None or a BookShape, got "
+                                             "'equilibrium_static'$"):
+            SimConfig(params=REF, n_events=10, seed=0, book_mode="equilibrium_static")
         bad = BookShape(grid=np.array([0.01, 0.02]), informed=np.array([5.0, 3.0]),
                         noise=np.array([1.0, 1.0]), effective=np.array([5.0, 3.0]))
         with pytest.raises(ValueError, match="nondecreasing"):
@@ -301,13 +305,14 @@ class TestLoggedPath:
 class TestLoggedErrors:
     def test_requires_a_positive_tick(self):
         params = ModelParams(r=0.15, f=0.9, jump=Pareto(2.5, 0.01), volume=NormalVolume(10.0))
-        with pytest.raises(ValueError, match="record_log requires a positive tick"):
-            run(SimConfig(params=params, n_events=10, seed=0, record_log=True))
+        with pytest.raises(ValueError, match="closed-form book needs a positive tick"):
+            SimConfig(params=params, n_events=10, seed=0, record_log=True)
 
     def test_static_mode_only(self):
-        with pytest.raises(ValueError, match="record_log supports equilibrium_static mode only"):
-            run(SimConfig(params=LOGGED, n_events=10, seed=0, record_log=True,
-                          book_mode=shape_tick(LOGGED, 4)))
+        with pytest.raises(ValueError, match=r"^record_log needs the closed-form book "
+                                             r"\(book_mode=None\)$"):
+            SimConfig(params=LOGGED, n_events=10, seed=0, record_log=True,
+                      book_mode=shape_tick(LOGGED, 4))
 
     def test_unbounded_book(self):
         params = ModelParams(r=0.15, f=0.0, jump=Pareto(2.5, 0.01), volume=NormalVolume(10.0),
