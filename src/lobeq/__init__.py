@@ -14,8 +14,6 @@ from .laws import (
     Pareto,
     PointMass,
     VolumeLaw,
-    jump_law_from_config,
-    volume_law_from_config,
 )
 from .equilibrium import (
     UNBOUNDED,

@@ -13,8 +13,14 @@ optional seed override; everything else lives in the config document so a
 run can be reproduced from its manifest alone.  The config root holds only
 the sections its command reads, plus ``seed`` and ``out``; any other key
 is rejected.  Every command writes ``manifest.json`` echoing the fully
-resolved config.  Numeric CSV output
-is rendered with 17 significant digits so values round-trip exactly.
+resolved config.  Numeric CSV output is rendered with 17 significant
+digits so values round-trip exactly.
+
+A config error is printed as ``lobeq <command>: <message>`` and names its
+section once: ``config``, ``params``, ``multi``, ``multi: source <k>``,
+``signature cluster <i>`` or a law record (``params: jump law 'pareto'``).
+A section named like its command (``shape``, ``simulate``, ``signature``,
+``sweep``) adds no name of its own, since the command already names it.
 
 ``LOB_LOG_LEVEL`` in {error, info, debug} controls verbosity.
 """
@@ -51,7 +57,7 @@ from .equilibrium import (
     spread_toxic,
     theta_bar,
 )
-from .laws import config_number as _number, jump_law_from_config, volume_law_from_config
+from .laws import Exponential, LaplaceVolume, NormalVolume, Pareto, PointMass
 from .mbo import EXECUTE, parse as parse_mbo, reconstruct, write_csv
 from .signature import (
     REFERENCES,
@@ -80,87 +86,141 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _require(cfg: dict, key: str, context: str) -> object:
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"{context}: expected a JSON object, got {cfg!r}")
-    if key not in cfg:
-        raise ConfigError(f"{context}: missing required key {key!r}")
-    return cfg[key]
-
-
-def _check_keys(cfg: dict, context: str, keys) -> None:
-    """Reject a section that is not an object or holds a key outside ``keys``."""
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"{context}: expected a JSON object, got {cfg!r}")
-    extra = set(cfg) - set(keys)
-    if extra:
-        raise ConfigError(f"{context}: unknown keys {sorted(extra)}")
-
-
-def _numbers(values, what: str) -> list[float]:
-    if not isinstance(values, list):
-        raise ConfigError(f"{what} must be a list of numbers, got {values!r}")
-    return [_number(v, f"{what}[{i}]") for i, v in enumerate(values)]
-
-
-def params_from_config(cfg: dict) -> ModelParams:
-    _check_keys(cfg, "params", ("r", "f", "jump", "volume", "lambda_i", "lambda_u",
-                                "theta", "rho", "tick", "offset_d"))
-    try:
-        # r or both intensities may be absent or null: ModelParams derives one from the other
-        rates = {key: _number(cfg[key], key)
-                 for key in ("r", "lambda_i", "lambda_u") if cfg.get(key) is not None}
-        return ModelParams(
-            **rates,
-            f=_number(_require(cfg, "f", "params"), "f"),
-            jump=jump_law_from_config(_require(cfg, "jump", "params")),
-            volume=volume_law_from_config(_require(cfg, "volume", "params")),
-            theta=_number(cfg.get("theta", 0.0), "theta"),
-            rho=_number(cfg.get("rho", 0.0), "rho"),
-            tick=_number(cfg.get("tick", 0.0), "tick"),
-            offset_d=_number(cfg.get("offset_d", 0.0), "offset_d"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"params: {exc}") from None
-
-
-def multi_from_config(cfg: dict) -> MultiSourceParams:
-    _check_keys(cfg, "multi", ("sources", "volume"))
-    sources = _require(cfg, "sources", "multi")
-    if not isinstance(sources, list):
-        raise ConfigError(f"multi: sources must be a list, got {sources!r}")
-    specs = []
-    for k, s in enumerate(sources):
-        context = f"multi: source {k}"
-        _check_keys(s, context, ("r", "f", "jump"))
-        r, f, jump = (_require(s, key, context) for key in ("r", "f", "jump"))
+def _number(value, what: str, cast=float):
+    """``cast(value)`` of a JSON number; anything else (null, a string, a
+    boolean, a list) is a ConfigError naming ``what``, and so is an
+    infinite or nan integer or a fractional number for an integer (an
+    integral one such as JSON ``1e5`` is accepted)."""
+    if not isinstance(value, bool) and isinstance(value, (int, float)):
         try:
-            specs.append(JumpSource(r=_number(r, "r"), f=_number(f, "f"),
-                                    jump=jump_law_from_config(jump)))
+            number = cast(value)
+        except (ValueError, OverflowError):             # int() of inf or nan
+            pass
+        else:
+            if cast is not int or number == value:
+                return number
+    kind = "an integer" if cast is int else "a number"
+    raise ConfigError(f"{what} must be {kind}, got {value!r}")
+
+
+_REQUIRED = object()
+
+# tagged law records: family -> {"type": (law class, its numeric fields)}
+_LAWS = {
+    "jump": {"pareto": (Pareto, ("shape", "scale")), "exponential": (Exponential, ("rate",)),
+             "pointmass": (PointMass, ("value",))},
+    "volume": {"normal": (NormalVolume, ("sigma",)), "laplace": (LaplaceVolume, ("b",))},
+}
+
+
+class _Section:
+    """One JSON object of the config, read key by key.
+
+    ``where`` starts every message: the section's name and ": ", or ""
+    for a section named like its command, which ``main`` already names.
+    Construction rejects a value that is not an object and, given
+    ``keys``, any key outside them; ``build`` re-raises a constructor's
+    error with ``where``.
+    """
+
+    def __init__(self, cfg, where: str, keys=None):
+        if not isinstance(cfg, dict):
+            raise ConfigError(f"{where}expected a JSON object, got {cfg!r}")
+        self.cfg = cfg
+        self.where = where
+        if keys is not None:
+            self.only(keys)
+
+    def only(self, keys) -> None:
+        extra = set(self.cfg) - set(keys)
+        if extra:
+            raise self.fail(f"unknown keys {sorted(extra)}")
+
+    def fail(self, message: str) -> ConfigError:
+        return ConfigError(self.where + message)
+
+    def get(self, key: str, default=_REQUIRED):
+        if key in self.cfg:
+            return self.cfg[key]
+        if default is _REQUIRED:
+            raise self.fail(f"missing required key {key!r}")
+        return default
+
+    def section(self, key: str, where: str, keys=None) -> _Section:
+        return _Section(self.get(key), where, keys)
+
+    def sections(self, key: str, name: str, keys) -> list[_Section]:
+        """The list under ``key``, its ``i``-th object read as "``name`` i"."""
+        items = self.get(key)
+        if not isinstance(items, list):
+            raise self.fail(f"{key} must be a list, got {items!r}")
+        return [_Section(item, f"{name} {i}: ", keys) for i, item in enumerate(items)]
+
+    def number(self, key: str, default=_REQUIRED, cast=float):
+        """The number under ``key``; with a default of None, a null reads
+        as an absent key."""
+        value = self.get(key, default)
+        if value is None and default is None:
+            return None
+        return _number(value, self.where + key, cast)
+
+    def numbers(self, key: str, default=_REQUIRED, allow_empty=False) -> list[float]:
+        values = self.get(key, default)
+        if not isinstance(values, list):
+            raise self.fail(f"{key} must be a list of numbers, got {values!r}")
+        if not values and not allow_empty:
+            raise self.fail(f"{key} must not be empty")
+        return [_number(v, f"{self.where}{key}[{i}]") for i, v in enumerate(values)]
+
+    def law(self, family: str):
+        """The law of the tagged record under ``family`` ("jump" or
+        "volume"), its fields read as the section "<family> law '<type>'"."""
+        kinds = _LAWS[family]
+        kind = self.section(family, f"{self.where}{family} law: ").get("type")
+        if not isinstance(kind, str) or kind not in kinds:
+            raise self.fail(f"unknown {family} law type {kind!r}; expected one of {sorted(kinds)}")
+        cls, fields = kinds[kind]
+        record = self.section(family, f"{self.where}{family} law {kind!r}: ", ("type", *fields))
+        return record.build(cls, **{name: record.number(name) for name in fields})
+
+    def build(self, cls, **kwargs):
+        try:
+            return cls(**kwargs)
         except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{context}: {exc}") from None
-    try:
-        return MultiSourceParams(sources=specs,
-                                 volume=volume_law_from_config(_require(cfg, "volume", "multi")))
-    except ValueError as exc:
-        raise ConfigError(f"multi: {exc}") from None
+            raise self.fail(str(exc)) from None
 
 
-def _grid_from_config(cfg: dict, context: str) -> np.ndarray:
-    if "x_grid" in cfg:
-        clash = sorted({"x_min", "x_max", "n_points"} & set(cfg))
+def _params(root: _Section) -> ModelParams:
+    p = root.section("params", "params: ", ("r", "f", "jump", "volume", "lambda_i", "lambda_u",
+                                            "theta", "rho", "tick", "offset_d"))
+    # r or both intensities may be absent or null: ModelParams derives one from the other
+    rates = {key: p.number(key, None) for key in ("r", "lambda_i", "lambda_u")}
+    return p.build(ModelParams, **rates, f=p.number("f"), jump=p.law("jump"),
+                   volume=p.law("volume"),
+                   **{key: p.number(key, 0.0) for key in ("theta", "rho", "tick", "offset_d")})
+
+
+def _multi(root: _Section) -> MultiSourceParams:
+    multi = root.section("multi", "multi: ", ("sources", "volume"))
+    sources = [s.build(JumpSource, r=s.number("r"), f=s.number("f"), jump=s.law("jump"))
+               for s in multi.sections("sources", "multi: source", ("r", "f", "jump"))]
+    return multi.build(MultiSourceParams, sources=sources, volume=multi.law("volume"))
+
+
+def _grid(shape: _Section) -> np.ndarray:
+    if "x_grid" in shape.cfg:
+        clash = sorted({"x_min", "x_max", "n_points"} & set(shape.cfg))
         if clash:
-            raise ConfigError(f"{context}: x_grid excludes {clash}")
-        grid = np.asarray(_numbers(cfg["x_grid"], f"{context}: x_grid"), dtype=float)
+            raise shape.fail(f"x_grid excludes {clash}")
+        grid = np.asarray(shape.numbers("x_grid"), dtype=float)
     else:
-        lo = _number(_require(cfg, "x_min", context), f"{context}: x_min")
-        hi = _number(_require(cfg, "x_max", context), f"{context}: x_max")
-        n = _number(_require(cfg, "n_points", context), f"{context}: n_points", int)
+        lo, hi = shape.number("x_min"), shape.number("x_max")
+        n = shape.number("n_points", cast=int)
         if not (0.0 < lo < hi and n >= 2):
-            raise ConfigError(f"{context}: need 0 < x_min < x_max and n_points >= 2")
+            raise shape.fail("need 0 < x_min < x_max and n_points >= 2")
         grid = np.linspace(lo, hi, n)
     if np.any(grid <= 0.0):
-        raise ConfigError(f"{context}: grid distances must be positive")
+        raise shape.fail("grid distances must be positive")
     return grid
 
 
@@ -189,25 +249,22 @@ def _write_csv_rows(path: Path, header: list[str], rows: Iterable[Sequence]) -> 
 # ---------------------------------------------------------------------------
 
 
-def cmd_shape(cfg: dict, out: Path, seed) -> list[str]:
-    shape_cfg = _require(cfg, "shape", "config")
-    variant = _require(shape_cfg, "variant", "shape")
+def cmd_shape(root: _Section, out: Path, seed) -> list[str]:
+    shape = root.section("shape", "")
+    variant = shape.get("variant")
     if variant not in ("multi", "tick", "continuous", "toxic"):
-        raise ConfigError(f"shape: unknown variant {variant!r}")
-    keys = ("n_levels",) if variant == "tick" else ("x_grid", "x_min", "x_max", "n_points")
-    _check_keys(shape_cfg, "shape", ("variant", *keys))
+        raise shape.fail(f"unknown variant {variant!r}")
+    shape.only(("variant", "n_levels") if variant == "tick"
+               else ("variant", "x_grid", "x_min", "x_max", "n_points"))
 
     if variant == "multi":
-        mp = multi_from_config(_require(cfg, "multi", "config"))
-        grid = _grid_from_config(shape_cfg, "shape")
-        book = shape_multi(mp, grid)
+        book = shape_multi(_multi(root), _grid(shape))
     else:
-        params = params_from_config(_require(cfg, "params", "config"))
+        params = _params(root)
         if variant == "tick":
-            book = shape_tick(params, _number(_require(shape_cfg, "n_levels", "shape"),
-                                              "shape: n_levels", int))
+            book = shape_tick(params, shape.number("n_levels", cast=int))
         else:
-            book = shape_continuous(params, _grid_from_config(shape_cfg, "shape"))
+            book = shape_continuous(params, _grid(shape))
 
     columns = {"x": book.grid, "informed": book.informed, "noise": book.noise,
                "effective": book.effective}
@@ -226,7 +283,7 @@ def cmd_shape(cfg: dict, out: Path, seed) -> list[str]:
 
 def _solve_spread(params: ModelParams):
     if params.theta > 0.0 and params.tick > 0.0:
-        raise ConfigError("spread: set either theta > 0 or tick > 0, not both")
+        raise ConfigError("set either theta > 0 or tick > 0, not both")
     if params.theta > 0.0:
         return spread_toxic(params)
     if params.tick > 0.0:
@@ -234,8 +291,8 @@ def _solve_spread(params: ModelParams):
     return spread_continuous(params)
 
 
-def cmd_spread(cfg: dict, out: Path, seed) -> list[str]:
-    params = params_from_config(_require(cfg, "params", "config"))
+def cmd_spread(root: _Section, out: Path, seed) -> list[str]:
+    params = _params(root)
     sol = _solve_spread(params)
     if not sol.residual <= RESIDUAL_GATE:
         raise SolverError(f"spread residual {sol.residual} exceeds {RESIDUAL_GATE}")
@@ -246,23 +303,22 @@ def cmd_spread(cfg: dict, out: Path, seed) -> list[str]:
     return ["spread.json"]
 
 
-def cmd_simulate(cfg: dict, out: Path, seed) -> list[str]:
-    params = params_from_config(_require(cfg, "params", "config"))
-    sim_cfg = _require(cfg, "simulate", "config")
-    _check_keys(sim_cfg, "simulate", ("n_events", "seed", "n_levels", "record_log",
-                                      "volume_scale", "p0"))
-    use_seed = seed if seed is not None else sim_cfg.get("seed")
+def cmd_simulate(root: _Section, out: Path, seed) -> list[str]:
+    params = _params(root)
+    sim = root.section("simulate", "", ("n_events", "seed", "n_levels", "record_log",
+                                         "volume_scale", "p0"))
+    use_seed = seed if seed is not None else sim.get("seed", None)
     if use_seed is None:
-        raise ConfigError("simulate: a seed is required (config or --seed)")
-    # main names the command, so these errors carry no "simulate: " prefix
-    sc = SimConfig(
+        raise sim.fail("a seed is required (config or --seed)")
+    sc = sim.build(
+        SimConfig,
         params=params,
-        n_events=_number(_require(sim_cfg, "n_events", "simulate"), "n_events", int),
+        n_events=sim.number("n_events", cast=int),
         seed=_number(use_seed, "seed", int),
-        record_log=sim_cfg.get("record_log", False),
-        n_levels=_number(sim_cfg.get("n_levels", 10), "n_levels", int),
-        volume_scale=_number(sim_cfg.get("volume_scale", 1_000_000), "volume_scale", int),
-        p0=_number(sim_cfg.get("p0", 100.0), "p0"),
+        record_log=sim.get("record_log", False),
+        n_levels=sim.number("n_levels", 10, int),
+        volume_scale=sim.number("volume_scale", 1_000_000, int),
+        p0=sim.number("p0", 100.0),
     )
     result = run_sim(sc)
 
@@ -278,45 +334,31 @@ def cmd_simulate(cfg: dict, out: Path, seed) -> list[str]:
     return outputs
 
 
-def cmd_signature(cfg: dict, out: Path, seed) -> list[str]:
-    sig_cfg = _require(cfg, "signature", "config")
-    _check_keys(sig_cfg, "signature", ("input", "tick", "reference", "horizons_s", "clusters"))
-    input_path = _require(sig_cfg, "input", "signature")
-    tick = sig_cfg.get("tick")
-    if tick is not None:                                    # absent, null or 0: no tick
-        tick = _number(tick, "signature: tick") or None
+def cmd_signature(root: _Section, out: Path, seed) -> list[str]:
+    sig = root.section("signature", "", ("input", "tick", "reference", "horizons_s", "clusters"))
+    input_path = sig.get("input")
+    tick = sig.number("tick", None) or None                 # absent, null or 0: no tick
     if tick is not None and not 0.0 < tick < math.inf:
-        raise ConfigError(f"signature: tick must be positive and finite, got {tick}")
-    reference = sig_cfg.get("reference", "micro")
+        raise sig.fail(f"tick must be positive and finite, got {tick}")
+    reference = sig.get("reference", "micro")
     if reference not in REFERENCES:
-        raise ConfigError(f"signature: unknown reference {reference!r}; "
-                          f"expected one of {REFERENCES}")
-    horizons_s = _numbers(_require(sig_cfg, "horizons_s", "signature"), "signature: horizons_s")
+        raise sig.fail(f"unknown reference {reference!r}; expected one of {REFERENCES}")
+    horizons_s = sig.numbers("horizons_s")
     for i, h in enumerate(horizons_s):
         if not math.isfinite(h):
-            raise ConfigError(f"signature: horizons_s must be finite, got {h}")
+            raise sig.fail(f"horizons_s must be finite, got {h}")
         if not -2**63 <= round(h * 1e9) < 2**63:
-            raise ConfigError(f"signature: horizons_s[{i}] must fit in int64 ns, got {h}")
+            raise sig.fail(f"horizons_s[{i}] must fit in int64 ns, got {h}")
     horizons_ns = [round(h * 1e9) for h in horizons_s]
-    clusters = _require(sig_cfg, "clusters", "signature")
-    if not isinstance(clusters, list):
-        raise ConfigError(f"signature: clusters must be a list, got {clusters!r}")
-    specs = []
-    for i, spec_cfg in enumerate(clusters):
-        _check_keys(spec_cfg, f"signature cluster {i}", ("metric", "thresholds", "side"))
-        try:
-            specs.append(ClusterSpec(
-                metric=_require(spec_cfg, "metric", "cluster"),
-                thresholds=_numbers(_require(spec_cfg, "thresholds", "cluster"), "thresholds"),
-                side=_require(spec_cfg, "side", "cluster"),
-            ))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"signature cluster {i}: {exc}") from None
+    specs = [c.build(ClusterSpec, metric=c.get("metric"), thresholds=c.numbers("thresholds"),
+                     side=c.get("side"))
+             for c in sig.sections("clusters", "signature cluster", ("metric", "thresholds",
+                                                                     "side"))]
 
     # every config value is checked before the log is read and any CSV written
     events = parse_mbo(input_path, tick=tick)
     if not np.any(events.action == EXECUTE):
-        raise ConfigError(f"signature: log {input_path} contains no executions")
+        raise sig.fail(f"log {input_path} contains no executions")
     replay = reconstruct(events)
     quotes = QuoteSeries.from_replay(replay)
     aggressive, passive = build_trade_records(replay, quotes)
@@ -343,27 +385,18 @@ def _blank_unless(values: np.ndarray | None, keep: np.ndarray) -> list:
     return [v if k else None for v, k in zip(values.tolist(), keep.tolist())]
 
 
-def cmd_sweep(cfg: dict, out: Path, seed) -> list[str]:
-    sweep_cfg = _require(cfg, "sweep", "config")
-    _check_keys(sweep_cfg, "sweep", ("r_values", "f_values", "theta_values", "probe_x", "jump",
-                                     "volume", "rho", "tick", "offset_d"))
-    r_values = _numbers(_require(sweep_cfg, "r_values", "sweep"), "sweep: r_values")
-    f_values = _numbers(_require(sweep_cfg, "f_values", "sweep"), "sweep: f_values")
-    theta_values = _numbers(sweep_cfg.get("theta_values", [0.0]), "sweep: theta_values")
-    probe_x = _numbers(sweep_cfg.get("probe_x", []), "sweep: probe_x")
+def cmd_sweep(root: _Section, out: Path, seed) -> list[str]:
+    sweep = root.section("sweep", "", ("r_values", "f_values", "theta_values", "probe_x", "jump",
+                                       "volume", "rho", "tick", "offset_d"))
+    r_values = sweep.numbers("r_values")
+    f_values = sweep.numbers("f_values")
+    theta_values = sweep.numbers("theta_values", [0.0])
+    probe_x = sweep.numbers("probe_x", [], allow_empty=True)
     r, f, theta = (a.ravel() for a in np.meshgrid(r_values, f_values, theta_values,
                                                   indexing="ij"))
-    try:
-        grid = ParamGrid(
-            r=r, f=f, theta=theta,
-            jump=jump_law_from_config(_require(sweep_cfg, "jump", "sweep")),
-            volume=volume_law_from_config(_require(sweep_cfg, "volume", "sweep")),
-            rho=_number(sweep_cfg.get("rho", 0.0), "rho"),
-            tick=_number(sweep_cfg.get("tick", 0.0), "tick"),
-            offset_d=_number(sweep_cfg.get("offset_d", 0.0), "offset_d"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"sweep: {exc}") from None
+    grid = sweep.build(ParamGrid, r=r, f=f, theta=theta, jump=sweep.law("jump"),
+                       volume=sweep.law("volume"),
+                       **{key: sweep.number(key, 0.0) for key in ("rho", "tick", "offset_d")})
     log.info("sweep over %d cells", r.size)
 
     # a cell with theta > 0 reports the toxic spread, else the tick
@@ -405,11 +438,11 @@ COMMANDS = {
 }
 
 
-def _sections(command: str, cfg: dict) -> tuple[str, ...]:
+def _sections(command: str, root: _Section) -> tuple[str, ...]:
     """Top-level sections ``command`` reads; a shape reads ``multi`` for
     the multi variant and ``params`` for the others."""
     if command == "shape":
-        shape_cfg = cfg.get("shape")
+        shape_cfg = root.cfg.get("shape")
         multi = isinstance(shape_cfg, dict) and shape_cfg.get("variant") == "multi"
         return ("shape", "multi" if multi else "params")
     return {"spread": ("params",), "simulate": ("params", "simulate"),
@@ -439,20 +472,19 @@ def main(argv=None) -> int:
         _setup_logging()
         with open(args.config) as fh:
             cfg = json.load(fh)
-        if not isinstance(cfg, dict):
-            raise ConfigError("config root must be a JSON object")
-        _check_keys(cfg, "config", ("seed", "out", *_sections(args.command, cfg)))
-        out_dir = args.out or cfg.get("out")
+        root = _Section(cfg, "config: ")
+        root.only(("seed", "out", *_sections(args.command, root)))
+        out_dir = args.out or root.get("out", None)
         if not out_dir:
             raise ConfigError("an output directory is required (--out or config 'out')")
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        seed = args.seed if args.seed is not None else cfg.get("seed")
+        seed = args.seed if args.seed is not None else root.get("seed", None)
 
+        outputs = COMMANDS[args.command](root, out, seed)
         resolved = dict(cfg)
         if seed is not None:
             resolved["seed"] = seed
-        outputs = COMMANDS[args.command](resolved, out, seed)
         _write_manifest(out, args.command, resolved, seed, outputs)
         log.info("wrote %s", ", ".join(outputs + ["manifest.json"]))
         return 0

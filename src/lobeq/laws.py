@@ -33,9 +33,6 @@ __all__ = [
     "PointMass",
     "NormalVolume",
     "LaplaceVolume",
-    "config_number",
-    "jump_law_from_config",
-    "volume_law_from_config",
 ]
 
 
@@ -339,61 +336,3 @@ class LaplaceVolume(VolumeLaw):
 
     def sample(self, rng: np.random.Generator, size=None):
         return rng.laplace(0.0, self.b, size)
-
-
-# ---------------------------------------------------------------------------
-# Tagged-record configuration (the wire format used by the CLI)
-# ---------------------------------------------------------------------------
-
-_JUMP_KINDS = {
-    "pareto": (Pareto, ("shape", "scale")),
-    "exponential": (Exponential, ("rate",)),
-    "pointmass": (PointMass, ("value",)),
-}
-
-_VOLUME_KINDS = {
-    "normal": (NormalVolume, ("sigma",)),
-    "laplace": (LaplaceVolume, ("b",)),
-}
-
-
-def config_number(value, what: str, cast=float):
-    """``cast(value)`` of a JSON number; anything else (null, a string, a
-    boolean, a list) is a ValueError naming ``what``, and so is an
-    infinite or nan integer or a fractional number for an integer (an
-    integral one such as JSON ``1e5`` is accepted)."""
-    kind = "an integer" if cast is int else "a number"
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{what} must be {kind}, got {value!r}")
-    try:
-        number = cast(value)
-    except (ValueError, OverflowError):
-        raise ValueError(f"{what} must be {kind}, got {value!r}") from None
-    if cast is int and isinstance(value, float) and number != value:
-        raise ValueError(f"{what} must be {kind}, got {value!r}")
-    return number
-
-
-def _law_from_config(config: dict, kinds: dict, family: str):
-    if not isinstance(config, dict) or "type" not in config:
-        raise ValueError(f"{family} law config must be an object with a 'type' field")
-    kind = config["type"]
-    if not isinstance(kind, str) or kind not in kinds:
-        raise ValueError(f"unknown {family} law type {kind!r}; expected one of {sorted(kinds)}")
-    cls, fields = kinds[kind]
-    missing = [f for f in fields if f not in config]
-    if missing:
-        raise ValueError(f"{family} law {kind!r} missing fields: {missing}")
-    extra = set(config) - set(fields) - {"type"}
-    if extra:
-        raise ValueError(f"{family} law {kind!r} has unknown fields: {sorted(extra)}")
-    return cls(**{f: config_number(config[f], f"{family} law {kind!r} field {f!r}")
-                  for f in fields})
-
-
-def jump_law_from_config(config: dict) -> JumpLaw:
-    return _law_from_config(config, _JUMP_KINDS, "jump")
-
-
-def volume_law_from_config(config: dict) -> VolumeLaw:
-    return _law_from_config(config, _VOLUME_KINDS, "volume")

@@ -383,8 +383,10 @@ class _LoggedRun:
     after every event the touched side is morphed back to the closed-form
     target volumes around the current efficient price (static-book
     replenishment, realised as whole-order cancels and adds in the log).
-    Informed-maker volume queues in front of noise-maker volume at each
-    level.
+    ``_morph`` adds each maker's deficit at a level as one order at the
+    back of the queue and cancels an excess from that maker's newest
+    orders; ``_sweep`` fills from the front.  So a queue is in arrival
+    order, and an informed order may wait behind a noise order.
 
     The price moves only at jumps and at nonzero noise drift, so its whole
     path, and with it every book the run will target, is computed before

@@ -1,6 +1,7 @@
 """CLI end-to-end: configs in, reproducible files out, honest exit codes."""
 
 import csv
+import dataclasses
 import importlib
 import itertools
 import json
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 
 import lobeq
-from lobeq.cli import main
+from lobeq.cli import _Section, main
 from lobeq.equilibrium import (
     ModelParams,
     ZeroSpreadRegime,
@@ -24,7 +25,7 @@ from lobeq.equilibrium import (
     spread_tick,
     spread_toxic,
 )
-from lobeq.laws import Exponential, NormalVolume
+from lobeq.laws import Exponential, LaplaceVolume, NormalVolume, Pareto, PointMass
 
 REF_PARAMS = {
     "r": 0.9,
@@ -139,7 +140,7 @@ class TestShape:
         ({"r": 0.1, "f": 0.4, "jump": {"type": "exponential", "rate": 50.0}},
          "multi: source 1 has f = 0.4 but source 0 has f = 0.5"),
         ({"r": 0.1, "f": 0.5, "jump": {"type": "exponential"}},
-         "multi: source 1: jump law 'exponential' missing fields"),
+         "multi: source 1: jump law 'exponential': missing required key 'rate'"),
         ({"r": None, "f": 0.5, "jump": {"type": "exponential", "rate": 50.0}},
          "multi: source 1: r must be a number, got None"),
         ({"r": "0.3", "f": 0.5, "jump": {"type": "exponential", "rate": 50.0}},
@@ -147,9 +148,9 @@ class TestShape:
         ({"r": 0.1, "f": True, "jump": {"type": "exponential", "rate": 50.0}},
          "multi: source 1: f must be a number, got True"),
         ({"r": 0.1, "f": 0.5, "jump": {"type": "pareto", "shape": "3.0", "scale": 0.005}},
-         "multi: source 1: jump law 'pareto' field 'shape' must be a number, got '3.0'"),
+         "multi: source 1: jump law 'pareto': shape must be a number, got '3.0'"),
         ({"r": 0.1, "f": 0.5, "jump": {"type": "pareto", "shape": 3.0, "scale": True}},
-         "multi: source 1: jump law 'pareto' field 'scale' must be a number, got True"),
+         "multi: source 1: jump law 'pareto': scale must be a number, got True"),
     ])
     def test_bad_multi_source_names_its_index(self, tmp_path, capsys, source, message):
         first = {"r": 0.2, "f": 0.5, "jump": {"type": "pareto", "shape": 3.0, "scale": 0.005}}
@@ -192,6 +193,13 @@ class TestShape:
         code, out = run_cli(tmp_path, "shape", {"params": REF_PARAMS, "shape": shape})
         assert code == 2
         assert message in capsys.readouterr().err
+        assert not (out / "shape.csv").exists()
+
+    def test_empty_grid_rejected(self, tmp_path, capsys):
+        code, out = run_cli(tmp_path, "shape", {
+            "params": REF_PARAMS, "shape": {"variant": "continuous", "x_grid": []}})
+        assert code == 2
+        assert capsys.readouterr().err == "lobeq shape: x_grid must not be empty\n"
         assert not (out / "shape.csv").exists()
 
     def test_integral_float_accepted_for_an_integer(self, tmp_path):
@@ -240,6 +248,13 @@ class TestSpread:
         code, _ = run_cli(tmp_path, "spread", {"params": dict(REF_PARAMS, **{key: law})})
         assert code == 2
         assert message in capsys.readouterr().err
+
+    def test_theta_and_tick_together_rejected(self, tmp_path, capsys):
+        code, out = run_cli(tmp_path, "spread", {"params": dict(REF_PARAMS, theta=0.005)})
+        assert code == 2
+        assert (capsys.readouterr().err
+                == "lobeq spread: set either theta > 0 or tick > 0, not both\n")
+        assert not (out / "spread.json").exists()
 
     def test_zero_spread_regime_is_nonzero(self, tmp_path):
         code, _ = run_cli(tmp_path, "spread", {"params": dict(REF_PARAMS, f=0.0)})
@@ -491,6 +506,7 @@ class TestSignature:
          "signature: horizons_s[1] must fit in int64 ns, got 1000000000000.0"),
         ({"horizons_s": [-1e10]},
          "signature: horizons_s[0] must fit in int64 ns, got -10000000000.0"),
+        ({"horizons_s": []}, "signature: horizons_s must not be empty"),
     ])
     def test_config_checked_before_the_log_is_read(self, tmp_path, capsys, change, message):
         doc = {"signature": {"input": str(tmp_path / "never_read.csv"), "horizons_s": [0.0, 1.0],
@@ -670,12 +686,96 @@ class TestSweep:
         assert message in capsys.readouterr().err
         assert not (out / "sweep.csv").exists()
 
+    @pytest.mark.parametrize("key", ["r_values", "f_values", "theta_values"])
+    def test_empty_value_list_names_its_key(self, tmp_path, capsys, key):
+        doc = {"sweep": {"r_values": [0.5], "f_values": [0.5], key: [],
+                         "jump": REF_PARAMS["jump"], "volume": REF_PARAMS["volume"]}}
+        code, out = run_cli(tmp_path, "sweep", doc)
+        assert code == 2
+        assert capsys.readouterr().err == f"lobeq sweep: {key} must not be empty\n"
+        assert not (out / "sweep.csv").exists()
+
+    def test_empty_probe_list_accepted(self, tmp_path):
+        doc = {"sweep": {"r_values": [0.5], "f_values": [0.5], "probe_x": [],
+                         "jump": REF_PARAMS["jump"], "volume": REF_PARAMS["volume"]}}
+        code, out = run_cli(tmp_path, "sweep", doc)
+        assert code == 0
+        assert len(read_csv(out / "sweep.csv")) == 1
+
     def test_out_of_range_r_rejected(self, tmp_path, capsys):
         doc = {"sweep": {"r_values": [0.5, 1.5], "f_values": [0.5],
                          "jump": REF_PARAMS["jump"], "volume": REF_PARAMS["volume"]}}
         code, _out = run_cli(tmp_path, "sweep", doc)
         assert code == 2
         assert "r = 1.5 must lie in [0, 1)" in capsys.readouterr().err
+
+
+def law_in_params(family, law):
+    """(command, config, section prefix) with ``law`` as a params law."""
+    return "spread", {"params": {**REF_PARAMS, family: law}}, "params: "
+
+
+def law_in_multi(family, law):
+    """The same with ``law`` as a multi-source jump law or the multi volume law."""
+    source = {"r": 0.2, "f": 0.5, "jump": REF_PARAMS["jump"]}
+    multi = {"sources": [source], "volume": REF_PARAMS["volume"]}
+    if family == "jump":
+        multi["sources"] = [{**source, "jump": law}]
+        where = "multi: source 0: "
+    else:
+        multi["volume"] = law
+        where = "multi: "
+    return "shape", {"multi": multi, "shape": {"variant": "multi", "x_grid": [0.01]}}, where
+
+
+def law_in_sweep(family, law):
+    """The same with ``law`` as a sweep law."""
+    sweep = {"r_values": [0.5], "f_values": [0.5], "jump": REF_PARAMS["jump"],
+             "volume": REF_PARAMS["volume"], family: law}
+    return "sweep", {"sweep": sweep}, ""
+
+
+class TestLawRecords:
+    def test_roundtrip(self):
+        # each tagged record builds its law, whose fields are the record's numbers
+        for family, law, record in (
+            ("jump", Pareto(3.0, 0.005), {"type": "pareto", "shape": 3.0, "scale": 0.005}),
+            ("jump", Exponential(50.0), {"type": "exponential", "rate": 50.0}),
+            ("jump", PointMass(0.02), {"type": "pointmass", "value": 0.02}),
+            ("volume", NormalVolume(10.0), {"type": "normal", "sigma": 10.0}),
+            ("volume", LaplaceVolume(2.0), {"type": "laplace", "b": 2.0}),
+        ):
+            assert _Section({family: record}, "", (family,)).law(family) == law
+            assert {"type": record["type"], **dataclasses.asdict(law)} == record
+
+    FAULTS = [
+        ("jump", 5, "jump law: expected a JSON object, got 5"),
+        ("jump", {"shape": 3.0}, "jump law: missing required key 'type'"),
+        ("jump", {"type": "cauchy"},
+         "unknown jump law type 'cauchy'; expected one of ['exponential', 'pareto', 'pointmass']"),
+        ("volume", {"type": "pareto", "shape": 3.0, "scale": 1.0},
+         "unknown volume law type 'pareto'; expected one of ['laplace', 'normal']"),
+        ("jump", {"type": "pareto", "shape": 3.0},
+         "jump law 'pareto': missing required key 'scale'"),
+        ("volume", {"type": "normal", "sigma": 1.0, "mu": 3.0},
+         "volume law 'normal': unknown keys ['mu']"),
+        ("jump", {"type": "exponential", "rate": None},
+         "jump law 'exponential': rate must be a number, got None"),
+        ("jump", {"type": "exponential", "rate": -1.0},
+         "jump law 'exponential': Exponential rate must be positive"),
+    ]
+
+    @pytest.mark.parametrize("place", [law_in_params, law_in_multi, law_in_sweep],
+                             ids=["params", "multi", "sweep"])
+    def test_errors(self, tmp_path, capsys, place):
+        # every law-record fault names the section holding the record once
+        for k, (family, law, message) in enumerate(self.FAULTS):
+            command, doc, where = place(family, law)
+            (tmp_path / str(k)).mkdir()
+            code, out = run_cli(tmp_path / str(k), command, doc)
+            assert code == 2
+            assert capsys.readouterr().err == f"lobeq {command}: {where}{message}\n"
+            assert not list(out.iterdir())
 
 
 class TestPlumbing:
@@ -713,9 +813,11 @@ class TestPlumbing:
          "multi: source 1: unknown keys ['tick']"),
     ])
     def test_unknown_key_names_its_section(self, tmp_path, capsys, command, doc, message):
+        # a section named like its command is named once, by the command
         code, out = run_cli(tmp_path, command, doc)
         assert code == 2
-        assert capsys.readouterr().err == f"lobeq {command}: {message}\n"
+        assert (capsys.readouterr().err
+                == f"lobeq {command}: {message.removeprefix(command + ': ')}\n")
         assert not list(out.iterdir())
 
     @pytest.mark.parametrize("command, doc, message", [

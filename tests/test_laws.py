@@ -1,6 +1,5 @@
 """Distribution laws against independent quadrature/bisection oracles."""
 
-import dataclasses
 import math
 import warnings
 
@@ -18,8 +17,6 @@ from lobeq.laws import (
     NormalVolume,
     Pareto,
     PointMass,
-    jump_law_from_config,
-    volume_law_from_config,
 )
 
 # independent densities for the quadrature oracle
@@ -273,32 +270,3 @@ class TestSampling:
         draws = law.sample(np.random.default_rng(99), 10**6)
         stat = kstest(draws, lambda x: np.asarray(law.cdf(x))).statistic
         assert stat < 0.005
-
-
-class TestConfig:
-    def test_roundtrip(self):
-        # each config builds its law, whose fields are the config's numbers
-        for parse, law, cfg in (
-            (jump_law_from_config, Pareto(3.0, 0.005),
-             {"type": "pareto", "shape": 3.0, "scale": 0.005}),
-            (jump_law_from_config, Exponential(50.0), {"type": "exponential", "rate": 50.0}),
-            (jump_law_from_config, PointMass(0.02), {"type": "pointmass", "value": 0.02}),
-            (volume_law_from_config, NormalVolume(10.0), {"type": "normal", "sigma": 10.0}),
-            (volume_law_from_config, LaplaceVolume(2.0), {"type": "laplace", "b": 2.0}),
-        ):
-            assert parse(cfg) == law
-            assert {"type": cfg["type"], **dataclasses.asdict(law)} == cfg
-
-    def test_errors(self):
-        with pytest.raises(ValueError, match="type"):
-            jump_law_from_config({"shape": 3.0})
-        with pytest.raises(ValueError, match="unknown jump law"):
-            jump_law_from_config({"type": "cauchy"})
-        with pytest.raises(ValueError, match="missing"):
-            jump_law_from_config({"type": "pareto", "shape": 3.0})
-        with pytest.raises(ValueError, match="unknown fields"):
-            volume_law_from_config({"type": "normal", "sigma": 1.0, "mu": 3.0})
-        with pytest.raises(ValueError, match="unknown volume law"):
-            volume_law_from_config({"type": "pareto", "shape": 3.0, "scale": 1.0})
-        with pytest.raises(ValueError, match="field 'rate' must be a number, got None"):
-            jump_law_from_config({"type": "exponential", "rate": None})
