@@ -58,7 +58,7 @@ from .equilibrium import (
     theta_bar,
 )
 from .laws import Exponential, LaplaceVolume, NormalVolume, Pareto, PointMass
-from .mbo import EXECUTE, parse as parse_mbo, reconstruct, write_csv
+from .mbo import EXECUTE, float_text, parse as parse_mbo, reconstruct, write_csv
 from .signature import (
     REFERENCES,
     ClusterSpec,
@@ -67,7 +67,7 @@ from .signature import (
     classify,
     signature_curves,
 )
-from .simulator import SimConfig, export_mbo, run as run_sim
+from .simulator import SimConfig, run as run_sim
 
 log = logging.getLogger("lobeq")
 
@@ -82,7 +82,7 @@ def _fmt(value) -> str:
     if value is None:
         return ""
     if isinstance(value, float):
-        return f"{value:.17g}"
+        return float_text(value)
     return str(value)
 
 
@@ -154,6 +154,8 @@ class _Section:
         items = self.get(key)
         if not isinstance(items, list):
             raise self.fail(f"{key} must be a list, got {items!r}")
+        if not items:
+            raise self.fail(f"{key} must not be empty")
         return [_Section(item, f"{name} {i}: ", keys) for i, item in enumerate(items)]
 
     def number(self, key: str, default=_REQUIRED, cast=float):
@@ -307,14 +309,14 @@ def cmd_simulate(root: _Section, out: Path, seed) -> list[str]:
     params = _params(root)
     sim = root.section("simulate", "", ("n_events", "seed", "n_levels", "record_log",
                                          "volume_scale", "p0"))
-    use_seed = seed if seed is not None else sim.get("seed", None)
-    if use_seed is None:
+    sim_seed = sim.number("seed", None, int)
+    if seed is None and sim_seed is None:
         raise sim.fail("a seed is required (config or --seed)")
     sc = sim.build(
         SimConfig,
         params=params,
         n_events=sim.number("n_events", cast=int),
-        seed=_number(use_seed, "seed", int),
+        seed=sim_seed if seed is None else seed,
         record_log=sim.get("record_log", False),
         n_levels=sim.number("n_levels", 10, int),
         volume_scale=sim.number("volume_scale", 1_000_000, int),
@@ -329,7 +331,7 @@ def cmd_simulate(root: _Section, out: Path, seed) -> list[str]:
         fh.write("\n")
     outputs = ["pnl.csv", "summary.json"]
     if sc.record_log:
-        write_csv(export_mbo(result), out / "mbo.csv")
+        write_csv(result.mbo_text, out / "mbo.csv")
         outputs.append("mbo.csv")
     return outputs
 
@@ -474,12 +476,13 @@ def main(argv=None) -> int:
             cfg = json.load(fh)
         root = _Section(cfg, "config: ")
         root.only(("seed", "out", *_sections(args.command, root)))
+        config_seed = root.number("seed", None, int)
         out_dir = args.out or root.get("out", None)
         if not out_dir:
             raise ConfigError("an output directory is required (--out or config 'out')")
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        seed = args.seed if args.seed is not None else root.get("seed", None)
+        seed = args.seed if args.seed is not None else config_seed
 
         outputs = COMMANDS[args.command](root, out, seed)
         resolved = dict(cfg)

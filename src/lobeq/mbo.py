@@ -25,12 +25,15 @@ every order's lifecycle together with the best quotes of each timestamp.
 The read side is array code from end to end.  An :class:`EventLog` holds
 ``action`` and ``side`` as int8 indices into :data:`ACTIONS` and
 :data:`SIDES` and ``aggressor_flag`` as an int8 of -1/0/1 for
-None/False/True; rows, equality and :func:`write_csv` decode them.
-:func:`parse` reads the body in one typed C pass, the three coded fields
-as fixed-width text it compares as arrays, and checks field domains as
-array masks.  One order walk (:func:`_walk`: a stable sort by order id,
-then segmented cumulative sums) gives every row its lifecycle and its
-order's resting quantity; it holds parse's reference checks, and
+None/False/True; rows and equality decode them.  The write side is one
+row encoder (:func:`row_encoder`), which turns one row of codes into its
+CSV line: the logged simulator emits its rows through it, :func:`encode`
+runs a log's rows through it, and :func:`write_csv` writes the header and
+the text.  :func:`parse` reads the body in one typed C pass, the three
+coded fields as fixed-width text it compares as arrays, and checks field
+domains as array masks.  One order walk (:func:`_walk`: a stable sort by
+order id, then segmented cumulative sums) gives every row its lifecycle
+and its order's resting quantity; it holds parse's reference checks, and
 :func:`reconstruct` recomputes it and builds fills, lifecycles, open
 orders and quotes from its arrays.
 """
@@ -53,6 +56,7 @@ import numpy as np
 
 __all__ = [
     "HEADER",
+    "HEADER_LINE",
     "ACTIONS",
     "SIDES",
     "FLAGS",
@@ -69,6 +73,9 @@ __all__ = [
     "MboParseError",
     "MboReplayError",
     "parse",
+    "float_text",
+    "row_encoder",
+    "encode",
     "write_csv",
     "reconstruct",
 ]
@@ -83,7 +90,6 @@ BID, ASK = range(len(SIDES))
 FLAGS = (False, True, None)
 
 _FLAGS = {"": None, "true": True, "1": True, "false": False, "0": False}
-_SIDE_NAMES = np.array(SIDES, dtype=object)
 
 
 class MboParseError(ValueError):
@@ -538,44 +544,84 @@ def _parse_lines(lines, tick: float | None) -> EventLog:
     return EventLog(ts, oid, act, side, price, qty, flag, label)
 
 
+def float_text(x: float) -> str:
+    """The 17-significant-digit text of ``x``, which reads back as ``x`` exactly."""
+    return f"{x:.17g}"
+
+
 class _PriceText(dict):
-    """17-digit text of each distinct price, formatted on first sight.
+    """Text of each distinct price, formatted on first sight.
     Zeros are not kept: 0.0 and -0.0 are one key but two texts."""
 
     def __missing__(self, price: float) -> str:
-        text = f"{price:.17g}"
+        text = float_text(price)
         if price:
             self[price] = text
         return text
 
 
-_ACTION_TEXT = np.array(ACTIONS, dtype=object)
-_FLAG_TEXT = np.array(["false", "true", ""], dtype=object)     # by flag code, -1 last
-_LABEL_TEXT = {None: ""}
-#: rows per block that write_csv holds as Python values at a time
-_WRITE_ROWS = 1 << 12
+class _LabelText(dict):
+    """CSV field of each distinct participant label (None is empty), quoted
+    as :class:`csv.writer` quotes a field holding a comma, a quote or a line
+    break."""
+
+    def __missing__(self, label) -> str:
+        text = "" if label is None else str(label)
+        if any(c in text for c in ',"\r\n'):
+            text = '"' + text.replace('"', '""') + '"'
+        self[label] = text
+        return text
 
 
-def write_csv(events, destination) -> None:
-    """Serialize events in the canonical schema (UTF-8, 17-digit prices).
+HEADER_LINE = ",".join(HEADER) + "\r\n"
+_FLAG_TEXT = ("false", "true", "")             # by flag code, -1 last
+#: rows per block of log text
+BLOCK_ROWS = 1 << 12
 
-    ``events`` is an :class:`EventLog` or an iterable of :class:`MboEvent`;
-    the rows are written from the log's columns, a block of rows at a time,
-    with the coded fields decoded to their text.
-    """
-    log, price_text = EventLog.from_rows(events), _PriceText().__getitem__
-    texts = (None, None, _ACTION_TEXT, _SIDE_NAMES, None, None, _FLAG_TEXT, None)
+
+def row_encoder(append):
+    """``emit(ts, oid, action, side, price, qty, flag, label)``: ``append``
+    the CSV line of one row, with action, side and aggressor flag given as
+    their :class:`EventLog` codes.  This is the one writer of the format:
+    each distinct price is formatted once, and the line ends in ``\\r\\n``
+    as :class:`csv.writer` ends it."""
+    price_text, label_text = _PriceText(), _LabelText()
+
+    def emit(ts, oid, action, side, price, qty, flag, label):
+        append(f"{ts},{oid},{ACTIONS[action]},{SIDES[side]},{price_text[price]},{qty},"
+               f"{_FLAG_TEXT[flag]},{label_text[label]}\r\n")
+
+    return emit
+
+
+def encode(events):
+    """The CSV body of ``events`` (an :class:`EventLog` or an iterable of
+    :class:`MboEvent`, converted at once): an iterator of text blocks of
+    :data:`BLOCK_ROWS` rows each, every row through :func:`row_encoder`."""
+    log = EventLog.from_rows(events)
+    lines = []
+    emit = row_encoder(lines.append)
+
+    def block(start: int) -> str:
+        for row in zip(*(col[start:start + BLOCK_ROWS].tolist() for col in log.columns())):
+            emit(*row)
+        text = "".join(lines)
+        lines.clear()
+        return text
+
+    return map(block, range(0, len(log), BLOCK_ROWS))
+
+
+def write_csv(blocks, destination) -> None:
+    """Write a log in the canonical schema: :data:`HEADER_LINE`, then
+    ``blocks``, its body as text (from :func:`encode`, or the ``mbo_text``
+    of a logged simulation)."""
+    if isinstance(blocks, Table):
+        raise TypeError("write_csv takes the log's text; pass mbo.encode(log)")
     stream = hasattr(destination, "write")
     with nullcontext(destination) if stream else open(destination, "w", newline="") as out:
-        writer = csv.writer(out)
-        writer.writerow(HEADER)
-        for start in range(0, len(log), _WRITE_ROWS):
-            ts, oid, action, side, price, qty, flag, label = (
-                (col[start:start + _WRITE_ROWS] if text is None
-                 else text[col[start:start + _WRITE_ROWS]]).tolist()
-                for col, text in zip(log.columns(), texts))
-            writer.writerows(zip(ts, oid, action, side, map(price_text, price), qty, flag,
-                                 map(_LABEL_TEXT.get, label, label)))
+        out.write(HEADER_LINE)
+        out.writelines(blocks)
 
 
 # ---------------------------------------------------------------------------

@@ -256,7 +256,7 @@ class ClusterSpec:
     side: str
 
     def __post_init__(self):
-        if self.metric not in METRICS:
+        if not isinstance(self.metric, str) or self.metric not in METRICS:
             raise ValueError(f"unknown metric {self.metric!r}; expected one of {sorted(METRICS)}")
         attr, side, _asc = METRICS[self.metric]
         if self.side not in ("passive", "aggressive"):

@@ -38,16 +38,16 @@ participant labels.  The price moves only at jumps and at nonzero noise
 drift, both drawn up front, so the whole price path and the integer
 targets of every book state (one ``book_curves`` call for all states and
 both sides) are computed before the loop; the loop only moves orders and
-appends rows to the columns of a :class:`lobeq.mbo.EventLog`.  The ask
-book each event met is read from the same state tables and passed to the
-kernel.
+writes each row as its CSV line through :func:`lobeq.mbo.row_encoder`,
+joining the lines into blocks of text between events.  The ask book each
+event met is read from the same state tables and passed to the kernel.
 """
 
 from __future__ import annotations
 
+import io
 import itertools
 import math
-from array import array
 from collections import deque
 from dataclasses import dataclass
 
@@ -131,7 +131,9 @@ class SimResult:
     pnl: list[LevelPnl]
     summary: dict
     book: BookShape
-    mbo_events: EventLog | None = None
+    #: the CSV body of the market-by-order log of a ``record_log`` run, in
+    #: blocks of about :data:`lobeq.mbo.BLOCK_ROWS` rows
+    mbo_text: list[str] | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -348,25 +350,6 @@ def _grid_layout(price: np.ndarray, tick: float, n_levels: int) -> tuple[np.ndar
     return idx, np.maximum(dist, 0.0)
 
 
-def _row_appender(columns: tuple):
-    """``emit(ts, oid, action, side, price, qty, aggressor, label)``: append
-    one MBO row to the eight columns, action, side and aggressor flag as
-    their :class:`lobeq.mbo.EventLog` codes."""
-    ts_, oid_, action_, side_, price_, qty_, aggressor_, label_ = (col.append for col in columns)
-
-    def emit(ts, oid, action, side, price, qty, aggressor, label):
-        ts_(ts)
-        oid_(oid)
-        action_(action)
-        side_(side)
-        price_(price)
-        qty_(qty)
-        aggressor_(aggressor)
-        label_(label)
-
-    return emit
-
-
 class _Order:
     __slots__ = ("oid", "participant", "qty")
 
@@ -444,14 +427,14 @@ class _LoggedRun:
         self.jump_volume = np.where(within, lvl[before, ASK], 0).sum(axis=1).tolist()
 
         self.levels: tuple[dict[int, deque], dict[int, deque]] = ({}, {})
-        # numbers in typed buffers, which the EventLog wraps without a copy
-        # and which hold no Python object per row; labels and the small-int
-        # codes of action, side and flag (cached objects, faster to append)
-        # in lists
-        self.columns = tuple([] if name in EventLog.CODES or dtype is object
-                             else array(np.dtype(dtype).char)
-                             for name, dtype in zip(EventLog.fields(), EventLog.DTYPES))
-        self._emit = _row_appender(self.columns)
+        # the log's text: each row is encoded as it is emitted, and the lines
+        # are joined into blocks between events, so no string per row outlives
+        # its block
+        self.blocks: list[str] = []
+        self.n_rows = 0
+        self.executed_units = 0            # passive execute qty, a Python int
+        self._lines: list[str] = []
+        self._emit = mbo.row_encoder(self._lines.append)
         self._next_oid = itertools.count(1).__next__
 
     # -- replenishment ----------------------------------------------------------
@@ -537,6 +520,7 @@ class _LoggedRun:
             self._emit(ts, aggr_oid, EXECUTE, aggr_side, px, qty, 1, label)
         if remaining > 0:
             self._emit(ts, aggr_oid, CANCEL, aggr_side, limit_price, remaining, -1, label)
+        self.executed_units += budget - remaining
         return abs(fills[-1][0] - idxs[0]) + 1 if fills else 0
 
     # -- event handlers ---------------------------------------------------------
@@ -571,8 +555,15 @@ class _LoggedRun:
 
     # -- main loop ---------------------------------------------------------------
 
+    def _cut(self) -> None:
+        """Join the lines emitted since the last block into a new block."""
+        self.blocks.append("".join(self._lines))
+        self.n_rows += len(self._lines)
+        self._lines.clear()
+
     def run_all(self) -> None:
         d = self.draws
+        lines = self._lines
         self._morph(0, ASK, 0)
         self._morph(0, BID, 0)
         s = 0
@@ -592,6 +583,10 @@ class _LoggedRun:
             elif walked:
                 # only the walked levels differ from the unchanged targets
                 self._morph(ts, side, s, walked)
+            if len(lines) >= mbo.BLOCK_ROWS:
+                self._cut()
+        if lines:
+            self._cut()
 
 
 def _run_logged(cfg: SimConfig, draws: EventDraws, rng: np.random.Generator) -> SimResult:
@@ -600,16 +595,14 @@ def _run_logged(cfg: SimConfig, draws: EventDraws, rng: np.random.Generator) -> 
 
     book = shape_tick(cfg.params, cfg.n_levels)
     pnl = _pnl_rows(book.grid, *_probe_pnl(draws, lr.probe_x, lr.probe_imm, lr.probe_nmm))
-    log = EventLog(*lr.columns)
-    passive = (log.action == EXECUTE) & (log.aggressor_flag == 0)
     summary = {
         **_event_counts(draws),
         # a Python int: exact at any size, and what json.dump writes
-        "executed_units_total": sum(log.qty[passive].tolist()),
-        "n_mbo_rows": len(log),
+        "executed_units_total": lr.executed_units,
+        "n_mbo_rows": lr.n_rows,
         "seed": cfg.seed,
     }
-    return SimResult(pnl=pnl, summary=summary, book=book, mbo_events=log)
+    return SimResult(pnl=pnl, summary=summary, book=book, mbo_text=lr.blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -628,8 +621,11 @@ def run(cfg: SimConfig) -> SimResult:
 
 def export_mbo(result: SimResult) -> EventLog:
     """Market-by-order log of a ``record_log=True`` run (ground-truth
-    participant labels included)."""
-    if result.mbo_events is None:
+    participant labels included): :func:`lobeq.mbo.parse` of its text."""
+    if result.mbo_text is None:
         raise ValueError("run was executed without record_log=True")
-    return result.mbo_events
+    # bytes behind a text reader: a StringIO of the text would hold four
+    # bytes per character
+    text = b"".join(block.encode() for block in (mbo.HEADER_LINE, *result.mbo_text))
+    return mbo.parse(io.TextIOWrapper(io.BytesIO(text), encoding="utf-8", newline=""))
 

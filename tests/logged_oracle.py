@@ -5,8 +5,10 @@ This is the bookkeeping loop as it ran before the logged path precomputed
 its price path and book targets: the book's layout and closed-form
 targets are recomputed with numpy at every morph (curves cached per price
 between moves), every side is morphed level by level, and each MBO row is
-built as an ``MboEvent``.  ``run`` replays ``lobeq.simulator.run`` for a
-``record_log`` config with it, on the same draws and timestamps.  It also
+built as an ``MboEvent``, which the csv-module writer of
+``tests/mbo_oracle.py`` turns into the result's log text.  ``run`` replays
+``lobeq.simulator.run`` for a ``record_log`` config with it, on the same
+draws and timestamps.  It also
 keeps a ``SimEvent`` per event with the fills it caused, from which its
 ``executed_units_total`` is summed independently of the log, and the best
 quotes its own book shows after each event, which the replay of the log
@@ -20,6 +22,7 @@ from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
+from mbo_oracle import dumps
 
 from lobeq.equilibrium import book_curves, shape_tick
 from lobeq.mbo import MboEvent
@@ -383,5 +386,6 @@ def run(cfg: SimConfig) -> tuple[SimResult, _LoggedRun]:
         "n_mbo_rows": len(lr.rows),
         "seed": cfg.seed,
     }
-    result = SimResult(pnl=pnl, summary=summary, book=book, mbo_events=lr.rows)
+    _header, _, body = dumps(lr.rows).partition("\r\n")
+    result = SimResult(pnl=pnl, summary=summary, book=book, mbo_text=[body])
     return result, lr

@@ -1,6 +1,10 @@
-"""Row-object MBO parse and replay: the test oracle of ``lobeq.mbo``.
+"""Row-object MBO parse and replay, and a csv-module writer: the test
+oracle of ``lobeq.mbo``.
 
-``parse`` validates a log one CSV row at a time and returns a list of
+``dumps`` writes a log with :class:`csv.writer` from its columns, as
+``lobeq.mbo.write_csv`` did before the simulator wrote the log's text
+itself: ``lobeq.mbo.encode`` must give the same bytes.  ``parse``
+validates a log one CSV row at a time and returns a list of
 ``MboEvent``; ``reconstruct`` replays any iterable of events with
 ``Fill`` and ``OrderLifecycle`` objects and list quote snapshots.  This is
 the code ``lobeq.mbo`` ran before its parse and replay became columnar,
@@ -19,23 +23,40 @@ from collections import deque
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from lobeq.mbo import (
     _FLAGS,
     ACTIONS,
     HEADER,
     SIDES,
+    EventLog,
     MboEvent,
     MboParseError,
     MboReplayError,
-    write_csv,
 )
+
+_TEXTS = (None, None, np.array(ACTIONS, dtype=object), np.array(SIDES, dtype=object), None, None,
+          np.array(["false", "true", ""], dtype=object), None)     # flag code -1 last
+_BLOCK = 1 << 12
 
 
 def dumps(events) -> str:
-    """The text ``lobeq.mbo.write_csv`` writes for ``events``."""
-    buf = io.StringIO()
-    write_csv(events, buf)
-    return buf.getvalue()
+    """The CSV text of ``events`` (an ``EventLog`` or ``MboEvent`` rows):
+    the header, then the rows as :class:`csv.writer` writes them from the
+    log's columns, a block of rows at a time, with the coded fields decoded
+    to their text, prices at 17 significant digits and labels None empty."""
+    log = EventLog.from_rows(events)
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(HEADER)
+    for start in range(0, len(log), _BLOCK):
+        ts, oid, action, side, price, qty, flag, label = (
+            (col[start:start + _BLOCK] if text is None else text[col[start:start + _BLOCK]]).tolist()
+            for col, text in zip(log.columns(), _TEXTS))
+        writer.writerows(zip(ts, oid, action, side, (f"{p:.17g}" for p in price), qty, flag,
+                             ("" if v is None else v for v in label)))
+    return out.getvalue()
 
 
 @dataclass(slots=True)

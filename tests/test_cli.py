@@ -26,6 +26,7 @@ from lobeq.equilibrium import (
     spread_toxic,
 )
 from lobeq.laws import Exponential, LaplaceVolume, NormalVolume, Pareto, PointMass
+from lobeq.signature import METRICS
 
 REF_PARAMS = {
     "r": 0.9,
@@ -507,6 +508,9 @@ class TestSignature:
         ({"horizons_s": [-1e10]},
          "signature: horizons_s[0] must fit in int64 ns, got -10000000000.0"),
         ({"horizons_s": []}, "signature: horizons_s must not be empty"),
+        ({"clusters": []}, "signature: clusters must not be empty"),
+        ({"clusters": [GOOD_CLUSTER, dict(GOOD_CLUSTER, metric=[1])]},
+         f"signature cluster 1: unknown metric [1]; expected one of {sorted(METRICS)}"),
     ])
     def test_config_checked_before_the_log_is_read(self, tmp_path, capsys, change, message):
         doc = {"signature": {"input": str(tmp_path / "never_read.csv"), "horizons_s": [0.0, 1.0],
@@ -838,6 +842,32 @@ class TestPlumbing:
         assert code == 2
         assert capsys.readouterr().err == f"lobeq {command}: {message}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("seed", ["abc", 1.5, [1], True])
+    @pytest.mark.parametrize("command, doc", [
+        ("shape", {"params": REF_PARAMS, "shape": {"variant": "tick", "n_levels": 4}}),
+        ("spread", {"params": REF_PARAMS}),
+        ("simulate", {"params": REF_PARAMS, "simulate": {"n_events": 10, "seed": 1}}),
+        ("signature", {"signature": SIGNATURE}),
+        ("sweep", {"sweep": SWEEP}),
+    ])
+    def test_root_seed_must_be_an_integer(self, tmp_path, capsys, command, doc, seed):
+        # checked for every command, and with --seed given too
+        for flags in ((), ("--seed", "3")):
+            code, out = run_cli(tmp_path, command, {**doc, "seed": seed}, *flags)
+            assert code == 2
+            assert (capsys.readouterr().err
+                    == f"lobeq {command}: config: seed must be an integer, got {seed!r}\n")
+            assert not out.exists()
+
+    def test_empty_source_list_rejected(self, tmp_path, capsys):
+        # one rule for every list of sections, as for clusters
+        doc = {"multi": {**self.MULTI, "sources": []},
+               "shape": {"variant": "multi", "x_grid": [0.01]}}
+        code, out = run_cli(tmp_path, "shape", doc)
+        assert code == 2
+        assert capsys.readouterr().err == "lobeq shape: multi: sources must not be empty\n"
+        assert not list(out.iterdir())
 
     def test_missing_config_file(self, tmp_path):
         assert main(["spread", "--config", str(tmp_path / "nope.json"),

@@ -9,23 +9,28 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+import logged_oracle
 import mbo_oracle
 from mbo_oracle import dumps
+from lobeq import mbo
 from lobeq.equilibrium import ModelParams
 from lobeq.laws import NormalVolume, Pareto
 from lobeq.mbo import (
     HEADER,
     SIDES,
+    EventLog,
     MboEvent,
     MboParseError,
     MboReplayError,
     OrderLifecycle,
+    encode,
     parse,
     reconstruct,
     write_csv,
 )
 from lobeq.simulator import SimConfig, export_mbo, run
 from test_signature import ASK_PX, BID_PX, book_streams
+from test_simulator import logged_configs
 
 
 def ev(ts, oid, action, side="ask", price=100.01, qty=10, flag=None, label=None):
@@ -155,8 +160,13 @@ class TestParse:
     def test_write_to_path(self, tmp_path):
         events = [ev(10, 1, "add", qty=5)]
         path = tmp_path / "log.csv"
-        write_csv(events, path)
+        write_csv(encode(events), path)
         assert parse(path) == events
+
+    def test_write_takes_text_only(self):
+        with pytest.raises(TypeError, match=r"^write_csv takes the log's text; "
+                                            r"pass mbo.encode\(log\)$"):
+            write_csv(EventLog.from_rows([ev(10, 1, "add")]), io.StringIO())
 
     @pytest.mark.parametrize("row,message", [
         ("10,1,trade,ask,100.01,5,,", "unknown action"),
@@ -441,6 +451,59 @@ def assert_parse_parity(text, tick=None):
 
 LOGGED = ModelParams(r=0.15, f=0.9, jump=Pareto(2.5, 0.01), volume=NormalVolume(10.0),
                      tick=0.01, offset_d=0.0, lambda_i=0.15, lambda_u=0.85)
+
+
+def with_edge_rows(events):
+    """``events`` followed by adds of new orders priced 0.0, -0.0 (two texts
+    of one float key) and 0.1 + 0.2 (17 digits), one for each of the four
+    labels the simulator writes."""
+    ts = max((e.ts_ns for e in events), default=0)
+    oid = max((e.order_id for e in events), default=0) + 1
+    edge = zip((0.0, -0.0, 0.1 + 0.2, 100.01), ("IT", "NT", "IMM", "NMM"))
+    return [*events, *(ev(ts, oid + k, "add", price=price, label=label)
+                       for k, (price, label) in enumerate(edge))]
+
+
+def assert_encodes(events):
+    """``encode`` writes ``events`` byte for byte as the csv-module oracle
+    does, and ``parse`` reads that text back to the same columns."""
+    log = EventLog.from_rows(events)
+    text = mbo.HEADER_LINE + "".join(encode(log))
+    assert text == dumps(log)
+    assert ",0,10,,IT\r\n" in text and ",-0,10,,NT\r\n" in text
+    assert ",0.30000000000000004,10,,IMM\r\n" in text
+    back = parse(io.StringIO(text, newline=""))
+    for name, got, want in zip(EventLog.fields(), back.columns(), log.columns()):
+        assert got.dtype == want.dtype, name
+        assert (got.tolist() == want.tolist() if want.dtype == object
+                else got.tobytes() == want.tobytes()), name
+
+
+class TestEncoder:
+    """The one row encoder against the csv-module writer it replaced."""
+
+    @given(events=event_streams() | queue_streams())
+    @example(events=[])
+    def test_hand_made_logs(self, events):
+        # labels with commas, quotes and line breaks, any finite price, every flag
+        assert_encodes(with_edge_rows(events))
+
+    @settings(max_examples=40)
+    @given(cfg=logged_configs())
+    def test_logged_runs(self, cfg):
+        try:
+            expected, _ = logged_oracle.run(cfg)
+        except ValueError:
+            assume(False)
+        result = run(cfg)
+        text = "".join(result.mbo_text)
+        log = export_mbo(result)
+        assert mbo.HEADER_LINE + text == dumps(log)
+        assert result.summary["n_mbo_rows"] == len(log) == text.count("\r\n")
+        assert (result.summary["executed_units_total"]
+                == expected.summary["executed_units_total"]
+                == int(log.qty[(log.action == mbo.EXECUTE) & (log.aggressor_flag == 0)].sum()))
+        assert_encodes(with_edge_rows(list(log)))
 
 
 class TestMatchesOracle:

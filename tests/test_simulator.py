@@ -14,7 +14,7 @@ import logged_oracle
 from mbo_oracle import dumps
 from lobeq.equilibrium import BookShape, ModelParams, book_curves, shape_tick
 from lobeq.laws import Exponential, NormalVolume, Pareto, PointMass
-from lobeq.mbo import EventLog, MboEvent, Quotes, parse, reconstruct, write_csv
+from lobeq.mbo import EventLog, MboEvent, Quotes, encode, parse, reconstruct, write_csv
 from lobeq.simulator import (
     SimConfig,
     _event_times,
@@ -371,8 +371,10 @@ class TestLoggedOracle:
                 run(cfg)
             return
         result = run(cfg)
-        assert export_mbo(result) == expected.mbo_events
-        assert_replay_quotes(export_mbo(result), oracle.snapshots)
+        assert "".join(result.mbo_text) == "".join(expected.mbo_text)
+        log = export_mbo(result)
+        assert log == oracle.rows
+        assert_replay_quotes(log, oracle.snapshots)
         assert result.pnl == expected.pnl
         assert result.summary == expected.summary
 
@@ -387,7 +389,7 @@ class TestLoggedOracle:
                         n_levels=8, volume_scale=1000)
         expected, oracle = logged_oracle.run(cfg)
         result = run(cfg)
-        assert dumps(export_mbo(result)) == dumps(expected.mbo_events)
+        assert "".join(result.mbo_text) == "".join(expected.mbo_text)
         assert_replay_quotes(export_mbo(result), oracle.snapshots)
 
 
@@ -440,7 +442,7 @@ class TestEventLog:
         rows = self.ROWS + [MboEvent(3, 3, "add", "ask", -0.0, 1),
                             MboEvent(3, 4, "add", "ask", 0.0, 1)]
         buf = io.StringIO()
-        write_csv(EventLog.from_rows(rows), buf)
+        write_csv(encode(EventLog.from_rows(rows)), buf)
         assert buf.getvalue() == dumps(rows)
         assert parse(io.StringIO(buf.getvalue())) == rows
         assert ",-0,1,," in buf.getvalue() and ",0,1,," in buf.getvalue()
