@@ -25,7 +25,7 @@ every order's lifecycle together with the best quotes of each timestamp.
 The read side is array code from end to end.  An :class:`EventLog` holds
 ``action`` and ``side`` as int8 indices into :data:`ACTIONS` and
 :data:`SIDES` and ``aggressor_flag`` as an int8 of -1/0/1 for
-None/False/True; rows and equality decode them.  The write side is one
+None/False/True; iterating a table decodes them.  The write side is one
 row encoder (:func:`row_encoder`), which turns one row of codes into its
 CSV line: the logged simulator emits its rows through it, :func:`encode`
 runs a log's rows through it, and :func:`write_csv` writes the header and
@@ -43,9 +43,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-import operator
 import warnings
-from collections.abc import Sequence
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
@@ -117,16 +115,14 @@ class Table:
     (a named tuple or a dataclass) and of the dtype at the same place in
     ``DTYPES``; the columns are attributes named after the fields.
 
-    The constructor takes the columns by position or by field name and
-    converts each one once.  ``len``, iteration and integer indexing give
-    ``ROW`` rows of Python values, and ``==`` compares row by row with any
-    table or sequence of them.
+    The constructor takes each column once, by position or by field name,
+    and converts it once.  A table is read as columns: ``len``, ``take``
+    and ``columns``; iterating it gives ``ROW`` rows of Python values.
 
     A field named in ``CODES`` holds small integer codes for the values
     ``CODES[field]``: code ``c`` stands for ``values[c]``, and only the
     ``None`` that may end the values has the code -1.  The constructor
-    takes integer columns as codes and any other column as values, which
-    it encodes; rows decode them.
+    takes such a column as integer codes only; iteration decodes them.
     """
 
     ROW: type
@@ -134,38 +130,35 @@ class Table:
     CODES: dict[str, tuple] = {}
 
     def __init__(self, *columns, **named):
-        named.update(zip(self.fields(), columns))
-        for name, dtype in zip(self.fields(), self.DTYPES):
+        fields = self.fields()
+        given = [*fields[:len(columns)], *named]
+        if len(columns) > len(fields) or sorted(given) != sorted(fields):
+            raise ValueError(f"{type(self).__name__} takes each of the columns {fields} once, "
+                             f"by position or by name; got {len(columns)} by position and "
+                             f"{tuple(named)} by name")
+        named.update(zip(fields, columns))
+        for name, dtype in zip(fields, self.DTYPES):
             setattr(self, name, np.asarray(named[name], dtype=None if name in self.CODES else dtype))
         cols = self.columns()
         if len({col.shape for col in cols} | {(cols[0].size,)}) != 1:
             raise ValueError(f"{type(self).__name__} columns must be 1-d and of equal length")
         for name, values in self.CODES.items():
-            setattr(self, name, self._encode(name, getattr(self, name), values))
+            setattr(self, name, self._codes(name, getattr(self, name), values))
         self._check()
 
-    def _encode(self, name: str, col: np.ndarray, values: tuple) -> np.ndarray:
-        """``col`` as codes of ``values``: checked if it holds integers, else
-        encoded; ValueError naming the first row whose value or code is
-        not one of them."""
+    def _codes(self, name: str, col: np.ndarray, values: tuple) -> np.ndarray:
+        """``col`` as int8 codes of ``values``; ValueError unless it holds
+        integers (or nothing), naming the first row whose code is not one
+        of them."""
+        if col.dtype.kind not in "iu" and col.size:
+            raise ValueError(f"{type(self).__name__} {name} must be integer codes, "
+                             f"got dtype {col.dtype}")
         low = -1 if values[-1] is None else 0
-        if col.dtype.kind in "iu":
-            bad = np.flatnonzero((col < low) | (col >= low + len(values)))
-            if bad.size:
-                raise ValueError(f"{type(self).__name__} row {bad[0]}: {name} code "
-                                 f"{col[bad[0]]} is not one of {low}..{low + len(values) - 1}")
-            return col.astype(np.int8, copy=False)
-        index = {value: code for code, value in enumerate(values)}
-        if low < 0:
-            index[None] = -1
-        codes = np.empty(col.size, dtype=np.int8)
-        for i, value in enumerate(col.tolist()):
-            try:
-                codes[i] = index[value]
-            except (KeyError, TypeError):
-                raise ValueError(f"{type(self).__name__} row {i}: {name} {value!r} "
-                                 f"is not one of {values}") from None
-        return codes
+        bad = np.flatnonzero((col < low) | (col >= low + len(values)))
+        if bad.size:
+            raise ValueError(f"{type(self).__name__} row {bad[0]}: {name} code "
+                             f"{col[bad[0]]} is not one of {low}..{low + len(values) - 1}")
+        return col.astype(np.int8, copy=False)
 
     def _check(self) -> None:
         """Raise ValueError if the columns break an invariant of the table."""
@@ -174,14 +167,6 @@ class Table:
     def fields(cls) -> tuple[str, ...]:
         """The column names: the positional fields of ``ROW``, in order."""
         return cls.ROW.__match_args__
-
-    @classmethod
-    def from_rows(cls, rows):
-        """The table of an iterable of ``ROW`` rows (a table of this type as is)."""
-        if isinstance(rows, cls):
-            return rows
-        columns = list(zip(*map(operator.attrgetter(*cls.fields()), rows)))
-        return cls(*(columns or [()] * len(cls.fields())))
 
     def columns(self) -> tuple[np.ndarray, ...]:
         return tuple(getattr(self, name) for name in self.fields())
@@ -200,16 +185,6 @@ class Table:
 
     def __iter__(self):
         return map(self.ROW, *(col.tolist() for col in self._values()))
-
-    def __getitem__(self, i: int):
-        i = operator.index(i)
-        return self.ROW(*(self.CODES[name][col.item(i)] if name in self.CODES else col.item(i)
-                          for name, col in zip(self.fields(), self.columns())))
-
-    def __eq__(self, other):
-        if not isinstance(other, (Table, Sequence)) or isinstance(other, str):
-            return NotImplemented
-        return len(self) == len(other) and all(map(operator.eq, self, other))
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({len(self)} rows)"
@@ -594,11 +569,11 @@ def row_encoder(append):
     return emit
 
 
-def encode(events):
-    """The CSV body of ``events`` (an :class:`EventLog` or an iterable of
-    :class:`MboEvent`, converted at once): an iterator of text blocks of
+def encode(log: EventLog):
+    """The CSV body of an :class:`EventLog`: an iterator of text blocks of
     :data:`BLOCK_ROWS` rows each, every row through :func:`row_encoder`."""
-    log = EventLog.from_rows(events)
+    if not isinstance(log, EventLog):
+        raise TypeError(f"encode takes an EventLog, got {type(log).__name__}")
     lines = []
     emit = row_encoder(lines.append)
 
@@ -862,9 +837,8 @@ def _lifecycles(log: EventLog, walk: _Walk) -> tuple[Lifecycles, Fills, list]:
     return lifecycles, fills, oid[adds[~ended]].tolist()
 
 
-def reconstruct(events) -> Replay:
-    """Replay a validated event stream: an :class:`EventLog` or a sequence
-    of :class:`MboEvent`, converted once.
+def reconstruct(log: EventLog) -> Replay:
+    """Replay a validated :class:`EventLog`.
 
     Maintains price-time priority (executions must consume the front of
     their price queue), rebuilds every order lifecycle, and records a
@@ -878,7 +852,8 @@ def reconstruct(events) -> Replay:
     words, except that an order no longer live is a dead order.  The error
     is the one at the first failing row, as a sequential replay meets it.
     """
-    log = EventLog.from_rows(events)
+    if not isinstance(log, EventLog):
+        raise TypeError(f"reconstruct takes an EventLog, got {type(log).__name__}")
     columns = log.action, log.order_id, log.side, log.qty
     walk = _walk(*columns, "dead")
     faults = []
@@ -886,7 +861,8 @@ def reconstruct(events) -> Replay:
         row, message, over = walk.fault        # after its FIFO and price checks
         faults.append((row, 3 if over else 0, message))
         walk = _walk(*(col[:row + over] for col in columns), "dead")
-    quotes, book_faults = _book(log, walk) if walk.order.size else (Quotes.from_rows([]), [])
+    quotes, book_faults = (_book(log, walk) if walk.order.size
+                           else (Quotes(*[[]] * len(Quotes.fields())), []))
     faults += book_faults
     if faults:
         raise MboReplayError(min(faults)[2])

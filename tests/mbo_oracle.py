@@ -30,11 +30,11 @@ from lobeq.mbo import (
     ACTIONS,
     HEADER,
     SIDES,
-    EventLog,
     MboEvent,
     MboParseError,
     MboReplayError,
 )
+from tables import event_log
 
 _TEXTS = (None, None, np.array(ACTIONS, dtype=object), np.array(SIDES, dtype=object), None, None,
           np.array(["false", "true", ""], dtype=object), None)     # flag code -1 last
@@ -46,7 +46,7 @@ def dumps(events) -> str:
     the header, then the rows as :class:`csv.writer` writes them from the
     log's columns, a block of rows at a time, with the coded fields decoded
     to their text, prices at 17 significant digits and labels None empty."""
-    log = EventLog.from_rows(events)
+    log = event_log(events)
     out = io.StringIO()
     writer = csv.writer(out)
     writer.writerow(HEADER)

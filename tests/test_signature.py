@@ -12,6 +12,7 @@ import mbo_oracle
 import records_oracle
 import signature_oracle as oracle
 from mbo_oracle import dumps
+from tables import event_log, from_rows
 from lobeq.equilibrium import ModelParams
 from lobeq.laws import NormalVolume, Pareto
 from lobeq.mbo import EventLog, Fills, Lifecycles, MboEvent, Quotes, parse, reconstruct
@@ -295,7 +296,16 @@ class TestTradeTable:
             with pytest.raises(ValueError, match=f"^{kind.__name__} columns must be 1-d and "
                                                  "of equal length$"):
                 kind(*columns)
-        assert len(kind(*[[1]] * n)) == 1 and len(kind.from_rows([])) == 0
+        assert len(kind(*[[1]] * n)) == 1 and len(from_rows(kind, [])) == 0
+        # each column once, by position or by name: a column too many, one
+        # given twice, an unknown name and a missing one fail, naming the table
+        first = kind.fields()[0]
+        for columns, named in (([[1]] * (n + 1), {}), ([[1]] * n, {first: [1]}),
+                               ([[1]] * n, {"bogus": [1]}), ([[1]] * (n - 1), {})):
+            with pytest.raises(ValueError, match=f"^{kind.__name__} takes each of the columns "
+                                                 rf"\('{first}', .* once, by position or by name; "
+                                                 f"got {len(columns)} by position and "):
+                kind(*columns, **named)
 
     def test_unequal_quote_columns_fail_before_a_lookup(self):
         with pytest.raises(ValueError, match="^QuoteSeries columns"):
@@ -335,7 +345,7 @@ def assert_table_matches_records(trades, records):
 
 def assert_tables_match_oracle(events):
     """The tables of ``events`` match the records of the row-object replay."""
-    for trades, records in zip(trade_tables(reconstruct(events)),
+    for trades, records in zip(trade_tables(reconstruct(event_log(events))),
                                records_oracle.build_trade_records(mbo_oracle.reconstruct(events))):
         assert_table_matches_records(trades, records)
 
@@ -453,7 +463,7 @@ class TestTablesMatchRecordsOracle:
                   MboEvent(1, 2, "add", "ask", 100.0, 1, None, "NT"),
                   MboEvent(1, 3, "execute", "bid", 100.0, 1, False),
                   MboEvent(1, 2, "execute", "ask", 100.0, 1, True, "NT")]
-        replay = reconstruct(events)
+        replay = reconstruct(event_log(events))
         aggressive, passive = trade_tables(replay)
         assert aggressive.qty.tolist() == [2, 1]
         assert aggressive.participant_label.tolist() == ["IT", "NT"]

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import logged_oracle
 from mbo_oracle import dumps
+from tables import event_log
 from lobeq.equilibrium import BookShape, ModelParams, book_curves, shape_tick
 from lobeq.laws import Exponential, NormalVolume, Pareto, PointMass
 from lobeq.mbo import EventLog, MboEvent, Quotes, encode, parse, reconstruct, write_csv
@@ -208,12 +209,12 @@ class TestLoggedPath:
     def test_deterministic_log(self):
         cfg = SimConfig(params=LOGGED, n_events=500, seed=21, record_log=True,
                         n_levels=6, volume_scale=1000)
-        assert export_mbo(run(cfg)) == export_mbo(run(cfg))
+        assert list(export_mbo(run(cfg))) == list(export_mbo(run(cfg)))
 
     def test_roundtrip_export_parse(self, logged_result):
         events = export_mbo(logged_result)
         parsed = parse(io.StringIO(dumps(events)), tick=LOGGED.tick)
-        assert parsed == events
+        assert list(parsed) == list(events)
 
     def test_quote_series_reproduced_by_replay(self, logged_result):
         _, oracle = logged_oracle.run(LOGGED_RUN)
@@ -373,7 +374,7 @@ class TestLoggedOracle:
         result = run(cfg)
         assert "".join(result.mbo_text) == "".join(expected.mbo_text)
         log = export_mbo(result)
-        assert log == oracle.rows
+        assert list(log) == oracle.rows
         assert_replay_quotes(log, oracle.snapshots)
         assert result.pnl == expected.pnl
         assert result.summary == expected.summary
@@ -400,50 +401,45 @@ class TestEventLog:
             MboEvent(2, 2, "execute", "bid", 100.01, 5, True, "IT")]
 
     def test_rows_and_equality(self):
-        log = EventLog.from_rows(self.ROWS)
+        log = event_log(self.ROWS)
         assert len(log) == 4
         assert list(log) == self.ROWS
-        assert log[2] == self.ROWS[2] and log[-1] == self.ROWS[-1]
-        assert log == self.ROWS and self.ROWS == log and log == tuple(self.ROWS)
-        assert log == EventLog.from_rows(iter(self.ROWS))
-        assert log != self.ROWS[:3] and log != self.ROWS[::-1]
-        assert EventLog.from_rows([]) == [] and EventLog.from_rows(log) is log
-        with pytest.raises(TypeError):
-            log[1:2]
+        assert list(event_log(iter(self.ROWS))) == self.ROWS
+        assert list(log) != self.ROWS[:3] and list(log) != self.ROWS[::-1]
+        assert list(event_log([])) == [] and event_log(log) is log
+        with pytest.raises(TypeError):              # a table is read as columns
+            log[0]
 
     def test_array_columns_read_as_python_values(self):
         # lists, arrays and a mix of both give the same log of numpy columns
         # (action, side and flag as int8 codes) whose rows read as Python values
-        lists = [list(col) for col in zip(*map(dataclasses.astuple, self.ROWS))]
-        dtypes = (np.int64, np.int64, object, object, np.float64, np.int64, object, object)
-        arrays = EventLog(*(np.array(col, dtype=d) for col, d in zip(lists, dtypes)))
-        mixed = EventLog(*(np.array(col, dtype=d) if i % 2 else col
-                           for i, (col, d) in enumerate(zip(lists, dtypes))))
+        arrays = event_log(self.ROWS)
+        lists = [col.tolist() for col in arrays.columns()]
+        mixed = EventLog(*(col if i % 2 else col.tolist()
+                           for i, col in enumerate(arrays.columns())))
         from_lists = EventLog(*lists)
         for log in (from_lists, mixed):
             assert [col.dtype for col in log.columns()] == list(map(np.dtype, EventLog.DTYPES))
-            assert (log == arrays) is True and (arrays == log) is True
-            assert log == self.ROWS and list(log) == self.ROWS and log[-2] == self.ROWS[-2]
-            assert log != self.ROWS[::-1]
-            assert (log == EventLog.from_rows(self.ROWS[::-1])) is False
-            assert [type(v) for v in dataclasses.astuple(log[2])] == [
+            assert list(log) == list(arrays) == self.ROWS
+            assert list(log) != self.ROWS[::-1]
+            assert list(log) != list(event_log(self.ROWS[::-1]))
+            assert [type(v) for v in dataclasses.astuple(list(log)[2])] == [
                 int, int, str, str, float, int, bool, str]
             assert [type(v) for v in dataclasses.astuple(next(iter(log)))] == [
                 int, int, str, str, float, int, type(None), str]
-            assert dumps(log) == dumps(self.ROWS) and parse(io.StringIO(dumps(log))) == log
-        with pytest.raises(TypeError):
-            arrays[1:2]
+            assert dumps(log) == dumps(self.ROWS)
+            assert list(parse(io.StringIO(dumps(log)))) == list(log)
 
     def test_columns_must_have_equal_length(self):
         with pytest.raises(ValueError, match="^EventLog columns must be 1-d and of equal length$"):
-            EventLog([1], [1], ["add"], ["ask"], [1.0], [1], [None], [])
+            EventLog([1], [1], [0], [1], [1.0], [1], [-1], [])
 
     def test_written_like_its_rows(self):
         rows = self.ROWS + [MboEvent(3, 3, "add", "ask", -0.0, 1),
                             MboEvent(3, 4, "add", "ask", 0.0, 1)]
         buf = io.StringIO()
-        write_csv(encode(EventLog.from_rows(rows)), buf)
+        write_csv(encode(event_log(rows)), buf)
         assert buf.getvalue() == dumps(rows)
-        assert parse(io.StringIO(buf.getvalue())) == rows
+        assert list(parse(io.StringIO(buf.getvalue()))) == rows
         assert ",-0,1,," in buf.getvalue() and ",0,1,," in buf.getvalue()
 
