@@ -190,8 +190,9 @@ class ParamGrid:
         ModelParams(r=0.0, **shared)
         for name, values in zip(("r", "f", "theta"), cells):
             # ModelParams checks each field on its own, so one check per
-            # distinct value (other fields at valid defaults) covers the grid
-            for value in np.unique(values).tolist():
+            # distinct value (other fields at valid defaults) covers the grid;
+            # ascending, as np.unique gave, which would import numpy.ma
+            for value in dict.fromkeys(np.sort(values).tolist()):
                 ModelParams(**{"r": 0.0, **shared, name: value})
             object.__setattr__(self, name, np.ascontiguousarray(values))
 

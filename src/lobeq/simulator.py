@@ -280,16 +280,20 @@ def _executed_volume(draws: EventDraws, x, eff_lvl, nmm_lvl) -> np.ndarray:
     when the trader wins the race, only its noise part when the cancel
     wins.  A noise buy of magnitude q consumes the visible book from the
     front, ``clip(q - depth before the level, 0, level size)``.
+
+    Level by level it carries the sizes and race outcomes of the jumps
+    that reach the level, and copies them only when a level drops some.
     """
     jump = draws.is_jump.astype(bool)
     size = draws.jump_size[jump]
-    win = draws.it_wins[jump].astype(bool)
+    win = draws.it_wins[jump]
     buys = draws.noise_mag[draws.noise_sign > 0]
     depth_before = np.concatenate(([0.0], np.cumsum(eff_lvl)[:-1]))
     out = np.zeros(len(x))
     for level in range(len(x)):
         keep = x[level] <= size
-        size, win = size[keep], win[keep]
+        if np.count_nonzero(keep) < size.size:
+            size, win = size[keep], win[keep]
         n_wins = np.count_nonzero(win)
         out[level] = (n_wins * eff_lvl[level] + (size.size - n_wins) * nmm_lvl[level]
                       + np.clip(buys - depth_before[level], 0.0, eff_lvl[level]).sum())
@@ -408,8 +412,9 @@ class _LoggedRun:
         self.idx = idx.tolist()
         self.imm = (lvl - nmm).tolist()
         self.nmm = nmm.tolist()
-        # keep grid prices identical to their CSV round-trip
-        self.px = {i: round(i * tick, 12) for i in np.unique(idx).tolist()}
+        # keep grid prices identical to their CSV round-trip (a set, not
+        # np.unique, which would import numpy.ma)
+        self.px = {i: round(i * tick, 12) for i in set(idx.ravel().tolist())}
         # the state after the initial book (at ts 0) and after each event
         state = np.concatenate(([0], np.cumsum(self.moves)))
 

@@ -920,6 +920,45 @@ class TestPlumbing:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
+    def test_commands_load_no_numpy_ma(self, tmp_path):
+        # np.unique imports numpy.ma lazily (about 15 ms); one fresh
+        # interpreter runs every command and must not pay for it
+        logged = dict(REF_PARAMS, r=0.15, lambda_i=0.15, lambda_u=0.85)
+        log = tmp_path / "logged" / "mbo.csv"
+        commands = [
+            ("shape", {"params": REF_PARAMS, "shape": {"variant": "tick", "n_levels": 4}}),
+            ("spread", {"params": REF_PARAMS}),
+            ("simulate", {"params": REF_PARAMS,
+                          "simulate": {"n_events": 2000, "seed": 1, "n_levels": 4}}),
+            ("simulate", {"params": logged,
+                          "simulate": {"n_events": 300, "seed": 1, "n_levels": 4,
+                                       "record_log": True, "volume_scale": 1000}}),
+            ("signature", {"signature": {
+                "input": str(log), "horizons_s": [0.0, 1.0],
+                "clusters": [{"metric": "update_count", "thresholds": [1, 2],
+                              "side": "passive"}]}}),
+            ("sweep", {"sweep": {"r_values": [0.5, 0.9], "f_values": [0.9, 0.5],
+                                 "theta_values": [0.0, 0.001], "tick": 0.01,
+                                 "jump": REF_PARAMS["jump"],
+                                 "volume": REF_PARAMS["volume"]}}),
+        ]
+        outs = ["shape", "spread", "fast", "logged", "signature", "sweep"]
+        argvs = [[command, "--config", write_config(tmp_path, doc, f"{out}.json"),
+                  "--out", str(tmp_path / out)]
+                 for (command, doc), out in zip(commands, outs)]
+        probe = ("import json, sys\n"
+                 "from lobeq.cli import main\n"
+                 "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+                 "print(json.dumps([codes, 'numpy.ma' in sys.modules]))")
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.run([sys.executable, "-c", probe, json.dumps(argvs)], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        codes, loaded = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert codes == [0] * len(commands)
+        assert (tmp_path / "signature" / "signature_0_update_count.csv").exists()
+        assert not loaded
+
     def test_export_lists_name_what_exists(self):
         # every name a module's __all__ lists exists in it, and the package
         # re-exports only names some module's __all__ lists

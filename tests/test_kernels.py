@@ -4,8 +4,11 @@ sequential oracle kept in ``pnl_oracle``.
 The two sum in different orders, so the comparison bound is stated rather
 than bit identity: fill counts and event counters exactly, float sums and
 executed volumes within rtol 1e-10 (atol 1e-12 for sums that cancel to
-about zero).
+about zero).  A static book and the same book given per event sum the
+same values in the same order, so those two agree bit for bit.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -237,3 +240,94 @@ class TestParity:
         shaped = (book.grid, book.informed, book.noise, eff,
                   np.array(_nmm_level_split(eff.tolist(), book.noise.tolist())))
         assert_matches(run_numpy(draws, shaped), run_oracle(draws, shaped))
+
+
+class TestBookShapes:
+    @given(data=st.data(), n=st.integers(0, 40), m=st.integers(1, 5),
+           at_zero=st.booleans())
+    def test_static_and_tiled_book_agree_bitwise(self, data, n, m, at_zero):
+        # ties, inf depth, a first level at distance 0, and far levels that
+        # some or all events never reach
+        draws = data.draw(event_draws(n))
+        x = data.draw(arrays(float, m, elements=DISTANCES))
+        if at_zero:
+            x[0] = 0.0
+        imm_ahead = data.draw(arrays(float, m, elements=DEPTHS))
+        nmm_ahead = data.draw(arrays(float, m, elements=DEPTHS))
+        static = accumulate_pnl(*kernel_inputs(draws), x, imm_ahead, nmm_ahead)
+        tiled = accumulate_pnl(*kernel_inputs(draws),
+                               *(np.tile(a, (n, 1)) for a in (x, imm_ahead, nmm_ahead)))
+        for got, want in zip(tiled, static):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+    BAD_SHAPES = [
+        # (argument, its shape, the shape it is checked against)
+        pytest.param("imm_ahead", (9, 3), (3,), id="per-event-depth-of-another-length"),
+        pytest.param("drift", (7,), (4,), id="event-array-of-another-length"),
+        pytest.param("imm_ahead", (2,), (3,), id="fewer-levels-than-x"),
+    ]
+
+    @pytest.mark.parametrize("name, shape, against", BAD_SHAPES)
+    def test_shapes_checked_up_front(self, name, shape, against):
+        args = dict(zip(("is_jump", "it_wins", "jump_size", "noise_buy", "noise_mag",
+                         "drift"), kernel_inputs(scripted_draws([(1, 1, 1.5, 0, 0.0, 0.0)] * 4))))
+        args.update(x=np.array([0.0, 1.0, 2.0]), imm_ahead=np.ones(3), nmm_ahead=np.ones(3))
+        args[name] = np.ones(shape)
+        with pytest.raises(ValueError) as err:
+            accumulate_pnl(**args)
+        message = str(err.value)
+        assert message.startswith(f"{name} has shape {shape}")
+        assert str(against) in message
+
+    @pytest.mark.parametrize("x", [np.zeros(0), np.zeros((4, 0)), np.zeros((3, 2)),
+                                   np.float64(0.5), np.zeros((4, 2, 1))],
+                             ids=["no-levels", "no-levels-per-event", "rows-not-events",
+                                  "scalar", "3-d"])
+    def test_book_must_be_m_or_n_by_m(self, x):
+        events = kernel_inputs(scripted_draws([(0, 0, 0.0, 1, 1.0, 0.0)] * 4))
+        with pytest.raises(ValueError, match=r"^x has shape .* but is_jump has shape \(4,\)"):
+            accumulate_pnl(*events, x, x, x)
+
+    def test_event_arrays_must_be_one_dimensional(self):
+        events = [np.zeros((2, 2))] * 6
+        with pytest.raises(ValueError, match=r"^is_jump must be 1-d, got shape \(2, 2\)"):
+            accumulate_pnl(*events, np.ones(1), np.ones(1), np.ones(1))
+
+
+class TestMemory:
+    """Peak traced allocation per event on a static book: the reference
+    model of acceptance test 3 (r = 0.9, first level at distance 0), where
+    the first level keeps every jump, so carrying anything a static book
+    does not read shows up here."""
+
+    N_EVENTS = 200_000
+
+    @pytest.fixture(scope="class")
+    def reference_run(self):
+        params = ModelParams(r=0.9, f=0.9, jump=Pareto(3.0, 0.005),
+                             volume=NormalVolume(10.0), tick=0.01, offset_d=0.0)
+        book = shape_tick(params, 8)
+        assert book.grid[0] == 0.0
+        draws = draw_events(params, self.N_EVENTS, np.random.default_rng(1))
+        return book, draws
+
+    def peak_per_event(self, fn, *args):
+        tracemalloc.start()
+        try:
+            fn(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak / self.N_EVENTS
+
+    def test_kernel_peak(self, reference_run):
+        book, draws = reference_run
+        args = (*kernel_inputs(draws), book.grid, book.informed, book.noise)
+        assert self.peak_per_event(accumulate_pnl, *args) < 32.0
+
+    def test_executed_volume_peak(self, reference_run):
+        book, draws = reference_run
+        eff = np.diff(book.informed, prepend=0.0)
+        nmm = _nmm_level_split(eff, book.noise)
+        assert self.peak_per_event(_executed_volume, draws, book.grid, eff, nmm) < 14.0
