@@ -34,11 +34,8 @@ from .equilibrium import (
     shape_continuous,
     shape_multi,
     shape_tick,
-    shape_toxic,
     solve_spreads,
-    spread_continuous,
-    spread_tick,
-    spread_toxic,
+    spread,
     theta_bar,
 )
 from .simulator import LevelPnl, SimConfig, SimResult, export_mbo, run

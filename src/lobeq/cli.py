@@ -52,9 +52,7 @@ from .equilibrium import (
     shape_multi,
     shape_tick,
     solve_spreads,
-    spread_continuous,
-    spread_tick,
-    spread_toxic,
+    spread,
     theta_bar,
 )
 from .laws import Exponential, LaplaceVolume, NormalVolume, Pareto, PointMass
@@ -166,6 +164,13 @@ class _Section:
             return None
         return _number(value, self.where + key, cast)
 
+    def path(self, key: str, default=_REQUIRED):
+        """The path string under ``key``; as for :meth:`number`, a null may read as absent."""
+        value = self.get(key, default)
+        if not (isinstance(value, str) or value is None and default is None):
+            raise self.fail(f"{key} must be a path string, got {value!r}")
+        return value
+
     def numbers(self, key: str, default=_REQUIRED, allow_empty=False) -> list[float]:
         values = self.get(key, default)
         if not isinstance(values, list):
@@ -261,12 +266,10 @@ def cmd_shape(root: _Section, out: Path, seed) -> list[str]:
 
     if variant == "multi":
         book = shape_multi(_multi(root), _grid(shape))
+    elif variant == "tick":
+        book = shape_tick(_params(root), shape.number("n_levels", cast=int))
     else:
-        params = _params(root)
-        if variant == "tick":
-            book = shape_tick(params, shape.number("n_levels", cast=int))
-        else:
-            book = shape_continuous(params, _grid(shape))
+        book = shape_continuous(_params(root), _grid(shape))
 
     columns = {"x": book.grid, "informed": book.informed, "noise": book.noise,
                "effective": book.effective}
@@ -283,22 +286,16 @@ def cmd_shape(root: _Section, out: Path, seed) -> list[str]:
     return ["shape.csv", "shape.json"]
 
 
-def _solve_spread(params: ModelParams):
-    if params.theta > 0.0 and params.tick > 0.0:
-        raise ConfigError("set either theta > 0 or tick > 0, not both")
-    if params.theta > 0.0:
-        return spread_toxic(params)
-    if params.tick > 0.0:
-        return spread_tick(params)
-    return spread_continuous(params)
-
-
 def cmd_spread(root: _Section, out: Path, seed) -> list[str]:
     params = _params(root)
-    sol = _solve_spread(params)
+    if params.theta > 0.0 and params.tick > 0.0:
+        raise ConfigError("set either theta > 0 or tick > 0, not both")
+    sol = spread(params)
     if not sol.residual <= RESIDUAL_GATE:
         raise SolverError(f"spread residual {sol.residual} exceeds {RESIDUAL_GATE}")
-    doc = {**asdict(sol), "theta_bar": theta_bar(params)}
+    # the toxic half-spread is reported only for a toxic model
+    doc = {**asdict(sol), "phi_theta": sol.phi_theta if params.theta > 0.0 else None,
+           "theta_bar": theta_bar(params)}
     with open(out / "spread.json", "w") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
@@ -338,20 +335,21 @@ def cmd_simulate(root: _Section, out: Path, seed) -> list[str]:
 
 def cmd_signature(root: _Section, out: Path, seed) -> list[str]:
     sig = root.section("signature", "", ("input", "tick", "reference", "horizons_s", "clusters"))
-    input_path = sig.get("input")
+    input_path = sig.path("input")
     tick = sig.number("tick", None) or None                 # absent, null or 0: no tick
     if tick is not None and not 0.0 < tick < math.inf:
         raise sig.fail(f"tick must be positive and finite, got {tick}")
     reference = sig.get("reference", "micro")
     if reference not in REFERENCES:
         raise sig.fail(f"unknown reference {reference!r}; expected one of {REFERENCES}")
-    horizons_s = sig.numbers("horizons_s")
-    for i, h in enumerate(horizons_s):
+    horizons_ns = []
+    for i, h in enumerate(sig.numbers("horizons_s")):
         if not math.isfinite(h):
             raise sig.fail(f"horizons_s must be finite, got {h}")
-        if not -2**63 <= round(h * 1e9) < 2**63:
+        # checked before round: no float near these bounds has a fraction
+        if not -2**63 <= h * 1e9 < 2**63:
             raise sig.fail(f"horizons_s[{i}] must fit in int64 ns, got {h}")
-    horizons_ns = [round(h * 1e9) for h in horizons_s]
+        horizons_ns.append(round(h * 1e9))
     specs = [c.build(ClusterSpec, metric=c.get("metric"), thresholds=c.numbers("thresholds"),
                      side=c.get("side"))
              for c in sig.sections("clusters", "signature cluster", ("metric", "thresholds",
@@ -477,7 +475,8 @@ def main(argv=None) -> int:
         root = _Section(cfg, "config: ")
         root.only(("seed", "out", *_sections(args.command, root)))
         config_seed = root.number("seed", None, int)
-        out_dir = args.out or root.get("out", None)
+        config_out = root.path("out", None)
+        out_dir = args.out or config_out
         if not out_dir:
             raise ConfigError("an output directory is required (--out or config 'out')")
         out = Path(out_dir)

@@ -61,12 +61,9 @@ __all__ = [
     "book_curves",
     "shape_continuous",
     "shape_tick",
-    "shape_toxic",
     "shape_multi",
     "solve_spreads",
-    "spread_continuous",
-    "spread_tick",
-    "spread_toxic",
+    "spread",
     "strict_ceil",
 ]
 
@@ -275,21 +272,19 @@ class BookShape:
 
 @dataclass
 class SpreadSolution:
-    """Half-spread solves with solver diagnostics.
-
-    ``phi`` is the informed-maker half-spread, ``mu`` the noise-maker one
-    (the f = 1 equation); ``phi <= mu`` always, with equality iff f = 1.
-    Tick quantities (``k_d``, ``spread_tick``) and the toxic half-spread
-    ``phi_theta`` are filled by the variant solvers that compute them.
-    """
+    """One model's half-spreads as :func:`spread` solves them: a cell of
+    :class:`SpreadArrays`, each field meaning what it means there.  Every
+    field is filled, except ``k_d`` and ``spread_tick`` without a tick;
+    ``solver_iters`` counts the bisection steps of the reported root (the
+    toxic one where theta_bar > 0)."""
 
     phi: float
     mu: float
-    phi_theta: float | None = None
-    k_d: int | None = None
-    spread_tick: float | None = None
-    solver_iters: int = 0
-    residual: float = 0.0
+    phi_theta: float
+    k_d: int | None
+    spread_tick: float | None
+    solver_iters: int
+    residual: float
 
 
 @dataclass
@@ -473,10 +468,6 @@ def shape_continuous(p: ModelParams, x_grid) -> BookShape:
     return BookShape(grid=x, informed=l_i, noise=l_u, effective=l_i)
 
 
-#: The toxic book is :func:`shape_continuous` at theta > 0.
-shape_toxic = shape_continuous
-
-
 def shape_tick(p: ModelParams, n_levels: int) -> BookShape:
     """Book on the tick grid: level i sits at distance d + (i-1)*tick.
 
@@ -636,8 +627,9 @@ def strict_ceil(y: np.ndarray) -> np.ndarray:
     return (np.where(snap, nearest, np.floor(y)) + 1.0).astype(np.int64)
 
 
-def _solve_one(p: ModelParams) -> SpreadArrays:
-    """:func:`solve_spreads` on the one cell of ``p``."""
+def spread(p: ModelParams) -> SpreadSolution:
+    """:func:`solve_spreads` on the one cell of ``p``; raises
+    :class:`ZeroSpreadRegime` at f = 0 or r = 0."""
     sol = solve_spreads(ParamGrid(r=p.r, f=p.f, theta=p.theta, jump=p.jump, volume=p.volume,
                                   rho=p.rho, tick=p.tick, offset_d=p.offset_d))
     if sol.zero[0]:
@@ -645,39 +637,11 @@ def _solve_one(p: ModelParams) -> SpreadArrays:
             "no adverse selection (f = 0 or r = 0): depth is unbounded and "
             "the spread collapses to zero"
         )
-    return sol
-
-
-def spread_continuous(p: ModelParams) -> SpreadSolution:
-    """Half-spread on the continuous price axis (theta = 0): ``phi`` and
-    the noise-maker spread ``mu`` of :func:`solve_spreads`."""
-    if p.theta != 0.0:
-        raise ValueError("spread_continuous requires theta = 0; use spread_toxic")
-    sol = _solve_one(p)
-    return SpreadSolution(phi=float(sol.phi[0]), mu=float(sol.mu[0]),
-                          solver_iters=sol.phi_iters, residual=float(sol.residual[0]))
-
-
-def spread_tick(p: ModelParams) -> SpreadSolution:
-    """Tick-grid spread quantities (``k_d``, ``spread_tick``) of
-    :func:`solve_spreads` besides the continuous ``phi`` and ``mu``."""
-    if p.tick <= 0.0:
-        raise ValueError("spread_tick requires a positive tick")
-    if p.theta != 0.0:
-        raise ValueError("spread_tick requires theta = 0; use spread_toxic")
-    sol = _solve_one(p)
-    return SpreadSolution(phi=float(sol.phi[0]), mu=float(sol.mu[0]),
-                          k_d=int(sol.k_d[0]), spread_tick=float(sol.spread_tick[0]),
-                          solver_iters=sol.phi_iters, residual=float(sol.residual[0]))
-
-
-def spread_toxic(p: ModelParams) -> SpreadSolution:
-    """Half-spread with noise-trader toxicity, ``phi_theta`` of
-    :func:`solve_spreads`.  Reduces exactly to :func:`spread_continuous`
-    when theta = 0, and always returns ``phi_theta > theta_bar`` and
-    ``phi_theta >= phi``."""
-    sol = _solve_one(p)
+    cell = {name: None if (values := getattr(sol, name)) is None else values.item()
+            for name in ("phi", "mu", "phi_theta", "k_d", "spread_tick", "residual")}
     iters = sol.theta_iters if theta_bar(p) > 0.0 else sol.phi_iters
-    return SpreadSolution(phi=float(sol.phi[0]), mu=float(sol.mu[0]),
-                          phi_theta=float(sol.phi_theta[0]),
-                          solver_iters=iters, residual=float(sol.residual[0]))
+    return SpreadSolution(**cell, solver_iters=iters)
+
+
+# names of :func:`spread` that perfbench/spans.py wraps by name
+spread_continuous = spread_tick = spread_toxic = spread

@@ -98,6 +98,11 @@ class Pareto(JumpLaw):
             raise ValueError("Pareto shape must exceed 1 for a finite mean")
         if not self.scale > 0.0:
             raise ValueError("Pareto scale must be positive")
+        try:
+            self.scale**self.shape                   # the tail expectation's factor
+        except OverflowError:
+            raise ValueError(f"Pareto scale {self.scale} to the power shape {self.shape} "
+                             "overflows a float") from None
 
     @property
     def mean(self) -> float:

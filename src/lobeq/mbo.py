@@ -43,8 +43,9 @@ from __future__ import annotations
 import csv
 import io
 import math
+import sys
 import warnings
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, islice
@@ -324,6 +325,17 @@ def _numbered(reader, lineno: int):
         raise MboParseError(f"row {lineno}: {exc}") from None
 
 
+@contextmanager
+def _no_field_limit():
+    """The csv module's field size limit lifted, as the C reader has none,
+    so a re-read reaches every record it read; then the caller's limit."""
+    limit = csv.field_size_limit(sys.maxsize)
+    try:
+        yield
+    finally:
+        csv.field_size_limit(limit)
+
+
 def _split_at_fault(lines: list[str]) -> tuple[list[str], list[str]]:
     """(the lines before the first record the C reader rejects, that
     record's lines).  Records read independently, so the first bad one is
@@ -466,15 +478,17 @@ def _parse_lines(lines, tick: float | None) -> EventLog:
         records, prefix, unreadable = _read(lines), None, None
     except ValueError:                       # find the record, keep what reads before it
         lines.seek(body)
-        prefix, unreadable = _split_at_fault(lines.readlines())
+        with _no_field_limit():
+            prefix, unreadable = _split_at_fault(lines.readlines())
         records = _read(prefix)
     n = len(records)
 
     def record(i: int) -> tuple[int, list[str]]:
         """(row number, fields) of the ``i``-th nonblank body record."""
         lines.seek(body)
-        rows = ((lineno, row) for lineno, row in _numbered(csv.reader(lines), 2) if row)
-        return next(islice(rows, i, None))
+        with _no_field_limit():
+            rows = ((lineno, row) for lineno, row in _numbered(csv.reader(lines), 2) if row)
+            return next(islice(rows, i, None))
 
     ts, oid, price, qty = (np.ascontiguousarray(records[name]) for name in _NUMBERS)
     act, side, flag = _text_codes(records)

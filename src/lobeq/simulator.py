@@ -56,7 +56,7 @@ import numpy as np
 from . import kernels
 from .equilibrium import BookShape, ModelParams, book_curves, shape_tick
 from . import mbo
-from .mbo import ADD, CANCEL, EXECUTE, EventLog
+from .mbo import ADD, ASK, BID, CANCEL, EXECUTE, EventLog
 
 __all__ = [
     "SimConfig",
@@ -317,8 +317,6 @@ def _run_fast(cfg: SimConfig, book: BookShape, draws: EventDraws) -> SimResult:
 # ---------------------------------------------------------------------------
 
 _SNAP = 1e-9
-ASK, BID = 0, 1                    # the side axis of the state tables
-_MBO_SIDES = (mbo.ASK, mbo.BID)       # the log's side code of each side
 
 
 def _event_times(params: ModelParams, n_events: int, rng: np.random.Generator) -> np.ndarray:
@@ -331,7 +329,7 @@ def _event_times(params: ModelParams, n_events: int, rng: np.random.Generator) -
 
 def _grid_layout(price: np.ndarray, tick: float, n_levels: int) -> tuple[np.ndarray, np.ndarray]:
     """Grid indices and distances of both sides' levels around each price,
-    shape ``(len(price), 2, n_levels)``, side axis (ask, bid), near to far.
+    shape ``(len(price), 2, n_levels)``, side axis (BID, ASK), near to far.
 
     The first ask level is the smallest grid multiple of ``tick`` at or
     above the price (a price within a relative 1e-9 of a multiple counts
@@ -348,9 +346,9 @@ def _grid_layout(price: np.ndarray, tick: float, n_levels: int) -> tuple[np.ndar
                   np.ceil(g)).astype(np.int64)
     on_grid = np.abs(a0 * tick - price) <= _SNAP * np.maximum(1.0, price)
     step = np.arange(n_levels)
-    idx = np.stack([a0[:, None] + step, np.where(on_grid, a0, a0 - 1)[:, None] - step], axis=1)
+    idx = np.stack([np.where(on_grid, a0, a0 - 1)[:, None] - step, a0[:, None] + step], axis=1)
     level_px = idx * tick
-    dist = np.stack([level_px[:, ASK] - price[:, None], price[:, None] - level_px[:, BID]], axis=1)
+    dist = np.stack([price[:, None] - level_px[:, BID], level_px[:, ASK] - price[:, None]], axis=1)
     return idx, np.maximum(dist, 0.0)
 
 
@@ -449,13 +447,12 @@ class _LoggedRun:
         state ``s``: every level when the state is new, only the first
         ``n_levels`` (the ones a sweep walked) otherwise."""
         book = self.levels[side]
-        code = _MBO_SIDES[side]
         idxs = self.idx[s][side]
         if n_levels is None:
             lo, hi = (idxs[0], idxs[-1]) if side == ASK else (idxs[-1], idxs[0])
             for idx in [i for i in book if not lo <= i <= hi]:
                 for order in book.pop(idx):
-                    self._emit(ts, order.oid, CANCEL, code, self.px[idx],
+                    self._emit(ts, order.oid, CANCEL, side, self.px[idx],
                                order.qty, -1, order.participant)
             n_levels = len(idxs)
         for idx, imm_q, nmm_q in zip(idxs[:n_levels], self.imm[s][side][:n_levels],
@@ -477,13 +474,13 @@ class _LoggedRun:
                             break
                         if order.participant != maker:
                             continue
-                        self._emit(ts, order.oid, CANCEL, code, px, order.qty, -1, maker)
+                        self._emit(ts, order.oid, CANCEL, side, px, order.qty, -1, maker)
                         dq.remove(order)
                         excess -= order.qty
                 if excess < 0:
                     oid = self._next_oid()
                     dq.append(_Order(oid, maker, -excess))
-                    self._emit(ts, oid, ADD, code, px, -excess, -1, maker)
+                    self._emit(ts, oid, ADD, side, px, -excess, -1, maker)
 
     # -- aggressive executions ------------------------------------------------
 
@@ -513,15 +510,14 @@ class _LoggedRun:
                 if front.qty == 0:
                     dq.popleft()
 
-        code = _MBO_SIDES[side]
         if limit_price is None:
             limit_price = self.px[fills[-1][0] if fills else idxs[0]]
-        aggr_side = _MBO_SIDES[1 - side]
+        aggr_side = BID if side == ASK else ASK
         aggr_oid = self._next_oid()
         self._emit(ts, aggr_oid, ADD, aggr_side, limit_price, budget, -1, label)
         for idx, oid, participant, qty in fills:
             px = self.px[idx]
-            self._emit(ts, oid, EXECUTE, code, px, qty, 0, participant)
+            self._emit(ts, oid, EXECUTE, side, px, qty, 0, participant)
             self._emit(ts, aggr_oid, EXECUTE, aggr_side, px, qty, 1, label)
         if remaining > 0:
             self._emit(ts, aggr_oid, CANCEL, aggr_side, limit_price, remaining, -1, label)
@@ -542,7 +538,7 @@ class _LoggedRun:
                 survivors = deque()
                 for order in dq:
                     if order.participant == "IMM":
-                        self._emit(ts, order.oid, CANCEL, _MBO_SIDES[ASK], self.px[idx],
+                        self._emit(ts, order.oid, CANCEL, ASK, self.px[idx],
                                    order.qty, -1, "IMM")
                     else:
                         survivors.append(order)

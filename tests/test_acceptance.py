@@ -30,10 +30,7 @@ from lobeq.equilibrium import (
     gain_imm,
     shape_continuous,
     shape_multi,
-    shape_toxic,
-    spread_continuous,
-    spread_tick,
-    spread_toxic,
+    spread,
     theta_bar,
 )
 from lobeq.laws import Exponential, LaplaceVolume, NormalVolume, Pareto
@@ -82,7 +79,7 @@ def test_1_closed_form_matches_gain_root():
     checked = 0
     for _ in range(50):
         p = random_params(rng)
-        phi = spread_continuous(p).phi
+        phi = spread(p).phi
         xs = phi * np.geomspace(1.05, 6.0, 20)
         book = shape_continuous(p, xs)
         for x, closed in zip(xs, book.informed):
@@ -99,7 +96,7 @@ def test_1_closed_form_matches_gain_root():
 
 def test_2_reference_spread_and_tick_quantities():
     t0 = time.time()
-    sol = spread_tick(REF)
+    sol = spread(REF)
     rhs = 1.0 + (1.0 / (2.0 * REF.f)) * (1.0 / REF.r - 1.0)
     assert round(rhs, 7) == 1.0617284
     residual = abs(REF.jump.emax_ratio(sol.phi) - rhs) / rhs
@@ -160,7 +157,7 @@ def test_4_reductions():
             p1 = ModelParams(r=r, f=1.0, jump=jump, volume=NormalVolume(10.0))
             book = shape_continuous(p1, grid)
             assert np.array_equal(book.informed, book.noise)
-            sol = spread_continuous(p1)
+            sol = spread(p1)
             assert sol.phi == sol.mu
 
             # theta = 0: the toxic variant is the baseline, bit for bit
@@ -168,9 +165,9 @@ def test_4_reductions():
                 p = ModelParams(r=r, f=f, jump=jump, volume=NormalVolume(10.0))
                 pt = ModelParams(r=r, f=f, jump=jump, volume=NormalVolume(10.0),
                                  theta=0.0, rho=0.5)
-                assert np.array_equal(shape_toxic(pt, grid).informed,
+                assert np.array_equal(shape_continuous(pt, grid).informed,
                                       shape_continuous(p, grid).informed)
-                assert spread_toxic(pt).phi_theta == spread_continuous(p).phi
+                assert spread(pt).phi_theta == spread(p).phi
 
             # single-source and dead-source multi configurations degenerate
             for f in (0.2, 0.6):
@@ -218,7 +215,7 @@ def test_5_monotonicity_grid():
                 depth[i, j] = informed
                 if np.any(np.diff(informed) < -1e-12):
                     violations += 1
-                sol = spread_toxic(p)
+                sol = spread(p)
                 tb = theta_bar(p)
                 if theta > 0.0 and not (sol.phi_theta > tb and sol.phi_theta >= sol.phi):
                     violations += 1
@@ -228,7 +225,7 @@ def test_5_monotonicity_grid():
     phi = np.empty((len(rs), len(fs)))
     for i, r in enumerate(rs):
         for j, f in enumerate(fs):
-            phi[i, j] = spread_continuous(
+            phi[i, j] = spread(
                 ModelParams(r=float(r), f=float(f), jump=jump, volume=volume)).phi
     if np.any(np.diff(phi, axis=0) < -1e-12) or np.any(np.diff(phi, axis=1) < -1e-12):
         violations += 1

@@ -22,8 +22,7 @@ from lobeq.equilibrium import (
     ModelParams,
     ZeroSpreadRegime,
     book_curves,
-    spread_tick,
-    spread_toxic,
+    spread,
 )
 from lobeq.laws import Exponential, LaplaceVolume, NormalVolume, Pareto, PointMass
 from lobeq.signature import METRICS
@@ -511,6 +510,11 @@ class TestSignature:
         ({"clusters": []}, "signature: clusters must not be empty"),
         ({"clusters": [GOOD_CLUSTER, dict(GOOD_CLUSTER, metric=[1])]},
          f"signature cluster 1: unknown metric [1]; expected one of {sorted(METRICS)}"),
+        ({"horizons_s": [0.0, 1e300]},
+         "signature: horizons_s[1] must fit in int64 ns, got 1e+300"),
+        ({"input": [1]}, "signature: input must be a path string, got [1]"),
+        ({"input": None}, "signature: input must be a path string, got None"),
+        ({"input": 2.5}, "signature: input must be a path string, got 2.5"),
     ])
     def test_config_checked_before_the_log_is_read(self, tmp_path, capsys, change, message):
         doc = {"signature": {"input": str(tmp_path / "never_read.csv"), "horizons_s": [0.0, 1.0],
@@ -562,7 +566,7 @@ class TestSignature:
                              "clusters": [self.GOOD_CLUSTER]}}
         cfg = write_config(tmp_path, doc, name="sig.json")
         assert main(["signature", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-        assert "row 2: field larger than field limit" in capsys.readouterr().err
+        assert capsys.readouterr().err == "lobeq signature: row 3: unknown side 'mid'\n"
 
     def test_empty_log_rejected(self, tmp_path):
         empty = tmp_path / "empty.csv"
@@ -638,8 +642,12 @@ class TestSweep:
                             volume=NormalVolume(10.0), rho=0.2, tick=0.01, offset_d=0.003)
             want = [r, f, theta]
             try:
-                sol = spread_toxic(p) if theta > 0.0 else spread_tick(p)
-                want += [sol.phi, sol.mu, sol.phi_theta, sol.k_d, sol.spread_tick]
+                sol = spread(p)
+                # a sweep reports the toxic half-spread of a toxic cell, the
+                # tick quantities of the others
+                toxic = theta > 0.0
+                want += [sol.phi, sol.mu, sol.phi_theta if toxic else None,
+                         None if toxic else sol.k_d, None if toxic else sol.spread_tick]
             except ZeroSpreadRegime:
                 want += [0.0, None, None, None, None]
             want += book_curves(p, probes)[0].tolist()
@@ -767,6 +775,8 @@ class TestLawRecords:
          "jump law 'exponential': rate must be a number, got None"),
         ("jump", {"type": "exponential", "rate": -1.0},
          "jump law 'exponential': Exponential rate must be positive"),
+        ("jump", {"type": "pareto", "shape": 3.0, "scale": 1e300},
+         "jump law 'pareto': Pareto scale 1e+300 to the power shape 3.0 overflows a float"),
     ]
 
     @pytest.mark.parametrize("place", [law_in_params, law_in_multi, law_in_sweep],
@@ -882,6 +892,14 @@ class TestPlumbing:
         cfg = write_config(tmp_path, {"params": REF_PARAMS})
         assert main(["spread", "--config", cfg]) == 2
 
+    @pytest.mark.parametrize("value", [5, True, [1], {"a": 1}])
+    @pytest.mark.parametrize("flags", [(), ("--out", "elsewhere")])
+    def test_config_out_must_be_a_path_string(self, tmp_path, capsys, value, flags):
+        cfg = write_config(tmp_path, {"params": REF_PARAMS, "out": value})
+        assert main(["spread", "--config", cfg, *flags]) == 2
+        assert (capsys.readouterr().err
+                == f"lobeq spread: config: out must be a path string, got {value!r}\n")
+
     def test_out_dir_from_config(self, tmp_path):
         cfg = write_config(tmp_path, {"params": REF_PARAMS,
                                       "out": str(tmp_path / "from_cfg")})
@@ -971,3 +989,88 @@ class TestPlumbing:
         public = {name for name, value in vars(lobeq).items()
                   if not name.startswith("_") and not isinstance(value, types.ModuleType)}
         assert sorted(public - exported) == []
+
+
+def value_paths(doc, at=()):
+    """The path of every key and list element of ``doc``, nested ones included."""
+    for key, value in (doc.items() if isinstance(doc, dict) else enumerate(doc)):
+        yield at + (key,)
+        if isinstance(value, (dict, list)):
+            yield from value_paths(value, at + (key,))
+
+
+def with_value(doc, path, value):
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+class TestMalformedValues:
+    LOGGED = dict(REF_PARAMS, r=0.15, lambda_i=0.15, lambda_u=0.85, theta=0.0, rho=0.0)
+    CONFIGS = [
+        ("shape", {"params": dict(REF_PARAMS, tick=0.0, theta=0.002, rho=0.1),
+                   "shape": {"variant": "continuous", "x_min": 0.005, "x_max": 0.1,
+                             "n_points": 5}}),
+        ("shape", {"multi": TestPlumbing.MULTI,
+                   "shape": {"variant": "multi", "x_grid": [0.01, 0.02]}}),
+        ("spread", {"params": LOGGED}),
+        ("simulate", {"params": LOGGED,
+                      "simulate": {"n_events": 200, "seed": 3, "n_levels": 4,
+                                   "record_log": True, "volume_scale": 1000, "p0": 100.0}}),
+        ("signature", {"signature": {
+            "input": "log.csv", "tick": 0.01, "reference": "micro", "horizons_s": [0.0, 1.0],
+            "clusters": [{"metric": "trade_to_trade", "thresholds": [1e7],
+                          "side": "aggressive"}]}}),
+        ("sweep", {"sweep": {"r_values": [0.5, 0.9], "f_values": [0.9], "theta_values": [0.0],
+                             "probe_x": [0.01], "jump": REF_PARAMS["jump"],
+                             "volume": REF_PARAMS["volume"], "rho": 0.0, "tick": 0.01,
+                             "offset_d": 0.0}}),
+    ]
+    VALUES = ["x", [1], {"a": 1}, True, None, 1e300, -1]
+
+    def test_no_traceback_for_any_malformed_value(self, tmp_path, monkeypatch):
+        # every key of a valid config of each command, and every element of
+        # its lists, set in turn to each value.  A fresh interpreter runs
+        # them: a path value read as a file descriptor (input: true) would
+        # close this process's standard output.  Some values are well-formed
+        # for their key ("x" as out, -1 as a horizon), so a run may succeed.
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(tmp_path, "simulate", self.CONFIGS[3][1])[0] == 0
+        os.replace(tmp_path / "out" / "mbo.csv", tmp_path / "log.csv")
+        cases = []
+        for command, valid in self.CONFIGS:
+            valid = {**valid, "seed": 1, "out": "o"}
+            assert main([command, "--config", write_config(tmp_path, valid)]) == 0, command
+            for path in value_paths(valid):
+                for value in self.VALUES:
+                    doc = with_value(valid, path, value)
+                    cases.append((command, write_config(tmp_path, doc, f"{len(cases)}.json")))
+        probe = ("import contextlib, io, json, sys, traceback\n"
+                 "from lobeq.cli import main\n"
+                 "results = []\n"
+                 "for command, config in json.loads(sys.argv[1]):\n"
+                 "    err = io.StringIO()\n"
+                 "    with contextlib.redirect_stderr(err):\n"
+                 "        try:\n"
+                 "            code = main([command, '--config', config])\n"
+                 "        except Exception:\n"
+                 "            code = 1\n"
+                 "            traceback.print_exc()\n"
+                 "    results.append((code, err.getvalue()))\n"
+                 "with open(sys.argv[2], 'w') as fh:\n"
+                 "    json.dump(results, fh)\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        results = tmp_path / "results.json"
+        proc = subprocess.run([sys.executable, "-c", probe, json.dumps(cases), str(results)],
+                              cwd=tmp_path, env=env, stdin=subprocess.DEVNULL,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        bad = []
+        for (command, config), (code, err) in zip(cases, json.loads(results.read_text())):
+            ok = code == 0 or code == 2 and err.startswith(f"lobeq {command}: ")
+            if not ok or "Traceback" in err:
+                bad.append((command, Path(config).read_text(), code, err[-300:]))
+        assert bad == []

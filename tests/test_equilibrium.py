@@ -25,11 +25,8 @@ from lobeq.equilibrium import (
     shape_continuous,
     shape_multi,
     shape_tick,
-    shape_toxic,
+    spread,
     solve_spreads,
-    spread_continuous,
-    spread_tick,
-    spread_toxic,
     strict_ceil,
     theta_bar,
 )
@@ -82,7 +79,7 @@ def quantile_by_bisection(volume, p):
 class TestSpreadContinuous:
     def test_reference_configuration(self):
         p = reference_params()
-        sol = spread_continuous(p)
+        sol = spread(p)
         rhs = 1.0 + (1.0 / (2.0 * p.f)) * (1.0 / p.r - 1.0)
         assert round(rhs, 7) == 1.0617284
         assert abs(p.jump.emax_ratio(sol.phi) - rhs) / rhs <= 1e-12
@@ -95,33 +92,33 @@ class TestSpreadContinuous:
         # the root of the closed-form solve satisfies the equation under
         # an independently integrated emax as well
         p = reference_params()
-        sol = spread_continuous(p)
+        sol = spread(p)
         rhs = 1.0 + (1.0 / (2.0 * p.f)) * (1.0 / p.r - 1.0)
         assert emax_by_quadrature(p.jump, sol.phi) == pytest.approx(rhs, rel=1e-9)
 
     def test_f_equal_one_phi_is_mu(self):
-        sol = spread_continuous(reference_params(f=1.0))
+        sol = spread(reference_params(f=1.0))
         assert sol.phi == sol.mu
 
     def test_monotone_in_f_and_r(self):
-        phi_05 = spread_continuous(reference_params(f=0.5)).phi
-        phi_09 = spread_continuous(reference_params(f=0.9)).phi
+        phi_05 = spread(reference_params(f=0.5)).phi
+        phi_09 = spread(reference_params(f=0.9)).phi
         assert phi_05 < phi_09
-        phi_r05 = spread_continuous(reference_params(r=0.5)).phi
-        phi_r09 = spread_continuous(reference_params(r=0.9)).phi
+        phi_r05 = spread(reference_params(r=0.5)).phi
+        phi_r09 = spread(reference_params(r=0.9)).phi
         assert phi_r05 < phi_r09
 
     def test_zero_spread_regimes(self):
         with pytest.raises(ZeroSpreadRegime):
-            spread_continuous(reference_params(f=0.0))
+            spread(reference_params(f=0.0))
         with pytest.raises(ZeroSpreadRegime):
-            spread_continuous(reference_params(r=None, lambda_i=0.0, lambda_u=1.0))
+            spread(reference_params(r=None, lambda_i=0.0, lambda_u=1.0))
 
     def test_explicit_branch_below_support(self):
         # heavy noise flow pushes the root below the Pareto support where
         # emax(x) = E[B]/x solves in closed form
         p = reference_params(r=0.15, f=0.9, jump=Pareto(2.5, 0.01))
-        sol = spread_continuous(p)
+        sol = spread(p)
         rhs = 1.0 + (1.0 / (2.0 * p.f)) * (1.0 / p.r - 1.0)
         assert sol.phi == pytest.approx(p.jump.mean / rhs, rel=1e-14)
         assert sol.phi < p.jump.support_inf
@@ -130,12 +127,12 @@ class TestSpreadContinuous:
 
 class TestSpreadTick:
     def test_reference_tick_quantities(self):
-        sol = spread_tick(reference_params(tick=0.01, offset_d=0.0))
+        sol = spread(reference_params(tick=0.01, offset_d=0.0))
         assert sol.k_d == 3
         assert sol.spread_tick == pytest.approx(0.04, abs=1e-15)
 
     def test_half_tick_offset(self):
-        sol = spread_tick(reference_params(tick=0.01, offset_d=0.005))
+        sol = spread(reference_params(tick=0.01, offset_d=0.005))
         assert sol.k_d == 2
         assert sol.spread_tick == pytest.approx(0.03, abs=1e-15)
 
@@ -149,7 +146,7 @@ class TestSpreadTick:
                                         (0.02, 0.013), (0.005, 0.0)])
     def test_first_occupied_level_consistency(self, tick, d):
         p = reference_params(tick=tick, offset_d=d)
-        sol = spread_tick(p)
+        sol = spread(p)
         book = shape_tick(p, 12)
         occupied = np.nonzero(book.per_level > 0.0)[0]
         assert occupied[0] + 1 == sol.k_d
@@ -158,7 +155,7 @@ class TestSpreadTick:
         # few jumps push the spread below half a tick; the very first grid
         # level then carries depth
         p = reference_params(r=0.05, f=1.0, tick=0.01, offset_d=0.005)
-        assert spread_continuous(p).phi < 0.005
+        assert spread(p).phi < 0.005
         book = shape_tick(p, 1)
         assert book.informed[0] > 0.0
 
@@ -166,10 +163,10 @@ class TestSpreadTick:
         # place the grid so that phi - d is an exact multiple of the tick:
         # the boundary level must stay empty
         p = reference_params(tick=0.01)
-        phi = spread_continuous(p).phi
+        phi = spread(p).phi
         d = phi - 0.01
         p2 = reference_params(tick=0.01, offset_d=d)
-        sol = spread_tick(p2)
+        sol = spread(p2)
         assert sol.k_d == 3
         book = shape_tick(p2, 6)
         assert book.per_level[1] == 0.0      # level 2 sits exactly at phi
@@ -200,7 +197,7 @@ class TestShapeContinuous:
 
     def test_zero_below_spread(self):
         p = reference_params()
-        phi = spread_continuous(p).phi
+        phi = spread(p).phi
         book = shape_continuous(p, [phi * 0.5, phi * 0.99, phi * 1.01, phi * 2])
         assert book.informed[0] == 0.0
         assert book.informed[1] == 0.0
@@ -257,7 +254,7 @@ class TestBreakEvenClosure:
         rng = np.random.default_rng(2024)
         for _ in range(10):
             p = random_params(rng)
-            phi = spread_continuous(p).phi
+            phi = spread(p).phi
             xs = phi * np.geomspace(1.05, 6.0, 8)
             book = shape_continuous(p, xs)
             for x, l_i, l_u in zip(xs, book.informed, book.noise):
@@ -270,7 +267,7 @@ class TestBreakEvenClosure:
         rng = np.random.default_rng(7)
         for _ in range(10):
             p = random_params(rng)
-            phi = spread_continuous(p).phi
+            phi = spread(p).phi
             xs = phi * np.geomspace(1.1, 5.0, 6)
             book = shape_continuous(p, xs)
             for x, l_closed in zip(xs, book.informed):
@@ -331,16 +328,16 @@ class TestToxicity:
     def test_zero_theta_reduces_exactly(self):
         grid = np.linspace(0.005, 0.2, 30)
         base = shape_continuous(reference_params(), grid)
-        toxic = shape_toxic(reference_params(theta=0.0, rho=0.5), grid)
+        toxic = shape_continuous(reference_params(theta=0.0, rho=0.5), grid)
         assert np.array_equal(base.informed, toxic.informed)
-        s0 = spread_continuous(reference_params())
-        st = spread_toxic(reference_params(theta=0.0, rho=0.5))
+        s0 = spread(reference_params())
+        st = spread(reference_params(theta=0.0, rho=0.5))
         assert st.phi_theta == s0.phi
 
     def test_depth_zero_at_or_below_drift(self):
         p = reference_params(theta=0.005, rho=0.0)
         tb = theta_bar(p)
-        book = shape_toxic(p, [tb * 0.5, tb, tb * 1.0001])
+        book = shape_continuous(p, [tb * 0.5, tb, tb * 1.0001])
         assert book.informed[0] == 0.0
         assert book.informed[1] == 0.0
         assert book.informed[2] == 0.0   # argument diverges to -inf just above
@@ -348,16 +345,16 @@ class TestToxicity:
     def test_toxic_shape_against_gain_root(self):
         # second implementation path: solve the toxic gain for depth
         p = reference_params(theta=0.005, rho=0.0)
-        sol = spread_toxic(p)
+        sol = spread(p)
         xs = sol.phi_theta * np.array([1.2, 1.8, 3.0])
-        book = shape_toxic(p, xs)
+        book = shape_continuous(p, xs)
         for x, l_closed in zip(xs, book.informed):
             l_root = root_solve_depth(p, x)
             assert l_root == pytest.approx(l_closed, rel=1e-7)
 
     def test_toxic_spread_ordering(self):
         p = reference_params(theta=0.005, rho=0.0)
-        sol = spread_toxic(p)
+        sol = spread(p)
         tb = theta_bar(p)
         assert sol.phi_theta > tb
         assert sol.phi_theta > sol.phi
@@ -365,7 +362,7 @@ class TestToxicity:
 
     def test_toxic_spread_large_drift_still_brackets(self):
         p = reference_params(theta=0.05, rho=0.0)   # drift far above phi
-        sol = spread_toxic(p)
+        sol = spread(p)
         assert sol.phi_theta > 0.05
         rhs = 1.0 + (1.0 - p.r) / (2.0 * p.r * p.f) * (sol.phi_theta - 0.05) / sol.phi_theta
         assert p.jump.emax_ratio(sol.phi_theta) == pytest.approx(rhs, rel=1e-10)
@@ -508,7 +505,7 @@ class TestMonotonicity:
         phi = np.empty((len(rs), len(fs)))
         for i, r in enumerate(rs):
             for j, f in enumerate(fs):
-                sol = spread_continuous(ModelParams(r=r, f=f, jump=jump, volume=volume))
+                sol = spread(ModelParams(r=r, f=f, jump=jump, volume=volume))
                 phi[i, j] = sol.phi
                 assert sol.phi <= sol.mu + 1e-15
         assert np.all(np.diff(phi, axis=0) >= -1e-12)
@@ -529,15 +526,6 @@ spread_cells = st.tuples(
 )
 
 
-def scalar_spread(p):
-    """The per-cell solve a sweep reports: toxic, else tick, else plain."""
-    if p.theta > 0.0:
-        return spread_toxic(p)
-    if p.tick > 0.0:
-        return spread_tick(p)
-    return spread_continuous(p)
-
-
 class TestBatchedSpreads:
     @settings(max_examples=60)
     @given(jump_laws, st.lists(spread_cells, min_size=1, max_size=8),
@@ -550,7 +538,7 @@ class TestBatchedSpreads:
             p = ModelParams(r=r, f=f, theta=theta, jump=jump, volume=volume,
                             rho=rho, tick=tick, offset_d=d)
             try:
-                solved.append((p, scalar_spread(p)))
+                solved.append((p, spread(p)))
             except ZeroSpreadRegime:
                 zero.append(p)
             except SolverError:
@@ -589,7 +577,7 @@ class TestBatchedSpreads:
         # emax of the lower bracket a hair below the target, so it is the root
         p = ModelParams(r=1 / 3, f=0.5, jump=Pareto(1.5, 0.047222704435068666),
                         volume=NormalVolume(10.0))
-        sol = spread_continuous(p)
+        sol = spread(p)
         assert sol.phi == pytest.approx(p.jump.support_inf, rel=1e-15) and sol.residual < 1e-15
         grid = ParamGrid(r=[p.r], f=[p.f], theta=[0.0], jump=p.jump, volume=p.volume)
         assert solve_spreads(grid).phi[0] == sol.phi
@@ -636,7 +624,6 @@ class TestEdgeDistances:
             book_curves(reference_params(), [[0.01, 0.02], [-0.5, 0.1]])
 
     def test_toxic_shape_is_the_continuous_shape(self):
-        assert shape_toxic is shape_continuous
         p = reference_params(theta=0.004, rho=0.2)
         grid = np.linspace(0.005, 0.1, 12)
         assert np.array_equal(shape_continuous(p, grid).informed, book_curves(p, grid)[0])

@@ -119,6 +119,8 @@ class TestJumpLaws:
             Pareto(1.0, 0.005)
         with pytest.raises(ValueError):
             Pareto(3.0, 0.0)
+        with pytest.raises(ValueError, match=r"^Pareto scale 1e\+300 to the power shape 3.0 "):
+            Pareto(3.0, 1e300)                      # the tail expectation needs scale**shape
         with pytest.raises(ValueError):
             Exponential(0.0)
         with pytest.raises(ValueError):
