@@ -264,22 +264,23 @@ def cmd_shape(root: _Section, out: Path, seed) -> list[str]:
     shape.only(("variant", "n_levels") if variant == "tick"
                else ("variant", "x_grid", "x_min", "x_max", "n_points"))
 
+    p = None if variant == "multi" else _params(root)
     if variant == "multi":
         book = shape_multi(_multi(root), _grid(shape))
     elif variant == "tick":
-        book = shape_tick(_params(root), shape.number("n_levels", cast=int))
+        book = shape_tick(p, shape.number("n_levels", cast=int))
     else:
-        book = shape_continuous(_params(root), _grid(shape))
+        book = shape_continuous(p, _grid(shape))
 
+    # the "effective" column, the visible book, is the informed curve
     columns = {"x": book.grid, "informed": book.informed, "noise": book.noise,
-               "effective": book.effective}
-    if book.per_level is not None:
+               "effective": book.informed}
+    if variant == "tick":
         columns["per_level"] = book.per_level
     columns.update((f"source_{k}", src) for k, src in enumerate(book.source_books or ()))
     doc = {name: [float(v) for v in col] for name, col in columns.items()}
     _write_csv_rows(out / "shape.csv", list(doc), zip(*doc.values()))
-    doc["tick"] = book.tick
-    doc["offset_d"] = book.offset_d
+    doc["tick"], doc["offset_d"] = (p.tick, p.offset_d) if p else (0.0, 0.0)
     with open(out / "shape.json", "w") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
@@ -305,7 +306,7 @@ def cmd_spread(root: _Section, out: Path, seed) -> list[str]:
 def cmd_simulate(root: _Section, out: Path, seed) -> list[str]:
     params = _params(root)
     sim = root.section("simulate", "", ("n_events", "seed", "n_levels", "record_log",
-                                         "volume_scale", "p0"))
+                                         "volume_scale"))
     sim_seed = sim.number("seed", None, int)
     if seed is None and sim_seed is None:
         raise sim.fail("a seed is required (config or --seed)")
@@ -317,7 +318,6 @@ def cmd_simulate(root: _Section, out: Path, seed) -> list[str]:
         record_log=sim.get("record_log", False),
         n_levels=sim.number("n_levels", 10, int),
         volume_scale=sim.number("volume_scale", 1_000_000, int),
-        p0=sim.number("p0", 100.0),
     )
     result = run_sim(sc)
 

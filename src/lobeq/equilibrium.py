@@ -252,14 +252,18 @@ class BookShape:
     grid: np.ndarray
     informed: np.ndarray
     noise: np.ndarray
-    effective: np.ndarray
-    tick: float = 0.0
-    offset_d: float = 0.0
-    per_level: np.ndarray | None = None
     source_books: tuple[np.ndarray, ...] | None = None
 
+    @property
+    def per_level(self) -> np.ndarray:
+        """Visible depth at each grid point: the first difference of
+        ``informed``.  Consecutive unbounded levels difference to nan: a
+        level's size is undefined once the cumulative book is infinite."""
+        with np.errstate(invalid="ignore"):
+            return np.diff(self.informed, prepend=0.0)
+
     def validate(self) -> None:
-        for name in ("informed", "noise", "effective"):
+        for name in ("informed", "noise"):
             curve = getattr(self, name)
             if len(curve) != len(self.grid):
                 raise ValueError(f"{name} curve length does not match the grid")
@@ -414,8 +418,10 @@ def _depth_curves(volume: VolumeLaw, x: np.ndarray, sources, f, tb) -> tuple[lis
         raise ValueError(f"distance {x.flat[i]} at index {at} must be a nonnegative number")
     live = x > tb
     finite = x < np.inf
-    # off the live finite set any distance above the drift keeps the formula finite
-    xl = np.where(live & finite, x, tb + 1.0)
+    # off the live finite set the formula's value is discarded: any positive
+    # stand-in other than tb keeps it finite, for every finite tb (tb + 1
+    # rounds to tb past 2**53)
+    xl = np.where(live & finite, x, np.where(tb < 1.0, tb + 1.0, tb / 2.0))
     factor = np.where(tb > 0.0, xl / (xl - tb), 1.0)
     total = sum(r for r, _ in sources)
     terms = [(r / (1.0 - total), 1.0 - jump.emax_ratio(xl)) for r, jump in sources]
@@ -464,35 +470,21 @@ def shape_continuous(p: ModelParams, x_grid) -> BookShape:
     if p.tick != 0.0:
         raise ValueError("shape_continuous requires tick = 0; use shape_tick")
     x = _positive_grid(x_grid)
-    l_i, l_u = book_curves(p, x)
-    return BookShape(grid=x, informed=l_i, noise=l_u, effective=l_i)
+    return BookShape(x, *book_curves(p, x))
 
 
 def shape_tick(p: ModelParams, n_levels: int) -> BookShape:
     """Book on the tick grid: level i sits at distance d + (i-1)*tick.
 
-    The first level at distance zero (d = 0) carries no depth.  Per-level
-    quantities are first differences of the cumulative curve.
+    The first level at distance zero (d = 0) carries no depth.  Level
+    sizes are :attr:`BookShape.per_level`.
     """
     if p.tick <= 0.0:
         raise ValueError("shape_tick requires a positive tick")
     if n_levels < 1:
         raise ValueError("n_levels must be at least 1")
     x = p.offset_d + p.tick * np.arange(n_levels, dtype=float)
-    l_i, l_u = book_curves(p, x)
-    with np.errstate(invalid="ignore"):
-        # consecutive unbounded levels difference to nan: level size is
-        # undefined once the cumulative book is infinite
-        per_level = np.diff(l_i, prepend=0.0)
-    return BookShape(
-        grid=x,
-        informed=l_i,
-        noise=l_u,
-        effective=l_i,
-        tick=p.tick,
-        offset_d=p.offset_d,
-        per_level=per_level,
-    )
+    return BookShape(x, *book_curves(p, x))
 
 
 def shape_multi(mp: MultiSourceParams, x_grid) -> BookShape:
@@ -501,9 +493,7 @@ def shape_multi(mp: MultiSourceParams, x_grid) -> BookShape:
     x = _positive_grid(x_grid)
     books, l_u = _depth_curves(mp.volume, x, [(s.r, s.jump) for s in mp.sources],
                                mp.common_f, 0.0)
-    l_eff = np.maximum.reduce(books)
-    return BookShape(grid=x, informed=l_eff, noise=l_u, effective=l_eff,
-                     source_books=tuple(books))
+    return BookShape(x, np.maximum.reduce(books), l_u, tuple(books))
 
 
 # ---------------------------------------------------------------------------

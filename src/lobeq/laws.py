@@ -21,6 +21,7 @@ global RNG state.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,11 +99,17 @@ class Pareto(JumpLaw):
             raise ValueError("Pareto shape must exceed 1 for a finite mean")
         if not self.scale > 0.0:
             raise ValueError("Pareto scale must be positive")
+        # the tail expectation's factors must be normal floats: a scale**shape
+        # that underflows times an infinite xx**(1 - shape) would be nan
         try:
-            self.scale**self.shape                   # the tail expectation's factor
+            factor = self.scale**self.shape
         except OverflowError:
+            factor = math.inf
+        if not (factor >= sys.float_info.min and math.isfinite(self.shape * factor)
+                and math.isfinite(self.mean)):
+            fault = "underflows" if factor < 1.0 else "overflows"
             raise ValueError(f"Pareto scale {self.scale} to the power shape {self.shape} "
-                             "overflows a float") from None
+                             f"{fault} a float")
 
     @property
     def mean(self) -> float:

@@ -34,8 +34,8 @@ coded fields as fixed-width text it compares as arrays, and checks field
 domains as array masks.  One order walk (:func:`_walk`: a stable sort by
 order id, then segmented cumulative sums) gives every row its lifecycle
 and its order's resting quantity; it holds parse's reference checks, and
-:func:`reconstruct` recomputes it and builds fills, lifecycles, open
-orders and quotes from its arrays.
+:func:`reconstruct` recomputes it and builds fills, lifecycles and
+quotes from its arrays.
 """
 
 from __future__ import annotations
@@ -271,7 +271,6 @@ class Replay:
     lifecycles: Lifecycles                # one per add, in feed order
     fills: Fills                          # one per execute row, in feed order
     quotes: Quotes                        # one per distinct timestamp
-    open_order_ids: list                  # resting at end of file, in the order of their adds
 
 
 # ---------------------------------------------------------------------------
@@ -813,8 +812,8 @@ def _best(side: int, shown: tuple, ends: np.ndarray, key: np.ndarray, volume: np
     return np.where(top >= 0, price[period], np.nan), np.where(top >= 0, depth, 0)
 
 
-def _lifecycles(log: EventLog, walk: _Walk) -> tuple[Lifecycles, Fills, list]:
-    """The lifecycles, fills and open order ids of a walked log without faults."""
+def _lifecycles(log: EventLog, walk: _Walk) -> tuple[Lifecycles, Fills]:
+    """The lifecycles and fills of a walked log without faults."""
     order, a, reset, rest, _ = walk
     n = order.size
     ts, oid, price, qty = log.ts_ns, log.order_id, log.price, log.qty
@@ -848,7 +847,7 @@ def _lifecycles(log: EventLog, walk: _Walk) -> tuple[Lifecycles, Fills, list]:
         side=lifecycles.side[fill_lc], price=price[executes], qty=qty[executes],
         aggressor=log.aggressor_flag[executes] == 1, participant_label=label[fill_lc],
     )
-    return lifecycles, fills, oid[adds[~ended]].tolist()
+    return lifecycles, fills
 
 
 def reconstruct(log: EventLog) -> Replay:
@@ -880,5 +879,4 @@ def reconstruct(log: EventLog) -> Replay:
     faults += book_faults
     if faults:
         raise MboReplayError(min(faults)[2])
-    lifecycles, fills, open_ids = _lifecycles(log, walk)
-    return Replay(lifecycles=lifecycles, fills=fills, quotes=quotes, open_order_ids=open_ids)
+    return Replay(*_lifecycles(log, walk), quotes=quotes)

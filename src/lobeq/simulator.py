@@ -87,7 +87,6 @@ class SimConfig:
     record_log: bool = False
     n_levels: int = 10
     volume_scale: int = 1_000_000
-    p0: float = 100.0
 
     def __post_init__(self):
         if self.n_events < 1:
@@ -120,7 +119,6 @@ class LevelPnl:
 
     maker: str                     # "IMM" | "NMM"
     level: int                     # 1-based tick index
-    distance: float                # nominal price distance of the level
     n_fills: int
     mean_gain: float
     std_err: float
@@ -232,14 +230,14 @@ def _resolve_book(cfg: SimConfig) -> BookShape:
 # ---------------------------------------------------------------------------
 
 
-def _pnl_rows(x, imm_n, imm_sum, imm_sumsq, nmm_n, nmm_sum, nmm_sumsq) -> list[LevelPnl]:
+def _pnl_rows(imm_n, imm_sum, imm_sumsq, nmm_n, nmm_sum, nmm_sumsq) -> list[LevelPnl]:
     rows = []
     for maker, cnt, s, sq in (("IMM", imm_n, imm_sum, imm_sumsq),
                               ("NMM", nmm_n, nmm_sum, nmm_sumsq)):
-        for l in range(len(x)):
+        for l in range(len(cnt)):
             n = int(cnt[l])
             if n == 0:
-                rows.append(LevelPnl(maker, l + 1, float(x[l]), 0, math.nan, math.nan))
+                rows.append(LevelPnl(maker, l + 1, 0, math.nan, math.nan))
                 continue
             mean = s[l] / n
             if n > 1:
@@ -247,7 +245,7 @@ def _pnl_rows(x, imm_n, imm_sum, imm_sumsq, nmm_n, nmm_sum, nmm_sumsq) -> list[L
                 se = math.sqrt(var / n)
             else:
                 se = math.nan
-            rows.append(LevelPnl(maker, l + 1, float(x[l]), n, mean, se))
+            rows.append(LevelPnl(maker, l + 1, n, mean, se))
     return rows
 
 
@@ -301,14 +299,14 @@ def _executed_volume(draws: EventDraws, x, eff_lvl, nmm_lvl) -> np.ndarray:
 
 
 def _run_fast(cfg: SimConfig, book: BookShape, draws: EventDraws) -> SimResult:
-    eff_lvl = np.diff(book.informed, prepend=0.0)
+    eff_lvl = book.per_level
     executed = _executed_volume(draws, book.grid, eff_lvl, _nmm_level_split(eff_lvl, book.noise))
     summary = {
         **_event_counts(draws),
         "executed_volume_per_level": executed.tolist(),
         "seed": cfg.seed,
     }
-    pnl = _pnl_rows(book.grid, *_probe_pnl(draws, book.grid, book.informed, book.noise))
+    pnl = _pnl_rows(*_probe_pnl(draws, book.grid, book.informed, book.noise))
     return SimResult(pnl=pnl, summary=summary, book=book)
 
 
@@ -317,6 +315,8 @@ def _run_fast(cfg: SimConfig, book: BookShape, draws: EventDraws) -> SimResult:
 # ---------------------------------------------------------------------------
 
 _SNAP = 1e-9
+#: the efficient price at the start of a logged run
+P0 = 100.0
 
 
 def _event_times(params: ModelParams, n_events: int, rng: np.random.Generator) -> np.ndarray:
@@ -336,7 +336,8 @@ def _grid_layout(price: np.ndarray, tick: float, n_levels: int) -> tuple[np.ndar
     as on it); the first bid level is the same index when the price is on
     the grid and the one below otherwise.
     """
-    g = price / tick
+    with np.errstate(over="ignore"):
+        g = price / tick
     exact = np.abs(g) < 2.0**52     # grid indices exact as int64 and as float64
     if not np.all(exact):
         raise ValueError(f"record_log needs a finite price path within 2**52 ticks "
@@ -393,7 +394,8 @@ class _LoggedRun:
         jump = draws.is_jump != 0
         self.moves = jump | (draws.drift != 0.0)
         steps = np.where(jump, draws.jump_size, draws.drift)[self.moves]
-        price = np.cumsum(np.concatenate(([cfg.p0], steps)))
+        with np.errstate(over="ignore", invalid="ignore"):   # _grid_layout rejects the overflow
+            price = np.cumsum(np.concatenate(([P0], steps)))
         idx, dist = _grid_layout(price, tick, cfg.n_levels)
         informed, noise = book_curves(cfg.params, dist)
         _check_bounded(informed)
@@ -416,16 +418,15 @@ class _LoggedRun:
         # the state after the initial book (at ts 0) and after each event
         state = np.concatenate(([0], np.cumsum(self.moves)))
 
-        # the ask book each event met, scored by the probe kernel afterwards:
-        # level distances for jumps and noise buys, queue depths for buys
+        # the ask book each event met, scored by the probe kernel afterwards,
+        # which reads the level distances only at jumps and noise buys and
+        # the queue depths only at buys
         before = state[:-1]
-        ask_dist = dist[before, ASK]
-        buy = (draws.noise_sign > 0)[:, None]
-        self.probe_x = np.where(jump[:, None] | buy, ask_dist, 0.0)
-        self.probe_imm = np.where(buy, informed[before, ASK], 0.0)
-        self.probe_nmm = np.where(buy, noise[before, ASK], 0.0)
+        self.probe_x = dist[before, ASK]
+        self.probe_imm = informed[before, ASK]
+        self.probe_nmm = noise[before, ASK]
         # a jump of size b sweeps the ask levels at distance <= b, a prefix
-        within = ask_dist <= draws.jump_size[:, None]
+        within = self.probe_x <= draws.jump_size[:, None]
         self.n_swept = within.sum(axis=1).tolist()
         self.jump_volume = np.where(within, lvl[before, ASK], 0).sum(axis=1).tolist()
 
@@ -595,7 +596,7 @@ def _run_logged(cfg: SimConfig, draws: EventDraws, rng: np.random.Generator) -> 
     lr.run_all()
 
     book = shape_tick(cfg.params, cfg.n_levels)
-    pnl = _pnl_rows(book.grid, *_probe_pnl(draws, lr.probe_x, lr.probe_imm, lr.probe_nmm))
+    pnl = _pnl_rows(*_probe_pnl(draws, lr.probe_x, lr.probe_imm, lr.probe_nmm))
     summary = {
         **_event_counts(draws),
         # a Python int: exact at any size, and what json.dump writes

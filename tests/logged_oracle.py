@@ -27,6 +27,7 @@ from mbo_oracle import dumps
 from lobeq.equilibrium import book_curves, shape_tick
 from lobeq.mbo import MboEvent
 from lobeq.simulator import (
+    P0,
     EventDraws,
     SimConfig,
     SimResult,
@@ -105,7 +106,7 @@ class _LoggedRun:
         self.draws = draws
         self.scale = cfg.volume_scale
         self.tick = cfg.params.tick
-        self.price = cfg.p0
+        self.price = P0
         self.rows: list[MboEvent] = []
         self.events: list[SimEvent] = []
         self.snapshots: list[tuple] = []
@@ -376,7 +377,7 @@ def run(cfg: SimConfig) -> tuple[SimResult, _LoggedRun]:
     lr.run_all(times_ns)
 
     book = shape_tick(cfg.params, cfg.n_levels)
-    pnl = _pnl_rows(book.grid, *_probe_pnl(draws, lr.probe_x, lr.probe_imm, lr.probe_nmm))
+    pnl = _pnl_rows(*_probe_pnl(draws, lr.probe_x, lr.probe_imm, lr.probe_nmm))
     executed_units = sum(
         q for ev in lr.events for (_side, _idx, q) in ev.executed_per_level
     )

@@ -130,8 +130,7 @@ def test_3_monte_carlo_zero_profit():
     book = res.book
     informed = np.concatenate([book.informed[1:], [book.informed[-1]]])
     noise_cum = np.concatenate([book.noise[1:], [book.noise[-1]]])
-    tight = BookShape(grid=book.grid, informed=informed, noise=noise_cum,
-                      effective=informed, tick=REF.tick, offset_d=0.0)
+    tight = BookShape(grid=book.grid, informed=informed, noise=noise_cum)
     res_t = run(SimConfig(params=REF, n_events=n_events, seed=7, book_mode=tight))
     squeezed = next(p for p in res_t.pnl if p.maker == "IMM" and p.level == 2)
     assert squeezed.mean_gain < -3.0 * squeezed.std_err

@@ -208,6 +208,44 @@ class TestShape:
         assert code == 0
         assert len(read_csv(out / "shape.csv")) == 4
 
+    @pytest.mark.parametrize("doc, extra, tick, offset_d", [
+        ({"params": dict(REF_PARAMS, offset_d=0.004), "shape": {"variant": "tick", "n_levels": 6}},
+         ["per_level"], 0.01, 0.004),
+        ({"params": dict(REF_PARAMS, f=0.0), "shape": {"variant": "tick", "n_levels": 4}},
+         ["per_level"], 0.01, 0.0),
+        ({"params": dict(REF_PARAMS, tick=0.0),
+          "shape": {"variant": "continuous", "x_grid": [0.001, 0.02, 0.05]}}, [], 0.0, 0.0),
+        ({"params": dict(REF_PARAMS, tick=0.0, theta=0.005, rho=0.5),
+          "shape": {"variant": "toxic", "x_grid": [0.001, 0.02, 0.05]}}, [], 0.0, 0.0),
+        ({"multi": {"sources": [{"r": 0.2, "f": 0.5, "jump": REF_PARAMS["jump"]},
+                                {"r": 0.1, "f": 0.5, "jump": {"type": "exponential",
+                                                              "rate": 80.0}}],
+                    "volume": REF_PARAMS["volume"]},
+          "shape": {"variant": "multi", "x_grid": [0.001, 0.02, 0.05]}},
+         ["source_0", "source_1"], 0.0, 0.0),
+    ], ids=["tick-offset", "tick-f0", "continuous", "toxic", "multi"])
+    def test_columns_and_parameters_of_each_variant(self, tmp_path, doc, extra, tick, offset_d):
+        code, out = run_cli(tmp_path, "shape", doc)
+        assert code == 0
+        columns = ["x", "informed", "noise", "effective", *extra]
+        with open(out / "shape.csv") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == columns
+        body = dict(zip(columns, zip(*rows[1:])))
+        assert body["effective"] == body["informed"]
+        saved = json.loads((out / "shape.json").read_text())
+        assert list(saved) == [*columns, "tick", "offset_d"]
+        assert (saved["tick"], saved["offset_d"]) == (tick, offset_d)
+        for name in columns:
+            assert np.array_equal(saved[name], np.array(body[name], dtype=float), equal_nan=True)
+        if "per_level" in extra:
+            with np.errstate(invalid="ignore"):
+                sizes = np.diff(np.array(body["informed"], dtype=float), prepend=0.0)
+            assert np.array_equal(np.array(body["per_level"], dtype=float), sizes, equal_nan=True)
+        if doc.get("params", {}).get("f") == 0.0:
+            # unbounded from the second level on: its size is inf, the next ones nan
+            assert body["per_level"] == ("0", "inf", "nan", "nan")
+
 
 class TestSpread:
     def test_reference_values(self, tmp_path):
@@ -309,7 +347,7 @@ class TestSimulate:
 
     @pytest.mark.parametrize("key, value, kind", [
         ("n_events", None, "an integer"), ("n_levels", "six", "an integer"),
-        ("n_events", math.inf, "an integer"), ("p0", [100.0], "a number"),
+        ("n_events", math.inf, "an integer"),
         ("n_events", "5", "an integer"), ("n_levels", True, "an integer"),
     ])
     def test_non_numeric_setting_names_its_key(self, tmp_path, capsys, key, value, kind):
@@ -825,6 +863,8 @@ class TestPlumbing:
         ("shape", {"multi": {**MULTI, "sources": [SOURCE, {**SOURCE, "tick": 0.01}]},
                    "shape": {"variant": "multi", "x_grid": [0.01]}},
          "multi: source 1: unknown keys ['tick']"),
+        ("simulate", {"params": REF_PARAMS, "simulate": {"n_events": 10, "seed": 1, "p0": 100.0}},
+         "simulate: unknown keys ['p0']"),
     ])
     def test_unknown_key_names_its_section(self, tmp_path, capsys, command, doc, message):
         # a section named like its command is named once, by the command
@@ -1019,7 +1059,7 @@ class TestMalformedValues:
         ("spread", {"params": LOGGED}),
         ("simulate", {"params": LOGGED,
                       "simulate": {"n_events": 200, "seed": 3, "n_levels": 4,
-                                   "record_log": True, "volume_scale": 1000, "p0": 100.0}}),
+                                   "record_log": True, "volume_scale": 1000}}),
         ("signature", {"signature": {
             "input": "log.csv", "tick": 0.01, "reference": "micro", "horizons_s": [0.0, 1.0],
             "clusters": [{"metric": "trade_to_trade", "thresholds": [1e7],
@@ -1031,12 +1071,38 @@ class TestMalformedValues:
     ]
     VALUES = ["x", [1], {"a": 1}, True, None, 1e300, -1]
 
+    @pytest.mark.parametrize("command, doc, message", [
+        ("shape", {"params": dict(REF_PARAMS, jump={"type": "pareto", "shape": 1e300,
+                                                    "scale": 0.005}),
+                   "shape": {"variant": "tick", "n_levels": 4}},
+         "params: jump law 'pareto': Pareto scale 0.005 to the power shape 1e+300 underflows "
+         "a float\n"),
+        ("shape", {"params": dict(REF_PARAMS, tick=0.0, theta=1e300),
+                   "shape": {"variant": "toxic", "x_grid": [0.01, 1e301, math.inf]}}, ""),
+        ("simulate", {"params": dict(LOGGED, theta=1e308),
+                      "simulate": {"n_events": 50, "seed": 1, "record_log": True}},
+         "record_log needs a finite price path within 2**52 ticks of zero; the price reached "),
+    ], ids=["pareto-shape-1e300", "theta-1e300", "logged-theta-1e308"])
+    def test_extreme_value_writes_only_its_error_line(self, tmp_path, capsys, command, doc,
+                                                      message):
+        # warnings are errors here: a leaked RuntimeWarning fails the run
+        code, out = run_cli(tmp_path, command, doc)
+        err = capsys.readouterr().err
+        if message:
+            assert code == 2
+            assert err.startswith(f"lobeq {command}: {message}") and err.count("\n") == 1
+        else:
+            assert (code, err) == (0, "")
+            rows = read_csv(out / "shape.csv")
+            assert [r["informed"] for r in rows] == ["0", "inf", "inf"]
+
     def test_no_traceback_for_any_malformed_value(self, tmp_path, monkeypatch):
         # every key of a valid config of each command, and every element of
         # its lists, set in turn to each value.  A fresh interpreter runs
         # them: a path value read as a file descriptor (input: true) would
         # close this process's standard output.  Some values are well-formed
         # for their key ("x" as out, -1 as a horizon), so a run may succeed.
+        # A numpy RuntimeWarning is raised, so a leaked one is a traceback.
         monkeypatch.chdir(tmp_path)
         assert run_cli(tmp_path, "simulate", self.CONFIGS[3][1])[0] == 0
         os.replace(tmp_path / "out" / "mbo.csv", tmp_path / "log.csv")
@@ -1064,7 +1130,8 @@ class TestMalformedValues:
                  "    json.dump(results, fh)\n")
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
         results = tmp_path / "results.json"
-        proc = subprocess.run([sys.executable, "-c", probe, json.dumps(cases), str(results)],
+        proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", probe,
+                               json.dumps(cases), str(results)],
                               cwd=tmp_path, env=env, stdin=subprocess.DEVNULL,
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr

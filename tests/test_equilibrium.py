@@ -2,6 +2,7 @@
 monotonicity, independent-oracle agreement."""
 
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -611,6 +612,16 @@ class TestEdgeDistances:
         assert book.informed[1] == UNBOUNDED
         # the finite distance is untouched by the infinite one
         assert informed[0] == book_curves(p, [0.03])[0][0]
+
+    @pytest.mark.parametrize("theta", [2.0**53, 1e300, 1.7e308, sys.float_info.max])
+    def test_huge_drift_raises_no_warning(self, theta):
+        # distances up to theta_bar carry no depth and an infinite one is
+        # unbounded, with no warning from the formula at the other distances
+        p = reference_params(theta=theta)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            informed, noise = book_curves(p, [0.01, theta / 2.0, theta, np.inf])
+        assert informed.tolist() == noise.tolist() == [0.0, 0.0, 0.0, UNBOUNDED]
 
     def test_nan_distance_names_its_index(self):
         with pytest.raises(ValueError, match="distance nan at index 2"):

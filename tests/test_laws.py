@@ -1,6 +1,7 @@
 """Distribution laws against independent quadrature/bisection oracles."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -125,6 +126,35 @@ class TestJumpLaws:
             Exponential(0.0)
         with pytest.raises(ValueError):
             PointMass(-0.5)
+
+    @pytest.mark.parametrize("shape, scale, fault", [
+        (1e300, 0.005, "underflows"),          # scale**shape is 0: the tail would be 0 * inf
+        (3.0, 1e-103, "underflows"),           # subnormal scale**shape
+        (1e300, 1.5, "overflows"),             # shape * scale**shape
+        (1.0 + 1e-10, 1e300, "overflows"),     # the mean
+    ])
+    def test_pareto_factors_must_be_normal_floats(self, shape, scale, fault):
+        with pytest.raises(ValueError, match=f"^Pareto scale {re.escape(str(scale))} to the "
+                                             f"power shape {re.escape(str(shape))} {fault} "
+                                             "a float$"):
+            Pareto(shape, scale)
+
+    @given(st.floats(-15.0, 300.0), st.floats(-300.0, 300.0),
+           st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=4))
+    def test_accepted_pareto_has_a_finite_tail(self, log_excess, log_scale, log_ratios):
+        # shape - 1 and the scale over many orders of magnitude, distances
+        # around the scale: no warning, a finite tail and an emax of at least 1
+        try:
+            law = Pareto(1.0 + 10.0**log_excess, 10.0**log_scale)
+        except ValueError:
+            return
+        x = law.scale * 10.0 ** np.array(log_ratios)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tail = law.tail_expectation(x)
+            ratio = law.emax_ratio(x)
+        assert np.all(np.isfinite(tail)) and np.all(tail >= 0.0)
+        assert np.all(ratio >= 1.0)
 
 
 class TestVolumeLaws:
