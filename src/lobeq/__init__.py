@@ -39,7 +39,7 @@ from .equilibrium import (
     theta_bar,
 )
 from .simulator import LevelPnl, SimConfig, SimResult, export_mbo, run
-from .mbo import EventLog, MboEvent, OrderLifecycle, Replay, encode, parse, reconstruct, write_csv
+from .mbo import EventLog, Replay, parse, reconstruct, write_csv
 from .signature import (
     ClusterSpec,
     QuoteSeries,

@@ -25,17 +25,17 @@ every order's lifecycle together with the best quotes of each timestamp.
 The read side is array code from end to end.  An :class:`EventLog` holds
 ``action`` and ``side`` as int8 indices into :data:`ACTIONS` and
 :data:`SIDES` and ``aggressor_flag`` as an int8 of -1/0/1 for
-None/False/True; iterating a table decodes them.  The write side is one
-row encoder (:func:`row_encoder`), which turns one row of codes into its
-CSV line: the logged simulator emits its rows through it, :func:`encode`
-runs a log's rows through it, and :func:`write_csv` writes the header and
-the text.  :func:`parse` reads the body in one typed C pass, the three
-coded fields as fixed-width text it compares as arrays, and checks field
-domains as array masks.  One order walk (:func:`_walk`: a stable sort by
-order id, then segmented cumulative sums) gives every row its lifecycle
-and its order's resting quantity; it holds parse's reference checks, and
-:func:`reconstruct` recomputes it and builds fills, lifecycles and
-quotes from its arrays.
+None/False/True; each table declares its columns, dtypes and codes once,
+in its ``COLUMNS``.  The write side is one row encoder
+(:func:`row_encoder`), which turns one row of codes into its CSV line: the
+logged simulator emits its rows through it, and :func:`write_csv` writes
+the header and the text.  :func:`parse` reads the body in one typed C
+pass, the three coded fields as fixed-width text it compares as arrays,
+and checks field domains as array masks.  One order walk (:func:`_walk`:
+a stable sort by order id, then segmented cumulative sums) gives every
+row its lifecycle and its order's resting quantity; it holds parse's
+reference checks, and :func:`reconstruct` recomputes it and builds fills,
+lifecycles and quotes from its arrays.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ import io
 import math
 import sys
 import warnings
+from collections import namedtuple
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from functools import partial
@@ -59,14 +60,10 @@ __all__ = [
     "ACTIONS",
     "SIDES",
     "FLAGS",
-    "MboEvent",
     "EventLog",
     "Table",
-    "Fill",
     "Fills",
-    "OrderLifecycle",
     "Lifecycles",
-    "Quote",
     "Quotes",
     "Replay",
     "MboParseError",
@@ -74,13 +71,10 @@ __all__ = [
     "parse",
     "float_text",
     "row_encoder",
-    "encode",
     "write_csv",
     "reconstruct",
 ]
 
-HEADER = ("ts_ns", "order_id", "action", "side", "price", "qty",
-          "aggressor_flag", "participant_label")
 ACTIONS = ("add", "modify", "cancel", "execute")
 SIDES = ("bid", "ask")
 ADD, MODIFY, CANCEL, EXECUTE = range(len(ACTIONS))
@@ -99,36 +93,29 @@ class MboReplayError(ValueError):
     """Event stream violates book discipline during replay."""
 
 
-@dataclass(frozen=True, slots=True)
-class MboEvent:
-    ts_ns: int
-    order_id: int
-    action: str
-    side: str
-    price: float
-    qty: int
-    aggressor_flag: bool | None = None
-    participant_label: str | None = None
-
-
 class Table:
-    """Equal-length 1-d numpy columns, one per field of the row type ``ROW``
-    (a named tuple or a dataclass) and of the dtype at the same place in
-    ``DTYPES``; the columns are attributes named after the fields.
+    """Equal-length 1-d numpy columns, one per entry of ``COLUMNS``, an
+    ordered mapping from column name to dtype; the columns are attributes
+    named after their entries.
 
-    The constructor takes each column once, by position or by field name,
-    and converts it once.  A table is read as columns: ``len``, ``take``
-    and ``columns``; iterating it gives ``ROW`` rows of Python values.
+    The constructor takes each column once, by position or by name, and
+    converts it once.  A table is read as columns: ``len``, ``take`` and
+    ``columns``.
 
-    A field named in ``CODES`` holds small integer codes for the values
-    ``CODES[field]``: code ``c`` stands for ``values[c]``, and only the
-    ``None`` that may end the values has the code -1.  The constructor
-    takes such a column as integer codes only; iteration decodes them.
+    An entry whose dtype is a tuple of values is a column of int8 codes:
+    code ``c`` stands for ``values[c]``, and only the ``None`` that may end
+    the values has the code -1.  The constructor takes such a column as
+    integer codes only.  ``Row``, a named tuple of the column names, is
+    derived once per class from ``COLUMNS``.
     """
 
-    ROW: type
-    DTYPES: tuple
-    CODES: dict[str, tuple] = {}
+    COLUMNS: dict[str, type | tuple]
+    Row: type
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "COLUMNS" in vars(cls):
+            cls.Row = namedtuple(f"{cls.__name__}Row", cls.COLUMNS)
 
     def __init__(self, *columns, **named):
         fields = self.fields()
@@ -138,13 +125,15 @@ class Table:
                              f"by position or by name; got {len(columns)} by position and "
                              f"{tuple(named)} by name")
         named.update(zip(fields, columns))
-        for name, dtype in zip(fields, self.DTYPES):
-            setattr(self, name, np.asarray(named[name], dtype=None if name in self.CODES else dtype))
+        for name, dtype in self.COLUMNS.items():
+            setattr(self, name, np.asarray(named[name], dtype=None if isinstance(dtype, tuple)
+                                           else dtype))
         cols = self.columns()
         if len({col.shape for col in cols} | {(cols[0].size,)}) != 1:
             raise ValueError(f"{type(self).__name__} columns must be 1-d and of equal length")
-        for name, values in self.CODES.items():
-            setattr(self, name, self._codes(name, getattr(self, name), values))
+        for name, values in self.COLUMNS.items():
+            if isinstance(values, tuple):
+                setattr(self, name, self._codes(name, getattr(self, name), values))
         self._check()
 
     def _codes(self, name: str, col: np.ndarray, values: tuple) -> np.ndarray:
@@ -166,16 +155,11 @@ class Table:
 
     @classmethod
     def fields(cls) -> tuple[str, ...]:
-        """The column names: the positional fields of ``ROW``, in order."""
-        return cls.ROW.__match_args__
+        """The column names, in order."""
+        return tuple(cls.COLUMNS)
 
     def columns(self) -> tuple[np.ndarray, ...]:
         return tuple(getattr(self, name) for name in self.fields())
-
-    def _values(self) -> list[np.ndarray]:
-        """The columns with codes decoded to their values."""
-        return [np.asarray(self.CODES[name], dtype=object)[col] if name in self.CODES else col
-                for name, col in zip(self.fields(), self.columns())]
 
     def take(self, rows):
         """The rows picked by a boolean mask or an index array."""
@@ -185,21 +169,29 @@ class Table:
         return len(self.columns()[0])
 
     def __iter__(self):
-        return map(self.ROW, *(col.tolist() for col in self._values()))
+        """The rows as ``Row`` tuples of Python values, codes decoded.  No
+        code of the package reads a table by rows: this stays while
+        ``perfbench/checks.py`` sums ``f.qty for f in replay.fills if not
+        f.aggressor``, and goes when that check reads columns."""
+        columns = [np.asarray(dtype, dtype=object)[col] if isinstance(dtype, tuple) else col
+                   for dtype, col in zip(self.COLUMNS.values(), self.columns())]
+        return map(self.Row, *(col.tolist() for col in columns))
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({len(self)} rows)"
 
 
 class EventLog(Table):
-    """A log as one numpy column per CSV field, in file order; its rows are
-    :class:`MboEvent`.  ``action``, ``side`` and ``aggressor_flag`` are int8
-    codes: indices into :data:`ACTIONS` and :data:`SIDES`, and -1/0/1 for
-    None/False/True."""
+    """A log as one numpy column per CSV field, in file order.  ``action``,
+    ``side`` and ``aggressor_flag`` are int8 codes: indices into
+    :data:`ACTIONS` and :data:`SIDES`, and -1/0/1 for None/False/True."""
 
-    ROW = MboEvent
-    DTYPES = (np.int64, np.int64, np.int8, np.int8, np.float64, np.int64, np.int8, object)
-    CODES = {"action": ACTIONS, "side": SIDES, "aggressor_flag": FLAGS}
+    COLUMNS = {"ts_ns": np.int64, "order_id": np.int64, "action": ACTIONS, "side": SIDES,
+               "price": np.float64, "qty": np.int64, "aggressor_flag": FLAGS,
+               "participant_label": object}
+
+
+HEADER = EventLog.fields()
 
 
 # ---------------------------------------------------------------------------
@@ -207,63 +199,36 @@ class EventLog(Table):
 # ---------------------------------------------------------------------------
 
 
-class Fill(NamedTuple):
-    """One execute row of the feed."""
-
-    row: int                          # index of the row in the log
-    lifecycle: int                    # index of the executed order's lifecycle
-    ts_ns: int
-    order_id: int
-    side: str                         # side of the executed order
-    price: float                      # execution price
-    qty: int
-    aggressor: bool
-    participant_label: str | None     # the executed order's label
-
-
-class OrderLifecycle(NamedTuple):
-    """An order from its add to its terminal event (or end of file)."""
-
-    order_id: int
-    side: str
-    add_ts: int
-    add_price: float
-    add_qty: int
-    participant_label: str | None
-    price: float                      # last resting price
-    n_updates: int
-    executed_qty: int
-    terminal_ts: int | None
-    terminal_kind: str | None         # "executed" | "canceled" | None
-
-
-class Quote(NamedTuple):
-    """The best quotes at the end of one timestamp; nan prices and zero
-    quantities on an empty side."""
-
-    ts_ns: int
-    bid: float
-    ask: float
-    bid_qty: int
-    ask_qty: int
-
-
 class Fills(Table):
-    ROW = Fill
-    DTYPES = (np.int64, np.int64, np.int64, np.int64, np.int8, np.float64, np.int64, bool, object)
-    CODES = {"side": SIDES}                     # the log's own codes
+    """The execute rows of a log, in feed order."""
+
+    COLUMNS = {"row": np.int64,                 # index of the row in the log
+               "lifecycle": np.int64,           # index of the executed order's lifecycle
+               "ts_ns": np.int64, "order_id": np.int64,
+               "side": SIDES,                   # side of the executed order
+               "price": np.float64,             # execution price
+               "qty": np.int64, "aggressor": bool,
+               "participant_label": object}     # the executed order's label
 
 
 class Lifecycles(Table):
-    ROW = OrderLifecycle
-    DTYPES = (np.int64, np.int8, np.int64, np.float64, np.int64, object, np.float64, np.int64,
-              np.int64, object, np.int8)
-    CODES = {"side": SIDES, "terminal_kind": ("canceled", "executed", None)}
+    """Orders from their add to their terminal event (or the end of the
+    log), one per add."""
+
+    COLUMNS = {"order_id": np.int64, "side": SIDES, "add_ts": np.int64, "add_price": np.float64,
+               "add_qty": np.int64, "participant_label": object,
+               "price": np.float64,             # last resting price
+               "n_updates": np.int64, "executed_qty": np.int64,
+               "terminal_ts": object,           # None while the order rests
+               "terminal_kind": ("canceled", "executed", None)}
 
 
 class Quotes(Table):
-    ROW = Quote
-    DTYPES = (np.int64, np.float64, np.float64, np.int64, np.int64)
+    """The best quotes at the end of each timestamp; nan prices and zero
+    quantities on an empty side."""
+
+    COLUMNS = {"ts_ns": np.int64, "bid": np.float64, "ask": np.float64, "bid_qty": np.int64,
+               "ask_qty": np.int64}
 
 
 @dataclass
@@ -277,7 +242,8 @@ class Replay:
 # Parsing
 # ---------------------------------------------------------------------------
 
-_NUMBERS = {"ts_ns": np.int64, "order_id": np.int64, "price": np.float64, "qty": np.int64}
+_NUMBERS = {name: dtype for name, dtype in EventLog.COLUMNS.items()
+            if dtype in (np.int64, np.float64)}
 #: the exact texts of each coded field, with their codes
 _SPELLINGS = {"action": {name: k for k, name in enumerate(ACTIONS)},
               "side": {name: k for k, name in enumerate(SIDES)},
@@ -289,11 +255,9 @@ _WIDTH = {name: max(map(len, texts)) + 1 for name, texts in _SPELLINGS.items()}
 #: fills it (and may have been cut) matches none.  Action and side are
 #: bytes; the flag is str, as a flag may be padded with any whitespace; the
 #: label stays an exact string
-_DTYPE = np.dtype([("ts_ns", np.int64), ("order_id", np.int64),
-                   ("action", f"S{_WIDTH['action']}"), ("side", f"S{_WIDTH['side']}"),
-                   ("price", np.float64), ("qty", np.int64),
-                   ("aggressor_flag", f"U{_WIDTH['aggressor_flag']}"),
-                   ("participant_label", object)])
+_FIXED = {name: f"{'U' if name == 'aggressor_flag' else 'S'}{width}"
+          for name, width in _WIDTH.items()}
+_DTYPE = np.dtype([(name, _FIXED.get(name, dtype)) for name, dtype in EventLog.COLUMNS.items()])
 _TEXT = np.dtype([(name, object) for name in HEADER])
 #: separators the C reader skips around a number as whitespace, and Python's
 #: int/float do not; and NUL, which a fixed-width text drops at its end
@@ -582,30 +546,12 @@ def row_encoder(append):
     return emit
 
 
-def encode(log: EventLog):
-    """The CSV body of an :class:`EventLog`: an iterator of text blocks of
-    :data:`BLOCK_ROWS` rows each, every row through :func:`row_encoder`."""
-    if not isinstance(log, EventLog):
-        raise TypeError(f"encode takes an EventLog, got {type(log).__name__}")
-    lines = []
-    emit = row_encoder(lines.append)
-
-    def block(start: int) -> str:
-        for row in zip(*(col[start:start + BLOCK_ROWS].tolist() for col in log.columns())):
-            emit(*row)
-        text = "".join(lines)
-        lines.clear()
-        return text
-
-    return map(block, range(0, len(log), BLOCK_ROWS))
-
-
 def write_csv(blocks, destination) -> None:
     """Write a log in the canonical schema: :data:`HEADER_LINE`, then
-    ``blocks``, its body as text (from :func:`encode`, or the ``mbo_text``
-    of a logged simulation)."""
+    ``blocks``, its body as text (the ``mbo_text`` of a logged simulation,
+    or lines from :func:`row_encoder`)."""
     if isinstance(blocks, Table):
-        raise TypeError("write_csv takes the log's text; pass mbo.encode(log)")
+        raise TypeError("write_csv takes the log's text, not a table")
     stream = hasattr(destination, "write")
     with nullcontext(destination) if stream else open(destination, "w", newline="") as out:
         out.write(HEADER_LINE)

@@ -25,7 +25,6 @@ excluded from signatures.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,7 +111,7 @@ class QuoteSeries(Quotes):
     with strictly increasing timestamps."""
 
     def _check(self) -> None:
-        if np.any(np.diff(self.ts_ns) <= 0):
+        if np.any(self.ts_ns[1:] <= self.ts_ns[:-1]):       # np.diff of int64 may wrap
             raise ValueError("snapshot timestamps must be strictly increasing")
 
     @classmethod
@@ -164,9 +163,9 @@ class TradeTable(Table):
     the resting order's lifecycle.
     """
 
-    ROW = namedtuple("Trade", ("t_ns", "order_id", "qty", "price", "participant_label",
-                               *(attr for attr, _, _ in METRICS.values())))
-    DTYPES = (np.int64, np.int64, np.int64, np.float64, object, *[np.float64] * len(METRICS))
+    COLUMNS = {"t_ns": np.int64, "order_id": np.int64, "qty": np.int64, "price": np.float64,
+               "participant_label": object,
+               **{attr: np.float64 for attr, _, _ in METRICS.values()}}
 
 
 def _run_starts(*keys) -> np.ndarray:

@@ -48,6 +48,7 @@ from __future__ import annotations
 import io
 import itertools
 import math
+import sys
 from collections import deque
 from dataclasses import dataclass
 
@@ -97,6 +98,13 @@ class SimConfig:
             raise ValueError("n_levels must be at least 1")
         if self.volume_scale < 1:
             raise ValueError("volume_scale must be a positive integer")
+        # a level's sum of squared drift gains is at most n_events * gain**2
+        theta, rho = self.params.theta, self.params.rho
+        gain = theta * (1.0 + abs(rho))
+        if gain and math.log(self.n_events) + 2 * math.log(gain) > math.log(sys.float_info.max):
+            raise ValueError(f"theta = {theta} with rho = {rho} is too large for n_events = "
+                             f"{self.n_events}: n_events * (theta * (1 + |rho|))**2 overflows "
+                             f"a float")
         if not isinstance(self.record_log, bool):
             raise ValueError(f"record_log must be true or false, got {self.record_log!r}")
         if self.book_mode is None:

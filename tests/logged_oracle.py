@@ -5,7 +5,7 @@ This is the bookkeeping loop as it ran before the logged path precomputed
 its price path and book targets: the book's layout and closed-form
 targets are recomputed with numpy at every morph (curves cached per price
 between moves), every side is morphed level by level, and each MBO row is
-built as an ``MboEvent``, which the csv-module writer of
+built as an ``EventLog.Row``, which the csv-module writer of
 ``tests/mbo_oracle.py`` turns into the result's log text.  ``run`` replays
 ``lobeq.simulator.run`` for a ``record_log`` config with it, on the same
 draws and timestamps.  It also
@@ -25,7 +25,7 @@ import numpy as np
 from mbo_oracle import dumps
 
 from lobeq.equilibrium import book_curves, shape_tick
-from lobeq.mbo import MboEvent
+from lobeq.mbo import EventLog
 from lobeq.simulator import (
     P0,
     EventDraws,
@@ -107,7 +107,7 @@ class _LoggedRun:
         self.scale = cfg.volume_scale
         self.tick = cfg.params.tick
         self.price = P0
-        self.rows: list[MboEvent] = []
+        self.rows: list[EventLog.Row] = []
         self.events: list[SimEvent] = []
         self.snapshots: list[tuple] = []
         self._oid = 0
@@ -132,7 +132,7 @@ class _LoggedRun:
         return round(idx * self.tick, 12)
 
     def _emit(self, ts, oid, action, side, price, qty, aggressor=None, label=None):
-        self.rows.append(MboEvent(
+        self.rows.append(EventLog.Row(
             ts_ns=ts, order_id=oid, action=action, side=side,
             price=round(price, 12), qty=qty,
             aggressor_flag=aggressor, participant_label=label,

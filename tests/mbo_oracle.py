@@ -3,9 +3,9 @@ oracle of ``lobeq.mbo``.
 
 ``dumps`` writes a log with :class:`csv.writer` from its columns, as
 ``lobeq.mbo.write_csv`` did before the simulator wrote the log's text
-itself: ``lobeq.mbo.encode`` must give the same bytes.  ``parse``
+itself: ``lobeq.mbo.row_encoder`` must give the same bytes.  ``parse``
 validates a log one CSV row at a time and returns a list of
-``MboEvent``; ``reconstruct`` replays any iterable of events with
+``EventLog.Row``; ``reconstruct`` replays any iterable of events with
 ``Fill`` and ``OrderLifecycle`` objects and list quote snapshots.  This is
 the code ``lobeq.mbo`` ran before its parse and replay became columnar,
 kept verbatim: the columnar versions must accept the same logs, raise the
@@ -30,7 +30,7 @@ from lobeq.mbo import (
     ACTIONS,
     HEADER,
     SIDES,
-    MboEvent,
+    EventLog,
     MboParseError,
     MboReplayError,
 )
@@ -42,7 +42,7 @@ _BLOCK = 1 << 12
 
 
 def dumps(events) -> str:
-    """The CSV text of ``events`` (an ``EventLog`` or ``MboEvent`` rows):
+    """The CSV text of ``events`` (an ``EventLog`` or its rows):
     the header, then the rows as :class:`csv.writer` writes them from the
     log's columns, a block of rows at a time, with the coded fields decoded
     to their text, prices at 17 significant digits and labels None empty."""
@@ -103,7 +103,7 @@ class Replay:
     quote_ask_qty: list
 
 
-def parse(source, tick: float | None = None) -> list[MboEvent]:
+def parse(source, tick: float | None = None) -> list[EventLog.Row]:
     """Read and validate a log; returns events in file order.
 
     Validation: exact header, field domains (finite prices), nondecreasing
@@ -118,14 +118,14 @@ def parse(source, tick: float | None = None) -> list[MboEvent]:
         return _parse_rows(csv.reader(fh), tick)
 
 
-def _parse_rows(rows, tick: float | None) -> list[MboEvent]:
+def _parse_rows(rows, tick: float | None) -> list[EventLog.Row]:
     header = next(rows, None)
     if header is None:
         raise MboParseError("row 1: missing header")
     if tuple(header) != HEADER:
         raise MboParseError(f"row 1: header {header!r} does not match {','.join(HEADER)}")
 
-    events: list[MboEvent] = []
+    events: list[EventLog.Row] = []
     live: dict[int, tuple[int, str]] = {}    # order_id -> (remaining qty, side)
     last_ts = None
     for lineno, row in enumerate(rows, start=2):
@@ -197,7 +197,7 @@ def _parse_rows(rows, tick: float | None) -> list[MboEvent]:
             else:
                 live[oid] = (resting - qty, side)
 
-        events.append(MboEvent(ts, oid, action, side, price, qty, flag, label))
+        events.append(EventLog.Row(ts, oid, action, side, price, qty, flag, label))
     return events
 
 

@@ -1,30 +1,35 @@
-"""Tables from rows: the row side of ``lobeq.mbo.Table``, for tests.
+"""Tables from rows, and a log's text from its columns: the row side of
+``lobeq.mbo.Table``, for tests.
 
 A ``lobeq`` table is built from columns, and its coded fields from
 integer codes only.  Tests and oracles write logs and expected tables as
-rows (``MboEvent``, ``Fill``, ``OrderLifecycle``, ``Quote``, a trade
-row); ``from_rows`` builds the table of such rows, encoding the value of
-each coded field to its code.  A table is compared with rows through its
+rows of each table's ``Row`` type (``EventLog.Row``, ``Fills.Row``, ...);
+``from_rows`` builds the table of such rows, encoding the value of each
+coded field to its code.  A table is compared with rows through its
 iteration: ``list(table) == rows``.  ``event_log`` is ``from_rows`` for
-an ``EventLog`` of ``MboEvent`` rows.
+an ``EventLog``, and ``csv_body`` writes a log's rows through
+``lobeq.mbo.row_encoder``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from lobeq.mbo import EventLog
+from lobeq.mbo import EventLog, row_encoder
 
 
 def from_rows(cls, rows):
-    """The ``cls`` table of an iterable of ``cls.ROW`` rows (a ``cls``
-    table as is).  A coded field's values are encoded with ``cls.CODES``;
-    ValueError naming the first row whose value is not one of them."""
+    """The ``cls`` table of an iterable of ``cls.Row`` rows (a ``cls``
+    table as is).  A coded field's values are encoded with the tuple of
+    values of its ``cls.COLUMNS`` entry; ValueError naming the first row
+    whose value is not one of them."""
     if isinstance(rows, cls):
         return rows
     rows = list(rows)
     columns = {name: [getattr(row, name) for row in rows] for name in cls.fields()}
-    for name, values in cls.CODES.items():
+    for name, values in cls.COLUMNS.items():
+        if not isinstance(values, tuple):
+            continue
         index = {value: code for code, value in enumerate(values)}
         if values[-1] is None:
             index[None] = -1
@@ -40,5 +45,14 @@ def from_rows(cls, rows):
 
 
 def event_log(rows) -> EventLog:
-    """The :class:`EventLog` of ``MboEvent`` rows (an ``EventLog`` as is)."""
+    """The :class:`EventLog` of ``EventLog.Row`` rows (an ``EventLog`` as is)."""
     return from_rows(EventLog, rows)
+
+
+def csv_body(log: EventLog) -> str:
+    """The CSV body of ``log``, every row through :func:`row_encoder`."""
+    lines = []
+    emit = row_encoder(lines.append)
+    for row in zip(*(col.tolist() for col in log.columns())):
+        emit(*row)
+    return "".join(lines)

@@ -1081,8 +1081,18 @@ class TestMalformedValues:
                    "shape": {"variant": "toxic", "x_grid": [0.01, 1e301, math.inf]}}, ""),
         ("simulate", {"params": dict(LOGGED, theta=1e308),
                       "simulate": {"n_events": 50, "seed": 1, "record_log": True}},
+         "theta = 1e+308 with rho = 0.0 is too large for n_events = 50: "),
+        ("simulate", {"params": dict(LOGGED, theta=1e100),
+                      "simulate": {"n_events": 50, "seed": 1, "record_log": True}},
          "record_log needs a finite price path within 2**52 ticks of zero; the price reached "),
-    ], ids=["pareto-shape-1e300", "theta-1e300", "logged-theta-1e308"])
+        ("simulate", {"params": dict(REF_PARAMS, theta=1e200, rho=0.5),
+                      "simulate": {"n_events": 2000, "seed": 1, "n_levels": 3}},
+         "theta = 1e+200 with rho = 0.5 is too large for n_events = 2000: "),
+        ("simulate", {"params": dict(LOGGED, theta=1.5e308, rho=0.5),
+                      "simulate": {"n_events": 50, "seed": 1, "record_log": True}},
+         "theta = 1.5e+308 with rho = 0.5 is too large for n_events = 50: "),
+    ], ids=["pareto-shape-1e300", "theta-1e300", "logged-theta-1e308", "logged-theta-1e100",
+            "fast-theta-1e200-rho", "logged-theta-1.5e308-rho"])
     def test_extreme_value_writes_only_its_error_line(self, tmp_path, capsys, command, doc,
                                                       message):
         # warnings are errors here: a leaked RuntimeWarning fails the run

@@ -19,23 +19,24 @@ from lobeq.mbo import (
     HEADER,
     SIDES,
     EventLog,
-    MboEvent,
+    Fills,
+    Lifecycles,
     MboParseError,
     MboReplayError,
-    OrderLifecycle,
-    encode,
+    Quotes,
     parse,
     reconstruct,
     write_csv,
 )
+from lobeq.signature import QuoteSeries, TradeTable
 from lobeq.simulator import SimConfig, export_mbo, run
 from test_signature import ASK_PX, BID_PX, book_streams
-from tables import event_log
+from tables import csv_body, event_log, from_rows
 from test_simulator import logged_configs
 
 
 def ev(ts, oid, action, side="ask", price=100.01, qty=10, flag=None, label=None):
-    return MboEvent(ts, oid, action, side, price, qty, flag, label)
+    return EventLog.Row(ts, oid, action, side, price, qty, flag, label)
 
 
 def parse_text(text, tick=None):
@@ -82,7 +83,7 @@ def event_streams(draw):
             live[oid] = (qty, side)
         elif action == "execute" and qty < resting:
             live[oid] = (resting - qty, side)
-        events.append(MboEvent(
+        events.append(EventLog.Row(
             ts, oid, action, side,
             draw(st.floats(allow_nan=False, allow_infinity=False)), qty,
             draw(st.sampled_from([None, True, False])),
@@ -173,12 +174,11 @@ class TestParse:
     def test_write_to_path(self, tmp_path):
         events = [ev(10, 1, "add", qty=5)]
         path = tmp_path / "log.csv"
-        write_csv(encode(event_log(events)), path)
+        write_csv([csv_body(event_log(events))], path)
         assert list(parse(path)) == events
 
     def test_write_takes_text_only(self):
-        with pytest.raises(TypeError, match=r"^write_csv takes the log's text; "
-                                            r"pass mbo.encode\(log\)$"):
+        with pytest.raises(TypeError, match=r"^write_csv takes the log's text, not a table$"):
             write_csv(event_log([ev(10, 1, "add")]), io.StringIO())
 
     @pytest.mark.parametrize("row,message", [
@@ -419,7 +419,7 @@ class TestReconstruct:
         empty = EventLog(*[np.array([])] * len(EventLog.fields()))
         assert len(empty) == 0 and empty.action.dtype == np.int8
 
-    @pytest.mark.parametrize("call", [reconstruct, encode])
+    @pytest.mark.parametrize("call", [reconstruct])
     def test_rows_are_not_a_log(self, call):
         # rows go through tests/tables.py; a list once passed as a log
         rows = [ev(10, 1, "add", qty=5)]
@@ -445,6 +445,76 @@ class TestReconstruct:
         assert open_orders(replay) == []
 
 
+# -- every table type against its rows ---------------------------------------
+
+
+TABLES = (EventLog, Fills, Lifecycles, Quotes, QuoteSeries, TradeTable)
+INT64 = np.iinfo(np.int64)
+
+
+def column(dtype):
+    """Values of one column of ``COLUMNS`` dtype ``dtype``: codes for a tuple
+    of values (-1 where it ends in None), else values of that dtype."""
+    if isinstance(dtype, tuple):
+        return st.integers(-1 if dtype[-1] is None else 0, len(dtype) - 1 - (dtype[-1] is None))
+    return {np.int64: st.integers(INT64.min, INT64.max),
+            np.float64: st.floats(),
+            bool: st.booleans(),
+            object: st.none() | st.text(max_size=3) | st.integers(-10**20, 10**20)}[dtype]
+
+
+@st.composite
+def tables(draw, cls):
+    """A ``cls`` table of random columns drawn from its ``COLUMNS``."""
+    n = draw(st.integers(0, 12))
+    columns = {name: np.array(draw(st.lists(column(dtype), min_size=n, max_size=n)),
+                              dtype=np.int8 if isinstance(dtype, tuple) else dtype)
+               for name, dtype in cls.COLUMNS.items()}
+    if issubclass(cls, QuoteSeries):                # strictly increasing timestamps
+        columns["ts_ns"] = np.array(sorted(draw(st.lists(column(np.int64), min_size=n,
+                                                         max_size=n, unique=True))))
+    return cls(**columns)
+
+
+def same_columns(got, want):
+    """Columns of one dtype each and equal bytes (equal values for objects)."""
+    for name, a, b in zip(want.fields(), got.columns(), want.columns()):
+        assert a.dtype == b.dtype, name
+        assert (a.tolist() == b.tolist() if b.dtype == object
+                else a.tobytes() == b.tobytes()), name
+
+
+def same_rows(got, want):
+    """Rows of one type and equal values, nan equal to nan."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert type(g) is type(w)
+        assert all(x == y or x != x and y != y for x, y in zip(g, w)), (g, w)
+
+
+class TestTableTypes:
+    @pytest.mark.parametrize("cls", TABLES, ids=lambda cls: cls.__name__)
+    @settings(max_examples=60)
+    @given(data=st.data())
+    def test_rows_rebuild_the_columns(self, cls, data):
+        t = data.draw(tables(cls))
+        rows = list(t)
+        assert cls.Row._fields == cls.fields() and all(type(r)._fields == cls.fields()
+                                                          for r in rows)
+        same_columns(from_rows(cls, rows), t)
+        mask = np.array(data.draw(st.lists(st.booleans(), min_size=len(t), max_size=len(t))),
+                        dtype=bool)
+        same_rows(list(t.take(mask)), [row for row, keep in zip(rows, mask) if keep])
+
+    @settings(max_examples=60)
+    @given(events=book_streams())
+    def test_passive_volume_reads_alike_as_rows_and_columns(self, events):
+        # the rows' sum is what the mbo_log benchmark check computes
+        fills = reconstruct(event_log(events)).fills
+        assert (sum(f.qty for f in fills if not f.aggressor)
+                == sum(fills.qty[~fills.aggressor].tolist()))
+
+
 # -- parity with the row-object parser and replay ---------------------------
 
 
@@ -463,8 +533,8 @@ def assert_same_replay(got, want, events):
     assert got.fills.row.tolist() == [i for i, e in enumerate(events) if e.action == "execute"]
     owner = {id(f): k for k, lc in enumerate(want.all_lifecycles) for f in lc.fills}
     assert got.fills.lifecycle.tolist() == [owner[id(f)] for f in want.fills]
-    assert list(got.lifecycles) == [OrderLifecycle(*(getattr(lc, name) for name in
-                                                     OrderLifecycle._fields))
+    assert list(got.lifecycles) == [Lifecycles.Row(*(getattr(lc, name) for name in
+                                                     Lifecycles.fields()))
                                     for lc in want.all_lifecycles]
     assert sorted(open_orders(got)) == sorted(want.open_order_ids)
     quotes = [tuple(None if isinstance(v, float) and math.isnan(v) else v for v in q)
@@ -504,18 +574,14 @@ def with_edge_rows(events):
 
 
 def assert_encodes(events):
-    """``encode`` writes ``events`` byte for byte as the csv-module oracle
-    does, and ``parse`` reads that text back to the same columns."""
+    """The row encoder writes ``events`` byte for byte as the csv-module
+    oracle does, and ``parse`` reads that text back to the same columns."""
     log = event_log(events)
-    text = mbo.HEADER_LINE + "".join(encode(log))
+    text = mbo.HEADER_LINE + csv_body(log)
     assert text == dumps(log)
     assert ",0,10,,IT\r\n" in text and ",-0,10,,NT\r\n" in text
     assert ",0.30000000000000004,10,,IMM\r\n" in text
-    back = parse(io.StringIO(text, newline=""))
-    for name, got, want in zip(EventLog.fields(), back.columns(), log.columns()):
-        assert got.dtype == want.dtype, name
-        assert (got.tolist() == want.tolist() if want.dtype == object
-                else got.tobytes() == want.tobytes()), name
+    same_columns(parse(io.StringIO(text, newline="")), log)
 
 
 class TestEncoder:
@@ -616,7 +682,7 @@ class TestMatchesOracle:
         i = where % len(events)
         value = data.draw({"qty": st.integers(0, 6), "price": st.sampled_from(BID_PX + ASK_PX),
                            "order_id": st.integers(1, 8)}[change])
-        events[i] = dataclasses.replace(events[i], **{change: value})
+        events[i] = events[i]._replace(**{change: value})
         assume(outcome(parse, io.StringIO(dumps(events)))[0] == "ok")
         assert_replay_parity(events)
 
@@ -706,7 +772,7 @@ class TestParseEdges:
     def test_single_row(self):
         log = parse_text(f"{HEADER_LINE}\n{self.ROW}")
         assert list(log) == [ev(10, 1, "add", qty=5)]
-        assert [type(v) for v in dataclasses.astuple(list(log)[0])] == [
+        assert [type(v) for v in list(log)[0]] == [
             int, int, str, str, float, int, type(None), type(None)]
 
     @pytest.mark.parametrize("newline", ["\n", "\r\n"])

@@ -15,7 +15,7 @@ from mbo_oracle import dumps
 from tables import event_log, from_rows
 from lobeq.equilibrium import ModelParams
 from lobeq.laws import NormalVolume, Pareto
-from lobeq.mbo import EventLog, Fills, Lifecycles, MboEvent, Quotes, parse, reconstruct
+from lobeq.mbo import EventLog, Fills, Lifecycles, Quotes, parse, reconstruct
 from lobeq.signature import (
     METRICS,
     ClusterSpec,
@@ -312,6 +312,8 @@ class TestTradeTable:
             QuoteSeries([1, 2], [1.0], [2.0], [1], [1]).reference([5], "mid")
         with pytest.raises(ValueError, match="strictly increasing"):
             QuoteSeries([2, 2], [1.0, 1.0], [2.0, 2.0], [1, 1], [1, 1])
+        # timestamps further apart than int64 reaches are still increasing
+        QuoteSeries([-5 * 10**18, 5 * 10**18], [1.0, 1.0], [2.0, 2.0], [1, 1], [1, 1])
 
     def test_quote_series_shares_the_replay_columns(self, sim_replay):
         quotes = QuoteSeries.from_replay(sim_replay)
@@ -375,7 +377,7 @@ def book_streams(draw):
 
     def emit(oid, action, price, qty, flag=None):
         side, _, _, label = live[oid]
-        events.append(MboEvent(ts, oid, action, side, price, qty, flag, label))
+        events.append(EventLog.Row(ts, oid, action, side, price, qty, flag, label))
 
     def remove(oid):
         side, price = live[oid][:2]
@@ -455,14 +457,15 @@ class TestTablesMatchRecordsOracle:
         # order 2 buys, is fully executed, and comes back at the same
         # nanosecond to sell: its fills are consecutive, so they form one
         # sweep signed by its first fill
-        events = [MboEvent(0, 1, "add", "ask", 100.25, 2),
-                  MboEvent(0, 3, "add", "bid", 100.0, 2),
-                  MboEvent(1, 2, "add", "bid", 100.25, 2, None, "IT"),
-                  MboEvent(1, 1, "execute", "ask", 100.25, 2, False),
-                  MboEvent(1, 2, "execute", "bid", 100.25, 2, True, "IT"),
-                  MboEvent(1, 2, "add", "ask", 100.0, 1, None, "NT"),
-                  MboEvent(1, 3, "execute", "bid", 100.0, 1, False),
-                  MboEvent(1, 2, "execute", "ask", 100.0, 1, True, "NT")]
+        Row = EventLog.Row
+        events = [Row(0, 1, "add", "ask", 100.25, 2, None, None),
+                  Row(0, 3, "add", "bid", 100.0, 2, None, None),
+                  Row(1, 2, "add", "bid", 100.25, 2, None, "IT"),
+                  Row(1, 1, "execute", "ask", 100.25, 2, False, None),
+                  Row(1, 2, "execute", "bid", 100.25, 2, True, "IT"),
+                  Row(1, 2, "add", "ask", 100.0, 1, None, "NT"),
+                  Row(1, 3, "execute", "bid", 100.0, 1, False, None),
+                  Row(1, 2, "execute", "ask", 100.0, 1, True, "NT")]
         replay = reconstruct(event_log(events))
         aggressive, passive = trade_tables(replay)
         assert aggressive.qty.tolist() == [2, 1]

@@ -12,10 +12,10 @@ from hypothesis import given, settings, strategies as st
 
 import logged_oracle
 from mbo_oracle import dumps
-from tables import event_log
+from tables import csv_body, event_log
 from lobeq.equilibrium import BookShape, ModelParams, book_curves, shape_tick
 from lobeq.laws import Exponential, NormalVolume, Pareto, PointMass
-from lobeq.mbo import EventLog, MboEvent, Quotes, encode, parse, reconstruct, write_csv
+from lobeq.mbo import EventLog, Quotes, parse, reconstruct, write_csv
 from lobeq.simulator import (
     SimConfig,
     _event_times,
@@ -180,6 +180,23 @@ class TestFastPath:
         with pytest.raises(ValueError, match="^seed must be a nonnegative integer, got -1$"):
             SimConfig(params=REF, n_events=10, seed=-1)
 
+    def test_overflowing_drift_gains_are_rejected(self):
+        # n_events * (theta * (1 + |rho|))**2 bounds a level's sum of squared
+        # drift gains: a config where it overflows is rejected before any draw
+        with pytest.raises(ValueError, match=r"^theta = 1e\+200 with rho = 0.5 is too large for "
+                                             r"n_events = 2000: n_events \* \(theta \* "
+                                             r"\(1 \+ \|rho\|\)\)\*\*2 overflows a float$"):
+            SimConfig(params=dataclasses.replace(REF, theta=1e200, rho=0.5), n_events=2000, seed=0)
+        with pytest.raises(ValueError, match=r"^theta = 1.5e\+308 with rho = -0.5 is too large"):
+            SimConfig(params=dataclasses.replace(REF, theta=1.5e308, rho=-0.5), n_events=1, seed=0)
+        # a finite bound passes, and an n_events beyond the float range is no
+        # OverflowError
+        SimConfig(params=dataclasses.replace(REF, theta=1e150, rho=0.5), n_events=2000, seed=0)
+        for theta in (0.0, 1e-300):
+            SimConfig(params=dataclasses.replace(REF, theta=theta), n_events=10**400, seed=0)
+        with pytest.raises(ValueError, match="is too large for n_events"):
+            SimConfig(params=dataclasses.replace(REF, theta=1.0), n_events=10**400, seed=0)
+
 
 LOGGED_RUN = SimConfig(params=LOGGED, n_events=4000, seed=11, record_log=True,
                        n_levels=8, volume_scale=1000)
@@ -320,9 +337,9 @@ class TestLoggedErrors:
             run(SimConfig(params=params, n_events=10, seed=0, record_log=True))
 
     def test_price_path_must_stay_on_a_finite_grid(self):
-        # a drift of 1e308 overflows the path and its grid index, with no
+        # a drift of 1e100 takes the path beyond 2**52 ticks, with no
         # RuntimeWarning on the way to the error
-        params = dataclasses.replace(LOGGED, theta=1e308)
+        params = dataclasses.replace(LOGGED, theta=1e100)
         with pytest.raises(ValueError, match="^record_log needs a finite price path"):
             run(SimConfig(params=params, n_events=10, seed=0, record_log=True))
 
@@ -338,6 +355,7 @@ class TestLoggedErrors:
         total = res.summary["executed_units_total"]
         assert total > 2**63
         assert total == sum(f.qty for f in replay.fills if not f.aggressor)
+        assert total == sum(replay.fills.qty[~replay.fills.aggressor].tolist())
 
 
 @st.composite
@@ -401,10 +419,10 @@ class TestLoggedOracle:
 
 
 class TestEventLog:
-    ROWS = [MboEvent(1, 1, "add", "ask", 100.01, 5, None, "NMM"),
-            MboEvent(2, 2, "add", "bid", 100.01, 5, None, "IT"),
-            MboEvent(2, 1, "execute", "ask", 100.01, 5, False, "NMM"),
-            MboEvent(2, 2, "execute", "bid", 100.01, 5, True, "IT")]
+    ROWS = [EventLog.Row(1, 1, "add", "ask", 100.01, 5, None, "NMM"),
+            EventLog.Row(2, 2, "add", "bid", 100.01, 5, None, "IT"),
+            EventLog.Row(2, 1, "execute", "ask", 100.01, 5, False, "NMM"),
+            EventLog.Row(2, 2, "execute", "bid", 100.01, 5, True, "IT")]
 
     def test_rows_and_equality(self):
         log = event_log(self.ROWS)
@@ -425,13 +443,15 @@ class TestEventLog:
                            for i, col in enumerate(arrays.columns())))
         from_lists = EventLog(*lists)
         for log in (from_lists, mixed):
-            assert [col.dtype for col in log.columns()] == list(map(np.dtype, EventLog.DTYPES))
+            assert [col.dtype for col in log.columns()] == [
+                np.dtype(np.int8 if isinstance(dtype, tuple) else dtype)
+                for dtype in EventLog.COLUMNS.values()]
             assert list(log) == list(arrays) == self.ROWS
             assert list(log) != self.ROWS[::-1]
             assert list(log) != list(event_log(self.ROWS[::-1]))
-            assert [type(v) for v in dataclasses.astuple(list(log)[2])] == [
+            assert [type(v) for v in list(log)[2]] == [
                 int, int, str, str, float, int, bool, str]
-            assert [type(v) for v in dataclasses.astuple(next(iter(log)))] == [
+            assert [type(v) for v in next(iter(log))] == [
                 int, int, str, str, float, int, type(None), str]
             assert dumps(log) == dumps(self.ROWS)
             assert list(parse(io.StringIO(dumps(log)))) == list(log)
@@ -441,10 +461,10 @@ class TestEventLog:
             EventLog([1], [1], [0], [1], [1.0], [1], [-1], [])
 
     def test_written_like_its_rows(self):
-        rows = self.ROWS + [MboEvent(3, 3, "add", "ask", -0.0, 1),
-                            MboEvent(3, 4, "add", "ask", 0.0, 1)]
+        rows = self.ROWS + [EventLog.Row(3, 3, "add", "ask", -0.0, 1, None, None),
+                            EventLog.Row(3, 4, "add", "ask", 0.0, 1, None, None)]
         buf = io.StringIO()
-        write_csv(encode(event_log(rows)), buf)
+        write_csv([csv_body(event_log(rows))], buf)
         assert buf.getvalue() == dumps(rows)
         assert list(parse(io.StringIO(buf.getvalue()))) == rows
         assert ",-0,1,," in buf.getvalue() and ",0,1,," in buf.getvalue()
