@@ -27,15 +27,18 @@ The read side is array code from end to end.  An :class:`EventLog` holds
 :data:`SIDES` and ``aggressor_flag`` as an int8 of -1/0/1 for
 None/False/True; each table declares its columns, dtypes and codes once,
 in its ``COLUMNS``.  The write side is one row encoder
-(:func:`row_encoder`), which turns one row of codes into its CSV line: the
-logged simulator emits its rows through it, and :func:`write_csv` writes
-the header and the text.  :func:`parse` reads the body in one typed C
-pass, the three coded fields as fixed-width text it compares as arrays,
-and checks field domains as array masks.  One order walk (:func:`_walk`:
-a stable sort by order id, then segmented cumulative sums) gives every
-row its lifecycle and its order's resting quantity; it holds parse's
-reference checks, and :func:`reconstruct` recomputes it and builds fills,
-lifecycles and quotes from its arrays.
+(:func:`row_encoder`), which puts one row's CSV line together from its
+timestamp, order id, price text and quantity and the fixed text of its
+kind (:func:`row_kind`: the head ``,<action>,<side>,`` and the tail
+``,<flag>,<label>``, made from the codes): the logged simulator makes each
+kind's text once and each price's once, and emits its rows through it,
+and :func:`write_csv` writes the header and the text.  :func:`parse`
+reads the body in one typed C pass, the three coded fields as fixed-width
+text it compares as arrays, and checks field domains as array masks.  One
+order walk (:func:`_walk`: a stable sort by order id, then segmented
+cumulative sums) gives every row its lifecycle and its order's resting
+quantity; it holds parse's reference checks, and :func:`reconstruct`
+recomputes it and builds fills, lifecycles and quotes from its arrays.
 """
 
 from __future__ import annotations
@@ -70,6 +73,7 @@ __all__ = [
     "MboReplayError",
     "parse",
     "float_text",
+    "row_kind",
     "row_encoder",
     "write_csv",
     "reconstruct",
@@ -501,28 +505,14 @@ def float_text(x: float) -> str:
     return f"{x:.17g}"
 
 
-class _PriceText(dict):
-    """Text of each distinct price, formatted on first sight.
-    Zeros are not kept: 0.0 and -0.0 are one key but two texts."""
-
-    def __missing__(self, price: float) -> str:
-        text = float_text(price)
-        if price:
-            self[price] = text
-        return text
-
-
-class _LabelText(dict):
-    """CSV field of each distinct participant label (None is empty), quoted
-    as :class:`csv.writer` quotes a field holding a comma, a quote or a line
+def _label_text(label) -> str:
+    """CSV field of a participant label (None is empty), quoted as
+    :class:`csv.writer` quotes a field holding a comma, a quote or a line
     break."""
-
-    def __missing__(self, label) -> str:
-        text = "" if label is None else str(label)
-        if any(c in text for c in ',"\r\n'):
-            text = '"' + text.replace('"', '""') + '"'
-        self[label] = text
-        return text
+    text = "" if label is None else str(label)
+    if any(c in text for c in ',"\r\n'):
+        text = '"' + text.replace('"', '""') + '"'
+    return text
 
 
 HEADER_LINE = ",".join(HEADER) + "\r\n"
@@ -531,17 +521,27 @@ _FLAG_TEXT = ("false", "true", "")             # by flag code, -1 last
 BLOCK_ROWS = 1 << 12
 
 
-def row_encoder(append):
-    """``emit(ts, oid, action, side, price, qty, flag, label)``: ``append``
-    the CSV line of one row, with action, side and aggressor flag given as
-    their :class:`EventLog` codes.  This is the one writer of the format:
-    each distinct price is formatted once, and the line ends in ``\\r\\n``
-    as :class:`csv.writer` ends it."""
-    price_text, label_text = _PriceText(), _LabelText()
+def row_kind(action: int, side: int, flag: int, label) -> tuple[str, str]:
+    """``(head, tail)``, the fixed text of every row of one kind, given
+    action, side and aggressor flag as their :class:`EventLog` codes: the
+    head ``,<action>,<side>,`` and the tail ``,<flag>,<label>\\r\\n``,
+    the label quoted as :class:`csv.writer` quotes it, which
+    :func:`row_encoder` puts around a row's own fields."""
+    return (f",{ACTIONS[action]},{SIDES[side]},",
+            f",{_FLAG_TEXT[flag]},{_label_text(label)}\r\n")
 
-    def emit(ts, oid, action, side, price, qty, flag, label):
-        append(f"{ts},{oid},{ACTIONS[action]},{SIDES[side]},{price_text[price]},{qty},"
-               f"{_FLAG_TEXT[flag]},{label_text[label]}\r\n")
+
+def row_encoder(append):
+    """``emit(ts, oid, kind, price, qty)``: ``append`` the CSV line of one
+    row, with ``ts``, ``oid`` and ``qty`` as integers or their text,
+    ``kind`` from :func:`row_kind` and ``price`` as its :func:`float_text`.
+    This is the one writer of the format; a caller that writes many rows
+    makes the text of each timestamp, price and kind once.  The line ends
+    in ``\\r\\n`` as :class:`csv.writer` ends it."""
+
+    def emit(ts, oid, kind, price, qty):
+        head, tail = kind
+        append(f"{ts},{oid}{head}{price},{qty}{tail}")
 
     return emit
 

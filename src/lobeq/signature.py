@@ -175,10 +175,17 @@ def _run_starts(*keys) -> np.ndarray:
     return start
 
 
+def _elapsed(later: np.ndarray, earlier: np.ndarray) -> np.ndarray:
+    """``later - earlier`` in float for int64 ns times with ``later >=
+    earlier``: the true difference lies in [0, 2**64), where the uint64
+    views subtract exactly and the int64 ones wrap past 2**63."""
+    return (later.view(np.uint64) - earlier.view(np.uint64)).astype(float)
+
+
 def _since_last(times: np.ndarray, t: np.ndarray) -> np.ndarray:
     """``t`` minus the last of the sorted ``times`` strictly before it (nan if none)."""
     i = np.searchsorted(times, t, side="left") - 1
-    return np.where(i >= 0, t - times[np.maximum(i, 0)], np.nan)
+    return np.where(i >= 0, _elapsed(t, times[np.maximum(i, 0)]), np.nan)
 
 
 def _add_to_add(ts: np.ndarray, bid: np.ndarray, price: np.ndarray) -> np.ndarray:
@@ -190,7 +197,7 @@ def _add_to_add(ts: np.ndarray, bid: np.ndarray, price: np.ndarray) -> np.ndarra
     prev = np.maximum.accumulate(np.where(_run_starts(bid, price, ts), np.arange(ts.size), 0)) - 1
     same = (prev >= 0) & (bid[prev] == bid) & (price[prev] == price)
     out = np.empty(ts.size)
-    out[order] = np.where(same, ts - ts[prev], np.nan)
+    out[order] = np.where(same, _elapsed(ts, ts[prev]), np.nan)
     return out
 
 

@@ -39,8 +39,11 @@ drift, both drawn up front, so the whole price path and the integer
 targets of every book state (one ``book_curves`` call for all states and
 both sides) are computed before the loop; the loop only moves orders and
 writes each row as its CSV line through :func:`lobeq.mbo.row_encoder`,
-joining the lines into blocks of text between events.  The ask book each
-event met is read from the same state tables and passed to the kernel.
+joining the lines into blocks of text between events.  Between moves each
+side holds exactly its state's targets, so a noise trade that does not
+move the price is refilled from what its sweep took, and a whole side is
+re-targeted only at a move.  The ask book each event met is read from the
+same state tables and passed to the kernel.
 """
 
 from __future__ import annotations
@@ -361,33 +364,48 @@ def _grid_layout(price: np.ndarray, tick: float, n_levels: int) -> tuple[np.ndar
     return idx, np.maximum(dist, 0.0)
 
 
-class _Order:
-    __slots__ = ("oid", "participant", "qty")
+class _Queue(deque):
+    """One maker's orders at one level, oldest first, as (order id, units)
+    pairs, and their total units."""
 
-    def __init__(self, oid: int, participant: str, qty: int):
-        self.oid = oid
-        self.participant = participant
-        self.qty = qty
+    __slots__ = ("units",)
+
+    def __init__(self):              # deque.__new__ made it empty
+        self.units = 0
+
+
+#: maker codes: the queue of each maker at a level, and its label
+IMM, NMM = 0, 1
+_MAKERS = ("IMM", "NMM")
 
 
 class _LoggedRun:
     """Sequential bookkeeping run emitting the market-by-order log.
 
     The ask book and the mirrored bid book live on the absolute tick grid;
-    after every event the touched side is morphed back to the closed-form
+    after every event the touched side is brought back to the closed-form
     target volumes around the current efficient price (static-book
     replenishment, realised as whole-order cancels and adds in the log).
-    ``_morph`` adds each maker's deficit at a level as one order at the
-    back of the queue and cancels an excess from that maker's newest
-    orders; ``_sweep`` fills from the front.  So a queue is in arrival
-    order, and an informed order may wait behind a noise order.
+    A level holds one queue per maker.  ``_morph`` adds each maker's
+    deficit at a level as one order at the back of its queue and cancels an
+    excess from that maker's newest orders; ``_sweep`` fills from the
+    front, oldest order id first across both queues.  So a level is in
+    arrival order, and an informed order may wait behind a noise order.
 
     The price moves only at jumps and at nonzero noise drift, so its whole
     path, and with it every book the run will target, is computed before
     the event loop: state ``s`` is the price after the ``s``-th move.  The
     loop only moves orders and appends rows.  Between moves each side
     holds exactly its state's targets after every event, so the volume
-    within a jump and the probe rows are read from the state tables.
+    within a jump and the probe rows are read from the state tables, and
+    after a noise sweep that does not move the price each maker's deficit
+    at a walked level is what the sweep filled from that maker there:
+    ``_refill`` re-adds the sweep's takes, level by level from near to
+    far, informed before noise, and ``_morph`` runs only for new states.
+
+    Each row's text is put together from parts made once: the timestamp
+    once per event, each grid price once per index, and the head and tail
+    of each row kind (:func:`lobeq.mbo.row_kind`) once per run.
     """
 
     def __init__(self, cfg: SimConfig, draws: EventDraws, times_ns: np.ndarray):
@@ -420,9 +438,9 @@ class _LoggedRun:
         self.idx = idx.tolist()
         self.imm = (lvl - nmm).tolist()
         self.nmm = nmm.tolist()
-        # keep grid prices identical to their CSV round-trip (a set, not
-        # np.unique, which would import numpy.ma)
-        self.px = {i: round(i * tick, 12) for i in set(idx.ravel().tolist())}
+        # the text of each grid price, rounded to keep it identical to its
+        # CSV round-trip (a set, not np.unique, which would import numpy.ma)
+        self.px = {i: mbo.float_text(round(i * tick, 12)) for i in set(idx.ravel().tolist())}
         # the state after the initial book (at ts 0) and after each event
         state = np.concatenate(([0], np.cumsum(self.moves)))
 
@@ -438,7 +456,17 @@ class _LoggedRun:
         self.n_swept = within.sum(axis=1).tolist()
         self.jump_volume = np.where(within, lvl[before, ASK], 0).sum(axis=1).tolist()
 
-        self.levels: tuple[dict[int, deque], dict[int, deque]] = ({}, {})
+        # side -> grid index -> the (IMM, NMM) queues of the level
+        self.levels: tuple[dict[int, tuple], dict[int, tuple]] = ({}, {})
+        # row kinds by side: a maker's rows by maker code, an aggressor's by
+        # its label
+        kind = mbo.row_kind
+        self._add = [[kind(ADD, side, -1, m) for m in _MAKERS] for side in (BID, ASK)]
+        self._cancel = [[kind(CANCEL, side, -1, m) for m in _MAKERS] for side in (BID, ASK)]
+        self._execute = [[kind(EXECUTE, side, 0, m) for m in _MAKERS] for side in (BID, ASK)]
+        self._aggressor = [{label: (kind(ADD, side, -1, label), kind(EXECUTE, side, 1, label),
+                                    kind(CANCEL, side, -1, label))
+                            for label in ("IT", "NT")} for side in (BID, ASK)]
         # the log's text: each row is encoded as it is emitted, and the lines
         # are joined into blocks between events, so no string per row outlives
         # its block
@@ -451,117 +479,137 @@ class _LoggedRun:
 
     # -- replenishment ----------------------------------------------------------
 
-    def _morph(self, ts: int, side: int, s: int, n_levels: int | None = None) -> None:
+    def _morph(self, ts: str, side: int, s: int) -> None:
         """Cancel/add whole orders until ``side`` matches the targets of
-        state ``s``: every level when the state is new, only the first
-        ``n_levels`` (the ones a sweep walked) otherwise."""
-        book = self.levels[side]
+        the new state ``s``: levels outside its layout are cancelled in
+        queue order, then each level is re-targeted near to far, informed
+        before noise."""
+        book, pxs, emit = self.levels[side], self.px, self._emit
         idxs = self.idx[s][side]
-        if n_levels is None:
-            lo, hi = (idxs[0], idxs[-1]) if side == ASK else (idxs[-1], idxs[0])
-            for idx in [i for i in book if not lo <= i <= hi]:
-                for order in book.pop(idx):
-                    self._emit(ts, order.oid, CANCEL, side, self.px[idx],
-                               order.qty, -1, order.participant)
-            n_levels = len(idxs)
-        for idx, imm_q, nmm_q in zip(idxs[:n_levels], self.imm[s][side][:n_levels],
-                                     self.nmm[s][side][:n_levels]):
-            dq = book.get(idx)
-            if dq is None:
-                dq = book[idx] = deque()
-            have_imm = have_nmm = 0
-            for order in dq:
-                if order.participant == "IMM":
-                    have_imm += order.qty
-                else:
-                    have_nmm += order.qty
-            px = self.px[idx]
-            for maker, excess in (("IMM", have_imm - imm_q), ("NMM", have_nmm - nmm_q)):
-                if excess > 0:
-                    for order in reversed(list(dq)):
-                        if excess <= 0:
-                            break
-                        if order.participant != maker:
-                            continue
-                        self._emit(ts, order.oid, CANCEL, side, px, order.qty, -1, maker)
-                        dq.remove(order)
-                        excess -= order.qty
-                if excess < 0:
-                    oid = self._next_oid()
-                    dq.append(_Order(oid, maker, -excess))
-                    self._emit(ts, oid, ADD, side, px, -excess, -1, maker)
+        lo, hi = (idxs[0], idxs[-1]) if side == ASK else (idxs[-1], idxs[0])
+        cancel, add, retarget = self._cancel[side], self._add[side], self._retarget
+        for idx in [i for i in book if not lo <= i <= hi]:
+            px = pxs[idx]
+            queues = book.pop(idx)
+            for oid, m, qty in sorted((oid, m, qty) for m in (IMM, NMM)
+                                      for oid, qty in queues[m]):
+                emit(ts, oid, cancel[m], px, qty)
+        for idx, want_imm, want_nmm in zip(idxs, self.imm[s][side], self.nmm[s][side]):
+            queues = book.get(idx)
+            if queues is None:
+                queues = book[idx] = (_Queue(), _Queue())
+            imm_q, nmm_q = queues
+            if imm_q.units != want_imm:
+                retarget(ts, imm_q, want_imm, cancel[IMM], add[IMM], pxs[idx])
+            if nmm_q.units != want_nmm:
+                retarget(ts, nmm_q, want_nmm, cancel[NMM], add[NMM], pxs[idx])
+
+    def _refill(self, ts: str, side: int, taken: list) -> None:
+        """Re-add what a sweep took from ``side`` at its state's targets:
+        ``taken`` holds (grid index, IMM units, NMM units) per level the
+        fills reached, near to far."""
+        book, pxs = self.levels[side], self.px
+        cancel, add, retarget = self._cancel[side], self._add[side], self._retarget
+        for idx, took_imm, took_nmm in taken:
+            imm_q, nmm_q = book[idx]
+            if took_imm:
+                retarget(ts, imm_q, imm_q.units + took_imm, cancel[IMM], add[IMM], pxs[idx])
+            if took_nmm:
+                retarget(ts, nmm_q, nmm_q.units + took_nmm, cancel[NMM], add[NMM], pxs[idx])
+
+    def _retarget(self, ts: str, queue: _Queue, want: int, cancel: tuple, add: tuple,
+                  px: str) -> None:
+        """Bring one maker's ``queue`` at the level priced ``px`` to
+        ``want`` units: cancel its newest orders while it holds more, then
+        add what it lacks as one order at its back (row kinds ``cancel``
+        and ``add``)."""
+        excess = queue.units - want
+        queue.units = want
+        emit = self._emit
+        while excess > 0:
+            oid, qty = queue.pop()
+            emit(ts, oid, cancel, px, qty)
+            excess -= qty
+        if excess < 0:
+            oid = self._next_oid()
+            queue.append((oid, -excess))
+            emit(ts, oid, add, px, -excess)
 
     # -- aggressive executions ------------------------------------------------
 
-    def _sweep(self, ts: int, side: int, idxs: list[int], budget: int,
-               label: str, limit_price: float | None = None) -> int:
+    def _sweep(self, ts: str, side: int, idxs: list[int], budget: int,
+               label: str, limit_idx: int | None = None) -> list:
         """Execute ``budget`` (> 0) units against ``side`` walking ``idxs``
-        and return how many levels the fills walked, from ``idxs[0]`` to
-        the last level filled (0 when nothing filled).
+        and return what the fills took: (grid index, IMM units, NMM units)
+        for each level filled, near to far.
 
         The fill list is computed first, then the rows are emitted in feed
-        order: aggressor add, execute pairs (passive row then the
+        order: aggressor add (at the grid price ``limit_idx``, by default
+        the last level filled), execute pairs (passive row then the
         aggressor's mirror row), cancel of the unfilled remainder.
         """
-        book = self.levels[side]
-        fills = []                      # (idx, oid, participant, qty)
+        book, pxs = self.levels[side], self.px
+        fills = []                      # (price text, oid, maker, qty)
+        taken = []
         remaining = budget
         for idx in idxs:
-            if remaining == 0:
+            imm_q, nmm_q = book[idx]
+            had_imm, had_nmm = imm_q.units, nmm_q.units
+            px = pxs[idx]
+            while imm_q or nmm_q:
+                # the older front order, by order id
+                if nmm_q and not (imm_q and imm_q[0] < nmm_q[0]):
+                    m, queue = NMM, nmm_q
+                else:
+                    m, queue = IMM, imm_q
+                oid, qty = queue[0]
+                if qty > remaining:
+                    queue[0] = (oid, qty - remaining)
+                    qty = remaining
+                else:
+                    queue.popleft()
+                queue.units -= qty
+                fills.append((px, oid, m, qty))
+                remaining -= qty
+                if not remaining:
+                    break
+            if had_imm + had_nmm > imm_q.units + nmm_q.units:
+                taken.append((idx, had_imm - imm_q.units, had_nmm - nmm_q.units))
+            if not remaining:
                 break
-            dq = book.get(idx)
-            while dq and remaining > 0:
-                front = dq[0]
-                take = min(front.qty, remaining)
-                fills.append((idx, front.oid, front.participant, take))
-                front.qty -= take
-                remaining -= take
-                if front.qty == 0:
-                    dq.popleft()
 
-        if limit_price is None:
-            limit_price = self.px[fills[-1][0] if fills else idxs[0]]
+        emit = self._emit
+        if limit_idx is None:
+            limit_idx = taken[-1][0] if taken else idxs[0]
+        limit_px = pxs[limit_idx]
         aggr_side = BID if side == ASK else ASK
+        add_kind, execute_kind, cancel_kind = self._aggressor[aggr_side][label]
+        execute = self._execute[side]
         aggr_oid = self._next_oid()
-        self._emit(ts, aggr_oid, ADD, aggr_side, limit_price, budget, -1, label)
-        for idx, oid, participant, qty in fills:
-            px = self.px[idx]
-            self._emit(ts, oid, EXECUTE, side, px, qty, 0, participant)
-            self._emit(ts, aggr_oid, EXECUTE, aggr_side, px, qty, 1, label)
+        emit(ts, aggr_oid, add_kind, limit_px, budget)
+        for px, oid, m, qty in fills:
+            emit(ts, oid, execute[m], px, qty)
+            emit(ts, aggr_oid, execute_kind, px, qty)
         if remaining > 0:
-            self._emit(ts, aggr_oid, CANCEL, aggr_side, limit_price, remaining, -1, label)
+            emit(ts, aggr_oid, cancel_kind, limit_px, remaining)
         self.executed_units += budget - remaining
-        return abs(fills[-1][0] - idxs[0]) + 1 if fills else 0
+        return taken
 
     # -- event handlers ---------------------------------------------------------
 
-    def _handle_jump(self, ts: int, e: int, s: int, win: bool) -> int:
+    def _handle_jump(self, ts: str, e: int, s: int, win: bool) -> None:
         swept = self.idx[s][ASK][:self.n_swept[e]]
         if not win:
             # the cancel beats the market order: informed quotes get away
-            book = self.levels[ASK]
+            book, emit, cancel = self.levels[ASK], self._emit, self._cancel[ASK][IMM]
             for idx in swept:
-                dq = book.get(idx)
-                if not dq:
-                    continue
-                survivors = deque()
-                for order in dq:
-                    if order.participant == "IMM":
-                        self._emit(ts, order.oid, CANCEL, ASK, self.px[idx],
-                                   order.qty, -1, "IMM")
-                    else:
-                        survivors.append(order)
-                book[idx] = survivors
+                queue = book[idx][IMM]
+                for oid, qty in queue:
+                    emit(ts, oid, cancel, self.px[idx], qty)
+                queue.clear()
+                queue.units = 0
         if self.jump_volume[e] > 0:
-            return self._sweep(ts, ASK, swept, self.jump_volume[e], "IT",
-                               limit_price=self.px[swept[-1]])
-        return 0
-
-    def _handle_noise(self, ts: int, s: int, side: int, mag: float) -> int:
-        q_units = int(round(mag * self.cfg.volume_scale))
-        if q_units == 0:
-            return 0
-        return self._sweep(ts, side, self.idx[s][side], q_units, "NT")
+            self._sweep(ts, ASK, swept, self.jump_volume[e], "IT", limit_idx=swept[-1])
 
     # -- main loop ---------------------------------------------------------------
 
@@ -573,26 +621,28 @@ class _LoggedRun:
 
     def run_all(self) -> None:
         d = self.draws
-        lines = self._lines
-        self._morph(0, ASK, 0)
-        self._morph(0, BID, 0)
+        lines, layouts = self._lines, self.idx
+        sweep, refill, morph = self._sweep, self._refill, self._morph
+        scale = self.cfg.volume_scale
+        morph("0", ASK, 0)
+        morph("0", BID, 0)
         s = 0
         for e, (ts, is_jump, win, sign, mag, moves) in enumerate(zip(
-                self.times_ns.tolist(), d.is_jump.tolist(), d.it_wins.tolist(),
+                map(str, self.times_ns.tolist()), d.is_jump.tolist(), d.it_wins.tolist(),
                 d.noise_sign.tolist(), d.noise_mag.tolist(), self.moves.tolist())):
             if is_jump:
-                side = ASK
-                walked = self._handle_jump(ts, e, s, bool(win))
+                self._handle_jump(ts, e, s, bool(win))
             else:
                 side = ASK if sign > 0 else BID
-                walked = self._handle_noise(ts, s, side, mag)
+                q_units = int(round(mag * scale))
+                if q_units:
+                    taken = sweep(ts, side, layouts[s][side], q_units, "NT")
+                    if not moves:
+                        refill(ts, side, taken)
             if moves:
                 s += 1
-                self._morph(ts, ASK, s)
-                self._morph(ts, BID, s)
-            elif walked:
-                # only the walked levels differ from the unchanged targets
-                self._morph(ts, side, s, walked)
+                morph(ts, ASK, s)
+                morph(ts, BID, s)
             if len(lines) >= mbo.BLOCK_ROWS:
                 self._cut()
         if lines:

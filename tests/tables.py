@@ -8,14 +8,14 @@ rows of each table's ``Row`` type (``EventLog.Row``, ``Fills.Row``, ...);
 coded field to its code.  A table is compared with rows through its
 iteration: ``list(table) == rows``.  ``event_log`` is ``from_rows`` for
 an ``EventLog``, and ``csv_body`` writes a log's rows through
-``lobeq.mbo.row_encoder``.
+``lobeq.mbo.row_encoder``, each with its own kind and price text.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from lobeq.mbo import EventLog, row_encoder
+from lobeq.mbo import EventLog, float_text, row_encoder, row_kind
 
 
 def from_rows(cls, rows):
@@ -53,6 +53,7 @@ def csv_body(log: EventLog) -> str:
     """The CSV body of ``log``, every row through :func:`row_encoder`."""
     lines = []
     emit = row_encoder(lines.append)
-    for row in zip(*(col.tolist() for col in log.columns())):
-        emit(*row)
+    for ts, oid, action, side, price, qty, flag, label in zip(
+            *(col.tolist() for col in log.columns())):
+        emit(ts, oid, row_kind(action, side, flag, label), float_text(price), qty)
     return "".join(lines)

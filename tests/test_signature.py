@@ -473,6 +473,28 @@ class TestTablesMatchRecordsOracle:
         assert passive.order_id.tolist() == [1, 3] and passive.qty.tolist() == [2, -1]
         assert_tables_match_oracle(events)
 
+    def test_gaps_past_int64_are_exact(self):
+        # two sweeps and two adds at one level 1e19 ns apart, more than an
+        # int64 difference holds: the gaps are 1e19, the slowest cluster
+        Row = EventLog.Row
+        t0, t1 = -5 * 10**18, 5 * 10**18
+        events = [Row(t0, 1, "add", "ask", 100.25, 1, None, None),
+                  Row(t0, 2, "add", "bid", 100.25, 1, None, "IT"),
+                  Row(t0, 1, "execute", "ask", 100.25, 1, False, None),
+                  Row(t0, 2, "execute", "bid", 100.25, 1, True, "IT"),
+                  Row(t1, 3, "add", "ask", 100.25, 1, None, None),
+                  Row(t1, 4, "add", "bid", 100.25, 1, None, "NT"),
+                  Row(t1, 3, "execute", "ask", 100.25, 1, False, None),
+                  Row(t1, 4, "execute", "bid", 100.25, 1, True, "NT")]
+        aggressive, passive = trade_tables(reconstruct(event_log(events)))
+        assert passive.order_id.tolist() == [1, 3]
+        for trades, metric in ((aggressive, "trade_to_trade"), (passive, "add_to_add")):
+            gaps = getattr(trades, METRICS[metric][0])
+            assert np.isnan(gaps[0]) and gaps[1] == 1e19, metric
+            spec = ClusterSpec(metric, (1e7, 1e9), METRICS[metric][1])
+            assert classify(trades, spec).tolist() == [-1, 2], metric
+        assert_tables_match_oracle(events)
+
 
 # -- the array lookup against the per-trade oracle ---------------------------
 

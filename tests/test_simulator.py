@@ -5,17 +5,19 @@ import dataclasses
 import io
 import math
 import re
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import logged_oracle
 from mbo_oracle import dumps
 from tables import csv_body, event_log
 from lobeq.equilibrium import BookShape, ModelParams, book_curves, shape_tick
 from lobeq.laws import Exponential, NormalVolume, Pareto, PointMass
-from lobeq.mbo import EventLog, Quotes, parse, reconstruct, write_csv
+from lobeq.mbo import HEADER_LINE, EventLog, Quotes, parse, reconstruct, write_csv
 from lobeq.simulator import (
     SimConfig,
     _event_times,
@@ -377,12 +379,39 @@ def logged_configs(draw):
                      volume_scale=draw(st.sampled_from([1, 10, 1000, 10**6])))
 
 
+def refill_case(f, n_levels, volume_scale, n_events, seed):
+    params = ModelParams(r=0.15, f=f, jump=Pareto(2.5, 0.01), volume=NormalVolume(10.0),
+                         tick=0.01, offset_d=0.0)
+    return SimConfig(params=params, n_events=n_events, seed=seed, record_log=True,
+                     n_levels=n_levels, volume_scale=volume_scale)
+
+
+#: theta = 0 runs whose noise sweeps are refilled from their takes, each
+#: with one kind of sweep or neighbour event (checked in TestRefill)
+REFILL_CASES = {
+    # a buy or sell larger than the whole side: the aggressor's cancel row
+    "empties_a_side": refill_case(0.5, 1, 1000, 20, 2),
+    # a level with zero target inside the walk, before a filled one
+    "walks_past_an_empty_level": refill_case(0.5, 2, 1000, 20, 2),
+    # one-unit volumes: a noise event of |volume| < 0.5 writes no row
+    "rounds_to_zero_units": refill_case(0.9, 3, 1, 20, 2),
+    # jumps the informed trader loses, as every jump at f = 0: the IMM
+    # cancels come before the sweep
+    "lost_races": refill_case(0.5, 8, 1000, 40, 0),
+}
+
+
 class TestLoggedOracle:
     """The precomputed-state logged run against the per-event loop it
     replaced (tests/logged_oracle.py): everything equal, exactly."""
 
     @settings(max_examples=150)
     @given(cfg=logged_configs())
+    @example(cfg=REFILL_CASES["empties_a_side"])
+    @example(cfg=REFILL_CASES["walks_past_an_empty_level"])
+    @example(cfg=REFILL_CASES["rounds_to_zero_units"])
+    @example(cfg=REFILL_CASES["lost_races"])
+    @example(cfg=refill_case(0.0, 8, 1000, 40, 0))     # f = 0: unbounded, rejected alike
     def test_matches_oracle(self, cfg):
         try:
             expected, oracle = logged_oracle.run(cfg)
@@ -416,6 +445,90 @@ class TestLoggedOracle:
         result = run(cfg)
         assert "".join(result.mbo_text) == "".join(expected.mbo_text)
         assert_replay_quotes(export_mbo(result), oracle.snapshots)
+
+
+class TestRefill:
+    """Each of ``REFILL_CASES`` reaches ``_LoggedRun._refill`` with the kind
+    of sweep or event it is named for."""
+
+    @staticmethod
+    def traced_run(cfg):
+        """The run, its log rows, and per refill the (layout walked,
+        budget, takes) of the sweep it refills."""
+        draws, times = redraw(cfg)
+        lr = _LoggedRun(cfg, draws, times)
+        sweep, refill, refills, last = lr._sweep, lr._refill, [], []
+
+        def traced_sweep(ts, side, idxs, budget, label, limit_idx=None):
+            last[:] = [idxs, budget]
+            return sweep(ts, side, idxs, budget, label, limit_idx)
+
+        def traced_refill(ts, side, taken):
+            refills.append((*last, taken))
+            refill(ts, side, taken)
+
+        lr._sweep, lr._refill = traced_sweep, traced_refill
+        lr.run_all()
+        rows = list(parse(io.StringIO(HEADER_LINE + "".join(lr.blocks), newline="")))
+        return lr, rows, refills
+
+    def test_empties_a_side(self):
+        _, rows, refills = self.traced_run(REFILL_CASES["empties_a_side"])
+        assert any(sum(a + b for _, a, b in taken) < budget for _, budget, taken in refills)
+        assert any(r.action == "cancel" and r.participant_label == "NT" for r in rows)
+
+    def test_walks_past_an_empty_level(self):
+        _, _, refills = self.traced_run(REFILL_CASES["walks_past_an_empty_level"])
+        assert any([idx for idx, _, _ in taken] != idxs[:len(taken)]
+                   for idxs, _, taken in refills)
+
+    def test_rounds_to_zero_units(self):
+        cfg = REFILL_CASES["rounds_to_zero_units"]
+        lr, rows, refills = self.traced_run(cfg)
+        noise = lr.draws.is_jump == 0
+        silent = noise & (np.round(lr.draws.noise_mag * cfg.volume_scale) == 0)
+        assert refills and silent.any()
+        assert not set(lr.times_ns[silent].tolist()) & {r.ts_ns for r in rows}
+
+    def test_lost_races(self):
+        lr, rows, refills = self.traced_run(REFILL_CASES["lost_races"])
+        lost = (lr.draws.is_jump != 0) & (lr.draws.it_wins == 0) & (np.array(lr.jump_volume) > 0)
+        assert refills and lost.any()
+        for ts in lr.times_ns[lost].tolist():
+            kinds = [(r.action, r.participant_label) for r in rows if r.ts_ns == ts]
+            first_it = kinds.index(("add", "IT"))
+            assert ("cancel", "IMM") in kinds[:first_it]
+
+
+class TestLoggedMemory:
+    """Peak traced allocation of a logged run at the parameters of
+    acceptance test 7, per order it adds: the log's text is about half of
+    it, so keeping anything more per order or per row shows up here."""
+
+    N_EVENTS = 20_000
+
+    def test_peak_per_order(self):
+        cfg = SimConfig(params=LOGGED, n_events=self.N_EVENTS, seed=1, record_log=True,
+                        n_levels=8, volume_scale=1000)
+        tracemalloc.start()
+        try:
+            result = run(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n_orders = sum(block.count(",add,") for block in result.mbo_text)
+        assert n_orders > 100_000
+        assert peak / n_orders < 300.0
+
+    def test_orders_are_small_records(self):
+        # no larger than a slotted (id, participant, units) record, 56 bytes
+        cfg = SimConfig(params=LOGGED, n_events=2000, seed=1, record_log=True,
+                        n_levels=8, volume_scale=1000)
+        lr = _LoggedRun(cfg, *redraw(cfg))
+        lr.run_all()
+        orders = [order for book in lr.levels for queues in book.values()
+                  for queue in queues for order in queue]
+        assert orders and max(map(sys.getsizeof, orders)) <= 56
 
 
 class TestEventLog:
