@@ -34,11 +34,13 @@ kind (:func:`row_kind`: the head ``,<action>,<side>,`` and the tail
 kind's text once and each price's once, and emits its rows through it,
 and :func:`write_csv` writes the header and the text.  :func:`parse`
 reads the body in one typed C pass, the three coded fields as fixed-width
-text it compares as arrays, and checks field domains as array masks.  One
-order walk (:func:`_walk`: a stable sort by order id, then segmented
-cumulative sums) gives every row its lifecycle and its order's resting
-quantity; it holds parse's reference checks, and :func:`reconstruct`
-recomputes it and builds fills, lifecycles and quotes from its arrays.
+text it compares as arrays, and checks field domains as array masks, or
+with :func:`_row_fault` on each record as text when the body holds what
+the C reader skips (``\x1c``-``\x1f``, NUL).  One order walk
+(:func:`_walk`: a stable sort by order id, then segmented cumulative sums)
+gives every row its lifecycle and its order's resting quantity; it holds
+parse's reference checks, and :func:`reconstruct` recomputes it and builds
+fills, lifecycles and quotes from its arrays.
 """
 
 from __future__ import annotations
@@ -336,12 +338,13 @@ def _unreadable_numbers(record: list[str]) -> set[str]:
     return bad
 
 
-def _row_fault(lineno: int, row: list[str], unreadable=()) -> str | None:
+def _row_fault(row: list[str], unreadable=()) -> str | None:
     """The per-row checks of one CSV record in their order: the message of
-    the first that fails, or None.  A number Python reads is still bad
-    when its field is in ``unreadable`` (the C reader rejects it)."""
+    the first that fails, without its row number, or None.  A number Python
+    reads is still bad when its field is in ``unreadable`` (the C reader
+    rejects it)."""
     if len(row) != len(HEADER):
-        return f"row {lineno}: expected {len(HEADER)} fields, got {len(row)}"
+        return f"expected {len(HEADER)} fields, got {len(row)}"
 
     def number(i, cast):
         value = cast(row[i])
@@ -353,38 +356,23 @@ def _row_fault(lineno: int, row: list[str], unreadable=()) -> str | None:
         number(0, int)
         number(1, int)
     except ValueError as exc:
-        return f"row {lineno}: {exc}"
+        return str(exc)
     if row[2] not in ACTIONS:
-        return f"row {lineno}: unknown action {row[2]!r}"
+        return f"unknown action {row[2]!r}"
     if row[3] not in SIDES:
-        return f"row {lineno}: unknown side {row[3]!r}"
+        return f"unknown side {row[3]!r}"
     try:
         price = number(4, float)
         qty = number(5, int)
     except ValueError as exc:
-        return f"row {lineno}: {exc}"
+        return str(exc)
     if qty < 0:
-        return f"row {lineno}: negative qty {qty}"
+        return f"negative qty {qty}"
     if not math.isfinite(price):
-        return f"row {lineno}: price {row[4]!r} is not finite"
+        return f"price {row[4]!r} is not finite"
     if row[6].strip().lower() not in _FLAGS:
-        return f"row {lineno}: bad aggressor_flag {row[6]!r}"
+        return f"bad aggressor_flag {row[6]!r}"
     return None
-
-
-def _python_rejects(records: np.ndarray) -> np.ndarray:
-    """Records (read as text) whose ts_ns, order_id, price or qty Python's
-    int/float do not read."""
-    def rejects(cast, text):
-        try:
-            cast(text)
-        except ValueError:
-            return True
-        return False
-
-    casts = [int if dtype is np.int64 else float for dtype in _NUMBERS.values()]
-    columns = [records[name].tolist() for name in _NUMBERS]
-    return np.array([any(map(rejects, casts, texts)) for texts in zip(*columns)], dtype=bool)
 
 
 def _text_codes(records: np.ndarray) -> list[np.ndarray]:
@@ -462,15 +450,16 @@ def _parse_lines(lines, tick: float | None) -> EventLog:
     label = np.array(records["participant_label"])
     del records
     label[label == ""] = None
-    domain = np.zeros(n, dtype=bool)
+    texts = None
     if odd or np.any(flag == _BAD):          # texts a fixed width may hide: read them whole
         lines.seek(body)
         texts = _read(lines if prefix is None else prefix, _TEXT)
         act, side, flag = _text_codes(texts)
-        if odd:
-            domain = _python_rejects(texts)
-        del texts
-    domain |= (act == _BAD) | (side == _BAD) | (flag == _BAD) | (qty < 0) | ~np.isfinite(price)
+    if odd:                                  # the C reader may read a number Python does not
+        domain = np.array([_row_fault(row) is not None for row in texts.tolist()], dtype=bool)
+    else:
+        domain = (act == _BAD) | (side == _BAD) | (flag == _BAD) | (qty < 0) | ~np.isfinite(price)
+    del texts
     backwards = np.zeros(n, dtype=bool)
     backwards[1:] = ts[1:] < ts[:-1]
     faults = [domain, backwards]
@@ -488,15 +477,15 @@ def _parse_lines(lines, tick: float | None) -> EventLog:
     if first < n:
         lineno, row = record(first)
         if domain[first]:
-            raise MboParseError(_row_fault(lineno, row))
+            raise MboParseError(f"row {lineno}: {_row_fault(row)}")
         if backwards[first]:
             raise MboParseError(f"row {lineno}: timestamp {int(ts[first])} goes backwards")
         raise MboParseError(f"row {lineno}: price {float(price[first])} "
                             f"is not a multiple of tick {tick}")
     if unreadable is not None:
         lineno, row = record(n)
-        raise MboParseError(_row_fault(lineno, row, _unreadable_numbers(unreadable))
-                            or f"row {lineno}: malformed record")
+        message = _row_fault(row, _unreadable_numbers(unreadable)) or "malformed record"
+        raise MboParseError(f"row {lineno}: {message}")
     return EventLog(ts, oid, act, side, price, qty, flag, label)
 
 

@@ -332,10 +332,17 @@ P0 = 100.0
 
 def _event_times(params: ModelParams, n_events: int, rng: np.random.Generator) -> np.ndarray:
     """Event timestamps in ns: exponential gaps at the total event rate,
-    rounded to whole ns and at least 1 ns apart."""
+    rounded to whole ns and at least 1 ns apart.  ValueError if a gap or a
+    timestamp does not fit in int64 ns (about 292 years)."""
     lam_i, lam_u = params.rates
-    gaps = rng.exponential(1.0 / (lam_i + lam_u), n_events)
-    return np.cumsum(np.maximum(1, np.round(gaps * 1e9).astype(np.int64)))
+    with np.errstate(over="ignore"):             # an infinite gap fails the check below
+        gaps = np.maximum(1.0, np.round(rng.exponential(1.0 / (lam_i + lam_u), n_events) * 1e9))
+    # each gap below 2**63 casts exactly, and a sum past 2**63 - 1 wraps negative first
+    times = np.cumsum(gaps.astype(np.int64)) if np.all(gaps < 2.0**63) else None
+    if times is None or np.any(times < 0):
+        raise ValueError(f"n_events = {n_events} at lambda_i + lambda_u = {lam_i + lam_u} "
+                         f"per second run past 2**63 ns of event time")
+    return times
 
 
 def _grid_layout(price: np.ndarray, tick: float, n_levels: int) -> tuple[np.ndarray, np.ndarray]:

@@ -1091,8 +1091,18 @@ class TestMalformedValues:
         ("simulate", {"params": dict(LOGGED, theta=1.5e308, rho=0.5),
                       "simulate": {"n_events": 50, "seed": 1, "record_log": True}},
          "theta = 1.5e+308 with rho = 0.5 is too large for n_events = 50: "),
+        # event times past int64 ns: a gap that does not cast, and a sum that wraps
+        ("simulate", {"params": dict(LOGGED, r=None, lambda_i=1e-13, lambda_u=1e-12),
+                      "simulate": {"n_events": 50, "seed": 3, "n_levels": 4,
+                                   "record_log": True, "volume_scale": 1000}},
+         "n_events = 50 at lambda_i + lambda_u = 1.1e-12 per second run past 2**63 ns"),
+        ("simulate", {"params": dict(LOGGED, r=None, lambda_i=1.5e-9, lambda_u=8.5e-9),
+                      "simulate": {"n_events": 200, "seed": 3, "n_levels": 4,
+                                   "record_log": True, "volume_scale": 1000}},
+         "n_events = 200 at lambda_i + lambda_u = 1e-08 per second run past 2**63 ns"),
     ], ids=["pareto-shape-1e300", "theta-1e300", "logged-theta-1e308", "logged-theta-1e100",
-            "fast-theta-1e200-rho", "logged-theta-1.5e308-rho"])
+            "fast-theta-1e200-rho", "logged-theta-1.5e308-rho", "event-gap-past-int64",
+            "event-time-past-int64"])
     def test_extreme_value_writes_only_its_error_line(self, tmp_path, capsys, command, doc,
                                                       message):
         # warnings are errors here: a leaked RuntimeWarning fails the run
@@ -1101,6 +1111,7 @@ class TestMalformedValues:
         if message:
             assert code == 2
             assert err.startswith(f"lobeq {command}: {message}") and err.count("\n") == 1
+            assert list(out.iterdir()) == []
         else:
             assert (code, err) == (0, "")
             rows = read_csv(out / "shape.csv")

@@ -672,6 +672,29 @@ class TestMatchesOracle:
         csv.writer(buf).writerows([HEADER, *rows])
         assert_parse_parity(buf.getvalue(), tick)
 
+    #: what the C reader skips around a number (\x1c-\x1f) or drops from
+    #: the end of a text (NUL), whitespace, and what may spell a number.  No
+    #: "_": the oracle reads digit separators, which parse rejects
+    #: (TestParseEdges.test_digit_separators_are_rejected)
+    INSERTS = "\x1c\x1d\x1e\x1f\x00 \t+-.ex"
+
+    @settings(max_examples=400)
+    @given(events=book_streams(), tick=st.sampled_from([None, 0.25]),
+           inserts=st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, len(HEADER) - 1),
+                                      st.integers(0, 30), st.sampled_from(INSERTS)),
+                            min_size=1, max_size=3))
+    def test_inserted_characters(self, events, tick, inserts):
+        # one judge of how Python reads a row: a number the C reader reads
+        # around a character Python rejects fails as the oracle fails
+        rows = list(csv.reader(io.StringIO(dumps(events), newline="")))[1:]
+        for where, field, at, char in inserts:
+            row = rows[where % len(rows)]
+            at = min(at, len(row[field]))
+            row[field] = row[field][:at] + char + row[field][at:]
+        buf = io.StringIO()
+        csv.writer(buf).writerows([HEADER, *rows])
+        assert_parse_parity(buf.getvalue(), tick)
+
     @settings(max_examples=400)
     @given(events=book_streams() | queue_streams(min_size=1), where=st.integers(0, 10**6),
            change=st.sampled_from(["qty", "price", "order_id"]), data=st.data())

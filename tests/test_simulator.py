@@ -363,25 +363,26 @@ class TestLoggedErrors:
 @st.composite
 def logged_configs(draw):
     """Logged runs of every kind of book move: continuous and grid-aligned
-    jumps, drift off the grid, one to ten levels, coarse and fine volume
-    units, and races the informed maker always loses (f = 0: unbounded)."""
-    r = draw(st.sampled_from([0.15, 0.5]))
+    jumps, drift off the grid, one to ten levels, and coarse and fine volume
+    units.  Every config drawn reaches the loop: run rejects f = 0 and a
+    point mass at 0.05 with six levels or more (the level at that distance
+    has unbounded depth), which explicit examples cover."""
+    jump = draw(st.sampled_from([Pareto(2.5, 0.01), Exponential(60.0), PointMass(0.05)]))
     params = ModelParams(
-        r=r, f=draw(st.sampled_from([0.0, 0.5, 0.9, 1.0])),
-        jump=draw(st.sampled_from([Pareto(2.5, 0.01), Exponential(60.0), PointMass(0.05)])),
-        volume=NormalVolume(10.0), tick=0.01, offset_d=0.0,
+        r=draw(st.sampled_from([0.15, 0.5])), f=draw(st.sampled_from([0.5, 0.9, 1.0])),
+        jump=jump, volume=NormalVolume(10.0), tick=0.01, offset_d=0.0,
         theta=draw(st.sampled_from([0.0, 0.0005, 0.005])),
         rho=draw(st.sampled_from([0.0, 0.5, 0.9])),
     )
     return SimConfig(params=params, n_events=draw(st.integers(1, 400)),
                      seed=draw(st.integers(0, 2**32 - 1)), record_log=True,
-                     n_levels=draw(st.integers(1, 10)),
+                     n_levels=draw(st.integers(1, 5 if isinstance(jump, PointMass) else 10)),
                      volume_scale=draw(st.sampled_from([1, 10, 1000, 10**6])))
 
 
-def refill_case(f, n_levels, volume_scale, n_events, seed):
-    params = ModelParams(r=0.15, f=f, jump=Pareto(2.5, 0.01), volume=NormalVolume(10.0),
-                         tick=0.01, offset_d=0.0)
+def refill_case(f, n_levels, volume_scale, n_events, seed, jump=Pareto(2.5, 0.01)):
+    params = ModelParams(r=0.15, f=f, jump=jump, volume=NormalVolume(10.0), tick=0.01,
+                         offset_d=0.0)
     return SimConfig(params=params, n_events=n_events, seed=seed, record_log=True,
                      n_levels=n_levels, volume_scale=volume_scale)
 
@@ -412,6 +413,7 @@ class TestLoggedOracle:
     @example(cfg=REFILL_CASES["rounds_to_zero_units"])
     @example(cfg=REFILL_CASES["lost_races"])
     @example(cfg=refill_case(0.0, 8, 1000, 40, 0))     # f = 0: unbounded, rejected alike
+    @example(cfg=refill_case(0.9, 6, 1000, 40, 0, PointMass(0.05)))   # unbounded level 6, too
     def test_matches_oracle(self, cfg):
         try:
             expected, oracle = logged_oracle.run(cfg)
