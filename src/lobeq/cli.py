@@ -12,9 +12,9 @@ Flags only select the command, config path, output directory and an
 optional seed override; everything else lives in the config document so a
 run can be reproduced from its manifest alone.  The config root holds only
 the sections its command reads, plus ``seed`` and ``out``; any other key
-is rejected.  Every command writes ``manifest.json`` echoing the fully
-resolved config.  Numeric CSV output is rendered with 17 significant
-digits so values round-trip exactly.
+is rejected.  Every command writes ``manifest.json`` echoing the config
+as given plus the seed the run used.  Numeric CSV output is rendered
+with 17 significant digits so values round-trip exactly.
 
 A config error is printed as ``lobeq <command>: <message>`` and names its
 section once: ``config``, ``params``, ``multi``, ``multi: source <k>``,
@@ -28,13 +28,13 @@ A section named like its command (``shape``, ``simulate``, ``signature``,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import math
 import os
 import sys
 from collections.abc import Iterable, Sequence
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -103,11 +103,10 @@ def _number(value, what: str, cast=float):
 
 _REQUIRED = object()
 
-# tagged law records: family -> {"type": (law class, its numeric fields)}
+# tagged law records: family -> {"type": law class}; a record's keys are the class's fields
 _LAWS = {
-    "jump": {"pareto": (Pareto, ("shape", "scale")), "exponential": (Exponential, ("rate",)),
-             "pointmass": (PointMass, ("value",))},
-    "volume": {"normal": (NormalVolume, ("sigma",)), "laplace": (LaplaceVolume, ("b",))},
+    "jump": {"pareto": Pareto, "exponential": Exponential, "pointmass": PointMass},
+    "volume": {"normal": NormalVolume, "laplace": LaplaceVolume},
 }
 
 
@@ -186,7 +185,8 @@ class _Section:
         kind = self.section(family, f"{self.where}{family} law: ").get("type")
         if not isinstance(kind, str) or kind not in kinds:
             raise self.fail(f"unknown {family} law type {kind!r}; expected one of {sorted(kinds)}")
-        cls, fields = kinds[kind]
+        cls = kinds[kind]
+        fields = [field.name for field in dataclasses.fields(cls)]
         record = self.section(family, f"{self.where}{family} law {kind!r}: ", ("type", *fields))
         return record.build(cls, **{name: record.number(name) for name in fields})
 
@@ -227,16 +227,9 @@ def _grid(shape: _Section) -> np.ndarray:
     return np.linspace(lo, hi, n)
 
 
-def _write_manifest(out: Path, command: str, cfg: dict, seed, outputs: list[str]) -> None:
-    manifest = {
-        "command": command,
-        "package_version": __version__,
-        "seed": seed,
-        "config": cfg,
-        "outputs": outputs,
-    }
-    with open(out / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+def _write_json(path: Path, doc, sort_keys: bool = False) -> None:
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=sort_keys)
         fh.write("\n")
 
 
@@ -277,9 +270,7 @@ def cmd_shape(root: _Section, out: Path, seed) -> list[str]:
     doc = {name: [float(v) for v in col] for name, col in columns.items()}
     _write_csv_rows(out / "shape.csv", list(doc), zip(*doc.values()))
     doc["tick"], doc["offset_d"] = (p.tick, p.offset_d) if p else (0.0, 0.0)
-    with open(out / "shape.json", "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    _write_json(out / "shape.json", doc)
     return ["shape.csv", "shape.json"]
 
 
@@ -291,11 +282,9 @@ def cmd_spread(root: _Section, out: Path, seed) -> list[str]:
     if not sol.residual <= RESIDUAL_GATE:
         raise SolverError(f"spread residual {sol.residual} exceeds {RESIDUAL_GATE}")
     # the toxic half-spread is reported only for a toxic model
-    doc = {**asdict(sol), "phi_theta": sol.phi_theta if params.theta > 0.0 else None,
+    doc = {**dataclasses.asdict(sol), "phi_theta": sol.phi_theta if params.theta > 0.0 else None,
            "theta_bar": theta_bar(params)}
-    with open(out / "spread.json", "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    _write_json(out / "spread.json", doc)
     return ["spread.json"]
 
 
@@ -319,9 +308,7 @@ def cmd_simulate(root: _Section, out: Path, seed) -> list[str]:
 
     rows = ([p.maker, p.level, p.n_fills, p.mean_gain, p.std_err] for p in result.pnl)
     _write_csv_rows(out / "pnl.csv", ["maker_type", "level", "n_fills", "mean_gain", "std_err"], rows)
-    with open(out / "summary.json", "w") as fh:
-        json.dump(result.summary, fh, indent=2)
-        fh.write("\n")
+    _write_json(out / "summary.json", result.summary)
     outputs = ["pnl.csv", "summary.json"]
     if sc.record_log:
         write_csv(result.mbo_text, out / "mbo.csv")
@@ -363,8 +350,8 @@ def cmd_signature(root: _Section, out: Path, seed) -> list[str]:
         eps = 1 if spec.side == "aggressive" else -1
         labels = classify(records, spec)
         curve = signature_curves(records, labels, horizons_ns, eps, reference, quotes)
-        rows = [[k / 1e9, cid, value, curve.counts[cid]] for cid in curve.cluster_ids
-                for k, value in zip(curve.horizons_ns, curve.values[cid])]
+        rows = [[k / 1e9, cid, value, curve.counts[cid]] for cid, values in curve.values.items()
+                for k, value in zip(horizons_ns, values)]
         name = f"signature_{i}_{spec.metric}.csv"
         _write_csv_rows(out / name, ["horizon", "cluster_id", "st_value", "n_trades"], rows)
         outputs.append(name)
@@ -469,6 +456,9 @@ def main(argv=None) -> int:
         root = _Section(cfg, "config: ")
         root.only(("seed", "out", *_sections(args.command, root)))
         config_seed = root.number("seed", None, int)
+        for where, value in (("config: ", config_seed), ("", args.seed)):
+            if value is not None and value < 0:
+                raise ConfigError(f"{where}seed must be a nonnegative integer, got {value}")
         config_out = root.path("out", None)
         out_dir = args.out or config_out
         if not out_dir:
@@ -481,7 +471,9 @@ def main(argv=None) -> int:
         resolved = dict(cfg)
         if seed is not None:
             resolved["seed"] = seed
-        _write_manifest(out, args.command, resolved, seed, outputs)
+        manifest = {"command": args.command, "package_version": __version__, "seed": seed,
+                    "config": resolved, "outputs": outputs}
+        _write_json(out / "manifest.json", manifest, sort_keys=True)
         log.info("wrote %s", ", ".join(outputs + ["manifest.json"]))
         return 0
     # ConfigError, the MBO errors and json.JSONDecodeError are ValueErrors

@@ -593,8 +593,15 @@ def solve_spreads(grid: ParamGrid) -> SpreadArrays:
 
     k_d = spread_ticks = None
     if grid.tick > 0.0:
-        steps_ask = strict_ceil((phi - grid.offset_d) / grid.tick)
-        steps_bid = strict_ceil((phi + grid.offset_d) / grid.tick)
+        # the distances to the first ask and bid levels, checked before the
+        # division, which a tiny tick would overflow
+        reach = np.array([phi - grid.offset_d, phi + grid.offset_d])
+        far = np.flatnonzero(np.any(np.abs(reach) / 2.0**62 >= grid.tick, axis=0))
+        if far.size:
+            i = far[0]
+            raise ValueError(f"tick = {grid.tick} is too small: the half-spread {phi[i]} "
+                             f"spans 2**62 ticks or more at {grid.cell(i)}")
+        steps_ask, steps_bid = strict_ceil(reach / grid.tick)
         k_d = 1 + steps_ask
         spread_ticks = grid.tick * (steps_ask + steps_bid)
     return SpreadArrays(phi=phi, mu=mu, phi_theta=phi_theta, residual=residual,

@@ -44,12 +44,27 @@ def _maybe_scalar(x, out):
     return out
 
 
+class _Law:
+    """What both families share: a right-continuous CDF, its strict tail, sampling."""
+
+    def cdf(self, x):
+        raise NotImplementedError
+
+    def p_gt(self, x):
+        """P[X > x] (strict)."""
+        out = 1.0 - np.asarray(self.cdf(x), dtype=float)
+        return _maybe_scalar(x, out)
+
+    def sample(self, rng: np.random.Generator, size=None):
+        raise NotImplementedError
+
+
 # ---------------------------------------------------------------------------
 # Jump laws
 # ---------------------------------------------------------------------------
 
 
-class JumpLaw:
+class JumpLaw(_Law):
     """Law of a positive jump magnitude with finite mean.
 
     ``cdf`` is right-continuous (``P[B <= x]``), and ``tail_expectation``
@@ -63,9 +78,6 @@ class JumpLaw:
     mean: float
     support_inf: float
 
-    def cdf(self, x):
-        raise NotImplementedError
-
     def tail_expectation(self, x):
         """E[B 1_{B>x}] for x >= 0."""
         raise NotImplementedError
@@ -77,14 +89,6 @@ class JumpLaw:
             raise ValueError("emax_ratio requires x > 0")
         out = self.tail_expectation(x_arr) / x_arr + self.cdf(x_arr)
         return _maybe_scalar(x, out)
-
-    def p_gt(self, x):
-        """P[B > x] (strict)."""
-        out = 1.0 - np.asarray(self.cdf(x), dtype=float)
-        return _maybe_scalar(x, out)
-
-    def sample(self, rng: np.random.Generator, size=None):
-        raise NotImplementedError
 
 
 @dataclass(frozen=True)
@@ -212,22 +216,12 @@ class PointMass(JumpLaw):
 # ---------------------------------------------------------------------------
 
 
-class VolumeLaw:
+class VolumeLaw(_Law):
     """Law of the signed noise-trader volume; continuous, strictly
     increasing CDF with median exactly zero."""
 
-    def cdf(self, x):
-        raise NotImplementedError
-
     def quantile(self, p):
         """Inverse CDF on (0, 1); quantile(1/2) == 0 exactly."""
-        raise NotImplementedError
-
-    def p_gt(self, x):
-        out = 1.0 - np.asarray(self.cdf(x), dtype=float)
-        return _maybe_scalar(x, out)
-
-    def sample(self, rng: np.random.Generator, size=None):
         raise NotImplementedError
 
     @staticmethod

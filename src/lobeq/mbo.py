@@ -206,15 +206,13 @@ HEADER = EventLog.fields()
 
 
 class Fills(Table):
-    """The execute rows of a log, in feed order."""
+    """The execute rows of a log, in feed order.  The executed order's id,
+    side and label are its lifecycle's: ``lifecycles.side[fills.lifecycle]``."""
 
     COLUMNS = {"row": np.int64,                 # index of the row in the log
                "lifecycle": np.int64,           # index of the executed order's lifecycle
-               "ts_ns": np.int64, "order_id": np.int64,
-               "side": SIDES,                   # side of the executed order
-               "price": np.float64,             # execution price
-               "qty": np.int64, "aggressor": bool,
-               "participant_label": object}     # the executed order's label
+               "ts_ns": np.int64, "price": np.float64,     # execution time and price
+               "qty": np.int64, "aggressor": bool}
 
 
 class Lifecycles(Table):
@@ -761,10 +759,9 @@ def _lifecycles(log: EventLog, walk: _Walk) -> tuple[Lifecycles, Fills]:
     executed = np.cumsum(np.where(a == EXECUTE, qty[order], 0))
     kind = a[lasts]
     ended = (kind == CANCEL) | ((kind == EXECUTE) & (rest[lasts] == 0))
-    label = log.participant_label[adds]
     lifecycles = Lifecycles(
         order_id=oid[adds], side=log.side[adds], add_ts=ts[adds],
-        add_price=price[adds], add_qty=qty[adds], participant_label=label,
+        add_price=price[adds], add_qty=qty[adds], participant_label=log.participant_label[adds],
         price=price[order[reset[lasts]]], n_updates=updates[lasts] - updates[starts],
         executed_qty=executed[lasts] - executed[starts],
         terminal_ts=np.where(ended, ts[end].astype(object), None),
@@ -776,12 +773,9 @@ def _lifecycles(log: EventLog, walk: _Walk) -> tuple[Lifecycles, Fills]:
     rank[feed] = np.arange(feed.size, dtype=np.int32)
     lifecycle[order] = rank[np.cumsum(a == ADD) - 1]
     executes = np.flatnonzero(log.action == EXECUTE)
-    fill_lc = lifecycle[executes]
-    fills = Fills(
-        row=executes, lifecycle=fill_lc, ts_ns=ts[executes], order_id=oid[executes],
-        side=lifecycles.side[fill_lc], price=price[executes], qty=qty[executes],
-        aggressor=log.aggressor_flag[executes] == 1, participant_label=label[fill_lc],
-    )
+    fills = Fills(row=executes, lifecycle=lifecycle[executes], ts_ns=ts[executes],
+                  price=price[executes], qty=qty[executes],
+                  aggressor=log.aggressor_flag[executes] == 1)
     return lifecycles, fills
 
 

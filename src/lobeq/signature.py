@@ -212,9 +212,10 @@ def build_trade_records(replay: Replay, quotes: QuoteSeries) -> tuple[TradeTable
     order, each in fill order.
     """
     fills, lcs = replay.fills, replay.lifecycles
-    ts, oid, qty, price, aggressor, label = (fills.ts_ns, fills.order_id, fills.qty, fills.price,
-                                             fills.aggressor, fills.participant_label)
-    bid = fills.side == BID
+    ts, qty, price, aggressor = fills.ts_ns, fills.qty, fills.price, fills.aggressor
+    # the executed order's id, side and label, from its lifecycle
+    oid, bid, label = (col[fills.lifecycle] for col in (lcs.order_id, lcs.side == BID,
+                                                        lcs.participant_label))
 
     def table(rows, sign, **metrics):
         undefined = np.full(rows.size, np.nan)
@@ -309,9 +310,7 @@ def trade_signature(trades: TradeTable, k_ns: int, eps: int,
 
 @dataclass
 class SignatureCurve:
-    horizons_ns: tuple
-    cluster_ids: tuple
-    values: dict        # cluster id -> tuple of ST(k) along horizons
+    values: dict        # cluster id, ascending -> tuple of ST(k) along the caller's horizons
     counts: dict        # cluster id -> number of trades (horizon-independent)
 
 
@@ -345,6 +344,5 @@ def signature_curves(trades: TradeTable, clusters: np.ndarray,
         st[:, h] = eps * np.bincount(labels, weights=qty * (x - cohort.price),
                                      minlength=ids.size) / den
     ids = ids.tolist()
-    return SignatureCurve(horizons_ns=horizons_ns, cluster_ids=tuple(ids),
-                          values=dict(zip(ids, map(tuple, st.tolist()))),
+    return SignatureCurve(values=dict(zip(ids, map(tuple, st.tolist()))),
                           counts=dict(zip(ids, counts.tolist())))

@@ -114,6 +114,9 @@ class SimConfig:
             if self.params.tick <= 0.0:
                 raise ValueError(f"the closed-form book needs a positive tick to place "
                                  f"levels, got tick = {self.params.tick}")
+            if self.record_log and self.params.offset_d != 0.0:
+                raise ValueError(f"record_log puts levels on the tick grid and reads no "
+                                 f"offset_d; got offset_d = {self.params.offset_d}")
         elif not isinstance(self.book_mode, BookShape):
             raise ValueError(f"book_mode must be None or a BookShape, got {self.book_mode!r}")
         elif self.record_log:

@@ -202,6 +202,18 @@ class TestShape:
         assert capsys.readouterr().err == "lobeq shape: x_grid must not be empty\n"
         assert not (out / "shape.csv").exists()
 
+    @pytest.mark.parametrize("tick, n_levels, message", [
+        (0.01, 0, "n_levels must be at least 1"),
+        (0.0, 4, "shape_tick requires a positive tick"),
+    ])
+    def test_tick_book_needs_a_tick_and_a_level(self, tmp_path, capsys, tick, n_levels, message):
+        code, out = run_cli(tmp_path, "shape", {"params": dict(REF_PARAMS, tick=tick),
+                                                "shape": {"variant": "tick",
+                                                          "n_levels": n_levels}})
+        assert code == 2
+        assert capsys.readouterr().err == f"lobeq shape: {message}\n"
+        assert list(out.iterdir()) == []
+
     def test_integral_float_accepted_for_an_integer(self, tmp_path):
         code, out = run_cli(tmp_path, "shape", {
             "params": REF_PARAMS, "shape": {"variant": "tick", "n_levels": 4.0}})
@@ -376,6 +388,13 @@ class TestSimulate:
                 == "lobeq simulate: seed must be a nonnegative integer, got -1\n")
         assert not (out / "pnl.csv").exists()
 
+    def test_seed_required(self, tmp_path, capsys):
+        doc = {"params": REF_PARAMS, "simulate": {"n_events": 10}}
+        code, out = run_cli(tmp_path, "simulate", doc)
+        assert code == 2
+        assert capsys.readouterr().err == "lobeq simulate: a seed is required (config or --seed)\n"
+        assert list(out.iterdir()) == []
+
     def test_integral_floats_accepted(self, tmp_path):
         # JSON 2e4 is a float; it names the integer 20000
         doc = {"params": REF_PARAMS,
@@ -391,6 +410,8 @@ class TestSimulate:
         ({"tick": 0.0}, "the closed-form book needs a positive tick to place levels, "
                         "got tick = 0.0"),
         ({"f": 0.0}, "the closed-form book is unbounded within the simulated levels"),
+        ({"offset_d": 0.005}, "record_log puts levels on the tick grid and reads no offset_d; "
+                              "got offset_d = 0.005"),
     ])
     def test_logged_run_errors_write_nothing(self, tmp_path, capsys, change, message):
         doc = {"params": {**self.LOGGED, **change},
@@ -910,6 +931,24 @@ class TestPlumbing:
                     == f"lobeq {command}: config: seed must be an integer, got {seed!r}\n")
             assert not out.exists()
 
+    @pytest.mark.parametrize("command, doc", [
+        ("shape", {"params": REF_PARAMS, "shape": {"variant": "tick", "n_levels": 4}}),
+        ("spread", {"params": REF_PARAMS}),
+        ("simulate", {"params": REF_PARAMS, "simulate": {"n_events": 10, "seed": 1}}),
+        ("signature", {"signature": SIGNATURE}),
+        ("sweep", {"sweep": SWEEP}),
+    ])
+    def test_negative_root_seed_rejected(self, tmp_path, capsys, command, doc):
+        # the root key and the flag, read for every command before anything is written
+        for seed, flags, message in ((-1, (), "config: seed must be a nonnegative integer, "
+                                              "got -1"),
+                                     (1, ("--seed", "-5"), "seed must be a nonnegative "
+                                                           "integer, got -5")):
+            code, out = run_cli(tmp_path, command, {**doc, "seed": seed}, *flags)
+            assert code == 2
+            assert capsys.readouterr().err == f"lobeq {command}: {message}\n"
+            assert not out.exists()
+
     def test_empty_source_list_rejected(self, tmp_path, capsys):
         # one rule for every list of sections, as for clusters
         doc = {"multi": {**self.MULTI, "sources": []},
@@ -1100,9 +1139,29 @@ class TestMalformedValues:
                       "simulate": {"n_events": 200, "seed": 3, "n_levels": 4,
                                    "record_log": True, "volume_scale": 1000}},
          "n_events = 200 at lambda_i + lambda_u = 1e-08 per second run past 2**63 ns"),
+        # a tick that puts the first level past int64 ticks names the tick and the cell
+        ("spread", {"params": dict(REF_PARAMS, tick=1e-300)},
+         "tick = 1e-300 is too small: the half-spread 0.010041494251232144 spans 2**62 ticks "
+         "or more at cell (r, f, theta) = (0.9, 0.9, 0.0)\n"),
+        ("spread", {"params": dict(REF_PARAMS, tick=5e-324)},       # the quotient would overflow
+         "tick = 5e-324 is too small: the half-spread 0.010041494251232144 spans 2**62 ticks "
+         "or more at cell (r, f, theta) = (0.9, 0.9, 0.0)\n"),
+        ("sweep", {"sweep": {**TestPlumbing.SWEEP, "r_values": [0.5, 0.9, 0.7],
+                             "f_values": [0.9, 0.5], "tick": 1e-300}},
+         "tick = 1e-300 is too small: the half-spread 0.004821428571428571 spans 2**62 ticks "
+         "or more at cell (r, f, theta) = (0.5, 0.9, 0.0)\n"),
+        # the r below 1 closest to it leaves no room above 1 in the emax equation
+        ("spread", {"params": dict(REF_PARAMS, r=math.nextafter(1.0, 0.0), f=1.0)},
+         "emax equation needs rhs > 1, got 1.0 at cell (r, f, theta) = "
+         "(0.9999999999999999, 1.0, 0.0)\n"),
+        ("sweep", {"sweep": {**TestPlumbing.SWEEP, "r_values": [0.5, math.nextafter(1.0, 0.0)],
+                             "f_values": [1.0]}},
+         "emax equation needs rhs > 1, got 1.0 at cell (r, f, theta) = "
+         "(0.9999999999999999, 1.0, 0.0)\n"),
     ], ids=["pareto-shape-1e300", "theta-1e300", "logged-theta-1e308", "logged-theta-1e100",
             "fast-theta-1e200-rho", "logged-theta-1.5e308-rho", "event-gap-past-int64",
-            "event-time-past-int64"])
+            "event-time-past-int64", "spread-tick-1e-300", "spread-tick-subnormal",
+            "sweep-tick-1e-300", "spread-r-below-1", "sweep-r-below-1"])
     def test_extreme_value_writes_only_its_error_line(self, tmp_path, capsys, command, doc,
                                                       message):
         # warnings are errors here: a leaked RuntimeWarning fails the run

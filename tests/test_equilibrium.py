@@ -456,6 +456,8 @@ class TestMultiSource:
             )
         with pytest.raises(ValueError, match="source index"):
             gain_imm_multi(self.single(), 3, 0.02, 1.0)
+        with pytest.raises(ValueError, match="^at least one jump source is required$"):
+            MultiSourceParams(sources=(), volume=NormalVolume(10.0))
 
 
 class TestModelParams:
@@ -482,6 +484,8 @@ class TestModelParams:
                        dict(tick=0.01, offset_d=0.01), dict(offset_d=0.002)):
             with pytest.raises(ValueError):
                 reference_params(**kwargs)
+        with pytest.raises(ValueError, match="^ModelParams requires a jump law and a volume law$"):
+            ModelParams(r=0.5, f=0.5, volume=NormalVolume(10.0))
 
 
 class TestMonotonicity:
@@ -593,6 +597,8 @@ class TestBatchedSpreads:
             kwargs.update(bad)
             with pytest.raises(ValueError, match=match):
                 ParamGrid(**kwargs)
+        with pytest.raises(ValueError, match="^r, f and theta must broadcast to one 1-d array$"):
+            ParamGrid(r=[[0.5, 0.6]], f=0.5, theta=0.0, jump=jump, volume=volume)
 
 
 class TestEdgeDistances:

@@ -291,13 +291,12 @@ class TestReconstruct:
             ev(30, 2, "cancel", "ask", 100.01, 5),
         ]))
         lcs, fills = replay.lifecycles, replay.fills
-        assert [col.dtype for col in (lcs.side, lcs.terminal_kind, fills.side)] == [np.int8] * 3
+        assert [col.dtype for col in (lcs.side, lcs.terminal_kind)] == [np.int8] * 2
         assert lcs.side.tolist() == [SIDES.index("bid"), SIDES.index("ask"), SIDES.index("ask")]
-        assert fills.side.tolist() == [SIDES.index("bid")]
+        assert lcs.side[fills.lifecycle].tolist() == [SIDES.index("bid")]
         # rows decode the codes
         assert [(lc.side, lc.terminal_kind) for lc in lcs] == [
             ("bid", "executed"), ("ask", "canceled"), ("ask", None)]
-        assert list(fills)[0].side == "bid"
 
     def test_open_at_eof_reported(self):
         replay = reconstruct(event_log([ev(10, 1, "add", qty=5)]))
@@ -529,7 +528,10 @@ def outcome(fn, *args, **kwargs):
 def assert_same_replay(got, want, events):
     """The columnar replay holds the oracle's fills (each owned by the same
     lifecycle), lifecycles, open order ids and quotes."""
-    assert [f[2:] for f in got.fills] == [dataclasses.astuple(f) for f in want.fills]
+    lcs = list(got.lifecycles)
+    assert [(f.ts_ns, lcs[f.lifecycle].order_id, lcs[f.lifecycle].side, f.price, f.qty,
+             f.aggressor, lcs[f.lifecycle].participant_label)
+            for f in got.fills] == [dataclasses.astuple(f) for f in want.fills]
     assert got.fills.row.tolist() == [i for i, e in enumerate(events) if e.action == "execute"]
     owner = {id(f): k for k, lc in enumerate(want.all_lifecycles) for f in lc.fills}
     assert got.fills.lifecycle.tolist() == [owner[id(f)] for f in want.fills]

@@ -255,7 +255,7 @@ class TestTradeRecords:
         curve = signature_curves(aggressive, labels, [0, int(1e9), int(5e9)],
                                  1, "micro", quotes)
         assert sum(curve.counts.values()) + n_undef == len(aggressive)
-        assert set(curve.cluster_ids) <= {0, 1, 2}
+        assert set(curve.values) <= {0, 1, 2}
 
     def test_passive_signature_positive_for_informed_makers(self, sim_replay):
         # passive fills mark against the spread: at k = 0 the maker side of

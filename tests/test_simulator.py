@@ -181,6 +181,19 @@ class TestFastPath:
             SimConfig(params=REF, n_events=0, seed=0)
         with pytest.raises(ValueError, match="^seed must be a nonnegative integer, got -1$"):
             SimConfig(params=REF, n_events=10, seed=-1)
+        short = BookShape(grid=np.array([0.01, 0.02]), informed=np.array([1.0]),
+                          noise=np.array([1.0, 1.0]))
+        with pytest.raises(ValueError, match="^informed curve length does not match the grid$"):
+            SimConfig(params=REF, n_events=10, seed=0, book_mode=short)
+        negative = dataclasses.replace(short, informed=np.array([1.0, 2.0]),
+                                       noise=np.array([-1.0, 1.0]))
+        with pytest.raises(ValueError, match="^noise cumulative depth must be nonnegative$"):
+            SimConfig(params=REF, n_events=10, seed=0, book_mode=negative)
+        # a logged book sits on the tick grid around the price and reads no offset
+        with pytest.raises(ValueError, match="^record_log puts levels on the tick grid and reads "
+                                             "no offset_d; got offset_d = 0.005$"):
+            SimConfig(params=dataclasses.replace(REF, offset_d=0.005), n_events=10, seed=0,
+                      record_log=True)
 
     def test_overflowing_drift_gains_are_rejected(self):
         # n_events * (theta * (1 + |rho|))**2 bounds a level's sum of squared
@@ -251,8 +264,9 @@ class TestLoggedPath:
         # one aggressive IT order per jump that found volume in reach (the
         # informed trader also sweeps leftover volume after a lost race)
         replay = reconstruct(export_mbo(logged_result))
-        it_orders = {f.order_id for f in replay.fills
-                     if f.aggressor and f.participant_label == "IT"}
+        fills, lcs = replay.fills, replay.lifecycles
+        takers = lcs.take(fills.lifecycle[fills.aggressor])        # one lifecycle per fill
+        it_orders = set(takers.order_id[takers.participant_label == "IT"].tolist())
         _, oracle = logged_oracle.run(LOGGED_RUN)
         n_executed_jumps = sum(
             1 for ev in oracle.events
@@ -272,9 +286,10 @@ class TestLoggedPath:
         draws, times = redraw(cfg)
         won_at = times[(draws.is_jump & draws.it_wins) != 0]
         assert len(won_at) > 100
-        fills = reconstruct(export_mbo(run(cfg))).fills
-        assert set(fills.participant_label[fills.aggressor]) <= {"IT", "NT"}
-        it_trades_at = fills.ts_ns[fills.aggressor & (fills.participant_label == "IT")]
+        replay = reconstruct(export_mbo(run(cfg)))
+        fills, label = replay.fills, replay.lifecycles.participant_label[replay.fills.lifecycle]
+        assert set(label[fills.aggressor]) <= {"IT", "NT"}
+        it_trades_at = fills.ts_ns[fills.aggressor & (label == "IT")]
         assert np.isin(won_at, it_trades_at).all()
 
     def test_replenishment_restores_closed_form(self, logged_result):
