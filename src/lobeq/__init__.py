@@ -29,8 +29,6 @@ from .equilibrium import (
     ZeroSpreadRegime,
     book_curves,
     gain_imm,
-    gain_imm_multi,
-    gain_nmm,
     shape_continuous,
     shape_multi,
     shape_tick,
@@ -50,7 +48,6 @@ from .signature import (
     micro_price,
     mid_price,
     signature_curves,
-    trade_signature,
 )
 
 __version__ = "0.1.0"

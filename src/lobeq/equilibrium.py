@@ -56,8 +56,6 @@ __all__ = [
     "UNBOUNDED",
     "theta_bar",
     "gain_imm",
-    "gain_nmm",
-    "gain_imm_multi",
     "book_curves",
     "shape_continuous",
     "shape_tick",
@@ -263,10 +261,23 @@ class BookShape:
             return np.diff(self.informed, prepend=0.0)
 
     def validate(self) -> None:
+        """Check a book to queue orders on; a fault names its 1-based level."""
+        grid = self.grid
+        bad = np.flatnonzero(~((grid >= 0.0) & (grid < np.inf)))
+        if bad.size:
+            raise ValueError(f"grid distance {grid[bad[0]]} at level {bad[0] + 1} must be "
+                             "finite and nonnegative")
+        bad = np.flatnonzero(np.diff(grid) <= 0.0) + 1
+        if bad.size:
+            raise ValueError(f"grid must be strictly increasing: level {bad[0] + 1} at "
+                             f"{grid[bad[0]]} follows {grid[bad[0] - 1]}")
         for name in ("informed", "noise"):
             curve = getattr(self, name)
             if len(curve) != len(self.grid):
                 raise ValueError(f"{name} curve length does not match the grid")
+            bad = np.flatnonzero(np.isnan(curve))
+            if bad.size:
+                raise ValueError(f"{name} cumulative depth at level {bad[0] + 1} is nan")
             finite = curve[np.isfinite(curve)]
             if np.any(finite < 0.0):
                 raise ValueError(f"{name} cumulative depth must be nonnegative")
@@ -332,26 +343,6 @@ def theta_bar(p: ModelParams | ParamGrid) -> float | np.ndarray:
     return p.theta * (1.0 - p.rho * p.rho)
 
 
-def _gain(x: float, l_at_x: float, channels, r_total: float, volume: VolumeLaw,
-          tb: float) -> float:
-    """Conditional gain at distance ``x`` behind depth ``l_at_x``; each jump
-    channel is a ``(weight, jump law)`` pair, the weight being the source's
-    event fraction times the maker's fill probability after its jumps."""
-    if x <= 0.0:
-        raise ValueError("gain requires a positive distance x")
-    p_noise = (1.0 - r_total) * volume.p_gt(l_at_x)
-    denom = p_noise
-    adverse = 0.0
-    for weight, jump in channels:
-        denom += weight * jump.p_gt(x)
-        adverse += weight * jump.tail_expectation(x)
-    if denom == 0.0:
-        raise UnfillableLevelError(
-            f"no fill channel open at x = {x} with depth {l_at_x} ahead"
-        )
-    return x - (adverse + tb * p_noise) / denom
-
-
 def gain_imm(p: ModelParams, x: float, l_at_x: float) -> float:
     """Conditional average profit of a marginal informed-maker order at
     distance ``x`` with cumulative depth ``l_at_x`` ahead of it.
@@ -359,23 +350,18 @@ def gain_imm(p: ModelParams, x: float, l_at_x: float) -> float:
     The jump channel is discounted by the race parameter ``f``; at f = 0
     the maker always cancels first and the gain is exactly ``x``.
     """
-    return _gain(x, l_at_x, [(p.f * p.r, p.jump)], p.r, p.volume, theta_bar(p))
-
-
-def gain_nmm(p: ModelParams, x: float, l_at_x: float) -> float:
-    """Same as :func:`gain_imm` with the jump channel at full weight: noise
-    makers never win the cancellation race."""
-    return _gain(x, l_at_x, [(p.r, p.jump)], p.r, p.volume, theta_bar(p))
-
-
-def gain_imm_multi(mp: MultiSourceParams, j: int, x: float, l_at_x: float) -> float:
-    """Conditional gain of a marginal order of the maker specialised in
-    source ``j``: its own source's jump channel is discounted by f, every
-    other source hits it at full weight."""
-    if not 0 <= j < len(mp.sources):
-        raise ValueError(f"source index {j} out of range")
-    channels = [(s.r * (s.f if k == j else 1.0), s.jump) for k, s in enumerate(mp.sources)]
-    return _gain(x, l_at_x, channels, mp.total_r, mp.volume, 0.0)
+    if not x > 0.0:
+        raise ValueError("gain requires a positive distance x")
+    if not l_at_x >= 0.0:
+        raise ValueError(f"gain requires a nonnegative depth ahead, got {l_at_x}")
+    weight = p.f * p.r
+    p_noise = (1.0 - p.r) * p.volume.p_gt(l_at_x)
+    denom = p_noise + weight * p.jump.p_gt(x)
+    if denom == 0.0:
+        raise UnfillableLevelError(
+            f"no fill channel open at x = {x} with depth {l_at_x} ahead"
+        )
+    return x - (weight * p.jump.tail_expectation(x) + theta_bar(p) * p_noise) / denom
 
 
 # ---------------------------------------------------------------------------

@@ -37,25 +37,21 @@ __all__ = [
 ]
 
 
-def _maybe_scalar(x, out):
-    """Return a float for scalar input, the ndarray otherwise."""
-    if np.isscalar(x) or np.ndim(x) == 0:
-        return float(out)
-    return out
-
-
 class _Law:
-    """What both families share: a right-continuous CDF, its strict tail, sampling."""
+    """What both families share: a right-continuous CDF, its strict tail, sampling.
+
+    Every method takes arrays and returns what numpy gives: a scalar in
+    gives a 0-d value out.
+    """
 
     def cdf(self, x):
         raise NotImplementedError
 
     def p_gt(self, x):
         """P[X > x] (strict)."""
-        out = 1.0 - np.asarray(self.cdf(x), dtype=float)
-        return _maybe_scalar(x, out)
+        return 1.0 - self.cdf(x)
 
-    def sample(self, rng: np.random.Generator, size=None):
+    def sample(self, rng: np.random.Generator, size):
         raise NotImplementedError
 
 
@@ -85,10 +81,9 @@ class JumpLaw(_Law):
     def emax_ratio(self, x):
         """E[max(B/x, 1)] for x > 0; decreasing, >= 1, -> 1 as x -> inf."""
         x_arr = np.asarray(x, dtype=float)
-        if np.any(x_arr <= 0.0):
+        if not np.all(x_arr > 0.0):                     # nan fails the comparison
             raise ValueError("emax_ratio requires x > 0")
-        out = self.tail_expectation(x_arr) / x_arr + self.cdf(x_arr)
-        return _maybe_scalar(x, out)
+        return self.tail_expectation(x_arr) / x_arr + self.cdf(x_arr)
 
 
 @dataclass(frozen=True)
@@ -126,18 +121,16 @@ class Pareto(JumpLaw):
     def cdf(self, x):
         x_arr = np.asarray(x, dtype=float)
         xx = np.maximum(x_arr, self.scale)
-        out = np.where(x_arr < self.scale, 0.0, 1.0 - (self.scale / xx) ** self.shape)
-        return _maybe_scalar(x, out)
+        return np.where(x_arr < self.scale, 0.0, 1.0 - (self.scale / xx) ** self.shape)
 
     def tail_expectation(self, x):
         a, s = self.shape, self.scale
         x_arr = np.asarray(x, dtype=float)
         xx = np.maximum(x_arr, s)
         tail = a * s**a * xx ** (1.0 - a) / (a - 1.0)
-        out = np.where(x_arr <= s, self.mean, tail)
-        return _maybe_scalar(x, out)
+        return np.where(x_arr <= s, self.mean, tail)
 
-    def sample(self, rng: np.random.Generator, size=None):
+    def sample(self, rng: np.random.Generator, size):
         u = rng.random(size)
         return self.scale * (1.0 - u) ** (-1.0 / self.shape)
 
@@ -162,17 +155,15 @@ class Exponential(JumpLaw):
 
     def cdf(self, x):
         x_arr = np.asarray(x, dtype=float)
-        out = np.where(x_arr <= 0.0, 0.0, -np.expm1(-self.rate * np.maximum(x_arr, 0.0)))
-        return _maybe_scalar(x, out)
+        return np.where(x_arr <= 0.0, 0.0, -np.expm1(-self.rate * np.maximum(x_arr, 0.0)))
 
     def tail_expectation(self, x):
         x_arr = np.maximum(np.asarray(x, dtype=float), 0.0)
         at_inf = np.isinf(x_arr)        # the tail is 0 there; inf * exp(-inf) would be nan
         x_fin = np.where(at_inf, 0.0, x_arr)
-        out = np.where(at_inf, 0.0, (x_fin + self.mean) * np.exp(-self.rate * x_fin))
-        return _maybe_scalar(x, out)
+        return np.where(at_inf, 0.0, (x_fin + self.mean) * np.exp(-self.rate * x_fin))
 
-    def sample(self, rng: np.random.Generator, size=None):
+    def sample(self, rng: np.random.Generator, size):
         return rng.exponential(self.mean, size)
 
 
@@ -196,18 +187,14 @@ class PointMass(JumpLaw):
 
     def cdf(self, x):
         x_arr = np.asarray(x, dtype=float)
-        out = np.where(x_arr >= self.value, 1.0, 0.0)
-        return _maybe_scalar(x, out)
+        return np.where(x_arr >= self.value, 1.0, 0.0)
 
     def tail_expectation(self, x):
         x_arr = np.asarray(x, dtype=float)
-        out = np.where(x_arr < self.value, self.value, 0.0)
-        return _maybe_scalar(x, out)
+        return np.where(x_arr < self.value, self.value, 0.0)
 
-    def sample(self, rng: np.random.Generator, size=None):
+    def sample(self, rng: np.random.Generator, size):
         rng.random(size)  # consume the slot so draw streams stay aligned
-        if size is None:
-            return self.value
         return np.full(size, self.value)
 
 
@@ -301,14 +288,13 @@ class NormalVolume(VolumeLaw):
 
     def cdf(self, x):
         z = np.asarray(x, dtype=float) / (self.sigma * math.sqrt(2.0))
-        out = 0.5 * np.asarray(_erfc(-z), dtype=float)
-        return _maybe_scalar(x, out)
+        return 0.5 * np.asarray(_erfc(-z), dtype=float)
 
     def quantile(self, p):
         p_arr = self._check_p(p)
-        return _maybe_scalar(p, self.sigma * _ndtri(p_arr))
+        return self.sigma * _ndtri(p_arr)
 
-    def sample(self, rng: np.random.Generator, size=None):
+    def sample(self, rng: np.random.Generator, size):
         return rng.normal(0.0, self.sigma, size)
 
 
@@ -324,21 +310,19 @@ class LaplaceVolume(VolumeLaw):
 
     def cdf(self, x):
         x_arr = np.asarray(x, dtype=float)
-        out = np.where(
+        return np.where(
             x_arr < 0.0,
             0.5 * np.exp(np.minimum(x_arr, 0.0) / self.b),
             1.0 - 0.5 * np.exp(-np.maximum(x_arr, 0.0) / self.b),
         )
-        return _maybe_scalar(x, out)
 
     def quantile(self, p):
         p_arr = self._check_p(p)
-        out = np.where(
+        return np.where(
             p_arr < 0.5,
             self.b * np.log(2.0 * np.minimum(p_arr, 0.5)),
             -self.b * np.log(2.0 * (1.0 - np.maximum(p_arr, 0.5))),
         )
-        return _maybe_scalar(p, out)
 
-    def sample(self, rng: np.random.Generator, size=None):
+    def sample(self, rng: np.random.Generator, size):
         return rng.laplace(0.0, self.b, size)

@@ -42,7 +42,6 @@ __all__ = [
     "build_trade_records",
     "ClusterSpec",
     "classify",
-    "trade_signature",
     "SignatureCurve",
     "signature_curves",
 ]
@@ -297,15 +296,6 @@ def classify(trades: TradeTable, spec: ClusterSpec) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Signatures
 # ---------------------------------------------------------------------------
-
-
-def trade_signature(trades: TradeTable, k_ns: int, eps: int,
-                    reference: str, quotes: QuoteSeries) -> float:
-    """ST(k) of one cohort; ``eps`` is +1 (aggressive) or -1 (passive)."""
-    if not len(trades):
-        raise ValueError("trade_signature needs a nonempty trade table")
-    return signature_curves(trades, np.zeros(len(trades), dtype=int), (k_ns,), eps, reference,
-                            quotes).values[0][0]
 
 
 @dataclass

@@ -2,6 +2,7 @@
 monotonicity, independent-oracle agreement."""
 
 import math
+import re
 import sys
 import warnings
 
@@ -21,8 +22,6 @@ from lobeq.equilibrium import (
     ZeroSpreadRegime,
     book_curves,
     gain_imm,
-    gain_imm_multi,
-    gain_nmm,
     shape_continuous,
     shape_multi,
     shape_tick,
@@ -32,6 +31,9 @@ from lobeq.equilibrium import (
     theta_bar,
 )
 from lobeq.laws import Exponential, LaplaceVolume, NormalVolume, Pareto, PointMass
+
+import gain_oracle
+from gain_oracle import gain_imm_multi, gain_nmm
 
 
 def reference_params(**overrides):
@@ -304,6 +306,12 @@ class TestGains:
     def test_positive_distance_required(self):
         with pytest.raises(ValueError):
             gain_imm(reference_params(), 0.0, 1.0)
+        with pytest.raises(ValueError, match="^gain requires a positive distance x$"):
+            gain_imm(reference_params(), math.nan, 1.0)
+        for depth in (math.nan, -5.0):
+            with pytest.raises(ValueError, match=f"^gain requires a nonnegative depth ahead, "
+                                                 f"got {depth}$"):
+                gain_imm(reference_params(), 0.02, depth)
 
 
 class TestToxicity:
@@ -685,6 +693,19 @@ class TestBreakEvenCore:
         informed, noise = book_curves(ModelParams(r=r, f=f, jump=jump, volume=volume), x)
         assert np.array_equal(book.informed, informed)
         assert np.array_equal(book.noise, noise)
+
+    @given(jump_laws, volume_laws, fractions, races, st.sampled_from([0.0, 0.004]),
+           st.floats(-0.9, 0.9), st.floats(1e-4, 0.2), st.floats(0.0, 60.0))
+    def test_gain_imm_is_the_one_channel_gain(self, jump, volume, r, f, theta, rho, x, depth):
+        # the inline single channel keeps the general form's operation order
+        p = ModelParams(r=r, f=f, jump=jump, volume=volume, theta=theta, rho=rho)
+        try:
+            want = gain_oracle.gain_imm(p, x, depth)
+        except UnfillableLevelError as exc:
+            with pytest.raises(UnfillableLevelError, match=f"^{re.escape(str(exc))}$"):
+                gain_imm(p, x, depth)
+        else:
+            assert float(gain_imm(p, x, depth)).hex() == float(want).hex()
 
     @given(st.lists(st.tuples(st.floats(0.0, 0.3), jump_laws), min_size=1, max_size=3),
            races, volume_laws, distances)

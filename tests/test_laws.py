@@ -14,6 +14,7 @@ from scipy.stats import kstest
 
 from lobeq.laws import (
     Exponential,
+    JumpLaw,
     LaplaceVolume,
     NormalVolume,
     Pareto,
@@ -116,6 +117,9 @@ class TestJumpLaws:
             law.emax_ratio(0.0)
         with pytest.raises(ValueError):
             law.emax_ratio(-1.0)
+        for x in (math.nan, [0.01, math.nan]):     # nan fails like x = 0 does
+            with pytest.raises(ValueError, match=r"^emax_ratio requires x > 0$"):
+                law.emax_ratio(x)
         with pytest.raises(ValueError):
             Pareto(1.0, 0.005)
         with pytest.raises(ValueError):
@@ -264,20 +268,44 @@ class TestNormalAgainstScipy:
     def test_cdf_matches_ndtr_property(self, z, sigma):
         self.assert_cdf_close(NormalVolume(sigma), np.array([z]))
 
-    def test_scalar_in_float_out(self):
-        law = NormalVolume(10.0)
-        for value in (law.quantile(0.3), law.quantile(np.float64(0.3)),
-                      law.cdf(1.5), law.cdf(np.float64(1.5)), law.p_gt(1.5)):
-            assert type(value) is float
-        assert isinstance(law.quantile(np.array([0.3])), np.ndarray)
-        assert isinstance(law.cdf([1.5]), np.ndarray)
+
+class TestArrayContract:
+    """Every law method takes arrays; a scalar is a 0-d array."""
+
+    LAWS = st.one_of(st.builds(Pareto, st.floats(1.5, 5.0), st.floats(1e-3, 0.05)),
+                     st.builds(Exponential, st.floats(20.0, 500.0)),
+                     st.builds(PointMass, st.floats(1e-3, 0.05)),
+                     st.builds(NormalVolume, st.floats(1.0, 20.0)),
+                     st.builds(LaplaceVolume, st.floats(1.0, 15.0)))
+    ANYWHERE = st.floats(-1e3, 1e3) | st.sampled_from([0.0, math.inf, -math.inf])
+    DOMAINS = {"cdf": ANYWHERE, "p_gt": ANYWHERE, "tail_expectation": ANYWHERE,
+               "emax_ratio": st.floats(1e-6, 1e3) | st.just(math.inf),
+               "quantile": st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)}
+
+    @given(LAWS, st.data())
+    def test_scalar_in_zero_d_out(self, law, data):
+        methods = ["cdf", "p_gt"] + (["tail_expectation", "emax_ratio"]
+                                     if isinstance(law, JumpLaw) else ["quantile"])
+        method = getattr(law, data.draw(st.sampled_from(methods)))
+        x = data.draw(self.DOMAINS[method.__name__])
+        want = method(np.array([x]))[0]
+        for scalar in (x, np.float64(x), np.array(x)):
+            got = method(scalar)
+            assert isinstance(got, (np.ndarray, np.floating)) and got.ndim == 0
+            assert got.dtype == np.float64
+            if isinstance(law, Pareto):
+                # a numpy scalar's ** is the C library's pow, an array's may be
+                # a vectorized pow one ulp away; 1 - (scale/x)**shape magnifies it
+                assert got == pytest.approx(want, rel=1e-14, abs=1e-15)
+            else:
+                assert np.asarray(got).tobytes() == want.tobytes()
 
 
 class TestSampling:
     def test_pointmass_degenerate(self):
         rng = np.random.default_rng(0)
         law = PointMass(0.02)
-        assert law.sample(rng) == 0.02
+        assert np.array_equal(law.sample(rng, 1), [0.02])
         assert np.all(law.sample(rng, 100) == 0.02)
 
     def test_deterministic_for_seed(self):

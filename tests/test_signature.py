@@ -28,7 +28,6 @@ from lobeq.signature import (
     micro_price,
     mid_price,
     signature_curves,
-    trade_signature,
 )
 from lobeq.simulator import SimConfig, _event_times, draw_events, export_mbo, run
 
@@ -64,6 +63,15 @@ class TestReferencePrices:
                 continue
             mp = micro_price(bid, ask, v_b, v_a)
             assert bid <= mp <= ask
+
+
+def trade_signature(trades, k_ns, eps, reference, quotes):
+    """ST(k) of one cohort, ``eps`` +1 (aggressive) or -1 (passive): the
+    one-cluster, one-horizon value of :func:`signature_curves`."""
+    if not len(trades):
+        raise ValueError("trade_signature needs a nonempty trade table")
+    return signature_curves(trades, np.zeros(len(trades), dtype=int), (k_ns,), eps, reference,
+                            quotes).values[0][0]
 
 
 def series(points):

@@ -189,6 +189,22 @@ class TestFastPath:
                                        noise=np.array([-1.0, 1.0]))
         with pytest.raises(ValueError, match="^noise cumulative depth must be nonnegative$"):
             SimConfig(params=REF, n_events=10, seed=0, book_mode=negative)
+        # a user book needs a finite, nonnegative, strictly increasing grid
+        # and no nan depth; each fault names its 1-based level
+        book = shape_tick(REF, 3)
+        for change, message in [
+                (dict(noise=np.array([0.0, np.nan, 2.0])),
+                 "noise cumulative depth at level 2 is nan"),
+                (dict(grid=np.array([0.0, np.nan, 0.02])),
+                 "grid distance nan at level 2 must be finite and nonnegative"),
+                (dict(grid=np.array([-0.01, 0.01, 0.02])),
+                 "grid distance -0.01 at level 1 must be finite and nonnegative"),
+                (dict(grid=np.array([0.0, 0.02, 0.01])),
+                 "grid must be strictly increasing: level 3 at 0.01 follows 0.02")]:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                SimConfig(params=REF, n_events=10, seed=0,
+                          book_mode=dataclasses.replace(book, **change))
+        SimConfig(params=REF, n_events=10, seed=0, book_mode=book)
         # a logged book sits on the tick grid around the price and reads no offset
         with pytest.raises(ValueError, match="^record_log puts levels on the tick grid and reads "
                                              "no offset_d; got offset_d = 0.005$"):
