@@ -12,9 +12,11 @@ Flags only select the command, config path, output directory and an
 optional seed override; everything else lives in the config document so a
 run can be reproduced from its manifest alone.  The config root holds only
 the sections its command reads, plus ``seed`` and ``out``; any other key
-is rejected.  Every command writes ``manifest.json`` echoing the config
-as given plus the seed the run used.  Numeric CSV output is rendered
-with 17 significant digits so values round-trip exactly.
+is rejected.  A command that succeeds writes its outputs and then
+``manifest.json``, which echoes the config as given plus the seed the run
+used and lists the outputs in the order they were written; a command that
+fails writes no output file.  Numeric CSV output is rendered with 17
+significant digits so values round-trip exactly.
 
 A config error is printed as ``lobeq <command>: <message>`` and names its
 section once: ``config``, ``params``, ``multi``, ``multi: source <k>``,
@@ -34,7 +36,6 @@ import logging
 import math
 import os
 import sys
-from collections.abc import Iterable, Sequence
 from pathlib import Path
 
 import numpy as np
@@ -65,7 +66,7 @@ from .signature import (
     classify,
     signature_curves,
 )
-from .simulator import SimConfig, run as run_sim
+from .simulator import LevelPnl, SimConfig, run as run_sim
 
 log = logging.getLogger("lobeq")
 
@@ -170,6 +171,11 @@ class _Section:
             raise self.fail(f"{key} must be a path string, got {value!r}")
         return value
 
+    def present(self, keys, cast=float) -> dict:
+        """The numbers under those of ``keys`` that are present, so that the
+        constructor they are passed to supplies its own defaults."""
+        return {key: self.number(key, cast=cast) for key in keys if key in self.cfg}
+
     def numbers(self, key: str, default=_REQUIRED, allow_empty=False) -> list[float]:
         values = self.get(key, default)
         if not isinstance(values, list):
@@ -203,8 +209,7 @@ def _params(root: _Section) -> ModelParams:
     # r or both intensities may be absent or null: ModelParams derives one from the other
     rates = {key: p.number(key, None) for key in ("r", "lambda_i", "lambda_u")}
     return p.build(ModelParams, **rates, f=p.number("f"), jump=p.law("jump"),
-                   volume=p.law("volume"),
-                   **{key: p.number(key, 0.0) for key in ("theta", "rho", "tick", "offset_d")})
+                   volume=p.law("volume"), **p.present(("theta", "rho", "tick", "offset_d")))
 
 
 def _multi(root: _Section) -> MultiSourceParams:
@@ -227,25 +232,29 @@ def _grid(shape: _Section) -> np.ndarray:
     return np.linspace(lo, hi, n)
 
 
-def _write_json(path: Path, doc, sort_keys: bool = False) -> None:
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=sort_keys)
-        fh.write("\n")
-
-
-def _write_csv_rows(path: Path, header: list[str], rows: Iterable[Sequence]) -> None:
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+def _write(path: Path, content, sort_keys: bool = False) -> None:
+    """Write one output, by its suffix and type: a ``.json`` document, a
+    CSV table given as column name -> column (None is a blank cell), or a
+    logged run's text blocks."""
+    if path.suffix == ".json":
+        with open(path, "w") as fh:
+            json.dump(content, fh, indent=2, sort_keys=sort_keys)
+            fh.write("\n")
+    elif isinstance(content, dict):
+        with open(path, "w") as fh:
+            fh.write(",".join(content) + "\n")
+            for row in zip(*content.values()):
+                fh.write(",".join(map(_fmt, row)) + "\n")
+    else:
+        write_csv(content, path)
 
 
 # ---------------------------------------------------------------------------
-# Commands
+# Commands: each returns its outputs, file name -> content, for main to write
 # ---------------------------------------------------------------------------
 
 
-def cmd_shape(root: _Section, out: Path, seed) -> list[str]:
+def cmd_shape(root: _Section, seed) -> dict:
     shape = root.section("shape", "")
     variant = shape.get("variant")
     if variant not in ("multi", "tick", "continuous", "toxic"):
@@ -267,14 +276,12 @@ def cmd_shape(root: _Section, out: Path, seed) -> list[str]:
     if variant == "tick":
         columns["per_level"] = book.per_level
     columns.update((f"source_{k}", src) for k, src in enumerate(book.source_books or ()))
-    doc = {name: [float(v) for v in col] for name, col in columns.items()}
-    _write_csv_rows(out / "shape.csv", list(doc), zip(*doc.values()))
-    doc["tick"], doc["offset_d"] = (p.tick, p.offset_d) if p else (0.0, 0.0)
-    _write_json(out / "shape.json", doc)
-    return ["shape.csv", "shape.json"]
+    table = {name: [float(v) for v in col] for name, col in columns.items()}
+    tick, offset_d = (p.tick, p.offset_d) if p else (0.0, 0.0)
+    return {"shape.csv": table, "shape.json": {**table, "tick": tick, "offset_d": offset_d}}
 
 
-def cmd_spread(root: _Section, out: Path, seed) -> list[str]:
+def cmd_spread(root: _Section, seed) -> dict:
     params = _params(root)
     if params.theta > 0.0 and params.tick > 0.0:
         raise ConfigError("set either theta > 0 or tick > 0, not both")
@@ -284,11 +291,10 @@ def cmd_spread(root: _Section, out: Path, seed) -> list[str]:
     # the toxic half-spread is reported only for a toxic model
     doc = {**dataclasses.asdict(sol), "phi_theta": sol.phi_theta if params.theta > 0.0 else None,
            "theta_bar": theta_bar(params)}
-    _write_json(out / "spread.json", doc)
-    return ["spread.json"]
+    return {"spread.json": doc}
 
 
-def cmd_simulate(root: _Section, out: Path, seed) -> list[str]:
+def cmd_simulate(root: _Section, seed) -> dict:
     params = _params(root)
     sim = root.section("simulate", "", ("n_events", "seed", "n_levels", "record_log",
                                          "volume_scale"))
@@ -300,23 +306,21 @@ def cmd_simulate(root: _Section, out: Path, seed) -> list[str]:
         params=params,
         n_events=sim.number("n_events", cast=int),
         seed=sim_seed if seed is None else seed,
-        record_log=sim.get("record_log", False),
-        n_levels=sim.number("n_levels", 10, int),
-        volume_scale=sim.number("volume_scale", 1_000_000, int),
+        record_log=sim.get("record_log", SimConfig.record_log),
+        **sim.present(("n_levels", "volume_scale"), int),
     )
     result = run_sim(sc)
 
-    rows = ([p.maker, p.level, p.n_fills, p.mean_gain, p.std_err] for p in result.pnl)
-    _write_csv_rows(out / "pnl.csv", ["maker_type", "level", "n_fills", "mean_gain", "std_err"], rows)
-    _write_json(out / "summary.json", result.summary)
-    outputs = ["pnl.csv", "summary.json"]
+    names = ("maker_type", "level", "n_fills", "mean_gain", "std_err")
+    pnl = {name: [getattr(p, field.name) for p in result.pnl]
+           for name, field in zip(names, dataclasses.fields(LevelPnl))}
+    outputs = {"pnl.csv": pnl, "summary.json": result.summary}
     if sc.record_log:
-        write_csv(result.mbo_text, out / "mbo.csv")
-        outputs.append("mbo.csv")
+        outputs["mbo.csv"] = result.mbo_text
     return outputs
 
 
-def cmd_signature(root: _Section, out: Path, seed) -> list[str]:
+def cmd_signature(root: _Section, seed) -> dict:
     sig = root.section("signature", "", ("input", "tick", "reference", "horizons_s", "clusters"))
     input_path = sig.path("input")
     tick = sig.number("tick", None) or None                 # absent, null or 0: no tick
@@ -344,40 +348,34 @@ def cmd_signature(root: _Section, out: Path, seed) -> list[str]:
     quotes = QuoteSeries.from_replay(replay)
     aggressive, passive = build_trade_records(replay, quotes)
 
-    outputs = []
+    outputs = {}
     for i, spec in enumerate(specs):
         records = aggressive if spec.side == "aggressive" else passive
         eps = 1 if spec.side == "aggressive" else -1
         labels = classify(records, spec)
         curve = signature_curves(records, labels, horizons_ns, eps, reference, quotes)
-        rows = [[k / 1e9, cid, value, curve.counts[cid]] for cid, values in curve.values.items()
-                for k, value in zip(horizons_ns, values)]
-        name = f"signature_{i}_{spec.metric}.csv"
-        _write_csv_rows(out / name, ["horizon", "cluster_id", "st_value", "n_trades"], rows)
-        outputs.append(name)
+        # one row per cluster and horizon, the horizons of each cluster together
+        ids = list(curve.values)
+        outputs[f"signature_{i}_{spec.metric}.csv"] = {
+            "horizon": [k / 1e9 for k in horizons_ns] * len(ids),
+            "cluster_id": [cid for cid in ids for _ in horizons_ns],
+            "st_value": [value for values in curve.values.values() for value in values],
+            "n_trades": [curve.counts[cid] for cid in ids for _ in horizons_ns],
+        }
     return outputs
 
 
-def _blank_unless(values: np.ndarray | None, keep: np.ndarray) -> list:
-    """``values`` as a list with None (a blank CSV cell) where ``keep`` is
-    False; all blanks when there are no values."""
-    if values is None:
-        return [None] * keep.size
-    return [v if k else None for v, k in zip(values.tolist(), keep.tolist())]
-
-
-def cmd_sweep(root: _Section, out: Path, seed) -> list[str]:
+def cmd_sweep(root: _Section, seed) -> dict:
     sweep = root.section("sweep", "", ("r_values", "f_values", "theta_values", "probe_x", "jump",
                                        "volume", "rho", "tick", "offset_d"))
     r_values = sweep.numbers("r_values")
     f_values = sweep.numbers("f_values")
-    theta_values = sweep.numbers("theta_values", [0.0])
+    theta_values = sweep.numbers("theta_values", [ModelParams.theta])
     probe_x = sweep.numbers("probe_x", [], allow_empty=True)
     r, f, theta = (a.ravel() for a in np.meshgrid(r_values, f_values, theta_values,
                                                   indexing="ij"))
     grid = sweep.build(ParamGrid, r=r, f=f, theta=theta, jump=sweep.law("jump"),
-                       volume=sweep.law("volume"),
-                       **{key: sweep.number(key, 0.0) for key in ("rho", "tick", "offset_d")})
+                       volume=sweep.law("volume"), **sweep.present(("rho", "tick", "offset_d")))
     log.info("sweep over %d cells", r.size)
 
     # a cell with theta > 0 reports the toxic spread, else the tick
@@ -392,18 +390,14 @@ def cmd_sweep(root: _Section, out: Path, seed) -> list[str]:
     toxic = solved & (theta > 0.0)
     ticked = solved & ~toxic
     informed, _noise = book_curves(grid, probe_x)
-    columns = [
-        r.tolist(), f.tolist(), theta.tolist(), sol.phi.tolist(),
-        _blank_unless(sol.mu, solved),
-        _blank_unless(sol.phi_theta, toxic),
-        _blank_unless(sol.k_d, ticked),
-        _blank_unless(sol.spread_tick, ticked),
-        *informed.T.tolist(),
-    ]
-    header = ["r", "f", "theta", "phi", "mu", "phi_theta", "k_d", "spread_tick"]
-    header += [f"L_at_{_fmt(x)}" for x in probe_x]
-    _write_csv_rows(out / "sweep.csv", header, zip(*columns))
-    return ["sweep.csv"]
+    table = {"r": r.tolist(), "f": f.tolist(), "theta": theta.tolist(), "phi": sol.phi.tolist()}
+    # blank where a cell has no such value; k_d and spread_tick are None without a tick
+    for name, keep in (("mu", solved), ("phi_theta", toxic), ("k_d", ticked),
+                       ("spread_tick", ticked)):
+        values = getattr(sol, name)
+        table[name] = [None] * r.size if values is None else np.where(keep, values, None).tolist()
+    table.update((f"L_at_{_fmt(x)}", column) for x, column in zip(probe_x, informed.T.tolist()))
+    return {"sweep.csv": table}
 
 
 # ---------------------------------------------------------------------------
@@ -467,14 +461,16 @@ def main(argv=None) -> int:
         out.mkdir(parents=True, exist_ok=True)
         seed = args.seed if args.seed is not None else config_seed
 
-        outputs = COMMANDS[args.command](root, out, seed)
+        outputs = COMMANDS[args.command](root, seed)
+        for name, content in outputs.items():
+            _write(out / name, content)
         resolved = dict(cfg)
         if seed is not None:
             resolved["seed"] = seed
         manifest = {"command": args.command, "package_version": __version__, "seed": seed,
-                    "config": resolved, "outputs": outputs}
-        _write_json(out / "manifest.json", manifest, sort_keys=True)
-        log.info("wrote %s", ", ".join(outputs + ["manifest.json"]))
+                    "config": resolved, "outputs": list(outputs)}
+        _write(out / "manifest.json", manifest, sort_keys=True)
+        log.info("wrote %s", ", ".join([*outputs, "manifest.json"]))
         return 0
     # ConfigError, the MBO errors and json.JSONDecodeError are ValueErrors
     except (ValueError, OSError, ZeroSpreadRegime, SolverError) as exc:

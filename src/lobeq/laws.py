@@ -121,13 +121,13 @@ class Pareto(JumpLaw):
     def cdf(self, x):
         x_arr = np.asarray(x, dtype=float)
         xx = np.maximum(x_arr, self.scale)
-        return np.where(x_arr < self.scale, 0.0, 1.0 - (self.scale / xx) ** self.shape)
+        return np.where(x_arr < self.scale, 0.0, 1.0 - np.power(self.scale / xx, self.shape))
 
     def tail_expectation(self, x):
         a, s = self.shape, self.scale
         x_arr = np.asarray(x, dtype=float)
         xx = np.maximum(x_arr, s)
-        tail = a * s**a * xx ** (1.0 - a) / (a - 1.0)
+        tail = a * s**a * np.power(xx, 1.0 - a) / (a - 1.0)
         return np.where(x_arr <= s, self.mean, tail)
 
     def sample(self, rng: np.random.Generator, size):

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import lobeq
+from lobeq import cli
 from lobeq.cli import _Section, main
 from lobeq.equilibrium import (
     ModelParams,
@@ -617,6 +618,46 @@ class TestSignature:
                 in capsys.readouterr().err)
         assert not list(out.glob("signature_*.csv"))
 
+    # asks only until t = 50; order 3 is the first add at its level, added after
+    # the trade at t = 20, and its fill at t = 40 meets the one-sided book
+    ONE_SIDED_LOG = """\
+ts_ns,order_id,action,side,price,qty,aggressor_flag,participant_label
+10,1,add,ask,100.01,1,,
+20,2,add,bid,100.01,1,,
+20,1,execute,ask,100.01,1,false,
+20,2,execute,bid,100.01,1,true,
+30,3,add,ask,100.02,5,,
+40,4,add,bid,100.02,1,,
+40,3,execute,ask,100.02,1,false,
+40,4,execute,bid,100.02,1,true,
+50,5,add,bid,99.99,5,,
+60,6,add,ask,100.02,1,,
+70,7,add,bid,100.02,5,,
+70,3,execute,ask,100.02,4,false,
+70,7,execute,bid,100.02,4,true,
+70,6,execute,ask,100.02,1,false,
+70,7,execute,bid,100.02,1,true,
+"""
+
+    def test_failed_later_cluster_writes_no_curves(self, tmp_path, capsys):
+        # add_to_add reads only order 6's fill, on a two-sided book; trade_to_add
+        # also reads order 3's fill at t = 40, whose mid is undefined
+        log = tmp_path / "one_sided.csv"
+        log.write_text(self.ONE_SIDED_LOG)
+        clusters = [{"metric": "add_to_add", "thresholds": [1e7], "side": "passive"},
+                    {"metric": "trade_to_add", "thresholds": [1e7], "side": "passive"}]
+        for n_clusters, code in ((1, 0), (2, 2)):
+            doc = {"signature": {"input": str(log), "reference": "mid", "horizons_s": [0.0],
+                                 "clusters": clusters[:n_clusters]}}
+            cfg = write_config(tmp_path, doc, name="sig.json")
+            out = tmp_path / f"sig_out_{n_clusters}"
+            assert main(["signature", "--config", cfg, "--out", str(out)]) == code
+        assert (tmp_path / "sig_out_1" / "signature_0_add_to_add.csv").exists()
+        assert capsys.readouterr().err == (
+            "lobeq signature: reference lookup failed for trade of order 3 at t = 40 + k = 0: "
+            "one-sided book at t = 40: mid undefined\n")
+        assert list(out.iterdir()) == []
+
     def test_unreadable_log_names_its_row(self, tmp_path, capsys):
         log = tmp_path / "big.csv"
         log.write_text("ts_ns,order_id,action,side,price,qty,aggressor_flag,participant_label\n"
@@ -1068,6 +1109,61 @@ class TestPlumbing:
         public = {name for name, value in vars(lobeq).items()
                   if not name.startswith("_") and not isinstance(value, types.ModuleType)}
         assert sorted(public - exported) == []
+
+
+class TestManifest:
+    """``outputs`` in ``manifest.json`` names exactly the files a command
+    wrote, in the order it wrote them."""
+
+    LOGGED = {"params": {**REF_PARAMS, "r": 0.15, "lambda_i": 0.15, "lambda_u": 0.85},
+              "simulate": {"n_events": 300, "seed": 7, "n_levels": 6, "record_log": True,
+                           "volume_scale": 1000}}
+    GRID = {"x_min": 0.01, "x_max": 0.1, "n_points": 5}
+    MULTI = {"sources": [{"r": 0.2, "f": 0.5, "jump": REF_PARAMS["jump"]}],
+             "volume": REF_PARAMS["volume"]}
+    CLUSTERS = [{"metric": "trade_to_trade", "thresholds": [1e7], "side": "aggressive"},
+                {"metric": "update_count", "thresholds": [1], "side": "passive"}]
+
+    @pytest.mark.parametrize("command, doc, names", [
+        ("shape", {"params": REF_PARAMS, "shape": {"variant": "tick", "n_levels": 4}},
+         ["shape.csv", "shape.json"]),
+        ("shape", {"params": dict(REF_PARAMS, tick=0.0),
+                   "shape": {"variant": "continuous", **GRID}}, ["shape.csv", "shape.json"]),
+        ("shape", {"params": dict(REF_PARAMS, tick=0.0, theta=0.005, rho=0.5),
+                   "shape": {"variant": "toxic", **GRID}}, ["shape.csv", "shape.json"]),
+        ("shape", {"multi": MULTI, "shape": {"variant": "multi", **GRID}},
+         ["shape.csv", "shape.json"]),
+        ("spread", {"params": dict(REF_PARAMS, tick=0.0)}, ["spread.json"]),
+        ("simulate", {"params": REF_PARAMS, "simulate": {"n_events": 300, "seed": 1}},
+         ["pnl.csv", "summary.json"]),
+        ("simulate", LOGGED, ["pnl.csv", "summary.json", "mbo.csv"]),
+        ("signature", {"signature": {"horizons_s": [0.0, 1.0], "clusters": CLUSTERS}},
+         ["signature_0_trade_to_trade.csv", "signature_1_update_count.csv"]),
+        ("sweep", {"sweep": {"r_values": [0.5, 0.9], "f_values": [0.5], "probe_x": [0.01],
+                             "jump": REF_PARAMS["jump"], "volume": REF_PARAMS["volume"]}},
+         ["sweep.csv"]),
+    ], ids=["shape-tick", "shape-continuous", "shape-toxic", "shape-multi", "spread",
+            "simulate-fast", "simulate-logged", "signature", "sweep"])
+    def test_outputs_are_the_files_written_in_order(self, tmp_path, monkeypatch, command, doc,
+                                                    names):
+        if command == "signature":
+            (tmp_path / "log").mkdir()
+            code, log_out = run_cli(tmp_path / "log", "simulate", self.LOGGED)
+            assert code == 0
+            doc = {"signature": {**doc["signature"], "input": str(log_out / "mbo.csv")}}
+        written, write = [], cli._write
+
+        def recording(path, *args, **kwargs):
+            written.append(path.name)
+            write(path, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "_write", recording)
+        code, out = run_cli(tmp_path, command, doc)
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["outputs"] == names
+        assert written == [*names, "manifest.json"]
+        assert sorted(p.name for p in out.iterdir()) == sorted(written)
 
 
 def value_paths(doc, at=()):
