@@ -60,6 +60,7 @@ from .laws import Exponential, LaplaceVolume, NormalVolume, Pareto, PointMass
 from .mbo import EXECUTE, float_text, parse as parse_mbo, reconstruct, write_csv
 from .signature import (
     REFERENCES,
+    UNDEFINED_CLUSTER,
     ClusterSpec,
     QuoteSeries,
     build_trade_records,
@@ -69,8 +70,6 @@ from .signature import (
 from .simulator import LevelPnl, SimConfig, run as run_sim
 
 log = logging.getLogger("lobeq")
-
-RESIDUAL_GATE = 1e-9
 
 
 class ConfigError(ValueError):
@@ -286,8 +285,6 @@ def cmd_spread(root: _Section, seed) -> dict:
     if params.theta > 0.0 and params.tick > 0.0:
         raise ConfigError("set either theta > 0 or tick > 0, not both")
     sol = spread(params)
-    if not sol.residual <= RESIDUAL_GATE:
-        raise SolverError(f"spread residual {sol.residual} exceeds {RESIDUAL_GATE}")
     # the toxic half-spread is reported only for a toxic model
     doc = {**dataclasses.asdict(sol), "phi_theta": sol.phi_theta if params.theta > 0.0 else None,
            "theta_bar": theta_bar(params)}
@@ -335,10 +332,9 @@ def cmd_signature(root: _Section, seed) -> dict:
         if not -2**63 <= h * 1e9 < 2**63:
             raise sig.fail(f"horizons_s[{i}] must fit in int64 ns, got {h}")
         horizons_ns.append(round(h * 1e9))
+    clusters = sig.sections("clusters", "signature cluster", ("metric", "thresholds", "side"))
     specs = [c.build(ClusterSpec, metric=c.get("metric"), thresholds=c.numbers("thresholds"),
-                     side=c.get("side"))
-             for c in sig.sections("clusters", "signature cluster", ("metric", "thresholds",
-                                                                     "side"))]
+                     side=c.get("side")) for c in clusters]
 
     # every config value is checked before the log is read and any CSV written
     events = parse_mbo(input_path, tick=tick)
@@ -349,10 +345,12 @@ def cmd_signature(root: _Section, seed) -> dict:
     aggressive, passive = build_trade_records(replay, quotes)
 
     outputs = {}
-    for i, spec in enumerate(specs):
+    for i, (cluster, spec) in enumerate(zip(clusters, specs)):
         records = aggressive if spec.side == "aggressive" else passive
         eps = 1 if spec.side == "aggressive" else -1
         labels = classify(records, spec)
+        if np.all(labels == UNDEFINED_CLUSTER):
+            raise cluster.fail(f"no {spec.side} trade has a defined {spec.metric}")
         curve = signature_curves(records, labels, horizons_ns, eps, reference, quotes)
         # one row per cluster and horizon, the horizons of each cluster together
         ids = list(curve.values)
@@ -382,11 +380,6 @@ def cmd_sweep(root: _Section, seed) -> dict:
     # quantities when there is a tick; the zero-spread regime reports phi = 0
     sol = solve_spreads(grid)
     solved = ~sol.zero
-    bad = np.flatnonzero(solved & ~(sol.residual <= RESIDUAL_GATE))
-    if bad.size:
-        i = bad[0]
-        raise SolverError(f"spread residual {sol.residual[i]} exceeds {RESIDUAL_GATE} "
-                          f"at {grid.cell(i)}")
     toxic = solved & (theta > 0.0)
     ticked = solved & ~toxic
     informed, _noise = book_curves(grid, probe_x)

@@ -537,7 +537,8 @@ def solve_spreads(grid: ParamGrid) -> SpreadArrays:
     bid-side ceiling at offset ``tick - d``.
 
     Raises :class:`SolverError` naming the first cell whose equation has
-    no root (a toxic cell whose jump law's emax is already at its floor).
+    no root (a toxic cell whose jump law's emax is already at its floor)
+    or whose bisection does not converge; ``residual`` is not judged.
     """
     n = grid.r.size
     zero = (grid.f == 0.0) | (grid.r == 0.0)

@@ -659,11 +659,11 @@ class _LoggedRun:
             self._cut()
 
 
-def _run_logged(cfg: SimConfig, draws: EventDraws, rng: np.random.Generator) -> SimResult:
+def _run_logged(cfg: SimConfig, book: BookShape, draws: EventDraws,
+                rng: np.random.Generator) -> SimResult:
     lr = _LoggedRun(cfg, draws, _event_times(cfg.params, cfg.n_events, rng))
     lr.run_all()
 
-    book = shape_tick(cfg.params, cfg.n_levels)
     pnl = _pnl_rows(*_probe_pnl(draws, lr.probe_x, lr.probe_imm, lr.probe_nmm))
     summary = {
         **_event_counts(draws),
@@ -682,11 +682,12 @@ def _run_logged(cfg: SimConfig, draws: EventDraws, rng: np.random.Generator) -> 
 
 def run(cfg: SimConfig) -> SimResult:
     """Run the event simulation; deterministic for a fixed seed."""
+    book = _resolve_book(cfg)
     rng = np.random.default_rng(cfg.seed)
     draws = draw_events(cfg.params, cfg.n_events, rng)
     if cfg.record_log:
-        return _run_logged(cfg, draws, rng)
-    return _run_fast(cfg, _resolve_book(cfg), draws)
+        return _run_logged(cfg, book, draws, rng)
+    return _run_fast(cfg, book, draws)
 
 
 def export_mbo(result: SimResult) -> EventLog:

@@ -3,7 +3,7 @@
 Every implicit equation solved in this package is strictly monotone in the
 unknown, so derivative-free bisection is unconditionally convergent.  The
 solver expands the upper bracket by doubling until it straddles the root,
-then bisects to a relative tolerance.
+then bisects to a relative tolerance in the unknown or fails.
 
 The solver is array-only: one call solves a 1-d array of independent
 equations, one per element of the lower bracket, and each element takes
@@ -26,8 +26,8 @@ _MAX_EXPANSIONS = 200
 
 
 class BracketError(RuntimeError):
-    """No sign change could be bracketed; ``index`` is the index of the
-    first element at fault."""
+    """A root could not be bracketed or did not converge; ``index`` is the
+    index of the first element at fault."""
 
     def __init__(self, message: str, index: int):
         super().__init__(message)
@@ -50,8 +50,8 @@ def bisect_decreasing(g, lo: np.ndarray) -> RootResult:
     float array shaped like ``lo`` and must act elementwise: element ``i``
     of its result depends on element ``i`` of its argument only.  The upper
     bracket is expanded by doubling from ``lo`` until ``g(hi) < 0``.  An
-    element stops bisecting once ``hi - lo <= REL_TOL * mid`` or after
-    ``MAX_ITER`` steps; an element with ``g(lo) == 0`` returns ``lo`` after
+    element stops once ``hi - lo <= REL_TOL * mid`` and fails if it has not
+    after ``MAX_ITER`` steps; one with ``g(lo) == 0`` returns ``lo`` after
     no steps.  Errors name the first element at fault.
     """
     lo = np.array(lo, dtype=float)
@@ -93,4 +93,8 @@ def bisect_decreasing(g, lo: np.ndarray) -> RootResult:
         lo = np.where(active & up, mid, lo)
         hi = np.where(active & ~up, mid, hi)
         active &= ~(hi - lo <= REL_TOL * mid)
+    if active.any():
+        i = int(np.argmax(active))
+        raise BracketError(f"bisection did not converge to REL_TOL = {REL_TOL} in {MAX_ITER} "
+                           f"steps: bracket [{lo[i]}, {hi[i]}] (element {i})", i)
     return RootResult(np.where(at_lo, lo, 0.5 * (lo + hi)), iterations)

@@ -15,8 +15,8 @@ def bisect_decreasing(g, lo: float, max_iter: int = MAX_ITER) -> RootResult:
     """Root of a strictly decreasing ``g`` with ``g(lo) >= 0``.
 
     The upper bracket is expanded by doubling from ``lo`` until
-    ``g(hi) < 0``; bisection stops at ``REL_TOL`` or after ``max_iter``
-    steps.
+    ``g(hi) < 0``; bisection stops at ``REL_TOL``, and a bracket still
+    wider after ``max_iter`` steps is a ``BracketError``.
     """
     if lo <= 0.0:
         raise ValueError("bisect_decreasing requires a positive lower bracket")
@@ -35,7 +35,6 @@ def bisect_decreasing(g, lo: float, max_iter: int = MAX_ITER) -> RootResult:
     else:
         raise BracketError("upper bracket expansion failed to find a sign change", 0)
 
-    iters = 0
     for iters in range(1, max_iter + 1):
         mid = 0.5 * (lo + hi)
         if g(mid) >= 0.0:
@@ -44,4 +43,6 @@ def bisect_decreasing(g, lo: float, max_iter: int = MAX_ITER) -> RootResult:
             hi = mid
         if hi - lo <= REL_TOL * mid:
             break
+    else:
+        raise BracketError(f"bisection did not converge in {max_iter} steps", 0)
     return RootResult(0.5 * (lo + hi), iters)

@@ -12,17 +12,21 @@ import subprocess
 import sys
 import types
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import lobeq
-from lobeq import cli
+from lobeq import cli, solvers
 from lobeq.cli import _Section, main
 from lobeq.equilibrium import (
     ModelParams,
+    ParamGrid,
+    SolverError,
     ZeroSpreadRegime,
     book_curves,
+    solve_spreads,
     spread,
 )
 from lobeq.laws import Exponential, LaplaceVolume, NormalVolume, Pareto, PointMass
@@ -277,6 +281,17 @@ class TestSpread:
         doc = json.loads((out / "spread.json").read_text())
         assert doc["phi_theta"] > doc["theta_bar"]
         assert doc["phi_theta"] > doc["phi"]
+
+    def test_toxic_root_near_theta_bar_is_accepted(self, tmp_path):
+        # phi_theta lies 3.5e-4 (relative) above theta_bar, so the bisection's
+        # 1e-12 in x is about 1.2e-9 in the equation: the root is sound and its
+        # residual is reported, not judged
+        params = dict(REF_PARAMS, r=0.07024, f=0.000165, tick=0.0, theta=0.0005, rho=0.0)
+        code, out = run_cli(tmp_path, "spread", {"params": params})
+        assert code == 0
+        doc = json.loads((out / "spread.json").read_text())
+        assert doc["residual"] == 1.170657756266191e-09
+        assert doc["phi_theta"] == pytest.approx(0.0005001745077814121, rel=1e-12)
 
     def test_invalid_config_is_nonzero(self, tmp_path):
         code, _ = run_cli(tmp_path, "spread", {"params": dict(REF_PARAMS, f=2.0)})
@@ -658,6 +673,27 @@ ts_ns,order_id,action,side,price,qty,aggressor_flag,participant_label
             "one-sided book at t = 40: mid undefined\n")
         assert list(out.iterdir()) == []
 
+    def test_cluster_without_defined_trades_rejected(self, tmp_path, capsys):
+        # the one trade fills order 1, added before any trade, so its
+        # trade_to_add is undefined; the volume ratio of the aggressor is not
+        log = tmp_path / "one_trade.csv"
+        log.write_text("ts_ns,order_id,action,side,price,qty,aggressor_flag,participant_label\n"
+                       "10,1,add,ask,100.01,1,,\n20,2,add,bid,99.99,1,,\n"
+                       "30,3,add,bid,100.01,1,,\n30,1,execute,ask,100.01,1,false,\n"
+                       "30,3,execute,bid,100.01,1,true,\n40,4,add,ask,100.02,1,,\n")
+        clusters = [{"metric": "volume_ratio", "thresholds": [0.5], "side": "aggressive"},
+                    {"metric": "trade_to_add", "thresholds": [1e7], "side": "passive"}]
+        for n_clusters, code in ((1, 0), (2, 2)):
+            doc = {"signature": {"input": str(log), "horizons_s": [0.0, 1.0],
+                                 "clusters": clusters[:n_clusters]}}
+            cfg = write_config(tmp_path, doc, name="sig.json")
+            out = tmp_path / f"sig_out_{n_clusters}"
+            assert main(["signature", "--config", cfg, "--out", str(out)]) == code
+        assert len(read_csv(tmp_path / "sig_out_1" / "signature_0_volume_ratio.csv")) == 2
+        assert capsys.readouterr().err == ("lobeq signature: signature cluster 1: no passive "
+                                           "trade has a defined trade_to_add\n")
+        assert list(out.iterdir()) == []
+
     def test_unreadable_log_names_its_row(self, tmp_path, capsys):
         log = tmp_path / "big.csv"
         log.write_text("ts_ns,order_id,action,side,price,qty,aggressor_flag,participant_label\n"
@@ -765,6 +801,55 @@ class TestSweep:
         assert code == 2
         assert "(r, f, theta) = (0.5, 0.5, 0.01)" in capsys.readouterr().err
         assert not (out / "sweep.csv").exists()
+
+    def test_toxic_cell_without_root_exact_error(self, tmp_path, capsys):
+        # theta_bar 0.02 is past the point mass at 0.01, where emax is 1
+        sweep = {"r_values": [0.3, 0.5], "f_values": [0.5], "theta_values": [0.0, 0.02],
+                 "jump": {"type": "pointmass", "value": 0.01}, "volume": REF_PARAMS["volume"]}
+        message = ("toxic spread equation has no root above 0.020000000000020002 at cell "
+                   "(r, f, theta) = (0.3, 0.5, 0.02); the jump law's emax is already at "
+                   "its floor")
+        code, out = run_cli(tmp_path, "sweep", {"sweep": sweep})
+        assert code == 2
+        assert capsys.readouterr().err == f"lobeq sweep: {message}\n"
+        assert list(out.iterdir()) == []
+        grid = ParamGrid(r=[0.3, 0.3, 0.5, 0.5], f=0.5, theta=[0.0, 0.02, 0.0, 0.02],
+                         jump=PointMass(0.01), volume=NormalVolume(10.0))
+        with pytest.raises(SolverError) as info:
+            solve_spreads(grid)
+        assert str(info.value) == message
+
+    def test_toxic_roots_near_theta_bar_match_spread(self, tmp_path):
+        # the three cells of the perfbench sweep grid widened to 1M cells
+        # whose residuals exceed 1e-9: each is solved, as spread solves it
+        r_values = [0.07024, 0.074636, 0.079591]
+        sweep = {"r_values": r_values, "f_values": [0.000165], "theta_values": [0.0005],
+                 "jump": REF_PARAMS["jump"], "volume": REF_PARAMS["volume"]}
+        code, out = run_cli(tmp_path, "sweep", {"sweep": sweep})
+        assert code == 0
+        rows = read_csv(out / "sweep.csv")
+        assert len(rows) == 3
+        for row, r in zip(rows, r_values):
+            params = dict(REF_PARAMS, r=r, f=0.000165, tick=0.0, theta=0.0005, rho=0.0)
+            code, one = run_cli(tmp_path, "spread", {"params": params})
+            assert code == 0
+            doc = json.loads((one / "spread.json").read_text())
+            assert doc["residual"] > 1e-9
+            assert [float(row[k]) for k in ("phi", "mu", "phi_theta")] == [
+                doc["phi"], doc["mu"], doc["phi_theta"]]
+
+    def test_unconverged_bisection_names_its_cell(self, tmp_path, capsys):
+        # seven steps leave every bracket wider than REL_TOL
+        sweep = {"r_values": [0.9, 0.5], "f_values": [0.9], "jump": REF_PARAMS["jump"],
+                 "volume": REF_PARAMS["volume"]}
+        with mock.patch.object(solvers, "MAX_ITER", 7):
+            code, out = run_cli(tmp_path, "sweep", {"sweep": sweep})
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("lobeq sweep: bisection did not converge to REL_TOL = 1e-12 "
+                              "in 7 steps: bracket [")
+        assert err.endswith("(element 0) at cell (r, f, theta) = (0.9, 0.9, 0.0)\n")
+        assert list(out.iterdir()) == []
 
     def test_infinite_probe_is_unbounded(self, tmp_path):
         doc = {"sweep": {"r_values": [0.0, 0.5], "f_values": [0.5, 1.0],

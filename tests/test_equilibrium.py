@@ -585,6 +585,34 @@ class TestBatchedSpreads:
             elif tick > 0.0:
                 assert got.k_d[i] == sol.k_d and got.spread_tick[i] == sol.spread_tick
 
+    @settings(max_examples=200)
+    @given(jump_laws, spread_cells, st.floats(-0.9, 0.9))
+    def test_each_root_is_a_sign_change_in_x(self, jump, cell, rho):
+        # the solver judges a root in x: each equation changes sign within
+        # 2e-12 (relative) of its reported root, whatever its residual
+        r, f, theta = cell
+        p = ModelParams(r=r, f=f, theta=theta, jump=jump, volume=NormalVolume(10.0), rho=rho)
+        try:
+            sol = spread(p)
+        except ZeroSpreadRegime:
+            return
+        except SolverError as exc:
+            # every bisection converges; only a toxic root may be missing
+            assert str(exc).startswith("toxic spread equation has no root above")
+            return
+        below, above = 1.0 - 2e-12, 1.0 + 2e-12
+        for x, race in ((sol.phi, f), (sol.mu, 1.0)):
+            rhs = 1.0 + (1.0 / (2.0 * race)) * (1.0 / r - 1.0)
+            assert jump.emax_ratio(x * below) >= rhs >= jump.emax_ratio(x * above)
+        tb = theta_bar(p)
+        if tb > 0.0:
+            c = (1.0 - r) / (2.0 * r * f)
+
+            def g(x):
+                return jump.emax_ratio(x) - 1.0 - c * (x - tb) / x
+
+            assert g(sol.phi_theta * below) >= 0.0 >= g(sol.phi_theta * above)
+
     def test_root_rounded_onto_the_support_kink(self):
         # r = 1/3 and f = 1/2 put the root at the Pareto scale; rounding leaves
         # emax of the lower bracket a hair below the target, so it is the root

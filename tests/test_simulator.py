@@ -7,6 +7,7 @@ import math
 import re
 import sys
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from tables import csv_body, event_log
 from lobeq.equilibrium import BookShape, ModelParams, book_curves, shape_tick
 from lobeq.laws import Exponential, NormalVolume, Pareto, PointMass
 from lobeq.mbo import HEADER_LINE, EventLog, Quotes, parse, reconstruct, write_csv
+from lobeq import simulator
 from lobeq.simulator import (
     SimConfig,
     _event_times,
@@ -368,6 +370,15 @@ class TestLoggedErrors:
                              tick=0.01)
         with pytest.raises(ValueError, match="unbounded within the simulated levels"):
             run(SimConfig(params=params, n_events=10, seed=0, record_log=True))
+
+    @pytest.mark.parametrize("record_log", [False, True])
+    def test_unbounded_book_fails_before_any_draw(self, record_log):
+        params = ModelParams(r=0.15, f=0.0, jump=Pareto(2.5, 0.01), volume=NormalVolume(10.0),
+                             tick=0.01)
+        cfg = SimConfig(params=params, n_events=10**6, seed=0, record_log=record_log)
+        with mock.patch.object(simulator, "draw_events", side_effect=AssertionError("drew")):
+            with pytest.raises(ValueError, match="unbounded within the simulated levels"):
+                run(cfg)
 
     def test_price_path_must_stay_on_a_finite_grid(self):
         # a drift of 1e100 takes the path beyond 2**52 ticks, with no

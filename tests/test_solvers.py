@@ -45,7 +45,7 @@ class TestAgainstOracle:
     @settings(max_examples=200)
     @given(st.lists(equations, min_size=1, max_size=8), st.sampled_from([MAX_ITER, 7]))
     def test_elementwise_equal_to_oracle(self, cells, max_iter):
-        # max_iter 7 stops most elements before REL_TOL does
+        # max_iter 7 runs out before REL_TOL for most elements, which then fail
         outcomes = [oracle_outcome(*cell, max_iter) for cell in cells]
         ok = [i for i, o in enumerate(outcomes) if not isinstance(o, Exception)]
         a, b, c, lo = (np.array(col) for col in zip(*cells))
@@ -97,6 +97,15 @@ class TestAgainstOracle:
         assert want[0].iterations != want[1].iterations
         assert got.x.tolist() == [w.x for w in want]
         assert got.iterations == sum(w.iterations for w in want)
+
+    def test_unconverged_element_names_element(self):
+        # the root at lo needs no step; the other one cannot reach REL_TOL in 3
+        a, b, c = [0.0, 1.0], [3.0, -1.0], [1.0, 0.0]
+        with mock.patch.object(solvers, "MAX_ITER", 3):
+            with pytest.raises(BracketError, match=r"did not converge to REL_TOL = 1e-12 in 3 "
+                                                   r"steps: .*\(element 1\)") as info:
+                bisect_decreasing(array_g(a, b, c), np.array([3.0, 0.5]))
+        assert info.value.index == 1
 
     def test_nonpositive_bracket_names_element(self):
         g = array_g(1.0, -1.0, 0.0)
