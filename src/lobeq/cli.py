@@ -248,6 +248,21 @@ def _write(path: Path, content, sort_keys: bool = False) -> None:
         write_csv(content, path)
 
 
+def _stale_outputs(manifest: Path, written) -> list[str]:
+    """Bare file names that an earlier run's ``manifest`` lists and this
+    run did not write; none when that manifest is missing or does not
+    parse."""
+    try:
+        listed = json.loads(manifest.read_text())["outputs"]
+    except (OSError, ValueError, TypeError, KeyError):
+        return []
+    if not isinstance(listed, list):
+        return []
+    keep = {*written, manifest.name, "", ".."}
+    return [name for name in listed
+            if isinstance(name, str) and name not in keep and Path(name).name == name]
+
+
 # ---------------------------------------------------------------------------
 # Commands: each returns its outputs, file name -> content, for main to write
 # ---------------------------------------------------------------------------
@@ -370,6 +385,10 @@ def cmd_sweep(root: _Section, seed) -> dict:
     f_values = sweep.numbers("f_values")
     theta_values = sweep.numbers("theta_values", [ModelParams.theta])
     probe_x = sweep.numbers("probe_x", [], allow_empty=True)
+    first = {}
+    for i, x in enumerate(probe_x):
+        if (j := first.setdefault(x, i)) != i:      # one column per distance
+            raise sweep.fail(f"probe_x[{i}] repeats probe_x[{j}] = {_fmt(x)}")
     r, f, theta = (a.ravel() for a in np.meshgrid(r_values, f_values, theta_values,
                                                   indexing="ij"))
     grid = sweep.build(ParamGrid, r=r, f=f, theta=theta, jump=sweep.law("jump"),
@@ -455,6 +474,7 @@ def main(argv=None) -> int:
         seed = args.seed if args.seed is not None else config_seed
 
         outputs = COMMANDS[args.command](root, seed)
+        stale = _stale_outputs(out / "manifest.json", outputs)
         for name, content in outputs.items():
             _write(out / name, content)
         resolved = dict(cfg)
@@ -463,6 +483,11 @@ def main(argv=None) -> int:
         manifest = {"command": args.command, "package_version": __version__, "seed": seed,
                     "config": resolved, "outputs": list(outputs)}
         _write(out / "manifest.json", manifest, sort_keys=True)
+        # an earlier run's outputs that this one did not replace would sit
+        # beside a manifest that does not list them
+        for name in stale:
+            if (out / name).is_file():
+                (out / name).unlink()
         log.info("wrote %s", ", ".join([*outputs, "manifest.json"]))
         return 0
     # ConfigError, the MBO errors and json.JSONDecodeError are ValueErrors

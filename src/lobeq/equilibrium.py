@@ -22,9 +22,13 @@ and distances at or below it carry no depth.  A single source is the
 one-source case; with several, the visible book is the pointwise maximum
 of the per-source curves.
 
-The half-spread is the distance at which the informed curve crosses zero
-depth, i.e. the root of ``emax(phi) = 1 + (1/(2f)) * (1/r - 1)`` (the 1/2
-enters through the zero median of the volume law); toxicity tilts it.
+The half-spreads are roots of one equation in the distance x,
+
+    emax(x) = 1 + c * (x - tb) / x,    c = (1/(2f)) * (1/r - 1)
+
+(the 1/2 enters through the zero median of the volume law): ``phi``, where
+the informed curve crosses zero depth, at tb = 0; the noise makers' ``mu``
+at tb = 0 and f = 1; and the toxic ``phi_theta`` at tb = theta_bar.
 
 Depth values are clamped: break-even arguments at or below 1/2 mean "no
 depth here" (L = 0), arguments at or above 1 mean unbounded depth and are
@@ -40,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .laws import JumpLaw, VolumeLaw
-from .solvers import BracketError, RootResult, bisect_decreasing
+from .solvers import BracketError, bisect_decreasing
 
 __all__ = [
     "ModelParams",
@@ -487,96 +491,86 @@ def shape_multi(mp: MultiSourceParams, x_grid) -> BookShape:
 # ---------------------------------------------------------------------------
 
 
-def _bisect(g, lo: np.ndarray, grid: ParamGrid, cells: np.ndarray) -> RootResult:
-    """:func:`bisect_decreasing` over ``cells`` of ``grid``; a failure
-    names its cell."""
-    try:
-        return bisect_decreasing(g, lo)
-    except BracketError as exc:
-        raise SolverError(f"{exc} at {grid.cell(cells[exc.index])}") from exc
+def _spread_roots(grid: ParamGrid, cells: np.ndarray, c: np.ndarray, tb: np.ndarray,
+                  floor: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
+    """Roots ``x > tb``, at or above ``floor``, of ``emax(x) = 1 + c (x - tb)/x``
+    for ``cells`` of ``grid``; returns the roots, the bisection steps and
+    the relative residuals.
 
-
-def _emax_roots(grid: ParamGrid, rhs: np.ndarray, cells: np.ndarray):
-    """Solve ``emax(x) = rhs`` (rhs > 1) for the unique positive root of
-    each of ``cells``; returns the roots and the bisection steps.
-
-    Below the support infimum ``emax(x) = E[B]/x`` gives the root in closed
-    form; that branch is taken first to avoid bracketing across the support
-    kink.  Otherwise ``E[B]/rhs`` is a guaranteed lower bracket because
-    ``emax(x) >= E[B]/x`` everywhere; where rounding just above the kink
-    leaves ``emax(E[B]/rhs)`` at or below ``rhs``, that bracket is the root.
+    ``emax(x) >= E[B]/x`` everywhere, with equality below the support
+    infimum, so ``(E[B] + c tb)/(1 + c) = tb + (E[B] - tb)/(1 + c)`` is the
+    root there and a lower bracket elsewhere; so is that value raised to
+    ``floor``, a root of the same equation at a smaller tb.  Where neither
+    lies above tb the bracket is the next float above it, and the equation
+    has a root exactly where emax there is above 1.  Where rounding leaves
+    ``emax`` at or below the right side at the bracket, the bracket is the
+    root.  A failure names its cell.
     """
-    bad = np.flatnonzero(~(rhs > 1.0))
+    jump = grid.jump
+    bad = np.flatnonzero(~((1.0 + c > 1.0) & (c < np.inf)))
     if bad.size:
         i = bad[0]
-        raise SolverError(f"emax equation needs rhs > 1, got {rhs[i]} at {grid.cell(cells[i])}")
-    jump = grid.jump
-    x = jump.mean / rhs
-    above = np.flatnonzero(x > jump.support_inf)
-    solve = above[jump.emax_ratio(x[above]) > rhs[above]]
-    if not solve.size:
-        return x, 0
-    target = rhs[solve]
-    root = _bisect(lambda z: jump.emax_ratio(z) - target, x[solve], grid, cells[solve])
-    x[solve] = root.x
-    return x, root.iterations
+        raise SolverError(f"emax equation needs a finite rhs > 1, got {1.0 + c[i]} at "
+                          f"{grid.cell(cells[i])}")
+
+    def rhs(x, k=slice(None)):
+        return 1.0 + c[k] * (1.0 - tb[k] / x)         # exactly 1 + c at tb = 0
+
+    lo = np.maximum(tb + (jump.mean - tb) / (1.0 + c), floor)    # c tb would overflow first
+    lo = np.where(lo > tb, lo, np.nextafter(tb, np.inf))
+    emax = jump.emax_ratio(lo)
+    bad = np.flatnonzero(~(emax > 1.0))
+    if bad.size:
+        i = bad[0]
+        raise SolverError(f"spread equation has no root above theta_bar = {tb[i]} at "
+                          f"{grid.cell(cells[i])}: emax just above it is {emax[i]}, not above 1")
+    solve = np.flatnonzero((lo > jump.support_inf) & (emax > rhs(lo)))
+    try:
+        root = bisect_decreasing(lambda x: jump.emax_ratio(x) - rhs(x, solve), lo[solve])
+    except BracketError as exc:
+        raise SolverError(f"{exc} at {grid.cell(cells[solve[exc.index]])}") from exc
+    lo[solve] = root.x
+    right = rhs(lo)
+    return lo, root.iterations, np.abs(jump.emax_ratio(lo) - right) / right
 
 
 def solve_spreads(grid: ParamGrid) -> SpreadArrays:
-    """Half-spreads of every cell of ``grid`` in one batched pass.
+    """Half-spreads of every cell of ``grid`` in one batched pass: roots of
+    the module's one equation ``emax(x) = 1 + c (x - tb)/x`` with
+    ``c = (1/(2f)) (1/r - 1)``.
 
-    ``phi`` solves ``emax(phi) = 1 + (1/(2f)) * (1/r - 1)`` and ``mu`` the
-    same equation at f = 1, so ``phi <= mu`` with equality iff f = 1.
-    Where theta_bar > 0 the toxic half-spread ``phi_theta`` solves
-    ``emax(phi) = 1 + ((1-r)/(2rf)) * (phi - theta_bar)/phi`` on
+    ``phi`` is the root at tb = 0 and ``mu`` the same root at f = 1, so
+    ``phi <= mu`` with equality iff f = 1.  Where theta_bar > 0 the toxic
+    half-spread ``phi_theta`` is the root at tb = theta_bar on
     ``(theta_bar, inf)``; the left side decreases and the right side
-    increases in phi, so the difference is monotone, and ``phi_theta >
-    theta_bar``, ``phi_theta >= phi``.  With a positive tick, ``k_d`` is
-    the first occupied level, the smallest k with
-    ``d + (k-1)*tick > phi``, and the quoted spread adds the symmetric
-    bid-side ceiling at offset ``tick - d``.
+    increases in x, so the root is unique, and ``phi_theta > theta_bar``,
+    ``phi_theta >= phi``.  With a positive tick, ``k_d`` is the first
+    occupied level, the smallest k with ``d + (k-1)*tick > phi``, and the
+    quoted spread adds the symmetric bid-side ceiling at offset
+    ``tick - d``.
 
     Raises :class:`SolverError` naming the first cell whose equation has
-    no root (a toxic cell whose jump law's emax is already at its floor)
-    or whose bisection does not converge; ``residual`` is not judged.
+    no root (a toxic cell where emax just above theta_bar is 1) or whose
+    bisection does not converge; ``residual`` is not judged.
     """
     n = grid.r.size
     zero = (grid.f == 0.0) | (grid.r == 0.0)
     cells = np.flatnonzero(~zero)
-    r, f = grid.r[cells], grid.f[cells]
-    rhs = 1.0 + (1.0 / (2.0 * f)) * (1.0 / r - 1.0)
-    phi_c, phi_iters = _emax_roots(grid, rhs, cells)
-    mu_c, _ = _emax_roots(grid, 1.0 + 0.5 * (1.0 / r - 1.0), cells)
+    r = grid.r[cells]
+    with np.errstate(over="ignore"):         # an infinite c is rejected by name
+        c_phi, c_mu = [(1.0 / (2.0 * race)) * (1.0 / r - 1.0) for race in (grid.f[cells], 1.0)]
+    no_drift = np.zeros(cells.size)
+    phi_c, phi_iters, res_c = _spread_roots(grid, cells, c_phi, no_drift, no_drift)
+    mu_c, _, _ = _spread_roots(grid, cells, c_mu, no_drift, no_drift)
 
     phi = np.zeros(n)
     mu, phi_theta, residual = np.full((3, n), np.nan)
-    phi[cells], mu[cells] = phi_c, mu_c
-    phi_theta[cells] = phi_c
-    residual[cells] = np.abs(grid.jump.emax_ratio(phi_c) - rhs) / rhs
+    phi[cells], mu[cells], phi_theta[cells], residual[cells] = phi_c, mu_c, phi_c, res_c
 
-    tb_all = theta_bar(grid)
-    toxic = np.flatnonzero(~zero & (tb_all > 0.0))
-    theta_iters = 0
-    if toxic.size:
-        r, f, tb = grid.r[toxic], grid.f[toxic], tb_all[toxic]
-        c = (1.0 - r) / (2.0 * r * f)
-
-        def g(x):
-            return grid.jump.emax_ratio(x) - 1.0 - c * (x - tb) / x
-
-        lo = np.maximum(phi[toxic], tb * (1.0 + 1e-12))
-        stuck = np.flatnonzero(g(lo) < 0.0)
-        if stuck.size:
-            i = stuck[0]
-            raise SolverError(
-                f"toxic spread equation has no root above {lo[i]} at "
-                f"{grid.cell(toxic[i])}; the jump law's emax is already at its floor"
-            )
-        root = _bisect(g, lo, grid, toxic)
-        rhs_at_root = 1.0 + c * (root.x - tb) / root.x
-        phi_theta[toxic] = root.x
-        residual[toxic] = np.abs(grid.jump.emax_ratio(root.x) - rhs_at_root) / rhs_at_root
-        theta_iters = root.iterations
+    tb = theta_bar(grid)[cells]
+    toxic = tb > 0.0
+    phi_theta[cells[toxic]], theta_iters, residual[cells[toxic]] = _spread_roots(
+        grid, cells[toxic], c_phi[toxic], tb[toxic], phi_c[toxic])
 
     k_d = spread_ticks = None
     if grid.tick > 0.0:

@@ -8,6 +8,7 @@ import json
 import math
 import os
 import pkgutil
+import shutil
 import subprocess
 import sys
 import types
@@ -283,14 +284,14 @@ class TestSpread:
         assert doc["phi_theta"] > doc["phi"]
 
     def test_toxic_root_near_theta_bar_is_accepted(self, tmp_path):
-        # phi_theta lies 3.5e-4 (relative) above theta_bar, so the bisection's
-        # 1e-12 in x is about 1.2e-9 in the equation: the root is sound and its
-        # residual is reported, not judged
+        # phi_theta lies 3.5e-4 (relative) above theta_bar and below the Pareto
+        # scale, where emax(x) = E[B]/x makes the equation linear in 1/x: the
+        # root is (E[B] + c theta_bar)/(1 + c), with no bisection step
         params = dict(REF_PARAMS, r=0.07024, f=0.000165, tick=0.0, theta=0.0005, rho=0.0)
         code, out = run_cli(tmp_path, "spread", {"params": params})
         assert code == 0
         doc = json.loads((out / "spread.json").read_text())
-        assert doc["residual"] == 1.170657756266191e-09
+        assert doc["solver_iters"] == 0 and doc["residual"] < 1e-12
         assert doc["phi_theta"] == pytest.approx(0.0005001745077814121, rel=1e-12)
 
     def test_invalid_config_is_nonzero(self, tmp_path):
@@ -806,9 +807,8 @@ class TestSweep:
         # theta_bar 0.02 is past the point mass at 0.01, where emax is 1
         sweep = {"r_values": [0.3, 0.5], "f_values": [0.5], "theta_values": [0.0, 0.02],
                  "jump": {"type": "pointmass", "value": 0.01}, "volume": REF_PARAMS["volume"]}
-        message = ("toxic spread equation has no root above 0.020000000000020002 at cell "
-                   "(r, f, theta) = (0.3, 0.5, 0.02); the jump law's emax is already at "
-                   "its floor")
+        message = ("spread equation has no root above theta_bar = 0.02 at cell "
+                   "(r, f, theta) = (0.3, 0.5, 0.02): emax just above it is 1.0, not above 1")
         code, out = run_cli(tmp_path, "sweep", {"sweep": sweep})
         assert code == 2
         assert capsys.readouterr().err == f"lobeq sweep: {message}\n"
@@ -820,8 +820,9 @@ class TestSweep:
         assert str(info.value) == message
 
     def test_toxic_roots_near_theta_bar_match_spread(self, tmp_path):
-        # the three cells of the perfbench sweep grid widened to 1M cells
-        # whose residuals exceed 1e-9: each is solved, as spread solves it
+        # three cells of the perfbench sweep grid widened to 1M cells whose
+        # toxic roots lie within 4e-4 (relative) of theta_bar: each is
+        # solved, as spread solves it
         r_values = [0.07024, 0.074636, 0.079591]
         sweep = {"r_values": r_values, "f_values": [0.000165], "theta_values": [0.0005],
                  "jump": REF_PARAMS["jump"], "volume": REF_PARAMS["volume"]}
@@ -834,7 +835,7 @@ class TestSweep:
             code, one = run_cli(tmp_path, "spread", {"params": params})
             assert code == 0
             doc = json.loads((one / "spread.json").read_text())
-            assert doc["residual"] > 1e-9
+            assert doc["theta_bar"] < doc["phi_theta"] < doc["theta_bar"] * (1.0 + 4e-4)
             assert [float(row[k]) for k in ("phi", "mu", "phi_theta")] == [
                 doc["phi"], doc["mu"], doc["phi_theta"]]
 
@@ -874,6 +875,7 @@ class TestSweep:
         ("f_values", None, "sweep: f_values must be a list of numbers, got None"),
         ("theta_values", [0.0, "high"], "sweep: theta_values[1] must be a number, got 'high'"),
         ("probe_x", [None], "sweep: probe_x[0] must be a number, got None"),
+        ("probe_x", [0.01, 0.02, 0.01], "sweep: probe_x[2] repeats probe_x[0] = 0.01"),
     ])
     def test_non_numeric_value_list_names_its_key(self, tmp_path, capsys, key, values, message):
         doc = {"sweep": {"r_values": [0.5], "f_values": [0.5], key: values,
@@ -1250,6 +1252,49 @@ class TestManifest:
         assert written == [*names, "manifest.json"]
         assert sorted(p.name for p in out.iterdir()) == sorted(written)
 
+    @pytest.mark.parametrize("command", ["simulate", "signature"])
+    def test_rerun_removes_what_the_earlier_manifest_listed(self, tmp_path, command):
+        # a logged run then a fast one; two cluster specs then one
+        if command == "simulate":
+            first, second = self.LOGGED, {**self.LOGGED, "simulate": {
+                **self.LOGGED["simulate"], "record_log": False}}
+        else:
+            (tmp_path / "log").mkdir()
+            code, log_out = run_cli(tmp_path / "log", "simulate", self.LOGGED)
+            assert code == 0
+            first = {"signature": {"input": str(log_out / "mbo.csv"), "horizons_s": [0.0],
+                                   "clusters": self.CLUSTERS}}
+            second = {"signature": {**first["signature"], "clusters": self.CLUSTERS[:1]}}
+        code, out = run_cli(tmp_path, command, first)
+        assert code == 0
+        (out / "notes.txt").write_text("not an output")
+        code, out = run_cli(tmp_path, command, second)
+        assert code == 0
+        names = json.loads((out / "manifest.json").read_text())["outputs"]
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            [*names, "manifest.json", "notes.txt"])
+
+    def test_only_a_parsed_manifest_and_bare_names_remove_files(self, tmp_path):
+        # the earlier manifest's text, and whether old.csv survives the rerun;
+        # files outside out, in a subdirectory or not listed always do
+        listing = ["../outside.csv", "sub/old.csv", "sub", "", ".."]
+        out = tmp_path / "out"
+        (tmp_path / "outside.csv").write_text("kept")
+        for text, kept in ((json.dumps({"outputs": ["old.csv"]}), []),
+                           ('{"outputs": ["old.csv"', ["old.csv"]),
+                           (json.dumps({"outputs": "old.csv"}), ["old.csv"]),
+                           (json.dumps({"outputs": listing}), ["old.csv"])):
+            shutil.rmtree(out, ignore_errors=True)
+            (out / "sub").mkdir(parents=True)
+            for name in ("old.csv", "sub/old.csv", "notes.txt"):
+                (out / name).write_text("kept")
+            (out / "manifest.json").write_text(text)
+            code, _ = run_cli(tmp_path, "spread", {"params": dict(REF_PARAMS, tick=0.0)})
+            assert code == 0
+            assert sorted(p.name for p in out.iterdir()) == sorted(
+                ["manifest.json", "notes.txt", "spread.json", "sub", *kept])
+            assert (out / "sub" / "old.csv").is_file() and (tmp_path / "outside.csv").is_file()
+
 
 def value_paths(doc, at=()):
     """The path of every key and list element of ``doc``, nested ones included."""
@@ -1333,16 +1378,25 @@ class TestMalformedValues:
          "or more at cell (r, f, theta) = (0.5, 0.9, 0.0)\n"),
         # the r below 1 closest to it leaves no room above 1 in the emax equation
         ("spread", {"params": dict(REF_PARAMS, r=math.nextafter(1.0, 0.0), f=1.0)},
-         "emax equation needs rhs > 1, got 1.0 at cell (r, f, theta) = "
+         "emax equation needs a finite rhs > 1, got 1.0 at cell (r, f, theta) = "
          "(0.9999999999999999, 1.0, 0.0)\n"),
         ("sweep", {"sweep": {**TestPlumbing.SWEEP, "r_values": [0.5, math.nextafter(1.0, 0.0)],
                              "f_values": [1.0]}},
-         "emax equation needs rhs > 1, got 1.0 at cell (r, f, theta) = "
+         "emax equation needs a finite rhs > 1, got 1.0 at cell (r, f, theta) = "
          "(0.9999999999999999, 1.0, 0.0)\n"),
+        # 1/(2f) overflows: the root would lie below every positive float
+        ("spread", {"params": dict(REF_PARAMS, f=5e-324)},
+         "emax equation needs a finite rhs > 1, got inf at cell (r, f, theta) = "
+         "(0.9, 5e-324, 0.0)\n"),
+        # c * theta_bar overflows: the bracket is still the next float above theta_bar
+        ("spread", {"params": dict(REF_PARAMS, tick=0.0, f=1e-10, theta=1e305)},
+         "spread equation has no root above theta_bar = 1e+305 at cell (r, f, theta) = "
+         "(0.9, 1e-10, 1e+305): emax just above it is 1.0, not above 1\n"),
     ], ids=["pareto-shape-1e300", "theta-1e300", "logged-theta-1e308", "logged-theta-1e100",
             "fast-theta-1e200-rho", "logged-theta-1.5e308-rho", "event-gap-past-int64",
             "event-time-past-int64", "spread-tick-1e-300", "spread-tick-subnormal",
-            "sweep-tick-1e-300", "spread-r-below-1", "sweep-r-below-1"])
+            "sweep-tick-1e-300", "spread-r-below-1", "sweep-r-below-1", "spread-f-subnormal",
+            "spread-toxic-c-theta-overflow"])
     def test_extreme_value_writes_only_its_error_line(self, tmp_path, capsys, command, doc,
                                                       message):
         # warnings are errors here: a leaked RuntimeWarning fails the run

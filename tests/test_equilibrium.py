@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
 from lobeq.equilibrium import (
@@ -555,8 +555,8 @@ class TestBatchedSpreads:
             except ZeroSpreadRegime:
                 zero.append(p)
             except SolverError:
-                # no toxic root: the drift reaches the point mass
-                assert isinstance(jump, PointMass) and theta_bar(p) >= 0.99 * jump.value
+                # no toxic root: the drift reaches the point mass, where emax is 1
+                assert isinstance(jump, PointMass) and theta_bar(p) >= jump.value
         params = [p for p, _ in solved] + zero
         grid = ParamGrid(r=[p.r for p in params], f=[p.f for p in params],
                          theta=[p.theta for p in params], jump=jump, volume=volume,
@@ -587,6 +587,8 @@ class TestBatchedSpreads:
 
     @settings(max_examples=200)
     @given(jump_laws, spread_cells, st.floats(-0.9, 0.9))
+    # the toxic root lies about 1e-12 (relative) above theta_bar
+    @example(Exponential(387.0), (0.0625, 0.01, 0.046875), 0.0)
     def test_each_root_is_a_sign_change_in_x(self, jump, cell, rho):
         # the solver judges a root in x: each equation changes sign within
         # 2e-12 (relative) of its reported root, whatever its residual
@@ -597,8 +599,10 @@ class TestBatchedSpreads:
         except ZeroSpreadRegime:
             return
         except SolverError as exc:
-            # every bisection converges; only a toxic root may be missing
-            assert str(exc).startswith("toxic spread equation has no root above")
+            # every bisection converges; only a toxic root may be missing,
+            # exactly where emax just above theta_bar is not above 1
+            assert str(exc).startswith("spread equation has no root above theta_bar")
+            assert jump.emax_ratio(math.nextafter(theta_bar(p), math.inf)) <= 1.0
             return
         below, above = 1.0 - 2e-12, 1.0 + 2e-12
         for x, race in ((sol.phi, f), (sol.mu, 1.0)):
@@ -612,6 +616,20 @@ class TestBatchedSpreads:
                 return jump.emax_ratio(x) - 1.0 - c * (x - tb) / x
 
             assert g(sol.phi_theta * below) >= 0.0 >= g(sol.phi_theta * above)
+            assert sol.phi_theta > tb
+
+    def test_toxic_root_below_the_support_in_closed_form(self):
+        # emax(x) = E[B]/x below the Pareto scale, so the toxic equation is
+        # linear in 1/x there: c = 1, theta_bar = 0.001 put the root at 0.00425
+        p = ModelParams(r=0.5, f=0.5, theta=0.001, jump=Pareto(3.0, 0.005),
+                        volume=NormalVolume(10.0))
+        sol = spread(p)
+        c, tb = 1.0, theta_bar(p)
+        assert sol.phi_theta == pytest.approx((p.jump.mean + c * tb) / (1.0 + c), rel=1e-15)
+        assert sol.phi_theta < p.jump.support_inf
+        assert sol.solver_iters == 0
+        assert p.jump.emax_ratio(sol.phi_theta) == pytest.approx(
+            1.0 + c * (sol.phi_theta - tb) / sol.phi_theta, rel=1e-15)
 
     def test_root_rounded_onto_the_support_kink(self):
         # r = 1/3 and f = 1/2 put the root at the Pareto scale; rounding leaves
