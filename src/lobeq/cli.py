@@ -366,7 +366,10 @@ def cmd_signature(root: _Section, seed) -> dict:
         labels = classify(records, spec)
         if np.all(labels == UNDEFINED_CLUSTER):
             raise cluster.fail(f"no {spec.side} trade has a defined {spec.metric}")
-        curve = signature_curves(records, labels, horizons_ns, eps, reference, quotes)
+        try:
+            curve = signature_curves(records, labels, horizons_ns, eps, reference, quotes)
+        except ValueError as exc:
+            raise cluster.fail(str(exc)) from None
         # one row per cluster and horizon, the horizons of each cluster together
         ids = list(curve.values)
         outputs[f"signature_{i}_{spec.metric}.csv"] = {

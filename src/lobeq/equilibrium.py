@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .laws import JumpLaw, VolumeLaw
-from .solvers import BracketError, bisect_decreasing
+from .solvers import bisect_decreasing
 
 __all__ = [
     "ModelParams",
@@ -497,14 +497,16 @@ def _spread_roots(grid: ParamGrid, cells: np.ndarray, c: np.ndarray, tb: np.ndar
     for ``cells`` of ``grid``; returns the roots, the bisection steps and
     the relative residuals.
 
-    ``emax(x) >= E[B]/x`` everywhere, with equality below the support
-    infimum, so ``(E[B] + c tb)/(1 + c) = tb + (E[B] - tb)/(1 + c)`` is the
-    root there and a lower bracket elsewhere; so is that value raised to
-    ``floor``, a root of the same equation at a smaller tb.  Where neither
+    ``E[B]/x <= emax(x) < 1 + E[B]/x``, the first an equality below the
+    support infimum, so ``(E[B] + c tb)/(1 + c) = tb + (E[B] - tb)/(1 + c)``
+    is the root there and a lower bracket elsewhere; so is that value raised
+    to ``floor``, a root of the same equation at a smaller tb.  Where neither
     lies above tb the bracket is the next float above it, and the equation
     has a root exactly where emax there is above 1.  Where rounding leaves
     ``emax`` at or below the right side at the bracket, the bracket is the
-    root.  A failure names its cell.
+    root.  ``tb + E[B]/c`` is the upper bracket; where rounding leaves emax
+    above the right side there, the root is the float before it.  A failure
+    names its cell.
     """
     jump = grid.jump
     bad = np.flatnonzero(~((1.0 + c > 1.0) & (c < np.inf)))
@@ -525,10 +527,9 @@ def _spread_roots(grid: ParamGrid, cells: np.ndarray, c: np.ndarray, tb: np.ndar
         raise SolverError(f"spread equation has no root above theta_bar = {tb[i]} at "
                           f"{grid.cell(cells[i])}: emax just above it is {emax[i]}, not above 1")
     solve = np.flatnonzero((lo > jump.support_inf) & (emax > rhs(lo)))
-    try:
-        root = bisect_decreasing(lambda x: jump.emax_ratio(x) - rhs(x, solve), lo[solve])
-    except BracketError as exc:
-        raise SolverError(f"{exc} at {grid.cell(cells[solve[exc.index]])}") from exc
+    with np.errstate(over="ignore"):         # inf lies above every float; g never sees it
+        hi = tb[solve] + jump.mean / c[solve]
+    root = bisect_decreasing(lambda x: jump.emax_ratio(x) - rhs(x, solve), lo[solve], hi)
     lo[solve] = root.x
     right = rhs(lo)
     return lo, root.iterations, np.abs(jump.emax_ratio(lo) - right) / right
@@ -550,8 +551,8 @@ def solve_spreads(grid: ParamGrid) -> SpreadArrays:
     ``tick - d``.
 
     Raises :class:`SolverError` naming the first cell whose equation has
-    no root (a toxic cell where emax just above theta_bar is 1) or whose
-    bisection does not converge; ``residual`` is not judged.
+    no root (a toxic cell where emax just above theta_bar is 1); a bisection
+    ends at adjacent floats, and ``residual`` is not judged.
     """
     n = grid.r.size
     zero = (grid.f == 0.0) | (grid.r == 0.0)

@@ -309,6 +309,7 @@ def signature_curves(trades: TradeTable, clusters: np.ndarray,
                      quotes: QuoteSeries) -> SignatureCurve:
     """ST(k) per cluster along the horizon grid (undefined bucket dropped);
     ``np.bincount`` sums each cluster in row order, as a loop would.  A
+    bucket whose trades are all for 0 units is rejected, naming it.  A
     time ``t + k`` beyond the int64 range saturates at its end, so a time
     past the last snapshot reads that snapshot as its left limit."""
     if eps not in (1, -1):
@@ -320,6 +321,11 @@ def signature_curves(trades: TradeTable, clusters: np.ndarray,
     ids, labels, counts = np.unique(clusters[defined], return_inverse=True, return_counts=True)
     qty = cohort.qty.astype(float)
     den = np.bincount(labels, weights=np.abs(qty), minlength=ids.size)
+    empty = np.flatnonzero(den == 0.0)
+    if empty.size:
+        i = empty[0]
+        raise ValueError(f"bucket {ids[i]} has no traded volume: n_trades = {counts[i]}, "
+                         f"each for 0 units, so its signature is 0/0")
     st = np.empty((ids.size, len(horizons_ns)))
     int64 = np.iinfo(np.int64)
     for h, k_ns in enumerate(horizons_ns):

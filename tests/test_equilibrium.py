@@ -530,8 +530,8 @@ jump_laws = st.one_of(
     st.builds(Exponential, st.floats(20.0, 500.0)),
     st.builds(PointMass, st.floats(1e-3, 0.05)),
 )
-# f stays either exactly 1 or at most 0.99: closer to 1 the two spread
-# equations differ by less than the solver tolerance
+# f stays either exactly 1 or at most 0.99: closer to 1 the roots of the
+# two spread equations may round to the same float
 spread_cells = st.tuples(
     st.one_of(st.just(0.0), st.floats(0.01, 0.99)),
     st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.01, 0.99)),
@@ -591,7 +591,9 @@ class TestBatchedSpreads:
     @example(Exponential(387.0), (0.0625, 0.01, 0.046875), 0.0)
     def test_each_root_is_a_sign_change_in_x(self, jump, cell, rho):
         # the solver judges a root in x: each equation changes sign within
-        # 2e-12 (relative) of its reported root, whatever its residual
+        # 2e-12 (relative) of its reported root, whatever its residual, and
+        # a bisected root's equation, as the solver spells it, changes sign
+        # between the root and the next float
         r, f, theta = cell
         p = ModelParams(r=r, f=f, theta=theta, jump=jump, volume=NormalVolume(10.0), rho=rho)
         try:
@@ -599,8 +601,8 @@ class TestBatchedSpreads:
         except ZeroSpreadRegime:
             return
         except SolverError as exc:
-            # every bisection converges; only a toxic root may be missing,
-            # exactly where emax just above theta_bar is not above 1
+            # only a toxic root may be missing, exactly where emax just
+            # above theta_bar is not above 1
             assert str(exc).startswith("spread equation has no root above theta_bar")
             assert jump.emax_ratio(math.nextafter(theta_bar(p), math.inf)) <= 1.0
             return
@@ -617,6 +619,15 @@ class TestBatchedSpreads:
 
             assert g(sol.phi_theta * below) >= 0.0 >= g(sol.phi_theta * above)
             assert sol.phi_theta > tb
+        # above the support infimum a root is bisected (below it, it is in
+        # closed form); the lower bracket is its own root only where rounding
+        # puts it at the support kink, which continuous draws do not reach
+        for x, race, drift in ((sol.phi, f, 0.0), (sol.mu, 1.0, 0.0), (sol.phi_theta, f, tb)):
+            if x > jump.support_inf:
+                c = (1.0 / (2.0 * race)) * (1.0 / r - 1.0)
+                xs = np.array([x, math.nextafter(x, math.inf)])
+                g_solver = jump.emax_ratio(xs) - (1.0 + c * (1.0 - drift / xs))
+                assert g_solver[0] >= 0.0 > g_solver[1]
 
     def test_toxic_root_below_the_support_in_closed_form(self):
         # emax(x) = E[B]/x below the Pareto scale, so the toxic equation is
