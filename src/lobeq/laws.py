@@ -44,6 +44,11 @@ class _Law:
     gives a 0-d value out.
     """
 
+    #: whether ``sample(rng, n)`` reads exactly one double per value from
+    #: ``rng``, so that ``rng.bit_generator.advance(n)`` skips it; the
+    #: ziggurat and Laplace draws read a varying part of the stream
+    one_double_per_value = False
+
     def cdf(self, x):
         raise NotImplementedError
 
@@ -92,6 +97,8 @@ class Pareto(JumpLaw):
 
     shape: float
     scale: float
+
+    one_double_per_value = True
 
     def __post_init__(self):
         if not self.shape > 1.0:
@@ -172,6 +179,8 @@ class PointMass(JumpLaw):
     """Degenerate law: every jump has the same positive magnitude."""
 
     value: float
+
+    one_double_per_value = True
 
     def __post_init__(self):
         if not self.value > 0.0:

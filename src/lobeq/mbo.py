@@ -12,7 +12,8 @@ CSV schema (exact header)::
 * ``action`` is one of add/modify/cancel/execute
 * ``qty`` is an integer number of volume units; on modify it is the new
   resting quantity, on cancel it must equal the remaining quantity
-  (partial reductions are modifies)
+  (partial reductions are modifies).  An add, execute or modify of 0
+  units is rejected: an order leaves the book by a cancel
 * ``aggressor_flag`` marks execute rows belonging to the incoming order
   (their price is the fill price, not the order's resting price); empty
   when not applicable
@@ -366,6 +367,8 @@ def _row_fault(row: list[str], unreadable=()) -> str | None:
         return str(exc)
     if qty < 0:
         return f"negative qty {qty}"
+    if qty == 0 and row[2] != "cancel":
+        return f"zero qty on {row[2]}" + ("; use cancel" if row[2] == "modify" else "")
     if not math.isfinite(price):
         return f"price {row[4]!r} is not finite"
     if row[6].strip().lower() not in _FLAGS:
@@ -456,7 +459,8 @@ def _parse_lines(lines, tick: float | None) -> EventLog:
     if odd:                                  # the C reader may read a number Python does not
         domain = np.array([_row_fault(row) is not None for row in texts.tolist()], dtype=bool)
     else:
-        domain = (act == _BAD) | (side == _BAD) | (flag == _BAD) | (qty < 0) | ~np.isfinite(price)
+        domain = ((act == _BAD) | (side == _BAD) | (flag == _BAD) | (qty < 0)
+                  | ((qty == 0) & (act != CANCEL)) | ~np.isfinite(price))
     del texts
     backwards = np.zeros(n, dtype=bool)
     backwards[1:] = ts[1:] < ts[:-1]

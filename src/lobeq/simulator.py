@@ -30,8 +30,15 @@ is zero precisely at that depth.
 Both paths score the probes with one numpy kernel,
 :func:`lobeq.kernels.accumulate_pnl`.  The no-log path passes it the
 static book: the closed-form one on the tick grid, or a user-supplied
-:class:`BookShape`.  :class:`SimConfig` rejects a combination neither
-path can run before any draw is made.  ``record_log=True`` switches to a
+:class:`BookShape`.  It draws and scores the events in chunks of
+:data:`CHUNK_EVENTS`, so its memory does not grow with ``n_events``: each
+random input reads its own part of the stream with a generator of its own,
+so the draws are those of :func:`draw_events`, and the per-level sums are
+added chunk by chunk (their last digits depend on :data:`CHUNK_EVENTS`).
+One kernel scan of a chunk's jumps fills both makers' probes and counts
+the levels each jump sweeps, from which the executed volume is priced.
+:class:`SimConfig` rejects a combination neither path can run before any
+draw is made.  ``record_log=True`` switches to a
 bookkeeping loop that maintains a two-sided order book on the absolute
 tick grid and emits a market-by-order event log with ground-truth
 participant labels.  The price moves only at jumps and at nonzero noise
@@ -48,6 +55,7 @@ same state tables and passed to the kernel.
 
 from __future__ import annotations
 
+import copy
 import io
 import itertools
 import math
@@ -163,38 +171,90 @@ class EventDraws:
     drift: np.ndarray              # float64, zero at jump slots
 
 
-def _sign_chain(n: int, gamma: float, rng: np.random.Generator, x0: int) -> np.ndarray:
-    """Two-state chain with persistence P(X_j = X_{j-1}) = gamma."""
-    if n == 0:
-        return np.zeros(0, dtype=np.int8)
-    steps = np.where(rng.random(n) < gamma, 1, -1).astype(np.int8)
-    return x0 * np.multiply.accumulate(steps)
+#: events drawn and scored at a time on the fast path, so that its memory
+#: does not grow with ``n_events``
+CHUNK_EVENTS = 1 << 16
+
+
+def _draw(rng: np.random.Generator, law, k: int) -> np.ndarray:
+    """``k`` values of ``law``, or ``k`` uniforms when ``law`` is None."""
+    return rng.random(k) if law is None else law.sample(rng, k)
+
+
+def _skip(rng: np.random.Generator, n: int, law) -> None:
+    """Move ``rng`` past ``_draw(rng, law, n)``: one step per value where a
+    value is one double, and otherwise by drawing and discarding in chunks."""
+    if law is None or law.one_double_per_value:
+        rng.bit_generator.advance(n)
+        return
+    for start in range(0, n, CHUNK_EVENTS):
+        law.sample(rng, min(CHUNK_EVENTS, n - start))
+
+
+def _draw_chunks(params: ModelParams, n_events: int, rng: np.random.Generator,
+                 chunk: int):
+    """Yield the draws of an ``n_events`` run in chunks of ``chunk`` events
+    (one empty chunk when ``n_events`` is 0).
+
+    The stream holds, in order, ``n_events`` uniforms for the event kinds,
+    ``n_events`` jump sizes, ``n_events`` uniforms for the races,
+    ``n_events`` signed volumes, one uniform for the chain's first sign and
+    one per noise event for the sign chain.  Each part is read by a
+    generator of its own: the first chunk of each part is drawn in stream
+    order, and the next part's generator is a copy moved past the rest of
+    the part.  So the draws do not depend on ``chunk``, and one chunk of
+    ``n_events`` skips nothing.  The sign chain carries its last sign across
+    chunks.  Once the chunks run out, ``rng`` stands at the stream's end.
+    """
+    laws = (None, params.jump, None, params.volume)
+    parts, first = [], []
+    g = rng
+    for law in laws:
+        first.append(_draw(g, law, min(chunk, n_events)))
+        parts.append(g)
+        g = copy.deepcopy(g)
+        _skip(g, n_events - len(first[-1]), law)
+    signs = g
+    last = np.int8(1 if signs.random() < 0.5 else -1)
+    for begin in range(0, max(n_events, 1), chunk):
+        k = min(chunk, n_events - begin)
+        u_kind, jump_size, u_race, noise_mag = first or [
+            _draw(g, law, k) for g, law in zip(parts, laws)]
+        # 0/1 bytes of the comparisons, without a copy; the first chunk's
+        # values are used once, and no uniform outlives its chunk
+        is_jump = (u_kind < params.r).view(np.uint8)
+        it_wins = (u_race < params.f).view(np.uint8)
+        first = u_kind = u_race = None
+        jump_size = np.asarray(jump_size, dtype=float)
+        noise_mag = np.asarray(noise_mag, dtype=float)
+        np.abs(noise_mag, out=noise_mag)
+
+        # the sign chain has persistence P(X_j = X_{j-1}) = gamma
+        noise_slots = is_jump == 0
+        steps = signs.random(np.count_nonzero(noise_slots)) < params.gamma
+        chain = last * np.multiply.accumulate(np.where(steps, np.int8(1), np.int8(-1)))
+        noise_sign = np.zeros(k, dtype=np.int8)
+        noise_sign[noise_slots] = chain
+        drift = np.zeros(k, dtype=float)
+        if chain.size:
+            prev = np.concatenate(([last], chain[:-1]))
+            drift[noise_slots] = params.theta * (chain - params.rho * prev.astype(float))
+            last = chain[-1]
+        yield EventDraws(is_jump, it_wins, jump_size, noise_sign, noise_mag, drift)
+    rng.bit_generator.state = signs.bit_generator.state
 
 
 def draw_events(params: ModelParams, n_events: int, rng: np.random.Generator) -> EventDraws:
-    """Pre-draw every random input of an ``n_events`` run.
+    """Every random input of an ``n_events`` run, drawn as one chunk.
 
     Jump sizes and volume magnitudes are drawn for every slot (only the
     matching slots are consumed) so the draw stream does not depend on the
-    realized event kinds.
+    realized event kinds.  The fast path reads the same draws chunk by
+    chunk; either way ``rng`` is left at the end of the stream, and its bit
+    generator must have ``advance`` (numpy's default PCG64 has it).
     """
-    is_jump = (rng.random(n_events) < params.r).astype(np.uint8)
-    jump_size = np.asarray(params.jump.sample(rng, n_events), dtype=float)
-    it_wins = (rng.random(n_events) < params.f).astype(np.uint8)
-    noise_mag = np.abs(np.asarray(params.volume.sample(rng, n_events), dtype=float))
-
-    noise_slots = is_jump == 0
-    n_noise = int(noise_slots.sum())
-    x0 = 1 if rng.random() < 0.5 else -1
-    chain = _sign_chain(n_noise, params.gamma, rng, x0)
-    noise_sign = np.zeros(n_events, dtype=np.int8)
-    noise_sign[noise_slots] = chain
-
-    drift = np.zeros(n_events, dtype=float)
-    if n_noise:
-        prev = np.concatenate(([np.int8(x0)], chain[:-1]))
-        drift[noise_slots] = params.theta * (chain - params.rho * prev.astype(float))
-    return EventDraws(is_jump, it_wins, jump_size, noise_sign, noise_mag, drift)
+    (draws,) = _draw_chunks(params, n_events, rng, max(n_events, 1))
+    return draws
 
 
 # ---------------------------------------------------------------------------
@@ -263,29 +323,57 @@ def _pnl_rows(imm_n, imm_sum, imm_sumsq, nmm_n, nmm_sum, nmm_sumsq) -> list[Leve
     return rows
 
 
-def _event_counts(draws: EventDraws) -> dict:
-    """Summary counters of a run, taken from its draws."""
-    n_events = len(draws.is_jump)
-    n_jumps = int(draws.is_jump.sum())
-    n_wins = int((draws.is_jump & draws.it_wins).sum())
+def _flags(draws: EventDraws) -> tuple:
+    """The jump, race-won and noise-buy masks of ``draws``: the first two
+    are bool views of its 0/1 columns."""
+    return draws.is_jump.view(bool), draws.it_wins.view(bool), draws.noise_sign > 0
+
+
+def _tally(jump, wins, buy) -> np.ndarray:
+    """Jumps, races the trader won and noise buys, counted from the masks."""
+    return np.array([np.count_nonzero(jump), np.count_nonzero(jump & wins),
+                     np.count_nonzero(buy)])
+
+
+def _summary_counts(n_events: int, n_jumps: int, n_wins: int, n_buys: int) -> dict:
     return {
         "n_events": n_events,
         "n_jumps": n_jumps,
         "n_it_wins": n_wins,
-        "n_noise_buys": int((draws.noise_sign > 0).sum()),
+        "n_noise_buys": n_buys,
         "empirical_r": n_jumps / n_events,
         "empirical_f": n_wins / n_jumps if n_jumps else math.nan,
     }
 
 
+def _event_counts(draws: EventDraws) -> dict:
+    """Summary counters of a run, taken from its draws."""
+    return _summary_counts(len(draws.is_jump), *_tally(*_flags(draws)).tolist())
+
+
 def _probe_pnl(draws: EventDraws, x, imm_ahead, nmm_ahead) -> tuple:
-    return kernels.accumulate_pnl(
-        draws.is_jump, draws.it_wins, draws.jump_size, draws.noise_sign > 0,
-        draws.noise_mag, draws.drift, x, imm_ahead, nmm_ahead,
-    )
+    jump, wins, buy = _flags(draws)
+    return kernels.accumulate_pnl(jump, wins, draws.jump_size, buy, draws.noise_mag,
+                                  draws.drift, x, imm_ahead, nmm_ahead)
 
 
-def _executed_volume(draws: EventDraws, x, eff_lvl, nmm_lvl) -> np.ndarray:
+def _sweeps(size, win, x) -> np.ndarray:
+    """The jumps of sizes ``size`` (``win``: the race outcomes) that sweep
+    each level, x <= B there and at every nearer level: lost races in row
+    0, won in row 1.  Level by level it carries the sizes and outcomes of
+    the jumps that reach the level, and copies them only when a level drops
+    some."""
+    out = np.zeros((2, len(x)), dtype=np.int64)
+    for level in range(len(x)):
+        keep = x[level] <= size
+        if np.count_nonzero(keep) < size.size:
+            size, win = size[keep], win[keep]
+        n_won = np.count_nonzero(win)
+        out[:, level] = size.size - n_won, n_won
+    return out
+
+
+def _executed_volume(draws: EventDraws, x, eff_lvl, nmm_lvl, swept=None) -> np.ndarray:
     """Volume executed per level of the static book.
 
     A jump of size B sweeps every level at distance x <= B: the whole level
@@ -293,35 +381,46 @@ def _executed_volume(draws: EventDraws, x, eff_lvl, nmm_lvl) -> np.ndarray:
     wins.  A noise buy of magnitude q consumes the visible book from the
     front, ``clip(q - depth before the level, 0, level size)``.
 
-    Level by level it carries the sizes and race outcomes of the jumps
-    that reach the level, and copies them only when a level drops some.
+    ``swept`` holds the sweeping jumps as the kernel counts them in the
+    scan that fills the probes (``accumulate_pnl(..., swept=...)``), which
+    is how the fast path reads them; without it they are counted here.
     """
-    jump = draws.is_jump.astype(bool)
-    size = draws.jump_size[jump]
-    win = draws.it_wins[jump]
-    buys = draws.noise_mag[draws.noise_sign > 0]
+    jump, wins, buy = _flags(draws)
+    if swept is None:
+        swept = _sweeps(draws.jump_size[jump], wins[jump], x)
+    buys = draws.noise_mag[buy]
     depth_before = np.concatenate(([0.0], np.cumsum(eff_lvl)[:-1]))
-    out = np.zeros(len(x))
-    for level in range(len(x)):
-        keep = x[level] <= size
-        if np.count_nonzero(keep) < size.size:
-            size, win = size[keep], win[keep]
-        n_wins = np.count_nonzero(win)
-        out[level] = (n_wins * eff_lvl[level] + (size.size - n_wins) * nmm_lvl[level]
-                      + np.clip(buys - depth_before[level], 0.0, eff_lvl[level]).sum())
-    return out
+    jump_volume = swept[1] * eff_lvl + swept[0] * nmm_lvl
+    return np.array([jump_volume[level]
+                     + np.clip(buys - depth_before[level], 0.0, eff_lvl[level]).sum()
+                     for level in range(len(x))])
 
 
-def _run_fast(cfg: SimConfig, book: BookShape, draws: EventDraws) -> SimResult:
+def _run_fast(cfg: SimConfig, book: BookShape, chunks) -> SimResult:
+    """Score the draws chunk by chunk against the static book, adding up
+    the probe statistics, the executed volume and the counters.  One kernel
+    scan of each chunk's jumps fills the probes and counts the sweeps."""
+    x, informed, noise = book.grid, book.informed, book.noise
     eff_lvl = book.per_level
-    executed = _executed_volume(draws, book.grid, eff_lvl, _nmm_level_split(eff_lvl, book.noise))
+    nmm_lvl = _nmm_level_split(eff_lvl, noise)
+    stats = [np.zeros(len(x), dtype=dtype) for dtype in (np.int64, float, float) * 2]
+    executed = np.zeros(len(x))
+    tally = np.zeros(3, dtype=np.int64)
+    for draws in chunks:
+        jump, wins, buy = _flags(draws)
+        swept = np.zeros((2, len(x)), dtype=np.int64)
+        for total, part in zip(stats, kernels.accumulate_pnl(
+                jump, wins, draws.jump_size, buy, draws.noise_mag, draws.drift,
+                x, informed, noise, swept=swept)):
+            total += part
+        executed += _executed_volume(draws, x, eff_lvl, nmm_lvl, swept)
+        tally += _tally(jump, wins, buy)
     summary = {
-        **_event_counts(draws),
+        **_summary_counts(cfg.n_events, *tally.tolist()),
         "executed_volume_per_level": executed.tolist(),
         "seed": cfg.seed,
     }
-    pnl = _pnl_rows(*_probe_pnl(draws, book.grid, book.informed, book.noise))
-    return SimResult(pnl=pnl, summary=summary, book=book)
+    return SimResult(pnl=_pnl_rows(*stats), summary=summary, book=book)
 
 
 # ---------------------------------------------------------------------------
@@ -684,10 +783,9 @@ def run(cfg: SimConfig) -> SimResult:
     """Run the event simulation; deterministic for a fixed seed."""
     book = _resolve_book(cfg)
     rng = np.random.default_rng(cfg.seed)
-    draws = draw_events(cfg.params, cfg.n_events, rng)
     if cfg.record_log:
-        return _run_logged(cfg, book, draws, rng)
-    return _run_fast(cfg, book, draws)
+        return _run_logged(cfg, book, draw_events(cfg.params, cfg.n_events, rng), rng)
+    return _run_fast(cfg, book, _draw_chunks(cfg.params, cfg.n_events, rng, CHUNK_EVENTS))
 
 
 def export_mbo(result: SimResult) -> EventLog:

@@ -106,7 +106,8 @@ class Replay:
 def parse(source, tick: float | None = None) -> list[EventLog.Row]:
     """Read and validate a log; returns events in file order.
 
-    Validation: exact header, field domains (finite prices), nondecreasing
+    Validation: exact header, field domains (finite prices, no quantity
+    below 0, and none of 0 on an add, execute or modify), nondecreasing
     timestamps, referential integrity (modify/cancel/execute must reference
     a live order, and a modify keeps the order's side), execute volume
     within the resting quantity, and optional tick-multiple price checks.
@@ -151,6 +152,9 @@ def _parse_rows(rows, tick: float | None) -> list[EventLog.Row]:
             raise MboParseError(f"row {lineno}: {exc}") from None
         if qty < 0:
             raise MboParseError(f"row {lineno}: negative qty {qty}")
+        if qty == 0 and action != "cancel":
+            use = "; use cancel" if action == "modify" else ""
+            raise MboParseError(f"row {lineno}: zero qty on {action}{use}")
         if not math.isfinite(price):
             raise MboParseError(f"row {lineno}: price {row[4]!r} is not finite")
         try:

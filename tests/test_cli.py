@@ -688,6 +688,18 @@ ts_ns,order_id,action,side,price,qty,aggressor_flag,participant_label
             "at t = 40 + k = 0: one-sided book at t = 40: mid undefined\n")
         assert list(out.iterdir()) == []
 
+    def test_zero_unit_add_rejected(self, tmp_path, capsys):
+        log = tmp_path / "zero_add.csv"
+        log.write_text(self.ONE_SIDED_LOG.replace("30,3,add,ask,100.02,5,,",
+                                                  "30,3,add,ask,100.02,0,,"))
+        doc = {"signature": {"input": str(log), "horizons_s": [0.0],
+                             "clusters": [self.GOOD_CLUSTER]}}
+        cfg = write_config(tmp_path, doc, name="sig.json")
+        out = tmp_path / "sig_out"
+        assert main(["signature", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "lobeq signature: row 6: zero qty on add\n"
+        assert not list(out.glob("signature_*.csv"))
+
     def test_cluster_without_defined_trades_rejected(self, tmp_path, capsys):
         # the one trade fills order 1, added before any trade, so its
         # trade_to_add is undefined; the volume ratio of the aggressor is not
@@ -710,8 +722,9 @@ ts_ns,order_id,action,side,price,qty,aggressor_flag,participant_label
         assert list(out.iterdir()) == []
 
     def test_bucket_without_traded_volume_rejected(self, tmp_path, capsys):
-        # order 5's one fill is for 0 units, so its trade_to_add bucket sums
-        # no volume and its signature would be 0/0
+        # order 5's one fill is for 0 units, so its trade_to_add bucket would
+        # sum no volume; parse rejects the 0-unit add before any bucket is
+        # formed (signature_curves' own check: test_signature.py)
         log = tmp_path / "zero_fill.csv"
         log.write_text("ts_ns,order_id,action,side,price,qty,aggressor_flag,participant_label\n"
                        "1,1,add,ask,100.01,5,,\n1,2,add,bid,99.99,5,,\n"
@@ -724,9 +737,7 @@ ts_ns,order_id,action,side,price,qty,aggressor_flag,participant_label
                                            "side": "passive"}]}}
         code, out = run_cli(tmp_path, "signature", doc)
         assert code == 2
-        assert capsys.readouterr().err == (
-            "lobeq signature: signature cluster 0: bucket 0 has no traded volume: "
-            "n_trades = 1, each for 0 units, so its signature is 0/0\n")
+        assert capsys.readouterr().err == "lobeq signature: row 8: zero qty on add\n"
         assert list(out.iterdir()) == []
 
     def test_unreadable_log_names_its_row(self, tmp_path, capsys):

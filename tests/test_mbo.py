@@ -67,18 +67,18 @@ HEADER_LINE = ",".join(HEADER)
 def event_streams(draw):
     """Streams the parser accepts: nondecreasing timestamps, every
     modify/cancel/execute naming a live order on its own side, executes
-    within the resting quantity."""
+    within the resting quantity, and no add, modify or execute of 0 units."""
     events, live, ts = [], {}, 0
     for oid_next in range(1, draw(st.integers(0, 25)) + 1):
         ts += draw(st.integers(0, 10**9))
         action = draw(st.sampled_from(["add", "modify", "cancel", "execute"] if live else ["add"]))
         if action == "add":
-            oid, side, qty = oid_next, draw(st.sampled_from(SIDES)), draw(st.integers(0, 10**12))
+            oid, side, qty = oid_next, draw(st.sampled_from(SIDES)), draw(st.integers(1, 10**12))
         else:
             oid = draw(st.sampled_from(sorted(live)))
             resting, side = live.pop(oid)
-            qty = {"modify": draw(st.integers(0, 10**12)), "cancel": resting,
-                   "execute": draw(st.integers(0, resting))}[action]
+            qty = {"modify": draw(st.integers(1, 10**12)), "cancel": resting,
+                   "execute": draw(st.integers(1, resting))}[action]
         if action in ("add", "modify"):
             live[oid] = (qty, side)
         elif action == "execute" and qty < resting:
@@ -102,7 +102,8 @@ def queue_streams(draw, min_size=0):
     queued at one price, modifies that lose their place (a new price or a
     larger size) mixed with ones that keep it (a smaller size), executes
     at the front of a queue, several rows per timestamp, and order ids
-    reused after their order died; empty and one-row feeds among them."""
+    reused after their order died; empty and one-row feeds among them.  No
+    add, modify or execute moves 0 units."""
     events, ts, next_id = [], 0, 1
     queues = {(side, px): [] for side, pxs in QUEUE_PX.items() for px in pxs}
     live, dead = {}, []                   # id -> [side, price, qty]; ids free to reuse
@@ -115,7 +116,7 @@ def queue_streams(draw, min_size=0):
             else:
                 oid, next_id = next_id, next_id + 1
             side = draw(st.sampled_from(SIDES))
-            live[oid] = [side, draw(st.sampled_from(QUEUE_PX[side])), draw(st.integers(0, 4))]
+            live[oid] = [side, draw(st.sampled_from(QUEUE_PX[side])), draw(st.integers(1, 4))]
             queues[tuple(live[oid][:2])].append(oid)
             events.append(ev(ts, oid, "add", *live[oid], label=draw(st.sampled_from([None, "NMM"]))))
             continue
@@ -125,14 +126,14 @@ def queue_streams(draw, min_size=0):
             oid = draw(st.sampled_from(sorted(live)))
         side, px, qty = live[oid]
         if kind == "modify":
-            new_px, new_qty = draw(st.sampled_from(QUEUE_PX[side])), draw(st.integers(0, 6))
+            new_px, new_qty = draw(st.sampled_from(QUEUE_PX[side])), draw(st.integers(1, 6))
             if new_px != px or new_qty > qty:           # to the back of the new level's queue
                 queues[side, px].remove(oid)
                 queues[side, new_px].append(oid)
             live[oid] = [side, new_px, new_qty]
             events.append(ev(ts, oid, "modify", side, new_px, new_qty))
             continue
-        take = qty if kind == "cancel" else draw(st.integers(0, qty))
+        take = qty if kind == "cancel" else draw(st.integers(1, qty))
         events.append(ev(ts, oid, kind, side, px, take, flag=False if kind == "execute" else None))
         live[oid][2] -= take
         if kind == "cancel" or take == qty:
@@ -195,6 +196,20 @@ class TestParse:
     def test_bad_rows(self, row, message):
         with pytest.raises(MboParseError, match=message):
             parse_text(f"{HEADER_LINE}\n{row}\n")
+
+    @pytest.mark.parametrize("row, message", [
+        ("10,2,add,ask,100.01,0,,", "row 3: zero qty on add"),
+        ("11,1,execute,ask,100.01,0,false,", "row 3: zero qty on execute"),
+        ("11,1,modify,ask,100.01,0,,", "row 3: zero qty on modify; use cancel"),
+    ])
+    def test_zero_qty_only_on_cancel(self, row, message):
+        # an order leaves the book by a cancel, which parse leaves to the
+        # replay's remaining-quantity check
+        text = f"{HEADER_LINE}\n10,1,add,ask,100.01,5,,\n{row}\n"
+        with pytest.raises(MboParseError, match=f"^{message}$"):
+            parse_text(text)
+        cancel = f"{HEADER_LINE}\n10,1,add,ask,100.01,5,,\n11,1,cancel,ask,100.01,0,,\n"
+        assert len(parse_text(cancel)) == 2
 
     def test_modify_cannot_change_side(self):
         text = (f"{HEADER_LINE}\n10,1,add,ask,100.01,5,,\n"
@@ -642,6 +657,7 @@ class TestMatchesOracle:
         "side": (3, ["mid"]),
         "flag": (6, ["maybe", "yes"]),
         "negative_qty": (5, ["-3"]),
+        "zero_qty": (5, ["0", "-0", "+0"]),
         "price": (4, ["nan", "inf", "-inf", "NaN", "1.5.5"]),
         "backwards": (0, ["-1"]),
         "off_tick": (4, ["100.3"]),

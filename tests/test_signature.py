@@ -156,6 +156,14 @@ class TestTradeSignature:
         with pytest.raises(ValueError, match=f"at t = -10 .*before t = {-2**63}$"):
             signature_curves(trades, np.array([0, 1]), [-2**63 + 5], 1, "mid", self.QUOTES)
 
+    def test_bucket_without_traded_volume_rejected(self):
+        # a log's fills move at least 1 unit (parse rejects 0), but a table
+        # built by hand may hold trades for 0 units: such a bucket is 0/0
+        trades = table((10, 5, 100.0), (20, 0, 100.6), (30, 0, 100.2))
+        with pytest.raises(ValueError, match=r"^bucket 1 has no traded volume: n_trades = 2, "
+                                             r"each for 0 units, so its signature is 0/0$"):
+            signature_curves(trades, np.array([0, 1, 1]), [0], 1, "mid", self.QUOTES)
+
     def test_eps_and_empty_validation(self):
         with pytest.raises(ValueError, match="eps"):
             trade_signature(table((10, 1, 100.0)), 0, 2, "mid", self.QUOTES)

@@ -13,17 +13,28 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import draw_oracle
 import logged_oracle
 from mbo_oracle import dumps
 from tables import csv_body, event_log
 from lobeq.equilibrium import BookShape, ModelParams, book_curves, shape_tick
-from lobeq.laws import Exponential, NormalVolume, Pareto, PointMass
+from lobeq.kernels import accumulate_pnl
+from lobeq.laws import Exponential, LaplaceVolume, NormalVolume, Pareto, PointMass
 from lobeq.mbo import HEADER_LINE, EventLog, Quotes, parse, reconstruct, write_csv
 from lobeq import simulator
 from lobeq.simulator import (
+    CHUNK_EVENTS,
+    EventDraws,
     SimConfig,
+    _draw_chunks,
+    _event_counts,
     _event_times,
+    _executed_volume,
+    _flags,
     _LoggedRun,
+    _nmm_level_split,
+    _pnl_rows,
+    _sweeps,
     draw_events,
     export_mbo,
     run,
@@ -231,6 +242,143 @@ class TestFastPath:
             SimConfig(params=dataclasses.replace(REF, theta=1.0), n_events=10**400, seed=0)
 
 
+DRAW_FIELDS = [f.name for f in dataclasses.fields(EventDraws)]
+JUMP_LAWS = [Pareto(3.0, 0.005), Exponential(200.0), PointMass(0.02)]
+VOLUME_LAWS = [NormalVolume(10.0), LaplaceVolume(5.0)]
+
+
+def assert_same_draws(got: EventDraws, want: EventDraws):
+    for name in DRAW_FIELDS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+def chunked(params, n_events, seed, chunk):
+    """The draws of ``_draw_chunks`` joined, and the generator after them."""
+    rng = np.random.default_rng(seed)
+    parts = list(_draw_chunks(params, n_events, rng, chunk))
+    return EventDraws(*(np.concatenate([getattr(p, name) for p in parts])
+                        for name in DRAW_FIELDS)), rng
+
+
+class TestChunkedDraws:
+    """The chunked drawer against the one-shot draw it replaced
+    (``tests/draw_oracle.py``): the same bytes and the same final state of
+    the generator, at any chunk size."""
+
+    @settings(max_examples=60)
+    @given(jump=st.sampled_from(JUMP_LAWS), volume=st.sampled_from(VOLUME_LAWS),
+           r=st.sampled_from([0.0, 0.15, 0.9, 0.999]), theta=st.sampled_from([0.0, 0.0005]),
+           n_events=st.integers(0, 400), seed=st.integers(0, 2**32 - 1),
+           chunk=st.sampled_from([1, 7, CHUNK_EVENTS]))
+    def test_chunks_equal_one_shot(self, jump, volume, r, theta, n_events, seed, chunk):
+        params = ModelParams(r=r, f=0.9, jump=jump, volume=volume, theta=theta, rho=0.5)
+        want_rng = np.random.default_rng(seed)
+        want = draw_oracle.draw_events(params, n_events, want_rng)
+        got, rng = chunked(params, n_events, seed, chunk)
+        assert_same_draws(got, want)
+        assert rng.bit_generator.state == want_rng.bit_generator.state
+
+    @pytest.mark.parametrize("jump", JUMP_LAWS, ids=lambda law: type(law).__name__)
+    @pytest.mark.parametrize("volume", VOLUME_LAWS, ids=lambda law: type(law).__name__)
+    def test_many_chunks_equal_one_shot(self, jump, volume):
+        # past two whole chunks: the skips and the sign chain cross chunk ends
+        params = ModelParams(r=0.6, f=0.9, jump=jump, volume=volume, theta=0.0005, rho=0.5)
+        n_events = 2 * CHUNK_EVENTS + 1234
+        want_rng = np.random.default_rng(4)
+        want = draw_oracle.draw_events(params, n_events, want_rng)
+        got, rng = chunked(params, n_events, 4, CHUNK_EVENTS)
+        assert_same_draws(got, want)
+        assert rng.bit_generator.state == want_rng.bit_generator.state
+        rng = np.random.default_rng(4)
+        assert_same_draws(draw_events(params, n_events, rng), want)
+        assert rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def score_by_chunks(cfg):
+    """``run(cfg)`` on the fast path rebuilt from ``draw_events``: each
+    slice of ``CHUNK_EVENTS`` events scored on its own (the sweeps counted
+    by ``_sweeps``, not by the kernel), and the per-level sums added."""
+    book = shape_tick(cfg.params, cfg.n_levels)
+    eff = book.per_level
+    nmm = _nmm_level_split(eff, book.noise)
+    draws = draw_events(cfg.params, cfg.n_events, np.random.default_rng(cfg.seed))
+    stats = [np.zeros(cfg.n_levels, dtype=t) for t in (np.int64, float, float) * 2]
+    executed = np.zeros(cfg.n_levels)
+    counts = {"n_jumps": 0, "n_it_wins": 0, "n_noise_buys": 0}
+    for begin in range(0, cfg.n_events, CHUNK_EVENTS):
+        part = EventDraws(*(getattr(draws, name)[begin:begin + CHUNK_EVENTS]
+                            for name in DRAW_FIELDS))
+        jump, wins, buy = _flags(part)
+        for total, value in zip(stats, accumulate_pnl(
+                jump, wins, part.jump_size, buy, part.noise_mag, part.drift,
+                book.grid, book.informed, book.noise)):
+            total += value
+        executed += _executed_volume(part, book.grid, eff, nmm)
+        for key, value in _event_counts(part).items():
+            if key in counts:
+                counts[key] += value
+    return _pnl_rows(*stats), counts, executed
+
+
+class TestChunkedFastPath:
+    @pytest.mark.parametrize("n_events", [1000, CHUNK_EVENTS, 2 * CHUNK_EVENTS,
+                                          2 * CHUNK_EVENTS + 777])
+    @pytest.mark.parametrize("params", [
+        REF,
+        dataclasses.replace(REF, jump=Exponential(200.0), volume=LaplaceVolume(5.0),
+                            theta=0.0005, rho=0.5),
+    ], ids=["reference", "toxic-laplace"])
+    def test_run_equals_per_chunk_scoring(self, params, n_events):
+        cfg = SimConfig(params=params, n_events=n_events, seed=3, n_levels=8)
+        res = run(cfg)
+        pnl, counts, executed = score_by_chunks(cfg)
+        assert {k: res.summary[k] for k in counts} == counts
+        assert [(p.maker, p.level, p.n_fills) for p in res.pnl] == \
+            [(p.maker, p.level, p.n_fills) for p in pnl]
+        got = [(p.mean_gain, p.std_err) for p in res.pnl]
+        want = [(p.mean_gain, p.std_err) for p in pnl]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(res.summary["executed_volume_per_level"], executed,
+                                   rtol=1e-12, atol=0.0)
+
+    @settings(max_examples=200)
+    @given(data=st.data(), n=st.integers(0, 60), m=st.integers(1, 6))
+    def test_kernel_counts_the_sweeps(self, data, n, m):
+        # jump sizes that often equal a level's distance: such a jump sweeps
+        # the level (x <= B) without filling its probe (x < B)
+        x = np.cumsum(data.draw(st.lists(st.sampled_from([0.25, 0.5, 1.0]) | st.floats(0.01, 1.0),
+                                         min_size=m, max_size=m)))
+        x -= x[0] * data.draw(st.booleans())
+        assert np.all(np.diff(x) > 0)
+        size = np.array(data.draw(st.lists(st.sampled_from(x.tolist()) | st.floats(0.0, 6.0),
+                                           min_size=n, max_size=n)), dtype=float)
+        flags = st.lists(st.booleans(), min_size=n, max_size=n)
+        jump, wins = (np.array(data.draw(flags), dtype=bool) for _ in range(2))
+        swept = np.zeros((2, m), dtype=np.int64)
+        zeros = np.zeros(n)
+        accumulate_pnl(jump, wins, size, np.zeros(n, dtype=bool), zeros, zeros,
+                       x, x, x, swept=swept)
+        np.testing.assert_array_equal(swept, _sweeps(size[jump], wins[jump], x))
+
+
+class TestChunkedMemory:
+    """Traced peak of a whole fast run: the draws and the kernel's
+    temporaries of one chunk, whatever the number of events (the one-shot
+    run peaked at 44 B per event, 44 MiB at 1e6 events)."""
+
+    @pytest.mark.parametrize("n_events", [200_000, 1_000_000])
+    def test_run_peak_is_bounded(self, n_events):
+        cfg = SimConfig(params=REF, n_events=n_events, seed=1, n_levels=8)
+        tracemalloc.start()
+        try:
+            run(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+
 LOGGED_RUN = SimConfig(params=LOGGED, n_events=4000, seed=11, record_log=True,
                        n_levels=8, volume_scale=1000)
 
@@ -376,7 +524,8 @@ class TestLoggedErrors:
         params = ModelParams(r=0.15, f=0.0, jump=Pareto(2.5, 0.01), volume=NormalVolume(10.0),
                              tick=0.01)
         cfg = SimConfig(params=params, n_events=10**6, seed=0, record_log=record_log)
-        with mock.patch.object(simulator, "draw_events", side_effect=AssertionError("drew")):
+        # both paths draw through _draw_chunks (draw_events is one chunk of it)
+        with mock.patch.object(simulator, "_draw_chunks", side_effect=AssertionError("drew")):
             with pytest.raises(ValueError, match="unbounded within the simulated levels"):
                 run(cfg)
 
