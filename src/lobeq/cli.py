@@ -352,12 +352,14 @@ def cmd_signature(root: _Section, seed) -> dict:
                      side=c.get("side")) for c in clusters]
 
     # every config value is checked before the log is read and any CSV written
-    events = parse_mbo(input_path, tick=tick)
+    events, walk = parse_mbo(input_path, tick=tick, walk=True)
     if not np.any(events.action == EXECUTE):
         raise sig.fail(f"log {input_path} contains no executions")
-    replay = reconstruct(events)
+    replay = reconstruct(events, walk)
+    del events, walk                       # each stage keeps only what the next one reads
     quotes = QuoteSeries.from_replay(replay)
     aggressive, passive = build_trade_records(replay, quotes)
+    del replay
 
     outputs = {}
     for i, (cluster, spec) in enumerate(zip(clusters, specs)):

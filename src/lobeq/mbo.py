@@ -34,14 +34,17 @@ kind (:func:`row_kind`: the head ``,<action>,<side>,`` and the tail
 ``,<flag>,<label>``, made from the codes): the logged simulator makes each
 kind's text once and each price's once, and emits its rows through it,
 and :func:`write_csv` writes the header and the text.  :func:`parse`
-reads the body in one typed C pass, the three coded fields as fixed-width
-text it compares as arrays, and checks field domains as array masks, or
-with :func:`_row_fault` on each record as text when the body holds what
-the C reader skips (``\x1c``-``\x1f``, NUL).  One order walk
-(:func:`_walk`: a stable sort by order id, then segmented cumulative sums)
-gives every row its lifecycle and its order's resting quantity; it holds
-parse's reference checks, and :func:`reconstruct` recomputes it and builds
-fills, lifecycles and quotes from its arrays.
+reads the body in typed C passes of :data:`CHUNK_ROWS` records from one
+stream, the three coded fields and the label as fixed-width text it
+compares as arrays, and checks field domains as array masks, or with
+:func:`_row_fault` on each record as text when the body holds what the C
+reader skips (``\x1c``-``\x1f``, NUL).  The label column holds one
+``str`` per distinct label, shared by every row that carries it.  One
+order walk (:func:`_walk`: a stable sort by order id, then segmented
+cumulative sums) gives every row its lifecycle and its order's resting
+quantity; it holds parse's reference checks, and :func:`reconstruct`
+builds fills, lifecycles and quotes from its arrays, taking the walk
+parse made when it is handed one.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ import io
 import math
 import sys
 import warnings
-from collections import namedtuple
+from collections import defaultdict, namedtuple
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from functools import partial
@@ -255,13 +258,17 @@ _SPELLINGS = {"action": {name: k for k, name in enumerate(ACTIONS)},
               "aggressor_flag": {text: -1 if flag is None else int(flag)
                                  for text, flag in _FLAGS.items()}}
 _WIDTH = {name: max(map(len, texts)) + 1 for name, texts in _SPELLINGS.items()}
+#: a label is read at this fixed width: one of fewer characters, each
+#: below U+0100, packs into one uint64 key, and one that fills it is re-read
+_LABEL_WIDTH = 8
 #: one body record as the C reader types it.  A coded field is fixed-width
 #: text one character wider than its longest spelling, so that a text that
 #: fills it (and may have been cut) matches none.  Action and side are
 #: bytes; the flag is str, as a flag may be padded with any whitespace; the
-#: label stays an exact string
-_FIXED = {name: f"{'U' if name == 'aggressor_flag' else 'S'}{width}"
-          for name, width in _WIDTH.items()}
+#: label is str, as bytes hold only the first 256 code points
+_FIXED = {**{name: f"{'U' if name == 'aggressor_flag' else 'S'}{width}"
+             for name, width in _WIDTH.items()},
+          "participant_label": f"U{_LABEL_WIDTH}"}
 _DTYPE = np.dtype([(name, _FIXED.get(name, dtype)) for name, dtype in EventLog.COLUMNS.items()])
 _TEXT = np.dtype([(name, object) for name in HEADER])
 #: separators the C reader skips around a number as whitespace, and Python's
@@ -269,15 +276,20 @@ _TEXT = np.dtype([(name, object) for name in HEADER])
 _ODD = "\x1c\x1d\x1e\x1f\x00"
 #: the code of a coded field's text that is none of its values
 _BAD = -2
+#: body records per C read: one chunk's records are parse's only transient
+#: that grows with the file, besides the columns and the order walk
+CHUNK_ROWS = 1 << 14
 
 
-def _read(lines, dtype=_DTYPE) -> np.ndarray:
-    """The CSV records of ``lines`` (an iterable of text lines) in one C
-    pass, blank lines skipped; ValueError if a record does not read."""
+def _read(lines, dtype=_DTYPE, max_rows=None) -> np.ndarray:
+    """The CSV records of ``lines`` (an iterable of text lines), at most
+    ``max_rows`` of them, in one C pass, blank lines skipped; ValueError if
+    a record does not read.  A stream is left after the last record read."""
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        warnings.filterwarnings("ignore", "Input line .* contained no data", UserWarning)
         return np.loadtxt(lines, dtype=dtype, delimiter=",", quotechar='"', comments=None,
-                          ndmin=1)
+                          ndmin=1, max_rows=max_rows)
 
 
 def _numbered(reader, lineno: int):
@@ -304,26 +316,40 @@ def _no_field_limit():
         csv.field_size_limit(limit)
 
 
-def _split_at_fault(lines: list[str]) -> tuple[list[str], list[str]]:
-    """(the lines before the first record the C reader rejects, that
-    record's lines).  Records read independently, so the first bad one is
-    found by halving windows of whole records."""
-    reader = csv.reader(lines)
-    starts, at = [], 0
-    for _, row in _numbered(reader, 2):
-        if row:
+def _split_at_fault(lines, body: int, done: int) -> tuple[list[str], list[str]]:
+    """(the lines of the records before the first the C reader rejects,
+    that record's lines), where the rejected record is among the
+    :data:`CHUNK_ROWS` nonblank records after the first ``done`` of the body
+    at offset ``body`` of the stream ``lines``; the lines of earlier records
+    are not kept.  Records read independently, so the first bad one is found
+    by halving windows of whole records."""
+    lines.seek(body)
+    kept, starts, at = [], [], 0
+
+    def keep(line):
+        kept.append(line)
+        return line
+
+    for _, row in _numbered(csv.reader(map(keep, lines)), 2):
+        if row and done:                     # a record of an earlier chunk
+            done -= 1
+            kept.clear()
+        elif row:
             starts.append(at)
-        at = reader.line_num
-    starts.append(len(lines))
+            if len(starts) > CHUNK_ROWS:
+                break
+        at = len(kept)
+    else:
+        starts.append(len(kept))
     lo, hi = 0, len(starts) - 1              # the first bad record is in [lo, hi)
     while hi - lo > 1:
         mid = (lo + hi) // 2
         try:
-            _read(lines[starts[lo]:starts[mid]])
+            _read(kept[starts[lo]:starts[mid]])
             lo = mid
         except ValueError:
             hi = mid
-    return lines[:starts[lo]], lines[starts[lo]:starts[lo + 1]]
+    return kept[:starts[lo]], kept[starts[lo]:starts[lo + 1]]
 
 
 def _unreadable_numbers(record: list[str]) -> set[str]:
@@ -396,9 +422,26 @@ def _text_codes(records: np.ndarray) -> list[np.ndarray]:
     return codes
 
 
-def parse(source, tick: float | None = None) -> EventLog:
+def _labels(texts: np.ndarray, shared: dict) -> np.ndarray:
+    """The labels of body records (fixed-width or exact text) as an object
+    column that holds one ``str`` per distinct label, the one ``shared``
+    maps its text to (it maps "" to None, and gains each new label)."""
+    if texts.dtype == object:
+        return np.array([shared.setdefault(t, t) for t in texts.tolist()], dtype=object)
+    chars = texts.view(np.uint32).reshape(texts.size, _LABEL_WIDTH)
+    keys = texts                             # a label of 8 latin-1 bytes is one uint64
+    if texts.size and chars.max() < 256:
+        keys = chars.astype(np.uint8).view(np.uint64).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return np.array([shared.setdefault(t, t) for t in texts[first].tolist()],
+                    dtype=object)[inverse]
+
+
+def parse(source, tick: float | None = None, walk: bool = False):
     """Read and validate a log; returns an :class:`EventLog` of numpy
-    columns in file order.
+    columns in file order, or with ``walk`` the pair of it and the order
+    walk its checks made, which ``reconstruct(log, walk)`` takes instead of
+    walking the log again.
 
     Validation: exact header, field domains (finite prices), nondecreasing
     timestamps, referential integrity (modify/cancel/execute must reference
@@ -409,16 +452,22 @@ def parse(source, tick: float | None = None) -> EventLog:
     and finite.  Numbers are read by numpy's C reader, which rejects some
     spellings Python's int/float accept (digit separators such as
     ``5_000``); those rows are rejected too.
+
+    The body is read :data:`CHUNK_ROWS` records at a time, and each
+    distinct label is one ``str`` that every row carrying it shares.
     """
     if tick is not None and not 0.0 < tick < math.inf:
         raise ValueError(f"tick must be positive and finite, got {tick}")
     with nullcontext(source) if hasattr(source, "read") else open(source, newline="") as fh:
-        return _parse_lines(fh if fh.seekable() else io.StringIO(fh.read(), newline=""), tick)
+        log, walked = _parse_lines(fh if fh.seekable() else io.StringIO(fh.read(), newline=""),
+                                   tick)
+    return (log, walked) if walk else log
 
 
-def _parse_lines(lines, tick: float | None) -> EventLog:
-    """:func:`parse` of a seekable text stream: read once, re-read only to
-    phrase an error or to read texts a fixed width may hide."""
+def _parse_lines(lines, tick: float | None) -> tuple[EventLog, _Walk]:
+    """:func:`parse` of a seekable text stream, with its walk: read once in
+    chunks, re-read only to phrase an error or to read texts a fixed width
+    may hide."""
     first = lines.readline()
     rows = _numbered(csv.reader(chain([first], lines)), 1) if first else iter(())
     _, header = next(rows, (1, None))
@@ -430,14 +479,27 @@ def _parse_lines(lines, tick: float | None) -> EventLog:
     odd = any(c in chunk for chunk in iter(partial(lines.read, 1 << 20), "") for c in _ODD)
     lines.seek(body)
 
-    try:
-        records, prefix, unreadable = _read(lines), None, None
-    except ValueError:                       # find the record, keep what reads before it
-        lines.seek(body)
-        with _no_field_limit():
-            prefix, unreadable = _split_at_fault(lines.readlines())
-        records = _read(prefix)
-    n = len(records)
+    parts, shared, n, unreadable, filled = defaultdict(list), {"": None}, 0, None, False
+    while True:
+        try:
+            records = _read(lines, max_rows=CHUNK_ROWS)
+        except ValueError:                   # find the record, keep what reads before it
+            with _no_field_limit():
+                prefix, unreadable = _split_at_fault(lines, body, n)
+            records = _read(prefix)
+        n += len(records)
+        for name, col in zip((*_NUMBERS, *_SPELLINGS), (*(records[name] for name in _NUMBERS),
+                                                       *_text_codes(records))):
+            parts[name].append(np.ascontiguousarray(col))
+        labels = np.ascontiguousarray(records["participant_label"])
+        # a label whose last character is set fills the width, and may have been cut
+        filled |= bool(np.any(labels.view(np.uint32).reshape(-1, _LABEL_WIDTH)[:, -1]))
+        parts["participant_label"].append(_labels(labels, shared))
+        if unreadable is not None or len(records) < CHUNK_ROWS:
+            break
+    del records, labels
+    ts, oid, price, qty, act, side, flag, label = (
+        np.concatenate(parts.pop(name)) for name in (*_NUMBERS, *_SPELLINGS, "participant_label"))
 
     def record(i: int) -> tuple[int, list[str]]:
         """(row number, fields) of the ``i``-th nonblank body record."""
@@ -446,35 +508,39 @@ def _parse_lines(lines, tick: float | None) -> EventLog:
             rows = ((lineno, row) for lineno, row in _numbered(csv.reader(lines), 2) if row)
             return next(islice(rows, i, None))
 
-    ts, oid, price, qty = (np.ascontiguousarray(records[name]) for name in _NUMBERS)
-    act, side, flag = _text_codes(records)
-    label = np.array(records["participant_label"])
-    del records
-    label[label == ""] = None
-    texts = None
-    if odd or np.any(flag == _BAD):          # texts a fixed width may hide: read them whole
+    domain = np.zeros(n, dtype=bool) if odd else None
+    if odd or filled or np.any(flag == _BAD):   # texts a fixed width may hide: read them whole
         lines.seek(body)
-        texts = _read(lines if prefix is None else prefix, _TEXT)
-        act, side, flag = _text_codes(texts)
-    if odd:                                  # the C reader may read a number Python does not
-        domain = np.array([_row_fault(row) is not None for row in texts.tolist()], dtype=bool)
-    else:
+        at = 0
+        while at < n:
+            texts = _read(lines, _TEXT, min(CHUNK_ROWS, n - at))
+            end = at + len(texts)
+            act[at:end], side[at:end], flag[at:end] = _text_codes(texts)
+            label[at:end] = _labels(texts["participant_label"], shared)
+            if odd:                          # the C reader may read a number Python does not
+                domain[at:end] = [_row_fault(row) is not None for row in texts.tolist()]
+            at = end
+            del texts
+    if not odd:
         domain = ((act == _BAD) | (side == _BAD) | (flag == _BAD) | (qty < 0)
                   | ((qty == 0) & (act != CANCEL)) | ~np.isfinite(price))
-    del texts
     backwards = np.zeros(n, dtype=bool)
     backwards[1:] = ts[1:] < ts[:-1]
     faults = [domain, backwards]
     if tick is not None:
-        with np.errstate(invalid="ignore"):   # a non-finite price is a domain fault already
+        # a non-finite price is a domain fault already; a quotient past the
+        # float range, like any above 2**53, is a whole number of ticks
+        with np.errstate(invalid="ignore", over="ignore"):
             steps = price / tick
-            faults.append(np.abs(steps - np.round(steps)) > 1e-6)
+            steps -= np.round(steps)
+            faults.append(np.abs(steps, out=steps) > 1e-6)
+            del steps
     bad = np.flatnonzero(np.logical_or.reduce(faults))
     first = int(bad[0]) if bad.size else n
 
-    fault = _walk(act[:first], oid[:first], side[:first], qty[:first], "unknown").fault
-    if fault is not None:
-        i, message, _ = fault
+    walk = _walk(act[:first], oid[:first], side[:first], qty[:first], "unknown")
+    if walk.fault is not None:
+        i, message, _ = walk.fault
         raise MboParseError(f"row {record(i)[0]}: {message}")
     if first < n:
         lineno, row = record(first)
@@ -488,7 +554,7 @@ def _parse_lines(lines, tick: float | None) -> EventLog:
         lineno, row = record(n)
         message = _row_fault(row, _unreadable_numbers(unreadable)) or "malformed record"
         raise MboParseError(f"row {lineno}: {message}")
-    return EventLog(ts, oid, act, side, price, qty, flag, label)
+    return EventLog(ts, oid, act, side, price, qty, flag, label), walk
 
 
 def float_text(x: float) -> str:
@@ -578,9 +644,14 @@ def _walk(act, oid, side, qty, unknown: str) -> _Walk:
     order = np.argsort(oid, kind="stable").astype(np.int32)
     a, q, o = act[order], qty[order], oid[order]
     add, exe = a == ADD, a == EXECUTE
-    reset = np.maximum.accumulate(np.where(add | (a == MODIFY), np.arange(m, dtype=np.int32), 0))
-    done = np.cumsum(np.where(exe, q, 0))        # executed up to each position
-    rest = q[reset] - done + done[reset]
+    reset = np.where(add | (a == MODIFY), np.arange(m, dtype=np.int32), 0)
+    np.maximum.accumulate(reset, out=reset)
+    done = np.where(exe, q, 0)
+    np.cumsum(done, out=done)                    # executed up to each position
+    rest = q[reset]
+    del q
+    rest -= done
+    rest += done[reset]
     del done
     # the order rests before a row when the previous position is its own
     # row and was not a cancel or an execute of all that rested
@@ -606,8 +677,8 @@ def _walk(act, oid, side, qty, unknown: str) -> _Walk:
                        f"which rests on {SIDES[s[p - 1]]}")
         else:
             over = True
-            message = (f"execute qty {int(q[p])} exceeds resting {int(q[p] + rest[p])} "
-                       f"on order {oid_p}")
+            q_p = int(qty[order[p]])
+            message = f"execute qty {q_p} exceeds resting {q_p + int(rest[p])} on order {oid_p}"
         fault = (int(order[p]), message, over)
     return _Walk(order, a, reset, rest, fault)
 
@@ -695,19 +766,29 @@ def _book(log: EventLog, walk: _Walk) -> tuple[Quotes, list[tuple[int, int, str]
         if hits.size:
             p = hits[order[hits].argmin()]
             faults.append((int(order[p]), rank, message(p, int(oid[order[p]]))))
-    del xp, ahead_of, by
+    del xp, ahead_of, by, px, held
 
     # the volume each row moves at its level before it, and each entry at its own
     moved = np.flatnonzero(~add)
-    key = np.concatenate([level[stint[moved] - entry[moved]], level]) * (2 * m) + np.concatenate(
-        [2 * order[moved], 2 * e_row + 1])
-    change = np.concatenate([np.where(exe[moved], -q[moved],
-                                      np.where(mod[moved] & ~entry[moved], q[moved], 0)
-                                      - before[moved]), q[entry]])
-    del moved, level, stint
+    k = moved.size
+    change = np.concatenate([q[moved], q[entry]])
+    ex, own = exe[moved], mod[moved] & ~entry[moved]    # an execute; a modify in its place
+    change[:k][~(ex | own)] = 0
+    np.negative(change[:k], out=change[:k], where=ex)
+    lost = before[moved]                                # what rested before, where not an execute
+    lost[ex] = 0
+    change[:k] -= lost
+    del ex, own, lost, q, before
+    key = np.concatenate([level[stint[moved] - entry[moved]], level])
+    key *= 2 * m
+    key[:k] += 2 * order[moved]
+    key[k:] += 2 * e_row + 1
+    del moved, level, stint, add, mod, cancel, exe, entry
     by_key = np.argsort(key)
-    key, volume = key[by_key], np.cumsum(change[by_key])
+    key = key[by_key]
+    volume = change[by_key]
     del by_key, change
+    np.cumsum(volume, out=volume)
 
     nxt = ts[1:m + 1]
     ends = np.flatnonzero(ts[:nxt.size] < nxt)                # the last row of each timestamp
@@ -759,8 +840,10 @@ def _lifecycles(log: EventLog, walk: _Walk) -> tuple[Lifecycles, Fills]:
     lasts = (np.append(starts[1:], n) - 1)[feed]           # the last position of each
     starts = starts[feed]
     adds, end = order[starts], order[lasts]
-    updates = np.cumsum(a == MODIFY)
-    executed = np.cumsum(np.where(a == EXECUTE, qty[order], 0))
+    updates = np.cumsum(a == MODIFY, dtype=np.int32)
+    executed = qty[order]
+    executed[a != EXECUTE] = 0
+    np.cumsum(executed, out=executed)
     kind = a[lasts]
     ended = (kind == CANCEL) | ((kind == EXECUTE) & (rest[lasts] == 0))
     lifecycles = Lifecycles(
@@ -775,15 +858,19 @@ def _lifecycles(log: EventLog, walk: _Walk) -> tuple[Lifecycles, Fills]:
     lifecycle = np.empty(n, dtype=np.int32)                # of each row
     rank = np.empty(feed.size, dtype=np.int32)
     rank[feed] = np.arange(feed.size, dtype=np.int32)
-    lifecycle[order] = rank[np.cumsum(a == ADD) - 1]
+    added = np.cumsum(a == ADD, dtype=np.int32)
+    added -= 1
+    lifecycle[order] = rank[added]
+    del added
     executes = np.flatnonzero(log.action == EXECUTE)
-    fills = Fills(row=executes, lifecycle=lifecycle[executes], ts_ns=ts[executes],
+    lifecycle = lifecycle[executes]
+    fills = Fills(row=executes, lifecycle=lifecycle, ts_ns=ts[executes],
                   price=price[executes], qty=qty[executes],
                   aggressor=log.aggressor_flag[executes] == 1)
     return lifecycles, fills
 
 
-def reconstruct(log: EventLog) -> Replay:
+def reconstruct(log: EventLog, walk: _Walk | None = None) -> Replay:
     """Replay a validated :class:`EventLog`.
 
     Maintains price-time priority (executions must consume the front of
@@ -793,15 +880,20 @@ def reconstruct(log: EventLog) -> Replay:
     next one.  A book left crossed or locked at the end of a timestamp
     (best bid >= best ask) is rejected, naming the timestamp and the event.
 
-    The replay is the order walk's arrays (see :func:`_book`).  A row that
-    :func:`parse` would reject for its order reference is rejected in its
-    words, except that an order no longer live is a dead order.  The error
-    is the one at the first failing row, as a sequential replay meets it.
+    The replay is the order walk's arrays (see :func:`_book`): ``walk`` is
+    the one ``parse(..., walk=True)`` returned with ``log``, and without it
+    the log is walked here.  A row that :func:`parse` would reject for its
+    order reference is rejected in its words, except that an order no
+    longer live is a dead order.  The error is the one at the first failing
+    row, as a sequential replay meets it.
     """
     if not isinstance(log, EventLog):
         raise TypeError(f"reconstruct takes an EventLog, got {type(log).__name__}")
     columns = log.action, log.order_id, log.side, log.qty
-    walk = _walk(*columns, "dead")
+    if walk is None:
+        walk = _walk(*columns, "dead")
+    elif walk.order.size != len(log):
+        raise ValueError(f"the walk covers {walk.order.size} rows, the log {len(log)}")
     faults = []
     if walk.fault is not None:                 # replay the rows before it, and an over-execute
         row, message, over = walk.fault        # after its FIFO and price checks

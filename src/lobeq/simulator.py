@@ -103,6 +103,9 @@ class SimConfig:
     def __post_init__(self):
         if self.n_events < 1:
             raise ValueError("n_events must be at least 1")
+        if self.n_events >= 2**63:                  # the run counts events in int64
+            raise ValueError(f"n_events must be below 2**63, the int64 limit, "
+                             f"got {self.n_events}")
         if self.seed < 0:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
         if self.n_levels < 1:

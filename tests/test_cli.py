@@ -426,6 +426,15 @@ class TestSimulate:
         assert capsys.readouterr().err == "lobeq simulate: a seed is required (config or --seed)\n"
         assert list(out.iterdir()) == []
 
+    def test_n_events_beyond_int64_exits_at_once(self, tmp_path, capsys):
+        # 1e300 events would run on without end, a chunk at a time
+        doc = {"params": REF_PARAMS, "simulate": dict(self.BASE["simulate"], n_events=1e300)}
+        code, out = run_cli(tmp_path, "simulate", doc)
+        assert code == 2
+        assert (capsys.readouterr().err == f"lobeq simulate: n_events must be below 2**63, "
+                                           f"the int64 limit, got {int(1e300)}\n")
+        assert not (out / "pnl.csv").exists()
+
     def test_integral_floats_accepted(self, tmp_path):
         # JSON 2e4 is a float; it names the integer 20000
         doc = {"params": REF_PARAMS,

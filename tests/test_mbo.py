@@ -4,6 +4,8 @@ import csv
 import dataclasses
 import io
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -909,3 +911,130 @@ class TestParseEdges:
             parse_text(text)
         assert_parse_parity(text)
 
+
+
+def parse_in_chunks(text, chunk, tick=None):
+    """``outcome`` of ``parse`` of ``text`` read ``chunk`` records at a time."""
+    with mock.patch.object(mbo, "CHUNK_ROWS", chunk):
+        return outcome(parse, io.StringIO(text, newline=""), tick=tick)
+
+
+#: a chunk larger than any log here: the whole body in one read (the C
+#: reader allocates a chunk's records up front)
+ONE_CHUNK = 1 << 12
+#: texts up to a few characters past the fixed label width: any code point
+#: but NUL and surrogates, so latin-1 and wider ones, commas, quotes and line breaks
+LABEL_TEXTS = st.text(st.characters(exclude_categories=("Cs",), exclude_characters="\x00"),
+                      max_size=mbo._LABEL_WIDTH + 3)
+LABELS = (st.none() | st.sampled_from(["", "IT", "NT", "IMM", "NMM", 'a,"b"', "\u00e9t\u00e9",
+                                        "\u20ac", "x" * mbo._LABEL_WIDTH])
+          | st.integers(mbo._LABEL_WIDTH - 1, mbo._LABEL_WIDTH + 1).flatmap(
+              lambda k: st.text(st.sampled_from('ab\u00ff\u0100,"\n'), min_size=k, max_size=k))
+          | LABEL_TEXTS)
+
+
+class TestLabels:
+    """A label is one ``str`` per distinct text, read exactly: at a fixed
+    width, with the labels that fill it read again."""
+
+    @settings(max_examples=200)
+    @given(labels=st.lists(LABELS, min_size=1, max_size=40), chunk=st.sampled_from([1, 7, 64]))
+    def test_labels_read_as_the_oracle_reads_them(self, labels, chunk):
+        events = [ev(10 + k, k + 1, "add", qty=5, label=label) for k, label in enumerate(labels)]
+        text = dumps(events)
+        want = mbo_oracle.parse(io.StringIO(text, newline=""))
+        status, log = parse_in_chunks(text, chunk)
+        assert status == "ok" and list(log) == want
+        distinct = {row.participant_label for row in want}
+        assert len({id(v) for v in log.participant_label}) == len(distinct)
+
+
+class TestChunkedParse:
+    """Reading the body ``CHUNK_ROWS`` records at a time gives the columns
+    and the error texts of one read of the whole body."""
+
+    @settings(max_examples=150)
+    @given(events=event_streams() | queue_streams() | book_streams(),
+           chunk=st.sampled_from([1, 7, 16]), tick=st.sampled_from([None, 0.25]),
+           blank=st.lists(st.integers(0, 10**6), max_size=3))
+    def test_chunks_equal_one_chunk(self, events, chunk, tick, blank):
+        rows = dumps(events).split("\r\n")
+        for j in blank:                             # blank lines count as rows, not records
+            rows.insert(1 + j % len(rows), "")
+        text = "\r\n".join(rows)
+        got, want = parse_in_chunks(text, chunk, tick), parse_in_chunks(text, ONE_CHUNK, tick)
+        assert got[0] == want[0]
+        if got[0] == "ok":
+            same_columns(got[1], want[1])
+        else:
+            assert got[1] == want[1]
+
+    #: kind -> (field, text); each is a fault of one row
+    FAULTS = {
+        "unreadable_number": (5, "5_000"),          # the C reader rejects it, Python does not
+        "bad_number": (0, "x1"),
+        "action": (2, "trade"),
+        "dangling": (2, "cancel"),                  # of an order never added
+        "backwards": (0, "0"),
+        "off_tick": (4, "100.013"),
+        "separator": (5, "\x1c5"),                  # the C reader reads it, Python does not
+        "field_count": (8, ""),
+    }
+    MESSAGES = {
+        "unreadable_number": "could not convert '5_000' to int64",
+        "bad_number": "invalid literal for int() with base 10: 'x1'",
+        "action": "unknown action 'trade'",
+        "dangling": "cancel references unknown order 999",
+        "backwards": "timestamp 0 goes backwards",
+        "off_tick": "price 100.013 is not a multiple of tick 0.01",
+        "separator": "invalid literal for int() with base 10: '\\x1c5'",
+        "field_count": "expected 8 fields, got 9",
+    }
+
+    @pytest.mark.parametrize("chunk", [1, 7, 16])
+    @pytest.mark.parametrize("where", [2, 30, 58], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize("kind", list(FAULTS))
+    def test_fault_names_its_row_in_any_chunk(self, chunk, where, kind):
+        # 60 records and a blank line: with 7 or 16 records a chunk, index 2
+        # is in the first chunk, 30 in a middle one and 58 in the last
+        rows = [f"{t},{t},add,ask,{100 + t / 100:.2f},5,,IT".split(",") for t in range(1, 61)]
+        field, text = self.FAULTS[kind]
+        if kind == "field_count":
+            rows[where].append(text)
+        else:
+            rows[where][field] = text
+        if kind == "dangling":
+            rows[where][1] = "999"
+        lines = [",".join(row) for row in rows]
+        lines.insert(10, "")
+        body = "\n".join([HEADER_LINE, *lines, ""])
+        row = where + 2 + (where >= 10)
+        message = f"row {row}: {self.MESSAGES[kind]}"
+        assert parse_in_chunks(body, chunk, 0.01) == ("MboParseError", message)
+        assert parse_in_chunks(body, ONE_CHUNK, 0.01) == ("MboParseError", message)
+        if kind != "unreadable_number":             # the oracle reads digit separators
+            assert outcome(mbo_oracle.parse, io.StringIO(body, newline=""),
+                           tick=0.01) == ("MboParseError", message)
+
+
+class TestReadMemory:
+    """Traced peak of ``parse`` and ``reconstruct`` of a logged run, per
+    row of its log: the columns, the order walk, one chunk of records and
+    the replay's transients, and no object per row.  It was 210 B a row
+    while each row held its own label ``str`` and the whole body was read
+    at once; it is about 140 B now."""
+
+    def test_peak_per_row_is_bounded(self, tmp_path):
+        cfg = SimConfig(params=LOGGED, n_events=20_000, seed=3, record_log=True, n_levels=8,
+                        volume_scale=1000)
+        path = tmp_path / "mbo.csv"
+        write_csv(run(cfg).mbo_text, path)
+        tracemalloc.start()
+        try:
+            log, walk = parse(path, tick=LOGGED.tick, walk=True)
+            reconstruct(log, walk)
+            rows, peak = len(log), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows > 250_000
+        assert peak / rows < 150

@@ -233,13 +233,21 @@ class TestFastPath:
             SimConfig(params=dataclasses.replace(REF, theta=1e200, rho=0.5), n_events=2000, seed=0)
         with pytest.raises(ValueError, match=r"^theta = 1.5e\+308 with rho = -0.5 is too large"):
             SimConfig(params=dataclasses.replace(REF, theta=1.5e308, rho=-0.5), n_events=1, seed=0)
-        # a finite bound passes, and an n_events beyond the float range is no
-        # OverflowError
+        # a finite bound passes, up to the largest n_events
         SimConfig(params=dataclasses.replace(REF, theta=1e150, rho=0.5), n_events=2000, seed=0)
-        for theta in (0.0, 1e-300):
-            SimConfig(params=dataclasses.replace(REF, theta=theta), n_events=10**400, seed=0)
+        for theta in (0.0, 1e-300, 1e144):
+            SimConfig(params=dataclasses.replace(REF, theta=theta), n_events=2**63 - 1, seed=0)
         with pytest.raises(ValueError, match="is too large for n_events"):
-            SimConfig(params=dataclasses.replace(REF, theta=1.0), n_events=10**400, seed=0)
+            SimConfig(params=dataclasses.replace(REF, theta=1e145), n_events=2**63 - 1, seed=0)
+
+    @pytest.mark.parametrize("n_events", [2**63, 2**64, 10**400],
+                             ids=["2**63", "2**64", "10**400"])
+    def test_n_events_beyond_int64_rejected(self, n_events):
+        # the run counts events in int64: a count it cannot hold is rejected
+        # at once, before the drift-gain check reads it
+        with pytest.raises(ValueError, match=rf"^n_events must be below 2\*\*63, the int64 "
+                                             rf"limit, got {n_events}$"):
+            SimConfig(params=dataclasses.replace(REF, theta=1.0), n_events=n_events, seed=0)
 
 
 DRAW_FIELDS = [f.name for f in dataclasses.fields(EventDraws)]
