@@ -22,6 +22,8 @@ CSV schema (exact header)::
 
 Replay applies events under price-time (FIFO) priority and reconstructs
 every order's lifecycle together with the best quotes of each timestamp.
+A lifecycle's ``terminal_ts`` is an int64, 0 for an order that still
+rests, which ``terminal_kind == -1`` marks.
 
 The read side is array code from end to end.  An :class:`EventLog` holds
 ``action`` and ``side`` as int8 indices into :data:`ACTIONS` and
@@ -227,7 +229,7 @@ class Lifecycles(Table):
                "add_qty": np.int64, "participant_label": object,
                "price": np.float64,             # last resting price
                "n_updates": np.int64, "executed_qty": np.int64,
-               "terminal_ts": object,           # None while the order rests
+               "terminal_ts": np.int64,         # 0 while the order rests (terminal_kind -1)
                "terminal_kind": ("canceled", "executed", None)}
 
 
@@ -851,7 +853,7 @@ def _lifecycles(log: EventLog, walk: _Walk) -> tuple[Lifecycles, Fills]:
         add_price=price[adds], add_qty=qty[adds], participant_label=log.participant_label[adds],
         price=price[order[reset[lasts]]], n_updates=updates[lasts] - updates[starts],
         executed_qty=executed[lasts] - executed[starts],
-        terminal_ts=np.where(ended, ts[end].astype(object), None),
+        terminal_ts=np.where(ended, ts[end], 0),
         terminal_kind=np.where(ended, kind - CANCEL, -1),   # canceled 0, executed 1, open -1
     )
     del updates, executed

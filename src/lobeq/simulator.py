@@ -35,8 +35,9 @@ static book: the closed-form one on the tick grid, or a user-supplied
 random input reads its own part of the stream with a generator of its own,
 so the draws are those of :func:`draw_events`, and the per-level sums are
 added chunk by chunk (their last digits depend on :data:`CHUNK_EVENTS`).
-One kernel scan of a chunk's jumps fills both makers' probes and counts
-the levels each jump sweeps, from which the executed volume is priced.
+The event kinds and race outcomes are bool masks as drawn.  One kernel
+scan of a chunk's jumps fills both makers' probes and counts the levels
+each jump sweeps, the one count the executed volume is priced from.
 :class:`SimConfig` rejects a combination neither path can run before any
 draw is made.  ``record_log=True`` switches to a
 bookkeeping loop that maintains a two-sided order book on the absolute
@@ -166,8 +167,8 @@ class SimResult:
 
 @dataclass
 class EventDraws:
-    is_jump: np.ndarray            # uint8
-    it_wins: np.ndarray            # uint8
+    is_jump: np.ndarray            # bool
+    it_wins: np.ndarray            # bool, read at jump slots
     jump_size: np.ndarray          # float64
     noise_sign: np.ndarray         # int8, zero at jump slots
     noise_mag: np.ndarray          # float64
@@ -223,17 +224,16 @@ def _draw_chunks(params: ModelParams, n_events: int, rng: np.random.Generator,
         k = min(chunk, n_events - begin)
         u_kind, jump_size, u_race, noise_mag = first or [
             _draw(g, law, k) for g, law in zip(parts, laws)]
-        # 0/1 bytes of the comparisons, without a copy; the first chunk's
-        # values are used once, and no uniform outlives its chunk
-        is_jump = (u_kind < params.r).view(np.uint8)
-        it_wins = (u_race < params.f).view(np.uint8)
+        # the first chunk's values are used once, and no uniform outlives
+        # its chunk
+        is_jump, it_wins = u_kind < params.r, u_race < params.f
         first = u_kind = u_race = None
         jump_size = np.asarray(jump_size, dtype=float)
         noise_mag = np.asarray(noise_mag, dtype=float)
         np.abs(noise_mag, out=noise_mag)
 
         # the sign chain has persistence P(X_j = X_{j-1}) = gamma
-        noise_slots = is_jump == 0
+        noise_slots = ~is_jump
         steps = signs.random(np.count_nonzero(noise_slots)) < params.gamma
         chain = last * np.multiply.accumulate(np.where(steps, np.int8(1), np.int8(-1)))
         noise_sign = np.zeros(k, dtype=np.int8)
@@ -326,12 +326,6 @@ def _pnl_rows(imm_n, imm_sum, imm_sumsq, nmm_n, nmm_sum, nmm_sumsq) -> list[Leve
     return rows
 
 
-def _flags(draws: EventDraws) -> tuple:
-    """The jump, race-won and noise-buy masks of ``draws``: the first two
-    are bool views of its 0/1 columns."""
-    return draws.is_jump.view(bool), draws.it_wins.view(bool), draws.noise_sign > 0
-
-
 def _tally(jump, wins, buy) -> np.ndarray:
     """Jumps, races the trader won and noise buys, counted from the masks."""
     return np.array([np.count_nonzero(jump), np.count_nonzero(jump & wins),
@@ -349,34 +343,7 @@ def _summary_counts(n_events: int, n_jumps: int, n_wins: int, n_buys: int) -> di
     }
 
 
-def _event_counts(draws: EventDraws) -> dict:
-    """Summary counters of a run, taken from its draws."""
-    return _summary_counts(len(draws.is_jump), *_tally(*_flags(draws)).tolist())
-
-
-def _probe_pnl(draws: EventDraws, x, imm_ahead, nmm_ahead) -> tuple:
-    jump, wins, buy = _flags(draws)
-    return kernels.accumulate_pnl(jump, wins, draws.jump_size, buy, draws.noise_mag,
-                                  draws.drift, x, imm_ahead, nmm_ahead)
-
-
-def _sweeps(size, win, x) -> np.ndarray:
-    """The jumps of sizes ``size`` (``win``: the race outcomes) that sweep
-    each level, x <= B there and at every nearer level: lost races in row
-    0, won in row 1.  Level by level it carries the sizes and outcomes of
-    the jumps that reach the level, and copies them only when a level drops
-    some."""
-    out = np.zeros((2, len(x)), dtype=np.int64)
-    for level in range(len(x)):
-        keep = x[level] <= size
-        if np.count_nonzero(keep) < size.size:
-            size, win = size[keep], win[keep]
-        n_won = np.count_nonzero(win)
-        out[:, level] = size.size - n_won, n_won
-    return out
-
-
-def _executed_volume(draws: EventDraws, x, eff_lvl, nmm_lvl, swept=None) -> np.ndarray:
+def _executed_volume(draws: EventDraws, x, eff_lvl, nmm_lvl, swept) -> np.ndarray:
     """Volume executed per level of the static book.
 
     A jump of size B sweeps every level at distance x <= B: the whole level
@@ -384,14 +351,11 @@ def _executed_volume(draws: EventDraws, x, eff_lvl, nmm_lvl, swept=None) -> np.n
     wins.  A noise buy of magnitude q consumes the visible book from the
     front, ``clip(q - depth before the level, 0, level size)``.
 
-    ``swept`` holds the sweeping jumps as the kernel counts them in the
-    scan that fills the probes (``accumulate_pnl(..., swept=...)``), which
-    is how the fast path reads them; without it they are counted here.
+    ``swept`` holds the sweeping jumps, lost races in row 0 and won in row
+    1, as the kernel counts them in the scan that fills the probes
+    (``accumulate_pnl(..., swept=...)``).
     """
-    jump, wins, buy = _flags(draws)
-    if swept is None:
-        swept = _sweeps(draws.jump_size[jump], wins[jump], x)
-    buys = draws.noise_mag[buy]
+    buys = draws.noise_mag[draws.noise_sign > 0]
     depth_before = np.concatenate(([0.0], np.cumsum(eff_lvl)[:-1]))
     jump_volume = swept[1] * eff_lvl + swept[0] * nmm_lvl
     return np.array([jump_volume[level]
@@ -410,14 +374,14 @@ def _run_fast(cfg: SimConfig, book: BookShape, chunks) -> SimResult:
     executed = np.zeros(len(x))
     tally = np.zeros(3, dtype=np.int64)
     for draws in chunks:
-        jump, wins, buy = _flags(draws)
+        buy = draws.noise_sign > 0
         swept = np.zeros((2, len(x)), dtype=np.int64)
         for total, part in zip(stats, kernels.accumulate_pnl(
-                jump, wins, draws.jump_size, buy, draws.noise_mag, draws.drift,
-                x, informed, noise, swept=swept)):
+                draws.is_jump, draws.it_wins, draws.jump_size, buy, draws.noise_mag,
+                draws.drift, x, informed, noise, swept=swept)):
             total += part
         executed += _executed_volume(draws, x, eff_lvl, nmm_lvl, swept)
-        tally += _tally(jump, wins, buy)
+        tally += _tally(draws.is_jump, draws.it_wins, buy)
     summary = {
         **_summary_counts(cfg.n_events, *tally.tolist()),
         "executed_volume_per_level": executed.tolist(),
@@ -529,7 +493,7 @@ class _LoggedRun:
         # drift is zero at jump slots and when theta = 0; one running sum
         # adds the same floats in the same order as moving the price event
         # by event
-        jump = draws.is_jump != 0
+        jump = draws.is_jump
         self.moves = jump | (draws.drift != 0.0)
         steps = np.where(jump, draws.jump_size, draws.drift)[self.moves]
         with np.errstate(over="ignore", invalid="ignore"):   # _grid_layout rejects the overflow
@@ -743,7 +707,7 @@ class _LoggedRun:
                 map(str, self.times_ns.tolist()), d.is_jump.tolist(), d.it_wins.tolist(),
                 d.noise_sign.tolist(), d.noise_mag.tolist(), self.moves.tolist())):
             if is_jump:
-                self._handle_jump(ts, e, s, bool(win))
+                self._handle_jump(ts, e, s, win)
             else:
                 side = ASK if sign > 0 else BID
                 q_units = int(round(mag * scale))
@@ -766,9 +730,12 @@ def _run_logged(cfg: SimConfig, book: BookShape, draws: EventDraws,
     lr = _LoggedRun(cfg, draws, _event_times(cfg.params, cfg.n_events, rng))
     lr.run_all()
 
-    pnl = _pnl_rows(*_probe_pnl(draws, lr.probe_x, lr.probe_imm, lr.probe_nmm))
+    buy = draws.noise_sign > 0
+    pnl = _pnl_rows(*kernels.accumulate_pnl(
+        draws.is_jump, draws.it_wins, draws.jump_size, buy, draws.noise_mag, draws.drift,
+        lr.probe_x, lr.probe_imm, lr.probe_nmm))
     summary = {
-        **_event_counts(draws),
+        **_summary_counts(cfg.n_events, *_tally(draws.is_jump, draws.it_wins, buy).tolist()),
         # a Python int: exact at any size, and what json.dump writes
         "executed_units_total": lr.executed_units,
         "n_mbo_rows": lr.n_rows,

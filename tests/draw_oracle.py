@@ -22,12 +22,12 @@ def _sign_chain(n, gamma, rng, x0):
 
 
 def draw_events(params, n_events, rng):
-    is_jump = (rng.random(n_events) < params.r).astype(np.uint8)
+    is_jump = rng.random(n_events) < params.r
     jump_size = np.asarray(params.jump.sample(rng, n_events), dtype=float)
-    it_wins = (rng.random(n_events) < params.f).astype(np.uint8)
+    it_wins = rng.random(n_events) < params.f
     noise_mag = np.abs(np.asarray(params.volume.sample(rng, n_events), dtype=float))
 
-    noise_slots = is_jump == 0
+    noise_slots = ~is_jump
     n_noise = int(noise_slots.sum())
     x0 = 1 if rng.random() < 0.5 else -1
     chain = _sign_chain(n_noise, params.gamma, rng, x0)

@@ -25,16 +25,17 @@ import numpy as np
 from mbo_oracle import dumps
 
 from lobeq.equilibrium import book_curves, shape_tick
+from lobeq.kernels import accumulate_pnl
 from lobeq.mbo import EventLog
 from lobeq.simulator import (
     P0,
     EventDraws,
     SimConfig,
     SimResult,
-    _event_counts,
     _event_times,
     _pnl_rows,
-    _probe_pnl,
+    _summary_counts,
+    _tally,
     draw_events,
 )
 
@@ -377,12 +378,15 @@ def run(cfg: SimConfig) -> tuple[SimResult, _LoggedRun]:
     lr.run_all(times_ns)
 
     book = shape_tick(cfg.params, cfg.n_levels)
-    pnl = _pnl_rows(*_probe_pnl(draws, lr.probe_x, lr.probe_imm, lr.probe_nmm))
+    buy = draws.noise_sign > 0
+    pnl = _pnl_rows(*accumulate_pnl(draws.is_jump, draws.it_wins, draws.jump_size, buy,
+                                    draws.noise_mag, draws.drift,
+                                    lr.probe_x, lr.probe_imm, lr.probe_nmm))
     executed_units = sum(
         q for ev in lr.events for (_side, _idx, q) in ev.executed_per_level
     )
     summary = {
-        **_event_counts(draws),
+        **_summary_counts(cfg.n_events, *_tally(draws.is_jump, draws.it_wins, buy).tolist()),
         "executed_units_total": executed_units,
         "n_mbo_rows": len(lr.rows),
         "seed": cfg.seed,

@@ -168,7 +168,8 @@ def _parse_rows(rows, tick: float | None) -> list[EventLog.Row]:
         last_ts = ts
         if tick is not None:
             steps = price / tick
-            if abs(steps - round(steps)) > 1e-6:
+            # a quotient past the float range is a whole number of ticks
+            if math.isfinite(steps) and abs(steps - round(steps)) > 1e-6:
                 raise MboParseError(f"row {lineno}: price {price} is not a multiple of tick {tick}")
 
         if action == "add":

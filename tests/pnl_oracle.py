@@ -3,10 +3,27 @@
 Events outer, levels inner, one float operation at a time, exactly as the
 simulator's fast path ran before the kernel was vectorized.  Besides the
 probe statistics it accumulates executed volume per level and the event
-counters into the output arrays it is given.
+counters into the output arrays it is given.  ``sweeps`` is the reference
+count of the jumps that sweep each level, which the kernel counts in its
+fill scan.
 """
 
 from __future__ import annotations
+
+import numpy as np
+
+
+def sweeps(size, win, x) -> np.ndarray:
+    """The jumps of sizes ``size`` (``win``: the race outcomes) that sweep
+    each level, x <= B there and at every nearer level: lost races in row
+    0, won in row 1."""
+    out = np.zeros((2, len(x)), dtype=np.int64)
+    for level in range(len(x)):
+        keep = x[level] <= size
+        size, win = size[keep], win[keep]
+        n_won = np.count_nonzero(win)
+        out[:, level] = size.size - n_won, n_won
+    return out
 
 
 def accumulate_pnl(is_jump, it_wins, jump_size, noise_buy, noise_mag, drift,

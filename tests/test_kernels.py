@@ -20,12 +20,12 @@ from lobeq.kernels import accumulate_pnl
 from lobeq.laws import NormalVolume, Pareto
 from lobeq.simulator import (
     EventDraws,
-    _event_counts,
     _executed_volume,
     _nmm_level_split,
+    _tally,
     draw_events,
 )
-from pnl_oracle import accumulate_pnl as oracle_pnl
+from pnl_oracle import accumulate_pnl as oracle_pnl, sweeps
 
 RTOL = 1e-10
 ATOL = 1e-12
@@ -33,7 +33,7 @@ ATOL = 1e-12
 
 def kernel_inputs(draws):
     return (draws.is_jump, draws.it_wins, draws.jump_size,
-            (draws.noise_sign > 0).astype(np.uint8), draws.noise_mag, draws.drift)
+            draws.noise_sign > 0, draws.noise_mag, draws.drift)
 
 
 def make_outputs(m):
@@ -52,12 +52,14 @@ def run_oracle(draws, book):
 
 def run_numpy(draws, book):
     """The same outputs from the numpy kernel and the simulator's
-    executed-volume and counter helpers."""
+    executed-volume and counter helpers, the volume priced from the sweeps
+    the kernel counted, as the fast path prices it."""
     x, imm_ahead, nmm_ahead, eff_lvl, nmm_lvl = book
-    counts = _event_counts(draws)
-    return [*accumulate_pnl(*kernel_inputs(draws), x, imm_ahead, nmm_ahead),
-            _executed_volume(draws, x, eff_lvl, nmm_lvl),
-            np.array([counts["n_jumps"], counts["n_it_wins"], counts["n_noise_buys"]])]
+    inputs = kernel_inputs(draws)
+    swept = np.zeros((2, len(x)), dtype=np.int64)
+    return [*accumulate_pnl(*inputs, x, imm_ahead, nmm_ahead, swept=swept),
+            _executed_volume(draws, x, eff_lvl, nmm_lvl, swept),
+            _tally(inputs[0], inputs[1], inputs[3])]
 
 
 def assert_matches(got, want):
@@ -74,9 +76,9 @@ def assert_matches(got, want):
 def make_draws(is_jump, it_wins, jump_size, noise_buy, noise_mag, drift):
     """Event draws from per-event columns; a noise event that is not a buy
     is a sell."""
-    is_jump = np.asarray(is_jump, np.uint8)
-    sign = np.where(is_jump == 1, 0, np.where(np.asarray(noise_buy) == 1, 1, -1))
-    return EventDraws(is_jump, np.asarray(it_wins, np.uint8),
+    is_jump = np.asarray(is_jump, bool)
+    sign = np.where(is_jump, 0, np.where(np.asarray(noise_buy) == 1, 1, -1))
+    return EventDraws(is_jump, np.asarray(it_wins, bool),
                       np.asarray(jump_size, float), sign.astype(np.int8),
                       np.asarray(noise_mag, float), np.asarray(drift, float))
 
@@ -219,8 +221,11 @@ class TestAgainstOracle:
     @given(data=st.data(), n=st.integers(1, 40), m=st.integers(1, 5))
     def test_executed_volume_and_counters(self, data, n, m):
         draws = data.draw(event_draws(n))
-        # a valid static book: nondecreasing finite depths, zero-width levels
-        x = np.cumsum(data.draw(arrays(float, m, elements=LEVEL_SIZES)))
+        # a valid static book: an increasing grid (as BookShape.validate
+        # asks) that may start at 0, nondecreasing finite depths, zero-width
+        # levels
+        x = np.cumsum(data.draw(arrays(float, m, elements=LEVEL_SIZES.filter(bool))))
+        x -= x[0] * data.draw(st.booleans())
         informed = np.cumsum(data.draw(arrays(float, m, elements=LEVEL_SIZES)))
         noise = np.minimum(informed, np.cumsum(data.draw(arrays(float, m, elements=LEVEL_SIZES))))
         eff_lvl = np.diff(informed, prepend=0.0)
@@ -330,4 +335,5 @@ class TestMemory:
         book, draws = reference_run
         eff = np.diff(book.informed, prepend=0.0)
         nmm = _nmm_level_split(eff, book.noise)
-        assert self.peak_per_event(_executed_volume, draws, book.grid, eff, nmm) < 14.0
+        swept = sweeps(draws.jump_size[draws.is_jump], draws.it_wins[draws.is_jump], book.grid)
+        assert self.peak_per_event(_executed_volume, draws, book.grid, eff, nmm, swept) < 14.0

@@ -544,7 +544,8 @@ def outcome(fn, *args, **kwargs):
 
 def assert_same_replay(got, want, events):
     """The columnar replay holds the oracle's fills (each owned by the same
-    lifecycle), lifecycles, open order ids and quotes."""
+    lifecycle), lifecycles, open order ids and quotes.  ``terminal_ts`` is
+    the oracle's where the lifecycle ended and 0 where the order rests."""
     lcs = list(got.lifecycles)
     assert [(f.ts_ns, lcs[f.lifecycle].order_id, lcs[f.lifecycle].side, f.price, f.qty,
              f.aggressor, lcs[f.lifecycle].participant_label)
@@ -552,9 +553,14 @@ def assert_same_replay(got, want, events):
     assert got.fills.row.tolist() == [i for i, e in enumerate(events) if e.action == "execute"]
     owner = {id(f): k for k, lc in enumerate(want.all_lifecycles) for f in lc.fills}
     assert got.fills.lifecycle.tolist() == [owner[id(f)] for f in want.fills]
-    assert list(got.lifecycles) == [Lifecycles.Row(*(getattr(lc, name) for name in
-                                                     Lifecycles.fields()))
-                                    for lc in want.all_lifecycles]
+    assert [name for name, col in zip(Lifecycles.fields(), got.lifecycles.columns())
+            if col.dtype == object] == ["participant_label"]
+    ended = got.lifecycles.terminal_kind != -1
+    assert got.lifecycles.terminal_ts[~ended].tolist() == [0] * np.count_nonzero(~ended)
+    assert [lc._replace(terminal_ts=lc.terminal_ts if lc.terminal_kind else None)
+            for lc in lcs] == [Lifecycles.Row(*(getattr(lc, name) for name in
+                                                Lifecycles.fields()))
+                               for lc in want.all_lifecycles]
     assert sorted(open_orders(got)) == sorted(want.open_order_ids)
     quotes = [tuple(None if isinstance(v, float) and math.isnan(v) else v for v in q)
               for q in got.quotes]
@@ -817,6 +823,13 @@ class TestParseEdges:
         assert list(log) == [ev(10, 1, "add", qty=5)]
         assert [type(v) for v in list(log)[0]] == [
             int, int, str, str, float, int, type(None), type(None)]
+
+    def test_tick_quotient_past_the_float_range(self):
+        # 1e308 / 0.01 is inf: a whole number of ticks, as any quotient
+        # above 2**53 is
+        text = f"{HEADER_LINE}\n1,1,add,ask,1e308,5,,"
+        assert list(parse_text(text, tick=0.01)) == [ev(1, 1, "add", price=1e308, qty=5)]
+        assert_parse_parity(text, tick=0.01)
 
     @pytest.mark.parametrize("newline", ["\n", "\r\n"])
     def test_blank_lines_count_as_rows(self, newline):

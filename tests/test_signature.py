@@ -250,7 +250,7 @@ class TestTradeRecords:
         # the race each jump's trade followed, re-drawn under the run's seed
         rng = np.random.default_rng(SIM_LOG.seed)
         draws = draw_events(SIM_LOG.params, SIM_LOG.n_events, rng)
-        jump = draws.is_jump != 0
+        jump = draws.is_jump
         jump_ts = _event_times(SIM_LOG.params, SIM_LOG.n_events, rng)[jump]
         it_won_at = dict(zip(jump_ts.tolist(), draws.it_wins[jump].tolist()))
         it = aggressive.take((aggressive.participant_label == "IT")

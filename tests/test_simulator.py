@@ -16,6 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 import draw_oracle
 import logged_oracle
 from mbo_oracle import dumps
+from pnl_oracle import sweeps
 from tables import csv_body, event_log
 from lobeq.equilibrium import BookShape, ModelParams, book_curves, shape_tick
 from lobeq.kernels import accumulate_pnl
@@ -27,14 +28,12 @@ from lobeq.simulator import (
     EventDraws,
     SimConfig,
     _draw_chunks,
-    _event_counts,
     _event_times,
     _executed_volume,
-    _flags,
     _LoggedRun,
     _nmm_level_split,
     _pnl_rows,
-    _sweeps,
+    _tally,
     draw_events,
     export_mbo,
     run,
@@ -306,26 +305,27 @@ class TestChunkedDraws:
 def score_by_chunks(cfg):
     """``run(cfg)`` on the fast path rebuilt from ``draw_events``: each
     slice of ``CHUNK_EVENTS`` events scored on its own (the sweeps counted
-    by ``_sweeps``, not by the kernel), and the per-level sums added."""
+    by ``pnl_oracle.sweeps``, not by the kernel), and the per-level sums
+    added."""
     book = shape_tick(cfg.params, cfg.n_levels)
     eff = book.per_level
     nmm = _nmm_level_split(eff, book.noise)
     draws = draw_events(cfg.params, cfg.n_events, np.random.default_rng(cfg.seed))
     stats = [np.zeros(cfg.n_levels, dtype=t) for t in (np.int64, float, float) * 2]
     executed = np.zeros(cfg.n_levels)
-    counts = {"n_jumps": 0, "n_it_wins": 0, "n_noise_buys": 0}
+    tally = np.zeros(3, dtype=np.int64)
     for begin in range(0, cfg.n_events, CHUNK_EVENTS):
         part = EventDraws(*(getattr(draws, name)[begin:begin + CHUNK_EVENTS]
                             for name in DRAW_FIELDS))
-        jump, wins, buy = _flags(part)
+        jump, wins, buy = part.is_jump, part.it_wins, part.noise_sign > 0
         for total, value in zip(stats, accumulate_pnl(
                 jump, wins, part.jump_size, buy, part.noise_mag, part.drift,
                 book.grid, book.informed, book.noise)):
             total += value
-        executed += _executed_volume(part, book.grid, eff, nmm)
-        for key, value in _event_counts(part).items():
-            if key in counts:
-                counts[key] += value
+        executed += _executed_volume(part, book.grid, eff, nmm,
+                                     sweeps(part.jump_size[jump], wins[jump], book.grid))
+        tally += _tally(jump, wins, buy)
+    counts = dict(zip(("n_jumps", "n_it_wins", "n_noise_buys"), tally.tolist()))
     return _pnl_rows(*stats), counts, executed
 
 
@@ -367,7 +367,7 @@ class TestChunkedFastPath:
         zeros = np.zeros(n)
         accumulate_pnl(jump, wins, size, np.zeros(n, dtype=bool), zeros, zeros,
                        x, x, x, swept=swept)
-        np.testing.assert_array_equal(swept, _sweeps(size[jump], wins[jump], x))
+        np.testing.assert_array_equal(swept, sweeps(size[jump], wins[jump], x))
 
 
 class TestChunkedMemory:
@@ -458,7 +458,7 @@ class TestLoggedPath:
         cfg = SimConfig(params=params, n_events=2000, seed=8,
                         record_log=True, n_levels=5, volume_scale=1000)
         draws, times = redraw(cfg)
-        won_at = times[(draws.is_jump & draws.it_wins) != 0]
+        won_at = times[draws.is_jump & draws.it_wins]
         assert len(won_at) > 100
         replay = reconstruct(export_mbo(run(cfg)))
         fills, label = replay.fills, replay.lifecycles.participant_label[replay.fills.lifecycle]
@@ -471,7 +471,7 @@ class TestLoggedPath:
         replay = reconstruct(export_mbo(logged_result))
         scale = 1000
         draws, _ = redraw(LOGGED_RUN)
-        price = 100.0 + sum(draws.jump_size[draws.is_jump != 0].tolist())
+        price = 100.0 + sum(draws.jump_size[draws.is_jump].tolist())
         tick = LOGGED.tick
         a0 = math.ceil(price / tick - 1e-9)
         dist = np.array([i * tick - price for i in range(a0, a0 + 8)])
@@ -632,7 +632,7 @@ class TestLoggedOracle:
         # at buys; the oracle fills only those rows
         new = _LoggedRun(cfg, *redraw(cfg))
         buy = new.draws.noise_sign > 0
-        for name, rows in (("probe_x", (new.draws.is_jump != 0) | buy), ("probe_imm", buy),
+        for name, rows in (("probe_x", new.draws.is_jump | buy), ("probe_imm", buy),
                            ("probe_nmm", buy)):
             assert (getattr(new, name)[rows].tobytes()
                     == getattr(oracle, name)[rows].tobytes()), name
@@ -686,14 +686,14 @@ class TestRefill:
     def test_rounds_to_zero_units(self):
         cfg = REFILL_CASES["rounds_to_zero_units"]
         lr, rows, refills = self.traced_run(cfg)
-        noise = lr.draws.is_jump == 0
+        noise = ~lr.draws.is_jump
         silent = noise & (np.round(lr.draws.noise_mag * cfg.volume_scale) == 0)
         assert refills and silent.any()
         assert not set(lr.times_ns[silent].tolist()) & {r.ts_ns for r in rows}
 
     def test_lost_races(self):
         lr, rows, refills = self.traced_run(REFILL_CASES["lost_races"])
-        lost = (lr.draws.is_jump != 0) & (lr.draws.it_wins == 0) & (np.array(lr.jump_volume) > 0)
+        lost = lr.draws.is_jump & ~lr.draws.it_wins & (np.array(lr.jump_volume) > 0)
         assert refills and lost.any()
         for ts in lr.times_ns[lost].tolist():
             kinds = [(r.action, r.participant_label) for r in rows if r.ts_ns == ts]
