@@ -18,9 +18,11 @@ used and lists the outputs in the order they were written; a command that
 fails writes no output file.  Numeric CSV output is rendered with 17
 significant digits so values round-trip exactly.
 
-A config error is printed as ``lobeq <command>: <message>`` and names its
-section once: ``config``, ``params``, ``multi``, ``multi: source <k>``,
-``signature cluster <i>`` or a law record (``params: jump law 'pareto'``).
+A config error, a config nested too deeply to read and a size too large
+to allocate are each printed as ``lobeq <command>: <message>`` and exit 2.
+A config error names its section once: ``config``, ``params``, ``multi``,
+``multi: source <k>``, ``signature cluster <i>`` or a law record
+(``params: jump law 'pareto'``).
 A section named like its command (``shape``, ``simulate``, ``signature``,
 ``sweep``) adds no name of its own, since the command already names it.
 
@@ -352,13 +354,13 @@ def cmd_signature(root: _Section, seed) -> dict:
                      side=c.get("side")) for c in clusters]
 
     # every config value is checked before the log is read and any CSV written
-    events, walk = parse_mbo(input_path, tick=tick, walk=True)
+    events = parse_mbo(input_path, tick=tick)
     if not np.any(events.action == EXECUTE):
         raise sig.fail(f"log {input_path} contains no executions")
-    replay = reconstruct(events, walk)
-    del events, walk                       # each stage keeps only what the next one reads
+    replay = reconstruct(events)
+    del events                             # each stage keeps only what the next one reads
     quotes = QuoteSeries.from_replay(replay)
-    aggressive, passive = build_trade_records(replay, quotes)
+    aggressive, passive = build_trade_records(replay)
     del replay
 
     outputs = {}
@@ -495,8 +497,11 @@ def main(argv=None) -> int:
                 (out / name).unlink()
         log.info("wrote %s", ", ".join([*outputs, "manifest.json"]))
         return 0
-    # ConfigError, the MBO errors and json.JSONDecodeError are ValueErrors
-    except (ValueError, OSError, ZeroSpreadRegime, SolverError) as exc:
+    # ConfigError, the MBO errors and json.JSONDecodeError are ValueErrors; an
+    # array too large to allocate is a MemoryError, and a config nested deeper
+    # than json or repr can recurse is a RecursionError
+    except (ValueError, OSError, MemoryError, RecursionError, ZeroSpreadRegime,
+            SolverError) as exc:
         print(f"lobeq {args.command}: {exc}", file=sys.stderr)
         return 2
 

@@ -20,8 +20,10 @@ CSV schema (exact header)::
 * ``participant_label`` is an optional ground-truth tag (simulator
   exports carry IT/NT/IMM/NMM), empty for real feeds
 
-Replay applies events under price-time (FIFO) priority and reconstructs
-every order's lifecycle together with the best quotes of each timestamp.
+Replay enforces time (FIFO) priority within each price level and rejects a
+book left crossed or locked at the end of a timestamp; it does not check
+priority across levels.  It reconstructs every order's lifecycle together
+with the best quotes of each timestamp.
 A lifecycle's ``terminal_ts`` is an int64, 0 for an order that still
 rests, which ``terminal_kind == -1`` marks.
 
@@ -44,9 +46,9 @@ reader skips (``\x1c``-``\x1f``, NUL).  The label column holds one
 ``str`` per distinct label, shared by every row that carries it.  One
 order walk (:func:`_walk`: a stable sort by order id, then segmented
 cumulative sums) gives every row its lifecycle and its order's resting
-quantity; it holds parse's reference checks, and :func:`reconstruct`
-builds fills, lifecycles and quotes from its arrays, taking the walk
-parse made when it is handed one.
+quantity; it holds parse's reference checks, the log parse returns keeps
+it, and :func:`reconstruct` builds fills, lifecycles and quotes from its
+arrays.
 """
 
 from __future__ import annotations
@@ -201,6 +203,7 @@ class EventLog(Table):
     COLUMNS = {"ts_ns": np.int64, "order_id": np.int64, "action": ACTIONS, "side": SIDES,
                "price": np.float64, "qty": np.int64, "aggressor_flag": FLAGS,
                "participant_label": object}
+    _walk: _Walk | None = None               # parse's order walk, which reconstruct reads
 
 
 HEADER = EventLog.fields()
@@ -439,11 +442,10 @@ def _labels(texts: np.ndarray, shared: dict) -> np.ndarray:
                     dtype=object)[inverse]
 
 
-def parse(source, tick: float | None = None, walk: bool = False):
-    """Read and validate a log; returns an :class:`EventLog` of numpy
-    columns in file order, or with ``walk`` the pair of it and the order
-    walk its checks made, which ``reconstruct(log, walk)`` takes instead of
-    walking the log again.
+def parse(source, tick: float | None = None) -> EventLog:
+    """Read and validate a log; returns an :class:`EventLog` of read-only
+    numpy columns in file order, which keeps the order walk its checks
+    made, so that :func:`reconstruct` does not walk the log again.
 
     Validation: exact header, field domains (finite prices), nondecreasing
     timestamps, referential integrity (modify/cancel/execute must reference
@@ -461,15 +463,13 @@ def parse(source, tick: float | None = None, walk: bool = False):
     if tick is not None and not 0.0 < tick < math.inf:
         raise ValueError(f"tick must be positive and finite, got {tick}")
     with nullcontext(source) if hasattr(source, "read") else open(source, newline="") as fh:
-        log, walked = _parse_lines(fh if fh.seekable() else io.StringIO(fh.read(), newline=""),
-                                   tick)
-    return (log, walked) if walk else log
+        return _parse_lines(fh if fh.seekable() else io.StringIO(fh.read(), newline=""), tick)
 
 
-def _parse_lines(lines, tick: float | None) -> tuple[EventLog, _Walk]:
-    """:func:`parse` of a seekable text stream, with its walk: read once in
-    chunks, re-read only to phrase an error or to read texts a fixed width
-    may hide."""
+def _parse_lines(lines, tick: float | None) -> EventLog:
+    """:func:`parse` of a seekable text stream: read once in chunks,
+    re-read only to phrase an error or to read texts a fixed width may
+    hide."""
     first = lines.readline()
     rows = _numbered(csv.reader(chain([first], lines)), 1) if first else iter(())
     _, header = next(rows, (1, None))
@@ -556,7 +556,11 @@ def _parse_lines(lines, tick: float | None) -> tuple[EventLog, _Walk]:
         lineno, row = record(n)
         message = _row_fault(row, _unreadable_numbers(unreadable)) or "malformed record"
         raise MboParseError(f"row {lineno}: {message}")
-    return EventLog(ts, oid, act, side, price, qty, flag, label), walk
+    log = EventLog(ts, oid, act, side, price, qty, flag, label)
+    for col in log.columns():                # so that the kept walk cannot go stale
+        col.flags.writeable = False
+    log._walk = walk
+    return log
 
 
 def float_text(x: float) -> str:
@@ -872,30 +876,29 @@ def _lifecycles(log: EventLog, walk: _Walk) -> tuple[Lifecycles, Fills]:
     return lifecycles, fills
 
 
-def reconstruct(log: EventLog, walk: _Walk | None = None) -> Replay:
+def reconstruct(log: EventLog) -> Replay:
     """Replay a validated :class:`EventLog`.
 
-    Maintains price-time priority (executions must consume the front of
-    their price queue), rebuilds every order lifecycle, and records a
-    best-quote snapshot per distinct timestamp: the state after the last
-    row carrying that timestamp, i.e. the state prevailing until the
-    next one.  A book left crossed or locked at the end of a timestamp
+    Enforces time priority within a price level (an execute must consume
+    the front of its level's queue), rebuilds every order lifecycle, and
+    records a best-quote snapshot per distinct timestamp: the state after
+    the last row carrying that timestamp, i.e. the state prevailing until
+    the next one.  A book left crossed or locked at the end of a timestamp
     (best bid >= best ask) is rejected, naming the timestamp and the event.
+    Priority across levels is not checked: an execute of an order resting
+    behind a better price on its side is accepted.
 
-    The replay is the order walk's arrays (see :func:`_book`): ``walk`` is
-    the one ``parse(..., walk=True)`` returned with ``log``, and without it
-    the log is walked here.  A row that :func:`parse` would reject for its
-    order reference is rejected in its words, except that an order no
-    longer live is a dead order.  The error is the one at the first failing
-    row, as a sequential replay meets it.
+    The replay is the order walk's arrays (see :func:`_book`): the walk a
+    parsed log keeps, or for a log built another way one made here.  A row
+    that :func:`parse` would reject for its order reference is rejected in
+    its words, except that an order no longer live is a dead order.  The
+    error is the one at the first failing row, as a sequential replay
+    meets it.
     """
     if not isinstance(log, EventLog):
         raise TypeError(f"reconstruct takes an EventLog, got {type(log).__name__}")
     columns = log.action, log.order_id, log.side, log.qty
-    if walk is None:
-        walk = _walk(*columns, "dead")
-    elif walk.order.size != len(log):
-        raise ValueError(f"the walk covers {walk.order.size} rows, the log {len(log)}")
+    walk = _walk(*columns, "dead") if log._walk is None else log._walk
     faults = []
     if walk.fault is not None:                 # replay the rows before it, and an over-execute
         row, message, over = walk.fault        # after its FIFO and price checks

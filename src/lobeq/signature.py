@@ -118,10 +118,6 @@ class QuoteSeries(Quotes):
         """The replay's quote columns, shared, not copied."""
         return cls(*replay.quotes.columns())
 
-    def index_before(self, t_ns):
-        """Index of the snapshot prevailing at each ``t_ns`` (strictly before)."""
-        return np.searchsorted(self.ts_ns, t_ns, side="left") - 1
-
     def reference(self, t_ns, kind: str, trade_qty=0) -> np.ndarray:
         """Reference price ``kind`` prevailing at each time of ``t_ns``.
 
@@ -130,7 +126,7 @@ class QuoteSeries(Quotes):
         lookup raises :class:`QuoteError` naming the first failing element.
         """
         t = np.atleast_1d(np.asarray(t_ns, dtype=np.int64))
-        idx = self.index_before(t)
+        idx = np.searchsorted(self.ts_ns, t, side="left") - 1   # the snapshot strictly before
         checks = [(idx < 0, lambda i: f"no reference snapshot before t = {t[i]}"),
                   (kind not in REFERENCES,
                    lambda i: f"unknown reference {kind!r}; expected one of {REFERENCES}")]
@@ -200,9 +196,9 @@ def _add_to_add(ts: np.ndarray, bid: np.ndarray, price: np.ndarray) -> np.ndarra
     return out
 
 
-def build_trade_records(replay: Replay, quotes: QuoteSeries) -> tuple[TradeTable, TradeTable]:
-    """(aggressive, passive) trade tables from a replayed log and its
-    quote series (``QuoteSeries.from_replay(replay)``).
+def build_trade_records(replay: Replay) -> tuple[TradeTable, TradeTable]:
+    """(aggressive, passive) trade tables from a replayed log, read against
+    its quotes.
 
     Aggressive rows follow the feed; a sweep is a run of consecutive fills
     of one order id, and the volume ratio compares the quantity it executed
@@ -210,7 +206,7 @@ def build_trade_records(replay: Replay, quotes: QuoteSeries) -> tuple[TradeTable
     was resting there.  Passive rows are grouped by resting order, in add
     order, each in fill order.
     """
-    fills, lcs = replay.fills, replay.lifecycles
+    fills, lcs, quotes = replay.fills, replay.lifecycles, replay.quotes
     ts, qty, price, aggressor = fills.ts_ns, fills.qty, fills.price, fills.aggressor
     # the executed order's id, side and label, from its lifecycle
     oid, bid, label = (col[fills.lifecycle] for col in (lcs.order_id, lcs.side == BID,
@@ -226,7 +222,7 @@ def build_trade_records(replay: Replay, quotes: QuoteSeries) -> tuple[TradeTable
     start = _run_starts(oid[rows])
     first, sweep = rows[start], np.cumsum(start) - 1
     buy = bid[first]                                # buy sweeps rest on the bid side
-    q = quotes.index_before(ts[first])
+    q = np.searchsorted(quotes.ts_ns, ts[first], side="left") - 1   # the pre-trade quote
     best = np.where(buy, quotes.ask[q], quotes.bid[q])
     avail = np.where(buy, quotes.ask_qty[q], quotes.bid_qty[q])
     at_best = np.add.reduceat(np.where(price[rows] == best[sweep], qty[rows], 0),

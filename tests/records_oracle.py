@@ -75,7 +75,7 @@ def build_trade_records(replay: Replay) -> tuple[list[TradeRecord], list[TradeRe
         sign = 1 if first.side == "bid" else -1     # buy sweeps rest on the bid side
         ttt = since_last_trade(first.ts_ns)
         ratio = None
-        idx = quotes.index_before(first.ts_ns)
+        idx = bisect_left(replay.quote_ts, first.ts_ns) - 1
         if idx >= 0:
             best = quotes.ask[idx] if sign > 0 else quotes.bid[idx]
             avail = quotes.ask_qty[idx] if sign > 0 else quotes.bid_qty[idx]

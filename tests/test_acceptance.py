@@ -277,7 +277,7 @@ def test_7_signature_recovery_on_labeled_log():
                         record_log=True, n_levels=8, volume_scale=1000))
     replay = reconstruct(export_mbo(res))
     quotes = QuoteSeries.from_replay(replay)
-    aggressive, _ = build_trade_records(replay, quotes)
+    aggressive, _ = build_trade_records(replay)
     it = aggressive.take(aggressive.participant_label == "IT")
     nt = aggressive.take(aggressive.participant_label == "NT")
     assert len(it) > 1000 and len(nt) > 1000

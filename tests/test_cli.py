@@ -1127,6 +1127,34 @@ class TestPlumbing:
         assert capsys.readouterr().err == "lobeq shape: multi: sources must not be empty\n"
         assert not list(out.iterdir())
 
+    # 2**45 float64 values are 256 TiB, past the 47-bit user address space,
+    # so the allocation fails at once under any overcommit setting
+    @pytest.mark.parametrize("command, doc", [
+        ("shape", {"params": REF_PARAMS, "shape": {"variant": "tick", "n_levels": 2**45}}),
+        ("simulate", {"params": REF_PARAMS,
+                      "simulate": {"n_events": 10, "seed": 1, "n_levels": 2**45}}),
+        ("shape", {"params": {**REF_PARAMS, "tick": 0.0},
+                   "shape": {"variant": "continuous", "x_min": 0.01, "x_max": 1.0,
+                             "n_points": 2**45}}),
+    ])
+    def test_impossible_size_exits_2(self, tmp_path, capsys, command, doc):
+        code, out = run_cli(tmp_path, command, doc)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"lobeq {command}: Unable to allocate 256. TiB") and \
+            err.count("\n") == 1, err
+        assert list(out.iterdir()) == []
+
+    def test_deeply_nested_config_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "nested.json"
+        cfg.write_text("[" * 100_000)
+        out = tmp_path / "out"
+        assert main(["shape", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("lobeq shape: maximum recursion depth exceeded") and \
+            err.count("\n") == 1, err
+        assert not out.exists()
+
     def test_missing_config_file(self, tmp_path):
         assert main(["spread", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "o")]) == 2

@@ -1044,10 +1044,50 @@ class TestReadMemory:
         write_csv(run(cfg).mbo_text, path)
         tracemalloc.start()
         try:
-            log, walk = parse(path, tick=LOGGED.tick, walk=True)
-            reconstruct(log, walk)
+            log = parse(path, tick=LOGGED.tick)
+            reconstruct(log)
             rows, peak = len(log), tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert rows > 250_000
         assert peak / rows < 150
+
+
+class TestParsedWalk:
+    """A parsed log keeps the order walk its checks made, and its columns
+    are read-only so that the walk stays theirs; :func:`reconstruct`
+    replays from it, and walks a log built any other way itself."""
+
+    @pytest.fixture(scope="class")
+    def log_path(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("walk") / "mbo.csv"
+        write_csv(run(SimConfig(params=LOGGED, n_events=400, seed=5, record_log=True,
+                                n_levels=4, volume_scale=1000)).mbo_text, path)
+        return path
+
+    def test_one_walk_per_parsed_log(self, log_path, monkeypatch):
+        walked = []
+
+        def counted(act, *rest):
+            walked.append(act.size)
+            return walk(act, *rest)
+
+        walk = mbo._walk
+        monkeypatch.setattr(mbo, "_walk", counted)
+        log = parse(log_path, tick=LOGGED.tick)
+        replay = reconstruct(log)
+        assert walked == [len(log)]
+        # a log built from the columns, or taken from the parsed one, carries no walk
+        for other in (EventLog(*log.columns()), log.take(np.arange(len(log)))):
+            again = reconstruct(other)
+            for got, want in ((again.lifecycles, replay.lifecycles), (again.fills, replay.fills),
+                              (again.quotes, replay.quotes)):
+                same_columns(got, want)
+        assert walked == [len(log)] * 3
+        assert len(replay.fills) and len(replay.quotes)
+
+    def test_parsed_columns_are_read_only(self, log_path):
+        log = parse(log_path)
+        for name, col in zip(EventLog.fields(), log.columns()):
+            with pytest.raises(ValueError, match="read-only"):
+                col[0] = col[-1]

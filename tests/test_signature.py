@@ -217,13 +217,9 @@ def sim_replay():
     return reconstruct(export_mbo(run(SIM_LOG)))
 
 
-def trade_tables(replay):
-    return build_trade_records(replay, QuoteSeries.from_replay(replay))
-
-
 class TestTradeRecords:
     def test_partition_and_signs(self, sim_replay):
-        aggressive, passive = trade_tables(sim_replay)
+        aggressive, passive = build_trade_records(sim_replay)
         n_fills_aggr = sum(1 for f in sim_replay.fills if f.aggressor)
         n_fills_pass = sum(1 for f in sim_replay.fills if not f.aggressor)
         assert len(aggressive) == n_fills_aggr
@@ -234,11 +230,11 @@ class TestTradeRecords:
 
     def test_informed_aggressors_are_buyers(self, sim_replay):
         # every jump in the event chain points at the ask side
-        aggressive, _ = trade_tables(sim_replay)
+        aggressive, _ = build_trade_records(sim_replay)
         assert np.all(aggressive.qty[aggressive.participant_label == "IT"] > 0)
 
     def test_volume_ratio_range(self, sim_replay):
-        aggressive, _ = trade_tables(sim_replay)
+        aggressive, _ = build_trade_records(sim_replay)
         ratios = aggressive.volume_ratio[~np.isnan(aggressive.volume_ratio)]
         assert ratios.size
         assert np.all((0.0 < ratios) & (ratios <= 1.0))
@@ -246,7 +242,7 @@ class TestTradeRecords:
     def test_informed_deplete_the_best_limit(self, sim_replay):
         # on a won race the informed trader sweeps whole levels (ratio 1);
         # after a lost race he only gets what survived the cancel
-        aggressive, _ = trade_tables(sim_replay)
+        aggressive, _ = build_trade_records(sim_replay)
         # the race each jump's trade followed, re-drawn under the run's seed
         rng = np.random.default_rng(SIM_LOG.seed)
         draws = draw_events(SIM_LOG.params, SIM_LOG.n_events, rng)
@@ -264,7 +260,7 @@ class TestTradeRecords:
 
     def test_cluster_counts_partition_and_are_horizon_free(self, sim_replay):
         quotes = QuoteSeries.from_replay(sim_replay)
-        aggressive, _ = build_trade_records(sim_replay, quotes)
+        aggressive, _ = build_trade_records(sim_replay)
         spec = ClusterSpec("trade_to_trade", (1e8, 1e9), "aggressive")
         labels = classify(aggressive, spec)
         n_undef = int(np.sum(labels == -1))
@@ -277,7 +273,7 @@ class TestTradeRecords:
         # passive fills mark against the spread: at k = 0 the maker side of
         # the trade signature is positive (mirror of the taker crossing it)
         quotes = QuoteSeries.from_replay(sim_replay)
-        _, passive = build_trade_records(sim_replay, quotes)
+        _, passive = build_trade_records(sim_replay)
         st0 = trade_signature(passive, 0, -1, "touched", quotes)
         assert st0 >= 0.0
 
@@ -363,7 +359,7 @@ def assert_table_matches_records(trades, records):
 
 def assert_tables_match_oracle(events):
     """The tables of ``events`` match the records of the row-object replay."""
-    for trades, records in zip(trade_tables(reconstruct(event_log(events))),
+    for trades, records in zip(build_trade_records(reconstruct(event_log(events))),
                                records_oracle.build_trade_records(mbo_oracle.reconstruct(events))):
         assert_table_matches_records(trades, records)
 
@@ -483,7 +479,7 @@ class TestTablesMatchRecordsOracle:
                   Row(1, 3, "execute", "bid", 100.0, 1, False, None),
                   Row(1, 2, "execute", "ask", 100.0, 1, True, "NT")]
         replay = reconstruct(event_log(events))
-        aggressive, passive = trade_tables(replay)
+        aggressive, passive = build_trade_records(replay)
         assert aggressive.qty.tolist() == [2, 1]
         assert aggressive.participant_label.tolist() == ["IT", "NT"]
         assert passive.order_id.tolist() == [1, 3] and passive.qty.tolist() == [2, -1]
@@ -502,7 +498,7 @@ class TestTablesMatchRecordsOracle:
                   Row(t1, 4, "add", "bid", 100.25, 1, None, "NT"),
                   Row(t1, 3, "execute", "ask", 100.25, 1, False, None),
                   Row(t1, 4, "execute", "bid", 100.25, 1, True, "NT")]
-        aggressive, passive = trade_tables(reconstruct(event_log(events)))
+        aggressive, passive = build_trade_records(reconstruct(event_log(events)))
         assert passive.order_id.tolist() == [1, 3]
         for trades, metric in ((aggressive, "trade_to_trade"), (passive, "add_to_add")):
             gaps = getattr(trades, METRICS[metric][0])
