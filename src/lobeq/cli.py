@@ -14,9 +14,12 @@ run can be reproduced from its manifest alone.  The config root holds only
 the sections its command reads, plus ``seed`` and ``out``; any other key
 is rejected.  A command that succeeds writes its outputs and then
 ``manifest.json``, which echoes the config as given plus the seed the run
-used and lists the outputs in the order they were written; a command that
-fails writes no output file.  Numeric CSV output is rendered with 17
-significant digits so values round-trip exactly.
+used and lists the outputs.  Each is staged: written to a temporary in the
+output directory, and renamed into place, in the manifest's order, only
+once every output is complete.  A command that fails removes its
+temporaries and any directory it made, so it leaves the output directory as
+it was.  Numeric CSV output is rendered with 17 significant digits so
+values round-trip exactly.
 
 A config error, a config nested too deeply to read and a size too large
 to allocate are each printed as ``lobeq <command>: <message>`` and exit 2.
@@ -37,7 +40,9 @@ import json
 import logging
 import math
 import os
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -59,7 +64,7 @@ from .equilibrium import (
     theta_bar,
 )
 from .laws import Exponential, LaplaceVolume, NormalVolume, Pareto, PointMass
-from .mbo import EXECUTE, float_text, parse as parse_mbo, reconstruct, write_csv
+from .mbo import EXECUTE, float_text, parse as parse_mbo, reconstruct
 from .signature import (
     REFERENCES,
     UNDEFINED_CLUSTER,
@@ -234,20 +239,57 @@ def _grid(shape: _Section) -> np.ndarray:
 
 
 def _write(path: Path, content, sort_keys: bool = False) -> None:
-    """Write one output, by its suffix and type: a ``.json`` document, a
-    CSV table given as column name -> column (None is a blank cell), or a
-    logged run's text blocks."""
-    if path.suffix == ".json":
-        with open(path, "w") as fh:
+    """Write one output, by its suffix: a ``.json`` document, or a CSV
+    table given as column name -> column (None is a blank cell)."""
+    with open(path, "w") as fh:
+        if path.suffix == ".json":
             json.dump(content, fh, indent=2, sort_keys=sort_keys)
             fh.write("\n")
-    elif isinstance(content, dict):
-        with open(path, "w") as fh:
+        else:
             fh.write(",".join(content) + "\n")
             for row in zip(*content.values()):
                 fh.write(",".join(map(_fmt, row)) + "\n")
-    else:
-        write_csv(content, path)
+
+
+class _Staging:
+    """The temporaries of one run's outputs.
+
+    :meth:`path` gives each output its own name in a hidden temporary
+    directory inside the output directory, made on first use together with
+    the output directory and any missing parents.  :meth:`commit` renames
+    the outputs into place.  Leaving the ``with`` block removes the
+    temporary directory and, on an error, every directory this run made, so
+    a failed command leaves the output directory as it was.
+    """
+
+    def __init__(self, out: Path):
+        self.out = out
+        self.made: list[Path] = []        # directories this run made, deepest first
+        self.tmp: Path | None = None
+
+    def path(self, name: str) -> Path:
+        if self.tmp is None:
+            self.made = [d for d in (self.out, *self.out.parents) if not d.exists()]
+            self.out.mkdir(parents=True, exist_ok=True)
+            self.tmp = Path(tempfile.mkdtemp(prefix=".lobeq-", dir=self.out))
+        return self.tmp / name
+
+    def commit(self, names) -> None:
+        for name in names:
+            os.replace(self.tmp / name, self.out / name)
+
+    def __enter__(self) -> _Staging:
+        return self
+
+    def __exit__(self, error, *_) -> None:
+        if self.tmp is not None:
+            shutil.rmtree(self.tmp, ignore_errors=True)
+        if error is not None:
+            for made in self.made:        # stops at one that holds more than this run's
+                try:
+                    made.rmdir()
+                except OSError:
+                    break
 
 
 def _stale_outputs(manifest: Path, written) -> list[str]:
@@ -266,11 +308,12 @@ def _stale_outputs(manifest: Path, written) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# Commands: each returns its outputs, file name -> content, for main to write
+# Commands: each returns its outputs, file name -> content, for main to write.
+# An output a command writes itself goes to ``stage(name)`` and maps to None.
 # ---------------------------------------------------------------------------
 
 
-def cmd_shape(root: _Section, seed) -> dict:
+def cmd_shape(root: _Section, seed, stage) -> dict:
     shape = root.section("shape", "")
     variant = shape.get("variant")
     if variant not in ("multi", "tick", "continuous", "toxic"):
@@ -297,7 +340,7 @@ def cmd_shape(root: _Section, seed) -> dict:
     return {"shape.csv": table, "shape.json": {**table, "tick": tick, "offset_d": offset_d}}
 
 
-def cmd_spread(root: _Section, seed) -> dict:
+def cmd_spread(root: _Section, seed, stage) -> dict:
     params = _params(root)
     if params.theta > 0.0 and params.tick > 0.0:
         raise ConfigError("set either theta > 0 or tick > 0, not both")
@@ -308,7 +351,7 @@ def cmd_spread(root: _Section, seed) -> dict:
     return {"spread.json": doc}
 
 
-def cmd_simulate(root: _Section, seed) -> dict:
+def cmd_simulate(root: _Section, seed, stage) -> dict:
     params = _params(root)
     sim = root.section("simulate", "", ("n_events", "seed", "n_levels", "record_log",
                                          "volume_scale"))
@@ -323,18 +366,19 @@ def cmd_simulate(root: _Section, seed) -> dict:
         record_log=sim.get("record_log", SimConfig.record_log),
         **sim.present(("n_levels", "volume_scale"), int),
     )
-    result = run_sim(sc)
+    # the log is written as the event loop runs, before pnl and summary exist
+    result = run_sim(sc, log=stage("mbo.csv") if sc.record_log else None)
 
     names = ("maker_type", "level", "n_fills", "mean_gain", "std_err")
     pnl = {name: [getattr(p, field.name) for p in result.pnl]
            for name, field in zip(names, dataclasses.fields(LevelPnl))}
     outputs = {"pnl.csv": pnl, "summary.json": result.summary}
     if sc.record_log:
-        outputs["mbo.csv"] = result.mbo_text
+        outputs["mbo.csv"] = None
     return outputs
 
 
-def cmd_signature(root: _Section, seed) -> dict:
+def cmd_signature(root: _Section, seed, stage) -> dict:
     sig = root.section("signature", "", ("input", "tick", "reference", "horizons_s", "clusters"))
     input_path = sig.path("input")
     tick = sig.number("tick", None) or None                 # absent, null or 0: no tick
@@ -385,7 +429,7 @@ def cmd_signature(root: _Section, seed) -> dict:
     return outputs
 
 
-def cmd_sweep(root: _Section, seed) -> dict:
+def cmd_sweep(root: _Section, seed, stage) -> dict:
     sweep = root.section("sweep", "", ("r_values", "f_values", "theta_values", "probe_x", "jump",
                                        "volume", "rho", "tick", "offset_d"))
     r_values = sweep.numbers("r_values")
@@ -477,19 +521,21 @@ def main(argv=None) -> int:
         if not out_dir:
             raise ConfigError("an output directory is required (--out or config 'out')")
         out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
         seed = args.seed if args.seed is not None else config_seed
 
-        outputs = COMMANDS[args.command](root, seed)
-        stale = _stale_outputs(out / "manifest.json", outputs)
-        for name, content in outputs.items():
-            _write(out / name, content)
-        resolved = dict(cfg)
-        if seed is not None:
-            resolved["seed"] = seed
-        manifest = {"command": args.command, "package_version": __version__, "seed": seed,
-                    "config": resolved, "outputs": list(outputs)}
-        _write(out / "manifest.json", manifest, sort_keys=True)
+        with _Staging(out) as stage:
+            outputs = COMMANDS[args.command](root, seed, stage.path)
+            for name, content in outputs.items():
+                if content is not None:
+                    _write(stage.path(name), content)
+            resolved = dict(cfg)
+            if seed is not None:
+                resolved["seed"] = seed
+            manifest = {"command": args.command, "package_version": __version__, "seed": seed,
+                        "config": resolved, "outputs": list(outputs)}
+            _write(stage.path("manifest.json"), manifest, sort_keys=True)
+            stale = _stale_outputs(out / "manifest.json", outputs)
+            stage.commit([*outputs, "manifest.json"])
         # an earlier run's outputs that this one did not replace would sit
         # beside a manifest that does not list them
         for name in stale:

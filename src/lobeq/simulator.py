@@ -156,7 +156,8 @@ class SimResult:
     summary: dict
     book: BookShape
     #: the CSV body of the market-by-order log of a ``record_log`` run, in
-    #: blocks of about :data:`lobeq.mbo.BLOCK_ROWS` rows
+    #: blocks of about :data:`lobeq.mbo.BLOCK_ROWS` rows; None without
+    #: ``record_log`` and when ``run`` wrote the log to a ``log`` path
     mbo_text: list[str] | None = None
 
 
@@ -546,7 +547,6 @@ class _LoggedRun:
         # the log's text: each row is encoded as it is emitted, and the lines
         # are joined into blocks between events, so no string per row outlives
         # its block
-        self.blocks: list[str] = []
         self.n_rows = 0
         self.executed_units = 0            # passive execute qty, a Python int
         self._lines: list[str] = []
@@ -689,13 +689,15 @@ class _LoggedRun:
 
     # -- main loop ---------------------------------------------------------------
 
-    def _cut(self) -> None:
-        """Join the lines emitted since the last block into a new block."""
-        self.blocks.append("".join(self._lines))
+    def _cut(self) -> str:
+        """The lines emitted since the last block, joined into one block."""
+        block = "".join(self._lines)
         self.n_rows += len(self._lines)
         self._lines.clear()
+        return block
 
-    def run_all(self) -> None:
+    def blocks(self):
+        """Run the event loop, yielding the log's text a block at a time."""
         d = self.draws
         lines, layouts = self._lines, self.idx
         sweep, refill, morph = self._sweep, self._refill, self._morph
@@ -720,15 +722,19 @@ class _LoggedRun:
                 morph(ts, ASK, s)
                 morph(ts, BID, s)
             if len(lines) >= mbo.BLOCK_ROWS:
-                self._cut()
+                yield self._cut()
         if lines:
-            self._cut()
+            yield self._cut()
 
 
 def _run_logged(cfg: SimConfig, book: BookShape, draws: EventDraws,
-                rng: np.random.Generator) -> SimResult:
+                rng: np.random.Generator, log) -> SimResult:
     lr = _LoggedRun(cfg, draws, _event_times(cfg.params, cfg.n_events, rng))
-    lr.run_all()
+    if log is None:
+        text = list(lr.blocks())
+    else:
+        text = None
+        mbo.write_csv(lr.blocks(), log)
 
     buy = draws.noise_sign > 0
     pnl = _pnl_rows(*kernels.accumulate_pnl(
@@ -741,7 +747,7 @@ def _run_logged(cfg: SimConfig, book: BookShape, draws: EventDraws,
         "n_mbo_rows": lr.n_rows,
         "seed": cfg.seed,
     }
-    return SimResult(pnl=pnl, summary=summary, book=book, mbo_text=lr.blocks)
+    return SimResult(pnl=pnl, summary=summary, book=book, mbo_text=text)
 
 
 # ---------------------------------------------------------------------------
@@ -749,12 +755,19 @@ def _run_logged(cfg: SimConfig, book: BookShape, draws: EventDraws,
 # ---------------------------------------------------------------------------
 
 
-def run(cfg: SimConfig) -> SimResult:
-    """Run the event simulation; deterministic for a fixed seed."""
+def run(cfg: SimConfig, log=None) -> SimResult:
+    """Run the event simulation; deterministic for a fixed seed.
+
+    A ``record_log`` run given a ``log`` path writes its market-by-order log
+    there through :func:`lobeq.mbo.write_csv`, a block at a time as the
+    event loop cuts it, and returns no ``mbo_text``; without one it
+    collects the blocks into ``mbo_text``."""
+    if log is not None and not cfg.record_log:
+        raise ValueError("a log path needs record_log=True")
     book = _resolve_book(cfg)
     rng = np.random.default_rng(cfg.seed)
     if cfg.record_log:
-        return _run_logged(cfg, book, draw_events(cfg.params, cfg.n_events, rng), rng)
+        return _run_logged(cfg, book, draw_events(cfg.params, cfg.n_events, rng), rng, log)
     return _run_fast(cfg, book, _draw_chunks(cfg.params, cfg.n_events, rng, CHUNK_EVENTS))
 
 

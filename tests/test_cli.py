@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import lobeq
-from lobeq import cli
+from lobeq import cli, simulator
 from lobeq.cli import _Section, main
 from lobeq.equilibrium import (
     ModelParams,
@@ -217,7 +217,7 @@ class TestShape:
                                                           "n_levels": n_levels}})
         assert code == 2
         assert capsys.readouterr().err == f"lobeq shape: {message}\n"
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_integral_float_accepted_for_an_integer(self, tmp_path):
         code, out = run_cli(tmp_path, "shape", {
@@ -424,7 +424,7 @@ class TestSimulate:
         code, out = run_cli(tmp_path, "simulate", doc)
         assert code == 2
         assert capsys.readouterr().err == "lobeq simulate: a seed is required (config or --seed)\n"
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_n_events_beyond_int64_exits_at_once(self, tmp_path, capsys):
         # 1e300 events would run on without end, a chunk at a time
@@ -695,7 +695,7 @@ ts_ns,order_id,action,side,price,qty,aggressor_flag,participant_label
         assert capsys.readouterr().err == (
             "lobeq signature: signature cluster 1: reference lookup failed for trade of order 3 "
             "at t = 40 + k = 0: one-sided book at t = 40: mid undefined\n")
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_zero_unit_add_rejected(self, tmp_path, capsys):
         log = tmp_path / "zero_add.csv"
@@ -728,7 +728,7 @@ ts_ns,order_id,action,side,price,qty,aggressor_flag,participant_label
         assert len(read_csv(tmp_path / "sig_out_1" / "signature_0_volume_ratio.csv")) == 2
         assert capsys.readouterr().err == ("lobeq signature: signature cluster 1: no passive "
                                            "trade has a defined trade_to_add\n")
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_bucket_without_traded_volume_rejected(self, tmp_path, capsys):
         # order 5's one fill is for 0 units, so its trade_to_add bucket would
@@ -747,7 +747,7 @@ ts_ns,order_id,action,side,price,qty,aggressor_flag,participant_label
         code, out = run_cli(tmp_path, "signature", doc)
         assert code == 2
         assert capsys.readouterr().err == "lobeq signature: row 8: zero qty on add\n"
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_unreadable_log_names_its_row(self, tmp_path, capsys):
         log = tmp_path / "big.csv"
@@ -866,7 +866,7 @@ class TestSweep:
         code, out = run_cli(tmp_path, "sweep", {"sweep": sweep})
         assert code == 2
         assert capsys.readouterr().err == f"lobeq sweep: {message}\n"
-        assert list(out.iterdir()) == []
+        assert not out.exists()
         grid = ParamGrid(r=[0.3, 0.3, 0.5, 0.5], f=0.5, theta=[0.0, 0.02, 0.0, 0.02],
                          jump=PointMass(0.01), volume=NormalVolume(10.0))
         with pytest.raises(SolverError) as info:
@@ -1017,7 +1017,7 @@ class TestLawRecords:
             code, out = run_cli(tmp_path / str(k), command, doc)
             assert code == 2
             assert capsys.readouterr().err == f"lobeq {command}: {where}{message}\n"
-            assert not list(out.iterdir())
+            assert not out.exists()
 
 
 class TestPlumbing:
@@ -1062,7 +1062,7 @@ class TestPlumbing:
         assert code == 2
         assert (capsys.readouterr().err
                 == f"lobeq {command}: {message.removeprefix(command + ': ')}\n")
-        assert not list(out.iterdir())
+        assert not out.exists()
 
     @pytest.mark.parametrize("command, doc, message", [
         ("signature", {"signatur": SIGNATURE, "sed": 5, "signature": SIGNATURE},
@@ -1125,7 +1125,7 @@ class TestPlumbing:
         code, out = run_cli(tmp_path, "shape", doc)
         assert code == 2
         assert capsys.readouterr().err == "lobeq shape: multi: sources must not be empty\n"
-        assert not list(out.iterdir())
+        assert not out.exists()
 
     # 2**45 float64 values are 256 TiB, past the 47-bit user address space,
     # so the allocation fails at once under any overcommit setting
@@ -1143,7 +1143,7 @@ class TestPlumbing:
         err = capsys.readouterr().err
         assert err.startswith(f"lobeq {command}: Unable to allocate 256. TiB") and \
             err.count("\n") == 1, err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_deeply_nested_config_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "nested.json"
@@ -1269,7 +1269,7 @@ class TestPlumbing:
 
 class TestManifest:
     """``outputs`` in ``manifest.json`` names exactly the files a command
-    wrote, in the order it wrote them."""
+    put in place, in the order it renamed them there."""
 
     LOGGED = {"params": {**REF_PARAMS, "r": 0.15, "lambda_i": 0.15, "lambda_u": 0.85},
               "simulate": {"n_events": 300, "seed": 7, "n_levels": 6, "record_log": True,
@@ -1307,19 +1307,26 @@ class TestManifest:
             code, log_out = run_cli(tmp_path / "log", "simulate", self.LOGGED)
             assert code == 0
             doc = {"signature": {**doc["signature"], "input": str(log_out / "mbo.csv")}}
-        written, write = [], cli._write
+        written, placed, write, replace = [], [], cli._write, os.replace
 
-        def recording(path, *args, **kwargs):
-            written.append(path.name)
+        def recording_write(path, *args, **kwargs):
+            written.append(path)
             write(path, *args, **kwargs)
 
-        monkeypatch.setattr(cli, "_write", recording)
+        def recording_replace(src, dst):
+            placed.append(Path(dst).name)
+            replace(src, dst)
+
+        monkeypatch.setattr(cli, "_write", recording_write)
+        monkeypatch.setattr(os, "replace", recording_replace)
         code, out = run_cli(tmp_path, command, doc)
         assert code == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["outputs"] == names
-        assert written == [*names, "manifest.json"]
-        assert sorted(p.name for p in out.iterdir()) == sorted(written)
+        assert placed == [*names, "manifest.json"]
+        # each file is written to a temporary, never in place
+        assert written and all(path.parent != out for path in written)
+        assert sorted(p.name for p in out.iterdir()) == sorted(placed)
 
     @pytest.mark.parametrize("command", ["simulate", "signature"])
     def test_rerun_removes_what_the_earlier_manifest_listed(self, tmp_path, command):
@@ -1363,6 +1370,56 @@ class TestManifest:
             assert sorted(p.name for p in out.iterdir()) == sorted(
                 ["manifest.json", "notes.txt", "spread.json", "sub", *kept])
             assert (out / "sub" / "old.csv").is_file() and (tmp_path / "outside.csv").is_file()
+
+
+class TestStaging:
+    """Outputs are written to temporaries and renamed into place only once
+    all are complete: a failed command leaves the output directory as it
+    was, and removes any directory it made."""
+
+    LOGGED = TestManifest.LOGGED
+
+    @pytest.mark.parametrize("command, doc", [
+        ("shape", {"params": dict(REF_PARAMS, tick=0.0), "shape": {"variant": "tick",
+                                                                   "n_levels": 4}}),
+        # fails once the log's temporary exists
+        ("simulate", {**LOGGED, "params": {**LOGGED["params"], "f": 0.0}}),
+    ])
+    def test_failed_command_makes_no_directory(self, tmp_path, capsys, command, doc):
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "a" / "b" / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"lobeq {command}: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    @pytest.mark.parametrize("error", [OSError, RuntimeError])
+    def test_failed_log_keeps_the_earlier_outputs(self, tmp_path, monkeypatch, capsys, error):
+        # an error main reports (exit 2) and one it does not catch
+        code, out = run_cli(tmp_path, "simulate", self.LOGGED)
+        assert code == 0
+        (out / "notes.txt").write_text("not an output")
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        blocks = simulator._LoggedRun.blocks
+
+        def failing(lr):
+            yield next(blocks(lr))
+            raise error("disk full")
+
+        monkeypatch.setattr(simulator._LoggedRun, "blocks", failing)
+        doc = {**self.LOGGED, "simulate": {**self.LOGGED["simulate"], "seed": 8}}
+        if error is OSError:
+            assert run_cli(tmp_path, "simulate", doc)[0] == 2
+            assert capsys.readouterr().err == "lobeq simulate: disk full\n"
+        else:
+            with pytest.raises(RuntimeError, match="^disk full$"):
+                run_cli(tmp_path, "simulate", doc)
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_success_leaves_only_the_outputs(self, tmp_path):
+        code, out = run_cli(tmp_path, "simulate", self.LOGGED)
+        assert code == 0
+        names = json.loads((out / "manifest.json").read_text())["outputs"]
+        assert sorted(p.name for p in out.iterdir()) == sorted([*names, "manifest.json"])
 
 
 def value_paths(doc, at=()):
@@ -1474,7 +1531,7 @@ class TestMalformedValues:
         if message:
             assert code == 2
             assert err.startswith(f"lobeq {command}: {message}") and err.count("\n") == 1
-            assert list(out.iterdir()) == []
+            assert not out.exists()
         else:
             assert (code, err) == (0, "")
             rows = read_csv(out / "shape.csv")

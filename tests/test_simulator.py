@@ -415,6 +415,27 @@ class TestLoggedPath:
                         n_levels=6, volume_scale=1000)
         assert list(export_mbo(run(cfg))) == list(export_mbo(run(cfg)))
 
+    @pytest.mark.parametrize("theta, rho", [(0.0, 0.0), (0.0005, 0.5)], ids=["test7", "toxic"])
+    def test_log_path_gets_the_collected_text(self, tmp_path, theta, rho):
+        # at the parameters of acceptance test 7, plain and toxic: the log a
+        # run writes to its path is the text it collects without one
+        cfg = SimConfig(params=dataclasses.replace(LOGGED, theta=theta, rho=rho),
+                        n_events=3000, seed=31, record_log=True, n_levels=8, volume_scale=1000)
+        collected = run(cfg)
+        write_csv(collected.mbo_text, tmp_path / "collected.csv")
+        streamed = run(cfg, log=tmp_path / "streamed.csv")
+        assert streamed.mbo_text is None
+        assert ((tmp_path / "streamed.csv").read_bytes()
+                == (tmp_path / "collected.csv").read_bytes())
+        assert repr(streamed.pnl) == repr(collected.pnl)
+        assert streamed.summary == collected.summary
+
+    def test_log_path_needs_record_log(self, tmp_path):
+        cfg = SimConfig(params=REF, n_events=100, seed=1, n_levels=4)
+        with pytest.raises(ValueError, match=r"^a log path needs record_log=True$"):
+            run(cfg, log=tmp_path / "mbo.csv")
+        assert not (tmp_path / "mbo.csv").exists()
+
     def test_roundtrip_export_parse(self, logged_result):
         events = export_mbo(logged_result)
         parsed = parse(io.StringIO(dumps(events)), tick=LOGGED.tick)
@@ -669,8 +690,7 @@ class TestRefill:
             refill(ts, side, taken)
 
         lr._sweep, lr._refill = traced_sweep, traced_refill
-        lr.run_all()
-        rows = list(parse(io.StringIO(HEADER_LINE + "".join(lr.blocks), newline="")))
+        rows = list(parse(io.StringIO(HEADER_LINE + "".join(lr.blocks()), newline="")))
         return lr, rows, refills
 
     def test_empties_a_side(self):
@@ -721,12 +741,28 @@ class TestLoggedMemory:
         assert n_orders > 100_000
         assert peak / n_orders < 300.0
 
+    def test_streamed_peak_per_order(self, tmp_path):
+        # given a path, the run writes each block as it is cut: about half
+        # the peak of a run that keeps its text
+        cfg = SimConfig(params=LOGGED, n_events=self.N_EVENTS, seed=1, record_log=True,
+                        n_levels=8, volume_scale=1000)
+        tracemalloc.start()
+        try:
+            run(cfg, log=tmp_path / "mbo.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n_orders = (tmp_path / "mbo.csv").read_text().count(",add,")
+        assert n_orders > 100_000
+        assert peak / n_orders < 180.0
+
     def test_orders_are_small_records(self):
         # no larger than a slotted (id, participant, units) record, 56 bytes
         cfg = SimConfig(params=LOGGED, n_events=2000, seed=1, record_log=True,
                         n_levels=8, volume_scale=1000)
         lr = _LoggedRun(cfg, *redraw(cfg))
-        lr.run_all()
+        for _ in lr.blocks():
+            pass
         orders = [order for book in lr.levels for queues in book.values()
                   for queue in queues for order in queue]
         assert orders and max(map(sys.getsizeof, orders)) <= 56
