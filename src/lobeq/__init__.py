@@ -36,7 +36,7 @@ from .equilibrium import (
     spread,
     theta_bar,
 )
-from .simulator import LevelPnl, SimConfig, SimResult, export_mbo, run
+from .simulator import LevelPnl, SimConfig, SimResult, run
 from .mbo import EventLog, Replay, parse, reconstruct, write_csv
 from .signature import (
     ClusterSpec,

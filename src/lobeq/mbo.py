@@ -611,8 +611,8 @@ def row_encoder(append):
 
 def write_csv(blocks, destination) -> None:
     """Write a log in the canonical schema: :data:`HEADER_LINE`, then
-    ``blocks``, its body as text (the ``mbo_text`` of a logged simulation,
-    or lines from :func:`row_encoder`)."""
+    ``blocks``, its body as text (lines from :func:`row_encoder`, which a
+    logged simulation streams here a block at a time)."""
     if isinstance(blocks, Table):
         raise TypeError("write_csv takes the log's text, not a table")
     stream = hasattr(destination, "write")

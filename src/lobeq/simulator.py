@@ -27,39 +27,40 @@ Informed probes queue behind the visible book; noise-maker probes queue
 behind the noise makers' own (smaller) break-even curve, since their gain
 is zero precisely at that depth.
 
-Both paths score the probes with one numpy kernel,
-:func:`lobeq.kernels.accumulate_pnl`.  The no-log path passes it the
-static book: the closed-form one on the tick grid, or a user-supplied
-:class:`BookShape`.  It draws and scores the events in chunks of
-:data:`CHUNK_EVENTS`, so its memory does not grow with ``n_events``: each
-random input reads its own part of the stream with a generator of its own,
-so the draws are those of :func:`draw_events`, and the per-level sums are
-added chunk by chunk (their last digits depend on :data:`CHUNK_EVENTS`).
-The event kinds and race outcomes are bool masks as drawn.  One kernel
-scan of a chunk's jumps fills both makers' probes and counts the levels
-each jump sweeps, the one count the executed volume is priced from.
+Both paths draw the events in chunks of :data:`CHUNK_EVENTS` from one
+drawer, :func:`_draw_chunks`, so their memory does not grow with
+``n_events``: each random input reads its own part of the stream with a
+generator of its own, so the draws are those of :func:`draw_events`.
+Each chunk is scored in one step, the kernel
+:func:`lobeq.kernels.accumulate_pnl` and the event counts, and the
+per-level sums are added chunk by chunk (their last digits depend on
+:data:`CHUNK_EVENTS`).  The no-log path scores against the static book,
+closed-form on the tick grid or a user-supplied :class:`BookShape`; one
+kernel scan of a chunk's jumps fills both makers' probes and counts the
+levels each jump sweeps, the one count the executed volume is priced from.
+
+``record_log=True`` switches to a bookkeeping loop that keeps a two-sided
+order book on the absolute tick grid and writes a market-by-order log
+with ground-truth participant labels to a ``log`` path.  The price moves
+only at jumps and at nonzero noise drift, so a chunk's price path and the
+integer targets of its book states (one ``book_curves`` call for all of
+them and both sides) are computed before its loop, which only moves
+orders and writes each row through :func:`lobeq.mbo.row_encoder`.  The
+ask book each event met is read from the same state tables and scored.
+
 :class:`SimConfig` rejects a combination neither path can run before any
-draw is made.  ``record_log=True`` switches to a
-bookkeeping loop that maintains a two-sided order book on the absolute
-tick grid and emits a market-by-order event log with ground-truth
-participant labels.  The price moves only at jumps and at nonzero noise
-drift, both drawn up front, so the whole price path and the integer
-targets of every book state (one ``book_curves`` call for all states and
-both sides) are computed before the loop; the loop only moves orders and
-writes each row as its CSV line through :func:`lobeq.mbo.row_encoder`,
-joining the lines into blocks of text between events.  Between moves each
-side holds exactly its state's targets, so a noise trade that does not
-move the price is refilled from what its sweep took, and a whole side is
-re-targeted only at a move.  The ask book each event met is read from the
-same state tables and passed to the kernel.
+draw is made.  A logged run checks each chunk before writing any of its
+rows, and raises ``ValueError`` at the first chunk with an event time past
+int64 ns, a volume too large for ``volume_scale``, a price off the finite
+grid or an unbounded state book, after the earlier chunks' rows.
 """
 
 from __future__ import annotations
 
 import copy
-import io
 import itertools
 import math
+import numbers
 import sys
 from collections import deque
 from dataclasses import dataclass
@@ -69,7 +70,7 @@ import numpy as np
 from . import kernels
 from .equilibrium import BookShape, ModelParams, book_curves, shape_tick
 from . import mbo
-from .mbo import ADD, ASK, BID, CANCEL, EXECUTE, EventLog
+from .mbo import ADD, ASK, BID, CANCEL, EXECUTE
 
 __all__ = [
     "SimConfig",
@@ -78,7 +79,6 @@ __all__ = [
     "EventDraws",
     "draw_events",
     "run",
-    "export_mbo",
 ]
 
 @dataclass(frozen=True)
@@ -102,6 +102,10 @@ class SimConfig:
     volume_scale: int = 1_000_000
 
     def __post_init__(self):
+        for name in ("n_events", "seed", "n_levels", "volume_scale"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n_events < 1:
             raise ValueError("n_events must be at least 1")
         if self.n_events >= 2**63:                  # the run counts events in int64
@@ -155,10 +159,6 @@ class SimResult:
     pnl: list[LevelPnl]
     summary: dict
     book: BookShape
-    #: the CSV body of the market-by-order log of a ``record_log`` run, in
-    #: blocks of about :data:`lobeq.mbo.BLOCK_ROWS` rows; None without
-    #: ``record_log`` and when ``run`` wrote the log to a ``log`` path
-    mbo_text: list[str] | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -176,8 +176,8 @@ class EventDraws:
     drift: np.ndarray              # float64, zero at jump slots
 
 
-#: events drawn and scored at a time on the fast path, so that its memory
-#: does not grow with ``n_events``
+#: events drawn and scored at a time, so that a run's memory does not grow
+#: with ``n_events``
 CHUNK_EVENTS = 1 << 16
 
 
@@ -253,12 +253,25 @@ def draw_events(params: ModelParams, n_events: int, rng: np.random.Generator) ->
 
     Jump sizes and volume magnitudes are drawn for every slot (only the
     matching slots are consumed) so the draw stream does not depend on the
-    realized event kinds.  The fast path reads the same draws chunk by
-    chunk; either way ``rng`` is left at the end of the stream, and its bit
+    realized event kinds.  :func:`run` reads the same draws chunk by chunk;
+    either way ``rng`` is left at the end of the stream, and its bit
     generator must have ``advance`` (numpy's default PCG64 has it).
     """
     (draws,) = _draw_chunks(params, n_events, rng, max(n_events, 1))
     return draws
+
+
+def _time_stream(params: ModelParams, n_events: int, rng: np.random.Generator):
+    """A copy of ``rng`` moved past the stream :func:`_draw_chunks` reads,
+    to a logged run's event times: the sign chain is one uniform for its
+    first sign and one per noise event, which a pass over the kinds counts."""
+    g = copy.deepcopy(rng)
+    n_noise = sum(int(np.count_nonzero(g.random(min(CHUNK_EVENTS, n_events - begin)) >= params.r))
+                  for begin in range(0, n_events, CHUNK_EVENTS))
+    for law in (params.jump, None, params.volume):
+        _skip(g, n_events, law)
+    g.bit_generator.advance(1 + n_noise)
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -327,23 +340,6 @@ def _pnl_rows(imm_n, imm_sum, imm_sumsq, nmm_n, nmm_sum, nmm_sumsq) -> list[Leve
     return rows
 
 
-def _tally(jump, wins, buy) -> np.ndarray:
-    """Jumps, races the trader won and noise buys, counted from the masks."""
-    return np.array([np.count_nonzero(jump), np.count_nonzero(jump & wins),
-                     np.count_nonzero(buy)])
-
-
-def _summary_counts(n_events: int, n_jumps: int, n_wins: int, n_buys: int) -> dict:
-    return {
-        "n_events": n_events,
-        "n_jumps": n_jumps,
-        "n_it_wins": n_wins,
-        "n_noise_buys": n_buys,
-        "empirical_r": n_jumps / n_events,
-        "empirical_f": n_wins / n_jumps if n_jumps else math.nan,
-    }
-
-
 def _executed_volume(draws: EventDraws, x, eff_lvl, nmm_lvl, swept) -> np.ndarray:
     """Volume executed per level of the static book.
 
@@ -364,6 +360,36 @@ def _executed_volume(draws: EventDraws, x, eff_lvl, nmm_lvl, swept) -> np.ndarra
                      for level in range(len(x))])
 
 
+def _totals(m: int) -> list:
+    """Zero totals for ``m`` levels: the six per-level sums of
+    :func:`lobeq.kernels.accumulate_pnl`, then the jump, won-race and buy counts."""
+    return [np.zeros(m, dtype=dtype) for dtype in (np.int64, float, float) * 2] + [
+        np.zeros(3, dtype=np.int64)]
+
+
+def _score(totals: list, draws: EventDraws, x, informed, noise, swept=None) -> None:
+    """Add a chunk's probe fills against the book its events met (a static
+    ``(m,)`` book, or ``(k, m)`` rows, one per event) and its counts to
+    ``totals``; ``swept`` as for :func:`lobeq.kernels.accumulate_pnl`."""
+    jump, wins, buy = draws.is_jump, draws.it_wins, draws.noise_sign > 0
+    parts = kernels.accumulate_pnl(jump, wins, draws.jump_size, buy, draws.noise_mag,
+                                   draws.drift, x, informed, noise, swept=swept)
+    counts = np.count_nonzero(jump), np.count_nonzero(jump & wins), np.count_nonzero(buy)
+    for total, part in zip(totals, (*parts, counts)):
+        total += part
+
+
+def _result(cfg: SimConfig, book: BookShape, totals: list, **extra) -> SimResult:
+    """The result of a run from its totals; the summary holds the counts,
+    then ``extra``, then the seed."""
+    n_jumps, n_wins, n_buys = totals[6].tolist()
+    summary = {"n_events": cfg.n_events, "n_jumps": n_jumps, "n_it_wins": n_wins,
+               "n_noise_buys": n_buys, "empirical_r": n_jumps / cfg.n_events,
+               "empirical_f": n_wins / n_jumps if n_jumps else math.nan, **extra,
+               "seed": cfg.seed}
+    return SimResult(pnl=_pnl_rows(*totals[:6]), summary=summary, book=book)
+
+
 def _run_fast(cfg: SimConfig, book: BookShape, chunks) -> SimResult:
     """Score the draws chunk by chunk against the static book, adding up
     the probe statistics, the executed volume and the counters.  One kernel
@@ -371,24 +397,13 @@ def _run_fast(cfg: SimConfig, book: BookShape, chunks) -> SimResult:
     x, informed, noise = book.grid, book.informed, book.noise
     eff_lvl = book.per_level
     nmm_lvl = _nmm_level_split(eff_lvl, noise)
-    stats = [np.zeros(len(x), dtype=dtype) for dtype in (np.int64, float, float) * 2]
+    totals = _totals(len(x))
     executed = np.zeros(len(x))
-    tally = np.zeros(3, dtype=np.int64)
     for draws in chunks:
-        buy = draws.noise_sign > 0
         swept = np.zeros((2, len(x)), dtype=np.int64)
-        for total, part in zip(stats, kernels.accumulate_pnl(
-                draws.is_jump, draws.it_wins, draws.jump_size, buy, draws.noise_mag,
-                draws.drift, x, informed, noise, swept=swept)):
-            total += part
+        _score(totals, draws, x, informed, noise, swept)
         executed += _executed_volume(draws, x, eff_lvl, nmm_lvl, swept)
-        tally += _tally(draws.is_jump, draws.it_wins, buy)
-    summary = {
-        **_summary_counts(cfg.n_events, *tally.tolist()),
-        "executed_volume_per_level": executed.tolist(),
-        "seed": cfg.seed,
-    }
-    return SimResult(pnl=_pnl_rows(*stats), summary=summary, book=book)
+    return _result(cfg, book, totals, executed_volume_per_level=executed.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -398,21 +413,6 @@ def _run_fast(cfg: SimConfig, book: BookShape, chunks) -> SimResult:
 _SNAP = 1e-9
 #: the efficient price at the start of a logged run
 P0 = 100.0
-
-
-def _event_times(params: ModelParams, n_events: int, rng: np.random.Generator) -> np.ndarray:
-    """Event timestamps in ns: exponential gaps at the total event rate,
-    rounded to whole ns and at least 1 ns apart.  ValueError if a gap or a
-    timestamp does not fit in int64 ns (about 292 years)."""
-    lam_i, lam_u = params.rates
-    with np.errstate(over="ignore"):             # an infinite gap fails the check below
-        gaps = np.maximum(1.0, np.round(rng.exponential(1.0 / (lam_i + lam_u), n_events) * 1e9))
-    # each gap below 2**63 casts exactly, and a sum past 2**63 - 1 wraps negative first
-    times = np.cumsum(gaps.astype(np.int64)) if np.all(gaps < 2.0**63) else None
-    if times is None or np.any(times < 0):
-        raise ValueError(f"n_events = {n_events} at lambda_i + lambda_u = {lam_i + lam_u} "
-                         f"per second run past 2**63 ns of event time")
-    return times
 
 
 def _grid_layout(price: np.ndarray, tick: float, n_levels: int) -> tuple[np.ndarray, np.ndarray]:
@@ -469,69 +469,31 @@ class _LoggedRun:
     front, oldest order id first across both queues.  So a level is in
     arrival order, and an informed order may wait behind a noise order.
 
-    The price moves only at jumps and at nonzero noise drift, so its whole
-    path, and with it every book the run will target, is computed before
-    the event loop: state ``s`` is the price after the ``s``-th move.  The
-    loop only moves orders and appends rows.  Between moves each side
-    holds exactly its state's targets after every event, so the volume
-    within a jump and the probe rows are read from the state tables, and
-    after a noise sweep that does not move the price each maker's deficit
-    at a walked level is what the sweep filled from that maker there:
-    ``_refill`` re-adds the sweep's takes, level by level from near to
-    far, informed before noise, and ``_morph`` runs only for new states.
+    The price moves only at jumps and at nonzero noise drift, so
+    :meth:`_load` computes a chunk's price path, and with it every book the
+    chunk will target, before the chunk's loop: state ``s`` is the price
+    after the chunk's ``s``-th move, state 0 the one it starts from.  Only
+    the last price, the book, the order-id counter and the last event time
+    carry across chunks.  The loop only moves orders and appends rows.
+    Between moves each side holds exactly its state's targets after every
+    event, so the volume within a jump and the probe rows are read from the
+    state tables, and after a noise sweep that does not move the price each
+    maker's deficit at a walked level is what the sweep filled from that
+    maker there: ``_refill`` re-adds the sweep's takes, level by level from
+    near to far, informed before noise, and ``_morph`` runs only for new
+    states.
 
     Each row's text is put together from parts made once: the timestamp
-    once per event, each grid price once per index, and the head and tail
-    of each row kind (:func:`lobeq.mbo.row_kind`) once per run.
+    once per event, each grid price once per index and chunk, and the head
+    and tail of each row kind (:func:`lobeq.mbo.row_kind`) once per run.
     """
 
-    def __init__(self, cfg: SimConfig, draws: EventDraws, times_ns: np.ndarray):
+    def __init__(self, cfg: SimConfig, chunks, clock: np.random.Generator):
         self.cfg = cfg
-        self.draws = draws
-        self.times_ns = times_ns
-        tick = cfg.params.tick
-
-        # drift is zero at jump slots and when theta = 0; one running sum
-        # adds the same floats in the same order as moving the price event
-        # by event
-        jump = draws.is_jump
-        self.moves = jump | (draws.drift != 0.0)
-        steps = np.where(jump, draws.jump_size, draws.drift)[self.moves]
-        with np.errstate(over="ignore", invalid="ignore"):   # _grid_layout rejects the overflow
-            price = np.cumsum(np.concatenate(([P0], steps)))
-        idx, dist = _grid_layout(price, tick, cfg.n_levels)
-        informed, noise = book_curves(cfg.params, dist)
-        _check_bounded(informed)
-        # every target and noise volume must fit in int64 units; dividing,
-        # not multiplying, keeps a huge integer scale from overflowing a float
-        largest = max(informed.max(), noise.max(), draws.noise_mag[~jump].max(initial=0.0))
-        if largest >= 2**63 / cfg.volume_scale:
-            raise ValueError(f"volume_scale {cfg.volume_scale} is too large: a volume of "
-                             f"{largest:.6g} becomes more units than an int64 holds")
-        lvl = np.diff(np.round(informed * cfg.volume_scale).astype(np.int64), prepend=0)
-        nmm = _nmm_level_split(lvl, np.round(noise * cfg.volume_scale).astype(np.int64))
-
-        # per state and side, near to far: grid index, informed and noise units
-        self.idx = idx.tolist()
-        self.imm = (lvl - nmm).tolist()
-        self.nmm = nmm.tolist()
-        # the text of each grid price, rounded to keep it identical to its
-        # CSV round-trip (a set, not np.unique, which would import numpy.ma)
-        self.px = {i: mbo.float_text(round(i * tick, 12)) for i in set(idx.ravel().tolist())}
-        # the state after the initial book (at ts 0) and after each event
-        state = np.concatenate(([0], np.cumsum(self.moves)))
-
-        # the ask book each event met, scored by the probe kernel afterwards,
-        # which reads the level distances only at jumps and noise buys and
-        # the queue depths only at buys
-        before = state[:-1]
-        self.probe_x = dist[before, ASK]
-        self.probe_imm = informed[before, ASK]
-        self.probe_nmm = noise[before, ASK]
-        # a jump of size b sweeps the ask levels at distance <= b, a prefix
-        within = self.probe_x <= draws.jump_size[:, None]
-        self.n_swept = within.sum(axis=1).tolist()
-        self.jump_volume = np.where(within, lvl[before, ASK], 0).sum(axis=1).tolist()
+        self.chunks = chunks
+        self.clock = clock
+        self.price, self.t_ns = P0, 0             # the last price and event time
+        self.totals = _totals(cfg.n_levels)
 
         # side -> grid index -> the (IMM, NMM) queues of the level
         self.levels: tuple[dict[int, tuple], dict[int, tuple]] = ({}, {})
@@ -552,6 +514,67 @@ class _LoggedRun:
         self._lines: list[str] = []
         self._emit = mbo.row_encoder(self._lines.append)
         self._next_oid = itertools.count(1).__next__
+
+    def _load(self, draws: EventDraws) -> None:
+        """Make the tables of the chunk ``draws``: its event times
+        (exponential gaps at the total event rate, in whole ns, at least 1
+        ns apart), its states' layouts and targets, and its probe rows."""
+        # drop the last chunk's tables first, so two chunks' never coexist
+        self.idx = self.imm = self.nmm = self.px = self.probe_x = self.probe_imm = None
+        self.probe_nmm = self.n_swept = self.jump_volume = None
+        cfg, tick = self.cfg, self.cfg.params.tick
+        lam_i, lam_u = cfg.params.rates
+        with np.errstate(over="ignore"):         # an infinite gap fails the check below
+            gaps = np.maximum(1.0, np.round(
+                self.clock.exponential(1.0 / (lam_i + lam_u), len(draws.is_jump)) * 1e9))
+        # each gap below 2**63 casts exactly, and a sum past 2**63 - 1 wraps negative first
+        times = np.cumsum(gaps.astype(np.int64)) + self.t_ns if np.all(gaps < 2.0**63) else None
+        if times is None or np.any(times < 0):
+            raise ValueError(f"n_events = {cfg.n_events} at lambda_i + lambda_u = "
+                             f"{lam_i + lam_u} per second run past 2**63 ns of event time")
+        self.times_ns, self.t_ns = times, int(times[-1])
+
+        # drift is zero at jump slots and when theta = 0; one running sum
+        # from the last price adds the same floats in the same order as
+        # moving the price event by event
+        jump = draws.is_jump
+        self.moves = jump | (draws.drift != 0.0)
+        steps = np.where(jump, draws.jump_size, draws.drift)[self.moves]
+        with np.errstate(over="ignore", invalid="ignore"):   # _grid_layout rejects the overflow
+            price = np.cumsum(np.concatenate(([self.price], steps)))
+        idx, dist = _grid_layout(price, tick, cfg.n_levels)
+        informed, noise = book_curves(cfg.params, dist)
+        _check_bounded(informed)
+        # every target and noise volume must fit in int64 units; dividing,
+        # not multiplying, keeps a huge integer scale from overflowing a float
+        largest = max(informed.max(), noise.max(), draws.noise_mag[~jump].max(initial=0.0))
+        if largest >= 2**63 / cfg.volume_scale:
+            raise ValueError(f"volume_scale {cfg.volume_scale} is too large: a volume of "
+                             f"{largest:.6g} becomes more units than an int64 holds")
+        lvl = np.diff(np.round(informed * cfg.volume_scale).astype(np.int64), prepend=0)
+        nmm = _nmm_level_split(lvl, np.round(noise * cfg.volume_scale).astype(np.int64))
+        self.price = price[-1]
+
+        # per state and side, near to far: grid index, informed and noise units
+        self.idx = idx.tolist()
+        self.imm = (lvl - nmm).tolist()
+        self.nmm = nmm.tolist()
+        # the text of each grid price, rounded to keep it identical to its
+        # CSV round-trip (a set, not np.unique, which would import numpy.ma)
+        self.px = {i: mbo.float_text(round(i * tick, 12)) for i in set(idx.ravel().tolist())}
+        # the state each event met
+        before = np.concatenate(([0], np.cumsum(self.moves)[:-1]))
+
+        # the ask book each event met, scored by the probe kernel after the
+        # chunk, which reads the level distances only at jumps and noise buys
+        # and the queue depths only at buys
+        self.probe_x = dist[before, ASK]
+        self.probe_imm = informed[before, ASK]
+        self.probe_nmm = noise[before, ASK]
+        # a jump of size b sweeps the ask levels at distance <= b, a prefix
+        within = self.probe_x <= draws.jump_size[:, None]
+        self.n_swept = within.sum(axis=1).tolist()
+        self.jump_volume = np.where(within, lvl[before, ASK], 0).sum(axis=1).tolist()
 
     # -- replenishment ----------------------------------------------------------
 
@@ -697,57 +720,38 @@ class _LoggedRun:
         return block
 
     def blocks(self):
-        """Run the event loop, yielding the log's text a block at a time."""
-        d = self.draws
-        lines, layouts = self._lines, self.idx
-        sweep, refill, morph = self._sweep, self._refill, self._morph
+        """Run the event loop chunk by chunk, yielding the log's text a
+        block at a time, and score each chunk once its loop is done."""
+        lines, sweep, refill, morph = self._lines, self._sweep, self._refill, self._morph
         scale = self.cfg.volume_scale
-        morph("0", ASK, 0)
-        morph("0", BID, 0)
-        s = 0
-        for e, (ts, is_jump, win, sign, mag, moves) in enumerate(zip(
-                map(str, self.times_ns.tolist()), d.is_jump.tolist(), d.it_wins.tolist(),
-                d.noise_sign.tolist(), d.noise_mag.tolist(), self.moves.tolist())):
-            if is_jump:
-                self._handle_jump(ts, e, s, win)
-            else:
-                side = ASK if sign > 0 else BID
-                q_units = int(round(mag * scale))
-                if q_units:
-                    taken = sweep(ts, side, layouts[s][side], q_units, "NT")
-                    if not moves:
-                        refill(ts, side, taken)
-            if moves:
-                s += 1
-                morph(ts, ASK, s)
-                morph(ts, BID, s)
-            if len(lines) >= mbo.BLOCK_ROWS:
-                yield self._cut()
+        for n, draws in enumerate(self.chunks):
+            self._load(draws)
+            if n == 0:
+                morph("0", ASK, 0)
+                morph("0", BID, 0)
+            s = 0
+            for e, (ts, is_jump, win, sign, mag, moves) in enumerate(zip(
+                    map(str, self.times_ns.tolist()), draws.is_jump.tolist(),
+                    draws.it_wins.tolist(), draws.noise_sign.tolist(), draws.noise_mag.tolist(),
+                    self.moves.tolist())):
+                if is_jump:
+                    self._handle_jump(ts, e, s, win)
+                else:
+                    side = ASK if sign > 0 else BID
+                    q_units = int(round(mag * scale))
+                    if q_units:
+                        taken = sweep(ts, side, self.idx[s][side], q_units, "NT")
+                        if not moves:
+                            refill(ts, side, taken)
+                if moves:
+                    s += 1
+                    morph(ts, ASK, s)
+                    morph(ts, BID, s)
+                if len(lines) >= mbo.BLOCK_ROWS:
+                    yield self._cut()
+            _score(self.totals, draws, self.probe_x, self.probe_imm, self.probe_nmm)
         if lines:
             yield self._cut()
-
-
-def _run_logged(cfg: SimConfig, book: BookShape, draws: EventDraws,
-                rng: np.random.Generator, log) -> SimResult:
-    lr = _LoggedRun(cfg, draws, _event_times(cfg.params, cfg.n_events, rng))
-    if log is None:
-        text = list(lr.blocks())
-    else:
-        text = None
-        mbo.write_csv(lr.blocks(), log)
-
-    buy = draws.noise_sign > 0
-    pnl = _pnl_rows(*kernels.accumulate_pnl(
-        draws.is_jump, draws.it_wins, draws.jump_size, buy, draws.noise_mag, draws.drift,
-        lr.probe_x, lr.probe_imm, lr.probe_nmm))
-    summary = {
-        **_summary_counts(cfg.n_events, *_tally(draws.is_jump, draws.it_wins, buy).tolist()),
-        # a Python int: exact at any size, and what json.dump writes
-        "executed_units_total": lr.executed_units,
-        "n_mbo_rows": lr.n_rows,
-        "seed": cfg.seed,
-    }
-    return SimResult(pnl=pnl, summary=summary, book=book, mbo_text=text)
 
 
 # ---------------------------------------------------------------------------
@@ -758,26 +762,23 @@ def _run_logged(cfg: SimConfig, book: BookShape, draws: EventDraws,
 def run(cfg: SimConfig, log=None) -> SimResult:
     """Run the event simulation; deterministic for a fixed seed.
 
-    A ``record_log`` run given a ``log`` path writes its market-by-order log
-    there through :func:`lobeq.mbo.write_csv`, a block at a time as the
-    event loop cuts it, and returns no ``mbo_text``; without one it
-    collects the blocks into ``mbo_text``."""
-    if log is not None and not cfg.record_log:
-        raise ValueError("a log path needs record_log=True")
+    A ``record_log`` run needs a ``log`` path, and writes its
+    market-by-order log there through :func:`lobeq.mbo.write_csv`, a block
+    at a time as the event loop cuts it; a run without ``record_log``
+    takes no ``log``.  A logged run raises the errors its draws can cause
+    at the chunk that meets them (see the module docstring)."""
+    if cfg.record_log == (log is None):
+        raise ValueError("record_log=True needs a log path" if cfg.record_log
+                         else "a log path needs record_log=True")
     book = _resolve_book(cfg)
     rng = np.random.default_rng(cfg.seed)
-    if cfg.record_log:
-        return _run_logged(cfg, book, draw_events(cfg.params, cfg.n_events, rng), rng, log)
-    return _run_fast(cfg, book, _draw_chunks(cfg.params, cfg.n_events, rng, CHUNK_EVENTS))
-
-
-def export_mbo(result: SimResult) -> EventLog:
-    """Market-by-order log of a ``record_log=True`` run (ground-truth
-    participant labels included): :func:`lobeq.mbo.parse` of its text."""
-    if result.mbo_text is None:
-        raise ValueError("run was executed without record_log=True")
-    # bytes behind a text reader: a StringIO of the text would hold four
-    # bytes per character
-    text = b"".join(block.encode() for block in (mbo.HEADER_LINE, *result.mbo_text))
-    return mbo.parse(io.TextIOWrapper(io.BytesIO(text), encoding="utf-8", newline=""))
-
+    chunks = _draw_chunks(cfg.params, cfg.n_events, rng, CHUNK_EVENTS)
+    if not cfg.record_log:
+        return _run_fast(cfg, book, chunks)
+    # _draw_chunks draws nothing until iterated: the clock is copied from
+    # rng at the stream's start
+    lr = _LoggedRun(cfg, chunks, _time_stream(cfg.params, cfg.n_events, rng))
+    mbo.write_csv(lr.blocks(), log)
+    # a Python int: exact at any size, and what json.dump writes
+    return _result(cfg, book, lr.totals, executed_units_total=lr.executed_units,
+                   n_mbo_rows=lr.n_rows)

@@ -6,9 +6,10 @@ its price path and book targets: the book's layout and closed-form
 targets are recomputed with numpy at every morph (curves cached per price
 between moves), every side is morphed level by level, and each MBO row is
 built as an ``EventLog.Row``, which the csv-module writer of
-``tests/mbo_oracle.py`` turns into the result's log text.  ``run`` replays
-``lobeq.simulator.run`` for a ``record_log`` config with it, on the same
-draws and timestamps.  It also
+``tests/mbo_oracle.py`` turns into the text the logged run must write.
+``run`` replays ``lobeq.simulator.run`` for a ``record_log`` config with
+it, on the same draws (``draw_events``, the whole run as one chunk) and
+timestamps (``event_times``, drawn whole after the draws).  It also
 keeps a ``SimEvent`` per event with the fills it caused, from which its
 ``executed_units_total`` is summed independently of the log, and the best
 quotes its own book shows after each event, which the replay of the log
@@ -27,17 +28,22 @@ from mbo_oracle import dumps
 from lobeq.equilibrium import book_curves, shape_tick
 from lobeq.kernels import accumulate_pnl
 from lobeq.mbo import EventLog
-from lobeq.simulator import (
-    P0,
-    EventDraws,
-    SimConfig,
-    SimResult,
-    _event_times,
-    _pnl_rows,
-    _summary_counts,
-    _tally,
-    draw_events,
-)
+from lobeq.simulator import P0, EventDraws, SimConfig, SimResult, _result, draw_events
+
+
+def event_times(params, n_events: int, rng: np.random.Generator) -> np.ndarray:
+    """Event timestamps in ns, drawn whole: exponential gaps at the total
+    event rate, rounded to whole ns and at least 1 ns apart.  ValueError if
+    a gap or a timestamp does not fit in int64 ns (about 292 years)."""
+    lam_i, lam_u = params.rates
+    with np.errstate(over="ignore"):             # an infinite gap fails the check below
+        gaps = np.maximum(1.0, np.round(rng.exponential(1.0 / (lam_i + lam_u), n_events) * 1e9))
+    # each gap below 2**63 casts exactly, and a sum past 2**63 - 1 wraps negative first
+    times = np.cumsum(gaps.astype(np.int64)) if np.all(gaps < 2.0**63) else None
+    if times is None or np.any(times < 0):
+        raise ValueError(f"n_events = {n_events} at lambda_i + lambda_u = {lam_i + lam_u} "
+                         f"per second run past 2**63 ns of event time")
+    return times
 
 
 @dataclass(frozen=True)
@@ -367,30 +373,26 @@ class _LoggedRun:
 
 
 
-def run(cfg: SimConfig) -> tuple[SimResult, _LoggedRun]:
-    """``lobeq.simulator.run(cfg)`` for a ``record_log`` config, and the
-    finished oracle run (its probe arrays, its events and its best-quote
-    snapshots, one after the initial book and one after each event)."""
+def run(cfg: SimConfig) -> tuple[SimResult, str, _LoggedRun]:
+    """``lobeq.simulator.run(cfg, log=...)`` for a ``record_log`` config,
+    the text it writes to its log, and the finished oracle run (its probe
+    arrays, its events and its best-quote snapshots, one after the initial
+    book and one after each event).  The probe statistics are summed over
+    the whole run at once."""
     rng = np.random.default_rng(cfg.seed)
     draws = draw_events(cfg.params, cfg.n_events, rng)
-    times_ns = _event_times(cfg.params, cfg.n_events, rng)
+    times_ns = event_times(cfg.params, cfg.n_events, rng)
     lr = _LoggedRun(cfg, draws)
     lr.run_all(times_ns)
 
-    book = shape_tick(cfg.params, cfg.n_levels)
-    buy = draws.noise_sign > 0
-    pnl = _pnl_rows(*accumulate_pnl(draws.is_jump, draws.it_wins, draws.jump_size, buy,
-                                    draws.noise_mag, draws.drift,
-                                    lr.probe_x, lr.probe_imm, lr.probe_nmm))
+    jump, buy = draws.is_jump, draws.noise_sign > 0
+    totals = [*accumulate_pnl(jump, draws.it_wins, draws.jump_size, buy, draws.noise_mag,
+                              draws.drift, lr.probe_x, lr.probe_imm, lr.probe_nmm),
+              np.array([np.count_nonzero(jump), np.count_nonzero(jump & draws.it_wins),
+                        np.count_nonzero(buy)])]
     executed_units = sum(
         q for ev in lr.events for (_side, _idx, q) in ev.executed_per_level
     )
-    summary = {
-        **_summary_counts(cfg.n_events, *_tally(draws.is_jump, draws.it_wins, buy).tolist()),
-        "executed_units_total": executed_units,
-        "n_mbo_rows": len(lr.rows),
-        "seed": cfg.seed,
-    }
-    _header, _, body = dumps(lr.rows).partition("\r\n")
-    result = SimResult(pnl=pnl, summary=summary, book=book, mbo_text=[body])
-    return result, lr
+    result = _result(cfg, shape_tick(cfg.params, cfg.n_levels), totals,
+                     executed_units_total=executed_units, n_mbo_rows=len(lr.rows))
+    return result, dumps(lr.rows), lr

@@ -9,13 +9,19 @@ coded field to its code.  A table is compared with rows through its
 iteration: ``list(table) == rows``.  ``event_log`` is ``from_rows`` for
 an ``EventLog``, and ``csv_body`` writes a log's rows through
 ``lobeq.mbo.row_encoder``, each with its own kind and price text.
+``logged_run`` runs a logged simulation into a temporary file and reads
+its log back.
 """
 
 from __future__ import annotations
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 
-from lobeq.mbo import EventLog, float_text, row_encoder, row_kind
+from lobeq.mbo import EventLog, float_text, parse, row_encoder, row_kind
+from lobeq.simulator import run
 
 
 def from_rows(cls, rows):
@@ -57,3 +63,12 @@ def csv_body(log: EventLog) -> str:
             *(col.tolist() for col in log.columns())):
         emit(ts, oid, row_kind(action, side, flag, label), float_text(price), qty)
     return "".join(lines)
+
+
+def logged_run(cfg):
+    """``lobeq.simulator.run`` of a ``record_log`` config, its log written
+    to a temporary file: the result, the file's text and its ``parse``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "mbo.csv"
+        result = run(cfg, log=path)
+        return result, path.read_bytes().decode(), parse(path)

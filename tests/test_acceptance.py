@@ -34,9 +34,9 @@ from lobeq.equilibrium import (
     theta_bar,
 )
 from lobeq.laws import Exponential, LaplaceVolume, NormalVolume, Pareto
-from lobeq.mbo import reconstruct
+from lobeq.mbo import parse, reconstruct
 from lobeq.signature import QuoteSeries, build_trade_records
-from lobeq.simulator import SimConfig, export_mbo, run
+from lobeq.simulator import SimConfig, run
 
 REF = ModelParams(r=0.9, f=0.9, jump=Pareto(3.0, 0.005), volume=NormalVolume(10.0),
                   tick=0.01, offset_d=0.0)
@@ -268,14 +268,14 @@ def signature_and_bootstrap_se(trades, k_ns, quotes, kind, rng, n_boot=200):
     return st, float(boot.std(ddof=1))
 
 
-def test_7_signature_recovery_on_labeled_log():
+def test_7_signature_recovery_on_labeled_log(tmp_path):
     t0 = time.time()
     params = ModelParams(r=0.15, f=0.9, jump=Pareto(2.5, 0.01),
                          volume=NormalVolume(10.0), tick=0.01, offset_d=0.0,
                          lambda_i=0.15, lambda_u=0.85)
-    res = run(SimConfig(params=params, n_events=10**5, seed=31,
-                        record_log=True, n_levels=8, volume_scale=1000))
-    replay = reconstruct(export_mbo(res))
+    run(SimConfig(params=params, n_events=10**5, seed=31,
+                  record_log=True, n_levels=8, volume_scale=1000), log=tmp_path / "mbo.csv")
+    replay = reconstruct(parse(tmp_path / "mbo.csv"))
     quotes = QuoteSeries.from_replay(replay)
     aggressive, _ = build_trade_records(replay)
     it = aggressive.take(aggressive.participant_label == "IT")

@@ -22,7 +22,8 @@ from lobeq.simulator import (
     EventDraws,
     _executed_volume,
     _nmm_level_split,
-    _tally,
+    _score,
+    _totals,
     draw_events,
 )
 from pnl_oracle import accumulate_pnl as oracle_pnl, sweeps
@@ -51,15 +52,14 @@ def run_oracle(draws, book):
 
 
 def run_numpy(draws, book):
-    """The same outputs from the numpy kernel and the simulator's
-    executed-volume and counter helpers, the volume priced from the sweeps
-    the kernel counted, as the fast path prices it."""
+    """The same outputs from the simulator's scoring step (the numpy
+    kernel and the counters) and its executed-volume helper, the volume
+    priced from the sweeps the kernel counted, as the fast path prices it."""
     x, imm_ahead, nmm_ahead, eff_lvl, nmm_lvl = book
-    inputs = kernel_inputs(draws)
+    totals = _totals(len(x))
     swept = np.zeros((2, len(x)), dtype=np.int64)
-    return [*accumulate_pnl(*inputs, x, imm_ahead, nmm_ahead, swept=swept),
-            _executed_volume(draws, x, eff_lvl, nmm_lvl, swept),
-            _tally(inputs[0], inputs[1], inputs[3])]
+    _score(totals, draws, x, imm_ahead, nmm_ahead, swept)
+    return [*totals[:6], _executed_volume(draws, x, eff_lvl, nmm_lvl, swept), totals[6]]
 
 
 def assert_matches(got, want):

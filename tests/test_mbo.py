@@ -31,9 +31,9 @@ from lobeq.mbo import (
     write_csv,
 )
 from lobeq.signature import QuoteSeries, TradeTable
-from lobeq.simulator import SimConfig, export_mbo, run
+from lobeq.simulator import SimConfig, run
 from test_signature import ASK_PX, BID_PX, book_streams
-from tables import csv_body, event_log, from_rows
+from tables import csv_body, event_log, from_rows, logged_run
 from test_simulator import logged_configs
 
 
@@ -622,14 +622,12 @@ class TestEncoder:
     @given(cfg=logged_configs())
     def test_logged_runs(self, cfg):
         try:
-            expected, _ = logged_oracle.run(cfg)
+            expected, _, _ = logged_oracle.run(cfg)
         except ValueError:
             assume(False)
-        result = run(cfg)
-        text = "".join(result.mbo_text)
-        log = export_mbo(result)
-        assert mbo.HEADER_LINE + text == dumps(log)
-        assert result.summary["n_mbo_rows"] == len(log) == text.count("\r\n")
+        result, text, log = logged_run(cfg)
+        assert text == dumps(log)
+        assert result.summary["n_mbo_rows"] == len(log) == text.count("\r\n") - 1
         assert (result.summary["executed_units_total"]
                 == expected.summary["executed_units_total"]
                 == int(log.qty[(log.action == mbo.EXECUTE) & (log.aggressor_flag == 0)].sum()))
@@ -650,8 +648,8 @@ class TestMatchesOracle:
     @given(n_events=st.integers(1, 200), seed=st.integers(0, 2**32 - 1),
            n_levels=st.integers(1, 8))
     def test_simulator_logs(self, n_events, seed, n_levels):
-        log = export_mbo(run(SimConfig(params=LOGGED, n_events=n_events, seed=seed,
-                                       record_log=True, n_levels=n_levels, volume_scale=1000)))
+        _, _, log = logged_run(SimConfig(params=LOGGED, n_events=n_events, seed=seed,
+                                         record_log=True, n_levels=n_levels, volume_scale=1000))
         assert_parse_parity(dumps(log), tick=0.01)
         assert_replay_parity(log)
         assert_replay_parity(parse(io.StringIO(dumps(log))))
@@ -1041,7 +1039,7 @@ class TestReadMemory:
         cfg = SimConfig(params=LOGGED, n_events=20_000, seed=3, record_log=True, n_levels=8,
                         volume_scale=1000)
         path = tmp_path / "mbo.csv"
-        write_csv(run(cfg).mbo_text, path)
+        run(cfg, log=path)
         tracemalloc.start()
         try:
             log = parse(path, tick=LOGGED.tick)
@@ -1061,8 +1059,8 @@ class TestParsedWalk:
     @pytest.fixture(scope="class")
     def log_path(self, tmp_path_factory):
         path = tmp_path_factory.mktemp("walk") / "mbo.csv"
-        write_csv(run(SimConfig(params=LOGGED, n_events=400, seed=5, record_log=True,
-                                n_levels=4, volume_scale=1000)).mbo_text, path)
+        run(SimConfig(params=LOGGED, n_events=400, seed=5, record_log=True, n_levels=4,
+                      volume_scale=1000), log=path)
         return path
 
     def test_one_walk_per_parsed_log(self, log_path, monkeypatch):

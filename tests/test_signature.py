@@ -12,7 +12,8 @@ import mbo_oracle
 import records_oracle
 import signature_oracle as oracle
 from mbo_oracle import dumps
-from tables import event_log, from_rows
+from logged_oracle import event_times
+from tables import event_log, from_rows, logged_run
 from lobeq.equilibrium import ModelParams
 from lobeq.laws import NormalVolume, Pareto
 from lobeq.mbo import EventLog, Fills, Lifecycles, Quotes, parse, reconstruct
@@ -29,7 +30,7 @@ from lobeq.signature import (
     mid_price,
     signature_curves,
 )
-from lobeq.simulator import SimConfig, _event_times, draw_events, export_mbo, run
+from lobeq.simulator import SimConfig, draw_events
 
 
 class TestReferencePrices:
@@ -214,7 +215,7 @@ SIM_LOG = SimConfig(params=ModelParams(r=0.15, f=0.9, jump=Pareto(2.5, 0.01),
 
 @pytest.fixture(scope="module")
 def sim_replay():
-    return reconstruct(export_mbo(run(SIM_LOG)))
+    return reconstruct(logged_run(SIM_LOG)[2])
 
 
 class TestTradeRecords:
@@ -247,7 +248,7 @@ class TestTradeRecords:
         rng = np.random.default_rng(SIM_LOG.seed)
         draws = draw_events(SIM_LOG.params, SIM_LOG.n_events, rng)
         jump = draws.is_jump
-        jump_ts = _event_times(SIM_LOG.params, SIM_LOG.n_events, rng)[jump]
+        jump_ts = event_times(SIM_LOG.params, SIM_LOG.n_events, rng)[jump]
         it_won_at = dict(zip(jump_ts.tolist(), draws.it_wins[jump].tolist()))
         it = aggressive.take((aggressive.participant_label == "IT")
                              & ~np.isnan(aggressive.volume_ratio))
@@ -456,9 +457,10 @@ class TestTablesMatchRecordsOracle:
            theta=st.sampled_from([0.0, 0.005, 0.02]))
     def test_simulator_logs(self, n_events, seed, n_levels, volume_scale, theta):
         params = dataclasses.replace(LOGGED, theta=theta)
-        result = run(SimConfig(params=params, n_events=n_events, seed=seed, record_log=True,
-                               n_levels=n_levels, volume_scale=volume_scale))
-        assert_tables_match_oracle(export_mbo(result))
+        _, _, log = logged_run(SimConfig(params=params, n_events=n_events, seed=seed,
+                                         record_log=True, n_levels=n_levels,
+                                         volume_scale=volume_scale))
+        assert_tables_match_oracle(log)
 
     @settings(max_examples=300)
     @given(events=book_streams())

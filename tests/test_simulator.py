@@ -1,12 +1,16 @@
 """Monte Carlo simulator: zero-profit closure, mechanics, determinism and
 logged-run bookkeeping."""
 
+import csv
 import dataclasses
 import io
+import json
 import math
 import re
 import sys
+import tempfile
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -17,25 +21,24 @@ import draw_oracle
 import logged_oracle
 from mbo_oracle import dumps
 from pnl_oracle import sweeps
-from tables import csv_body, event_log
+from tables import csv_body, event_log, logged_run
 from lobeq.equilibrium import BookShape, ModelParams, book_curves, shape_tick
 from lobeq.kernels import accumulate_pnl
 from lobeq.laws import Exponential, LaplaceVolume, NormalVolume, Pareto, PointMass
 from lobeq.mbo import HEADER_LINE, EventLog, Quotes, parse, reconstruct, write_csv
 from lobeq import simulator
+from lobeq.cli import main
 from lobeq.simulator import (
     CHUNK_EVENTS,
     EventDraws,
     SimConfig,
     _draw_chunks,
-    _event_times,
     _executed_volume,
     _LoggedRun,
     _nmm_level_split,
     _pnl_rows,
-    _tally,
+    _time_stream,
     draw_events,
-    export_mbo,
     run,
 )
 
@@ -248,6 +251,19 @@ class TestFastPath:
                                              rf"limit, got {n_events}$"):
             SimConfig(params=dataclasses.replace(REF, theta=1.0), n_events=n_events, seed=0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("n_events", 1000.0), ("n_events", True), ("seed", 1.5), ("seed", False),
+        ("n_levels", 2.0), ("n_levels", "3"), ("volume_scale", 1000.5), ("volume_scale", True)])
+    def test_integer_fields_must_be_integers(self, field, value):
+        # rejected at once, naming the field, on both paths; numpy integers pass
+        for record_log in (False, True):
+            with pytest.raises(ValueError, match=f"^{field} must be an integer, got "
+                                                 f"{re.escape(repr(value))}$"):
+                SimConfig(**{"params": LOGGED, "n_events": 10, "seed": 0,
+                             "record_log": record_log, field: value})
+        SimConfig(params=LOGGED, n_events=np.int64(10), seed=np.uint32(0),
+                  n_levels=np.int8(2), volume_scale=np.int64(1000))
+
 
 DRAW_FIELDS = [f.name for f in dataclasses.fields(EventDraws)]
 JUMP_LAWS = [Pareto(3.0, 0.005), Exponential(200.0), PointMass(0.02)]
@@ -285,6 +301,9 @@ class TestChunkedDraws:
         got, rng = chunked(params, n_events, seed, chunk)
         assert_same_draws(got, want)
         assert rng.bit_generator.state == want_rng.bit_generator.state
+        # the logged path's clock starts where the draws end
+        clock = _time_stream(params, n_events, np.random.default_rng(seed))
+        assert clock.bit_generator.state == want_rng.bit_generator.state
 
     @pytest.mark.parametrize("jump", JUMP_LAWS, ids=lambda law: type(law).__name__)
     @pytest.mark.parametrize("volume", VOLUME_LAWS, ids=lambda law: type(law).__name__)
@@ -297,6 +316,8 @@ class TestChunkedDraws:
         got, rng = chunked(params, n_events, 4, CHUNK_EVENTS)
         assert_same_draws(got, want)
         assert rng.bit_generator.state == want_rng.bit_generator.state
+        clock = _time_stream(params, n_events, np.random.default_rng(4))
+        assert clock.bit_generator.state == want_rng.bit_generator.state
         rng = np.random.default_rng(4)
         assert_same_draws(draw_events(params, n_events, rng), want)
         assert rng.bit_generator.state == want_rng.bit_generator.state
@@ -324,7 +345,7 @@ def score_by_chunks(cfg):
             total += value
         executed += _executed_volume(part, book.grid, eff, nmm,
                                      sweeps(part.jump_size[jump], wins[jump], book.grid))
-        tally += _tally(jump, wins, buy)
+        tally += np.count_nonzero(jump), np.count_nonzero(jump & wins), np.count_nonzero(buy)
     counts = dict(zip(("n_jumps", "n_it_wins", "n_noise_buys"), tally.tolist()))
     return _pnl_rows(*stats), counts, executed
 
@@ -392,15 +413,33 @@ LOGGED_RUN = SimConfig(params=LOGGED, n_events=4000, seed=11, record_log=True,
 
 
 @pytest.fixture(scope="module")
-def logged_result():
-    return run(LOGGED_RUN)
+def logged():
+    return logged_run(LOGGED_RUN)
+
+
+@pytest.fixture(scope="module")
+def logged_result(logged):
+    return logged[0]
+
+
+@pytest.fixture(scope="module")
+def logged_log(logged):
+    return logged[2]
 
 
 def redraw(cfg):
-    """The draws and event times of ``run(cfg)``, re-drawn under its seed."""
+    """The draws and event times of ``run(cfg)``, re-drawn whole under its
+    seed."""
     rng = np.random.default_rng(cfg.seed)
     draws = draw_events(cfg.params, cfg.n_events, rng)
-    return draws, _event_times(cfg.params, cfg.n_events, rng)
+    return draws, logged_oracle.event_times(cfg.params, cfg.n_events, rng)
+
+
+def logged_run_object(cfg):
+    """The ``_LoggedRun`` that ``run(cfg, log=...)`` drives, before its loop."""
+    rng = np.random.default_rng(cfg.seed)
+    clock = _time_stream(cfg.params, cfg.n_events, rng)
+    return _LoggedRun(cfg, _draw_chunks(cfg.params, cfg.n_events, rng, CHUNK_EVENTS), clock)
 
 
 class TestLoggedPath:
@@ -413,22 +452,30 @@ class TestLoggedPath:
     def test_deterministic_log(self):
         cfg = SimConfig(params=LOGGED, n_events=500, seed=21, record_log=True,
                         n_levels=6, volume_scale=1000)
-        assert list(export_mbo(run(cfg))) == list(export_mbo(run(cfg)))
+        assert logged_run(cfg)[1] == logged_run(cfg)[1]
 
     @pytest.mark.parametrize("theta, rho", [(0.0, 0.0), (0.0005, 0.5)], ids=["test7", "toxic"])
     def test_log_path_gets_the_collected_text(self, tmp_path, theta, rho):
         # at the parameters of acceptance test 7, plain and toxic: the log a
-        # run writes to its path is the text it collects without one
+        # run writes to its path is the text the per-event loop collects
         cfg = SimConfig(params=dataclasses.replace(LOGGED, theta=theta, rho=rho),
                         n_events=3000, seed=31, record_log=True, n_levels=8, volume_scale=1000)
-        collected = run(cfg)
-        write_csv(collected.mbo_text, tmp_path / "collected.csv")
+        collected, text, _ = logged_oracle.run(cfg)
         streamed = run(cfg, log=tmp_path / "streamed.csv")
-        assert streamed.mbo_text is None
-        assert ((tmp_path / "streamed.csv").read_bytes()
-                == (tmp_path / "collected.csv").read_bytes())
+        assert (tmp_path / "streamed.csv").read_bytes() == text.encode()
         assert repr(streamed.pnl) == repr(collected.pnl)
         assert streamed.summary == collected.summary
+
+    def test_export_requires_log(self, tmp_path):
+        # a logged run writes its log only to a path, and only a logged run
+        # takes one: either way the run fails before any draw
+        fast = SimConfig(params=REF, n_events=100, seed=1, n_levels=4)
+        with mock.patch.object(simulator, "_draw_chunks", side_effect=AssertionError("drew")):
+            with pytest.raises(ValueError, match=r"^record_log=True needs a log path$"):
+                run(LOGGED_RUN)
+            with pytest.raises(ValueError, match=r"^a log path needs record_log=True$"):
+                run(fast, log=tmp_path / "mbo.csv")
+        assert not (tmp_path / "mbo.csv").exists()
 
     def test_log_path_needs_record_log(self, tmp_path):
         cfg = SimConfig(params=REF, n_events=100, seed=1, n_levels=4)
@@ -436,33 +483,34 @@ class TestLoggedPath:
             run(cfg, log=tmp_path / "mbo.csv")
         assert not (tmp_path / "mbo.csv").exists()
 
-    def test_roundtrip_export_parse(self, logged_result):
-        events = export_mbo(logged_result)
+    def test_roundtrip_export_parse(self, logged_log):
+        events = logged_log
         parsed = parse(io.StringIO(dumps(events)), tick=LOGGED.tick)
         assert list(parsed) == list(events)
 
-    def test_quote_series_reproduced_by_replay(self, logged_result):
-        _, oracle = logged_oracle.run(LOGGED_RUN)
-        assert_replay_quotes(export_mbo(logged_result), oracle.snapshots)
+    def test_quote_series_reproduced_by_replay(self, logged_log):
+        _, _, oracle = logged_oracle.run(LOGGED_RUN)
+        assert_replay_quotes(logged_log, oracle.snapshots)
 
     @given(n_events=st.integers(1, 300), seed=st.integers(0, 2**32 - 1),
            n_levels=st.integers(1, 10), volume_scale=st.sampled_from([1, 10, 1000, 10**6]))
     def test_replay_conserves_executed_volume(self, n_events, seed, n_levels, volume_scale):
-        result = run(SimConfig(params=LOGGED, n_events=n_events, seed=seed, record_log=True,
-                               n_levels=n_levels, volume_scale=volume_scale))
-        replay = reconstruct(export_mbo(result))
+        result, _, log = logged_run(SimConfig(params=LOGGED, n_events=n_events, seed=seed,
+                                              record_log=True, n_levels=n_levels,
+                                              volume_scale=volume_scale))
+        replay = reconstruct(log)
         passive = sum(f.qty for f in replay.fills if not f.aggressor)
         aggressive = sum(f.qty for f in replay.fills if f.aggressor)
         assert passive == aggressive == result.summary["executed_units_total"]
 
-    def test_aggressive_trades_match_events(self, logged_result):
+    def test_aggressive_trades_match_events(self, logged_log):
         # one aggressive IT order per jump that found volume in reach (the
         # informed trader also sweeps leftover volume after a lost race)
-        replay = reconstruct(export_mbo(logged_result))
+        replay = reconstruct(logged_log)
         fills, lcs = replay.fills, replay.lifecycles
         takers = lcs.take(fills.lifecycle[fills.aggressor])        # one lifecycle per fill
         it_orders = set(takers.order_id[takers.participant_label == "IT"].tolist())
-        _, oracle = logged_oracle.run(LOGGED_RUN)
+        _, _, oracle = logged_oracle.run(LOGGED_RUN)
         n_executed_jumps = sum(
             1 for ev in oracle.events
             if ev.kind == "jump" and ev.executed_per_level
@@ -481,15 +529,15 @@ class TestLoggedPath:
         draws, times = redraw(cfg)
         won_at = times[draws.is_jump & draws.it_wins]
         assert len(won_at) > 100
-        replay = reconstruct(export_mbo(run(cfg)))
+        replay = reconstruct(logged_run(cfg)[2])
         fills, label = replay.fills, replay.lifecycles.participant_label[replay.fills.lifecycle]
         assert set(label[fills.aggressor]) <= {"IT", "NT"}
         it_trades_at = fills.ts_ns[fills.aggressor & (label == "IT")]
         assert np.isin(won_at, it_trades_at).all()
 
-    def test_replenishment_restores_closed_form(self, logged_result):
+    def test_replenishment_restores_closed_form(self, logged_log):
         # end-of-log resting volume per ask level == integer-quantized targets
-        replay = reconstruct(export_mbo(logged_result))
+        replay = reconstruct(logged_log)
         scale = 1000
         draws, _ = redraw(LOGGED_RUN)
         price = 100.0 + sum(draws.jump_size[draws.is_jump].tolist())
@@ -506,13 +554,8 @@ class TestLoggedPath:
         for i, idx in enumerate(range(a0, a0 + 8)):
             assert resting.get(idx, 0) == targets[i]
 
-    def test_export_requires_log(self):
-        res = run(SimConfig(params=REF, n_events=100, seed=1, n_levels=4))
-        with pytest.raises(ValueError, match="record_log"):
-            export_mbo(res)
-
-    def test_labels_present(self, logged_result):
-        labels = {ev.participant_label for ev in export_mbo(logged_result)}
+    def test_labels_present(self, logged_log):
+        labels = {ev.participant_label for ev in logged_log}
         assert {"IT", "NT", "IMM", "NMM"} <= labels
 
     def test_sign_chain_persistence(self):
@@ -542,38 +585,40 @@ class TestLoggedErrors:
             SimConfig(params=LOGGED, n_events=10, seed=0, record_log=True,
                       book_mode=shape_tick(LOGGED, 4))
 
-    def test_unbounded_book(self):
+    def test_unbounded_book(self, tmp_path):
         params = ModelParams(r=0.15, f=0.0, jump=Pareto(2.5, 0.01), volume=NormalVolume(10.0),
                              tick=0.01)
         with pytest.raises(ValueError, match="unbounded within the simulated levels"):
-            run(SimConfig(params=params, n_events=10, seed=0, record_log=True))
+            run(SimConfig(params=params, n_events=10, seed=0, record_log=True),
+                log=tmp_path / "mbo.csv")
 
     @pytest.mark.parametrize("record_log", [False, True])
-    def test_unbounded_book_fails_before_any_draw(self, record_log):
+    def test_unbounded_book_fails_before_any_draw(self, tmp_path, record_log):
         params = ModelParams(r=0.15, f=0.0, jump=Pareto(2.5, 0.01), volume=NormalVolume(10.0),
                              tick=0.01)
         cfg = SimConfig(params=params, n_events=10**6, seed=0, record_log=record_log)
         # both paths draw through _draw_chunks (draw_events is one chunk of it)
         with mock.patch.object(simulator, "_draw_chunks", side_effect=AssertionError("drew")):
             with pytest.raises(ValueError, match="unbounded within the simulated levels"):
-                run(cfg)
+                run(cfg, log=tmp_path / "mbo.csv" if record_log else None)
 
-    def test_price_path_must_stay_on_a_finite_grid(self):
+    def test_price_path_must_stay_on_a_finite_grid(self, tmp_path):
         # a drift of 1e100 takes the path beyond 2**52 ticks, with no
         # RuntimeWarning on the way to the error
         params = dataclasses.replace(LOGGED, theta=1e100)
         with pytest.raises(ValueError, match="^record_log needs a finite price path"):
-            run(SimConfig(params=params, n_events=10, seed=0, record_log=True))
+            run(SimConfig(params=params, n_events=10, seed=0, record_log=True),
+                log=tmp_path / "mbo.csv")
 
-    def test_volume_units_must_fit_in_int64(self):
+    def test_volume_units_must_fit_in_int64(self, tmp_path):
         with pytest.raises(ValueError, match=f"^volume_scale {10**30} is too large: "):
             run(SimConfig(params=LOGGED, n_events=10, seed=0, record_log=True,
-                          volume_scale=10**30))
+                          volume_scale=10**30), log=tmp_path / "mbo.csv")
         # a large scale that still fits runs, and its total, past int64,
         # stays exact
-        res = run(SimConfig(params=LOGGED, n_events=20, seed=0, record_log=True,
-                            volume_scale=10**17))
-        replay = reconstruct(export_mbo(res))
+        res, _, log = logged_run(SimConfig(params=LOGGED, n_events=20, seed=0, record_log=True,
+                                           volume_scale=10**17))
+        replay = reconstruct(log)
         total = res.summary["executed_units_total"]
         assert total > 2**63
         assert total == sum(f.qty for f in replay.fills if not f.aggressor)
@@ -636,24 +681,26 @@ class TestLoggedOracle:
     @example(cfg=refill_case(0.9, 6, 1000, 40, 0, PointMass(0.05)))   # unbounded level 6, too
     def test_matches_oracle(self, cfg):
         try:
-            expected, oracle = logged_oracle.run(cfg)
+            expected, text, oracle = logged_oracle.run(cfg)
         except ValueError as exc:
             with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
-                run(cfg)
+                logged_run(cfg)
             return
-        result = run(cfg)
-        assert "".join(result.mbo_text) == "".join(expected.mbo_text)
-        log = export_mbo(result)
+        result, written, log = logged_run(cfg)
+        assert written == text
         assert list(log) == oracle.rows
         assert_replay_quotes(log, oracle.snapshots)
         assert result.pnl == expected.pnl
         assert result.summary == expected.summary
 
         # the kernel reads the distances at jumps and noise buys, the depths
-        # at buys; the oracle fills only those rows
-        new = _LoggedRun(cfg, *redraw(cfg))
-        buy = new.draws.noise_sign > 0
-        for name, rows in (("probe_x", new.draws.is_jump | buy), ("probe_imm", buy),
+        # at buys; the oracle fills only those rows (a run of one chunk)
+        new = logged_run_object(cfg)
+        for _ in new.blocks():
+            pass
+        draws, _ = redraw(cfg)
+        buy = draws.noise_sign > 0
+        for name, rows in (("probe_x", draws.is_jump | buy), ("probe_imm", buy),
                            ("probe_nmm", buy)):
             assert (getattr(new, name)[rows].tobytes()
                     == getattr(oracle, name)[rows].tobytes()), name
@@ -663,10 +710,85 @@ class TestLoggedOracle:
                              tick=0.01, offset_d=0.0, theta=0.0005, rho=0.5)
         cfg = SimConfig(params=params, n_events=3000, seed=5, record_log=True,
                         n_levels=8, volume_scale=1000)
-        expected, oracle = logged_oracle.run(cfg)
-        result = run(cfg)
-        assert "".join(result.mbo_text) == "".join(expected.mbo_text)
-        assert_replay_quotes(export_mbo(result), oracle.snapshots)
+        _, text, oracle = logged_oracle.run(cfg)
+        _, written, log = logged_run(cfg)
+        assert written == text
+        assert_replay_quotes(log, oracle.snapshots)
+
+    def test_chunk_boundaries_inside_a_run(self, monkeypatch):
+        # 2 * CHUNK_EVENTS + 777 events, at a chunk size that keeps the
+        # per-event oracle quick: the log carries across two chunk ends
+        monkeypatch.setattr(simulator, "CHUNK_EVENTS", 1024)
+        cfg = SimConfig(params=LOGGED, n_events=2 * simulator.CHUNK_EVENTS + 777, seed=9,
+                        record_log=True, n_levels=8, volume_scale=1000)
+        expected, text, oracle = logged_oracle.run(cfg)
+        result, written, log = logged_run(cfg)
+        assert written == text
+        assert_replay_quotes(log, oracle.snapshots)
+        assert result.summary == expected.summary
+        # the oracle sums the probe fills of the whole run at once
+        assert_pnl_close(result.pnl, expected.pnl)
+
+
+#: bound on a mean gain or standard error summed chunk by chunk against
+#: the same sums made at once, relative to itself or to the largest value
+#: of its column (a mean gain may cancel to near zero).  Only the order of
+#: the additions differs: on 96 logged runs of the test-7 and toxic models
+#: at chunk sizes 1, 7 and 100, no value moved by 2e-14 of itself.
+PNL_RTOL = 1e-11
+
+
+def assert_gains_close(got, want):
+    """``(mean_gain, std_err)`` rows within PNL_RTOL, nan where nan."""
+    for g, w in zip(np.asarray(got, dtype=float).T, np.asarray(want, dtype=float).T):
+        scale = np.abs(w[np.isfinite(w)]).max(initial=0.0)
+        np.testing.assert_allclose(g, w, rtol=PNL_RTOL, atol=PNL_RTOL * scale)
+
+
+def assert_pnl_close(got, want):
+    """Equal makers, levels and fill counts, and gains within PNL_RTOL."""
+    assert [(p.maker, p.level, p.n_fills) for p in got] == \
+        [(p.maker, p.level, p.n_fills) for p in want]
+    assert_gains_close([(p.mean_gain, p.std_err) for p in got],
+                       [(p.mean_gain, p.std_err) for p in want])
+
+
+class TestLoggedChunkSize:
+    """The outputs of logged ``lobeq simulate`` at chunk sizes 1, 7 and
+    2**16 (one chunk), on the model of acceptance test 7 and a toxic one:
+    ``mbo.csv`` and ``summary.json`` byte for byte, ``pnl.csv``'s counts
+    exactly and its gains within PNL_RTOL."""
+
+    CHUNKS = (1, 7, 2**16)
+
+    @staticmethod
+    def outputs(doc, chunk):
+        with mock.patch.object(simulator, "CHUNK_EVENTS", chunk), \
+                tempfile.TemporaryDirectory() as tmp:
+            config = Path(tmp) / "config.json"
+            config.write_text(json.dumps(doc))
+            assert main(["simulate", "--config", str(config), "--out", f"{tmp}/out"]) == 0
+            return {name: (Path(tmp) / "out" / name).read_bytes()
+                    for name in ("mbo.csv", "summary.json", "pnl.csv")}
+
+    @settings(max_examples=20)
+    @given(theta_rho=st.sampled_from([(0.0, 0.0), (0.0005, 0.5)]),
+           n_events=st.integers(1, 500), seed=st.integers(0, 2**32 - 1))
+    def test_outputs_do_not_depend_on_the_chunk_size(self, theta_rho, n_events, seed):
+        theta, rho = theta_rho
+        params = {"r": 0.15, "f": 0.9, "jump": {"type": "pareto", "shape": 2.5, "scale": 0.01},
+                  "volume": {"type": "normal", "sigma": 10.0}, "tick": 0.01, "offset_d": 0.0,
+                  "lambda_i": 0.15, "lambda_u": 0.85, "theta": theta, "rho": rho}
+        doc = {"params": params, "simulate": {"n_events": n_events, "seed": seed, "n_levels": 8,
+                                              "record_log": True, "volume_scale": 1000}}
+        one, *chunked = (self.outputs(doc, chunk) for chunk in self.CHUNKS[::-1])
+        for got in chunked:
+            assert got["mbo.csv"] == one["mbo.csv"]
+            assert got["summary.json"] == one["summary.json"]
+            rows, want = (list(csv.reader(io.StringIO(out["pnl.csv"].decode())))
+                          for out in (got, one))
+            assert [row[:3] for row in rows] == [row[:3] for row in want]
+            assert_gains_close([row[3:] for row in rows[1:]], [row[3:] for row in want[1:]])
 
 
 class TestRefill:
@@ -677,8 +799,7 @@ class TestRefill:
     def traced_run(cfg):
         """The run, its log rows, and per refill the (layout walked,
         budget, takes) of the sweep it refills."""
-        draws, times = redraw(cfg)
-        lr = _LoggedRun(cfg, draws, times)
+        lr = logged_run_object(cfg)
         sweep, refill, refills, last = lr._sweep, lr._refill, [], []
 
         def traced_sweep(ts, side, idxs, budget, label, limit_idx=None):
@@ -705,17 +826,18 @@ class TestRefill:
 
     def test_rounds_to_zero_units(self):
         cfg = REFILL_CASES["rounds_to_zero_units"]
-        lr, rows, refills = self.traced_run(cfg)
-        noise = ~lr.draws.is_jump
-        silent = noise & (np.round(lr.draws.noise_mag * cfg.volume_scale) == 0)
+        _, rows, refills = self.traced_run(cfg)
+        draws, times = redraw(cfg)
+        silent = ~draws.is_jump & (np.round(draws.noise_mag * cfg.volume_scale) == 0)
         assert refills and silent.any()
-        assert not set(lr.times_ns[silent].tolist()) & {r.ts_ns for r in rows}
+        assert not set(times[silent].tolist()) & {r.ts_ns for r in rows}
 
     def test_lost_races(self):
         lr, rows, refills = self.traced_run(REFILL_CASES["lost_races"])
-        lost = lr.draws.is_jump & ~lr.draws.it_wins & (np.array(lr.jump_volume) > 0)
+        draws, times = redraw(REFILL_CASES["lost_races"])
+        lost = draws.is_jump & ~draws.it_wins & (np.array(lr.jump_volume) > 0)
         assert refills and lost.any()
-        for ts in lr.times_ns[lost].tolist():
+        for ts in times[lost].tolist():
             kinds = [(r.action, r.participant_label) for r in rows if r.ts_ns == ts]
             first_it = kinds.index(("add", "IT"))
             assert ("cancel", "IMM") in kinds[:first_it]
@@ -723,27 +845,30 @@ class TestRefill:
 
 class TestLoggedMemory:
     """Peak traced allocation of a logged run at the parameters of
-    acceptance test 7, per order it adds: the log's text is about half of
-    it, so keeping anything more per order or per row shows up here."""
+    acceptance test 7, per order it adds: the run holds the tables of one
+    chunk of events and writes each block of its log as it is cut, so
+    keeping anything more per event, order or row shows up here."""
 
     N_EVENTS = 20_000
 
-    def test_peak_per_order(self):
+    def test_peak_per_order(self, tmp_path, monkeypatch):
+        # about 20 chunks: one chunk's tables at a time, so the peak is a
+        # tenth of a one-chunk run's (test_streamed_peak_per_order)
+        monkeypatch.setattr(simulator, "CHUNK_EVENTS", 1024)
         cfg = SimConfig(params=LOGGED, n_events=self.N_EVENTS, seed=1, record_log=True,
                         n_levels=8, volume_scale=1000)
         tracemalloc.start()
         try:
-            result = run(cfg)
+            run(cfg, log=tmp_path / "mbo.csv")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        n_orders = sum(block.count(",add,") for block in result.mbo_text)
+        n_orders = (tmp_path / "mbo.csv").read_text().count(",add,")
         assert n_orders > 100_000
-        assert peak / n_orders < 300.0
+        assert peak / n_orders < 30.0
 
     def test_streamed_peak_per_order(self, tmp_path):
-        # given a path, the run writes each block as it is cut: about half
-        # the peak of a run that keeps its text
+        # one chunk: its tables, the book and a block of text at a time
         cfg = SimConfig(params=LOGGED, n_events=self.N_EVENTS, seed=1, record_log=True,
                         n_levels=8, volume_scale=1000)
         tracemalloc.start()
@@ -760,7 +885,7 @@ class TestLoggedMemory:
         # no larger than a slotted (id, participant, units) record, 56 bytes
         cfg = SimConfig(params=LOGGED, n_events=2000, seed=1, record_log=True,
                         n_levels=8, volume_scale=1000)
-        lr = _LoggedRun(cfg, *redraw(cfg))
+        lr = logged_run_object(cfg)
         for _ in lr.blocks():
             pass
         orders = [order for book in lr.levels for queues in book.values()
