@@ -20,10 +20,12 @@ CSV schema (exact header)::
 * ``participant_label`` is an optional ground-truth tag (simulator
   exports carry IT/NT/IMM/NMM), empty for real feeds
 
-Replay enforces time (FIFO) priority within each price level and rejects a
-book left crossed or locked at the end of a timestamp; it does not check
-priority across levels.  It reconstructs every order's lifecycle together
-with the best quotes of each timestamp.
+:func:`parse` is the one judge of a log's rows: their fields, timestamps
+and order references.  :func:`reconstruct` replays only a log that parse
+returned.  Replay enforces time (FIFO) priority within each price level
+and rejects a book left crossed or locked at the end of a timestamp; it
+does not check priority across levels.  It reconstructs every order's
+lifecycle together with the best quotes of each timestamp.
 A lifecycle's ``terminal_ts`` is an int64, 0 for an order that still
 rests, which ``terminal_kind == -1`` marks.
 
@@ -37,7 +39,7 @@ timestamp, order id, price text and quantity and the fixed text of its
 kind (:func:`row_kind`: the head ``,<action>,<side>,`` and the tail
 ``,<flag>,<label>``, made from the codes): the logged simulator makes each
 kind's text once and each price's once, and emits its rows through it,
-and :func:`write_csv` writes the header and the text.  :func:`parse`
+and :func:`write_csv` writes the header and the text to a file.  :func:`parse`
 reads the body in typed C passes of :data:`CHUNK_ROWS` records from one
 stream, the three coded fields and the label as fixed-width text it
 compares as arrays, and checks field domains as array masks, or with
@@ -46,9 +48,9 @@ reader skips (``\x1c``-``\x1f``, NUL).  The label column holds one
 ``str`` per distinct label, shared by every row that carries it.  One
 order walk (:func:`_walk`: a stable sort by order id, then segmented
 cumulative sums) gives every row its lifecycle and its order's resting
-quantity; it holds parse's reference checks, the log parse returns keeps
-it, and :func:`reconstruct` builds fills, lifecycles and quotes from its
-arrays.
+quantity; parse makes it once, with its reference checks, the log parse
+returns keeps it, and :func:`reconstruct` builds fills, lifecycles and
+quotes from its arrays.
 """
 
 from __future__ import annotations
@@ -445,7 +447,8 @@ def _labels(texts: np.ndarray, shared: dict) -> np.ndarray:
 def parse(source, tick: float | None = None) -> EventLog:
     """Read and validate a log; returns an :class:`EventLog` of read-only
     numpy columns in file order, which keeps the order walk its checks
-    made, so that :func:`reconstruct` does not walk the log again.
+    made: :func:`reconstruct` replays from that walk, and replays no log
+    that parse did not return.
 
     Validation: exact header, field domains (finite prices), nondecreasing
     timestamps, referential integrity (modify/cancel/execute must reference
@@ -458,7 +461,9 @@ def parse(source, tick: float | None = None) -> EventLog:
     ``5_000``); those rows are rejected too.
 
     The body is read :data:`CHUNK_ROWS` records at a time, and each
-    distinct label is one ``str`` that every row carrying it shares.
+    distinct label is one ``str`` that every row carrying it shares.  A
+    source that cannot seek (a pipe or FIFO) is first read whole into
+    memory, as parse reads the body more than once.
     """
     if tick is not None and not 0.0 < tick < math.inf:
         raise ValueError(f"tick must be positive and finite, got {tick}")
@@ -540,9 +545,9 @@ def _parse_lines(lines, tick: float | None) -> EventLog:
     bad = np.flatnonzero(np.logical_or.reduce(faults))
     first = int(bad[0]) if bad.size else n
 
-    walk = _walk(act[:first], oid[:first], side[:first], qty[:first], "unknown")
+    walk = _walk(act[:first], oid[:first], side[:first], qty[:first])
     if walk.fault is not None:
-        i, message, _ = walk.fault
+        i, message = walk.fault
         raise MboParseError(f"row {record(i)[0]}: {message}")
     if first < n:
         lineno, row = record(first)
@@ -609,15 +614,18 @@ def row_encoder(append):
     return emit
 
 
-def write_csv(blocks, destination) -> None:
-    """Write a log in the canonical schema: :data:`HEADER_LINE`, then
-    ``blocks``, its body as text (lines from :func:`row_encoder`, which a
-    logged simulation streams here a block at a time)."""
-    if isinstance(blocks, Table):
-        raise TypeError("write_csv takes the log's text, not a table")
-    stream = hasattr(destination, "write")
-    with nullcontext(destination) if stream else open(destination, "w", newline="") as out:
+def write_csv(blocks, path) -> None:
+    """Write a log in the canonical schema to the file at ``path``:
+    :data:`HEADER_LINE`, then ``blocks``, its body as text (lines from
+    :func:`row_encoder`, which a logged simulation streams here a block at
+    a time).  ``path`` is opened once the first block is made, so an error
+    before that leaves the file as it was, or absent."""
+    blocks = iter(blocks)
+    first = next(blocks, "")
+    with open(path, "w", newline="") as out:
         out.write(HEADER_LINE)
+        out.write(first)
+        del first                            # not held while the later blocks are made
         out.writelines(blocks)
 
 
@@ -636,14 +644,14 @@ class _Walk(NamedTuple):
     act: np.ndarray       # its action code
     reset: np.ndarray     # int32 position of the last add or modify at or before it
     rest: np.ndarray      # int64 quantity its order has resting after it (not for cancels)
-    fault: tuple | None   # (row, message, is an over-execute) of the first reference fault
+    fault: tuple | None   # (row, message) of the first reference fault
 
 
-def _walk(act, oid, side, qty, unknown: str) -> _Walk:
-    """The walk of the rows with these columns.  Its fault is at the first
-    row naming an order it may not: a modify, cancel or execute needs a
-    live order (else it "references ``unknown`` order") on the same side,
-    an execute at most its resting quantity, and an add a new order id.
+def _walk(act, oid, side, qty) -> _Walk:
+    """The walk of the rows with these columns, which :func:`parse` makes
+    and keeps.  Its fault is at the first row naming an order it may not:
+    a modify, cancel or execute needs a live order on the same side, an
+    execute at most its resting quantity, and an add a new order id.
     Every check of a row reads only the rows of its order before it, so
     the first failing row is the one a sequential walk would stop at."""
     m = act.size
@@ -671,21 +679,20 @@ def _walk(act, oid, side, qty, unknown: str) -> _Walk:
     fault = None
     if hits.size:
         p = hits[order[hits].argmin()]
-        name, oid_p, over = ACTIONS[a[p]], int(o[p]), False
+        name, oid_p = ACTIONS[a[p]], int(o[p])
         if add[p]:
             message = f"order {oid_p} added twice"
         elif not live[p]:
-            message = f"{name} references {unknown} order {oid_p}"
+            message = f"{name} references unknown order {oid_p}"
         elif moved[p] and a[p] == MODIFY:
             message = f"modify moves order {oid_p} from {SIDES[s[p - 1]]} to {SIDES[s[p]]}"
         elif moved[p]:
             message = (f"{name} on {SIDES[s[p]]} names order {oid_p}, "
                        f"which rests on {SIDES[s[p - 1]]}")
         else:
-            over = True
             q_p = int(qty[order[p]])
             message = f"execute qty {q_p} exceeds resting {q_p + int(rest[p])} on order {oid_p}"
-        fault = (int(order[p]), message, over)
+        fault = (int(order[p]), message)
     return _Walk(order, a, reset, rest, fault)
 
 
@@ -715,9 +722,9 @@ def _cover_max(lo: np.ndarray, hi: np.ndarray, n: int) -> np.ndarray:
 
 
 def _book(log: EventLog, walk: _Walk) -> tuple[Quotes, list[tuple[int, int, str]]]:
-    """The best quotes at the end of each timestamp of the walked rows, and
+    """The best quotes at the end of each timestamp of a nonempty log, and
     the first FIFO, passive price, cancel quantity and crossed-book fault
-    among them as (row, rank of the check within a row, message).
+    in it as (row, rank of the check within a row, message).
 
     Each add, and each modify that changes the price or raises the size,
     starts a stint of its order in the queue of its (side, price) level,
@@ -796,10 +803,7 @@ def _book(log: EventLog, walk: _Walk) -> tuple[Quotes, list[tuple[int, int, str]
     del by_key, change
     np.cumsum(volume, out=volume)
 
-    nxt = ts[1:m + 1]
-    ends = np.flatnonzero(ts[:nxt.size] < nxt)                # the last row of each timestamp
-    if m == len(log) and m:
-        ends = np.append(ends, m - 1)
+    ends = np.append(np.flatnonzero(ts[:-1] < ts[1:]), m - 1)   # the last row of each timestamp
     start = np.flatnonzero(ahead <= e_by)                  # entries that find the level empty
     shown = (lv[start], log.price[e_by[start]],            # level, first price, rows covered
              np.searchsorted(ends, e_by[start]),
@@ -877,7 +881,7 @@ def _lifecycles(log: EventLog, walk: _Walk) -> tuple[Lifecycles, Fills]:
 
 
 def reconstruct(log: EventLog) -> Replay:
-    """Replay a validated :class:`EventLog`.
+    """Replay a log that :func:`parse` returned.
 
     Enforces time priority within a price level (an execute must consume
     the front of its level's queue), rebuilds every order lifecycle, and
@@ -888,25 +892,18 @@ def reconstruct(log: EventLog) -> Replay:
     Priority across levels is not checked: an execute of an order resting
     behind a better price on its side is accepted.
 
-    The replay is the order walk's arrays (see :func:`_book`): the walk a
-    parsed log keeps, or for a log built another way one made here.  A row
-    that :func:`parse` would reject for its order reference is rejected in
-    its words, except that an order no longer live is a dead order.  The
-    error is the one at the first failing row, as a sequential replay
-    meets it.
+    The replay reads the order walk that parse kept (see :func:`_book`), so
+    parse is the one judge of a row's fields, timestamps and order
+    references.  Any other input, an :class:`EventLog` built from columns
+    or by ``take`` included, is a TypeError.  The error is the one at the
+    first failing row, as a sequential replay meets it.
     """
-    if not isinstance(log, EventLog):
-        raise TypeError(f"reconstruct takes an EventLog, got {type(log).__name__}")
-    columns = log.action, log.order_id, log.side, log.qty
-    walk = _walk(*columns, "dead") if log._walk is None else log._walk
-    faults = []
-    if walk.fault is not None:                 # replay the rows before it, and an over-execute
-        row, message, over = walk.fault        # after its FIFO and price checks
-        faults.append((row, 3 if over else 0, message))
-        walk = _walk(*(col[:row + over] for col in columns), "dead")
-    quotes, book_faults = (_book(log, walk) if walk.order.size
-                           else (Quotes(*[[]] * len(Quotes.fields())), []))
-    faults += book_faults
+    walk = log._walk if isinstance(log, EventLog) else None
+    if walk is None:
+        got = "an EventLog built another way" if isinstance(log, EventLog) else type(log).__name__
+        raise TypeError(f"reconstruct replays only a log that parse returned, got {got}")
+    quotes, faults = (_book(log, walk) if len(log)
+                      else (Quotes(*[[]] * len(Quotes.fields())), []))
     if faults:
         raise MboReplayError(min(faults)[2])
     return Replay(*_lifecycles(log, walk), quotes=quotes)

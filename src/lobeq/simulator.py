@@ -52,7 +52,8 @@ ask book each event met is read from the same state tables and scored.
 draw is made.  A logged run checks each chunk before writing any of its
 rows, and raises ``ValueError`` at the first chunk with an event time past
 int64 ns, a volume too large for ``volume_scale``, a price off the finite
-grid or an unbounded state book, after the earlier chunks' rows.
+grid or an unbounded state book, after the earlier chunks' rows.  An
+error at the first chunk leaves the ``log`` path as it was, or absent.
 """
 
 from __future__ import annotations
@@ -721,7 +722,8 @@ class _LoggedRun:
 
     def blocks(self):
         """Run the event loop chunk by chunk, yielding the log's text a
-        block at a time, and score each chunk once its loop is done."""
+        block at a time, and score each chunk once its loop is done; a
+        chunk's last block ends with it."""
         lines, sweep, refill, morph = self._lines, self._sweep, self._refill, self._morph
         scale = self.cfg.volume_scale
         for n, draws in enumerate(self.chunks):
@@ -750,8 +752,8 @@ class _LoggedRun:
                 if len(lines) >= mbo.BLOCK_ROWS:
                     yield self._cut()
             _score(self.totals, draws, self.probe_x, self.probe_imm, self.probe_nmm)
-        if lines:
-            yield self._cut()
+            if lines:
+                yield self._cut()
 
 
 # ---------------------------------------------------------------------------

@@ -9,18 +9,20 @@ coded field to its code.  A table is compared with rows through its
 iteration: ``list(table) == rows``.  ``event_log`` is ``from_rows`` for
 an ``EventLog``, and ``csv_body`` writes a log's rows through
 ``lobeq.mbo.row_encoder``, each with its own kind and price text.
-``logged_run`` runs a logged simulation into a temporary file and reads
-its log back.
+``parsed`` writes rows so and parses the text: ``lobeq.mbo.reconstruct``
+replays only a log that ``parse`` returned.  ``logged_run`` runs a logged
+simulation into a temporary file and reads its log back.
 """
 
 from __future__ import annotations
 
+import io
 import tempfile
 from pathlib import Path
 
 import numpy as np
 
-from lobeq.mbo import EventLog, float_text, parse, row_encoder, row_kind
+from lobeq.mbo import HEADER_LINE, EventLog, float_text, parse, row_encoder, row_kind
 from lobeq.simulator import run
 
 
@@ -63,6 +65,12 @@ def csv_body(log: EventLog) -> str:
             *(col.tolist() for col in log.columns())):
         emit(ts, oid, row_kind(action, side, flag, label), float_text(price), qty)
     return "".join(lines)
+
+
+def parsed(rows, tick=None) -> EventLog:
+    """``parse`` of the CSV text of ``EventLog.Row`` rows (or of an
+    ``EventLog``), written by :func:`csv_body`."""
+    return parse(io.StringIO(HEADER_LINE + csv_body(event_log(rows)), newline=""), tick)
 
 
 def logged_run(cfg):

@@ -13,7 +13,7 @@ import records_oracle
 import signature_oracle as oracle
 from mbo_oracle import dumps
 from logged_oracle import event_times
-from tables import event_log, from_rows, logged_run
+from tables import from_rows, logged_run, parsed
 from lobeq.equilibrium import ModelParams
 from lobeq.laws import NormalVolume, Pareto
 from lobeq.mbo import EventLog, Fills, Lifecycles, Quotes, parse, reconstruct
@@ -360,7 +360,7 @@ def assert_table_matches_records(trades, records):
 
 def assert_tables_match_oracle(events):
     """The tables of ``events`` match the records of the row-object replay."""
-    for trades, records in zip(build_trade_records(reconstruct(event_log(events))),
+    for trades, records in zip(build_trade_records(reconstruct(parsed(events))),
                                records_oracle.build_trade_records(mbo_oracle.reconstruct(events))):
         assert_table_matches_records(trades, records)
 
@@ -480,7 +480,7 @@ class TestTablesMatchRecordsOracle:
                   Row(1, 2, "add", "ask", 100.0, 1, None, "NT"),
                   Row(1, 3, "execute", "bid", 100.0, 1, False, None),
                   Row(1, 2, "execute", "ask", 100.0, 1, True, "NT")]
-        replay = reconstruct(event_log(events))
+        replay = reconstruct(parsed(events))
         aggressive, passive = build_trade_records(replay)
         assert aggressive.qty.tolist() == [2, 1]
         assert aggressive.participant_label.tolist() == ["IT", "NT"]
@@ -500,7 +500,7 @@ class TestTablesMatchRecordsOracle:
                   Row(t1, 4, "add", "bid", 100.25, 1, None, "NT"),
                   Row(t1, 3, "execute", "ask", 100.25, 1, False, None),
                   Row(t1, 4, "execute", "bid", 100.25, 1, True, "NT")]
-        aggressive, passive = build_trade_records(reconstruct(event_log(events)))
+        aggressive, passive = build_trade_records(reconstruct(parsed(events)))
         assert passive.order_id.tolist() == [1, 3]
         for trades, metric in ((aggressive, "trade_to_trade"), (passive, "add_to_add")):
             gaps = getattr(trades, METRICS[metric][0])

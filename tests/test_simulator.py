@@ -26,7 +26,7 @@ from lobeq.equilibrium import BookShape, ModelParams, book_curves, shape_tick
 from lobeq.kernels import accumulate_pnl
 from lobeq.laws import Exponential, LaplaceVolume, NormalVolume, Pareto, PointMass
 from lobeq.mbo import HEADER_LINE, EventLog, Quotes, parse, reconstruct, write_csv
-from lobeq import simulator
+from lobeq import mbo, simulator
 from lobeq.cli import main
 from lobeq.simulator import (
     CHUNK_EVENTS,
@@ -610,6 +610,41 @@ class TestLoggedErrors:
             run(SimConfig(params=params, n_events=10, seed=0, record_log=True),
                 log=tmp_path / "mbo.csv")
 
+    @pytest.mark.parametrize("existing", [b"an earlier log\r\n", None], ids=["existing", "missing"])
+    def test_first_chunk_error_leaves_the_log_path_as_it_was(self, tmp_path, existing):
+        # the log file is opened only once the first chunk has made its first block
+        path = tmp_path / "mbo.csv"
+        if existing is not None:
+            path.write_bytes(existing)
+        params = dataclasses.replace(LOGGED, theta=1e100)
+        with pytest.raises(ValueError, match="^record_log needs a finite price path"):
+            run(SimConfig(params=params, n_events=10, seed=0, record_log=True), log=path)
+        assert (path.read_bytes() if path.exists() else None) == existing
+
+    def test_later_chunk_error_leaves_the_earlier_chunks_rows(self, tmp_path, monkeypatch):
+        # chunks of 100 events write fewer rows than a block: each chunk's
+        # last block ends with it
+        monkeypatch.setattr(simulator, "CHUNK_EVENTS", 100)
+        cfg = SimConfig(params=LOGGED, n_events=300, seed=1, record_log=True, n_levels=4,
+                        volume_scale=1000)
+        full, path = tmp_path / "full.csv", tmp_path / "mbo.csv"
+        run(cfg, log=full)
+        load, emitted = simulator._LoggedRun._load, []
+
+        def fail_at_chunk_2(lr, draws):
+            emitted.append(lr.n_rows + len(lr._lines))     # rows emitted before this chunk
+            if len(emitted) == 3:
+                raise ValueError("chunk 2")
+            load(lr, draws)
+
+        monkeypatch.setattr(simulator._LoggedRun, "_load", fail_at_chunk_2)
+        with pytest.raises(ValueError, match="^chunk 2$"):
+            run(cfg, log=path)
+        text = path.read_bytes().decode()
+        assert full.read_bytes().decode().startswith(text)
+        assert text.count("\r\n") - 1 == emitted[2] > emitted[1] > 0
+        assert emitted[2] < mbo.BLOCK_ROWS
+
     def test_volume_units_must_fit_in_int64(self, tmp_path):
         with pytest.raises(ValueError, match=f"^volume_scale {10**30} is too large: "):
             run(SimConfig(params=LOGGED, n_events=10, seed=0, record_log=True,
@@ -935,12 +970,13 @@ class TestEventLog:
         with pytest.raises(ValueError, match="^EventLog columns must be 1-d and of equal length$"):
             EventLog([1], [1], [0], [1], [1.0], [1], [-1], [])
 
-    def test_written_like_its_rows(self):
+    def test_written_like_its_rows(self, tmp_path):
         rows = self.ROWS + [EventLog.Row(3, 3, "add", "ask", -0.0, 1, None, None),
                             EventLog.Row(3, 4, "add", "ask", 0.0, 1, None, None)]
-        buf = io.StringIO()
-        write_csv([csv_body(event_log(rows))], buf)
-        assert buf.getvalue() == dumps(rows)
-        assert list(parse(io.StringIO(buf.getvalue()))) == rows
-        assert ",-0,1,," in buf.getvalue() and ",0,1,," in buf.getvalue()
+        path = tmp_path / "log.csv"
+        write_csv([csv_body(event_log(rows))], path)
+        text = path.read_bytes().decode()
+        assert text == dumps(rows)
+        assert list(parse(path)) == rows
+        assert ",-0,1,," in text and ",0,1,," in text
 
