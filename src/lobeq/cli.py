@@ -363,17 +363,19 @@ def cmd_simulate(root: _Section, seed, stage) -> dict:
         params=params,
         n_events=sim.number("n_events", cast=int),
         seed=sim_seed if seed is None else seed,
-        record_log=sim.get("record_log", SimConfig.record_log),
         **sim.present(("n_levels", "volume_scale"), int),
     )
+    record_log = sim.get("record_log", False)
+    if not isinstance(record_log, bool):
+        raise sim.fail(f"record_log must be true or false, got {record_log!r}")
     # the log is written as the event loop runs, before pnl and summary exist
-    result = run_sim(sc, log=stage("mbo.csv") if sc.record_log else None)
+    result = run_sim(sc, log=stage("mbo.csv") if record_log else None)
 
     names = ("maker_type", "level", "n_fills", "mean_gain", "std_err")
     pnl = {name: [getattr(p, field.name) for p in result.pnl]
            for name, field in zip(names, dataclasses.fields(LevelPnl))}
     outputs = {"pnl.csv": pnl, "summary.json": result.summary}
-    if sc.record_log:
+    if record_log:
         outputs["mbo.csv"] = None
     return outputs
 

@@ -56,9 +56,10 @@ quotes from its arrays.
 from __future__ import annotations
 
 import csv
-import io
 import math
+import shutil
 import sys
+import tempfile
 import warnings
 from collections import defaultdict, namedtuple
 from contextlib import contextmanager, nullcontext
@@ -462,13 +463,21 @@ def parse(source, tick: float | None = None) -> EventLog:
 
     The body is read :data:`CHUNK_ROWS` records at a time, and each
     distinct label is one ``str`` that every row carrying it shares.  A
-    source that cannot seek (a pipe or FIFO) is first read whole into
-    memory, as parse reads the body more than once.
+    source that cannot seek (a pipe or FIFO) is first copied in blocks to a
+    temporary file, as parse reads the body more than once: that needs disk
+    room for the log, not memory.
     """
     if tick is not None and not 0.0 < tick < math.inf:
         raise ValueError(f"tick must be positive and finite, got {tick}")
     with nullcontext(source) if hasattr(source, "read") else open(source, newline="") as fh:
-        return _parse_lines(fh if fh.seekable() else io.StringIO(fh.read(), newline=""), tick)
+        if fh.seekable():
+            return _parse_lines(fh, tick)
+        # surrogatepass writes back any str the source decoded to
+        with tempfile.TemporaryFile("w+", encoding="utf-8", errors="surrogatepass",
+                                    newline="") as copy:
+            shutil.copyfileobj(fh, copy, 1 << 20)
+            copy.seek(0)
+            return _parse_lines(copy, tick)
 
 
 def _parse_lines(lines, tick: float | None) -> EventLog:

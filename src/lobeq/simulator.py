@@ -39,21 +39,23 @@ closed-form on the tick grid or a user-supplied :class:`BookShape`; one
 kernel scan of a chunk's jumps fills both makers' probes and counts the
 levels each jump sweeps, the one count the executed volume is priced from.
 
-``record_log=True`` switches to a bookkeeping loop that keeps a two-sided
-order book on the absolute tick grid and writes a market-by-order log
-with ground-truth participant labels to a ``log`` path.  The price moves
+A ``log`` path switches :func:`run` to a bookkeeping loop that keeps a
+two-sided order book on the absolute tick grid and writes a
+market-by-order log with ground-truth participant labels to that path.
+It needs the closed-form book and ``offset_d = 0``.  The price moves
 only at jumps and at nonzero noise drift, so a chunk's price path and the
 integer targets of its book states (one ``book_curves`` call for all of
 them and both sides) are computed before its loop, which only moves
 orders and writes each row through :func:`lobeq.mbo.row_encoder`.  The
 ask book each event met is read from the same state tables and scored.
 
-:class:`SimConfig` rejects a combination neither path can run before any
-draw is made.  A logged run checks each chunk before writing any of its
-rows, and raises ``ValueError`` at the first chunk with an event time past
-int64 ns, a volume too large for ``volume_scale``, a price off the finite
-grid or an unbounded state book, after the earlier chunks' rows.  An
-error at the first chunk leaves the ``log`` path as it was, or absent.
+:class:`SimConfig` rejects a combination neither path can run, and
+:func:`run` one the logged path cannot, before any draw is made.  A
+logged run checks each chunk before writing any of its rows, and raises
+``ValueError`` at the first chunk with an event time past int64 ns, a
+volume too large for ``volume_scale``, a price off the finite grid or an
+unbounded state book, after the earlier chunks' rows.  An error at the
+first chunk leaves the ``log`` path as it was, or absent.
 """
 
 from __future__ import annotations
@@ -89,16 +91,15 @@ class SimConfig:
     ``book_mode`` is either None (the book is the closed-form shape on the
     tick grid, reset after every event, which needs ``params.tick > 0``) or
     a user-supplied :class:`BookShape` whose ``informed``/``noise`` curves
-    queue the probe orders.  ``record_log`` needs the closed-form book.
-    ``volume_scale`` converts real volumes to the integer units used in
-    exported logs.
+    queue the probe orders; a user book sets the levels and ignores
+    ``n_levels``.  ``volume_scale`` converts real volumes to the integer
+    units used in logs; :func:`run` writes a log when given a path.
     """
 
     params: ModelParams
     n_events: int
     seed: int
     book_mode: BookShape | None = None
-    record_log: bool = False
     n_levels: int = 10
     volume_scale: int = 1_000_000
 
@@ -125,19 +126,12 @@ class SimConfig:
             raise ValueError(f"theta = {theta} with rho = {rho} is too large for n_events = "
                              f"{self.n_events}: n_events * (theta * (1 + |rho|))**2 overflows "
                              f"a float")
-        if not isinstance(self.record_log, bool):
-            raise ValueError(f"record_log must be true or false, got {self.record_log!r}")
         if self.book_mode is None:
             if self.params.tick <= 0.0:
                 raise ValueError(f"the closed-form book needs a positive tick to place "
                                  f"levels, got tick = {self.params.tick}")
-            if self.record_log and self.params.offset_d != 0.0:
-                raise ValueError(f"record_log puts levels on the tick grid and reads no "
-                                 f"offset_d; got offset_d = {self.params.offset_d}")
         elif not isinstance(self.book_mode, BookShape):
             raise ValueError(f"book_mode must be None or a BookShape, got {self.book_mode!r}")
-        elif self.record_log:
-            raise ValueError("record_log needs the closed-form book (book_mode=None)")
         else:
             self.book_mode.validate()
             if not np.all(np.isfinite(self.book_mode.informed)):
@@ -478,11 +472,9 @@ class _LoggedRun:
     carry across chunks.  The loop only moves orders and appends rows.
     Between moves each side holds exactly its state's targets after every
     event, so the volume within a jump and the probe rows are read from the
-    state tables, and after a noise sweep that does not move the price each
-    maker's deficit at a walked level is what the sweep filled from that
-    maker there: ``_refill`` re-adds the sweep's takes, level by level from
-    near to far, informed before noise, and ``_morph`` runs only for new
-    states.
+    state tables, and after a noise sweep that does not move the price only
+    the levels it walked can differ from their targets: ``_morph``
+    re-targets just those, near to far, informed before noise.
 
     Each row's text is put together from parts made once: the timestamp
     once per event, each grid price once per index and chunk, and the head
@@ -579,22 +571,24 @@ class _LoggedRun:
 
     # -- replenishment ----------------------------------------------------------
 
-    def _morph(self, ts: str, side: int, s: int) -> None:
+    def _morph(self, ts: str, side: int, s: int, stop: int | None = None) -> None:
         """Cancel/add whole orders until ``side`` matches the targets of
-        the new state ``s``: levels outside its layout are cancelled in
-        queue order, then each level is re-targeted near to far, informed
-        before noise."""
+        state ``s``.  On a move (``stop`` None) the levels outside the new
+        layout are cancelled in queue order; then the first ``stop`` levels
+        of the layout, all of them on a move, are re-targeted near to far,
+        informed before noise."""
         book, pxs, emit = self.levels[side], self.px, self._emit
         idxs = self.idx[s][side]
-        lo, hi = (idxs[0], idxs[-1]) if side == ASK else (idxs[-1], idxs[0])
         cancel, add, retarget = self._cancel[side], self._add[side], self._retarget
-        for idx in [i for i in book if not lo <= i <= hi]:
-            px = pxs[idx]
-            queues = book.pop(idx)
-            for oid, m, qty in sorted((oid, m, qty) for m in (IMM, NMM)
-                                      for oid, qty in queues[m]):
-                emit(ts, oid, cancel[m], px, qty)
-        for idx, want_imm, want_nmm in zip(idxs, self.imm[s][side], self.nmm[s][side]):
+        if stop is None:
+            lo, hi = (idxs[0], idxs[-1]) if side == ASK else (idxs[-1], idxs[0])
+            for idx in [i for i in book if not lo <= i <= hi]:
+                px = pxs[idx]
+                queues = book.pop(idx)
+                for oid, m, qty in sorted((oid, m, qty) for m in (IMM, NMM)
+                                          for oid, qty in queues[m]):
+                    emit(ts, oid, cancel[m], px, qty)
+        for idx, want_imm, want_nmm in zip(idxs[:stop], self.imm[s][side], self.nmm[s][side]):
             queues = book.get(idx)
             if queues is None:
                 queues = book[idx] = (_Queue(), _Queue())
@@ -603,19 +597,6 @@ class _LoggedRun:
                 retarget(ts, imm_q, want_imm, cancel[IMM], add[IMM], pxs[idx])
             if nmm_q.units != want_nmm:
                 retarget(ts, nmm_q, want_nmm, cancel[NMM], add[NMM], pxs[idx])
-
-    def _refill(self, ts: str, side: int, taken: list) -> None:
-        """Re-add what a sweep took from ``side`` at its state's targets:
-        ``taken`` holds (grid index, IMM units, NMM units) per level the
-        fills reached, near to far."""
-        book, pxs = self.levels[side], self.px
-        cancel, add, retarget = self._cancel[side], self._add[side], self._retarget
-        for idx, took_imm, took_nmm in taken:
-            imm_q, nmm_q = book[idx]
-            if took_imm:
-                retarget(ts, imm_q, imm_q.units + took_imm, cancel[IMM], add[IMM], pxs[idx])
-            if took_nmm:
-                retarget(ts, nmm_q, nmm_q.units + took_nmm, cancel[NMM], add[NMM], pxs[idx])
 
     def _retarget(self, ts: str, queue: _Queue, want: int, cancel: tuple, add: tuple,
                   px: str) -> None:
@@ -638,10 +619,9 @@ class _LoggedRun:
     # -- aggressive executions ------------------------------------------------
 
     def _sweep(self, ts: str, side: int, idxs: list[int], budget: int,
-               label: str, limit_idx: int | None = None) -> list:
+               label: str, limit_idx: int | None = None) -> int:
         """Execute ``budget`` (> 0) units against ``side`` walking ``idxs``
-        and return what the fills took: (grid index, IMM units, NMM units)
-        for each level filled, near to far.
+        (not empty) and return the number of levels walked.
 
         The fill list is computed first, then the rows are emitted in feed
         order: aggressor add (at the grid price ``limit_idx``, by default
@@ -650,11 +630,9 @@ class _LoggedRun:
         """
         book, pxs = self.levels[side], self.px
         fills = []                      # (price text, oid, maker, qty)
-        taken = []
         remaining = budget
-        for idx in idxs:
+        for walked, idx in enumerate(idxs, 1):
             imm_q, nmm_q = book[idx]
-            had_imm, had_nmm = imm_q.units, nmm_q.units
             px = pxs[idx]
             while imm_q or nmm_q:
                 # the older front order, by order id
@@ -673,15 +651,14 @@ class _LoggedRun:
                 remaining -= qty
                 if not remaining:
                     break
-            if had_imm + had_nmm > imm_q.units + nmm_q.units:
-                taken.append((idx, had_imm - imm_q.units, had_nmm - nmm_q.units))
             if not remaining:
                 break
 
         emit = self._emit
-        if limit_idx is None:
-            limit_idx = taken[-1][0] if taken else idxs[0]
-        limit_px = pxs[limit_idx]
+        if limit_idx is not None:
+            limit_px = pxs[limit_idx]
+        else:
+            limit_px = fills[-1][0] if fills else pxs[idxs[0]]
         aggr_side = BID if side == ASK else ASK
         add_kind, execute_kind, cancel_kind = self._aggressor[aggr_side][label]
         execute = self._execute[side]
@@ -693,7 +670,7 @@ class _LoggedRun:
         if remaining > 0:
             emit(ts, aggr_oid, cancel_kind, limit_px, remaining)
         self.executed_units += budget - remaining
-        return taken
+        return walked
 
     # -- event handlers ---------------------------------------------------------
 
@@ -724,7 +701,7 @@ class _LoggedRun:
         """Run the event loop chunk by chunk, yielding the log's text a
         block at a time, and score each chunk once its loop is done; a
         chunk's last block ends with it."""
-        lines, sweep, refill, morph = self._lines, self._sweep, self._refill, self._morph
+        lines, sweep, morph = self._lines, self._sweep, self._morph
         scale = self.cfg.volume_scale
         for n, draws in enumerate(self.chunks):
             self._load(draws)
@@ -742,9 +719,9 @@ class _LoggedRun:
                     side = ASK if sign > 0 else BID
                     q_units = int(round(mag * scale))
                     if q_units:
-                        taken = sweep(ts, side, self.idx[s][side], q_units, "NT")
+                        walked = sweep(ts, side, self.idx[s][side], q_units, "NT")
                         if not moves:
-                            refill(ts, side, taken)
+                            morph(ts, side, s, walked)
                 if moves:
                     s += 1
                     morph(ts, ASK, s)
@@ -764,18 +741,22 @@ class _LoggedRun:
 def run(cfg: SimConfig, log=None) -> SimResult:
     """Run the event simulation; deterministic for a fixed seed.
 
-    A ``record_log`` run needs a ``log`` path, and writes its
-    market-by-order log there through :func:`lobeq.mbo.write_csv`, a block
-    at a time as the event loop cuts it; a run without ``record_log``
-    takes no ``log``.  A logged run raises the errors its draws can cause
-    at the chunk that meets them (see the module docstring)."""
-    if cfg.record_log == (log is None):
-        raise ValueError("record_log=True needs a log path" if cfg.record_log
-                         else "a log path needs record_log=True")
+    Without ``log`` the run scores the static book.  Given a ``log``
+    path, it runs the logged path and writes its market-by-order log there
+    through :func:`lobeq.mbo.write_csv`, a block at a time as the event
+    loop cuts it; that needs the closed-form book and ``offset_d = 0``,
+    checked before any draw.  A logged run raises the errors its draws can
+    cause at the chunk that meets them (see the module docstring)."""
+    if log is not None:
+        if cfg.book_mode is not None:
+            raise ValueError("record_log needs the closed-form book (book_mode=None)")
+        if cfg.params.offset_d != 0.0:
+            raise ValueError(f"record_log puts levels on the tick grid and reads no "
+                             f"offset_d; got offset_d = {cfg.params.offset_d}")
     book = _resolve_book(cfg)
     rng = np.random.default_rng(cfg.seed)
     chunks = _draw_chunks(cfg.params, cfg.n_events, rng, CHUNK_EVENTS)
-    if not cfg.record_log:
+    if log is None:
         return _run_fast(cfg, book, chunks)
     # _draw_chunks draws nothing until iterated: the clock is copied from
     # rng at the stream's start

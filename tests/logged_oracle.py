@@ -7,7 +7,7 @@ targets are recomputed with numpy at every morph (curves cached per price
 between moves), every side is morphed level by level, and each MBO row is
 built as an ``EventLog.Row``, which the csv-module writer of
 ``tests/mbo_oracle.py`` turns into the text the logged run must write.
-``run`` replays ``lobeq.simulator.run`` for a ``record_log`` config with
+``run`` replays the logged ``lobeq.simulator.run(cfg, log=...)`` with
 it, on the same draws (``draw_events``, the whole run as one chunk) and
 timestamps (``event_times``, drawn whole after the draws).  It also
 keeps a ``SimEvent`` per event with the fills it caused, from which its
@@ -374,7 +374,7 @@ class _LoggedRun:
 
 
 def run(cfg: SimConfig) -> tuple[SimResult, str, _LoggedRun]:
-    """``lobeq.simulator.run(cfg, log=...)`` for a ``record_log`` config,
+    """The logged ``lobeq.simulator.run(cfg, log=...)``: its result,
     the text it writes to its log, and the finished oracle run (its probe
     arrays, its events and its best-quote snapshots, one after the initial
     book and one after each event).  The probe statistics are summed over

@@ -74,8 +74,8 @@ def parsed(rows, tick=None) -> EventLog:
 
 
 def logged_run(cfg):
-    """``lobeq.simulator.run`` of a ``record_log`` config, its log written
-    to a temporary file: the result, the file's text and its ``parse``."""
+    """``lobeq.simulator.run(cfg, log=path)``, its log written to a
+    temporary file: the result, the file's text and its ``parse``."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "mbo.csv"
         result = run(cfg, log=path)

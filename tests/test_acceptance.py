@@ -274,7 +274,7 @@ def test_7_signature_recovery_on_labeled_log(tmp_path):
                          volume=NormalVolume(10.0), tick=0.01, offset_d=0.0,
                          lambda_i=0.15, lambda_u=0.85)
     run(SimConfig(params=params, n_events=10**5, seed=31,
-                  record_log=True, n_levels=8, volume_scale=1000), log=tmp_path / "mbo.csv")
+                  n_levels=8, volume_scale=1000), log=tmp_path / "mbo.csv")
     replay = reconstruct(parse(tmp_path / "mbo.csv"))
     quotes = QuoteSeries.from_replay(replay)
     aggressive, _ = build_trade_records(replay)

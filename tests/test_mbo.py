@@ -653,7 +653,7 @@ class TestMatchesOracle:
            n_levels=st.integers(1, 8))
     def test_simulator_logs(self, n_events, seed, n_levels):
         _, _, log = logged_run(SimConfig(params=LOGGED, n_events=n_events, seed=seed,
-                                         record_log=True, n_levels=n_levels, volume_scale=1000))
+                                         n_levels=n_levels, volume_scale=1000))
         assert_parse_parity(dumps(log), tick=0.01)
         assert_replay_parity(log)
 
@@ -1025,7 +1025,7 @@ class TestReadMemory:
     at once; it is about 140 B now."""
 
     def test_peak_per_row_is_bounded(self, tmp_path):
-        cfg = SimConfig(params=LOGGED, n_events=20_000, seed=3, record_log=True, n_levels=8,
+        cfg = SimConfig(params=LOGGED, n_events=20_000, seed=3, n_levels=8,
                         volume_scale=1000)
         path = tmp_path / "mbo.csv"
         run(cfg, log=path)
@@ -1048,7 +1048,7 @@ class TestParsedWalk:
     @pytest.fixture(scope="class")
     def log_path(self, tmp_path_factory):
         path = tmp_path_factory.mktemp("walk") / "mbo.csv"
-        run(SimConfig(params=LOGGED, n_events=400, seed=5, record_log=True, n_levels=4,
+        run(SimConfig(params=LOGGED, n_events=400, seed=5, n_levels=4,
                       volume_scale=1000), log=path)
         return path
 
@@ -1112,9 +1112,19 @@ class _Unseekable(io.StringIO):
         return False
 
 
+class _Blockwise(_Unseekable):
+    """An unseekable stream that refuses to be read whole."""
+
+    def read(self, size=-1):
+        if size is None or size < 0:
+            raise AssertionError("read the whole stream")
+        return super().read(size)
+
+
 class TestUnseekableSource:
-    """A source that cannot seek is read whole, then as a file is: the
-    same columns, and a bad row named by the same number."""
+    """A source that cannot seek is copied in blocks to a temporary file,
+    then read as a file is: the same columns, and a bad row named by the
+    same number."""
 
     ROWS = [ev(10 + k, k + 1, "add", price=100 + k / 100, qty=5, label="NMM") for k in range(40)]
 
@@ -1132,12 +1142,13 @@ class TestUnseekableSource:
         from_fifo = outcome(parse, fifo, tick=0.01)
         writer.join(timeout=60)
         assert not writer.is_alive()
-        got = [outcome(parse, _Unseekable(text, newline=""), tick=0.01), from_fifo,
+        got = [outcome(parse, _Unseekable(text, newline=""), tick=0.01),
+               outcome(parse, _Blockwise(text, newline=""), tick=0.01), from_fifo,
                outcome(parse, path, tick=0.01)]
         if fault:
-            assert got == [("MboParseError", fault)] * 3
+            assert got == [("MboParseError", fault)] * 4
             return
-        assert [status for status, _ in got] == ["ok"] * 3
+        assert [status for status, _ in got] == ["ok"] * 4
         for _, log in got:
             same_columns(log, got[-1][1])
         assert list(got[-1][1]) == self.ROWS

@@ -210,7 +210,7 @@ class TestClassify:
 SIM_LOG = SimConfig(params=ModelParams(r=0.15, f=0.9, jump=Pareto(2.5, 0.01),
                                        volume=NormalVolume(10.0), tick=0.01, offset_d=0.0,
                                        lambda_i=0.15, lambda_u=0.85),
-                    n_events=6000, seed=23, record_log=True, n_levels=8, volume_scale=1000)
+                    n_events=6000, seed=23, n_levels=8, volume_scale=1000)
 
 
 @pytest.fixture(scope="module")
@@ -458,7 +458,7 @@ class TestTablesMatchRecordsOracle:
     def test_simulator_logs(self, n_events, seed, n_levels, volume_scale, theta):
         params = dataclasses.replace(LOGGED, theta=theta)
         _, _, log = logged_run(SimConfig(params=params, n_events=n_events, seed=seed,
-                                         record_log=True, n_levels=n_levels,
+                                         n_levels=n_levels,
                                          volume_scale=volume_scale))
         assert_tables_match_oracle(log)
 

@@ -220,11 +220,6 @@ class TestFastPath:
                 SimConfig(params=REF, n_events=10, seed=0,
                           book_mode=dataclasses.replace(book, **change))
         SimConfig(params=REF, n_events=10, seed=0, book_mode=book)
-        # a logged book sits on the tick grid around the price and reads no offset
-        with pytest.raises(ValueError, match="^record_log puts levels on the tick grid and reads "
-                                             "no offset_d; got offset_d = 0.005$"):
-            SimConfig(params=dataclasses.replace(REF, offset_d=0.005), n_events=10, seed=0,
-                      record_log=True)
 
     def test_overflowing_drift_gains_are_rejected(self):
         # n_events * (theta * (1 + |rho|))**2 bounds a level's sum of squared
@@ -255,12 +250,10 @@ class TestFastPath:
         ("n_events", 1000.0), ("n_events", True), ("seed", 1.5), ("seed", False),
         ("n_levels", 2.0), ("n_levels", "3"), ("volume_scale", 1000.5), ("volume_scale", True)])
     def test_integer_fields_must_be_integers(self, field, value):
-        # rejected at once, naming the field, on both paths; numpy integers pass
-        for record_log in (False, True):
-            with pytest.raises(ValueError, match=f"^{field} must be an integer, got "
-                                                 f"{re.escape(repr(value))}$"):
-                SimConfig(**{"params": LOGGED, "n_events": 10, "seed": 0,
-                             "record_log": record_log, field: value})
+        # rejected at once, naming the field; numpy integers pass
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got "
+                                             f"{re.escape(repr(value))}$"):
+            SimConfig(**{"params": LOGGED, "n_events": 10, "seed": 0, field: value})
         SimConfig(params=LOGGED, n_events=np.int64(10), seed=np.uint32(0),
                   n_levels=np.int8(2), volume_scale=np.int64(1000))
 
@@ -408,7 +401,7 @@ class TestChunkedMemory:
         assert peak < 8 * 2**20
 
 
-LOGGED_RUN = SimConfig(params=LOGGED, n_events=4000, seed=11, record_log=True,
+LOGGED_RUN = SimConfig(params=LOGGED, n_events=4000, seed=11,
                        n_levels=8, volume_scale=1000)
 
 
@@ -450,7 +443,7 @@ class TestLoggedPath:
                 assert abs(p.mean_gain) <= 3.5 * p.std_err, (p.maker, p.level)
 
     def test_deterministic_log(self):
-        cfg = SimConfig(params=LOGGED, n_events=500, seed=21, record_log=True,
+        cfg = SimConfig(params=LOGGED, n_events=500, seed=21,
                         n_levels=6, volume_scale=1000)
         assert logged_run(cfg)[1] == logged_run(cfg)[1]
 
@@ -459,28 +452,26 @@ class TestLoggedPath:
         # at the parameters of acceptance test 7, plain and toxic: the log a
         # run writes to its path is the text the per-event loop collects
         cfg = SimConfig(params=dataclasses.replace(LOGGED, theta=theta, rho=rho),
-                        n_events=3000, seed=31, record_log=True, n_levels=8, volume_scale=1000)
+                        n_events=3000, seed=31, n_levels=8, volume_scale=1000)
         collected, text, _ = logged_oracle.run(cfg)
         streamed = run(cfg, log=tmp_path / "streamed.csv")
         assert (tmp_path / "streamed.csv").read_bytes() == text.encode()
         assert repr(streamed.pnl) == repr(collected.pnl)
         assert streamed.summary == collected.summary
 
-    def test_export_requires_log(self, tmp_path):
-        # a logged run writes its log only to a path, and only a logged run
-        # takes one: either way the run fails before any draw
-        fast = SimConfig(params=REF, n_events=100, seed=1, n_levels=4)
+    @pytest.mark.parametrize("change, message", [
+        (dict(params=dataclasses.replace(LOGGED, offset_d=0.005)),
+         "record_log puts levels on the tick grid and reads no offset_d; got offset_d = 0.005"),
+        (dict(book_mode=shape_tick(LOGGED, 4)),
+         "record_log needs the closed-form book (book_mode=None)"),
+    ], ids=["offset_d", "book_mode"])
+    def test_logged_book_is_closed_form_on_the_grid(self, tmp_path, change, message):
+        # a logged book sits on the tick grid around the price: a run given
+        # a log refuses any other book before any draw, and writes no file
+        cfg = dataclasses.replace(LOGGED_RUN, **change)
         with mock.patch.object(simulator, "_draw_chunks", side_effect=AssertionError("drew")):
-            with pytest.raises(ValueError, match=r"^record_log=True needs a log path$"):
-                run(LOGGED_RUN)
-            with pytest.raises(ValueError, match=r"^a log path needs record_log=True$"):
-                run(fast, log=tmp_path / "mbo.csv")
-        assert not (tmp_path / "mbo.csv").exists()
-
-    def test_log_path_needs_record_log(self, tmp_path):
-        cfg = SimConfig(params=REF, n_events=100, seed=1, n_levels=4)
-        with pytest.raises(ValueError, match=r"^a log path needs record_log=True$"):
-            run(cfg, log=tmp_path / "mbo.csv")
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                run(cfg, log=tmp_path / "mbo.csv")
         assert not (tmp_path / "mbo.csv").exists()
 
     def test_roundtrip_export_parse(self, logged_log):
@@ -496,7 +487,7 @@ class TestLoggedPath:
            n_levels=st.integers(1, 10), volume_scale=st.sampled_from([1, 10, 1000, 10**6]))
     def test_replay_conserves_executed_volume(self, n_events, seed, n_levels, volume_scale):
         result, _, log = logged_run(SimConfig(params=LOGGED, n_events=n_events, seed=seed,
-                                              record_log=True, n_levels=n_levels,
+                                              n_levels=n_levels,
                                               volume_scale=volume_scale))
         replay = reconstruct(log)
         passive = sum(f.qty for f in replay.fills if not f.aggressor)
@@ -525,7 +516,7 @@ class TestLoggedPath:
                              volume=NormalVolume(10.0), tick=0.01, offset_d=0.0,
                              lambda_i=0.15, lambda_u=0.85)
         cfg = SimConfig(params=params, n_events=2000, seed=8,
-                        record_log=True, n_levels=5, volume_scale=1000)
+                        n_levels=5, volume_scale=1000)
         draws, times = redraw(cfg)
         won_at = times[draws.is_jump & draws.it_wins]
         assert len(won_at) > 100
@@ -577,37 +568,39 @@ class TestLoggedErrors:
     def test_requires_a_positive_tick(self):
         params = ModelParams(r=0.15, f=0.9, jump=Pareto(2.5, 0.01), volume=NormalVolume(10.0))
         with pytest.raises(ValueError, match="closed-form book needs a positive tick"):
-            SimConfig(params=params, n_events=10, seed=0, record_log=True)
+            SimConfig(params=params, n_events=10, seed=0)
 
-    def test_static_mode_only(self):
+    def test_static_mode_only(self, tmp_path):
+        # a user book runs on the fast path and is refused a log
+        cfg = SimConfig(params=LOGGED, n_events=10, seed=0, book_mode=shape_tick(LOGGED, 4))
+        assert run(cfg).summary["n_events"] == 10
         with pytest.raises(ValueError, match=r"^record_log needs the closed-form book "
                                              r"\(book_mode=None\)$"):
-            SimConfig(params=LOGGED, n_events=10, seed=0, record_log=True,
-                      book_mode=shape_tick(LOGGED, 4))
+            run(cfg, log=tmp_path / "mbo.csv")
 
     def test_unbounded_book(self, tmp_path):
         params = ModelParams(r=0.15, f=0.0, jump=Pareto(2.5, 0.01), volume=NormalVolume(10.0),
                              tick=0.01)
         with pytest.raises(ValueError, match="unbounded within the simulated levels"):
-            run(SimConfig(params=params, n_events=10, seed=0, record_log=True),
+            run(SimConfig(params=params, n_events=10, seed=0),
                 log=tmp_path / "mbo.csv")
 
-    @pytest.mark.parametrize("record_log", [False, True])
-    def test_unbounded_book_fails_before_any_draw(self, tmp_path, record_log):
+    @pytest.mark.parametrize("logged", [False, True])
+    def test_unbounded_book_fails_before_any_draw(self, tmp_path, logged):
         params = ModelParams(r=0.15, f=0.0, jump=Pareto(2.5, 0.01), volume=NormalVolume(10.0),
                              tick=0.01)
-        cfg = SimConfig(params=params, n_events=10**6, seed=0, record_log=record_log)
+        cfg = SimConfig(params=params, n_events=10**6, seed=0)
         # both paths draw through _draw_chunks (draw_events is one chunk of it)
         with mock.patch.object(simulator, "_draw_chunks", side_effect=AssertionError("drew")):
             with pytest.raises(ValueError, match="unbounded within the simulated levels"):
-                run(cfg, log=tmp_path / "mbo.csv" if record_log else None)
+                run(cfg, log=tmp_path / "mbo.csv" if logged else None)
 
     def test_price_path_must_stay_on_a_finite_grid(self, tmp_path):
         # a drift of 1e100 takes the path beyond 2**52 ticks, with no
         # RuntimeWarning on the way to the error
         params = dataclasses.replace(LOGGED, theta=1e100)
         with pytest.raises(ValueError, match="^record_log needs a finite price path"):
-            run(SimConfig(params=params, n_events=10, seed=0, record_log=True),
+            run(SimConfig(params=params, n_events=10, seed=0),
                 log=tmp_path / "mbo.csv")
 
     @pytest.mark.parametrize("existing", [b"an earlier log\r\n", None], ids=["existing", "missing"])
@@ -618,14 +611,14 @@ class TestLoggedErrors:
             path.write_bytes(existing)
         params = dataclasses.replace(LOGGED, theta=1e100)
         with pytest.raises(ValueError, match="^record_log needs a finite price path"):
-            run(SimConfig(params=params, n_events=10, seed=0, record_log=True), log=path)
+            run(SimConfig(params=params, n_events=10, seed=0), log=path)
         assert (path.read_bytes() if path.exists() else None) == existing
 
     def test_later_chunk_error_leaves_the_earlier_chunks_rows(self, tmp_path, monkeypatch):
         # chunks of 100 events write fewer rows than a block: each chunk's
         # last block ends with it
         monkeypatch.setattr(simulator, "CHUNK_EVENTS", 100)
-        cfg = SimConfig(params=LOGGED, n_events=300, seed=1, record_log=True, n_levels=4,
+        cfg = SimConfig(params=LOGGED, n_events=300, seed=1, n_levels=4,
                         volume_scale=1000)
         full, path = tmp_path / "full.csv", tmp_path / "mbo.csv"
         run(cfg, log=full)
@@ -647,11 +640,11 @@ class TestLoggedErrors:
 
     def test_volume_units_must_fit_in_int64(self, tmp_path):
         with pytest.raises(ValueError, match=f"^volume_scale {10**30} is too large: "):
-            run(SimConfig(params=LOGGED, n_events=10, seed=0, record_log=True,
+            run(SimConfig(params=LOGGED, n_events=10, seed=0,
                           volume_scale=10**30), log=tmp_path / "mbo.csv")
         # a large scale that still fits runs, and its total, past int64,
         # stays exact
-        res, _, log = logged_run(SimConfig(params=LOGGED, n_events=20, seed=0, record_log=True,
+        res, _, log = logged_run(SimConfig(params=LOGGED, n_events=20, seed=0,
                                            volume_scale=10**17))
         replay = reconstruct(log)
         total = res.summary["executed_units_total"]
@@ -675,7 +668,7 @@ def logged_configs(draw):
         rho=draw(st.sampled_from([0.0, 0.5, 0.9])),
     )
     return SimConfig(params=params, n_events=draw(st.integers(1, 400)),
-                     seed=draw(st.integers(0, 2**32 - 1)), record_log=True,
+                     seed=draw(st.integers(0, 2**32 - 1)),
                      n_levels=draw(st.integers(1, 5 if isinstance(jump, PointMass) else 10)),
                      volume_scale=draw(st.sampled_from([1, 10, 1000, 10**6])))
 
@@ -683,11 +676,11 @@ def logged_configs(draw):
 def refill_case(f, n_levels, volume_scale, n_events, seed, jump=Pareto(2.5, 0.01)):
     params = ModelParams(r=0.15, f=f, jump=jump, volume=NormalVolume(10.0), tick=0.01,
                          offset_d=0.0)
-    return SimConfig(params=params, n_events=n_events, seed=seed, record_log=True,
+    return SimConfig(params=params, n_events=n_events, seed=seed,
                      n_levels=n_levels, volume_scale=volume_scale)
 
 
-#: theta = 0 runs whose noise sweeps are refilled from their takes, each
+#: theta = 0 runs whose noise sweeps re-target the levels they walked, each
 #: with one kind of sweep or neighbour event (checked in TestRefill)
 REFILL_CASES = {
     # a buy or sell larger than the whole side: the aggressor's cancel row
@@ -743,7 +736,7 @@ class TestLoggedOracle:
     def test_long_toxic_run_matches_oracle(self):
         params = ModelParams(r=0.15, f=0.9, jump=Pareto(2.5, 0.01), volume=NormalVolume(10.0),
                              tick=0.01, offset_d=0.0, theta=0.0005, rho=0.5)
-        cfg = SimConfig(params=params, n_events=3000, seed=5, record_log=True,
+        cfg = SimConfig(params=params, n_events=3000, seed=5,
                         n_levels=8, volume_scale=1000)
         _, text, oracle = logged_oracle.run(cfg)
         _, written, log = logged_run(cfg)
@@ -755,7 +748,7 @@ class TestLoggedOracle:
         # per-event oracle quick: the log carries across two chunk ends
         monkeypatch.setattr(simulator, "CHUNK_EVENTS", 1024)
         cfg = SimConfig(params=LOGGED, n_events=2 * simulator.CHUNK_EVENTS + 777, seed=9,
-                        record_log=True, n_levels=8, volume_scale=1000)
+                        n_levels=8, volume_scale=1000)
         expected, text, oracle = logged_oracle.run(cfg)
         result, written, log = logged_run(cfg)
         assert written == text
@@ -827,37 +820,49 @@ class TestLoggedChunkSize:
 
 
 class TestRefill:
-    """Each of ``REFILL_CASES`` reaches ``_LoggedRun._refill`` with the kind
-    of sweep or event it is named for."""
+    """Each of ``REFILL_CASES`` reaches ``_LoggedRun._morph`` with a
+    ``stop``, after a noise sweep that does not move the price, with the
+    kind of sweep or event it is named for."""
 
     @staticmethod
     def traced_run(cfg):
-        """The run, its log rows, and per refill the (layout walked,
-        budget, takes) of the sweep it refills."""
+        """The run, its log rows, and per ``_morph`` call with a ``stop``
+        the (layout walked, budget, units taken per level of the layout) of
+        the sweep before it; the ``stop`` is checked to be the levels that
+        sweep walked."""
         lr = logged_run_object(cfg)
-        sweep, refill, refills, last = lr._sweep, lr._refill, [], []
+        sweep, morph, refills, last = lr._sweep, lr._morph, [], []
+
+        def units(side, idxs):
+            return [sum(q.units for q in lr.levels[side][idx]) for idx in idxs]
 
         def traced_sweep(ts, side, idxs, budget, label, limit_idx=None):
-            last[:] = [idxs, budget]
-            return sweep(ts, side, idxs, budget, label, limit_idx)
+            had = units(side, idxs)
+            walked = sweep(ts, side, idxs, budget, label, limit_idx)
+            last[:] = [idxs, budget, [a - b for a, b in zip(had, units(side, idxs))], walked]
+            return walked
 
-        def traced_refill(ts, side, taken):
-            refills.append((*last, taken))
-            refill(ts, side, taken)
+        def traced_morph(ts, side, s, stop=None):
+            if stop is not None:
+                idxs, budget, took, walked = last
+                assert stop == walked
+                refills.append((idxs, budget, took))
+            morph(ts, side, s, stop)
 
-        lr._sweep, lr._refill = traced_sweep, traced_refill
+        lr._sweep, lr._morph = traced_sweep, traced_morph
         rows = list(parse(io.StringIO(HEADER_LINE + "".join(lr.blocks()), newline="")))
         return lr, rows, refills
 
     def test_empties_a_side(self):
         _, rows, refills = self.traced_run(REFILL_CASES["empties_a_side"])
-        assert any(sum(a + b for _, a, b in taken) < budget for _, budget, taken in refills)
+        assert any(sum(took) < budget for _, budget, took in refills)
         assert any(r.action == "cancel" and r.participant_label == "NT" for r in rows)
 
     def test_walks_past_an_empty_level(self):
+        # a level the sweep took nothing from comes before one it took from
         _, _, refills = self.traced_run(REFILL_CASES["walks_past_an_empty_level"])
-        assert any([idx for idx, _, _ in taken] != idxs[:len(taken)]
-                   for idxs, _, taken in refills)
+        assert any(0 in took[:max(k for k, t in enumerate(took) if t)]
+                   for _, _, took in refills if any(took))
 
     def test_rounds_to_zero_units(self):
         cfg = REFILL_CASES["rounds_to_zero_units"]
@@ -890,7 +895,7 @@ class TestLoggedMemory:
         # about 20 chunks: one chunk's tables at a time, so the peak is a
         # tenth of a one-chunk run's (test_streamed_peak_per_order)
         monkeypatch.setattr(simulator, "CHUNK_EVENTS", 1024)
-        cfg = SimConfig(params=LOGGED, n_events=self.N_EVENTS, seed=1, record_log=True,
+        cfg = SimConfig(params=LOGGED, n_events=self.N_EVENTS, seed=1,
                         n_levels=8, volume_scale=1000)
         tracemalloc.start()
         try:
@@ -904,7 +909,7 @@ class TestLoggedMemory:
 
     def test_streamed_peak_per_order(self, tmp_path):
         # one chunk: its tables, the book and a block of text at a time
-        cfg = SimConfig(params=LOGGED, n_events=self.N_EVENTS, seed=1, record_log=True,
+        cfg = SimConfig(params=LOGGED, n_events=self.N_EVENTS, seed=1,
                         n_levels=8, volume_scale=1000)
         tracemalloc.start()
         try:
@@ -918,7 +923,7 @@ class TestLoggedMemory:
 
     def test_orders_are_small_records(self):
         # no larger than a slotted (id, participant, units) record, 56 bytes
-        cfg = SimConfig(params=LOGGED, n_events=2000, seed=1, record_log=True,
+        cfg = SimConfig(params=LOGGED, n_events=2000, seed=1,
                         n_levels=8, volume_scale=1000)
         lr = logged_run_object(cfg)
         for _ in lr.blocks():
